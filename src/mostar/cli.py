@@ -44,18 +44,41 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+class UsageError(Exception):
+    """Arguments that parse but cannot be run; reported with exit code 2."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _size_range(text: str) -> tuple[int, int]:
+    a, sep, b = text.partition("-")
+    if not (sep and a.isdecimal() and b.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected A-B with integers A <= B, got {text!r}")
+    lo, hi = int(a), int(b)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"reversed range {text!r}: {lo} > {hi}")
+    return lo, hi
+
+
 def _parse_sizes(args, lo: int, hi: int, default: tuple[int, int]) -> list[int]:
     if args.size is not None:
         sizes = [args.size]
     elif args.range is not None:
-        a, _, b = args.range.partition("-")
-        sizes = list(range(int(a), int(b or a) + 1))
+        sizes = list(range(args.range[0], args.range[1] + 1))
     else:
         sizes = list(range(default[0], default[1] + 1))
     hi_eff = hi + 1 if getattr(args, "deep", False) else hi
     bad = [m for m in sizes if not lo <= m <= hi_eff]
     if bad:
-        raise SystemExit(
+        raise UsageError(
             f"sizes {bad} outside supported range {lo}..{hi_eff}"
             + ("" if getattr(args, "deep", False) else " (use --deep for the next size)")
         )
@@ -174,7 +197,7 @@ def cmd_lemmas(args) -> int:
 
 
 def _add_common(p, default_threads) -> None:
-    p.add_argument("--threads", type=int, default=default_threads,
+    p.add_argument("--threads", type=_positive_int, default=default_threads,
                    help="enumeration worker processes")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write to this path instead of stdout")
@@ -183,7 +206,8 @@ def _add_common(p, default_threads) -> None:
     p.add_argument("--registry", help="families registry JSON "
                    "(default: ./families.json if present)")
     p.add_argument("--size", type=int, help="verify a single size m")
-    p.add_argument("--range", help="verify sizes A-B inclusive, e.g. 7-12")
+    p.add_argument("--range", type=_size_range,
+                   help="verify sizes A-B inclusive, e.g. 7-12")
     p.add_argument("--deep", action="store_true",
                    help="allow the next size up (slow)")
 
@@ -215,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the discovery report here")
     p.add_argument("--max-size", type=int, default=12,
                    help="largest tricyclic size to enumerate")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=_positive_int, default=default_threads)
     p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("lemmas", help="verify pendant-shift delta rules")
-    p.add_argument("--count", type=int, default=20,
+    p.add_argument("--count", type=_positive_int, default=20,
                    help="parameter tuples per rule and region")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
@@ -232,6 +256,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (GraphError, Graph6Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,33 @@ class with no global dedup state.  That memorylessness is what makes the
 parallel split trivial: every spanning-tree seed owns an independent
 subtree of the generation forest, and fold results merge associatively,
 so output is identical for any worker count.
+
+The canonical deletion edge of a child is defined on its non-bridge edges
+(deleting one keeps the graph connected): take those with the smallest
+`_edge_inv` score (sorted end degrees, then the sorted degrees of the
+vertices adjacent to either end), and among them the edge whose sorted pair of
+canonical labels is smallest.  `_accept_edge_child` tests the new edge e
+against that rule cheapest step first:
+
+1. Score every edge by its sorted degree pair alone, and compute the full
+   score only for edges whose pair equals e's.  The pair is the score's
+   leading component, so a smaller or larger pair settles the comparison.
+2. Test bridge-ness (one bitset reachability pass on the child minus that
+   edge) only for edges scoring no higher than e.  e itself always closes
+   a cycle, so it is never a bridge.
+3. Reject as soon as a non-bridge edge scores strictly lower than e: then
+   e is not of minimum score and cannot be the canonical deletion edge.
+4. Otherwise e's score is the minimum, and the non-bridge edges sharing it
+   (the tie set) are exactly the candidates the full rule ranks.  Only now
+   is the child canonically labelled.  If e is the only candidate or the
+   best-labelled one it is accepted; if not, accept when e and the best
+   candidate share an orbit under the automorphism group.  The tie set is
+   closed under automorphisms, which preserve scores and bridges, so the
+   orbit walk runs on it alone.
+
+Edges scoring higher than e can neither be the minimum nor enter the tie
+set, so skipping them selects the same canonical deletion edge as scoring
+every non-bridge edge.
 """
 
 from __future__ import annotations
@@ -19,7 +46,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
 from .canon import CANON_MAX_N, CanonCapacityError, CanonResult, canon, pair_orbit_reps
-from .graphs import Graph, write_graph6
+from .graphs import Graph, reachable_mask, write_graph6
 from .indices import edge_mostar
 
 
@@ -114,47 +141,6 @@ def trees(n: int) -> Iterator[tuple[tuple[int, ...], CanonResult]]:
 # -- canonical edge augmentation ---------------------------------------------
 
 
-def _bridges(n: int, adj: tuple[int, ...]) -> set[tuple[int, int]]:
-    disc = [-1] * n
-    low = [0] * n
-    out: set[tuple[int, int]] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1)]
-        iters = {}
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent = stack[-1]
-            it = iters.get(v)
-            if it is None:
-                it = iters[v] = iter(
-                    [w for w in range(n) if adj[v] >> w & 1]
-                )
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v))
-                    advanced = True
-                    break
-                elif w != parent:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] > disc[pv]:
-                        out.add((pv, v) if pv < v else (v, pv))
-    return out
-
-
 def _edge_inv(adj: tuple[int, ...], deg: list[int], a: int, b: int):
     """Cheap isomorphism-invariant edge score used to pre-filter the
     canonical-deletion test before paying for a full canonical labeling."""
@@ -175,40 +161,58 @@ def _accept_edge_child(
     n: int, child: tuple[int, ...], a: int, b: int
 ) -> Optional[CanonResult]:
     """McKay acceptance: does (a, b) sit in the orbit of the canonical
-    deletion edge of `child`?  Returns the child's canon data when yes."""
+    deletion edge of `child`?  Returns the child's canon data when yes.
+    The steps run cheapest first, in the order the module docstring gives."""
     deg = [row.bit_count() for row in child]
-    bridges = _bridges(n, child)
-    nonbridge = []
+    e = (a, b) if a < b else (b, a)
+    da, db = deg[a], deg[b]
+    e_pair = (da, db) if da <= db else (db, da)
+    e_inv = None
+    ties = [e]
+    cut = list(child)
     for u in range(n):
+        du = deg[u]
         row = child[u] >> (u + 1)
         base = u + 1
         while row:
             low = row & -row
             v = base + low.bit_length() - 1
             row ^= low
-            if (u, v) not in bridges:
-                nonbridge.append((u, v))
-    invs = {f: _edge_inv(child, deg, *f) for f in nonbridge}
-    e = (a, b) if a < b else (b, a)
-    min_inv = min(invs.values())
-    if invs[e] != min_inv:
-        return None
+            dv = deg[v]
+            pair = (du, dv) if du <= dv else (dv, du)
+            if pair > e_pair or (u, v) == e:
+                continue
+            lower = pair < e_pair
+            if not lower:
+                if e_inv is None:
+                    e_inv = _edge_inv(child, deg, a, b)
+                inv = _edge_inv(child, deg, u, v)
+                if inv > e_inv:
+                    continue
+                lower = inv < e_inv
+            # (u, v) is a bridge exactly when v is unreachable without it
+            cut[u] ^= 1 << v
+            cut[v] ^= 1 << u
+            bridge = not reachable_mask(cut, u) >> v & 1
+            cut[u] = child[u]
+            cut[v] = child[v]
+            if bridge:
+                continue
+            if lower:
+                return None
+            ties.append((u, v))
     cres = canon(Graph(n, child))
     lam = cres.labeling
-    best_pair = None
-    best_key = None
-    for f in nonbridge:
-        if invs[f] != min_inv:
-            continue
+
+    def canon_key(f):
         x, y = lam[f[0]], lam[f[1]]
-        key = (x, y) if x < y else (y, x)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = f
-    reps = pair_orbit_reps(n, cres.generators, nonbridge)
-    if reps[e] == reps[best_pair]:
+        return (x, y) if x < y else (y, x)
+
+    best = min(ties, key=canon_key)
+    if best == e:
         return cres
-    return None
+    reps = pair_orbit_reps(n, cres.generators, ties)
+    return cres if reps[e] == reps[best] else None
 
 
 def _augment(
@@ -268,9 +272,8 @@ def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
 
 
 def _fold_seed(args) -> tuple:
-    (n, m, min_degree, seed_adj, want_histogram, target_values, want_census) = args
-    seed = Graph(n, seed_adj)
-    cres = canon(seed)
+    (n, m, min_degree, seed_adj, cres, want_histogram, target_values,
+     want_census) = args
     count = 0
     best: Optional[int] = None
     argmax: list[str] = []
@@ -329,10 +332,10 @@ def survey(
     n, m = task.n, task.m
     partials = []
     if task.feasible:
-        seeds = [adj for adj, _ in trees(n)]
         args = [
-            (n, m, task.min_degree, s, histogram, tuple(target_values), census)
-            for s in seeds
+            (n, m, task.min_degree, adj, cres, histogram, tuple(target_values),
+             census)
+            for adj, cres in trees(n)
         ]
         if workers > 1 and len(args) > 1:
             ctx = get_context("fork")

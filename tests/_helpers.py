@@ -114,3 +114,75 @@ def all_graphs(n: int):
         yield Graph.from_edges(
             n, [e for k, e in enumerate(pairs) if bits >> k & 1]
         )
+
+
+def tarjan_bridges(n: int, adj: tuple[int, ...]) -> set[tuple[int, int]]:
+    """Every bridge of the graph, by one iterative low-link DFS."""
+    disc = [-1] * n
+    low = [0] * n
+    out: set[tuple[int, int]] = set()
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack = [(root, -1)]
+        iters = {}
+        disc[root] = low[root] = timer
+        timer += 1
+        while stack:
+            v, parent = stack[-1]
+            it = iters.get(v)
+            if it is None:
+                it = iters[v] = iter(
+                    [w for w in range(n) if adj[v] >> w & 1]
+                )
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v))
+                    advanced = True
+                    break
+                elif w != parent:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            if not advanced:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                    if low[v] > disc[pv]:
+                        out.add((pv, v) if pv < v else (v, pv))
+    return out
+
+
+def reference_accept_edge_child(n: int, child: tuple[int, ...], a: int, b: int):
+    """The canonical-deletion rule applied literally: score every non-bridge
+    edge, canonically label the child whenever (a, b) has the minimum
+    score, and take orbits over all non-bridge edges.  Same contract as
+    `enumeration._accept_edge_child`."""
+    from mostar import canon
+    from mostar.canon import pair_orbit_reps
+    from mostar.enumeration import _edge_inv
+
+    deg = [row.bit_count() for row in child]
+    bridges = tarjan_bridges(n, child)
+    nonbridge = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if child[u] >> v & 1 and (u, v) not in bridges
+    ]
+    invs = {f: _edge_inv(child, deg, *f) for f in nonbridge}
+    e = (a, b) if a < b else (b, a)
+    min_inv = min(invs.values())
+    if invs[e] != min_inv:
+        return None
+    cres = canon(Graph(n, child))
+    lam = cres.labeling
+    best_pair = min(
+        (f for f in nonbridge if invs[f] == min_inv),
+        key=lambda f: tuple(sorted((lam[f[0]], lam[f[1]]))),
+    )
+    reps = pair_orbit_reps(n, cres.generators, nonbridge)
+    return cres if reps[e] == reps[best_pair] else None

@@ -83,8 +83,34 @@ def test_verify_theorem1_m6_informational(capsys):
 
 
 def test_verify_range_guard(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify-theorem1", "--size", "13"])  # needs --deep
+    assert exc.value.code == 2
+    assert "--deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+@pytest.mark.parametrize("text", ["7-x", "7", "a-b", "9-7"])
+def test_verify_bad_range(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--range", text, "--threads", "1"])
+    assert exc.value.code == 2
+    assert "argument --range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command,option", [
+    ("verify-theorem1", "--threads"),
+    ("verify-theorem2", "--threads"),
+    ("atlas", "--threads"),
+    ("lemmas", "--count"),
+])
+def test_nonpositive_count_rejected(tmp_path, capsys, command, option, value):
+    # --output keeps a regression from overwriting the committed registry
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, value, "--output", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least 1" in capsys.readouterr().err
 
 
 def test_atlas_partial_on_small_range(tmp_path, capsys):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from mostar import CanonCapacityError, canon, complete, isomorphic
+from mostar import CanonCapacityError, canon, complete, enumeration, isomorphic
 from mostar.enumeration import (
     EnumerationTask,
+    bicyclic_task,
     enumerate_connected,
     maximize,
     maximize_bicyclic,
@@ -14,7 +15,11 @@ from mostar.enumeration import (
     trees,
     tricyclic_task,
 )
-from _helpers import brute_connected_class_count
+from _helpers import brute_connected_class_count, reference_accept_edge_child
+
+
+def _class_count(task):
+    return sum(1 for _ in enumerate_connected(task))
 
 
 def test_tree_counts():
@@ -43,6 +48,38 @@ def test_counts_match_brute_force_small():
     for m in (5, 6, 7, 8):
         mine = sum(1 for _ in enumerate_connected(EnumerationTask(6, m)))
         assert mine == brute_connected_class_count(6, m), m
+
+
+def test_class_count_n7_total():
+    # connected graphs on 7 vertices: OEIS A001349
+    assert sum(_class_count(EnumerationTask(7, m)) for m in range(6, 22)) == 853
+
+
+def test_class_counts_n8():
+    # connected graphs on 8 vertices by edge count: OEIS A054924, row 8
+    expected = {7: 23, 8: 89, 9: 236, 10: 486, 11: 814, 12: 1169}
+    for m, count in expected.items():
+        assert _class_count(EnumerationTask(8, m)) == count, m
+
+
+def test_acceptance_matches_reference_rule(monkeypatch):
+    """Every child tried for tricyclic m <= 10 and bicyclic m <= 9 gets the
+    same decision and canon data from the full-Tarjan reference rule."""
+    fast = enumeration._accept_edge_child
+    decisions = {True: 0, False: 0}
+
+    def checked(n, child, a, b):
+        got = fast(n, child, a, b)
+        assert got == reference_accept_edge_child(n, child, a, b), (child, a, b)
+        decisions[got is not None] += 1
+        return got
+
+    monkeypatch.setattr(enumeration, "_accept_edge_child", checked)
+    for m in range(6, 11):
+        _class_count(tricyclic_task(m))
+    for m in range(5, 10):
+        _class_count(bicyclic_task(m))
+    assert decisions[True] > 0 and decisions[False] > 0
 
 
 def test_no_duplicates_at_tricyclic_7():
