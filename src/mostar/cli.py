@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .families import FamilyRegistry, builtin_registry
-from .graphs import Graph6Error, GraphError, is_connected, parse_graph6
+from .graphs import Graph6Error, GraphError, parse_graph6
 from .indices import mostar_summary
 from .shifts import run_shift_suite
 from .verify import run_atlas, verify_bicyclic, verify_tricyclic
@@ -101,7 +101,7 @@ def cmd_compute(args) -> int:
         for i, line in enumerate(sys.stdin, start=1):
             if line.strip():
                 lines.append((line, i, "<stdin>"))
-    out_rows = []
+    out_rows = []  # (graph, summary)
     skipped = 0
     for line, no, src in lines:
         try:
@@ -110,19 +110,18 @@ def cmd_compute(args) -> int:
             print(f"{src}:{no}: parse error: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        if not is_connected(g):
+        try:
+            out_rows.append((g, mostar_summary(g)))
+        except GraphError:
             print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
             skipped += 1
-            continue
-        out_rows.append(mostar_summary(g))
     if args.format == "json":
-        text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in out_rows)
+        text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for _, r in out_rows)
     else:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["graph6", "n", "m", "edge_mostar"])
-        for r in out_rows:
-            g = parse_graph6(r.graph6)
+        for g, r in out_rows:
             w.writerow([r.graph6, g.n, g.m, r.edge_mostar])
         text = buf.getvalue()
     _write_output(text, args.output)

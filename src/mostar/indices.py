@@ -7,6 +7,36 @@ itself is excluded since it sits at distance 0 from both endpoints.  The
 per-edge contribution is the absolute difference of the two counts, and
 the edge Mostar index is the sum of contributions over all edges.
 
+The indices are evaluated through transmissions, not distance tables.
+Write d(s, f) for the distance from vertex s to edge f and T(s) for the
+edge transmission, the sum of d(s, f) over all edges f.  Then for every
+edge e = uv
+
+    m_u(e) - m_v(e) = T(v) - T(u).
+
+Proof: |d(u, x) - d(v, x)| <= 1 for every vertex x because u and v are
+adjacent, and taking the minimum over f's endpoints keeps that, so every
+f lies in exactly one of d(v, f) = d(u, f) + 1 (counted by m_u),
+d(u, f) = d(v, f) + 1 (counted by m_v) or d(u, f) = d(v, f); summing
+d(v, f) - d(u, f) over all f gives m_u - m_v.
+
+T comes from edge balls, bitmasks over edge indices: EB_k(s) holds the
+edges with an endpoint within distance k of s, that is d(s, f) <= k.
+EB_0(s) is the set of edges incident to s, and
+
+    EB_k(s) = union of EB_{k-1}(t) over t in N[s],
+
+N[s] being s and its neighbours, so every source advances one level with
+one big-integer OR per adjacency.  T(s) is the sum over k >= 0 of
+m - |EB_k(s)|.  An edge f is in EB_k(u) but not in EB_k(v) exactly when
+k = d(u, f) < d(v, f), so m_u is the sum over k of the sizes of those
+set differences.
+The vertex Mostar index uses the same recurrence seeded with one-vertex
+balls: n_u - n_v = Tr(v) - Tr(u) for the vertex transmission Tr.
+
+`edge_report` keeps the definition itself, one distance table and a pass
+over the edges, as the per-edge reference.
+
 All arithmetic is exact integer arithmetic; Python integers make the
 family-polynomial checks at large sizes safe without any width concerns.
 """
@@ -14,6 +44,7 @@ family-polynomial checks at large sizes safe without any width concerns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .graphs import Edge, Graph, GraphError, all_pairs_distances, is_connected
 
@@ -93,53 +124,80 @@ def edge_report(g: Graph, e: Edge, dm: list[list] | None = None) -> EdgeReport:
     return EdgeReport(e, m_u, m_v, eq)
 
 
+def _balls(g: Graph, seeds: list[int]) -> Iterator[list[int]]:
+    """Yield B_0, B_1, ... for every source at once, where B_0[s] = seeds[s]
+    and B_k[s] is the union of B_{k-1}[t] over t in N[s]; stop after the
+    first level at which every ball holds the union of all seeds.  The
+    graph must be connected, or the balls never fill."""
+    full = 0
+    for b in seeds:
+        full |= b
+    nbrs = [list(g.neighbors(s)) for s in range(g.n)]
+    balls = seeds
+    while True:
+        yield balls
+        if all(b == full for b in balls):
+            return
+        nxt = []
+        for s, b in enumerate(balls):
+            if b != full:
+                for t in nbrs[s]:
+                    b |= balls[t]
+            nxt.append(b)
+        balls = nxt
+
+
+def _transmissions(g: Graph, seeds: list[int], size: int) -> list[int]:
+    """Sum over k of (size - |B_k[s]|) for every source s: the edge
+    transmission for incidence seeds (size m), the vertex one for
+    singletons (size n)."""
+    t = [0] * g.n
+    for balls in _balls(g, seeds):
+        for s, b in enumerate(balls):
+            t[s] += size - b.bit_count()
+    return t
+
+
+def _incidence(g: Graph, edges: list[Edge]) -> list[int]:
+    """EB_0: per vertex, the bitmask of the indices of its edges."""
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return inc
+
+
 def edge_mostar(g: Graph) -> int:
-    """Sum of |m_u - m_v| over all edges; one BFS per vertex, then a linear
-    pass per edge."""
+    """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|."""
     _require_connected(g)
-    dm = all_pairs_distances(g)
     edges = g.edges()
-    total = 0
-    for u, v in edges:
-        du = dm[u]
-        dv = dm[v]
-        m_u = m_v = 0
-        for x, y in edges:
-            if x == u and y == v:
-                continue
-            fu = du[x] if du[x] < du[y] else du[y]
-            fv = dv[x] if dv[x] < dv[y] else dv[y]
-            if fu < fv:
-                m_u += 1
-            elif fv < fu:
-                m_v += 1
-        total += m_u - m_v if m_u >= m_v else m_v - m_u
-    return total
+    t = _transmissions(g, _incidence(g, edges), len(edges))
+    return sum(abs(t[u] - t[v]) for u, v in edges)
 
 
 def vertex_mostar(g: Graph) -> int:
     """Vertex analogue: count vertices strictly closer to each endpoint."""
     _require_connected(g)
-    dm = all_pairs_distances(g)
-    total = 0
-    for u, v in g.edges():
-        du = dm[u]
-        dv = dm[v]
-        n_u = n_v = 0
-        for x in range(g.n):
-            if du[x] < dv[x]:
-                n_u += 1
-            elif dv[x] < du[x]:
-                n_v += 1
-        total += n_u - n_v if n_u >= n_v else n_v - n_u
-    return total
+    tr = _transmissions(g, [1 << s for s in range(g.n)], g.n)
+    return sum(abs(tr[u] - tr[v]) for u, v in g.edges())
 
 
 def mostar_summary(g: Graph) -> MostarSummary:
-    """Full per-edge breakdown; distances computed once and shared."""
+    """Full per-edge breakdown from one pass over the edge balls."""
     from .graphs import write_graph6
 
     _require_connected(g)
-    dm = all_pairs_distances(g)
-    reports = tuple(edge_report(g, e, dm) for e in g.edges())
-    return MostarSummary(write_graph6(g), sum(r.psi for r in reports), reports)
+    edges = g.edges()
+    m = len(edges)
+    t = [0] * g.n
+    mu = [0] * m
+    for balls in _balls(g, _incidence(g, edges)):
+        for s, b in enumerate(balls):
+            t[s] += m - b.bit_count()
+        for i, (u, v) in enumerate(edges):
+            mu[i] += (balls[u] & ~balls[v]).bit_count()
+    reports = []
+    for e, m_u in zip(edges, mu):
+        m_v = m_u + t[e.u] - t[e.v]
+        reports.append(EdgeReport(e, m_u, m_v, m - 1 - m_u - m_v))
+    return MostarSummary(write_graph6(g), sum(r.psi for r in reports), tuple(reports))

@@ -31,6 +31,18 @@ def random_connected(rng: random.Random, n_lo: int = 2, n_hi: int = 10) -> Graph
     return Graph.from_edges(n, sorted(edges))
 
 
+def random_connected_density(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    """Random spanning tree plus every other pair with probability p, p
+    uniform in [0, 1]: from trees to near-complete graphs."""
+    n = rng.randint(n_lo, n_hi)
+    p = rng.random()
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    edges |= {
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    }
+    return Graph.from_edges(n, sorted(edges))
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)]
     return Graph.from_edges(n, edges)
@@ -71,14 +83,16 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     return d
 
 
-def naive_edge_mostar(g: Graph) -> int:
-    """Every distance recomputed from scratch; no shared tables."""
+def naive_edge_rows(g: Graph) -> list[tuple[int, int, int]]:
+    """(m_u, m_v, equidistant) for every edge e = uv, in `g.edges()` order,
+    straight from the definition: dict-BFS distances and one comparison of
+    every edge f != e."""
     edges = [(e.u, e.v) for e in g.edges()]
-    total = 0
+    dist = [naive_distances(g, s) for s in range(g.n)]
+    rows = []
     for u, v in edges:
-        du = naive_distances(g, u)
-        dv = naive_distances(g, v)
-        mu = mv = 0
+        du, dv = dist[u], dist[v]
+        mu = mv = eq = 0
         for x, y in edges:
             if (x, y) == (u, v):
                 continue
@@ -88,7 +102,25 @@ def naive_edge_mostar(g: Graph) -> int:
                 mu += 1
             elif fv < fu:
                 mv += 1
-        total += abs(mu - mv)
+            else:
+                eq += 1
+        rows.append((mu, mv, eq))
+    return rows
+
+
+def naive_edge_mostar(g: Graph) -> int:
+    return sum(abs(mu - mv) for mu, mv, _ in naive_edge_rows(g))
+
+
+def naive_vertex_mostar(g: Graph) -> int:
+    """Sum over edges uv of |n_u - n_v|, vertices compared one by one."""
+    dist = [naive_distances(g, s) for s in range(g.n)]
+    total = 0
+    for e in g.edges():
+        du, dv = dist[e.u], dist[e.v]
+        nu = sum(du[x] < dv[x] for x in range(g.n))
+        nv = sum(dv[x] < du[x] for x in range(g.n))
+        total += abs(nu - nv)
     return total
 
 

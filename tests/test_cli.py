@@ -47,6 +47,44 @@ def test_compute_partial_failures(tmp_path, capsys):
     assert len(out.splitlines()) == 1
 
 
+MIXED_INPUT = ["Dl_", "!!notgraph6", "C~", "B?", "EgCG", "@", "Cs"]
+MIXED_JSON = [
+    '{"edge_mostar": 8, "edges": [{"eq": 1, "mu": 2, "mv": 1, "psi": 1, "u": 0, "v": 1}, '
+    '{"eq": 1, "mu": 2, "mv": 1, "psi": 1, "u": 0, "v": 3}, '
+    '{"eq": 0, "mu": 4, "mv": 0, "psi": 4, "u": 0, "v": 4}, '
+    '{"eq": 1, "mu": 2, "mv": 1, "psi": 1, "u": 1, "v": 2}, '
+    '{"eq": 1, "mu": 1, "mv": 2, "psi": 1, "u": 2, "v": 3}], "graph6": "Dl_"}',
+    '{"edge_mostar": 0, "edges": [{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 0, "v": 1}, '
+    '{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 0, "v": 2}, '
+    '{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 0, "v": 3}, '
+    '{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 1, "v": 2}, '
+    '{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 1, "v": 3}, '
+    '{"eq": 1, "mu": 2, "mv": 2, "psi": 0, "u": 2, "v": 3}], "graph6": "C~"}',
+    '{"edge_mostar": 0, "edges": [], "graph6": "@"}',
+    '{"edge_mostar": 6, "edges": [{"eq": 0, "mu": 2, "mv": 0, "psi": 2, "u": 0, "v": 1}, '
+    '{"eq": 0, "mu": 2, "mv": 0, "psi": 2, "u": 0, "v": 2}, '
+    '{"eq": 0, "mu": 2, "mv": 0, "psi": 2, "u": 0, "v": 3}], "graph6": "Cs"}',
+]
+MIXED_CSV = ["graph6,n,m,edge_mostar", "Dl_,5,5,8", "C~,4,6,0", "@,1,0,0", "Cs,4,3,6"]
+
+
+@pytest.mark.parametrize("fmt,expected", [("json", MIXED_JSON), ("csv", MIXED_CSV)])
+def test_compute_mixed_input_outputs(tmp_path, capsys, fmt, expected):
+    """Good, unparseable and disconnected lines: the outputs and messages
+    are byte-identical to those of the distance-table implementation."""
+    f = tmp_path / "in.g6"
+    f.write_text("\n".join(MIXED_INPUT) + "\n")
+    rc, out, err = run(capsys, ["compute", str(f), "--format", fmt])
+    assert rc == 3
+    newline = "\r\n" if fmt == "csv" else "\n"
+    assert out == "".join(line + newline for line in expected)
+    assert err.splitlines() == [
+        f"{f}:2: parse error: byte 33 outside graph6 range 63..126 (byte offset 0)",
+        f"{f}:4: disconnected graph skipped",
+        f"{f}:5: disconnected graph skipped",
+    ]
+
+
 def test_compute_missing_file(capsys):
     rc, _, err = run(capsys, ["compute", "/nonexistent/x.g6"])
     assert rc == 2

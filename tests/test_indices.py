@@ -9,6 +9,7 @@ from mostar import (
     Graph,
     GraphError,
     all_pairs_distances,
+    complete,
     cycle,
     dot_product,
     edge_mostar,
@@ -19,7 +20,15 @@ from mostar import (
     star,
     vertex_mostar,
 )
-from _helpers import naive_edge_mostar, random_connected, random_tree
+from mostar.shifts import GROUPS
+from _helpers import (
+    naive_edge_mostar,
+    naive_edge_rows,
+    naive_vertex_mostar,
+    random_connected,
+    random_connected_density,
+    random_tree,
+)
 
 
 def pend(g, at, k):
@@ -112,12 +121,38 @@ def test_partition_identity_and_incident_bound(seed):
         assert r.m_v >= g.degree(e.v) - 1
 
 
+def assert_matches_definition(g):
+    s = mostar_summary(g)
+    assert [r.edge for r in s.per_edge] == g.edges()
+    assert [(r.m_u, r.m_v, r.equidistant) for r in s.per_edge] == naive_edge_rows(g)
+    assert s.edge_mostar == edge_mostar(g) == naive_edge_mostar(g)
+    assert vertex_mostar(g) == naive_vertex_mostar(g)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence(seed):
-    rng = random.Random(seed)
-    g = random_connected(rng, 2, 7)
-    assert edge_mostar(g) == naive_edge_mostar(g)
+    assert_matches_definition(random_connected_density(random.Random(seed), 1, 30))
+
+
+@pytest.mark.parametrize("brace", [
+    pytest.param(b, id=f"{gid}-{i}")
+    for gid, group in sorted(GROUPS.items())
+    for i, b in enumerate(group.realizations)
+])
+def test_oracle_equivalence_pendant_braces(brace):
+    rng = random.Random(brace.n * 1000 + brace.m)
+    for k in (0, 1, 40, *(rng.randint(2, 39) for _ in range(5))):
+        g = brace
+        for _ in range(k):
+            g = g.add_pendant(rng.randrange(brace.n))
+        assert_matches_definition(g)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_oracle_equivalence_named_families(n):
+    for g in (path(n), star(n), complete(n), *([cycle(n)] if n >= 3 else [])):
+        assert_matches_definition(g)
 
 
 @given(st.integers(0, 10**6))
@@ -147,3 +182,5 @@ def test_disconnected_rejected():
         edge_mostar(g)
     with pytest.raises(GraphError):
         vertex_mostar(g)
+    with pytest.raises(GraphError):
+        mostar_summary(g)
