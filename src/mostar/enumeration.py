@@ -14,15 +14,25 @@ The canonical deletion edge of a child is defined on its non-bridge edges
 (deleting one keeps the graph connected): take those with the smallest
 `_edge_inv` score (sorted end degrees, then the sorted degrees of the
 vertices adjacent to either end), and among them the edge whose sorted pair of
-canonical labels is smallest.  `_accept_edge_child` tests the new edge e
-against that rule cheapest step first:
+canonical labels is smallest.  A child made by adding e to its parent is
+tested against that rule cheapest step first:
+
+0. Before the child is built, `_parent_rejects` reads the parent's
+   non-bridge edges (computed once per parent, sorted by degree pair) with
+   the degrees of e's ends raised by one, and rejects when one of them has
+   a strictly smaller degree pair than e.  Sound because adding an edge
+   never turns a non-bridge into a bridge, and the pair is the score's
+   leading component.
+
+`_accept_edge_child` then runs the rest on the built child:
 
 1. Score every edge by its sorted degree pair alone, and compute the full
    score only for edges whose pair equals e's.  The pair is the score's
    leading component, so a smaller or larger pair settles the comparison.
 2. Test bridge-ness (one bitset reachability pass on the child minus that
    edge) only for edges scoring no higher than e.  e itself always closes
-   a cycle, so it is never a bridge.
+   a cycle, so it is never a bridge, and an edge with an end of degree 1
+   is a bridge with no search.
 3. Reject as soon as a non-bridge edge scores strictly lower than e: then
    e is not of minimum score and cannot be the canonical deletion edge.
 4. Otherwise e's score is the minimum, and the non-bridge edges sharing it
@@ -36,6 +46,13 @@ against that rule cheapest step first:
 Edges scoring higher than e can neither be the minimum nor enter the tie
 set, so skipping them selects the same canonical deletion edge as scoring
 every non-bridge edge.
+
+Labelling is lazy where nothing needs it.  A child at the last level has
+no children, so its canon data only serves the fold: when its tie set is
+{e} it is accepted unlabelled, since the only candidate is the canonical
+deletion edge whatever the labels.  The fold (`_fold_seed`) then labels a
+graph only when its value is at least the seed's running best or is a
+target value, the only graphs whose canonical form it keeps.
 """
 
 from __future__ import annotations
@@ -157,12 +174,28 @@ def _edge_inv(adj: tuple[int, ...], deg: list[int], a: int, b: int):
     return (da, db, tuple(nbr))
 
 
+def _is_bridge(cut: list[int], adj: tuple[int, ...], u: int, v: int) -> bool:
+    """Is edge uv of `adj` a bridge?  `cut` is a scratch copy of `adj`,
+    restored before return: uv is a bridge exactly when v is unreachable
+    from u without it.  A pendant edge is a bridge with no search."""
+    if adj[u] & (adj[u] - 1) == 0 or adj[v] & (adj[v] - 1) == 0:
+        return True
+    cut[u] ^= 1 << v
+    cut[v] ^= 1 << u
+    bridge = not reachable_mask(cut, u) >> v & 1
+    cut[u] = adj[u]
+    cut[v] = adj[v]
+    return bridge
+
+
 def _accept_edge_child(
-    n: int, child: tuple[int, ...], a: int, b: int
-) -> Optional[CanonResult]:
+    n: int, child: tuple[int, ...], a: int, b: int, label: bool
+) -> tuple[bool, Optional[CanonResult]]:
     """McKay acceptance: does (a, b) sit in the orbit of the canonical
-    deletion edge of `child`?  Returns the child's canon data when yes.
-    The steps run cheapest first, in the order the module docstring gives."""
+    deletion edge of `child`?  Returns (accepted, the child's canon data).
+    With `label` false, a child whose tie set is {(a, b)} is accepted
+    without labelling and the canon data is None.  The steps run cheapest
+    first, in the order the module docstring gives."""
     deg = [row.bit_count() for row in child]
     e = (a, b) if a < b else (b, a)
     da, db = deg[a], deg[b]
@@ -190,17 +223,13 @@ def _accept_edge_child(
                 if inv > e_inv:
                     continue
                 lower = inv < e_inv
-            # (u, v) is a bridge exactly when v is unreachable without it
-            cut[u] ^= 1 << v
-            cut[v] ^= 1 << u
-            bridge = not reachable_mask(cut, u) >> v & 1
-            cut[u] = child[u]
-            cut[v] = child[v]
-            if bridge:
+            if _is_bridge(cut, child, u, v):
                 continue
             if lower:
-                return None
+                return False, None
             ties.append((u, v))
+    if len(ties) == 1 and not label:
+        return True, None
     cres = canon(Graph(n, child))
     lam = cres.labeling
 
@@ -210,18 +239,62 @@ def _accept_edge_child(
 
     best = min(ties, key=canon_key)
     if best == e:
-        return cres
+        return True, cres
     reps = pair_orbit_reps(n, cres.generators, ties)
-    return cres if reps[e] == reps[best] else None
+    if reps[e] == reps[best]:
+        return True, cres
+    return False, None
+
+
+def _nonbridge_floor(n: int, adj: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """The non-bridge edges xy of a parent as (deg x, deg y, x, y) with
+    deg x <= deg y, sorted: the pre-filter's input."""
+    cut = list(adj)
+    out = []
+    for x in range(n):
+        row = adj[x] >> (x + 1)
+        base = x + 1
+        while row:
+            low = row & -row
+            y = base + low.bit_length() - 1
+            row ^= low
+            if not _is_bridge(cut, adj, x, y):
+                dx, dy = adj[x].bit_count(), adj[y].bit_count()
+                out.append((dx, dy, x, y) if dx <= dy else (dy, dx, y, x))
+    out.sort()
+    return out
+
+
+def _parent_rejects(
+    adj: tuple[int, ...], floor: list[tuple[int, int, int, int]], u: int, v: int
+) -> bool:
+    """Pre-filter: True when the child adj + uv has a parent non-bridge
+    edge whose child degree pair is strictly smaller than uv's, so that
+    `_accept_edge_child` would reject it.  Adding uv keeps every non-bridge
+    a non-bridge and raises only the degrees of u and v by one."""
+    du, dv = adj[u].bit_count() + 1, adj[v].bit_count() + 1
+    e_pair = (du, dv) if du <= dv else (dv, du)
+    for dx, dy, x, y in floor:
+        if (dx, dy) >= e_pair:
+            return False  # child pairs only grow, so none further is lower
+        if x == u or x == v:
+            dx += 1
+        if y == u or y == v:
+            dy += 1
+        if ((dx, dy) if dx <= dy else (dy, dx)) < e_pair:
+            return True
+    return False
 
 
 def _augment(
     n: int,
     adj: tuple[int, ...],
-    cres: CanonResult,
+    cres: Optional[CanonResult],
     m_cur: int,
     m_target: int,
-) -> Iterator[tuple[tuple[int, ...], CanonResult]]:
+) -> Iterator[tuple[tuple[int, ...], Optional[CanonResult]]]:
+    """Accepted descendants of `adj` with m_target edges.  A child at the
+    last level comes with canon data None when accepting it needed none."""
     if m_cur == m_target:
         yield adj, cres
         return
@@ -236,19 +309,23 @@ def _augment(
     if not nonedges:
         return
     reps = pair_orbit_reps(n, cres.generators, nonedges)
+    floor = _nonbridge_floor(n, adj) if m_cur >= n else []
+    last = m_cur + 1 == m_target
     for u, v in sorted(set(reps.values())):
+        if _parent_rejects(adj, floor, u, v):
+            continue
         child = tuple(
             r | (1 << v) if i == u else (r | (1 << u) if i == v else r)
             for i, r in enumerate(adj)
         )
-        ccres = _accept_edge_child(n, child, u, v)
-        if ccres is not None:
+        accepted, ccres = _accept_edge_child(n, child, u, v, label=not last)
+        if accepted:
             yield from _augment(n, child, ccres, m_cur + 1, m_target)
 
 
 def _enumerate_raw(
     task: EnumerationTask,
-) -> Iterator[tuple[tuple[int, ...], CanonResult]]:
+) -> Iterator[tuple[tuple[int, ...], Optional[CanonResult]]]:
     task.validate()
     if not task.feasible:
         return
@@ -292,14 +369,19 @@ def _fold_seed(args) -> tuple:
         value = edge_mostar(g)
         if want_histogram:
             histogram[value] += 1
-        canon_g6 = write_graph6(Graph(n, ccres.canon_adj))
-        if best is None or value > best:
-            best = value
-            argmax = [canon_g6]
-        elif value == best:
-            argmax.append(canon_g6)
-        if value in matches:
-            matches[value].append(canon_g6)
+        # only a value at least the running best or a target is kept,
+        # so only those graphs are labelled
+        if best is None or value >= best or value in matches:
+            if ccres is None:
+                ccres = canon(g)
+            canon_g6 = write_graph6(Graph(n, ccres.canon_adj))
+            if best is None or value > best:
+                best = value
+                argmax = [canon_g6]
+            elif value == best:
+                argmax.append(canon_g6)
+            if value in matches:
+                matches[value].append(canon_g6)
         if want_census:
             from .braces import classify
 

@@ -1,8 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 
-from mostar import CanonCapacityError, canon, complete, enumeration, isomorphic
+from mostar import (
+    CanonCapacityError,
+    canon,
+    canonical_form,
+    complete,
+    edge_mostar,
+    enumeration,
+    isomorphic,
+)
+from mostar.braces import classify
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
@@ -63,23 +73,84 @@ def test_class_counts_n8():
 
 
 def test_acceptance_matches_reference_rule(monkeypatch):
-    """Every child tried for tricyclic m <= 10 and bicyclic m <= 9 gets the
-    same decision and canon data from the full-Tarjan reference rule."""
-    fast = enumeration._accept_edge_child
-    decisions = {True: 0, False: 0}
+    """Every child generated for tricyclic m <= 10 and bicyclic m <= 9 is
+    judged as the full-Tarjan reference rule judges it: a child the
+    parent-side pre-filter skips is one the reference rejects, a child
+    accepted unlabelled is one the reference accepts, and every labelled
+    decision equals the reference's, canon data included."""
+    fast_accept = enumeration._accept_edge_child
+    fast_reject = enumeration._parent_rejects
+    seen = Counter()
 
-    def checked(n, child, a, b):
-        got = fast(n, child, a, b)
-        assert got == reference_accept_edge_child(n, child, a, b), (child, a, b)
-        decisions[got is not None] += 1
+    def checked_reject(adj, floor, u, v):
+        got = fast_reject(adj, floor, u, v)
+        if got:
+            child = list(adj)
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            ref = reference_accept_edge_child(len(adj), tuple(child), u, v)
+            assert ref is None, (adj, u, v)
+            seen["skipped"] += 1
         return got
 
-    monkeypatch.setattr(enumeration, "_accept_edge_child", checked)
+    def checked_accept(n, child, a, b, label):
+        accepted, cres = fast_accept(n, child, a, b, label)
+        ref = reference_accept_edge_child(n, child, a, b)
+        if accepted and cres is None:
+            assert not label and ref is not None, (child, a, b)
+            seen["unlabelled"] += 1
+        else:
+            assert cres == ref and accepted == (ref is not None), (child, a, b)
+            seen[accepted] += 1
+        return accepted, cres
+
+    monkeypatch.setattr(enumeration, "_parent_rejects", checked_reject)
+    monkeypatch.setattr(enumeration, "_accept_edge_child", checked_accept)
     for m in range(6, 11):
         _class_count(tricyclic_task(m))
     for m in range(5, 10):
         _class_count(bicyclic_task(m))
-    assert decisions[True] > 0 and decisions[False] > 0
+    assert all(seen[k] > 0 for k in ("skipped", "unlabelled", True, False))
+    # every child of the generation forest at these sizes was judged
+    assert sum(seen.values()) == 7167
+
+
+def _naive_fold(task, target_values):
+    """Survey outputs from a fold that labels every graph it visits."""
+    best, argmax, count = None, [], 0
+    matches = {v: [] for v in target_values}
+    census = Counter()
+    for g in enumerate_connected(task):
+        count += 1
+        value, form = edge_mostar(g), canonical_form(g)
+        if best is None or value > best:
+            best, argmax = value, []
+        if value == best:
+            argmax.append(form)
+        if value in matches:
+            matches[value].append(form)
+        cls = classify(g)
+        census[(cls.kind, cls.path_parameters)] += 1
+    return (count, best, tuple(sorted(argmax)),
+            {v: tuple(sorted(f)) for v, f in matches.items()}, dict(census))
+
+
+@pytest.mark.parametrize("task", [
+    *(pytest.param(tricyclic_task(m), id=f"tri{m}") for m in range(6, 11)),
+    *(pytest.param(bicyclic_task(m), id=f"bi{m}") for m in range(5, 10)),
+])
+def test_survey_matches_labelling_fold(task):
+    """The survey fold labels a graph only when it can be kept; its outputs
+    equal those of a fold that labels everything.  The targets are every
+    other value taken, from the smallest up, and one value never taken."""
+    values = sorted({edge_mostar(g) for g in enumerate_connected(task)})
+    targets = (*values[::2], 10**6)
+    want = _naive_fold(task, targets)
+    for workers in (1, 2):
+        s = survey(task, workers=workers, target_values=targets, census=True)
+        got = (s.result.graphs_visited, s.result.max_value,
+               s.result.maximizers, s.matches, s.census)
+        assert got == want, workers
 
 
 def test_no_duplicates_at_tricyclic_7():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mostar import Graph, GraphError, cycle, cyclomatic_number, is_connected, isomorphic
 from mostar.shifts import (
     DISCREPANT,
+    GROUPS,
     MATCH,
     SKIPPED,
     RULES,
@@ -46,6 +47,25 @@ def test_shift_preserves_shape():
     assert is_connected(h)
     assert cyclomatic_number(h) == cyclomatic_number(g)
     assert h.degree(2) == g.degree(2) + 2
+
+
+@pytest.mark.parametrize("gid", sorted(GROUPS))
+def test_shift_keeps_braces_connected(gid):
+    """`shift_pendants` does not re-test connectivity: every shift of a
+    pendant-carrying rule brace stays connected, whether the target is a
+    brace vertex or a leaf hanging elsewhere."""
+    for brace in GROUPS[gid].realizations:
+        for source in range(brace.n):
+            for k in (1, 2, 5):
+                g = pend(pend(brace, source, k), (source + 1) % brace.n, 1)
+                moved = range(brace.n, brace.n + k)  # the leaves at source
+                for target in range(g.n):
+                    if target == source or target in moved:
+                        continue
+                    for count in {1, k}:
+                        h = shift_pendants(g, ShiftSpec(source, target, count))
+                        assert (h.n, h.m) == (g.n, g.m)
+                        assert is_connected(h), (gid, source, target, k, count)
 
 
 def test_shift_errors():
