@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, cyclomatic_number, is_connected
+from .graphs import Graph, GraphError, cyclomatic_number, is_connected, reachable_mask
 
 K4_SUBDIVISION = "K4_SUBDIVISION"
 THREE_HUB = "THREE_HUB"
@@ -69,7 +69,7 @@ def strip_pendants(g: Graph) -> BraceDecomposition:
         raise GraphError("brace extraction requires a connected graph")
     if cyclomatic_number(g) < 1:
         raise GraphError("a tree has no brace")
-    adj = list(g.adj)
+    adj = g.adj
     alive = (1 << g.n) - 1
     changed = True
     while changed:
@@ -80,38 +80,17 @@ def strip_pendants(g: Graph) -> BraceDecomposition:
                 changed = True
     keep = [v for v in range(g.n) if alive >> v & 1]
     brace = g.induced(keep)
-    pos = {v: i for i, v in enumerate(keep)}
     # each stripped component is a tree hanging at exactly one brace vertex;
     # its edge count equals its vertex count
     profile = {i: 0 for i in range(len(keep))}
-    seen = 0
+    dead_adj = tuple(row & ~alive for row in adj)
+    seen = alive
     for v in range(g.n):
-        if alive >> v & 1 or seen >> v & 1:
+        if seen >> v & 1:
             continue
-        comp = 1 << v
-        frontier = comp
-        anchor = None
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                w = low.bit_length() - 1
-                f ^= low
-                for x_row in (adj[w],):
-                    row = x_row
-                    while row:
-                        lo = row & -row
-                        x = lo.bit_length() - 1
-                        row ^= lo
-                        if alive >> x & 1:
-                            anchor = x
-                        elif not comp >> x & 1:
-                            comp |= 1 << x
-                            nxt |= 1 << x
-            frontier = nxt
-        assert anchor is not None
-        profile[pos[anchor]] += comp.bit_count()
+        comp = reachable_mask(dead_adj, v)
+        anchor = next(i for i, x in enumerate(keep) if adj[x] & comp)
+        profile[anchor] += comp.bit_count()
         seen |= comp
     return BraceDecomposition(
         brace=brace,
@@ -158,43 +137,16 @@ def skeleton(brace: Graph) -> Skeleton:
 
 
 def _cut_vertices(g: Graph) -> list[int]:
-    """Articulation points by iterative DFS low-link."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    out = set()
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(list(g.neighbors(root))))]
-        order = 0
-        disc[root] = low[root] = order
-        order += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = order
-                    order += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(list(g.neighbors(w)))))
-                    advanced = True
-                    break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= disc[pv]:
-                        out.add(pv)
-        if root_children > 1:
-            out.add(root)
-    return sorted(out)
+    """Vertices whose removal disconnects their neighbours from each other."""
+    out = []
+    for v in range(g.n):
+        nbrs = g.adj[v]
+        if nbrs & (nbrs - 1):  # two or more neighbours
+            bit = 1 << v
+            rest = tuple(row & ~bit for row in g.adj)
+            if nbrs & ~reachable_mask(rest, (nbrs & -nbrs).bit_length() - 1):
+                out.append(v)
+    return out
 
 
 def classify(g: Graph) -> BraceClass:

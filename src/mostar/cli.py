@@ -68,7 +68,9 @@ def _size_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_sizes(args, lo: int, hi: int, default: tuple[int, int]) -> list[int]:
+def _parse_sizes(args) -> list[int]:
+    lo, hi = args.bounds
+    default = args.default_range
     if args.size is not None:
         sizes = [args.size]
     elif args.range is not None:
@@ -143,22 +145,9 @@ def _emit_rows(rows, args) -> None:
     _write_output(text, args.output)
 
 
-def cmd_verify_theorem1(args) -> int:
-    sizes = _parse_sizes(args, lo=6, hi=12, default=(7, 12))
-    rows = verify_tricyclic(
-        sizes,
-        registry=_load_registry(args.registry),
-        workers=args.threads,
-        histogram=args.histogram,
-    )
-    _emit_rows(rows, args)
-    return 0 if all(r.status != "FAIL" for r in rows) else 1
-
-
-def cmd_verify_theorem2(args) -> int:
-    sizes = _parse_sizes(args, lo=5, hi=11, default=(5, 10))
-    rows = verify_bicyclic(
-        sizes,
+def cmd_verify(args) -> int:
+    rows = args.verify(
+        _parse_sizes(args),
         registry=_load_registry(args.registry),
         workers=args.threads,
         histogram=args.histogram,
@@ -168,6 +157,10 @@ def cmd_verify_theorem2(args) -> int:
 
 
 def cmd_atlas(args) -> int:
+    # below 7 nothing is enumerated; above 12 the runs leave the supported
+    # sizes (n > 16 from m = 19 on), so neither may write the registry
+    if not 7 <= args.max_size <= 12:
+        raise UsageError(f"--max-size {args.max_size} outside supported range 7..12")
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, 10),
@@ -204,9 +197,10 @@ def _add_common(p, default_threads) -> None:
                    help="collect full value histograms (larger output)")
     p.add_argument("--registry", help="families registry JSON "
                    "(default: ./families.json if present)")
-    p.add_argument("--size", type=int, help="verify a single size m")
-    p.add_argument("--range", type=_size_range,
-                   help="verify sizes A-B inclusive, e.g. 7-12")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--size", type=int, help="verify a single size m")
+    sizes.add_argument("--range", type=_size_range,
+                       help="verify sizes A-B inclusive, e.g. 7-12")
     p.add_argument("--deep", action="store_true",
                    help="allow the next size up (slow)")
 
@@ -225,19 +219,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("verify-theorem1", help="tricyclic maxima table")
-    _add_common(p, default_threads)
-    p.set_defaults(func=cmd_verify_theorem1)
-
-    p = sub.add_parser("verify-theorem2", help="bicyclic maxima table")
-    _add_common(p, default_threads)
-    p.set_defaults(func=cmd_verify_theorem2)
+    # bounds: the supported sizes (--deep allows one more)
+    for name, help_text, verify, bounds, default_range in (
+        ("verify-theorem1", "tricyclic maxima table", verify_tricyclic,
+         (6, 12), (7, 12)),
+        ("verify-theorem2", "bicyclic maxima table", verify_bicyclic,
+         (5, 11), (5, 10)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, default_threads)
+        p.set_defaults(func=cmd_verify, verify=verify, bounds=bounds,
+                       default_range=default_range)
 
     p = sub.add_parser("atlas", help="discover families, write registry")
     p.add_argument("--output", default="families.json")
     p.add_argument("--report", help="write the discovery report here")
     p.add_argument("--max-size", type=int, default=12,
-                   help="largest tricyclic size to enumerate")
+                   help="largest tricyclic size to enumerate (7..12)")
     p.add_argument("--threads", type=_positive_int, default=default_threads)
     p.set_defaults(func=cmd_atlas)
 

@@ -348,7 +348,31 @@ def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
 # -- folds -------------------------------------------------------------------
 
 
-def _fold_seed(args) -> tuple:
+@dataclass
+class _Fold:
+    """What one tree seed's subtree (or several merged) contributes to a
+    survey; `merge` is associative, so any split gives the same survey."""
+
+    count: int
+    best: Optional[int]
+    argmax: list[str]
+    histogram: Counter
+    matches: dict[int, list[str]]
+    census: Counter
+
+    def merge(self, other: "_Fold") -> None:
+        self.count += other.count
+        if other.best is not None and (self.best is None or other.best > self.best):
+            self.best, self.argmax = other.best, list(other.argmax)
+        elif other.best is not None and other.best == self.best:
+            self.argmax.extend(other.argmax)
+        self.histogram.update(other.histogram)
+        for v, lst in other.matches.items():
+            self.matches[v].extend(lst)
+        self.census.update(other.census)
+
+
+def _fold_seed(args) -> _Fold:
     (n, m, min_degree, seed_adj, cres, want_histogram, target_values,
      want_census) = args
     count = 0
@@ -387,7 +411,7 @@ def _fold_seed(args) -> tuple:
 
             cls = classify(g)
             census[(cls.kind, cls.path_parameters)] += 1
-    return (count, best, argmax, dict(histogram), matches, dict(census))
+    return _Fold(count, best, argmax, histogram, matches, census)
 
 
 @dataclass(frozen=True)
@@ -412,7 +436,7 @@ def survey(
     """
     task.validate()
     n, m = task.n, task.m
-    partials = []
+    total = _Fold(0, None, [], Counter(), {v: [] for v in target_values}, Counter())
     if task.feasible:
         args = [
             (n, m, task.min_degree, adj, cres, histogram, tuple(target_values),
@@ -425,31 +449,19 @@ def survey(
                 partials = pool.map(_fold_seed, args, chunksize=1)
         else:
             partials = [_fold_seed(a) for a in args]
-    count = sum(p[0] for p in partials)
-    bests = [p[1] for p in partials if p[1] is not None]
-    best = max(bests) if bests else None
-    argmax: list[str] = []
-    hist: Counter = Counter()
-    matches: dict[int, list[str]] = {v: [] for v in target_values}
-    cens: Counter = Counter()
-    for p in partials:
-        if p[1] == best and best is not None:
-            argmax.extend(p[2])
-        hist.update(p[3])
-        for v, lst in p[4].items():
-            matches[v].extend(lst)
-        cens.update(p[5])
+        for p in partials:
+            total.merge(p)
     result = EnumerationResult(
         task=task,
-        graphs_visited=count,
-        max_value=best,
-        maximizers=tuple(sorted(argmax)),
-        histogram=dict(hist) if histogram else None,
+        graphs_visited=total.count,
+        max_value=total.best,
+        maximizers=tuple(sorted(total.argmax)),
+        histogram=dict(total.histogram) if histogram else None,
     )
     return Survey(
         result=result,
-        matches={v: tuple(sorted(lst)) for v, lst in matches.items()},
-        census=dict(cens),
+        matches={v: tuple(sorted(lst)) for v, lst in total.matches.items()},
+        census=dict(total.census),
     )
 
 

@@ -20,7 +20,8 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form, isomorphic
-from .graphs import Graph, GraphError, cycle as cycle_graph, path as path_graph, star as star_graph
+from .graphs import Graph, GraphError, parse_graph6, theta
+from .graphs import cycle as cycle_graph, path as path_graph, star as star_graph
 from .indices import edge_mostar
 
 ANALYTIC = "ANALYTIC"
@@ -243,44 +244,29 @@ def verify_family(
 
 # -- discovery ---------------------------------------------------------------
 
-# polynomial and brace-shape constraints used to recognize the families whose
-# drawings are unavailable; sorted path lengths identify the specific brace
-DISCOVERY_POLY: dict[str, tuple[int, int, int]] = {
-    "A1": (1, -2, -27),
-    "A2": (1, -2, -27),
-    "A4": (1, -4, -9),
-    "A5": (1, -3, -18),
-    "A6": (1, -3, -18),
-    "A7": (1, -3, -18),
-    "D1": (1, -3, -24),
-    "D2": (1, -2, -35),
-    "F1": (1, -4, -9),
-    "F2": (1, -3, -26),
-    "F3": (1, -3, -20),
-    "F4": (1, -2, -33),
-    "H2": (1, -2, -31),
-    "H3": (1, -1, -48),
-    "H4": (1, -3, -24),
-    "B1": (1, -3, -6),
-    "B3": (1, -3, -6),
-}
-
-DISCOVERY_SHAPE: dict[str, tuple[str, Optional[tuple[int, ...]]]] = {
-    "A1": (br.COMPOSITE, None),
-    "A2": (br.COMPOSITE, None),
-    "A4": (br.COMPOSITE, None),
-    "A5": (br.COMPOSITE, None),
-    "A6": (br.COMPOSITE, None),
-    "A7": (br.COMPOSITE, None),
-    "D1": (br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
-    "D2": (br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
-    "F1": (br.THREE_HUB, (1, 1, 1, 2, 2)),
-    "F2": (br.THREE_HUB, (1, 1, 1, 2, 2)),
-    "F3": (br.THREE_HUB, (1, 1, 2, 2, 2)),
-    "F4": (br.THREE_HUB, (1, 1, 1, 2, 3)),
-    "H2": (br.FOUR_THETA, (1, 2, 2, 2)),
-    "H3": (br.FOUR_THETA, (2, 2, 2, 2)),
-    "H4": (br.FOUR_THETA, (1, 2, 2, 3)),
+# the families whose drawings are unavailable: closed form, brace kind (None:
+# no shape filter) and, for a 2-connected brace, the sorted path lengths that
+# identify it
+DISCOVERY: dict[
+    str, tuple[tuple[int, int, int], Optional[str], Optional[tuple[int, ...]]]
+] = {
+    "A1": ((1, -2, -27), br.COMPOSITE, None),
+    "A2": ((1, -2, -27), br.COMPOSITE, None),
+    "A4": ((1, -4, -9), br.COMPOSITE, None),
+    "A5": ((1, -3, -18), br.COMPOSITE, None),
+    "A6": ((1, -3, -18), br.COMPOSITE, None),
+    "A7": ((1, -3, -18), br.COMPOSITE, None),
+    "D1": ((1, -3, -24), br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
+    "D2": ((1, -2, -35), br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
+    "F1": ((1, -4, -9), br.THREE_HUB, (1, 1, 1, 2, 2)),
+    "F2": ((1, -3, -26), br.THREE_HUB, (1, 1, 1, 2, 2)),
+    "F3": ((1, -3, -20), br.THREE_HUB, (1, 1, 2, 2, 2)),
+    "F4": ((1, -2, -33), br.THREE_HUB, (1, 1, 1, 2, 3)),
+    "H2": ((1, -2, -31), br.FOUR_THETA, (1, 2, 2, 2)),
+    "H3": ((1, -1, -48), br.FOUR_THETA, (2, 2, 2, 2)),
+    "H4": ((1, -3, -24), br.FOUR_THETA, (1, 2, 2, 3)),
+    "B1": ((1, -3, -6), None, None),
+    "B3": ((1, -3, -6), None, None),
 }
 
 # how many consecutive sizes past the first match the polynomial must keep
@@ -302,9 +288,12 @@ class Candidate:
             base_edges=self.base_edges,
             attach=self.attach,
             m_min=self.m_min,
-            poly=DISCOVERY_POLY.get(fid),
+            poly=DISCOVERY[fid][0] if fid in DISCOVERY else None,
             provenance=DISCOVERED,
         )
+
+    def base_graph(self) -> Graph:
+        return Graph.from_edges(1 + max(max(e) for e in self.base_edges), self.base_edges)
 
 
 def single_attach_decomposition(g: Graph) -> Optional[tuple[Graph, int]]:
@@ -418,56 +407,39 @@ class DiscoveryReport:
         return not self.unresolved
 
 
-# candidate groups: ids sharing one polynomial and one brace shape
-_GROUPS: list[tuple[tuple[str, ...], tuple[int, int, int]]] = [
-    (("A1", "A2"), (1, -2, -27)),
-    (("A4",), (1, -4, -9)),
-    (("A5", "A6", "A7"), (1, -3, -18)),
-    (("D1",), (1, -3, -24)),
-    (("D2",), (1, -2, -35)),
-    (("F1",), (1, -4, -9)),
-    (("F2",), (1, -3, -26)),
-    (("F3",), (1, -3, -20)),
-    (("F4",), (1, -2, -33)),
-    (("H2",), (1, -2, -31)),
-    (("H3",), (1, -1, -48)),
-    (("H4",), (1, -3, -24)),
+# tricyclic candidate groups: ids sharing one DISCOVERY entry
+_GROUPS: list[tuple[str, ...]] = [
+    ("A1", "A2"), ("A4",), ("A5", "A6", "A7"), ("D1",), ("D2",), ("F1",),
+    ("F2",), ("F3",), ("F4",), ("H2",), ("H3",), ("H4",),
 ]
+# bicyclic: B1 and B3 share m^2-3m-6
+_BICYCLIC_GROUP = ("B1", "B3")
 
 
 def discovery_targets_tricyclic(m: int) -> tuple[int, ...]:
     """Edge-Mostar values worth collecting at tricyclic size m."""
-    vals = {_poly_eval(poly, m) for _, poly in _GROUPS}
+    vals = {_poly_eval(DISCOVERY[ids[0]][0], m) for ids in _GROUPS}
     return tuple(sorted(vals))
 
 
 def discovery_targets_bicyclic(m: int) -> tuple[int, ...]:
-    return (_poly_eval((1, -3, -6), m),)
+    return (_poly_eval(DISCOVERY[_BICYCLIC_GROUP[0]][0], m),)
 
 
-def _shape_matches(g: Graph, fid: str) -> bool:
-    kind, params = DISCOVERY_SHAPE[fid]
-    cls = br.classify(g)
-    if cls.kind != kind:
-        return False
-    return params is None or cls.path_parameters == params
-
-
-def _collect_group(
-    ids: tuple[str, ...],
-    poly: tuple[int, int, int],
-    surveys: dict,
-) -> list[Candidate]:
-    from .graphs import parse_graph6
-
-    shaped = ids[0] in DISCOVERY_SHAPE
+def _collect_group(ids: tuple[str, ...], surveys: dict) -> list[Candidate]:
+    """Validated candidates from the graphs hitting the group's polynomial
+    and, where the table names one, its brace shape."""
+    poly, kind, params = DISCOVERY[ids[0]]
     found: dict[str, Candidate] = {}
     for m in sorted(surveys):
-        value = _poly_eval(poly, m)
-        for g6 in surveys[m].matches.get(value, ()):
+        for g6 in surveys[m].matches.get(_poly_eval(poly, m), ()):
             g = parse_graph6(g6)
-            if shaped and not _shape_matches(g, ids[0]):
-                continue
+            if kind is not None:
+                cls = br.classify(g)
+                if cls.kind != kind or (
+                    params is not None and cls.path_parameters != params
+                ):
+                    continue
             for cand in _candidates_from_graph(g, poly, m):
                 prev = found.get(cand.key)
                 if prev is None or cand.first_seen_m < prev.first_seen_m:
@@ -494,23 +466,6 @@ def _poly_str(poly: tuple[int, int, int]) -> str:
     if c:
         parts.append(f"{'+' if c > 0 else '-'}{abs(c)}")
     return "".join(parts) or "0"
-
-
-def _generalized_theta(lengths: tuple[int, ...]) -> Graph:
-    """Two hubs joined by internally disjoint paths of the given lengths."""
-    edges = []
-    nxt = 2
-    for length in lengths:
-        if length == 1:
-            edges.append((0, 1))
-            continue
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    return Graph.from_edges(nxt, edges)
 
 
 def _fit_tail_quadratic(
@@ -540,11 +495,10 @@ def _fit_tail_quadratic(
 def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     """When no construction matches a family's printed closed form, record
     the measured polynomials of every single-attach family on its brace."""
-    kind, params = DISCOVERY_SHAPE[fid]
+    claimed, kind, params = DISCOVERY[fid]
     if kind != br.FOUR_THETA or params is None:
         return
-    base = _generalized_theta(params)
-    claimed = DISCOVERY_POLY[fid]
+    base = theta(params)
     lines = []
     for v in sorted(set(canon(base).orbit_of)):
         fit = _fit_tail_quadratic(base, v, base.m + 14)
@@ -580,61 +534,41 @@ def discover_families(
     non-isomorphic candidates for one id) are all recorded; a family with no
     surviving candidate is listed as unresolved, never fabricated.
     """
-    from .graphs import parse_graph6
-
     reg = FamilyRegistry(
         (registry or builtin_registry()).specs[i]
         for i in (registry or builtin_registry()).ids()
     )
     report = DiscoveryReport()
 
-    def adopt(fid: str, cands: list[Candidate], which: int = 0) -> Optional[Candidate]:
-        if len(cands) <= which:
+    def adopt(fid: str, picks: list[Candidate]) -> Optional[Candidate]:
+        """Pin the first pick; the others are recorded as ambiguities."""
+        if not picks:
             report.unresolved.append(fid)
             return None
-        c = cands[which]
-        reg.add(c.spec(fid))
-        report.resolved[fid] = _resolved_info(c)
-        return c
+        reg.add(picks[0].spec(fid))
+        report.resolved[fid] = _resolved_info(picks[0])
+        if len(picks) > 1:
+            report.ambiguities[fid] = [c.key for c in picks[1:]]
+        return picks[0]
+
+    def maximizing(fid: str, m: int, cands: list[Candidate]) -> list[Candidate]:
+        if m not in tri_surveys:
+            return []
+        top = set(tri_surveys[m].result.maximizers)
+        return [
+            c for c in cands
+            if c.m_min <= m and canonical_form(c.spec(fid).build(m)) in top
+        ]
 
     # tricyclic groups
-    group_cands = {
-        ids: _collect_group(ids, poly, tri_surveys) for ids, poly in _GROUPS
-    }
+    group_cands = {ids: _collect_group(ids, tri_surveys) for ids in _GROUPS}
 
     # A2 is the unique size-10 maximizer; A1 joins it at size 11
     a_cands = group_cands[("A1", "A2")]
-    a2 = a1 = None
-    if 10 in tri_surveys:
-        max10 = set(tri_surveys[10].result.maximizers)
-        picks = [
-            c for c in a_cands
-            if c.m_min <= 10 and canonical_form(c.spec("A2").build(10)) in max10
-        ]
-        if picks:
-            a2 = picks[0]
-            reg.add(a2.spec("A2"))
-            report.resolved["A2"] = _resolved_info(a2)
-            if len(picks) > 1:
-                report.ambiguities["A2"] = [c.key for c in picks[1:]]
-    if a2 is None:
-        report.unresolved.append("A2")
-    if 11 in tri_surveys:
-        max11 = set(tri_surveys[11].result.maximizers)
-        picks = [
-            c for c in a_cands
-            if (a2 is None or c.key != a2.key)
-            and c.m_min <= 11
-            and canonical_form(c.spec("A1").build(11)) in max11
-        ]
-        if picks:
-            a1 = picks[0]
-            reg.add(a1.spec("A1"))
-            report.resolved["A1"] = _resolved_info(a1)
-            if len(picks) > 1:
-                report.ambiguities["A1"] = [c.key for c in picks[1:]]
-    if a1 is None:
-        report.unresolved.append("A1")
+    a2 = adopt("A2", maximizing("A2", 10, a_cands))
+    a1 = adopt("A1", maximizing(
+        "A1", 11, [c for c in a_cands if a2 is None or c.key != a2.key]
+    ))
     leftovers = [
         c.key for c in a_cands
         if (a2 is None or c.key != a2.key) and (a1 is None or c.key != a1.key)
@@ -646,75 +580,45 @@ def discover_families(
 
     # A4: same polynomial as the pinned A3 but a different construction
     a3_key = _normalize_candidate(reg["A3"].base_graph(), reg["A3"].attach)[2]
-    a4_cands = [c for c in group_cands[("A4",)] if c.key != a3_key]
-    adopt("A4", a4_cands)
-    if len(a4_cands) > 1:
-        report.ambiguities["A4"] = [c.key for c in a4_cands[1:]]
+    adopt("A4", [c for c in group_cands[("A4",)] if c.key != a3_key])
 
     # A5/A6 (and possibly A7) share m^2-3m-18
     a56 = group_cands[("A5", "A6", "A7")]
     report.composite_18_family_count = len(a56)
-    adopt("A5", a56, 0)
-    adopt("A6", a56, 1)
-    if len(a56) >= 3:
-        adopt("A7", a56, 2)
-        if len(a56) > 3:
-            report.ambiguities["A7"] = [c.key for c in a56[3:]]
+    adopt("A5", a56[:1])
+    adopt("A6", a56[1:2])
+    if adopt("A7", a56[2:]):
         report.notes.append(
             "a third composite construction with closed form m^2-3m-18 exists; "
             "recorded as A7"
         )
     else:
-        report.unresolved.append("A7")
         report.notes.append(
             "only two composite constructions match m^2-3m-18; A7 appears to "
             "duplicate another family"
         )
 
     for fid in ("D1", "D2", "F1", "F2", "F3", "F4", "H2", "H3", "H4"):
-        cands = group_cands[(fid,)]
-        adopted = adopt(fid, cands)
-        if len(cands) > 1:
-            report.ambiguities[fid] = [c.key for c in cands[1:]]
-        if adopted is None:
+        if adopt(fid, group_cands[(fid,)]) is None:
             _unresolved_forensics(fid, report)
 
-    # bicyclic: B1 and B3 share m^2-3m-6; B3 is the one built on the
-    # 4-vertex 5-edge graph (the size-5 member both B3 and B4 degenerate to)
-    theta = Graph.from_edges(4, ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1)))
-    b_cands = _collect_group(("B1", "B3"), (1, -3, -6), bi_surveys) if bi_surveys else []
-    b3_picks = [
-        c for c in b_cands
-        if isomorphic(
-            Graph.from_edges(1 + max(max(e) for e in c.base_edges), c.base_edges),
-            theta,
-        )
-    ]
-    b3 = None
-    if b3_picks:
-        b3 = b3_picks[0]
-        reg.add(b3.spec("B3"))
-        report.resolved["B3"] = _resolved_info(b3)
-        if len(b3_picks) > 1:
-            report.ambiguities["B3"] = [c.key for c in b3_picks[1:]]
-    else:
-        report.unresolved.append("B3")
-    b1_picks = [c for c in b_cands if b3 is None or c.key != b3.key]
-    adopt("B1", b1_picks)
-    if len(b1_picks) > 1:
-        report.ambiguities["B1"] = [c.key for c in b1_picks[1:]]
+    # bicyclic: B3 is the member of its group built on the 4-vertex 5-edge
+    # graph (the size-5 member both B3 and B4 degenerate to)
+    theta122 = theta((1, 2, 2))
+    b_cands = _collect_group(_BICYCLIC_GROUP, bi_surveys)
+    b3 = adopt("B3", [c for c in b_cands if isomorphic(c.base_graph(), theta122)])
+    adopt("B1", [c for c in b_cands if b3 is None or c.key != b3.key])
 
     # B2/B4 have no closed form; they are the remaining size-9 maximizers
+    extras: list[Candidate] = []
     if 9 in bi_surveys:
         known9 = set()
         for fid in ("B0", "B1", "B3"):
             if fid in reg and reg[fid].m_min <= 9:
                 known9.add(canonical_form(reg[fid].build(9)))
-        extras = [g6 for g6 in bi_surveys[9].result.maximizers if g6 not in known9]
-        specs = []
-        for g6 in sorted(extras):
-            g = parse_graph6(g6)
-            dec = single_attach_decomposition(g)
+        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers if g6 not in known9]
+        for g6 in sorted(extra9):
+            dec = single_attach_decomposition(parse_graph6(g6))
             if dec is None:
                 report.notes.append(
                     f"size-9 bicyclic maximizer {g6} is not a single-vertex "
@@ -722,22 +626,10 @@ def discover_families(
                 )
                 continue
             edges, attach_c, key = _normalize_candidate(*dec)
-            base_c = Graph.from_edges(1 + max(max(e) for e in edges), edges)
-            specs.append((key, edges, attach_c, base_c))
-        b4_specs = [s for s in specs if isomorphic(s[3], theta)]
-        b2_specs = [s for s in specs if not isomorphic(s[3], theta)]
-        for fid, pool in (("B4", b4_specs), ("B2", b2_specs)):
-            if pool:
-                key, edges, attach_c, base_c = pool[0]
-                reg.add(FamilySpec(fid, edges, attach_c, base_c.m, None, DISCOVERED))
-                report.resolved[fid] = {"key": key, "m_min": base_c.m,
-                                        "first_seen_m": 9, "base_m": base_c.m}
-                if len(pool) > 1:
-                    report.ambiguities[fid] = [s[0] for s in pool[1:]]
-            else:
-                report.unresolved.append(fid)
-    else:
-        report.unresolved.extend(["B2", "B4"])
+            extras.append(Candidate(key, edges, attach_c, len(edges), 9))
+    b4_picks = [c for c in extras if isomorphic(c.base_graph(), theta122)]
+    adopt("B4", b4_picks)
+    adopt("B2", [c for c in extras if c not in b4_picks])
 
     # final pinning sweep over every discovered entry with a polynomial
     for fid in list(report.resolved):
@@ -763,8 +655,6 @@ def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
     """Match every enumerated maximizer to a registry family; leftovers are
     the graphs the printed equality cases do not name."""
-    from .graphs import parse_graph6
-
     for surveys in (tri_surveys, bi_surveys):
         for m in sorted(surveys):
             observed = surveys[m].result.maximizers

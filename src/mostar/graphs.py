@@ -181,6 +181,31 @@ def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
+    """Hubs 0..hubs-1 joined by internally disjoint paths (a, b, length).
+
+    Internal vertices are numbered from `hubs` on, path by path in the
+    given order and along each path from a to b.  The shift rules'
+    calibrated roles name vertices of these braces, so the numbering is
+    part of the contract.
+    """
+    edges = []
+    nxt = hubs
+    for a, b, length in paths:
+        prev = a
+        for _ in range(length - 1):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        edges.append((prev, b))
+    return Graph.from_edges(nxt, edges)
+
+
+def theta(lengths: Iterable[int]) -> Graph:
+    """Hubs 0 and 1 joined by internally disjoint paths of the given lengths."""
+    return hub_paths(2, [(0, 1, length) for length in lengths])
+
+
 # -- distances and connectivity --------------------------------------------
 
 

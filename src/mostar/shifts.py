@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, hub_paths, theta
 from .canon import canon
 from .indices import edge_mostar
 
@@ -67,54 +67,6 @@ def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
 
 
 # -- rule table ---------------------------------------------------------------
-
-
-def _theta(lengths: tuple[int, ...]) -> Graph:
-    edges = []
-    nxt = 2
-    for length in lengths:
-        if length == 1:
-            edges.append((0, 1))
-            continue
-        prev = 0
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    return Graph.from_edges(nxt, edges)
-
-
-def _subdivided_k4() -> Graph:
-    # K4 with one edge split by a new vertex: path lengths (1,1,1,2,1,1)
-    return Graph.from_edges(
-        5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 3))
-    )
-
-
-def _three_hub(pair_xy: tuple[int, int], pair_xz: tuple[int, int], yz: int) -> Graph:
-    """Hubs x=0, y=1, z=2; two paths x-y, two paths x-z, one path y-z."""
-    edges = []
-    nxt = 3
-
-    def add_path(a: int, b: int, length: int) -> None:
-        nonlocal nxt
-        if length == 1:
-            edges.append((a, b))
-            return
-        prev = a
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, b))
-
-    for L in pair_xy:
-        add_path(0, 1, L)
-    for L in pair_xz:
-        add_path(0, 2, L)
-    add_path(1, 2, yz)
-    return Graph.from_edges(nxt, edges)
 
 
 @dataclass(frozen=True)
@@ -233,18 +185,26 @@ class RuleGroup:
     role_degrees: Optional[tuple[int, ...]]  # stated brace degrees, if any
 
 
+# three-hub braces have hubs x=0, y=1, z=2: two paths x-y, two paths x-z
+# and one path y-z
 GROUPS: dict[str, RuleGroup] = {
-    "L3.2": RuleGroup("L3.2", (_subdivided_k4(),), 5, None),
-    "L3.3": RuleGroup("L3.3", (_three_hub((1, 2), (1, 2), 1),), 5, None),
+    # K4 with one edge split by a new vertex: path lengths (1,1,1,1,1,2)
+    "L3.2": RuleGroup("L3.2", (hub_paths(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
+                                             (1, 2, 1), (1, 3, 1), (2, 3, 2)]),),
+                      5, None),
+    "L3.3": RuleGroup("L3.3", (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1),
+                                             (0, 2, 2), (1, 2, 1)]),), 5, None),
     "L3.4": RuleGroup(
         "L3.4",
-        (_three_hub((1, 2), (2, 2), 1), _three_hub((1, 2), (1, 2), 2)),
+        (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 2), (0, 2, 2), (1, 2, 1)]),
+         hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 2, 2)])),
         6, None,
     ),
-    "L3.5": RuleGroup("L3.5", (_three_hub((1, 2), (1, 3), 1),), 6, None),
-    "L3.6": RuleGroup("L3.6", (_theta((1, 2, 2, 2)),), 5, (4, 4, 2, 2, 2)),
-    "L3.7": RuleGroup("L3.7", (_theta((2, 2, 2, 2)),), 6, (4, 4, 2, 2, 2, 2)),
-    "L3.8": RuleGroup("L3.8", (_theta((1, 2, 2, 3)),), 6, (4, 4, 2, 2, 2, 2)),
+    "L3.5": RuleGroup("L3.5", (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1),
+                                             (0, 2, 3), (1, 2, 1)]),), 6, None),
+    "L3.6": RuleGroup("L3.6", (theta((1, 2, 2, 2)),), 5, (4, 4, 2, 2, 2)),
+    "L3.7": RuleGroup("L3.7", (theta((2, 2, 2, 2)),), 6, (4, 4, 2, 2, 2, 2)),
+    "L3.8": RuleGroup("L3.8", (theta((1, 2, 2, 3)),), 6, (4, 4, 2, 2, 2, 2)),
 }
 
 
@@ -506,23 +466,12 @@ class ShiftSuiteReport:
     def all_positive(self) -> bool:
         return all(r.measured is None or r.measured > 0 for r in self.rows)
 
-    def statuses(self) -> dict[str, str]:
-        """Strict per-rule verdict over every sampled tuple."""
+    def statuses(self, region: Optional[str] = None) -> dict[str, str]:
+        """Strict per-rule verdict over every sampled tuple, or over one
+        region's batch only ("loaded": the mid-chain regime)."""
         out: dict[str, str] = {}
         for r in self.rows:
-            if r.status == DISCREPANT:
-                out[r.rule] = DISCREPANT
-            elif r.status == MATCH and out.get(r.rule) != DISCREPANT:
-                out[r.rule] = MATCH
-            else:
-                out.setdefault(r.rule, SKIPPED)
-        return out
-
-    def loaded_statuses(self) -> dict[str, str]:
-        """Verdict over the mid-chain regime batch only."""
-        out: dict[str, str] = {}
-        for r in self.rows:
-            if r.region != "loaded":
+            if region is not None and r.region != region:
                 continue
             if r.status == DISCREPANT:
                 out[r.rule] = DISCREPANT
@@ -549,7 +498,7 @@ class ShiftSuiteReport:
             "calibrations": self.calibrations,
             "interpolations": self.interpolations,
             "statuses": self.statuses(),
-            "loaded_statuses": self.loaded_statuses(),
+            "loaded_statuses": self.statuses("loaded"),
             "counts": self.counts(),
             "all_measured_deltas_positive": self.all_positive,
         }

@@ -19,10 +19,12 @@ or double-counts, which is precisely what exhaustive search is for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .canon import canonical_form
 from .enumeration import (
+    EnumerationResult,
+    EnumerationTask,
     Survey,
     bicyclic_task,
     survey,
@@ -42,52 +44,63 @@ FAIL = "FAIL"
 INFO = "INFO"
 
 
-def expected_tricyclic_max(m: int) -> Optional[int]:
-    table = {7: 12, 8: 23, 9: 36, 10: 53, 11: 72}
-    if m in table:
-        return table[m]
-    if m >= 12:
-        return m * m - m - 36
-    return None  # below the theorem's statement
+@dataclass(frozen=True)
+class ClassSpec:
+    """One graph class's published table: the maxima and equality families
+    listed size by size, then one quadratic and family list from
+    `tail_start` on.  Sizes below the table are outside the statement."""
+
+    task: Callable[[int], EnumerationTask]
+    listed_max: dict[int, int]
+    listed_families: dict[int, tuple[str, ...]]
+    tail_start: int
+    tail_poly: tuple[int, int, int]
+    tail_families: tuple[str, ...]
+
+    def expected_max(self, m: int) -> Optional[int]:
+        if m in self.listed_max:
+            return self.listed_max[m]
+        if m >= self.tail_start:
+            a, b, c = self.tail_poly
+            return a * m * m + b * m + c
+        return None
+
+    def expected_families(self, m: int) -> tuple[str, ...]:
+        if m in self.listed_families:
+            return self.listed_families[m]
+        return self.tail_families if m >= self.tail_start else ()
 
 
-def expected_tricyclic_families(m: int) -> tuple[str, ...]:
-    table = {
+TRICYCLIC = ClassSpec(
+    task=tricyclic_task,
+    listed_max={7: 12, 8: 23, 9: 36, 10: 53, 11: 72},
+    listed_families={
         7: ("F1", "H1"),
         8: ("A3", "F1", "H1"),
         9: ("A2", "A3", "A4", "A5", "A6", "F1", "H1"),
         10: ("A2",),
         11: ("A1", "A2"),
-    }
-    if m in table:
-        return table[m]
-    if m >= 12:
-        return ("A0",)
-    return ()
+    },
+    tail_start=12,
+    tail_poly=(1, -1, -36),
+    tail_families=("A0",),
+)
 
-
-def expected_bicyclic_max(m: int) -> Optional[int]:
-    if m == 5:
-        return 4
-    if 6 <= m <= 8:
-        return m * m - 3 * m - 6
-    if m == 9:
-        return 48
-    if m >= 10:
-        return m * m - m - 24
-    return None
-
-
-def expected_bicyclic_families(m: int) -> tuple[str, ...]:
-    if m == 5:
-        return ("B3", "B4")
-    if 6 <= m <= 8:
-        return ("B1", "B3")
-    if m == 9:
-        return ("B0", "B1", "B2", "B3", "B4")
-    if m >= 10:
-        return ("B0",)
-    return ()
+BICYCLIC = ClassSpec(
+    task=bicyclic_task,
+    # m^2-3m-6 at 6..8
+    listed_max={5: 4, 6: 12, 7: 22, 8: 34, 9: 48},
+    listed_families={
+        5: ("B3", "B4"),
+        6: ("B1", "B3"),
+        7: ("B1", "B3"),
+        8: ("B1", "B3"),
+        9: ("B0", "B1", "B2", "B3", "B4"),
+    },
+    tail_start=10,
+    tail_poly=(1, -1, -24),
+    tail_families=("B0",),
+)
 
 
 @dataclass(frozen=True)
@@ -117,15 +130,13 @@ class VerificationRow:
 
 
 def _row(
-    m: int,
-    result_maximizers: tuple[str, ...],
-    observed_max: Optional[int],
-    expected: Optional[int],
-    families: tuple[str, ...],
-    registry: FamilyRegistry,
+    spec: ClassSpec, m: int, res: EnumerationResult, registry: FamilyRegistry
 ) -> VerificationRow:
+    expected = spec.expected_max(m)
+    families = spec.expected_families(m)
+    observed_max = res.max_value
     hits: dict[str, Optional[bool]] = {}
-    max_set = set(result_maximizers)
+    max_set = set(res.maximizers)
     notes = []
     for fid in families:
         if fid not in registry or registry[fid].m_min > m:
@@ -159,6 +170,26 @@ def _row(
     )
 
 
+def _verify(
+    spec: ClassSpec,
+    sizes: list[int],
+    registry: Optional[FamilyRegistry],
+    workers: int,
+    histogram: bool,
+    surveys: Optional[dict[int, Survey]],
+) -> list[VerificationRow]:
+    """One row per size; sizes found in `surveys` are not enumerated again."""
+    reg = registry if registry is not None else builtin_registry()
+    rows = []
+    for m in sizes:
+        if surveys is not None and m in surveys:
+            res = surveys[m].result
+        else:
+            res = survey(spec.task(m), workers=workers, histogram=histogram).result
+        rows.append(_row(spec, m, res, reg))
+    return rows
+
+
 def verify_tricyclic(
     sizes: list[int],
     registry: Optional[FamilyRegistry] = None,
@@ -166,19 +197,7 @@ def verify_tricyclic(
     histogram: bool = False,
     surveys: Optional[dict[int, Survey]] = None,
 ) -> list[VerificationRow]:
-    reg = registry if registry is not None else builtin_registry()
-    rows = []
-    for m in sizes:
-        if surveys is not None and m in surveys:
-            res = surveys[m].result
-        else:
-            res = survey(tricyclic_task(m), workers=workers,
-                         histogram=histogram).result
-        rows.append(
-            _row(m, res.maximizers, res.max_value,
-                 expected_tricyclic_max(m), expected_tricyclic_families(m), reg)
-        )
-    return rows
+    return _verify(TRICYCLIC, sizes, registry, workers, histogram, surveys)
 
 
 def verify_bicyclic(
@@ -188,19 +207,7 @@ def verify_bicyclic(
     histogram: bool = False,
     surveys: Optional[dict[int, Survey]] = None,
 ) -> list[VerificationRow]:
-    reg = registry if registry is not None else builtin_registry()
-    rows = []
-    for m in sizes:
-        if surveys is not None and m in surveys:
-            res = surveys[m].result
-        else:
-            res = survey(bicyclic_task(m), workers=workers,
-                         histogram=histogram).result
-        rows.append(
-            _row(m, res.maximizers, res.max_value,
-                 expected_bicyclic_max(m), expected_bicyclic_families(m), reg)
-        )
-    return rows
+    return _verify(BICYCLIC, sizes, registry, workers, histogram, surveys)
 
 
 @dataclass

@@ -218,3 +218,62 @@ def reference_accept_edge_child(n: int, child: tuple[int, ...], a: int, b: int):
     )
     reps = pair_orbit_reps(n, cres.generators, nonbridge)
     return cres if reps[e] == reps[best_pair] else None
+
+
+def _dict_adjacency(g: Graph) -> dict[int, set[int]]:
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def brute_cut_vertices(g: Graph) -> list[int]:
+    """Articulation points of a connected graph: delete v, then one dict BFS
+    over the rest tells whether it fell apart."""
+    adj = _dict_adjacency(g)
+    out = []
+    for v in range(g.n):
+        rest = set(adj) - {v}
+        if not rest:
+            continue
+        start = min(rest)
+        seen = {start}
+        q = deque([start])
+        while q:
+            x = q.popleft()
+            for w in adj[x] - {v} - seen:
+                seen.add(w)
+                q.append(w)
+        if seen != rest:
+            out.append(v)
+    return out
+
+
+def brute_strip_pendants(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """Peel leaves one at a time; each peeled vertex hands the vertices it
+    carried, plus itself, to its last neighbour.  Returns the surviving
+    vertices in order and, per survivor, the vertex count (= edge count) of
+    the trees that hung there."""
+    adj = _dict_adjacency(g)
+    carried = {v: 0 for v in adj}
+    leaves = [v for v in adj if len(adj[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(adj[v]) != 1:
+            continue
+        (u,) = adj.pop(v)
+        adj[u].discard(v)
+        carried[u] += carried.pop(v) + 1
+        if len(adj[u]) == 1:
+            leaves.append(u)
+    keep = sorted(adj)
+    return keep, {v: carried[v] for v in keep}
+
+
+def hang_random_trees(rng: random.Random, g: Graph, count: int) -> Graph:
+    """Attach `count` new vertices one by one, each to a uniformly random
+    earlier vertex, so random trees hang off random vertices of g."""
+    for _ in range(count):
+        g = g.add_pendant(rng.randrange(g.n))
+    return g

@@ -119,7 +119,7 @@ def test_criterion_5_shift_deltas():
     t0 = time.perf_counter()
     report = run_shift_suite(count=20, seed=0)
     dt = time.perf_counter() - t0
-    loaded = report.loaded_statuses()
+    loaded = report.statuses("loaded")
     exact, discrepant = [], []
     for rule, status in sorted(loaded.items()):
         if status == "MATCH":

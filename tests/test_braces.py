@@ -18,7 +18,13 @@ from mostar.braces import (
 )
 from mostar.enumeration import EnumerationTask, enumerate_connected
 from mostar.families import builtin_registry
-from _helpers import random_connected
+from _helpers import (
+    brute_cut_vertices,
+    brute_strip_pendants,
+    hang_random_trees,
+    random_connected,
+    random_connected_density,
+)
 
 
 def pend(g, at, k):
@@ -199,3 +205,39 @@ def test_classify_total_on_random_connected(seed):
         assert cls.kind in (
             K4_SUBDIVISION, THREE_HUB, FOUR_THETA, DIGON_RING, COMPOSITE
         )
+
+
+def test_cut_vertices_match_brute_force():
+    """Connected graphs from trees to near-complete ones, n <= 14, some with
+    random trees hung on: the masked-reachability rule finds exactly the
+    vertices whose deletion disconnects the graph."""
+    rng = random.Random(41)
+    with_cut = 0
+    for i in range(600):
+        g = random_connected_density(rng, 1, 14 if i % 2 else 9)
+        if i % 2 == 0:
+            g = hang_random_trees(rng, g, rng.randint(0, 14 - g.n))
+        expected = brute_cut_vertices(g)
+        assert _cut_vertices(g) == expected, g.edges()
+        with_cut += bool(expected)
+    assert 100 < with_cut < 600  # both outcomes are well represented
+
+
+def test_strip_pendants_matches_leaf_peeling():
+    """Graphs with at least one cycle plus random hung trees, n <= 14: the
+    brace, its labels and the per-vertex tree sizes equal one-leaf-at-a-time
+    peeling over dicts."""
+    rng = random.Random(43)
+    checked = 0
+    while checked < 600:
+        g = random_connected_density(rng, 3, 10)
+        if g.m < g.n:
+            continue  # a tree has no brace
+        g = hang_random_trees(rng, g, rng.randint(0, 14 - g.n))
+        keep, carried = brute_strip_pendants(g)
+        d = strip_pendants(g)
+        assert list(d.original_labels) == keep
+        assert d.brace == g.induced(keep)
+        assert d.attachment_profile == {i: carried[v] for i, v in enumerate(keep)}
+        assert d.pendant_count == sum(carried.values())
+        checked += 1

@@ -186,3 +186,27 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify-theorem1", "--format", "xml"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "6", "13"])
+def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
+    """Rejected before any enumeration, and an existing registry stays as
+    it was."""
+    reg_path = tmp_path / "fam.json"
+    reg_path.write_text("[]\n")
+    before = reg_path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--max-size", value, "--threads", "1",
+              "--output", str(reg_path), "--report", str(tmp_path / "rep.json")])
+    assert exc.value.code == 2
+    assert f"--max-size {value} outside supported range 7..12" in capsys.readouterr().err
+    assert reg_path.read_bytes() == before
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+def test_verify_size_and_range_exclusive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--size", "7", "--range", "7-9", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

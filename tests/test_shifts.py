@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mostar import Graph, GraphError, cycle, cyclomatic_number, is_connected, isomorphic
+from mostar.graphs import theta
 from mostar.shifts import (
     DISCREPANT,
     GROUPS,
@@ -18,7 +19,6 @@ from mostar.shifts import (
     run_shift_suite,
     shift_pendants,
     verify_lemma_shift,
-    _theta,
 )
 
 
@@ -125,7 +125,7 @@ def test_verify_rejects_condition_violations():
 def test_hub_swap_with_empty_far_hub_is_isomorphic():
     """The printed hub-to-hub delta cannot hold when the receiving hub is
     bare: that shift is an automorphism flip, so the index cannot change."""
-    brace = _theta((1, 2, 2, 2))
+    brace = theta((1, 2, 2, 2))
     g = pend(brace, 1, 3)  # three pendants at one hub, none at the other
     h = shift_pendants(g, ShiftSpec(1, 0, 3))
     assert isomorphic(g, h)
@@ -170,3 +170,32 @@ def test_shift_random_roundtrip(seed):
     h = shift_pendants(g, ShiftSpec(0, 2, k))
     back = shift_pendants(h, ShiftSpec(2, 0, k))
     assert isomorphic(back, g)
+
+
+# every brace realization as an edge list: the calibrated roles name these
+# vertex labels, so a builder that numbers internal vertices differently
+# would change the lemma report
+GROUP_EDGES = {
+    "L3.2": [[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]],
+    "L3.3": [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4)]],
+    "L3.4": [
+        [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4), (2, 5)],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)],
+    ],
+    "L3.5": [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 5), (4, 5)]],
+    "L3.6": [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]],
+    "L3.7": [[(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]],
+    "L3.8": [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (4, 5)]],
+}
+
+
+def test_group_realizations_keep_their_labels():
+    assert set(GROUPS) == set(GROUP_EDGES)
+    for gid, group in GROUPS.items():
+        assert [[tuple(e) for e in r.edges()] for r in group.realizations] \
+            == GROUP_EDGES[gid], gid
+        assert all(r.n == 1 + max(max(e) for e in r.edges())
+                   for r in group.realizations)
+    # the bicyclic discovery brace B3 and B4 are told apart by
+    assert [tuple(e) for e in theta((1, 2, 2)).edges()] == \
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
