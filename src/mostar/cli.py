@@ -29,12 +29,17 @@ from .verify import run_atlas, verify_bicyclic, verify_tricyclic
 
 
 def _load_registry(path: str | None) -> FamilyRegistry:
-    if path:
+    if not path:
+        if not Path("families.json").exists():
+            return builtin_registry()
+        path = "families.json"
+    try:
         return FamilyRegistry.load(path)
-    default = Path("families.json")
-    if default.exists():
-        return FamilyRegistry.load(default)
-    return builtin_registry()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(
+            f"registry {path} is not a families registry: "
+            f"{type(exc).__name__}: {exc}"
+        )
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -88,35 +93,36 @@ def _parse_sizes(args) -> list[int]:
 
 
 def cmd_compute(args) -> int:
-    lines: list[tuple[str, int, str]] = []  # (line, number, source)
+    sources: list[tuple[bytes, str]] = []
     if args.inputs:
         for fname in args.inputs:
             try:
-                text = Path(fname).read_text()
+                sources.append((Path(fname).read_bytes(), fname))
             except OSError as exc:
                 print(f"error: cannot read {fname}: {exc}", file=sys.stderr)
                 return 2
-            for i, line in enumerate(text.splitlines(), start=1):
-                if line.strip():
-                    lines.append((line, i, fname))
     else:
-        for i, line in enumerate(sys.stdin, start=1):
-            if line.strip():
-                lines.append((line, i, "<stdin>"))
+        sources.append((sys.stdin.buffer.read(), "<stdin>"))
     out_rows = []  # (graph, summary)
     skipped = 0
-    for line, no, src in lines:
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            print(f"{src}:{no}: parse error: {exc}", file=sys.stderr)
-            skipped += 1
-            continue
-        try:
-            out_rows.append((g, mostar_summary(g)))
-        except GraphError:
-            print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
-            skipped += 1
+    for data, src in sources:
+        # undecodable bytes become lone surrogates, which the graph6 parser
+        # reports as non-ASCII characters on their own line
+        text = data.decode("utf-8", errors="surrogateescape")
+        for no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                g = parse_graph6(line)
+            except Graph6Error as exc:
+                print(f"{src}:{no}: parse error: {exc}", file=sys.stderr)
+                skipped += 1
+                continue
+            try:
+                out_rows.append((g, mostar_summary(g)))
+            except GraphError:
+                print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
+                skipped += 1
     if args.format == "json":
         text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for _, r in out_rows)
     else:

@@ -7,8 +7,11 @@ forms were verified directly), the standard star/cycle/path/cycle-with-
 pendants families are built structurally, and every other named family is
 reconstructed by the discovery pipeline: scan exhaustive enumeration
 output for graphs hitting the family's polynomial, keep the ones whose
-pendant structure is a single-vertex attachment, and validate that the
-construction keeps matching the polynomial as it grows.
+pendant structure is a single-vertex attachment, and keep a construction
+when its exact pendant tail (`indices.pendant_tail`) is the family's
+polynomial and already holds at the size it was found at.  The pinned
+m_min is the size from which the tail holds, so every registry polynomial
+is proved for all m >= m_min.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import braces as br
 from .canon import canon, canonical_form, isomorphic
 from .graphs import Graph, GraphError, parse_graph6, theta
 from .graphs import cycle as cycle_graph, path as path_graph, star as star_graph
-from .indices import edge_mostar
+from .indices import edge_mostar, pendant_tail
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
@@ -87,6 +90,8 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
+        if not d["base_edges"]:
+            raise ValueError(f"family {d['id']} has no base edges")
         return cls(
             id=d["id"],
             base_edges=tuple((int(a), int(b)) for a, b in d["base_edges"]),
@@ -269,17 +274,12 @@ DISCOVERY: dict[
     "B3": ((1, -3, -6), None, None),
 }
 
-# how many consecutive sizes past the first match the polynomial must keep
-# holding before a candidate construction is believed
-EXTENSION_RUN = 12
-
-
 @dataclass(frozen=True)
 class Candidate:
     key: str                       # canonical form of base tagged at attach
     base_edges: tuple[tuple[int, int], ...]
     attach: int
-    m_min: int                     # first size where the polynomial matches
+    m_min: int                     # size from which the polynomial holds
     first_seen_m: int
 
     def spec(self, fid: str) -> FamilySpec:
@@ -333,19 +333,13 @@ def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int
 def _validated_candidate(
     base: Graph, attach: int, poly: tuple[int, int, int], m: int
 ) -> Optional[Candidate]:
+    """The construction when its tail is `poly` from size m or earlier; a
+    match at m that is only a coincidence of the head is rejected."""
+    tail, holds_from, _ = pendant_tail(base, attach)
+    if tail != poly or holds_from > m:
+        return None
     edges, attach_c, key = _normalize_candidate(base, attach)
-    base_c = Graph.from_edges(1 + max(max(e) for e in edges), edges)
-    m_base = base_c.m
-    # find the first size from which the polynomial holds for a full run
-    for start in range(m_base, m + 1):
-        run_ok = all(
-            edge_mostar(_with_pendants(base_c, attach_c, mm - m_base))
-            == _poly_eval(poly, mm)
-            for mm in range(start, start + EXTENSION_RUN + 1)
-        )
-        if run_ok:
-            return Candidate(key, edges, attach_c, start, m)
-    return None
+    return Candidate(key, edges, attach_c, holds_from, m)
 
 
 def _candidates_from_graph(
@@ -356,7 +350,7 @@ def _candidates_from_graph(
     A graph with pendants must be exactly base + bare pendants at one
     vertex.  A pendant-free graph is its own base and does not reveal the
     attachment vertex, so every vertex orbit is tried; only orbits whose
-    pendant extension keeps tracking the polynomial survive.
+    pendant tail is the polynomial survive.
     """
     dec = single_attach_decomposition(g)
     if dec is not None:
@@ -468,30 +462,6 @@ def _poly_str(poly: tuple[int, int, int]) -> str:
     return "".join(parts) or "0"
 
 
-def _fit_tail_quadratic(
-    base: Graph, attach: int, m_hi: int
-) -> Optional[tuple[tuple[int, int, int], int]]:
-    """Exact quadratic through the largest sizes, plus the size it holds from."""
-    m_lo = base.m
-    vals = {
-        m: edge_mostar(_with_pendants(base, attach, m - m_lo))
-        for m in range(m_lo, m_hi + 1)
-    }
-    d1 = vals[m_hi - 1] - vals[m_hi - 2]
-    d2 = vals[m_hi] - vals[m_hi - 1]
-    if (d2 - d1) % 2:
-        return None
-    a = (d2 - d1) // 2
-    b = d1 - a * (2 * m_hi - 3)
-    c = vals[m_hi] - a * m_hi * m_hi - b * m_hi
-    holds_from = m_hi
-    for m in range(m_hi, m_lo - 1, -1):
-        if vals[m] != a * m * m + b * m + c:
-            break
-        holds_from = m
-    return (a, b, c), holds_from
-
-
 def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     """When no construction matches a family's printed closed form, record
     the measured polynomials of every single-attach family on its brace."""
@@ -501,16 +471,16 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     base = theta(params)
     lines = []
     for v in sorted(set(canon(base).orbit_of)):
-        fit = _fit_tail_quadratic(base, v, base.m + 14)
-        if fit is None:
-            continue
-        poly, holds_from = fit
+        poly, holds_from, head = pendant_tail(base, v)
         hits = [
-            m
-            for m in range(base.m, base.m + 15)
-            if edge_mostar(_with_pendants(base, v, m - base.m))
-            == _poly_eval(claimed, m)
+            m for m, value in enumerate(head, start=base.m)
+            if value == _poly_eval(claimed, m)
         ]
+        # both forms are monic, so past the head they differ by a linear
+        # function with at most one root (none when the forms are equal)
+        slope, offset = poly[1] - claimed[1], poly[2] - claimed[2]
+        if slope and offset % slope == 0 and -offset // slope >= holds_from:
+            hits.append(-offset // slope)
         lines.append(
             f"attach deg-{base.degree(v)} orbit of {v}: {_poly_str(poly)} "
             f"from m>={holds_from}"
@@ -631,21 +601,6 @@ def discover_families(
     adopt("B4", b4_picks)
     adopt("B2", [c for c in extras if c not in b4_picks])
 
-    # final pinning sweep over every discovered entry with a polynomial
-    for fid in list(report.resolved):
-        spec = reg[fid]
-        if spec.poly is None:
-            continue
-        rows = verify_family(fid, range(spec.m_min, spec.m_min + 16), reg)
-        bad = [r for r in rows if not r.ok]
-        if bad:
-            report.notes.append(
-                f"{fid}: pinning sweep failed at sizes {[r.m for r in bad]}; dropped"
-            )
-            del reg.specs[fid]
-            del report.resolved[fid]
-            report.unresolved.append(fid)
-
     _collision_scan(reg, report, tri_surveys, bi_surveys)
     _attribute_maximizers(reg, report, tri_surveys, bi_surveys)
     return reg, report
@@ -672,11 +627,7 @@ def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                 dec = single_attach_decomposition(g)
                 if dec is None:
                     continue
-                base, attach = dec
-                fit = _fit_tail_quadratic(base, attach, base.m + 14)
-                if fit is None:
-                    continue
-                poly, holds_from = fit
+                poly, holds_from, _ = pendant_tail(*dec)
                 report.notes.append(
                     f"size-{m} maximizer {g6} belongs to no registered family; "
                     f"its single-attach family follows {_poly_str(poly)} from "

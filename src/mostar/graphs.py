@@ -330,7 +330,10 @@ def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 string", 0)
     for off, byte in enumerate(data):

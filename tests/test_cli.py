@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -83,6 +85,45 @@ def test_compute_mixed_input_outputs(tmp_path, capsys, fmt, expected):
         f"{f}:4: disconnected graph skipped",
         f"{f}:5: disconnected graph skipped",
     ]
+
+
+# a UTF-8 non-ASCII character, and a byte that is not UTF-8 at all
+@pytest.mark.parametrize("bad", [b"\xc3\xbf", b"\xff"], ids=["utf8", "not-utf8"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_compute_non_ascii_line(tmp_path, capsys, monkeypatch, source, bad):
+    """Reported as a parse error of its own line, the same way on stdin and
+    in files; the good lines around it are still computed."""
+    data = b"C~\n" + bad + b"\nCs\n"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        argv, src = ["compute", "--format", "csv"], "<stdin>"
+    else:
+        f = tmp_path / "in.g6"
+        f.write_bytes(data)
+        argv, src = ["compute", str(f), "--format", "csv"], str(f)
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert err.startswith(f"{src}:2: parse error: non-ASCII character")
+    assert len(err.splitlines()) == 1
+    assert out.splitlines() == ["graph6,n,m,edge_mostar", "C~,4,6,0", "Cs,4,3,6"]
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+@pytest.mark.parametrize("content,reason", [
+    ("not json\n", "JSONDecodeError"),
+    ('[{"id": "A0"}]\n', "KeyError"),
+    ('[{"id": "A0", "base_edges": [], "attach": 0, "m_min": 12, "poly": null,'
+     ' "provenance": "ANALYTIC"}]\n', "ValueError"),
+], ids=["not-json", "missing-keys", "no-base-edges"])
+def test_verify_bad_registry_file(tmp_path, capsys, command, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--size", "7", "--threads", "1", "--registry", str(bad)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"registry {bad} is not a families registry: {reason}" in err
+    assert "Traceback" not in err
 
 
 def test_compute_missing_file(capsys):

@@ -4,15 +4,23 @@ import pytest
 
 from mostar import GraphError, cycle, edge_mostar, isomorphic
 from mostar.families import (
+    DISCOVERY,
+    DiscoveryReport,
     FamilyRegistry,
     NoPolynomialError,
     NotPinnedError,
+    _candidates_from_graph,
+    _poly_eval,
+    _poly_str,
+    _unresolved_forensics,
     build,
     builtin_registry,
     polynomial,
     s_mr,
     verify_family,
 )
+from mostar.graphs import theta
+from mostar.indices import pendant_tail
 
 
 def test_build_s_mr():
@@ -100,6 +108,58 @@ def test_discovered_entries_verify(registry):
             continue
         rows = verify_family(fid, range(spec.m_min, spec.m_min + 8), registry)
         assert all(r.ok for r in rows), fid
+
+
+def test_registry_polynomials_are_pendant_tails(registry):
+    """With test_pendant_tail_against_edge_mostar, this proves every
+    registry polynomial for all m >= m_min, not only on sampled sizes."""
+    for fid in registry.ids():
+        spec = registry[fid]
+        if spec.poly is not None:
+            tail = pendant_tail(spec.base_graph(), spec.attach)[:2]
+            assert tail == (spec.poly, spec.m_min), fid
+
+
+def test_h4_head_coincidence_rejected(atlas_report):
+    """Pendants at interior vertex 2 of the H4 brace hit the printed
+    m^2-3m-24 at m = 9 only: the tail is m^2-3m-32 from m >= 11, so the
+    m = 9 graph yields no candidate."""
+    printed = DISCOVERY["H4"][0]
+    base = theta((1, 2, 2, 3))
+    g = base.add_pendant(2)
+    assert edge_mostar(g) == _poly_eval(printed, 9)
+    assert pendant_tail(base, 2)[:2] == ((1, -3, -32), 11)
+    assert _candidates_from_graph(g, printed, 9) == []
+    # the three measured forms the atlas report records for H4
+    note = next(n for n in atlas_report["notes"] if n.startswith("H4:"))
+    for v, form in ((0, "m^2-3m-20 from m>=8"), (2, "m^2-3m-32 from m>=11"),
+                    (4, "m^2-3m-36 from m>=12")):
+        poly, holds_from, _ = pendant_tail(base, v)
+        assert f"{_poly_str(poly)} from m>={holds_from}" == form
+        assert f"orbit of {v}: {form}" in note
+
+
+@pytest.mark.parametrize("claimed", [(1, -3, -24), (1, -2, -30)])
+def test_forensic_hits_exact(monkeypatch, claimed):
+    """The sizes at which each measured H4 family equals the printed form,
+    against edge_mostar over 60 sizes; m^2-2m-30 crosses the hub family's
+    tail at m = 10, past its head."""
+    _, kind, params = DISCOVERY["H4"]
+    monkeypatch.setitem(DISCOVERY, "H4", (claimed, kind, params))
+    report = DiscoveryReport()
+    _unresolved_forensics("H4", report)
+    base = theta(params)
+    families = report.notes[0].split("measured families: ")[1].split("; ")
+    assert len(families) == 3
+    for line in families:
+        v = int(line.split("orbit of ")[1].split(":")[0])
+        reported = json.loads(line.split("only at m=")[1]) if "only at" in line else []
+        g, hits = base, []
+        for m in range(base.m, base.m + 60):
+            if edge_mostar(g) == _poly_eval(claimed, m):
+                hits.append(m)
+            g = g.add_pendant(v)
+        assert reported == hits, line
 
 
 def test_build_strip_round_trip(registry):

@@ -169,6 +169,17 @@ def test_graph6_errors_carry_offset():
         parse_graph6("I???")  # truncated adjacency for n=10
 
 
+@pytest.mark.parametrize("text,offset", [("D\u00e9{", 1), ("\u00ff", 0),
+                                         (">>graph6<<C\udcff", 1)])
+def test_graph6_non_ascii_rejected(text, offset):
+    """A non-ASCII character is an error at its own offset, never a
+    replacement byte that happens to be valid graph6."""
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert exc.value.offset == offset
+    assert "non-ASCII" in str(exc.value)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=80)
 def test_graph6_round_trip_random(seed):

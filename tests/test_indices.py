@@ -20,6 +20,7 @@ from mostar import (
     star,
     vertex_mostar,
 )
+from mostar.indices import pendant_tail
 from mostar.shifts import GROUPS
 from _helpers import (
     naive_edge_mostar,
@@ -147,6 +148,27 @@ def test_oracle_equivalence_pendant_braces(brace):
         for _ in range(k):
             g = g.add_pendant(rng.randrange(brace.n))
         assert_matches_definition(g)
+
+
+def test_pendant_tail_against_edge_mostar(registry):
+    """At every vertex of every registry base and shift-rule brace: head
+    and poly equal edge_mostar from k = 0 through 20 sizes past k0 (k0 is
+    at most max |c_e| <= b - 1), and poly fails just below holds_from."""
+    braces = [registry[fid].base_graph() for fid in registry.ids()]
+    braces += [b for group in GROUPS.values() for b in group.realizations]
+    for brace in braces:
+        b = brace.m
+        for w in range(brace.n):
+            (one, p1, p0), holds_from, head = pendant_tail(brace, w)
+            assert one == 1 and len(head) == holds_from - b
+            g = brace
+            for m in range(b, 2 * b + 21):
+                expected = head[m - b] if m < holds_from else m * m + p1 * m + p0
+                assert edge_mostar(g) == expected, (brace, w, m)
+                g = g.add_pendant(w)
+            m = holds_from - 1
+            if m >= b:
+                assert head[-1] != m * m + p1 * m + p0, (brace, w)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
