@@ -51,8 +51,8 @@ Labelling is lazy where nothing needs it.  A child at the last level has
 no children, so its canon data only serves the fold: when its tie set is
 {e} it is accepted unlabelled, since the only candidate is the canonical
 deletion edge whatever the labels.  The fold (`_fold_seed`) then labels a
-graph only when its value is at least the seed's running best or is a
-target value, the only graphs whose canonical form it keeps.
+graph only when its value is at least the seed's running best or it is a
+brace (minimum degree >= 2), the only graphs whose canonical form it keeps.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .canon import CANON_MAX_N, CanonCapacityError, CanonResult, canon, pair_orbit_reps
 from .graphs import Graph, reachable_mask, write_graph6
@@ -71,7 +71,6 @@ from .indices import edge_mostar
 class EnumerationTask:
     n: int
     m: int
-    min_degree: int = 0
 
     def validate(self) -> None:
         if self.n < 0 or self.m < 0:
@@ -86,7 +85,7 @@ class EnumerationTask:
         return self.n >= 1 and self.n - 1 <= self.m <= self.n * (self.n - 1) // 2
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "min_degree": self.min_degree}
+        return {"n": self.n, "m": self.m}
 
 
 @dataclass(frozen=True)
@@ -336,12 +335,8 @@ def _enumerate_raw(
 
 def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of connected graphs
-    with the task's order and size (optionally filtered by min degree)."""
+    with the task's order and size."""
     for adj, _ in _enumerate_raw(task):
-        if task.min_degree and any(
-            row.bit_count() < task.min_degree for row in adj
-        ):
-            continue
         yield Graph(task.n, adj)
 
 
@@ -357,8 +352,7 @@ class _Fold:
     best: Optional[int]
     argmax: list[str]
     histogram: Counter
-    matches: dict[int, list[str]]
-    census: Counter
+    braces: list[str]
 
     def merge(self, other: "_Fold") -> None:
         self.count += other.count
@@ -367,35 +361,31 @@ class _Fold:
         elif other.best is not None and other.best == self.best:
             self.argmax.extend(other.argmax)
         self.histogram.update(other.histogram)
-        for v, lst in other.matches.items():
-            self.matches[v].extend(lst)
-        self.census.update(other.census)
+        self.braces.extend(other.braces)
 
 
 def _fold_seed(args) -> _Fold:
-    (n, m, min_degree, seed_adj, cres, want_histogram, target_values,
-     want_census) = args
+    n, m, seed_adj, cres, want_histogram = args
     count = 0
     best: Optional[int] = None
     argmax: list[str] = []
     histogram: Counter = Counter()
-    matches: dict[int, list[str]] = {v: [] for v in target_values}
-    census: Counter = Counter()
+    braces: list[str] = []
     if m == n - 1:
         stream = iter([(seed_adj, cres)])
     else:
         stream = _augment(n, seed_adj, cres, n - 1, m)
     for adj, ccres in stream:
-        if min_degree and any(row.bit_count() < min_degree for row in adj):
-            continue
         count += 1
         g = Graph(n, adj)
         value = edge_mostar(g)
         if want_histogram:
             histogram[value] += 1
-        # only a value at least the running best or a target is kept,
-        # so only those graphs are labelled
-        if best is None or value >= best or value in matches:
+        # every row with two or more bits: minimum degree >= 2
+        brace = all(row & (row - 1) for row in adj)
+        # only a value at least the running best or a brace is kept, so
+        # only those graphs are labelled
+        if best is None or value >= best or brace:
             if ccres is None:
                 ccres = canon(g)
             canon_g6 = write_graph6(Graph(n, ccres.canon_adj))
@@ -404,45 +394,33 @@ def _fold_seed(args) -> _Fold:
                 argmax = [canon_g6]
             elif value == best:
                 argmax.append(canon_g6)
-            if value in matches:
-                matches[value].append(canon_g6)
-        if want_census:
-            from .braces import classify
-
-            cls = classify(g)
-            census[(cls.kind, cls.path_parameters)] += 1
-    return _Fold(count, best, argmax, histogram, matches, census)
+            if brace:
+                braces.append(canon_g6)
+    return _Fold(count, best, argmax, histogram, braces)
 
 
 @dataclass(frozen=True)
 class Survey:
-    """Result of a single enumeration pass with optional extras."""
+    """Result of a single enumeration pass: the max/argmax fold and the
+    canonical graph6 of every brace visited, sorted."""
 
     result: EnumerationResult
-    matches: dict[int, tuple[str, ...]]
-    census: dict[tuple, int]
+    braces: tuple[str, ...]
 
 
 def survey(
-    task: EnumerationTask,
-    workers: int = 1,
-    histogram: bool = False,
-    target_values: tuple[int, ...] = (),
-    census: bool = False,
+    task: EnumerationTask, workers: int = 1, histogram: bool = False
 ) -> Survey:
-    """Enumerate once, folding max/argmax plus any requested extras.
+    """Enumerate once, folding max/argmax, the braces and, on request, the
+    value histogram.
 
     Deterministic: the outcome is independent of `workers`.
     """
     task.validate()
     n, m = task.n, task.m
-    total = _Fold(0, None, [], Counter(), {v: [] for v in target_values}, Counter())
+    total = _Fold(0, None, [], Counter(), [])
     if task.feasible:
-        args = [
-            (n, m, task.min_degree, adj, cres, histogram, tuple(target_values),
-             census)
-            for adj, cres in trees(n)
-        ]
+        args = [(n, m, adj, cres, histogram) for adj, cres in trees(n)]
         if workers > 1 and len(args) > 1:
             ctx = get_context("fork")
             with ctx.Pool(processes=workers) as pool:
@@ -458,11 +436,7 @@ def survey(
         maximizers=tuple(sorted(total.argmax)),
         histogram=dict(total.histogram) if histogram else None,
     )
-    return Survey(
-        result=result,
-        matches={v: tuple(sorted(lst)) for v, lst in total.matches.items()},
-        census=dict(total.census),
-    )
+    return Survey(result=result, braces=tuple(sorted(total.braces)))
 
 
 def maximize(

@@ -5,13 +5,14 @@ of size m is the base with pendant edges added at that vertex.  Four
 tricyclic/bicyclic constructions are pinned analytically (their closed
 forms were verified directly), the standard star/cycle/path/cycle-with-
 pendants families are built structurally, and every other named family is
-reconstructed by the discovery pipeline: scan exhaustive enumeration
-output for graphs hitting the family's polynomial, keep the ones whose
-pendant structure is a single-vertex attachment, and keep a construction
-when its exact pendant tail (`indices.pendant_tail`) is the family's
-polynomial and already holds at the size it was found at.  The pinned
-m_min is the size from which the tail holds, so every registry polynomial
-is proved for all m >= m_min.
+reconstructed by the discovery pipeline from the braces (graphs of minimum
+degree >= 2) the enumeration surveys visit, `Survey.braces`.  One pass
+reads the exact pendant tail (`indices.pendant_tails`) at every vertex of
+every surveyed brace; (brace, vertex) is a candidate for a family when its
+tail is the family's polynomial, the brace has the family's shape and the
+tail holds by the largest surveyed size.  The pinned m_min is the size
+from which the tail holds, so every registry polynomial is proved for all
+m >= m_min.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form, isomorphic
-from .graphs import Graph, GraphError, parse_graph6, theta
+from .graphs import Graph, GraphError, is_connected, parse_graph6, theta, write_graph6
 from .graphs import cycle as cycle_graph, path as path_graph, star as star_graph
-from .indices import edge_mostar, pendant_tail
+from .indices import edge_mostar, pendant_tails
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
@@ -90,9 +91,11 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
+        """Read one registry entry, rejecting any entry `build` cannot turn
+        into a connected graph of at least m_min edges."""
         if not d["base_edges"]:
             raise ValueError(f"family {d['id']} has no base edges")
-        return cls(
+        spec = cls(
             id=d["id"],
             base_edges=tuple((int(a), int(b)) for a, b in d["base_edges"]),
             attach=int(d["attach"]),
@@ -100,6 +103,23 @@ class FamilySpec:
             poly=tuple(d["poly"]) if d.get("poly") is not None else None,
             provenance=d["provenance"],
         )
+        try:
+            base = spec.base_graph()  # rejects loops and repeated edges
+        except GraphError as exc:
+            raise ValueError(f"family {spec.id}: {exc}")
+        if not is_connected(base):
+            raise ValueError(f"family {spec.id}: base edges are not connected")
+        if not 0 <= spec.attach < base.n:
+            raise ValueError(
+                f"family {spec.id}: attach {spec.attach} outside base vertices "
+                f"0..{base.n - 1}"
+            )
+        if spec.m_min < spec.m_base:
+            raise ValueError(
+                f"family {spec.id}: m_min {spec.m_min} below its "
+                f"{spec.m_base} base edges"
+            )
+        return spec
 
 
 class FamilyRegistry:
@@ -298,16 +318,17 @@ class Candidate:
 
 def single_attach_decomposition(g: Graph) -> Optional[tuple[Graph, int]]:
     """(brace, attach) when g is exactly a brace plus bare pendant edges at
-    one brace vertex; None otherwise (including pendant-free graphs)."""
+    one brace vertex; None otherwise (including pendant-free graphs).  When
+    every pendant tree hangs at one brace vertex, the trees are bare edges
+    exactly when that vertex has `pendant_count` neighbours of degree 1."""
     d = br.strip_pendants(g)
     hot = [v for v, k in d.attachment_profile.items() if k > 0]
     if len(hot) != 1:
         return None
     attach = hot[0]
-    rebuilt = _with_pendants(d.brace, attach, d.pendant_count)
-    if not isomorphic(rebuilt, g):
-        return None
-    return d.brace, attach
+    x = d.original_labels[attach]
+    leaves = sum(1 for w in g.neighbors(x) if g.degree(w) == 1)
+    return (d.brace, attach) if leaves == d.pendant_count else None
 
 
 def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int], ...], int, str]:
@@ -326,45 +347,7 @@ def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int
     keep = [v for v in range(gc.n) if v != tag]
     base_c = gc.induced(keep)
     attach_new = keep.index(attach_c)
-    key = canonical_form(tagged)
-    return tuple(base_c.edges()), attach_new, key
-
-
-def _validated_candidate(
-    base: Graph, attach: int, poly: tuple[int, int, int], m: int
-) -> Optional[Candidate]:
-    """The construction when its tail is `poly` from size m or earlier; a
-    match at m that is only a coincidence of the head is rejected."""
-    tail, holds_from, _ = pendant_tail(base, attach)
-    if tail != poly or holds_from > m:
-        return None
-    edges, attach_c, key = _normalize_candidate(base, attach)
-    return Candidate(key, edges, attach_c, holds_from, m)
-
-
-def _candidates_from_graph(
-    g: Graph, poly: tuple[int, int, int], m: int
-) -> list[Candidate]:
-    """Candidate constructions explaining a matched graph.
-
-    A graph with pendants must be exactly base + bare pendants at one
-    vertex.  A pendant-free graph is its own base and does not reveal the
-    attachment vertex, so every vertex orbit is tried; only orbits whose
-    pendant tail is the polynomial survive.
-    """
-    dec = single_attach_decomposition(g)
-    if dec is not None:
-        c = _validated_candidate(*dec, poly, m)
-        return [c] if c is not None else []
-    if any(g.degree(v) == 1 for v in range(g.n)):
-        return []
-    reps = sorted(set(canon(g).orbit_of))
-    out = []
-    for v in reps:
-        c = _validated_candidate(g, v, poly, m)
-        if c is not None:
-            out.append(c)
-    return out
+    return tuple(base_c.edges()), attach_new, write_graph6(gc)
 
 
 @dataclass
@@ -376,7 +359,7 @@ class DiscoveryReport:
     # number of validated distinct constructions hitting m^2-3m-18 with a
     # composite brace (settles how many families share that closed form)
     composite_18_family_count: int = 0
-    # sizes at which two same-polynomial families produce isomorphic graphs
+    # sizes m <= 12 at which two registry families have isomorphic members
     collisions: dict[str, list[int]] = field(default_factory=dict)
     distinct_max_families_at_9: Optional[int] = None
     # per size: enumerated maximizers not explained by any registry family
@@ -410,35 +393,48 @@ _GROUPS: list[tuple[str, ...]] = [
 _BICYCLIC_GROUP = ("B1", "B3")
 
 
-def discovery_targets_tricyclic(m: int) -> tuple[int, ...]:
-    """Edge-Mostar values worth collecting at tricyclic size m."""
-    vals = {_poly_eval(DISCOVERY[ids[0]][0], m) for ids in _GROUPS}
-    return tuple(sorted(vals))
+# a surveyed brace's class, a DISCOVERY polynomial, the construction
+_Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 
 
-def discovery_targets_bicyclic(m: int) -> tuple[int, ...]:
-    return (_poly_eval(DISCOVERY[_BICYCLIC_GROUP[0]][0], m),)
-
-
-def _collect_group(ids: tuple[str, ...], surveys: dict) -> list[Candidate]:
-    """Validated candidates from the graphs hitting the group's polynomial
-    and, where the table names one, its brace shape."""
-    poly, kind, params = DISCOVERY[ids[0]]
-    found: dict[str, Candidate] = {}
-    for m in sorted(surveys):
-        for g6 in surveys[m].matches.get(_poly_eval(poly, m), ()):
-            g = parse_graph6(g6)
-            if kind is not None:
-                cls = br.classify(g)
-                if cls.kind != kind or (
-                    params is not None and cls.path_parameters != params
-                ):
+def _brace_tails(surveys: dict) -> list[_Tail]:
+    """One pass over the surveyed braces: every (brace, vertex) whose exact
+    pendant tail is a DISCOVERY polynomial that holds by the largest
+    surveyed size.  A brace with b edges comes from the survey of size b
+    and its tail holds from some size >= b; the surveyed sizes are
+    consecutive, so the member of size holds_from is the first one seen."""
+    hi = max(surveys, default=0)
+    wanted = {poly for poly, _, _ in DISCOVERY.values()}
+    out = []
+    for s in surveys.values():
+        for g6 in s.braces:
+            brace = parse_graph6(g6)
+            cls = None
+            keys = set()
+            for v, (poly, holds_from, _) in enumerate(pendant_tails(brace)):
+                if poly not in wanted or holds_from > hi:
                     continue
-            for cand in _candidates_from_graph(g, poly, m):
-                prev = found.get(cand.key)
-                if prev is None or cand.first_seen_m < prev.first_seen_m:
-                    found[cand.key] = cand
-    return sorted(found.values(), key=lambda c: (c.m_min, c.key))
+                edges, attach, key = _normalize_candidate(brace, v)
+                if key in keys:
+                    continue  # v shares an orbit with an earlier vertex
+                keys.add(key)
+                cls = cls or br.classify(brace)
+                cand = Candidate(key, edges, attach, holds_from, holds_from)
+                out.append((cls, poly, cand))
+    return out
+
+
+def _collect_group(ids: tuple[str, ...], tails: list[_Tail]) -> list[Candidate]:
+    """The candidates whose tail is the group's polynomial and, where the
+    table names one, whose brace has the group's shape."""
+    poly, kind, params = DISCOVERY[ids[0]]
+    return sorted(
+        (c for cls, p, c in tails
+         if p == poly and (kind is None or (
+             cls.kind == kind and (params is None or cls.path_parameters == params)
+         ))),
+        key=lambda c: (c.m_min, c.key),
+    )
 
 
 def _resolved_info(c: Candidate) -> dict:
@@ -469,9 +465,10 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     if kind != br.FOUR_THETA or params is None:
         return
     base = theta(params)
+    forms = pendant_tails(base)
     lines = []
     for v in sorted(set(canon(base).orbit_of)):
-        poly, holds_from, head = pendant_tail(base, v)
+        poly, holds_from, head = forms[v]
         hits = [
             m for m, value in enumerate(head, start=base.m)
             if value == _poly_eval(claimed, m)
@@ -499,8 +496,8 @@ def discover_families(
 ) -> tuple[FamilyRegistry, DiscoveryReport]:
     """Reconstruct the unpinned families from enumeration output.
 
-    `tri_surveys` and `bi_surveys` map size m to a Survey whose matches were
-    collected at the discovery target values.  Ambiguities (several
+    `tri_surveys` and `bi_surveys` map size m to that size's Survey;
+    discovery reads their braces and maximizers.  Ambiguities (several
     non-isomorphic candidates for one id) are all recorded; a family with no
     surviving candidate is listed as unresolved, never fabricated.
     """
@@ -531,7 +528,8 @@ def discover_families(
         ]
 
     # tricyclic groups
-    group_cands = {ids: _collect_group(ids, tri_surveys) for ids in _GROUPS}
+    tri_tails = _brace_tails(tri_surveys)
+    group_cands = {ids: _collect_group(ids, tri_tails) for ids in _GROUPS}
 
     # A2 is the unique size-10 maximizer; A1 joins it at size 11
     a_cands = group_cands[("A1", "A2")]
@@ -575,7 +573,7 @@ def discover_families(
     # bicyclic: B3 is the member of its group built on the 4-vertex 5-edge
     # graph (the size-5 member both B3 and B4 degenerate to)
     theta122 = theta((1, 2, 2))
-    b_cands = _collect_group(_BICYCLIC_GROUP, bi_surveys)
+    b_cands = _collect_group(_BICYCLIC_GROUP, _brace_tails(bi_surveys))
     b3 = adopt("B3", [c for c in b_cands if isomorphic(c.base_graph(), theta122)])
     adopt("B1", [c for c in b_cands if b3 is None or c.key != b3.key])
 
@@ -601,7 +599,7 @@ def discover_families(
     adopt("B4", b4_picks)
     adopt("B2", [c for c in extras if c not in b4_picks])
 
-    _collision_scan(reg, report, tri_surveys, bi_surveys)
+    _collision_scan(reg, report)
     _attribute_maximizers(reg, report, tri_surveys, bi_surveys)
     return reg, report
 
@@ -627,7 +625,7 @@ def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                 dec = single_attach_decomposition(g)
                 if dec is None:
                     continue
-                poly, holds_from, _ = pendant_tail(*dec)
+                poly, holds_from, _ = pendant_tails(dec[0])[dec[1]]
                 report.notes.append(
                     f"size-{m} maximizer {g6} belongs to no registered family; "
                     f"its single-attach family follows {_poly_str(poly)} from "
@@ -635,24 +633,34 @@ def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                 )
 
 
-def _collision_scan(reg: FamilyRegistry, report: DiscoveryReport,
-                    tri_surveys: dict, bi_surveys: dict) -> None:
-    """Check same-polynomial family pairs for isomorphic members per size."""
-    ids = [i for i in reg.ids()]
-    scan_hi = 12
+def _member_collisions(reg: FamilyRegistry, hi: int) -> dict[str, list[int]]:
+    """Sizes m <= hi at which two registry families have isomorphic members.
+
+    Registry bases are braces, so stripping the pendants of a member of
+    size m > b (b base edges) recovers its base and attach orbit, and the
+    member of size b is the base itself.  Two families can share a member
+    only when their bases have one size b: at m = b exactly when the bases
+    are isomorphic, at m > b exactly when their marked-base keys are equal.
+    """
+    ids = reg.ids()
+    keys = {f: _normalize_candidate(reg[f].base_graph(), reg[f].attach)[2] for f in ids}
+    out = {}
     for i, f1 in enumerate(ids):
         for f2 in ids[i + 1:]:
             s1, s2 = reg[f1], reg[f2]
-            same_poly = s1.poly is not None and s1.poly == s2.poly
-            b3b4 = {f1, f2} == {"B3", "B4"}
-            if not (same_poly or b3b4):
+            if s1.m_base != s2.m_base:
                 continue
-            hit = []
-            for m in range(max(s1.m_min, s2.m_min), scan_hi + 1):
-                if isomorphic(s1.build(m), s2.build(m)):
-                    hit.append(m)
-            if hit:
-                report.collisions[f"{f1}/{f2}"] = hit
+            lo = max(s1.m_min, s2.m_min)  # m_min >= b, so lo == b means both are b
+            if keys[f1] == keys[f2] and lo <= hi:
+                out[f"{f1}/{f2}"] = list(range(lo, hi + 1))
+            elif lo == s1.m_base <= hi and isomorphic(s1.base_graph(), s2.base_graph()):
+                out[f"{f1}/{f2}"] = [lo]
+    return out
+
+
+def _collision_scan(reg: FamilyRegistry, report: DiscoveryReport) -> None:
+    """Record member collisions up to size 12 and the size-9 list's size."""
+    report.collisions = _member_collisions(reg, 12)
     # how many distinct graphs the theorem's size-9 maximizer list names
     listed = [f for f in ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7") if f in reg]
     forms = set()

@@ -177,10 +177,11 @@ def edge_mostar(g: Graph) -> int:
     return sum(abs(t[u] - t[v]) for u, v in edges)
 
 
-def pendant_tail(
-    brace: Graph, w: int
-) -> tuple[tuple[int, int, int], int, tuple[int, ...]]:
-    """Edge Mostar index of the brace plus k pendant edges at w, exactly.
+def pendant_tails(
+    brace: Graph,
+) -> list[tuple[tuple[int, int, int], int, tuple[int, ...]]]:
+    """Edge Mostar index of the brace plus k pendant edges at w, exactly,
+    for every vertex w; the transmissions are computed once for all of them.
 
     Pendant edges change no distance inside the brace.  Each sees its
     m - 1 = b + k - 1 fellow edges on its w side; a brace edge e = uv,
@@ -189,29 +190,32 @@ def pendant_tail(
     k (m - 1) + sum of |c_e + k s_e|, and from k0 = max(0, max -s_e c_e)
     on it is the quadratic poly = (1, N - 1 - b, b - bN + C) in m, where
     N counts the edges with s_e != 0 and C = sum of s_e c_e plus the
-    |c_e| with s_e = 0.  Returns (poly, holds_from, head): poly holds for
-    every m >= holds_from, the least such size, and head holds the exact
-    index at m = b .. holds_from - 1."""
+    |c_e| with s_e = 0.  Returns, indexed by w, (poly, holds_from, head):
+    poly holds for every m >= holds_from, the least such size, and head
+    holds the exact index at m = b .. holds_from - 1."""
     _require_connected(brace)
     edges = brace.edges()
     b = len(edges)
     t = _transmissions(brace, _incidence(brace, edges), b)
-    dw = bfs_distances(brace, w)
-    terms = [(t[v] - t[u], (dw[u] < dw[v]) - (dw[u] > dw[v])) for u, v in edges]
-    n_sloped = sum(1 for _, s in terms if s)
-    const = sum(s * c if s else abs(c) for c, s in terms)
-    poly = (1, n_sloped - 1 - b, b - b * n_sloped + const)
+    forms = []
+    for w in range(brace.n):
+        dw = bfs_distances(brace, w)
+        terms = [(t[v] - t[u], (dw[u] < dw[v]) - (dw[u] > dw[v])) for u, v in edges]
+        n_sloped = sum(1 for _, s in terms if s)
+        const = sum(s * c if s else abs(c) for c, s in terms)
+        poly = (1, n_sloped - 1 - b, b - b * n_sloped + const)
 
-    def exact(k: int) -> int:
-        return k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
+        def exact(k: int) -> int:
+            return k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
 
-    def tail(k: int) -> int:
-        return k * (b + k - 1 + n_sloped) + const
+        def tail(k: int) -> int:
+            return k * (b + k - 1 + n_sloped) + const
 
-    k = max([0] + [-s * c for c, s in terms])
-    while k > 0 and exact(k - 1) == tail(k - 1):
-        k -= 1
-    return poly, b + k, tuple(exact(j) for j in range(k))
+        k = max([0] + [-s * c for c, s in terms])
+        while k > 0 and exact(k - 1) == tail(k - 1):
+            k -= 1
+        forms.append((poly, b + k, tuple(exact(j) for j in range(k))))
+    return forms
 
 
 def vertex_mostar(g: Graph) -> int:

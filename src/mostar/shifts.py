@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .graphs import Graph, GraphError, hub_paths, theta
 from .canon import canon
@@ -69,110 +69,89 @@ def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
 # -- rule table ---------------------------------------------------------------
 
 
+PARAMS = ("a1", "a2", "a3", "a4", "a5", "a6")
+_NO_BUILTINS = {"__builtins__": {}}
+
+
+def _compile(expr: str):
+    """Compile a rule formula once; it may read only the names a1..a6."""
+    code = compile(expr, expr, "eval")
+    if not set(code.co_names) <= set(PARAMS):
+        raise ValueError(f"{expr!r} reads names outside {PARAMS}")
+    return code
+
+
 @dataclass(frozen=True)
 class ShiftRule:
     id: str
     group: str                                  # shared brace + labeling
     moves: tuple[tuple[int, int, str], ...]     # (source role, target role, count param)
     live: tuple[str, ...]                       # params allowed to be nonzero
-    conditions: tuple[str, ...]                 # printable side conditions
-    check: Callable[[dict], bool]
-    delta: Callable[[dict], int]
-    delta_str: str
+    conditions: tuple[str, ...]                 # side conditions, all must hold
+    delta_str: str                              # predicted edge-Mostar difference
+
+    def __post_init__(self):
+        # the printed formulas are Python expressions in a1..a6, evaluated
+        # with no builtins
+        check = " and ".join(f"({c})" for c in self.conditions)
+        object.__setattr__(self, "_check", _compile(check))
+        object.__setattr__(self, "_delta", _compile(self.delta_str))
+
+    def check(self, p: dict[str, int]) -> bool:
+        return eval(self._check, _NO_BUILTINS, p)
+
+    def delta(self, p: dict[str, int]) -> int:
+        return eval(self._delta, _NO_BUILTINS, p)
 
 
-def _r(id, group, moves, live, conditions, check, delta, delta_str) -> ShiftRule:
-    return ShiftRule(id, group, tuple(moves), tuple(live), tuple(conditions),
-                     check, delta, delta_str)
+def _r(id, group, moves, live, conditions, delta_str) -> ShiftRule:
+    return ShiftRule(id, group, tuple(moves), tuple(live), tuple(conditions), delta_str)
 
 
 RULES: dict[str, ShiftRule] = {r.id: r for r in [
     _r("L3.2a", "L3.2", [(2, 1, "a2"), (4, 3, "a4")], ("a1", "a2", "a3", "a4", "a5"),
-       ("a1+a3 >= a2+a4", "a2+a4 >= 1"),
-       lambda p: p["a1"] + p["a3"] >= p["a2"] + p["a4"] >= 1,
-       lambda p: 2 * (p["a2"] + p["a3"] + p["a4"] + p["a5"]) - 2,
-       "2(a2+a3+a4+a5)-2"),
-    _r("L3.2b", "L3.2", [(5, 3, "a5")], ("a1", "a3", "a5"),
-       ("a5 >= 1",), lambda p: p["a5"] >= 1,
-       lambda p: 6 * p["a5"], "6*a5"),
-    _r("L3.2c", "L3.2", [(1, 3, "a1")], ("a1", "a3"),
-       ("a1 >= 1",), lambda p: p["a1"] >= 1,
-       lambda p: 5 * p["a1"], "5*a1"),
+       ("a1+a3 >= a2+a4", "a2+a4 >= 1"), "2*(a2+a3+a4+a5)-2"),
+    _r("L3.2b", "L3.2", [(5, 3, "a5")], ("a1", "a3", "a5"), ("a5 >= 1",), "6*a5"),
+    _r("L3.2c", "L3.2", [(1, 3, "a1")], ("a1", "a3"), ("a1 >= 1",), "5*a1"),
 
     _r("L3.3a", "L3.3", [(3, 2, "a3"), (5, 4, "a5")], ("a1", "a2", "a3", "a4", "a5"),
        ("a2+a4 >= a3+a5", "a3+a5 >= 1", "a1 < a2+3*a3+a5-3"),
-       lambda p: p["a2"] + p["a4"] >= p["a3"] + p["a5"] >= 1
-       and p["a1"] < p["a2"] + 3 * p["a3"] + p["a5"] - 3,
-       lambda p: 2 * p["a2"] + 6 * p["a3"] + 2 * p["a5"] - 2 * p["a1"] - 6,
        "2*a2+6*a3+2*a5-2*a1-6"),
-    _r("L3.3b", "L3.3", [(4, 1, "a4")], ("a1", "a2", "a4"),
-       ("a4 >= 1",), lambda p: p["a4"] >= 1,
-       lambda p: 3 * p["a4"], "3*a4"),
-    _r("L3.3c", "L3.3", [(2, 1, "a2")], ("a1", "a2"),
-       ("a2 >= 1",), lambda p: p["a2"] >= 1,
-       lambda p: 2 * p["a2"], "2*a2"),
-    _r("L3.3d", "L3.3", [(1, 2, "a1")], ("a1", "a2"),
-       ("a1 > 6-2*a2",), lambda p: p["a1"] > 6 - 2 * p["a2"],
-       lambda p: p["a1"] + 2 * p["a2"] - 6, "a1+2*a2-6"),
+    _r("L3.3b", "L3.3", [(4, 1, "a4")], ("a1", "a2", "a4"), ("a4 >= 1",), "3*a4"),
+    _r("L3.3c", "L3.3", [(2, 1, "a2")], ("a1", "a2"), ("a2 >= 1",), "2*a2"),
+    _r("L3.3d", "L3.3", [(1, 2, "a1")], ("a1", "a2"), ("a1 > 6-2*a2",), "a1+2*a2-6"),
 
     _r("L3.4a", "L3.4", [(6, 1, "a6")], ("a1", "a2", "a3", "a4", "a5", "a6"),
-       ("a6 >= 1",), lambda p: p["a6"] >= 1,
-       lambda p: 11 * p["a6"], "11*a6"),
+       ("a6 >= 1",), "11*a6"),
     _r("L3.4b", "L3.4", [(3, 2, "a3"), (5, 4, "a5")], ("a1", "a2", "a3", "a4", "a5"),
-       ("a2+a3 > a1",), lambda p: p["a2"] + p["a3"] > p["a1"],
-       lambda p: 2 * p["a2"] + 2 * p["a3"] - 2 * p["a1"], "2*a2+2*a3-2*a1"),
+       ("a2+a3 > a1",), "2*a2+2*a3-2*a1"),
     _r("L3.4c", "L3.4", [(2, 1, "a2"), (4, 1, "a4")], ("a1", "a2", "a4"),
-       ("a2+a4 >= 1",), lambda p: p["a2"] + p["a4"] >= 1,
-       lambda p: 5 * p["a2"] + 7 * p["a4"], "5*a2+7*a4"),
+       ("a2+a4 >= 1",), "5*a2+7*a4"),
 
     _r("L3.5a", "L3.5", [(5, 1, "a5"), (6, 1, "a6")],
-       ("a1", "a2", "a3", "a4", "a5", "a6"),
-       ("a6 >= 1",), lambda p: p["a6"] >= 1,
-       lambda p: 2 * p["a3"] + 4 * p["a5"] + 7 * p["a6"] - 2 * p["a2"] - 2,
-       "2*a3+4*a5+7*a6-2*a2-2"),
+       ("a1", "a2", "a3", "a4", "a5", "a6"), ("a6 >= 1",), "2*a3+4*a5+7*a6-2*a2-2"),
     _r("L3.5b", "L3.5", [(3, 1, "a3"), (4, 2, "a4")], ("a1", "a2", "a3", "a4"),
-       ("a3+a4 >= 1",), lambda p: p["a3"] + p["a4"] >= 1,
-       lambda p: p["a1"] + 3 * p["a2"] + 6 * p["a3"] + 5 * p["a4"],
-       "a1+3*a2+6*a3+5*a4"),
-    _r("L3.5c", "L3.5", [(1, 2, "a1")], ("a1", "a2"),
-       ("a1 >= 1",), lambda p: p["a1"] >= 1,
-       lambda p: 3 * p["a1"] + 2 * p["a2"] - 2, "3*a1+2*a2-2"),
+       ("a3+a4 >= 1",), "a1+3*a2+6*a3+5*a4"),
+    _r("L3.5c", "L3.5", [(1, 2, "a1")], ("a1", "a2"), ("a1 >= 1",), "3*a1+2*a2-2"),
 
     _r("L3.6a", "L3.6", [(4, 3, "a4"), (5, 3, "a5")], ("a1", "a2", "a3", "a4", "a5"),
-       ("a3 >= a4 >= a5", "a4+a5 > a1+a2+8"),
-       lambda p: p["a3"] >= p["a4"] >= p["a5"]
-       and p["a4"] + p["a5"] > p["a1"] + p["a2"] + 8,
-       lambda p: 4 * (p["a3"] + p["a4"] + p["a5"]) - 2 * (p["a1"] + p["a2"]) - 8,
-       "4*(a3+a4+a5)-2*(a1+a2)-8"),
+       ("a3 >= a4 >= a5", "a4+a5 > a1+a2+8"), "4*(a3+a4+a5)-2*(a1+a2)-8"),
     _r("L3.6b", "L3.6", [(2, 1, "a2")], ("a1", "a2", "a3"),
-       ("a2+a3 > 1", "a2 >= 1"),
-       lambda p: p["a2"] + p["a3"] > 1 and p["a2"] >= 1,
-       lambda p: 2 * (p["a2"] + p["a3"]) - 4, "2*(a2+a3)-4"),
+       ("a2+a3 > 1", "a2 >= 1"), "2*(a2+a3)-4"),
     _r("L3.6c", "L3.6", [(1, 3, "a1")], ("a1", "a3"),
-       ("a1+a3 > 2", "a1 >= 1"),
-       lambda p: p["a1"] + p["a3"] > 2 and p["a1"] >= 1,
-       lambda p: 2 * (p["a1"] + p["a3"]) - 4, "2*(a1+a3)-4"),
+       ("a1+a3 > 2", "a1 >= 1"), "2*(a1+a3)-4"),
 
     _r("L3.7a", "L3.7", [(4, 3, "a4"), (5, 3, "a5"), (6, 3, "a6")],
        ("a1", "a2", "a3", "a4", "a5", "a6"),
-       ("a3 >= a4 >= a5 >= a6 >= 1",),
-       lambda p: p["a3"] >= p["a4"] >= p["a5"] >= p["a6"] >= 1,
-       lambda p: 4 * (p["a3"] + p["a4"] + p["a5"] + p["a6"]) - 8,
-       "4*(a3+a4+a5+a6)-8"),
+       ("a3 >= a4 >= a5 >= a6 >= 1",), "4*(a3+a4+a5+a6)-8"),
     _r("L3.7b", "L3.7", [(1, 3, "a1"), (2, 3, "a2")], ("a1", "a2", "a3"),
-       ("a1+a2 >= 1",), lambda p: p["a1"] + p["a2"] >= 1,
-       lambda p: 10 * p["a1"] + 6 * p["a2"] + 2 * p["a3"] - 8,
-       "10*a1+6*a2+2*a3-8"),
+       ("a1+a2 >= 1",), "10*a1+6*a2+2*a3-8"),
 
     _r("L3.8a", "L3.8", [(4, 3, "a4"), (5, 3, "a5"), (6, 3, "a6")],
        ("a1", "a2", "a3", "a4", "a5", "a6"),
-       ("a3 >= a2", "a4+a5+a6 > 1"),
-       lambda p: p["a3"] >= p["a2"] and p["a4"] + p["a5"] + p["a6"] > 1,
-       lambda p: 2 * (p["a3"] + p["a4"] + p["a5"]) + 6 * p["a6"] - 2 * p["a2"] - 12,
-       "2*(a3+a4+a5)+6*a6-2*a2-12"),
+       ("a3 >= a2", "a4+a5+a6 > 1"), "2*(a3+a4+a5)+6*a6-2*a2-12"),
     _r("L3.8b", "L3.8", [(1, 3, "a1"), (2, 3, "a2")], ("a1", "a2", "a3"),
-       ("a1+a2 >= 1",), lambda p: p["a1"] + p["a2"] >= 1,
-       lambda p: 2 * p["a1"] + 6 * p["a2"], "2*a1+6*a2"),
+       ("a1+a2 >= 1",), "2*a1+6*a2"),
 ]}
 
 
@@ -217,7 +196,7 @@ def lemma_delta(rule_id: str, params: dict[str, int]) -> int:
     rule = RULES.get(rule_id)
     if rule is None:
         raise GraphError(f"unknown rule {rule_id}")
-    p = {k: 0 for k in ("a1", "a2", "a3", "a4", "a5", "a6")}
+    p = dict.fromkeys(PARAMS, 0)
     for k, v in params.items():
         if v < 0:
             raise GraphError("pendant multiplicities must be nonnegative")
@@ -264,7 +243,7 @@ def _sample_params(rule: ShiftRule, rng: random.Random, count: int,
     attempts = 0
     while len(out) < count and attempts < 20000:
         attempts += 1
-        p = {k: 0 for k in ("a1", "a2", "a3", "a4", "a5", "a6")}
+        p = dict.fromkeys(PARAMS, 0)
         for k in rule.live:
             p[k] = rng.randint(1 if loaded else 0, hi)
         if loaded:
@@ -404,7 +383,7 @@ def verify_lemma_shift(rule_id: str, params: dict[str, int],
     rule = RULES.get(rule_id)
     if rule is None:
         raise GraphError(f"unknown rule {rule_id}")
-    p = {k: 0 for k in ("a1", "a2", "a3", "a4", "a5", "a6")}
+    p = dict.fromkeys(PARAMS, 0)
     p.update(params)
     dead = [k for k, v in p.items() if v and k not in rule.live]
     if dead:
@@ -426,7 +405,7 @@ def _interpolate_measured(rule: ShiftRule, cal: Calibration,
                           samples: list[dict[str, int]]) -> str:
     """Fit the measured delta as an exact affine form of the live parameters
     at a deep-interior base point, then state where the fit holds."""
-    base = {k: 0 for k in ("a1", "a2", "a3", "a4", "a5", "a6")}
+    base = dict.fromkeys(PARAMS, 0)
     for k in rule.live:
         base[k] = 8
     brace, roles = cal.brace(), cal.roles

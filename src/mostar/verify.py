@@ -35,8 +35,6 @@ from .families import (
     FamilyRegistry,
     builtin_registry,
     discover_families,
-    discovery_targets_bicyclic,
-    discovery_targets_tricyclic,
 )
 
 PASS = "PASS"
@@ -229,15 +227,9 @@ def run_atlas(
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
     """
-    tri = {
-        m: survey(tricyclic_task(m), workers=workers,
-                  target_values=discovery_targets_tricyclic(m))
-        for m in range(7, tri_max_size + 1)
-    }
-    bi = {
-        m: survey(bicyclic_task(m), workers=workers,
-                  target_values=discovery_targets_bicyclic(m))
-        for m in range(5, bi_max_size + 1)
-    }
+    tri = {m: survey(tricyclic_task(m), workers=workers)
+           for m in range(7, tri_max_size + 1)}
+    bi = {m: survey(bicyclic_task(m), workers=workers)
+          for m in range(5, bi_max_size + 1)}
     reg, report = discover_families(tri, bi, registry or builtin_registry())
     return AtlasResult(registry=reg, report=report, tri_surveys=tri, bi_surveys=bi)

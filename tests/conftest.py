@@ -5,11 +5,7 @@ from pathlib import Path
 import pytest
 
 from mostar.enumeration import bicyclic_task, survey, tricyclic_task
-from mostar.families import (
-    FamilyRegistry,
-    discovery_targets_bicyclic,
-    discovery_targets_tricyclic,
-)
+from mostar.families import FamilyRegistry
 
 REPO = Path(__file__).resolve().parents[1]
 WORKERS = min(8, os.cpu_count() or 1)
@@ -24,11 +20,7 @@ def _tri_data():
     timings = {}
     for m in range(7, 13):
         t0 = time.perf_counter()
-        surveys[m] = survey(
-            tricyclic_task(m),
-            workers=WORKERS,
-            target_values=discovery_targets_tricyclic(m),
-        )
+        surveys[m] = survey(tricyclic_task(m), workers=WORKERS)
         timings[m] = time.perf_counter() - t0
     return surveys, timings
 
@@ -45,14 +37,7 @@ def tri_timings(_tri_data):
 
 @pytest.fixture(scope="session")
 def bi_surveys():
-    return {
-        m: survey(
-            bicyclic_task(m),
-            workers=WORKERS,
-            target_values=discovery_targets_bicyclic(m),
-        )
-        for m in range(5, 11)
-    }
+    return {m: survey(bicyclic_task(m), workers=WORKERS) for m in range(5, 11)}
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mostar import complete, cycle, write_graph6
+from mostar import verify
 from mostar.cli import main
 from mostar.families import builtin_registry
 
@@ -108,14 +109,38 @@ def test_compute_non_ascii_line(tmp_path, capsys, monkeypatch, source, bad):
     assert out.splitlines() == ["graph6,n,m,edge_mostar", "C~,4,6,0", "Cs,4,3,6"]
 
 
+# the H1 base: two hubs joined by paths of lengths 1, 2, 2, 2 (7 edges)
+H1_EDGES = [[0, 1], [0, 2], [2, 1], [0, 3], [3, 1], [0, 4], [4, 1]]
+
+
+def _entry(**changes):
+    entry = {"id": "H1", "base_edges": H1_EDGES, "attach": 0, "m_min": 7,
+             "poly": [1, -4, -9], "provenance": "ANALYTIC"}
+    entry.update(changes)
+    return json.dumps([entry]) + "\n"
+
+
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
 @pytest.mark.parametrize("content,reason", [
     ("not json\n", "JSONDecodeError"),
     ('[{"id": "A0"}]\n', "KeyError"),
     ('[{"id": "A0", "base_edges": [], "attach": 0, "m_min": 12, "poly": null,'
      ' "provenance": "ANALYTIC"}]\n', "ValueError"),
-], ids=["not-json", "missing-keys", "no-base-edges"])
-def test_verify_bad_registry_file(tmp_path, capsys, command, content, reason):
+    (_entry(attach=99), "ValueError: family H1: attach 99 outside base vertices 0..4"),
+    (_entry(base_edges=H1_EDGES + [[1, 0]]), "ValueError: family H1: parallel edge"),
+    (_entry(base_edges=H1_EDGES + [[2, 2]]), "ValueError: family H1: self-loop"),
+    (_entry(base_edges=H1_EDGES + [[5, 6]]),
+     "ValueError: family H1: base edges are not connected"),
+    (_entry(m_min=3), "ValueError: family H1: m_min 3 below its 7 base edges"),
+], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
+        "repeated-edge", "loop", "disconnected", "m-min-below-base"])
+def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
+                                  reason):
+    """Rejected when the registry loads, before any enumeration starts."""
+    def no_survey(*args, **kwargs):
+        raise AssertionError("enumerated before the registry was checked")
+
+    monkeypatch.setattr(verify, "survey", no_survey)
     bad = tmp_path / "bad.json"
     bad.write_text(content)
     with pytest.raises(SystemExit) as exc:

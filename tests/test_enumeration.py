@@ -13,6 +13,7 @@ from mostar import (
     isomorphic,
 )
 from mostar.braces import classify
+from mostar.graphs import parse_graph6
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
@@ -115,11 +116,9 @@ def test_acceptance_matches_reference_rule(monkeypatch):
     assert sum(seen.values()) == 7167
 
 
-def _naive_fold(task, target_values):
+def _naive_fold(task):
     """Survey outputs from a fold that labels every graph it visits."""
-    best, argmax, count = None, [], 0
-    matches = {v: [] for v in target_values}
-    census = Counter()
+    best, argmax, count, braces = None, [], 0, []
     for g in enumerate_connected(task):
         count += 1
         value, form = edge_mostar(g), canonical_form(g)
@@ -127,12 +126,13 @@ def _naive_fold(task, target_values):
             best, argmax = value, []
         if value == best:
             argmax.append(form)
-        if value in matches:
-            matches[value].append(form)
-        cls = classify(g)
-        census[(cls.kind, cls.path_parameters)] += 1
-    return (count, best, tuple(sorted(argmax)),
-            {v: tuple(sorted(f)) for v, f in matches.items()}, dict(census))
+        if all(g.degree(v) >= 2 for v in range(g.n)):
+            braces.append(form)
+    return count, best, tuple(sorted(argmax)), tuple(sorted(braces))
+
+
+# braces per size: tricyclic with 6..10 edges, bicyclic with 5..9
+BRACE_COUNTS = {"tri": [1, 3, 11, 31, 71], "bi": [1, 3, 5, 8, 12]}
 
 
 @pytest.mark.parametrize("task", [
@@ -140,16 +140,16 @@ def _naive_fold(task, target_values):
     *(pytest.param(bicyclic_task(m), id=f"bi{m}") for m in range(5, 10)),
 ])
 def test_survey_matches_labelling_fold(task):
-    """The survey fold labels a graph only when it can be kept; its outputs
-    equal those of a fold that labels everything.  The targets are every
-    other value taken, from the smallest up, and one value never taken."""
-    values = sorted({edge_mostar(g) for g in enumerate_connected(task)})
-    targets = (*values[::2], 10**6)
-    want = _naive_fold(task, targets)
+    """The survey fold labels a graph only when it can be kept; its outputs,
+    the braces included, equal those of a fold that labels everything.
+    The brace counts are the known ones."""
+    want = _naive_fold(task)
+    kind, first = ("tri", 6) if task.m - task.n == 2 else ("bi", 5)
+    assert len(want[3]) == BRACE_COUNTS[kind][task.m - first]
     for workers in (1, 2):
-        s = survey(task, workers=workers, target_values=targets, census=True)
+        s = survey(task, workers=workers)
         got = (s.result.graphs_visited, s.result.max_value,
-               s.result.maximizers, s.matches, s.census)
+               s.result.maximizers, s.braces)
         assert got == want, workers
 
 
@@ -158,10 +158,15 @@ def test_no_duplicates_at_tricyclic_7():
     assert len(forms) == len(set(forms)) == 107
 
 
-def test_min_degree_filter():
-    braces = list(enumerate_connected(EnumerationTask(6, 8, min_degree=2)))
-    assert braces
-    assert all(all(g.degree(v) >= 2 for v in range(g.n)) for g in braces)
+def test_survey_braces_on_6_vertices():
+    """Braces outside the tricyclic and bicyclic tasks: 6 vertices, 8 and
+    9 edges, against the label-everything fold."""
+    for m in (8, 9):
+        task = EnumerationTask(6, m)
+        want = _naive_fold(task)[3]
+        assert want
+        for workers in (1, 2):
+            assert survey(task, workers=workers).braces == want
 
 
 def test_empty_and_infeasible_classes():
@@ -211,14 +216,14 @@ def test_worker_independence_bytes():
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_survey_matches_and_census():
-    s = survey(tricyclic_task(8), target_values=(23, 20), census=True)
-    assert s.result.max_value == 23
-    assert set(s.matches) == {23, 20}
-    assert tuple(sorted(s.result.maximizers)) == s.matches[23]
-    assert sum(s.census.values()) == s.result.graphs_visited
-    kinds = {k for (k, _params) in s.census}
-    assert "COMPOSITE" in kinds
+def test_survey_braces_tricyclic_8():
+    for workers in (1, 2):
+        s = survey(tricyclic_task(8), workers=workers)
+        assert s.result.max_value == 23
+        assert s.braces == _naive_fold(tricyclic_task(8))[3]
+        assert len(s.braces) == 11
+        kinds = {classify(parse_graph6(g6)).kind for g6 in s.braces}
+        assert "COMPOSITE" in kinds
 
 
 def test_histogram_totals():

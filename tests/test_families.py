@@ -1,26 +1,35 @@
+import dataclasses
 import json
 
 import pytest
 
-from mostar import GraphError, cycle, edge_mostar, isomorphic
+from mostar import GraphError, canonical_form, complete, cycle, edge_mostar, isomorphic
+from mostar.braces import strip_pendants
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
     FamilyRegistry,
     NoPolynomialError,
     NotPinnedError,
-    _candidates_from_graph,
+    _brace_tails,
+    _collect_group,
+    _member_collisions,
+    _normalize_candidate,
     _poly_eval,
     _poly_str,
     _unresolved_forensics,
+    _with_pendants,
     build,
     builtin_registry,
     polynomial,
     s_mr,
+    single_attach_decomposition,
     verify_family,
 )
-from mostar.graphs import theta
-from mostar.indices import pendant_tail
+from mostar.graphs import hub_paths, theta
+from mostar.indices import pendant_tails
+from mostar.shifts import GROUPS
+from _helpers import hang_random_trees
 
 
 def test_build_s_mr():
@@ -116,25 +125,35 @@ def test_registry_polynomials_are_pendant_tails(registry):
     for fid in registry.ids():
         spec = registry[fid]
         if spec.poly is not None:
-            tail = pendant_tail(spec.base_graph(), spec.attach)[:2]
+            tail = pendant_tails(spec.base_graph())[spec.attach][:2]
             assert tail == (spec.poly, spec.m_min), fid
+
+
+class _Survey:
+    """The part of an enumeration Survey the brace pass reads."""
+
+    def __init__(self, *braces):
+        self.braces = tuple(sorted(canonical_form(g) for g in braces))
 
 
 def test_h4_head_coincidence_rejected(atlas_report):
     """Pendants at interior vertex 2 of the H4 brace hit the printed
     m^2-3m-24 at m = 9 only: the tail is m^2-3m-32 from m >= 11, so the
-    m = 9 graph yields no candidate."""
+    brace pass over sizes up to 9 (or 12) yields no H4 candidate."""
     printed = DISCOVERY["H4"][0]
     base = theta((1, 2, 2, 3))
     g = base.add_pendant(2)
     assert edge_mostar(g) == _poly_eval(printed, 9)
-    assert pendant_tail(base, 2)[:2] == ((1, -3, -32), 11)
-    assert _candidates_from_graph(g, printed, 9) == []
+    forms = pendant_tails(base)
+    assert forms[2][:2] == ((1, -3, -32), 11)
+    for hi in (9, 12):
+        surveys = {base.m: _Survey(base), hi: _Survey()}
+        assert _collect_group(("H4",), _brace_tails(surveys)) == []
     # the three measured forms the atlas report records for H4
     note = next(n for n in atlas_report["notes"] if n.startswith("H4:"))
     for v, form in ((0, "m^2-3m-20 from m>=8"), (2, "m^2-3m-32 from m>=11"),
                     (4, "m^2-3m-36 from m>=12")):
-        poly, holds_from, _ = pendant_tail(base, v)
+        poly, holds_from, _ = forms[v]
         assert f"{_poly_str(poly)} from m>={holds_from}" == form
         assert f"orbit of {v}: {form}" in note
 
@@ -180,3 +199,97 @@ def test_crossover_consistency(registry):
     assert polynomial("A2", 10, registry) == 53
     assert polynomial("A2", 11, registry) == 72
     assert polynomial("A1", 11, registry) == 72
+
+
+def test_brace_pass_needs_tail_by_largest_size(registry):
+    """F2's tail holds from m = 10 on its 7-edge brace: surveys up to size 9
+    give no F2 candidate, up to size 10 give it with m_min 10."""
+    spec = registry["F2"]
+    base = spec.base_graph()
+    key = _normalize_candidate(base, spec.attach)[2]
+    for hi, want in ((9, []), (10, [(10, 10)])):
+        tails = _brace_tails({base.m: _Survey(base), hi: _Survey()})
+        assert [(c.m_min, c.first_seen_m) for c in _collect_group(("F2",), tails)
+                if c.key == key] == want
+
+
+def test_k4_has_no_discovery_tail():
+    """K4, the only tricyclic brace below size 7 (the smallest surveyed
+    size), is vertex-transitive with tail m^2-4m-12, no DISCOVERY form."""
+    k4 = complete(4)
+    assert {f[:2] for f in pendant_tails(k4)} == {((1, -4, -12), 6)}
+    assert (1, -4, -12) not in {poly for poly, _, _ in DISCOVERY.values()}
+    assert _brace_tails({6: _Survey(k4), 12: _Survey()}) == []
+
+
+def _isomorphism_scan(reg, hi):
+    forms = {
+        (f, m): canonical_form(reg[f].build(m))
+        for f in reg.ids()
+        for m in range(reg[f].m_min, hi + 1)
+    }
+    scan = {}
+    ids = reg.ids()
+    for i, f1 in enumerate(ids):
+        for f2 in ids[i + 1:]:
+            hit = [m for m in range(hi + 1)
+                   if (f1, m) in forms and forms[(f1, m)] == forms.get((f2, m))]
+            if hit:
+                scan[f"{f1}/{f2}"] = hit
+    return scan
+
+
+def test_member_collisions_exact(registry):
+    """The size rule for shared members equals the isomorphism scan over
+    every registry pair for m <= 16, and the marked-base keys are distinct.
+    A relabelled copy of F1 collides with F1 at every size."""
+    hi = 16
+    keys = [_normalize_candidate(registry[f].base_graph(), registry[f].attach)[2]
+            for f in registry.ids()]
+    assert len(set(keys)) == len(keys)
+    assert _member_collisions(registry, hi) == _isomorphism_scan(registry, hi) == {
+        "B3/B4": [5]
+    }
+    f1 = registry["F1"]
+    last = f1.n_base - 1
+    copy = dataclasses.replace(
+        f1, id="F1_copy", attach=last - f1.attach,
+        base_edges=tuple((last - a, last - b) for a, b in f1.base_edges),
+    )
+    reg = FamilyRegistry([f1, copy, registry["H1"]])
+    assert _member_collisions(reg, hi) == _isomorphism_scan(reg, hi) == {
+        "F1/F1_copy": list(range(7, hi + 1))
+    }
+
+
+def _reference_single_attach(g):
+    """The rebuild rule: the brace with all pendants bare at the one
+    attachment vertex must be isomorphic to g."""
+    d = strip_pendants(g)
+    hot = [v for v, k in d.attachment_profile.items() if k > 0]
+    if len(hot) != 1:
+        return None
+    rebuilt = _with_pendants(d.brace, hot[0], d.pendant_count)
+    return (d.brace, hot[0]) if isomorphic(rebuilt, g) else None
+
+
+def test_single_attach_decomposition_matches_rebuild(registry):
+    """On braces with random trees hung on, and with bare pendants at one
+    vertex, the leaf-count rule decides as rebuild-and-isomorphic does."""
+    import random
+
+    rng = random.Random(47)
+    braces = [registry[f].base_graph() for f in registry.ids()]
+    braces += [b for group in GROUPS.values() for b in group.realizations]
+    braces += [complete(4), hub_paths(2, [(0, 1, 1), (0, 1, 3), (0, 1, 3)])]
+    outcomes = set()
+    for brace in braces:
+        for _ in range(30):
+            if rng.random() < 0.5:
+                g = _with_pendants(brace, rng.randrange(brace.n), rng.randint(0, 6))
+            else:
+                g = hang_random_trees(rng, brace, rng.randint(1, 6))
+            got = single_attach_decomposition(g)
+            assert got == _reference_single_attach(g), g.edges()
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

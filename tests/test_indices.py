@@ -20,7 +20,7 @@ from mostar import (
     star,
     vertex_mostar,
 )
-from mostar.indices import pendant_tail
+from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import (
     naive_edge_mostar,
@@ -158,8 +158,7 @@ def test_pendant_tail_against_edge_mostar(registry):
     braces += [b for group in GROUPS.values() for b in group.realizations]
     for brace in braces:
         b = brace.m
-        for w in range(brace.n):
-            (one, p1, p0), holds_from, head = pendant_tail(brace, w)
+        for w, ((one, p1, p0), holds_from, head) in enumerate(pendant_tails(brace)):
             assert one == 1 and len(head) == holds_from - b
             g = brace
             for m in range(b, 2 * b + 21):
