@@ -10,6 +10,15 @@ parallel split trivial: every spanning-tree seed owns an independent
 subtree of the generation forest, and fold results merge associatively,
 so output is identical for any worker count.
 
+Acceptance reads only the child and the edge just added, never the size
+the walk is heading for (lazy labelling, below, changes only whether canon
+data comes back).  So the accepted nodes with m edges in the walk from the
+trees on n vertices are one representative per class of connected (n, m)
+graphs, whatever size the walk goes on to.  A tricyclic walk (n vertices,
+n + 2 edges) therefore passes through every bicyclic graph on n vertices
+at level n + 1, and `survey` reads both classes, and any other size with
+the same n, off one walk.
+
 The canonical deletion edge of a child is defined on its non-bridge edges
 (deleting one keeps the graph connected): take those with the smallest
 `_edge_inv` score (sorted end degrees, then the sorted degrees of the
@@ -50,17 +59,19 @@ every non-bridge edge.
 Labelling is lazy where nothing needs it.  A child at the last level has
 no children, so its canon data only serves the fold: when its tie set is
 {e} it is accepted unlabelled, since the only candidate is the canonical
-deletion edge whatever the labels.  The fold (`_fold_seed`) then labels a
-graph only when its value is at least the seed's running best or it is a
-brace (minimum degree >= 2), the only graphs whose canonical form it keeps.
+deletion edge whatever the labels.  Only the deepest requested size is
+such a last level: a node at a shallower requested size still has
+children, so it is labelled.  The fold (`_Fold.add`) then labels a graph
+only when its value is at least the seed's running best or it is a brace
+(minimum degree >= 2), the only graphs whose canonical form it keeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .canon import CANON_MAX_N, CanonCapacityError, CanonResult, canon, pair_orbit_reps
 from .graphs import Graph, reachable_mask, write_graph6
@@ -137,21 +148,25 @@ def _tree_children(k: int, adj: tuple[int, ...], cres: CanonResult):
     return out
 
 
+def _tree_levels(n_max: int) -> list[list[tuple[tuple[int, ...], CanonResult]]]:
+    """One walk of the leaf-addition tree: entry k holds one representative
+    per isomorphism class of trees on k vertices, for k = 1..n_max (entry 0
+    is empty)."""
+    levels: list[list[tuple[tuple[int, ...], CanonResult]]] = [[]]
+    if n_max < 1:
+        return levels
+    level = [((0,), canon(Graph(1, (0,))))]
+    levels.append(level)
+    for k in range(1, n_max):
+        level = [c for adj, cres in level for c in _tree_children(k, adj, cres)]
+        levels.append(level)
+    return levels
+
+
 def trees(n: int) -> Iterator[tuple[tuple[int, ...], CanonResult]]:
     """One representative per isomorphism class of trees on n vertices."""
-    if n < 1:
-        return
-    start = (0,)
-    if n == 1:
-        yield start, canon(Graph(1, start))
-        return
-    level = [((0,), canon(Graph(1, (0,))))]
-    for k in range(1, n):
-        nxt = []
-        for adj, cres in level:
-            nxt.extend(_tree_children(k, adj, cres))
-        level = nxt
-    yield from level
+    if n >= 1:
+        yield from _tree_levels(n)[n]
 
 
 # -- canonical edge augmentation ---------------------------------------------
@@ -290,12 +305,17 @@ def _augment(
     adj: tuple[int, ...],
     cres: Optional[CanonResult],
     m_cur: int,
-    m_target: int,
-) -> Iterator[tuple[tuple[int, ...], Optional[CanonResult]]]:
-    """Accepted descendants of `adj` with m_target edges.  A child at the
-    last level comes with canon data None when accepting it needed none."""
-    if m_cur == m_target:
-        yield adj, cres
+    sizes: tuple[int, ...],
+) -> Iterator[tuple[int, tuple[int, ...], Optional[CanonResult]]]:
+    """Accepted descendants of `adj` (itself included) whose size is in
+    `sizes`, as (size, adjacency, canon data), depth first down to the
+    largest size.  A node at the largest size comes with canon data None
+    when accepting it needed none; a node above it is always labelled,
+    since its own children are generated from its automorphisms."""
+    if m_cur in sizes:
+        yield m_cur, adj, cres
+    m_last = sizes[-1]
+    if m_cur == m_last:
         return
     full = (1 << n) - 1
     nonedges = []
@@ -309,7 +329,7 @@ def _augment(
         return
     reps = pair_orbit_reps(n, cres.generators, nonedges)
     floor = _nonbridge_floor(n, adj) if m_cur >= n else []
-    last = m_cur + 1 == m_target
+    last = m_cur + 1 == m_last
     for u, v in sorted(set(reps.values())):
         if _parent_rejects(adj, floor, u, v):
             continue
@@ -319,25 +339,19 @@ def _augment(
         )
         accepted, ccres = _accept_edge_child(n, child, u, v, label=not last)
         if accepted:
-            yield from _augment(n, child, ccres, m_cur + 1, m_target)
-
-
-def _enumerate_raw(
-    task: EnumerationTask,
-) -> Iterator[tuple[tuple[int, ...], Optional[CanonResult]]]:
-    task.validate()
-    if not task.feasible:
-        return
-    n, m = task.n, task.m
-    for adj, cres in trees(n):
-        yield from _augment(n, adj, cres, n - 1, m)
+            yield from _augment(n, child, ccres, m_cur + 1, sizes)
 
 
 def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
     """Exactly one representative per isomorphism class of connected graphs
     with the task's order and size."""
-    for adj, _ in _enumerate_raw(task):
-        yield Graph(task.n, adj)
+    task.validate()
+    if not task.feasible:
+        return
+    n = task.n
+    for seed, cres in trees(n):
+        for _, adj, _ in _augment(n, seed, cres, n - 1, (task.m,)):
+            yield Graph(n, adj)
 
 
 # -- folds -------------------------------------------------------------------
@@ -345,14 +359,39 @@ def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
 
 @dataclass
 class _Fold:
-    """What one tree seed's subtree (or several merged) contributes to a
-    survey; `merge` is associative, so any split gives the same survey."""
+    """What one tree seed's subtree (or several merged) contributes to one
+    task's survey; `merge` is associative, so any split gives the same
+    survey."""
 
-    count: int
-    best: Optional[int]
-    argmax: list[str]
-    histogram: Counter
-    braces: list[str]
+    count: int = 0
+    best: Optional[int] = None
+    argmax: list[str] = field(default_factory=list)
+    histogram: Counter = field(default_factory=Counter)
+    braces: list[str] = field(default_factory=list)
+
+    def add(self, n: int, adj: tuple[int, ...], cres: Optional[CanonResult],
+            want_histogram: bool) -> None:
+        self.count += 1
+        g = Graph(n, adj)
+        value = edge_mostar(g)
+        if want_histogram:
+            self.histogram[value] += 1
+        # every row with two or more bits: minimum degree >= 2
+        brace = all(row & (row - 1) for row in adj)
+        best = self.best
+        # only a value at least the running best or a brace is kept, so
+        # only those graphs are labelled
+        if best is None or value >= best or brace:
+            if cres is None:
+                cres = canon(g)
+            canon_g6 = write_graph6(Graph(n, cres.canon_adj))
+            if best is None or value > best:
+                self.best = value
+                self.argmax = [canon_g6]
+            elif value == best:
+                self.argmax.append(canon_g6)
+            if brace:
+                self.braces.append(canon_g6)
 
     def merge(self, other: "_Fold") -> None:
         self.count += other.count
@@ -364,44 +403,18 @@ class _Fold:
         self.braces.extend(other.braces)
 
 
-def _fold_seed(args) -> _Fold:
-    n, m, seed_adj, cres, want_histogram = args
-    count = 0
-    best: Optional[int] = None
-    argmax: list[str] = []
-    histogram: Counter = Counter()
-    braces: list[str] = []
-    if m == n - 1:
-        stream = iter([(seed_adj, cres)])
-    else:
-        stream = _augment(n, seed_adj, cres, n - 1, m)
-    for adj, ccres in stream:
-        count += 1
-        g = Graph(n, adj)
-        value = edge_mostar(g)
-        if want_histogram:
-            histogram[value] += 1
-        # every row with two or more bits: minimum degree >= 2
-        brace = all(row & (row - 1) for row in adj)
-        # only a value at least the running best or a brace is kept, so
-        # only those graphs are labelled
-        if best is None or value >= best or brace:
-            if ccres is None:
-                ccres = canon(g)
-            canon_g6 = write_graph6(Graph(n, ccres.canon_adj))
-            if best is None or value > best:
-                best = value
-                argmax = [canon_g6]
-            elif value == best:
-                argmax.append(canon_g6)
-            if brace:
-                braces.append(canon_g6)
-    return _Fold(count, best, argmax, histogram, braces)
+def _fold_seed(args) -> dict[int, _Fold]:
+    """One tree seed's subtree, folded at each requested size."""
+    n, sizes, seed_adj, cres, want_histogram = args
+    folds = {m: _Fold() for m in sizes}
+    for m, adj, ccres in _augment(n, seed_adj, cres, n - 1, sizes):
+        folds[m].add(n, adj, ccres, want_histogram)
+    return folds
 
 
 @dataclass(frozen=True)
 class Survey:
-    """Result of a single enumeration pass: the max/argmax fold and the
+    """Result of one task's enumeration: the max/argmax fold and the
     canonical graph6 of every brace visited, sorted."""
 
     result: EnumerationResult
@@ -409,34 +422,55 @@ class Survey:
 
 
 def survey(
-    task: EnumerationTask, workers: int = 1, histogram: bool = False
-) -> Survey:
-    """Enumerate once, folding max/argmax, the braces and, on request, the
-    value histogram.
+    tasks: Iterable[EnumerationTask], workers: int = 1, histogram: bool = False
+) -> dict[EnumerationTask, Survey]:
+    """Enumerate every task in one pass, folding max/argmax, the braces and,
+    on request, the value histogram of each.
 
-    Deterministic: the outcome is independent of `workers`.
+    Tasks on the same n share their walk: the graphs with n vertices and m
+    edges are exactly the accepted nodes with m edges in the
+    edge-augmentation walk from the trees on n vertices, whatever size the
+    walk goes on to, because acceptance reads only the child and its new
+    edge.  So a bicyclic task (n, n + 1) is read off at level n + 1 of the
+    tricyclic walk (n, n + 2) on its way down.  The trees are walked once,
+    up to the largest n, and one pool runs every (n, tree seed) pair,
+    largest n first; a seed folds each requested size of its n.
+
+    Deterministic: each task's folds merge in tree order, so the outcome
+    is independent of `workers`.  Repeated tasks collapse to one key; an
+    infeasible task reads 0 graphs.  Every task is validated before any
+    work starts.
     """
-    task.validate()
-    n, m = task.n, task.m
-    total = _Fold(0, None, [], Counter(), [])
-    if task.feasible:
-        args = [(n, m, adj, cres, histogram) for adj, cres in trees(n)]
-        if workers > 1 and len(args) > 1:
-            ctx = get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                partials = pool.map(_fold_seed, args, chunksize=1)
-        else:
-            partials = [_fold_seed(a) for a in args]
-        for p in partials:
-            total.merge(p)
-    result = EnumerationResult(
-        task=task,
-        graphs_visited=total.count,
-        max_value=total.best,
-        maximizers=tuple(sorted(total.argmax)),
-        histogram=dict(total.histogram) if histogram else None,
-    )
-    return Survey(result=result, braces=tuple(sorted(total.braces)))
+    tasks = list(dict.fromkeys(tasks))
+    sizes: dict[int, set[int]] = {}
+    for task in tasks:
+        task.validate()
+        if task.feasible:
+            sizes.setdefault(task.n, set()).add(task.m)
+    levels = _tree_levels(max(sizes, default=0))
+    args = [(n, tuple(sorted(sizes[n])), adj, cres, histogram)
+            for n in sorted(sizes, reverse=True) for adj, cres in levels[n]]
+    if workers > 1 and len(args) > 1:
+        ctx = get_context("fork")
+        with ctx.Pool(processes=min(workers, len(args))) as pool:
+            partials = pool.map(_fold_seed, args, chunksize=1)
+    else:
+        partials = [_fold_seed(a) for a in args]
+    totals = {task: _Fold() for task in tasks}
+    for (n, *_), folds in zip(args, partials):
+        for m, fold in folds.items():
+            totals[EnumerationTask(n, m)].merge(fold)
+    out = {}
+    for task, total in totals.items():
+        result = EnumerationResult(
+            task=task,
+            graphs_visited=total.count,
+            max_value=total.best,
+            maximizers=tuple(sorted(total.argmax)),
+            histogram=dict(total.histogram) if histogram else None,
+        )
+        out[task] = Survey(result=result, braces=tuple(sorted(total.braces)))
+    return out
 
 
 def maximize(
@@ -444,7 +478,7 @@ def maximize(
 ) -> EnumerationResult:
     """Fold edge_mostar over the enumeration stream; collect all argmax
     canonical forms.  Empty classes yield graphs_visited=0 explicitly."""
-    return survey(task, workers=workers, histogram=histogram).result
+    return survey([task], workers=workers, histogram=histogram)[task].result
 
 
 def tricyclic_task(m: int) -> EnumerationTask:

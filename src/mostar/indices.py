@@ -190,9 +190,13 @@ def pendant_tails(
     k (m - 1) + sum of |c_e + k s_e|, and from k0 = max(0, max -s_e c_e)
     on it is the quadratic poly = (1, N - 1 - b, b - bN + C) in m, where
     N counts the edges with s_e != 0 and C = sum of s_e c_e plus the
-    |c_e| with s_e = 0.  Returns, indexed by w, (poly, holds_from, head):
-    poly holds for every m >= holds_from, the least such size, and head
-    holds the exact index at m = b .. holds_from - 1."""
+    |c_e| with s_e = 0.  k0 is also the least such k: with s_e = +-1,
+    |c_e + k s_e| = |s_e c_e + k|, so the exact index minus the quadratic
+    is 2 * sum over s_e != 0 of max(0, -s_e c_e - k), which is positive
+    for every k < k0.  Returns, indexed by w, (poly, holds_from, head):
+    poly holds for every m >= holds_from = b + k0 and, when k0 > 0,
+    fails at holds_from - 1; head holds the exact index at
+    m = b .. holds_from - 1."""
     _require_connected(brace)
     edges = brace.edges()
     b = len(edges)
@@ -208,13 +212,8 @@ def pendant_tails(
         def exact(k: int) -> int:
             return k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
 
-        def tail(k: int) -> int:
-            return k * (b + k - 1 + n_sloped) + const
-
-        k = max([0] + [-s * c for c, s in terms])
-        while k > 0 and exact(k - 1) == tail(k - 1):
-            k -= 1
-        forms.append((poly, b + k, tuple(exact(j) for j in range(k))))
+        k0 = max([0] + [-s * c for c, s in terms])
+        forms.append((poly, b + k0, tuple(exact(j) for j in range(k0))))
     return forms
 
 

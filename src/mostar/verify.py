@@ -176,16 +176,16 @@ def _verify(
     histogram: bool,
     surveys: Optional[dict[int, Survey]],
 ) -> list[VerificationRow]:
-    """One row per size; sizes found in `surveys` are not enumerated again."""
+    """One row per size; sizes found in `surveys` are not enumerated again,
+    and the others are enumerated together in one survey."""
     reg = registry if registry is not None else builtin_registry()
-    rows = []
-    for m in sizes:
-        if surveys is not None and m in surveys:
-            res = surveys[m].result
-        else:
-            res = survey(spec.task(m), workers=workers, histogram=histogram).result
-        rows.append(_row(spec, m, res, reg))
-    return rows
+    known = surveys or {}
+    missing = [spec.task(m) for m in sizes if m not in known]
+    fresh = survey(missing, workers=workers, histogram=histogram) if missing else {}
+    return [
+        _row(spec, m, (known[m] if m in known else fresh[spec.task(m)]).result, reg)
+        for m in sizes
+    ]
 
 
 def verify_tricyclic(
@@ -226,10 +226,13 @@ def run_atlas(
 
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
+    Both classes come from one survey, so a bicyclic size m is read off
+    the walk for tricyclic size m + 1 (both have m - 1 vertices).
     """
-    tri = {m: survey(tricyclic_task(m), workers=workers)
-           for m in range(7, tri_max_size + 1)}
-    bi = {m: survey(bicyclic_task(m), workers=workers)
-          for m in range(5, bi_max_size + 1)}
+    tri_tasks = {m: tricyclic_task(m) for m in range(7, tri_max_size + 1)}
+    bi_tasks = {m: bicyclic_task(m) for m in range(5, bi_max_size + 1)}
+    done = survey([*tri_tasks.values(), *bi_tasks.values()], workers=workers)
+    tri = {m: done[task] for m, task in tri_tasks.items()}
+    bi = {m: done[task] for m, task in bi_tasks.items()}
     reg, report = discover_families(tri, bi, registry or builtin_registry())
     return AtlasResult(registry=reg, report=report, tri_surveys=tri, bi_surveys=bi)

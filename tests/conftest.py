@@ -19,8 +19,9 @@ def _tri_data():
     surveys = {}
     timings = {}
     for m in range(7, 13):
+        task = tricyclic_task(m)
         t0 = time.perf_counter()
-        surveys[m] = survey(tricyclic_task(m), workers=WORKERS)
+        surveys[m] = survey([task], workers=WORKERS)[task]
         timings[m] = time.perf_counter() - t0
     return surveys, timings
 
@@ -37,7 +38,9 @@ def tri_timings(_tri_data):
 
 @pytest.fixture(scope="session")
 def bi_surveys():
-    return {m: survey(bicyclic_task(m), workers=WORKERS) for m in range(5, 11)}
+    tasks = {m: bicyclic_task(m) for m in range(5, 11)}
+    done = survey(tasks.values(), workers=WORKERS)
+    return {m: done[task] for m, task in tasks.items()}
 
 
 @pytest.fixture(scope="session")

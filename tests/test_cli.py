@@ -1,13 +1,17 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from mostar import complete, cycle, write_graph6
 from mostar import verify
 from mostar.cli import main
-from mostar.families import builtin_registry
+from mostar.enumeration import survey
+from mostar.families import FamilyRegistry, builtin_registry
+
+REGISTRY = Path(__file__).resolve().parents[1] / "families.json"
 
 
 def run(capsys, argv):
@@ -276,3 +280,23 @@ def test_verify_size_and_range_exclusive(capsys, command):
         main([command, "--size", "7", "--range", "7-9", "--threads", "1"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,spec,verify_rows,lo,hi", [
+    ("verify-theorem1", verify.TRICYCLIC, verify.verify_tricyclic, 7, 10),
+    ("verify-theorem2", verify.BICYCLIC, verify.verify_bicyclic, 5, 9),
+], ids=["theorem1", "theorem2"])
+def test_verify_range_matches_single_task_surveys(tmp_path, capsys, command, spec,
+                                                  verify_rows, lo, hi):
+    """A --range run enumerates all its sizes in one survey; its JSON output
+    is byte-identical to the rows built from one single-task survey per
+    size."""
+    out_file = tmp_path / "rows.json"
+    rc, _, _ = run(capsys, [command, "--range", f"{lo}-{hi}", "--threads", "2",
+                            "--registry", str(REGISTRY), "--output", str(out_file)])
+    assert rc == 0
+    singles = {m: survey([spec.task(m)])[spec.task(m)] for m in range(lo, hi + 1)}
+    rows = verify_rows(sorted(singles), registry=FamilyRegistry.load(REGISTRY),
+                       surveys=singles)
+    expected = json.dumps([r.to_dict() for r in rows], indent=2, sort_keys=True) + "\n"
+    assert out_file.read_text() == expected

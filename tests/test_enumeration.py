@@ -147,7 +147,7 @@ def test_survey_matches_labelling_fold(task):
     kind, first = ("tri", 6) if task.m - task.n == 2 else ("bi", 5)
     assert len(want[3]) == BRACE_COUNTS[kind][task.m - first]
     for workers in (1, 2):
-        s = survey(task, workers=workers)
+        s = survey([task], workers=workers)[task]
         got = (s.result.graphs_visited, s.result.max_value,
                s.result.maximizers, s.braces)
         assert got == want, workers
@@ -166,7 +166,7 @@ def test_survey_braces_on_6_vertices():
         want = _naive_fold(task)[3]
         assert want
         for workers in (1, 2):
-            assert survey(task, workers=workers).braces == want
+            assert survey([task], workers=workers)[task].braces == want
 
 
 def test_empty_and_infeasible_classes():
@@ -218,7 +218,8 @@ def test_worker_independence_bytes():
 
 def test_survey_braces_tricyclic_8():
     for workers in (1, 2):
-        s = survey(tricyclic_task(8), workers=workers)
+        task = tricyclic_task(8)
+        s = survey([task], workers=workers)[task]
         assert s.result.max_value == 23
         assert s.braces == _naive_fold(tricyclic_task(8))[3]
         assert len(s.braces) == 11
@@ -230,3 +231,107 @@ def test_histogram_totals():
     res = maximize_tricyclic(8, histogram=True)
     assert sum(res.histogram.values()) == res.graphs_visited
     assert res.histogram[23] == 3
+
+
+# the atlas's surveys up to tricyclic 11: five tricyclic and six bicyclic
+# sizes over the vertex counts 4..9
+ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
+               *(bicyclic_task(m) for m in range(5, 11))]
+
+
+def _survey_blob(s):
+    return json.dumps([s.result.to_dict(), s.braces], sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def single_surveys():
+    return {task: survey([task], histogram=True)[task] for task in ATLAS_TASKS}
+
+
+@pytest.fixture(scope="module")
+def multi_surveys():
+    return {w: survey(ATLAS_TASKS, workers=w, histogram=True) for w in (1, 2)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_task_survey_matches_single_tasks(single_surveys, multi_surveys, workers):
+    """One call over many tasks, several sharing a vertex count, gives each
+    task exactly its single-task survey: result with histogram, and braces."""
+    got = multi_surveys[workers]
+    assert list(got) == ATLAS_TASKS
+    for task in ATLAS_TASKS:
+        assert _survey_blob(got[task]) == _survey_blob(single_surveys[task]), task
+
+
+def test_multi_task_survey_class_totals(multi_surveys):
+    """Published class totals (connected bicyclic and tricyclic graphs by
+    size) from one call."""
+    got = multi_surveys[2]
+    assert [got[bicyclic_task(m)].result.graphs_visited for m in range(5, 11)] == \
+        [1, 5, 19, 67, 236, 797]
+    assert [got[tricyclic_task(m)].result.graphs_visited for m in range(7, 12)] == \
+        [4, 22, 107, 486, 2075]
+
+
+def test_multi_task_survey_order_and_repeats():
+    """Neither the order of the task list nor a repeated task changes any
+    survey; a repeated task is one key."""
+    tasks = [tricyclic_task(m) for m in range(7, 10)] + [bicyclic_task(m) for m in range(5, 9)]
+    want = survey(tasks, histogram=True)
+    for shuffled in (tasks[::-1], tasks[1::2] + tasks[::2] + tasks[:3]):
+        for workers in (1, 2):
+            got = survey(shuffled, workers=workers, histogram=True)
+            assert set(got) == set(tasks)
+            assert all(_survey_blob(got[t]) == _survey_blob(want[t]) for t in tasks)
+
+
+def test_multi_task_survey_edge_cases(monkeypatch):
+    assert survey([]) == {}
+    # an infeasible task (3 vertices, 5 edges) beside a feasible one
+    got = survey([tricyclic_task(5), tricyclic_task(7)], workers=2)
+    assert got[tricyclic_task(5)].result.graphs_visited == 0
+    assert got[tricyclic_task(5)].result.max_value is None
+    assert got[tricyclic_task(7)].result.graphs_visited == 4
+    # trees, unicyclic and bicyclic graphs on 6 vertices from one walk
+    shared = [EnumerationTask(6, m) for m in (5, 6, 7)]
+    got = survey(shared, workers=2)
+    assert [got[t].result.graphs_visited for t in shared] == [6, 13, 19]
+    for t in shared:
+        assert _survey_blob(got[t]) == _survey_blob(survey([t])[t]), t
+
+    # n > 16 is rejected before any pool starts
+    def no_pool(method):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(enumeration, "get_context", no_pool)
+    with pytest.raises(CanonCapacityError):
+        survey([tricyclic_task(7), EnumerationTask(17, 18)], workers=2)
+
+
+def test_pool_never_larger_than_seed_count(monkeypatch, capsys):
+    """`--threads 64` on tricyclic size 7 (3 tree seeds) asks for a pool of
+    3.  The recording context runs the seeds in this process."""
+    from mostar.cli import main
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return [fn(a) for a in args]
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(enumeration, "get_context", lambda method: RecordingContext())
+    assert main(["verify-theorem1", "--size", "7", "--threads", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["observed_max"] == 12
+    assert requested == [3]
