@@ -156,7 +156,6 @@ def cmd_verify(args) -> int:
         _parse_sizes(args),
         registry=_load_registry(args.registry),
         workers=args.threads,
-        histogram=args.histogram,
     )
     _emit_rows(rows, args)
     return 0 if all(r.status != "FAIL" for r in rows) else 1
@@ -167,6 +166,10 @@ def cmd_atlas(args) -> int:
     # sizes (n > 16 from m = 19 on), so neither may write the registry
     if not 7 <= args.max_size <= 12:
         raise UsageError(f"--max-size {args.max_size} outside supported range 7..12")
+    # checked up front: a failed write comes after the enumeration
+    for path in (args.output, args.report):
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, 10),
@@ -199,8 +202,6 @@ def _add_common(p, default_threads) -> None:
                    help="enumeration worker processes")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--histogram", action="store_true",
-                   help="collect full value histograms (larger output)")
     p.add_argument("--registry", help="families registry JSON "
                    "(default: ./families.json if present)")
     sizes = p.add_mutually_exclusive_group()

@@ -68,7 +68,6 @@ only when its value is at least the seed's running best or it is a brace
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
@@ -105,7 +104,6 @@ class EnumerationResult:
     graphs_visited: int
     max_value: Optional[int]
     maximizers: tuple[str, ...]          # canonical graph6, sorted
-    histogram: Optional[dict[int, int]] = None
 
     def to_dict(self) -> dict:
         return {
@@ -113,11 +111,6 @@ class EnumerationResult:
             "graphs_visited": self.graphs_visited,
             "max_value": self.max_value,
             "maximizers": list(self.maximizers),
-            "histogram": (
-                {str(k): v for k, v in sorted(self.histogram.items())}
-                if self.histogram is not None
-                else None
-            ),
         }
 
 
@@ -366,16 +359,12 @@ class _Fold:
     count: int = 0
     best: Optional[int] = None
     argmax: list[str] = field(default_factory=list)
-    histogram: Counter = field(default_factory=Counter)
     braces: list[str] = field(default_factory=list)
 
-    def add(self, n: int, adj: tuple[int, ...], cres: Optional[CanonResult],
-            want_histogram: bool) -> None:
+    def add(self, n: int, adj: tuple[int, ...], cres: Optional[CanonResult]) -> None:
         self.count += 1
         g = Graph(n, adj)
         value = edge_mostar(g)
-        if want_histogram:
-            self.histogram[value] += 1
         # every row with two or more bits: minimum degree >= 2
         brace = all(row & (row - 1) for row in adj)
         best = self.best
@@ -399,16 +388,15 @@ class _Fold:
             self.best, self.argmax = other.best, list(other.argmax)
         elif other.best is not None and other.best == self.best:
             self.argmax.extend(other.argmax)
-        self.histogram.update(other.histogram)
         self.braces.extend(other.braces)
 
 
 def _fold_seed(args) -> dict[int, _Fold]:
     """One tree seed's subtree, folded at each requested size."""
-    n, sizes, seed_adj, cres, want_histogram = args
+    n, sizes, seed_adj, cres = args
     folds = {m: _Fold() for m in sizes}
     for m, adj, ccres in _augment(n, seed_adj, cres, n - 1, sizes):
-        folds[m].add(n, adj, ccres, want_histogram)
+        folds[m].add(n, adj, ccres)
     return folds
 
 
@@ -422,10 +410,10 @@ class Survey:
 
 
 def survey(
-    tasks: Iterable[EnumerationTask], workers: int = 1, histogram: bool = False
+    tasks: Iterable[EnumerationTask], workers: int = 1
 ) -> dict[EnumerationTask, Survey]:
-    """Enumerate every task in one pass, folding max/argmax, the braces and,
-    on request, the value histogram of each.
+    """Enumerate every task in one pass, folding max/argmax and the braces
+    of each.
 
     Tasks on the same n share their walk: the graphs with n vertices and m
     edges are exactly the accepted nodes with m edges in the
@@ -448,7 +436,7 @@ def survey(
         if task.feasible:
             sizes.setdefault(task.n, set()).add(task.m)
     levels = _tree_levels(max(sizes, default=0))
-    args = [(n, tuple(sorted(sizes[n])), adj, cres, histogram)
+    args = [(n, tuple(sorted(sizes[n])), adj, cres)
             for n in sorted(sizes, reverse=True) for adj, cres in levels[n]]
     if workers > 1 and len(args) > 1:
         ctx = get_context("fork")
@@ -467,18 +455,15 @@ def survey(
             graphs_visited=total.count,
             max_value=total.best,
             maximizers=tuple(sorted(total.argmax)),
-            histogram=dict(total.histogram) if histogram else None,
         )
         out[task] = Survey(result=result, braces=tuple(sorted(total.braces)))
     return out
 
 
-def maximize(
-    task: EnumerationTask, workers: int = 1, histogram: bool = False
-) -> EnumerationResult:
+def maximize(task: EnumerationTask, workers: int = 1) -> EnumerationResult:
     """Fold edge_mostar over the enumeration stream; collect all argmax
     canonical forms.  Empty classes yield graphs_visited=0 explicitly."""
-    return survey([task], workers=workers, histogram=histogram)[task].result
+    return survey([task], workers=workers)[task].result
 
 
 def tricyclic_task(m: int) -> EnumerationTask:
@@ -487,19 +472,3 @@ def tricyclic_task(m: int) -> EnumerationTask:
 
 def bicyclic_task(m: int) -> EnumerationTask:
     return EnumerationTask(n=m - 1, m=m)
-
-
-def unicyclic_task(m: int) -> EnumerationTask:
-    return EnumerationTask(n=m, m=m)
-
-
-def maximize_tricyclic(m: int, workers: int = 1, **kw) -> EnumerationResult:
-    return maximize(tricyclic_task(m), workers=workers, **kw)
-
-
-def maximize_bicyclic(m: int, workers: int = 1, **kw) -> EnumerationResult:
-    return maximize(bicyclic_task(m), workers=workers, **kw)
-
-
-def maximize_unicyclic(m: int, workers: int = 1, **kw) -> EnumerationResult:
-    return maximize(unicyclic_task(m), workers=workers, **kw)

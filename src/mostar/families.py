@@ -24,14 +24,13 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form, isomorphic
-from .graphs import Graph, GraphError, is_connected, parse_graph6, theta, write_graph6
+from .graphs import Graph, GraphError, is_connected, parse_graph6, theta
+from .graphs import with_pendants, write_graph6
 from .graphs import cycle as cycle_graph, path as path_graph, star as star_graph
 from .indices import edge_mostar, pendant_tails
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
-
-STRUCTURAL_IDS = ("CYCLE", "PATH", "S_STAR", "S_MR")
 
 
 class NoPolynomialError(ValueError):
@@ -45,13 +44,6 @@ class NotPinnedError(KeyError):
 def _poly_eval(poly: tuple[int, int, int], m: int) -> int:
     a, b, c = poly
     return a * m * m + b * m + c
-
-
-def _with_pendants(base: Graph, attach: int, k: int) -> Graph:
-    g = base
-    for _ in range(k):
-        g = g.add_pendant(attach)
-    return g
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ class FamilySpec:
     def build(self, m: int) -> Graph:
         if m < self.m_min:
             raise GraphError(f"{self.id}: size {m} below m_min={self.m_min}")
-        return _with_pendants(self.base_graph(), self.attach, m - self.m_base)
+        return with_pendants(self.base_graph(), {self.attach: m - self.m_base})
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +120,8 @@ class FamilyRegistry:
     def __init__(self, specs: Iterable[FamilySpec] = ()):
         self.specs: dict[str, FamilySpec] = {}
         for s in specs:
+            if s.id in self.specs:
+                raise ValueError(f"duplicate family id {s.id}")
             self.specs[s.id] = s
 
     def __contains__(self, fid: str) -> bool:
@@ -210,7 +204,7 @@ def s_mr(m: int, r: int) -> Graph:
         raise GraphError("cycle length must be at least 3")
     if m < r:
         raise GraphError(f"size {m} below cycle length {r}")
-    return _with_pendants(cycle_graph(r), 0, m - r)
+    return with_pendants(cycle_graph(r), {0: m - r})
 
 
 def build(fid: str, m: int, registry: Optional[FamilyRegistry] = None,
@@ -379,10 +373,6 @@ class DiscoveryReport:
             },
         }
 
-    @property
-    def fully_resolved(self) -> bool:
-        return not self.unresolved
-
 
 # tricyclic candidate groups: ids sharing one DISCOVERY entry
 _GROUPS: list[tuple[str, ...]] = [
@@ -492,19 +482,16 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
 def discover_families(
     tri_surveys: dict,
     bi_surveys: dict,
-    registry: Optional[FamilyRegistry] = None,
 ) -> tuple[FamilyRegistry, DiscoveryReport]:
     """Reconstruct the unpinned families from enumeration output.
 
     `tri_surveys` and `bi_surveys` map size m to that size's Survey;
-    discovery reads their braces and maximizers.  Ambiguities (several
-    non-isomorphic candidates for one id) are all recorded; a family with no
-    surviving candidate is listed as unresolved, never fabricated.
+    discovery reads their braces and maximizers and extends the builtin
+    registry.  Ambiguities (several non-isomorphic candidates for one id)
+    are all recorded; a family with no surviving candidate is listed as
+    unresolved, never fabricated.
     """
-    reg = FamilyRegistry(
-        (registry or builtin_registry()).specs[i]
-        for i in (registry or builtin_registry()).ids()
-    )
+    reg = builtin_registry()
     report = DiscoveryReport()
 
     def adopt(fid: str, picks: list[Candidate]) -> Optional[Candidate]:

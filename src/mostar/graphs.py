@@ -8,7 +8,7 @@ instance, so instances can be shared freely across worker processes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
 class GraphError(ValueError):
@@ -126,11 +126,7 @@ class Graph:
 
     def add_pendant(self, at: int) -> "Graph":
         """Attach one new degree-1 vertex to `at` (new vertex gets label n)."""
-        if not 0 <= at < self.n:
-            raise GraphError(f"vertex {at} out of range")
-        adj = list(self.adj) + [1 << at]
-        adj[at] |= 1 << self.n
-        return Graph(self.n + 1, tuple(adj))
+        return with_pendants(self, {at: 1})
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -204,6 +200,24 @@ def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
 def theta(lengths: Iterable[int]) -> Graph:
     """Hubs 0 and 1 joined by internally disjoint paths of the given lengths."""
     return hub_paths(2, [(0, 1, length) for length in lengths])
+
+
+def with_pendants(g: Graph, counts: Mapping[int, int]) -> Graph:
+    """g with counts[v] new degree-1 vertices attached at each vertex v.
+
+    The new vertices are numbered from g.n on, in increasing order of v,
+    as repeated `add_pendant` calls in that order would number them.
+    """
+    adj = list(g.adj)
+    for v in sorted(counts):
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range")
+        if counts[v] < 0:
+            raise GraphError(f"negative pendant count {counts[v]} at vertex {v}")
+        for _ in range(counts[v]):
+            adj[v] |= 1 << len(adj)
+            adj.append(1 << v)
+    return Graph(len(adj), tuple(adj))
 
 
 # -- distances and connectivity --------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, GraphError, hub_paths, theta
+from .graphs import Graph, GraphError, hub_paths, theta, with_pendants
 from .canon import canon
 from .indices import edge_mostar
 
@@ -207,26 +207,21 @@ def lemma_delta(rule_id: str, params: dict[str, int]) -> int:
 # -- configuration building and measurement -----------------------------------
 
 
-def _build_config(brace: Graph, roles: tuple[int, ...], params: dict[str, int]) -> Graph:
-    g = brace
-    for i, v in enumerate(roles, start=1):
-        for _ in range(params.get(f"a{i}", 0)):
-            g = g.add_pendant(v)
-    return g
-
-
 def measured_delta(
     brace: Graph, roles: tuple[int, ...], rule: ShiftRule, params: dict[str, int]
 ) -> int:
-    g = _build_config(brace, roles, params)
-    shifted = g
+    """Index after the rule's shift minus the index before it.  Role v_i
+    carries a_i pendants.  Moving pendant edges between brace vertices gives
+    a graph isomorphic to the brace with the moved counts, so both graphs
+    are built from their counts."""
+    before = {v: params.get(f"a{i}", 0) for i, v in enumerate(roles, start=1)}
+    after = dict(before)
     for src, dst, pname in rule.moves:
         k = params.get(pname, 0)
-        if k:
-            shifted = shift_pendants(
-                shifted, ShiftSpec(roles[src - 1], roles[dst - 1], k)
-            )
-    return edge_mostar(shifted) - edge_mostar(g)
+        after[roles[src - 1]] -= k
+        after[roles[dst - 1]] += k
+    return (edge_mostar(with_pendants(brace, after))
+            - edge_mostar(with_pendants(brace, before)))
 
 
 def _sample_params(rule: ShiftRule, rng: random.Random, count: int,

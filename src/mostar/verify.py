@@ -173,7 +173,6 @@ def _verify(
     sizes: list[int],
     registry: Optional[FamilyRegistry],
     workers: int,
-    histogram: bool,
     surveys: Optional[dict[int, Survey]],
 ) -> list[VerificationRow]:
     """One row per size; sizes found in `surveys` are not enumerated again,
@@ -181,7 +180,7 @@ def _verify(
     reg = registry if registry is not None else builtin_registry()
     known = surveys or {}
     missing = [spec.task(m) for m in sizes if m not in known]
-    fresh = survey(missing, workers=workers, histogram=histogram) if missing else {}
+    fresh = survey(missing, workers=workers) if missing else {}
     return [
         _row(spec, m, (known[m] if m in known else fresh[spec.task(m)]).result, reg)
         for m in sizes
@@ -192,20 +191,18 @@ def verify_tricyclic(
     sizes: list[int],
     registry: Optional[FamilyRegistry] = None,
     workers: int = 1,
-    histogram: bool = False,
     surveys: Optional[dict[int, Survey]] = None,
 ) -> list[VerificationRow]:
-    return _verify(TRICYCLIC, sizes, registry, workers, histogram, surveys)
+    return _verify(TRICYCLIC, sizes, registry, workers, surveys)
 
 
 def verify_bicyclic(
     sizes: list[int],
     registry: Optional[FamilyRegistry] = None,
     workers: int = 1,
-    histogram: bool = False,
     surveys: Optional[dict[int, Survey]] = None,
 ) -> list[VerificationRow]:
-    return _verify(BICYCLIC, sizes, registry, workers, histogram, surveys)
+    return _verify(BICYCLIC, sizes, registry, workers, surveys)
 
 
 @dataclass
@@ -220,7 +217,6 @@ def run_atlas(
     tri_max_size: int = 12,
     bi_max_size: int = 10,
     workers: int = 1,
-    registry: Optional[FamilyRegistry] = None,
 ) -> AtlasResult:
     """Enumerate, discover the unpinned families, and report.
 
@@ -234,5 +230,5 @@ def run_atlas(
     done = survey([*tri_tasks.values(), *bi_tasks.values()], workers=workers)
     tri = {m: done[task] for m, task in tri_tasks.items()}
     bi = {m: done[task] for m, task in bi_tasks.items()}
-    reg, report = discover_families(tri, bi, registry or builtin_registry())
+    reg, report = discover_families(tri, bi)
     return AtlasResult(registry=reg, report=report, tri_surveys=tri, bi_surveys=bi)

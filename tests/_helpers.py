@@ -277,3 +277,23 @@ def hang_random_trees(rng: random.Random, g: Graph, count: int) -> Graph:
     for _ in range(count):
         g = g.add_pendant(rng.randrange(g.n))
     return g
+
+
+def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
+    """A shift rule's delta by build, shift and difference: role v_i gets
+    a_i pendants one `add_pendant` call at a time, `shift_pendants` moves
+    them as the rule says, and the indices are differenced.  Same contract
+    as `shifts.measured_delta`."""
+    from mostar import edge_mostar
+    from mostar.shifts import ShiftSpec, shift_pendants
+
+    g = brace
+    for i, v in enumerate(roles, start=1):
+        for _ in range(params.get(f"a{i}", 0)):
+            g = g.add_pendant(v)
+    shifted = g
+    for src, dst, pname in rule.moves:
+        k = params.get(pname, 0)
+        if k:
+            shifted = shift_pendants(shifted, ShiftSpec(roles[src - 1], roles[dst - 1], k))
+    return edge_mostar(shifted) - edge_mostar(g)

@@ -21,7 +21,8 @@ from mostar.braces import FOUR_THETA, THREE_HUB, classify
 from mostar.enumeration import (
     EnumerationTask,
     enumerate_connected,
-    maximize_tricyclic,
+    maximize,
+    tricyclic_task,
 )
 from mostar.families import ANALYTIC, discover_families, verify_family
 from mostar.shifts import run_shift_suite
@@ -195,7 +196,7 @@ def test_criterion_6_invariant_suites(tri_surveys):
     # worker-count determinism, byte for byte
     blobs = [
         json.dumps(
-            maximize_tricyclic(9, workers=w, histogram=True).to_dict(),
+            maximize(tricyclic_task(9), workers=w).to_dict(),
             sort_keys=True,
         ).encode()
         for w in (1, 2, 8)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import sys
@@ -117,11 +118,11 @@ def test_compute_non_ascii_line(tmp_path, capsys, monkeypatch, source, bad):
 H1_EDGES = [[0, 1], [0, 2], [2, 1], [0, 3], [3, 1], [0, 4], [4, 1]]
 
 
-def _entry(**changes):
+def _entry(copies=1, **changes):
     entry = {"id": "H1", "base_edges": H1_EDGES, "attach": 0, "m_min": 7,
              "poly": [1, -4, -9], "provenance": "ANALYTIC"}
     entry.update(changes)
-    return json.dumps([entry]) + "\n"
+    return json.dumps([entry] * copies) + "\n"
 
 
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
@@ -136,8 +137,9 @@ def _entry(**changes):
     (_entry(base_edges=H1_EDGES + [[5, 6]]),
      "ValueError: family H1: base edges are not connected"),
     (_entry(m_min=3), "ValueError: family H1: m_min 3 below its 7 base edges"),
+    (_entry(copies=2), "ValueError: duplicate family id H1"),
 ], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
-        "repeated-edge", "loop", "disconnected", "m-min-below-base"])
+        "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id"])
 def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
                                   reason):
     """Rejected when the registry loads, before any enumeration starts."""
@@ -172,6 +174,30 @@ def test_verify_theorem2_pass(tmp_path, capsys):
     assert [r["m"] for r in rows] == [5, 6, 7, 8]
     assert [r["observed_max"] for r in rows] == [4, 12, 22, 34]
     assert all(r["status"] == "PASS" for r in rows)
+
+
+CSV_HEADER = ["m", "expected_max", "observed_max", "observed_maximizer_count",
+              "status", "note"]
+
+
+@pytest.mark.parametrize("command,sizes", [
+    ("verify-theorem1", "6-9"),  # m = 6 is an INFO row with no expected maximum
+    ("verify-theorem2", "5-8"),
+])
+def test_verify_csv_matches_json(capsys, command, sizes):
+    """The CSV output has the documented header and one line per JSON row,
+    with the same values (None as an empty field)."""
+    out = {}
+    for fmt in ("json", "csv"):
+        rc, out[fmt], _ = run(capsys, [command, "--range", sizes, "--threads", "1",
+                                       "--registry", str(REGISTRY), "--format", fmt])
+        assert rc == 0
+    header, *lines = csv.reader(io.StringIO(out["csv"], newline=""))
+    assert header == CSV_HEADER
+    rows = json.loads(out["json"])
+    assert lines == [["" if r[k] is None else str(r[k]) for k in CSV_HEADER] for r in rows]
+    lo, hi = map(int, sizes.split("-"))
+    assert [r["m"] for r in rows] == list(range(lo, hi + 1))
 
 
 def test_verify_theorem1_single_size(capsys):
@@ -272,6 +298,30 @@ def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
     assert f"--max-size {value} outside supported range 7..12" in capsys.readouterr().err
     assert reg_path.read_bytes() == before
     assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["--report", "missing/rep.json"], "missing/rep.json"),
+    (["--output", "missing/fam.json", "--report", "rep.json"], "missing/fam.json"),
+], ids=["report", "output"])
+def test_atlas_missing_output_directory(tmp_path, capsys, monkeypatch, argv, missing):
+    """Rejected before any enumeration: the registry already in place (the
+    default ./families.json) stays byte for byte, and no report is written."""
+    def no_survey(*args, **kwargs):
+        raise AssertionError("enumerated before the output paths were checked")
+
+    monkeypatch.setattr(verify, "survey", no_survey)
+    monkeypatch.chdir(tmp_path)
+    registry = tmp_path / "families.json"
+    registry.write_bytes(REGISTRY.read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--threads", "1", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {missing}: no directory missing" in err
+    assert "Traceback" not in err
+    assert registry.read_bytes() == REGISTRY.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json"]
 
 
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])

@@ -19,9 +19,6 @@ from mostar.enumeration import (
     bicyclic_task,
     enumerate_connected,
     maximize,
-    maximize_bicyclic,
-    maximize_tricyclic,
-    maximize_unicyclic,
     survey,
     trees,
     tricyclic_task,
@@ -170,7 +167,7 @@ def test_survey_braces_on_6_vertices():
 
 
 def test_empty_and_infeasible_classes():
-    res = maximize_tricyclic(5)  # would need 3 vertices with 5 edges
+    res = maximize(tricyclic_task(5))  # would need 3 vertices with 5 edges
     assert res.graphs_visited == 0
     assert res.max_value is None and res.maximizers == ()
     assert maximize(EnumerationTask(3, 0)).graphs_visited == 0
@@ -182,11 +179,11 @@ def test_capacity_error():
 
 
 def test_maximize_small_tricyclic():
-    res = maximize_tricyclic(7)
+    res = maximize(tricyclic_task(7))
     assert res.max_value == 12
     assert len(res.maximizers) == 2
     assert res.graphs_visited == 4
-    res6 = maximize_tricyclic(6)
+    res6 = maximize(tricyclic_task(6))
     assert res6.max_value == 0 and res6.graphs_visited == 1
 
 
@@ -196,7 +193,7 @@ def test_maximize_unicyclic_tie():
     from mostar.families import s_mr
 
     assert edge_mostar(s_mr(9, 3)) == edge_mostar(s_mr(9, 4))
-    res = maximize_unicyclic(9)
+    res = maximize(EnumerationTask(9, 9))  # unicyclic: as many edges as vertices
     from mostar import canonical_form
 
     assert canonical_form(s_mr(9, 3)) in res.maximizers
@@ -204,14 +201,14 @@ def test_maximize_unicyclic_tie():
 
 
 def test_bicyclic_m5():
-    res = maximize_bicyclic(5)
+    res = maximize(bicyclic_task(5))
     assert res.max_value == 4 and res.graphs_visited == 1
 
 
 def test_worker_independence_bytes():
     blobs = []
     for workers in (1, 2, 8):
-        res = maximize_tricyclic(8, workers=workers, histogram=True)
+        res = maximize(tricyclic_task(8), workers=workers)
         blobs.append(json.dumps(res.to_dict(), sort_keys=True).encode())
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -227,12 +224,6 @@ def test_survey_braces_tricyclic_8():
         assert "COMPOSITE" in kinds
 
 
-def test_histogram_totals():
-    res = maximize_tricyclic(8, histogram=True)
-    assert sum(res.histogram.values()) == res.graphs_visited
-    assert res.histogram[23] == 3
-
-
 # the atlas's surveys up to tricyclic 11: five tricyclic and six bicyclic
 # sizes over the vertex counts 4..9
 ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
@@ -245,18 +236,18 @@ def _survey_blob(s):
 
 @pytest.fixture(scope="module")
 def single_surveys():
-    return {task: survey([task], histogram=True)[task] for task in ATLAS_TASKS}
+    return {task: survey([task])[task] for task in ATLAS_TASKS}
 
 
 @pytest.fixture(scope="module")
 def multi_surveys():
-    return {w: survey(ATLAS_TASKS, workers=w, histogram=True) for w in (1, 2)}
+    return {w: survey(ATLAS_TASKS, workers=w) for w in (1, 2)}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_task_survey_matches_single_tasks(single_surveys, multi_surveys, workers):
     """One call over many tasks, several sharing a vertex count, gives each
-    task exactly its single-task survey: result with histogram, and braces."""
+    task exactly its single-task survey: result and braces."""
     got = multi_surveys[workers]
     assert list(got) == ATLAS_TASKS
     for task in ATLAS_TASKS:
@@ -277,10 +268,10 @@ def test_multi_task_survey_order_and_repeats():
     """Neither the order of the task list nor a repeated task changes any
     survey; a repeated task is one key."""
     tasks = [tricyclic_task(m) for m in range(7, 10)] + [bicyclic_task(m) for m in range(5, 9)]
-    want = survey(tasks, histogram=True)
+    want = survey(tasks)
     for shuffled in (tasks[::-1], tasks[1::2] + tasks[::2] + tasks[:3]):
         for workers in (1, 2):
-            got = survey(shuffled, workers=workers, histogram=True)
+            got = survey(shuffled, workers=workers)
             assert set(got) == set(tasks)
             assert all(_survey_blob(got[t]) == _survey_blob(want[t]) for t in tasks)
 

@@ -18,7 +18,6 @@ from mostar.families import (
     _poly_eval,
     _poly_str,
     _unresolved_forensics,
-    _with_pendants,
     build,
     builtin_registry,
     polynomial,
@@ -26,7 +25,7 @@ from mostar.families import (
     single_attach_decomposition,
     verify_family,
 )
-from mostar.graphs import hub_paths, theta
+from mostar.graphs import hub_paths, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import hang_random_trees
@@ -269,7 +268,7 @@ def _reference_single_attach(g):
     hot = [v for v, k in d.attachment_profile.items() if k > 0]
     if len(hot) != 1:
         return None
-    rebuilt = _with_pendants(d.brace, hot[0], d.pendant_count)
+    rebuilt = with_pendants(d.brace, {hot[0]: d.pendant_count})
     return (d.brace, hot[0]) if isomorphic(rebuilt, g) else None
 
 
@@ -286,7 +285,7 @@ def test_single_attach_decomposition_matches_rebuild(registry):
     for brace in braces:
         for _ in range(30):
             if rng.random() < 0.5:
-                g = _with_pendants(brace, rng.randrange(brace.n), rng.randint(0, 6))
+                g = with_pendants(brace, {rng.randrange(brace.n): rng.randint(0, 6)})
             else:
                 g = hang_random_trees(rng, brace, rng.randint(1, 6))
             got = single_attach_decomposition(g)

@@ -18,6 +18,7 @@ from mostar import (
     star,
     write_graph6,
 )
+from mostar.graphs import with_pendants
 from _helpers import all_graphs, floyd_warshall, random_connected
 
 
@@ -195,3 +196,36 @@ def test_graph_invariants_enforced():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def _one_by_one(g, counts):
+    """One `add_pendant` call per new vertex, vertices in increasing order."""
+    for v in sorted(counts):
+        for _ in range(counts[v]):
+            g = g.add_pendant(v)
+    return g
+
+
+@pytest.mark.parametrize("counts", [
+    {}, {0: 1}, {2: 3}, {0: 2, 3: 1}, {3: 1, 1: 2, 0: 0, 2: 4},
+])
+def test_with_pendants_equals_add_pendant_calls(counts):
+    g = cycle(4)
+    assert with_pendants(g, counts) == _one_by_one(g, counts)
+
+
+def test_with_pendants_labels():
+    """New vertices are numbered from n on, vertex by vertex in increasing
+    order, whatever order the counts come in."""
+    want = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (2, 5)])
+    assert with_pendants(cycle(3), {2: 1, 0: 2}) == want
+    assert cycle(3).add_pendant(0).add_pendant(0).add_pendant(2) == want
+
+
+def test_with_pendants_errors():
+    with pytest.raises(GraphError, match="negative pendant count -1 at vertex 0"):
+        with_pendants(cycle(3), {0: -1})
+    with pytest.raises(GraphError, match="out of range"):
+        with_pendants(cycle(3), {3: 1})
+    with pytest.raises(GraphError, match="out of range"):
+        cycle(3).add_pendant(-1)

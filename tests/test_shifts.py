@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mostar import Graph, GraphError, cycle, cyclomatic_number, is_connected, isomorphic
 from mostar.graphs import theta
+from _helpers import reference_measured_delta
 from mostar.shifts import (
     DISCREPANT,
     GROUPS,
@@ -66,6 +68,20 @@ def test_shift_keeps_braces_connected(gid):
                         h = shift_pendants(g, ShiftSpec(source, target, count))
                         assert (h.n, h.m) == (g.n, g.m)
                         assert is_connected(h), (gid, source, target, k, count)
+
+
+@pytest.mark.parametrize("rule_id", rule_ids())
+def test_measured_delta_matches_build_and_shift(rule_id):
+    """Deltas from the pendant counts before and after a shift equal those
+    of building the configuration and moving its pendant edges, on the
+    rule's calibrated brace, over a grid of tuples."""
+    rule = RULES[rule_id]
+    cal = calibrate(rule.group)
+    brace = cal.brace()
+    for values in itertools.product((0, 1, 3), repeat=len(rule.live)):
+        p = dict(zip(rule.live, values))
+        assert measured_delta(brace, cal.roles, rule, p) == \
+            reference_measured_delta(brace, cal.roles, rule, p), p
 
 
 def test_shift_errors():
