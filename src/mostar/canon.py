@@ -193,28 +193,29 @@ def pair_orbit_reps(
     generators: tuple[tuple[int, ...], ...],
     pairs: list[tuple[int, int]],
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """Map each unordered pair to the smallest pair in its orbit.
+    """Map each pair (u, v), u < v, to the smallest pair in its orbit.
 
     Orbits are taken under the group generated by `generators`, acting on
     the given pair set (the set must be closed under the action, which holds
-    for edge sets and non-edge sets).
+    for edge sets and non-edge sets): the components of the graph joining
+    each pair to its images, found by union-find over the codes u * n + v,
+    which order as the pairs do, with the smaller code as the root.
     """
-    reps: dict[tuple[int, int], tuple[int, int]] = {}
-    pending = set(pairs)
-    while pending:
-        start = min(pending)
-        orbit = {start}
-        stack = [start]
-        while stack:
-            a, b = stack.pop()
-            for gen in generators:
-                na, nb = gen[a], gen[b]
-                p = (na, nb) if na < nb else (nb, na)
-                if p not in orbit:
-                    orbit.add(p)
-                    stack.append(p)
-        rep = min(orbit)
-        for p in orbit:
-            reps[p] = rep
-        pending -= orbit
-    return reps
+    if not generators:
+        return {p: p for p in pairs}
+    parent = list(range(n * n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for gen in generators:
+        for u, v in pairs:
+            x, y = gen[u], gen[v]
+            ra, rb = find(u * n + v), find(x * n + y if x < y else y * n + x)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+    return {(u, v): divmod(find(u * n + v), n) for u, v in pairs}

@@ -175,12 +175,13 @@ def cmd_atlas(args) -> int:
         bi_max_size=min(args.max_size, 10),
         workers=args.threads,
     )
-    result.registry.save(args.output)
+    # the report first, so an unwritable report path leaves the registry as it was
     report_text = json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.report:
         Path(args.report).write_text(report_text)
     else:
         sys.stdout.write(report_text)
+    result.registry.save(args.output)
     print(f"registry written to {args.output}", file=sys.stderr)
     if result.report.unresolved:
         print(f"unresolved families: {sorted(result.report.unresolved)}",

@@ -10,9 +10,11 @@ parallel split trivial: every spanning-tree seed owns an independent
 subtree of the generation forest, and fold results merge associatively,
 so output is identical for any worker count.
 
-Acceptance reads only the child and the edge just added, never the size
-the walk is heading for (lazy labelling, below, changes only whether canon
-data comes back).  So the accepted nodes with m edges in the walk from the
+Acceptance is a function of the child and the edge just added alone, never
+of the size the walk is heading for (lazy labelling, below, changes only
+whether canon data comes back).  It reads the child's bridges off its
+parent (step 2), but those are the child's own bridges, whichever parent
+they come from.  So the accepted nodes with m edges in the walk from the
 trees on n vertices are one representative per class of connected (n, m)
 graphs, whatever size the walk goes on to.  A tricyclic walk (n vertices,
 n + 2 edges) therefore passes through every bicyclic graph on n vertices
@@ -26,10 +28,12 @@ vertices adjacent to either end), and among them the edge whose sorted pair of
 canonical labels is smallest.  A child made by adding e to its parent is
 tested against that rule cheapest step first:
 
-0. Before the child is built, `_parent_rejects` reads the parent's
-   non-bridge edges (computed once per parent, sorted by degree pair) with
-   the degrees of e's ends raised by one, and rejects when one of them has
-   a strictly smaller degree pair than e.  Sound because adding an edge
+0. Once per parent, `_nonbridge_floor` finds the non-bridge edges and,
+   for each bridge xy, the vertices reachable from x without it (one
+   bitset reachability pass per edge with no end of degree 1).  Before the
+   child is built, `_parent_rejects` reads those non-bridge edges with the
+   degrees of e's ends raised by one, and rejects when one of them has a
+   strictly smaller degree pair than e.  Sound because adding an edge
    never turns a non-bridge into a bridge, and the pair is the score's
    leading component.
 
@@ -38,10 +42,10 @@ tested against that rule cheapest step first:
 1. Score every edge by its sorted degree pair alone, and compute the full
    score only for edges whose pair equals e's.  The pair is the score's
    leading component, so a smaller or larger pair settles the comparison.
-2. Test bridge-ness (one bitset reachability pass on the child minus that
-   edge) only for edges scoring no higher than e.  e itself always closes
-   a cycle, so it is never a bridge, and an edge with an end of degree 1
-   is a bridge with no search.
+2. Test bridge-ness only for edges scoring no higher than e, with no
+   search: adding e = uv creates no bridge, and a parent bridge xy stays a
+   bridge of the child exactly when u and v lie on the same side of it.
+   e itself always closes a cycle, so it is never a bridge.
 3. Reject as soon as a non-bridge edge scores strictly lower than e: then
    e is not of minimum score and cannot be the canonical deletion edge.
 4. Otherwise e's score is the minimum, and the non-bridge edges sharing it
@@ -73,7 +77,7 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
 from .canon import CANON_MAX_N, CanonCapacityError, CanonResult, canon, pair_orbit_reps
-from .graphs import Graph, reachable_mask, write_graph6
+from .graphs import Graph, edge_pairs, reachable_mask, write_graph6
 from .indices import edge_mostar
 
 
@@ -181,25 +185,13 @@ def _edge_inv(adj: tuple[int, ...], deg: list[int], a: int, b: int):
     return (da, db, tuple(nbr))
 
 
-def _is_bridge(cut: list[int], adj: tuple[int, ...], u: int, v: int) -> bool:
-    """Is edge uv of `adj` a bridge?  `cut` is a scratch copy of `adj`,
-    restored before return: uv is a bridge exactly when v is unreachable
-    from u without it.  A pendant edge is a bridge with no search."""
-    if adj[u] & (adj[u] - 1) == 0 or adj[v] & (adj[v] - 1) == 0:
-        return True
-    cut[u] ^= 1 << v
-    cut[v] ^= 1 << u
-    bridge = not reachable_mask(cut, u) >> v & 1
-    cut[u] = adj[u]
-    cut[v] = adj[v]
-    return bridge
-
-
 def _accept_edge_child(
-    n: int, child: tuple[int, ...], a: int, b: int, label: bool
+    n: int, child: tuple[int, ...], a: int, b: int, label: bool,
+    sides: dict[tuple[int, int], int],
 ) -> tuple[bool, Optional[CanonResult]]:
     """McKay acceptance: does (a, b) sit in the orbit of the canonical
     deletion edge of `child`?  Returns (accepted, the child's canon data).
+    `sides` holds the bridge sides of the parent, `child` minus (a, b).
     With `label` false, a child whose tie set is {(a, b)} is accepted
     without labelling and the canon data is None.  The steps run cheapest
     first, in the order the module docstring gives."""
@@ -209,7 +201,6 @@ def _accept_edge_child(
     e_pair = (da, db) if da <= db else (db, da)
     e_inv = None
     ties = [e]
-    cut = list(child)
     for u in range(n):
         du = deg[u]
         row = child[u] >> (u + 1)
@@ -230,8 +221,9 @@ def _accept_edge_child(
                 if inv > e_inv:
                     continue
                 lower = inv < e_inv
-            if _is_bridge(cut, child, u, v):
-                continue
+            side = sides.get((u, v))
+            if side is not None and not (side >> a ^ side >> b) & 1:
+                continue  # a parent bridge that (a, b) does not bypass
             if lower:
                 return False, None
             ties.append((u, v))
@@ -253,23 +245,32 @@ def _accept_edge_child(
     return False, None
 
 
-def _nonbridge_floor(n: int, adj: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """The non-bridge edges xy of a parent as (deg x, deg y, x, y) with
-    deg x <= deg y, sorted: the pre-filter's input."""
+def _nonbridge_floor(
+    n: int, adj: tuple[int, ...]
+) -> tuple[list[tuple[int, int, int, int]], dict[tuple[int, int], int]]:
+    """The non-bridge edges xy of a connected parent as (deg x, deg y, x, y)
+    with deg x <= deg y, sorted (the pre-filter's input), and the side of
+    each bridge xy, x < y: the vertices reachable from x without xy."""
     cut = list(adj)
-    out = []
-    for x in range(n):
-        row = adj[x] >> (x + 1)
-        base = x + 1
-        while row:
-            low = row & -row
-            y = base + low.bit_length() - 1
-            row ^= low
-            if not _is_bridge(cut, adj, x, y):
-                dx, dy = adj[x].bit_count(), adj[y].bit_count()
-                out.append((dx, dy, x, y) if dx <= dy else (dy, dx, y, x))
-    out.sort()
-    return out
+    deg = [row.bit_count() for row in adj]
+    floor = []
+    sides = {}
+    for x, y in edge_pairs(adj):
+        dx, dy = deg[x], deg[y]
+        if dx == 1:
+            sides[x, y] = 1 << x
+        elif dy == 1:
+            sides[x, y] = (1 << n) - 1 - (1 << y)
+        else:
+            cut[x], cut[y] = adj[x] ^ 1 << y, adj[y] ^ 1 << x
+            side = reachable_mask(cut, x)
+            cut[x], cut[y] = adj[x], adj[y]
+            if side >> y & 1:
+                floor.append((dx, dy, x, y) if dx <= dy else (dy, dx, y, x))
+            else:
+                sides[x, y] = side
+    floor.sort()
+    return floor, sides
 
 
 def _parent_rejects(
@@ -321,7 +322,7 @@ def _augment(
     if not nonedges:
         return
     reps = pair_orbit_reps(n, cres.generators, nonedges)
-    floor = _nonbridge_floor(n, adj) if m_cur >= n else []
+    floor, sides = _nonbridge_floor(n, adj)
     last = m_cur + 1 == m_last
     for u, v in sorted(set(reps.values())):
         if _parent_rejects(adj, floor, u, v):
@@ -330,7 +331,7 @@ def _augment(
             r | (1 << v) if i == u else (r | (1 << u) if i == v else r)
             for i, r in enumerate(adj)
         )
-        accepted, ccres = _accept_edge_child(n, child, u, v, label=not last)
+        accepted, ccres = _accept_edge_child(n, child, u, v, label=not last, sides=sides)
         if accepted:
             yield from _augment(n, child, ccres, m_cur + 1, sizes)
 

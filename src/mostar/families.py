@@ -591,19 +591,33 @@ def discover_families(
     return reg, report
 
 
+def _family_keys(reg: FamilyRegistry) -> dict[str, str]:
+    """Each registry family's marked-base key."""
+    return {f: _normalize_candidate(reg[f].base_graph(), reg[f].attach)[2]
+            for f in reg.ids()}
+
+
+def _member_ids(reg: FamilyRegistry, keys: dict[str, str], g: Graph) -> list[str]:
+    """The registry families whose member of g's size is isomorphic to g;
+    `keys` is `_family_keys(reg)`.  Registry bases are braces, so past a
+    family's base size b its members are exactly the graphs whose
+    single-attach decomposition has the family's marked-base key, and at
+    m = b the member is the base itself."""
+    dec = single_attach_decomposition(g)
+    g_key = None if dec is None else _normalize_candidate(*dec)[2]
+    return [f for f, key in keys.items() if reg[f].m_min <= g.m and (
+        isomorphic(g, reg[f].base_graph()) if g.m == reg[f].m_base else g_key == key)]
+
+
 def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
     """Match every enumerated maximizer to a registry family; leftovers are
     the graphs the printed equality cases do not name."""
+    keys = _family_keys(reg)
     for surveys in (tri_surveys, bi_surveys):
         for m in sorted(surveys):
-            observed = surveys[m].result.maximizers
-            explained = set()
-            for fid in reg.ids():
-                spec = reg[fid]
-                if spec.m_min <= m:
-                    explained.add(canonical_form(spec.build(m)))
-            extras = [g6 for g6 in observed if g6 not in explained]
+            extras = [g6 for g6 in surveys[m].result.maximizers
+                      if not _member_ids(reg, keys, parse_graph6(g6))]
             if not extras:
                 continue
             report.unattributed_maximizers.setdefault(m, []).extend(extras)
@@ -630,7 +644,7 @@ def _member_collisions(reg: FamilyRegistry, hi: int) -> dict[str, list[int]]:
     are isomorphic, at m > b exactly when their marked-base keys are equal.
     """
     ids = reg.ids()
-    keys = {f: _normalize_candidate(reg[f].base_graph(), reg[f].attach)[2] for f in ids}
+    keys = _family_keys(reg)
     out = {}
     for i, f1 in enumerate(ids):
         for f2 in ids[i + 1:]:

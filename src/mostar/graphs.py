@@ -36,6 +36,19 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def edge_pairs(adj: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The edges of adjacency rows `adj` as plain (u, v) pairs, u < v, in
+    increasing order."""
+    out = []
+    for u, row in enumerate(adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            out.append((u, u + low.bit_length()))
+            row ^= low
+    return out
+
+
 class Graph:
     """Undirected simple graph with contiguous integer vertex labels."""
 
@@ -83,15 +96,7 @@ class Graph:
         return _bits(self.adj[v])
 
     def edges(self) -> list[Edge]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            base = u + 1
-            while row:
-                low = row & -row
-                out.append(Edge(u, base + low.bit_length() - 1))
-                row ^= low
-        return out
+        return [Edge(u, v) for u, v in edge_pairs(self.adj)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -258,8 +263,10 @@ def reachable_mask(adj: tuple[int, ...], start: int) -> int:
     seen = frontier = 1 << start
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         nxt &= ~seen
         seen |= nxt
         frontier = nxt

@@ -32,7 +32,9 @@ m - |EB_k(s)|.  An edge f is in EB_k(u) but not in EB_k(v) exactly when
 k = d(u, f) < d(v, f), so m_u is the sum over k of the sizes of those
 set differences.
 The vertex Mostar index uses the same recurrence seeded with one-vertex
-balls: n_u - n_v = Tr(v) - Tr(u) for the vertex transmission Tr.
+balls: n_u - n_v = Tr(v) - Tr(u) for the vertex transmission Tr.  In a
+connected graph a ball short of full grows at the next level, so the
+recurrence is also the connectivity check, with no separate search.
 
 `edge_report` keeps the definition itself, one distance table and a pass
 over the edges, as the per-edge reference.
@@ -44,11 +46,15 @@ family-polynomial checks at large sizes safe without any width concerns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterator
 
 from .graphs import (
-    Edge, Graph, GraphError, all_pairs_distances, bfs_distances, is_connected,
+    Edge, Graph, GraphError, all_pairs_distances, bfs_distances, edge_pairs,
+    is_connected, write_graph6,
 )
+
+_DISCONNECTED = "operation requires a connected graph"
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,6 @@ class MostarSummary:
         }
 
 
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise GraphError("operation requires a connected graph")
-
-
 def edge_vertex_distance(dm: list[list], f: Edge, x: int) -> int:
     """min(d(x, f.u), d(x, f.v)) from a precomputed distance table."""
     du = dm[x][f.u]
@@ -106,7 +107,8 @@ def edge_report(g: Graph, e: Edge, dm: list[list] | None = None) -> EdgeReport:
     e = Edge.of(e[0], e[1])
     if not g.has_edge(e.u, e.v):
         raise GraphError(f"edge {e} not in graph")
-    _require_connected(g)
+    if not is_connected(g):
+        raise GraphError(_DISCONNECTED)
     if dm is None:
         dm = all_pairs_distances(g)
     du = dm[e.u]
@@ -126,55 +128,70 @@ def edge_report(g: Graph, e: Edge, dm: list[list] | None = None) -> EdgeReport:
     return EdgeReport(e, m_u, m_v, eq)
 
 
-def _balls(g: Graph, seeds: list[int]) -> Iterator[list[int]]:
+def _balls(adj: tuple[int, ...], seeds: list[int]) -> Iterator[list[int]]:
     """Yield B_0, B_1, ... for every source at once, where B_0[s] = seeds[s]
     and B_k[s] is the union of B_{k-1}[t] over t in N[s]; stop after the
-    first level at which every ball holds the union of all seeds.  The
-    graph must be connected, or the balls never fill."""
+    first level at which every ball holds the union of all seeds, and raise
+    when no ball grows while one is short of it (see the module docstring).
+    Edge seeds on an edgeless graph start full, so that case is tested on
+    its own."""
+    n = len(adj)
     full = 0
     for b in seeds:
         full |= b
-    nbrs = [list(g.neighbors(s)) for s in range(g.n)]
+    if not full and n > 1:
+        raise GraphError(_DISCONNECTED)
+    nbrs = []
+    for row in adj:
+        out = []
+        while row:
+            low = row & -row
+            out.append(low.bit_length() - 1)
+            row ^= low
+        nbrs.append(out)
     balls = seeds
     while True:
         yield balls
-        if all(b == full for b in balls):
-            return
         nxt = []
         for s, b in enumerate(balls):
             if b != full:
                 for t in nbrs[s]:
                     b |= balls[t]
             nxt.append(b)
+        if nxt == balls:  # no ball grew
+            if balls.count(full) != n:
+                raise GraphError(_DISCONNECTED)
+            return
         balls = nxt
 
 
-def _transmissions(g: Graph, seeds: list[int], size: int) -> list[int]:
+def _transmissions(adj: tuple[int, ...], seeds: list[int], size: int) -> list[int]:
     """Sum over k of (size - |B_k[s]|) for every source s: the edge
     transmission for incidence seeds (size m), the vertex one for
     singletons (size n)."""
-    t = [0] * g.n
-    for balls in _balls(g, seeds):
+    t = [0] * len(adj)
+    for balls in _balls(adj, seeds):
         for s, b in enumerate(balls):
             t[s] += size - b.bit_count()
     return t
 
 
-def _incidence(g: Graph, edges: list[Edge]) -> list[int]:
-    """EB_0: per vertex, the bitmask of the indices of its edges."""
-    inc = [0] * g.n
-    for i, (u, v) in enumerate(edges):
+def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
+    """`edge_pairs(adj)` and EB_0: per vertex, the bitmask of the indices
+    of its edges."""
+    pairs = edge_pairs(adj)
+    inc = [0] * len(adj)
+    for i, (u, v) in enumerate(pairs):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-    return inc
+    return pairs, inc
 
 
 def edge_mostar(g: Graph) -> int:
     """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|."""
-    _require_connected(g)
-    edges = g.edges()
-    t = _transmissions(g, _incidence(g, edges), len(edges))
-    return sum(abs(t[u] - t[v]) for u, v in edges)
+    pairs, inc = _edge_seeds(g.adj)
+    t = _transmissions(g.adj, inc, len(pairs))
+    return sum(abs(t[u] - t[v]) for u, v in pairs)
 
 
 def pendant_tails(
@@ -192,54 +209,51 @@ def pendant_tails(
     N counts the edges with s_e != 0 and C = sum of s_e c_e plus the
     |c_e| with s_e = 0.  k0 is also the least such k: with s_e = +-1,
     |c_e + k s_e| = |s_e c_e + k|, so the exact index minus the quadratic
-    is 2 * sum over s_e != 0 of max(0, -s_e c_e - k), which is positive
-    for every k < k0.  Returns, indexed by w, (poly, holds_from, head):
-    poly holds for every m >= holds_from = b + k0 and, when k0 > 0,
-    fails at holds_from - 1; head holds the exact index at
-    m = b .. holds_from - 1."""
-    _require_connected(brace)
-    edges = brace.edges()
-    b = len(edges)
-    t = _transmissions(brace, _incidence(brace, edges), b)
+    is 2 * sum over s_e != 0 of max(0, d_e - k) with d_e = -s_e c_e, which
+    is positive for every k < k0.  Returns, indexed by w, (poly,
+    holds_from, head): poly holds for every m >= holds_from = b + k0 and,
+    when k0 > 0, fails at holds_from - 1; head holds the exact index at
+    m = b .. holds_from - 1, read off that difference."""
+    pairs, inc = _edge_seeds(brace.adj)
+    b = len(pairs)
+    t = _transmissions(brace.adj, inc, b)
     forms = []
     for w in range(brace.n):
         dw = bfs_distances(brace, w)
-        terms = [(t[v] - t[u], (dw[u] < dw[v]) - (dw[u] > dw[v])) for u, v in edges]
+        terms = [(t[v] - t[u], (dw[u] < dw[v]) - (dw[u] > dw[v])) for u, v in pairs]
         n_sloped = sum(1 for _, s in terms if s)
         const = sum(s * c if s else abs(c) for c, s in terms)
         poly = (1, n_sloped - 1 - b, b - b * n_sloped + const)
-
-        def exact(k: int) -> int:
-            return k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
-
-        k0 = max([0] + [-s * c for c, s in terms])
-        forms.append((poly, b + k0, tuple(exact(j) for j in range(k0))))
+        ds = sorted((-s * c for c, s in terms if s * c < 0), reverse=True)
+        k0 = ds[0] if ds else 0
+        head = tuple(
+            (b + k) * (b + k + poly[1]) + poly[2]
+            + 2 * sum(d - k for d in takewhile(lambda d: d > k, ds))
+            for k in range(k0)
+        )
+        forms.append((poly, b + k0, head))
     return forms
 
 
 def vertex_mostar(g: Graph) -> int:
     """Vertex analogue: count vertices strictly closer to each endpoint."""
-    _require_connected(g)
-    tr = _transmissions(g, [1 << s for s in range(g.n)], g.n)
-    return sum(abs(tr[u] - tr[v]) for u, v in g.edges())
+    tr = _transmissions(g.adj, [1 << s for s in range(g.n)], g.n)
+    return sum(abs(tr[u] - tr[v]) for u, v in edge_pairs(g.adj))
 
 
 def mostar_summary(g: Graph) -> MostarSummary:
     """Full per-edge breakdown from one pass over the edge balls."""
-    from .graphs import write_graph6
-
-    _require_connected(g)
-    edges = g.edges()
-    m = len(edges)
+    pairs, inc = _edge_seeds(g.adj)
+    m = len(pairs)
     t = [0] * g.n
     mu = [0] * m
-    for balls in _balls(g, _incidence(g, edges)):
+    for balls in _balls(g.adj, inc):
         for s, b in enumerate(balls):
             t[s] += m - b.bit_count()
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(pairs):
             mu[i] += (balls[u] & ~balls[v]).bit_count()
     reports = []
-    for e, m_u in zip(edges, mu):
-        m_v = m_u + t[e.u] - t[e.v]
-        reports.append(EdgeReport(e, m_u, m_v, m - 1 - m_u - m_v))
+    for (u, v), m_u in zip(pairs, mu):
+        m_v = m_u + t[u] - t[v]
+        reports.append(EdgeReport(Edge(u, v), m_u, m_v, m - 1 - m_u - m_v))
     return MostarSummary(write_graph6(g), sum(r.psi for r in reports), tuple(reports))

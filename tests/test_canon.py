@@ -119,6 +119,44 @@ def test_pair_orbit_reps_on_star_edges():
     assert len(set(reps.values())) == 1  # all spokes equivalent
 
 
+def brute_pair_reps(g, pairs):
+    """Smallest pair of each orbit under every automorphism of g, found by
+    trying all permutations."""
+    orbits = {p: {p} for p in pairs}
+    for perm in itertools.permutations(range(g.n)):
+        if g.relabel(list(perm)) == g:
+            for u, v in pairs:
+                orbits[u, v].add(tuple(sorted((perm[u], perm[v]))))
+    return {p: min(orbit) for p, orbit in orbits.items()}
+
+
+def test_pair_orbit_reps_match_brute_force():
+    """On edge sets and non-edge sets of random graphs with n <= 6, the
+    union-find representatives are the smallest pairs of the full
+    automorphism orbits; with every permutation of 5 points as the one
+    generator they are the smallest pairs of its cycles on pairs; with no
+    generators every pair stands alone."""
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        gens = canon(g).generators
+        for subset in ([e for e in pairs if g.has_edge(*e)],
+                       [e for e in pairs if not g.has_edge(*e)]):
+            assert pair_orbit_reps(n, gens, subset) == brute_pair_reps(g, subset)
+    pairs5 = list(itertools.combinations(range(5), 2))
+    for perm in itertools.permutations(range(5)):
+        want = {}
+        for p in pairs5:
+            orbit, q = {p}, p
+            while (q := tuple(sorted((perm[q[0]], perm[q[1]])))) != p:
+                orbit.add(q)
+            want[p] = min(orbit)
+        assert pair_orbit_reps(5, (perm,), pairs5) == want
+    assert pair_orbit_reps(4, (), [(0, 1), (2, 3)]) == {(0, 1): (0, 1), (2, 3): (2, 3)}
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_relabeling_invariance(seed):

@@ -324,6 +324,21 @@ def test_atlas_missing_output_directory(tmp_path, capsys, monkeypatch, argv, mis
     assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json"]
 
 
+def test_atlas_unwritable_report_keeps_registry(tmp_path, capsys, monkeypatch):
+    """A report path that is an existing directory fails after the
+    enumeration: exit 2, and the registry in place (the default
+    ./families.json) stays byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    registry = tmp_path / "families.json"
+    registry.write_bytes(REGISTRY.read_bytes())
+    rc, _, err = run(capsys, ["atlas", "--max-size", "7", "--threads", "1",
+                              "--report", "adir"])
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err
+    assert registry.read_bytes() == REGISTRY.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
 def test_verify_size_and_range_exclusive(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 
 from mostar import (
     CanonCapacityError,
+    Graph,
     canon,
     canonical_form,
     complete,
@@ -23,7 +24,12 @@ from mostar.enumeration import (
     trees,
     tricyclic_task,
 )
-from _helpers import brute_connected_class_count, reference_accept_edge_child
+from _helpers import (
+    brute_connected_class_count,
+    naive_distances,
+    reference_accept_edge_child,
+    tarjan_bridges,
+)
 
 
 def _class_count(task):
@@ -91,8 +97,8 @@ def test_acceptance_matches_reference_rule(monkeypatch):
             seen["skipped"] += 1
         return got
 
-    def checked_accept(n, child, a, b, label):
-        accepted, cres = fast_accept(n, child, a, b, label)
+    def checked_accept(n, child, a, b, label, sides):
+        accepted, cres = fast_accept(n, child, a, b, label, sides)
         ref = reference_accept_edge_child(n, child, a, b)
         if accepted and cres is None:
             assert not label and ref is not None, (child, a, b)
@@ -111,6 +117,44 @@ def test_acceptance_matches_reference_rule(monkeypatch):
     assert all(seen[k] > 0 for k in ("skipped", "unlabelled", True, False))
     # every child of the generation forest at these sizes was judged
     assert sum(seen.values()) == 7167
+
+
+def test_bridge_sides_match_tarjan(monkeypatch):
+    """For every parent of the tricyclic m <= 10 and bicyclic m <= 9 walks,
+    the non-bridge edges and bridge sides equal Tarjan's bridges and a
+    dict-BFS reach; for every child the parent builds, the bridges read off
+    those sides equal Tarjan's bridges of the child."""
+    fast_floor = enumeration._nonbridge_floor
+    fast_accept = enumeration._accept_edge_child
+    seen = Counter()
+
+    def checked_floor(n, adj):
+        floor, sides = fast_floor(n, adj)
+        parent = Graph(n, adj)
+        bridges = tarjan_bridges(n, adj)
+        assert set(sides) == bridges, adj
+        assert {(min(x, y), max(x, y)) for _, _, x, y in floor} == \
+            {tuple(e) for e in parent.edges()} - bridges, adj
+        for (x, y), side in sides.items():
+            reach = naive_distances(parent.remove_edge(x, y), x)
+            assert side == sum(1 << v for v in reach), (adj, x, y)
+        seen["parents"] += 1
+        return floor, sides
+
+    def checked_accept(n, child, a, b, label, sides):
+        got = {f for f, side in sides.items() if not (side >> a ^ side >> b) & 1}
+        assert got == tarjan_bridges(n, child), (child, a, b)
+        seen["children"] += 1
+        return fast_accept(n, child, a, b, label, sides)
+
+    monkeypatch.setattr(enumeration, "_nonbridge_floor", checked_floor)
+    monkeypatch.setattr(enumeration, "_accept_edge_child", checked_accept)
+    for m in range(6, 11):
+        _class_count(tricyclic_task(m))
+    for m in range(5, 10):
+        _class_count(bicyclic_task(m))
+    # the children the pre-filter lets through (7,167 minus the skipped)
+    assert seen == {"parents": 702, "children": 3096}
 
 
 def _naive_fold(task):

@@ -13,6 +13,8 @@ from mostar.families import (
     NotPinnedError,
     _brace_tails,
     _collect_group,
+    _family_keys,
+    _member_ids,
     _member_collisions,
     _normalize_candidate,
     _poly_eval,
@@ -25,7 +27,7 @@ from mostar.families import (
     single_attach_decomposition,
     verify_family,
 )
-from mostar.graphs import hub_paths, theta, with_pendants
+from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import hang_random_trees
@@ -259,6 +261,28 @@ def test_member_collisions_exact(registry):
     assert _member_collisions(reg, hi) == _isomorphism_scan(reg, hi) == {
         "F1/F1_copy": list(range(7, hi + 1))
     }
+
+
+def test_member_key_rule_matches_labelling(registry, tri_surveys, bi_surveys):
+    """For every registry family and every size 7..12 (tricyclic) and 5..10
+    (bicyclic), the key rule that attributes maximizers says "member" of
+    exactly the graphs whose canonical form is the family's member's.  The
+    graphs judged are every family's member of that size and every
+    enumerated maximizer."""
+    keys = _family_keys(registry)
+    checked = 0
+    for surveys in (tri_surveys, bi_surveys):
+        for m, s in sorted(surveys.items()):
+            built = {f: registry[f].build(m)
+                     for f in registry.ids() if registry[f].m_min <= m}
+            members = {f: canonical_form(g) for f, g in built.items()}
+            graphs = {members[f]: g for f, g in built.items()}
+            graphs.update((g6, parse_graph6(g6)) for g6 in s.result.maximizers)
+            for form, g in graphs.items():
+                want = [f for f in registry.ids() if members.get(f) == form]
+                assert _member_ids(registry, keys, g) == want, (m, form)
+                checked += len(want)
+    assert checked > 0
 
 
 def _reference_single_attach(g):

@@ -23,6 +23,7 @@ from mostar import (
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import (
+    naive_distances,
     naive_edge_mostar,
     naive_edge_rows,
     naive_vertex_mostar,
@@ -198,10 +199,46 @@ def test_pendant_tree_contribution_invariance(seed):
 
 
 def test_disconnected_rejected():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    with pytest.raises(GraphError):
-        edge_mostar(g)
-    with pytest.raises(GraphError):
-        vertex_mostar(g)
-    with pytest.raises(GraphError):
-        mostar_summary(g)
+    """The ball recurrence's exit is the connectivity check: edgeless
+    graphs, isolated vertices and components far apart all raise."""
+    for g in (
+        Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+        Graph.empty(2),
+        Graph.empty(5),
+        Graph.from_edges(4, [(1, 2)]),
+        Graph.from_edges(24, [(i, i + 1) for i in range(11)]
+                         + [(i, i + 1) for i in range(12, 23)]),
+    ):
+        for index in (edge_mostar, vertex_mostar, mostar_summary, pendant_tails):
+            with pytest.raises(GraphError, match="requires a connected graph"):
+                index(g)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_trivial_graphs_score_zero(n):
+    g = Graph.empty(n)
+    assert edge_mostar(g) == vertex_mostar(g) == mostar_summary(g).edge_mostar == 0
+    assert mostar_summary(g).per_edge == ()
+
+
+def test_pendant_tail_heads_closed_form(registry):
+    """The heads, read off the sorted positive d_e, equal the direct sum
+    k (b + k - 1) + sum of |c_e + k s_e| with c_e and s_e taken from the
+    definition (dict-BFS distances), at every vertex of every registry
+    base and shift-rule brace."""
+    braces = [registry[fid].base_graph() for fid in registry.ids()]
+    braces += [b for group in GROUPS.values() for b in group.realizations]
+    for brace in braces:
+        b = brace.m
+        rows = naive_edge_rows(brace)
+        dist = [naive_distances(brace, s) for s in range(brace.n)]
+        for w, (_, holds_from, head) in enumerate(pendant_tails(brace)):
+            terms = [
+                (mu - mv, (dist[w][u] < dist[w][v]) - (dist[w][u] > dist[w][v]))
+                for (u, v), (mu, mv, _) in zip(brace.edges(), rows)
+            ]
+            k0 = max(0, *(-s * c for c, s in terms))
+            assert holds_from == b + k0, (brace, w)
+            direct = [k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
+                      for k in range(k0)]
+            assert list(head) == direct, (brace, w)
