@@ -8,6 +8,7 @@ genuinely different routes to the same numbers.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -41,6 +42,63 @@ def random_connected_density(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     }
     return Graph.from_edges(n, sorted(edges))
+
+
+def random_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    """Every pair an edge with probability p, p uniform in [0, 1]; may be
+    disconnected."""
+    n = rng.randint(n_lo, n_hi)
+    p = rng.random()
+    return Graph.from_edges(n, [
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    ])
+
+
+def random_twin_rich(rng: random.Random, n_max: int = 16) -> Graph:
+    """A random base graph with every vertex replaced by 1-4 twins, open or
+    closed per class (an independent set or a clique joined to the classes
+    of the base vertex's neighbours), randomly relabelled."""
+    while True:
+        base = random_graph(rng, 1, n_max)
+        sizes = [rng.randint(1, 4) for _ in range(base.n)]
+        if sum(sizes) <= n_max:
+            break
+    starts = list(itertools.accumulate(sizes, initial=0))
+    classes = [range(starts[i], starts[i + 1]) for i in range(base.n)]
+    edges = []
+    for i, cls in enumerate(classes):
+        if rng.random() < 0.5:
+            edges += itertools.combinations(cls, 2)
+        for j in range(i + 1, base.n):
+            if base.has_edge(i, j):
+                edges += itertools.product(cls, classes[j])
+    perm = list(range(starts[-1]))
+    rng.shuffle(perm)
+    return Graph.from_edges(starts[-1], edges).relabel(perm)
+
+
+def circulants(n_max: int):
+    """Every circulant graph C_n(S) with 1 <= n <= n_max, S any set of jumps
+    1..n // 2."""
+    for n in range(1, n_max + 1):
+        for mask in range(1 << n // 2):
+            jumps = [d for d in range(1, n // 2 + 1) if mask >> (d - 1) & 1]
+            yield Graph.from_edges(n, sorted({
+                (min(i, (i + d) % n), max(i, (i + d) % n))
+                for i in range(n) for d in jumps
+            }))
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [
+        (v, v | 1 << k) for v in range(1 << d) for k in range(d) if not v >> k & 1
+    ])
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -124,7 +182,74 @@ def naive_vertex_mostar(g: Graph) -> int:
     return total
 
 
+def _partitions(n: int, largest: int | None = None):
+    """Every partition of n into parts <= largest, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
 def brute_connected_class_count(n: int, m: int) -> int:
+    """Connected graphs with n vertices and m edges up to isomorphism, by
+    Burnside's lemma: the mean, over all n! permutations, of the number of
+    connected m-edge graphs on n labelled vertices that a permutation fixes.
+    A fixed graph is a union of the permutation's orbits on vertex pairs, so
+    the number depends only on the cycle type, which n! / z of the
+    permutations share.  Nothing here uses canonical labelling."""
+    total = 0
+    for parts in _partitions(n):
+        perm, start = [], 0
+        for k in parts:
+            perm += [start + (i + 1) % k for i in range(k)]
+            start += k
+        orbits, placed = [], set()
+        for pair in itertools.combinations(range(n), 2):
+            orbit = []
+            while pair not in placed:
+                placed.add(pair)
+                orbit.append(pair)
+                pair = tuple(sorted((perm[pair[0]], perm[pair[1]])))
+            if orbit:
+                orbits.append(orbit)
+
+        # pairs in orbits j, j + 1, ...: a choice that cannot reach m stops
+        beyond = [sum(map(len, orbits[j:])) for j in range(len(orbits) + 1)]
+
+        def fixed(i: int, left: int, comp: list[int], pieces: int) -> int:
+            """Connected graphs made of the orbits chosen so far plus `left`
+            more pairs from orbits i, i + 1, ...; the chosen orbits form
+            `pieces` components, comp[v] being vertex v's.  One pair joins
+            at most two components, so too few pairs left prune."""
+            if pieces - 1 > left:
+                return 0
+            if left == 0:
+                return 1
+            count = 0
+            for j in range(i, len(orbits)):
+                if beyond[j] < left:
+                    break
+                if len(orbits[j]) <= left:
+                    grown, k = comp[:], pieces
+                    for u, v in orbits[j]:
+                        if not grown[u] >> v & 1:
+                            both, k = grown[u] | grown[v], k - 1
+                            for x in range(n):
+                                if both >> x & 1:
+                                    grown[x] = both
+                    count += fixed(j + 1, left - len(orbits[j]), grown, k)
+            return count
+
+        z = 1
+        for k in set(parts):
+            z *= k ** parts.count(k) * math.factorial(parts.count(k))
+        total += math.factorial(n) // z * fixed(0, m, [1 << v for v in range(n)], n)
+    return total // math.factorial(n)
+
+
+def canon_connected_class_count(n: int, m: int) -> int:
     """Labeled enumeration of every m-edge subset, connectivity filter,
     canonical dedup."""
     from mostar import canon, is_connected
@@ -137,6 +262,150 @@ def brute_connected_class_count(n: int, m: int) -> int:
             continue
         seen.add(canon(g).key)
     return len(seen)
+
+
+def _reference_refine(n: int, adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Refine an ordered partition to equitability.
+
+    Each round splits every cell by the vector of neighbour counts into all
+    current cells; groups are ordered by ascending signature, which depends
+    only on the partition structure, never on vertex labels.
+    """
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        out: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                row = adj[v]
+                sig = 0
+                for m in masks:
+                    sig = sig << 5 | (row & m).bit_count()
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    out.append(groups[sig])
+        cells = out
+        if not changed:
+            return cells
+
+
+class _ReferenceSearch:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        self.n = n
+        self.adj = adj
+        self.best_key: tuple[int, ...] | None = None
+        self.best_lam: list[int] | None = None
+        self.leaf_lams: dict[tuple[int, ...], list[int]] = {}
+        self.generators: list[tuple[int, ...]] = []
+        self.parent = list(range(n))
+
+    def _find(self, v: int) -> int:
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def _union(self, a: int, b: int) -> None:
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def _leaf(self, cells: list[list[int]]) -> None:
+        n, adj = self.n, self.adj
+        lam = [0] * n
+        for pos, cell in enumerate(cells):
+            lam[cell[0]] = pos
+        new_adj = [0] * n
+        for v in range(n):
+            row = adj[v]
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= 1 << lam[low.bit_length() - 1]
+                row ^= low
+            new_adj[lam[v]] = acc
+        key = tuple(new_adj)
+        prev = self.leaf_lams.get(key)
+        if prev is None:
+            self.leaf_lams[key] = lam
+            if self.best_key is None or key > self.best_key:
+                self.best_key = key
+                self.best_lam = lam
+        else:
+            # two labelings that agree on the relabeled graph give an automorphism
+            inv_prev = [0] * n
+            for v in range(n):
+                inv_prev[prev[v]] = v
+            aut = tuple(inv_prev[lam[v]] for v in range(n))
+            if any(aut[v] != v for v in range(n)):
+                self.generators.append(aut)
+                for v in range(n):
+                    self._union(v, aut[v])
+
+    def run(self, cells: list[list[int]]) -> None:
+        cells = _reference_refine(self.n, self.adj, cells)
+        target = None
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = idx
+                break
+        if target is None:
+            self._leaf(cells)
+            return
+        branched: list[int] = []
+        for v in sorted(cells[target]):
+            if any(self._find(v) == self._find(w) for w in branched):
+                continue
+            branched.append(v)
+            child = (
+                cells[:target]
+                + [[v], [w for w in cells[target] if w != v]]
+                + cells[target + 1 :]
+            )
+            self.run(child)
+
+
+def reference_canon(g: Graph):
+    """`mostar.canon` as it was before splitter-only refinement and twin
+    pruning: every round recounts every vertex against every cell, and the
+    search branches on every vertex its orbit pruning leaves.  `canon` must
+    return the same canon_adj, labeling and orbit_of; the generators may
+    differ."""
+    from mostar.canon import CANON_MAX_N, CanonCapacityError, CanonResult
+
+    if g.n > CANON_MAX_N:
+        raise CanonCapacityError(
+            f"canonical labeling supports n <= {CANON_MAX_N}, got {g.n}"
+        )
+    if g.n == 0:
+        return CanonResult(0, (), (), (), ())
+    search = _ReferenceSearch(g.n, g.adj)
+    search.run([list(range(g.n))])
+    assert search.best_lam is not None
+    orbit_of = tuple(search._find(v) for v in range(g.n))
+    return CanonResult(
+        g.n,
+        tuple(search.best_key or ()),
+        tuple(search.best_lam),
+        tuple(search.generators),
+        orbit_of,
+    )
 
 
 def all_graphs(n: int):

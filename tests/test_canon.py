@@ -7,18 +7,32 @@ from hypothesis import given, settings, strategies as st
 
 from mostar import (
     CanonCapacityError,
+    EnumerationTask,
     Graph,
     canon,
     canonical_form,
     complete,
     cycle,
+    enumerate_connected,
     isomorphic,
     path,
     star,
 )
+from mostar import enumeration
 from mostar.canon import pair_orbit_reps
+from mostar.enumeration import bicyclic_task, tricyclic_task
 from mostar.graphs import _bits
-from _helpers import random_connected
+from _helpers import (
+    brute_connected_class_count,
+    canon_connected_class_count,
+    circulants,
+    hypercube,
+    petersen,
+    random_connected,
+    random_graph,
+    random_twin_rich,
+    reference_canon,
+)
 
 
 def brute_canon_key(g):
@@ -165,3 +179,88 @@ def test_relabeling_invariance(seed):
     perm = list(range(g.n))
     rng.shuffle(perm)
     assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """Every graph `enumeration.canon` labels in the tricyclic m <= 10 and
+    bicyclic m <= 9 walks, 2,000 random graphs and 1,000 twin-rich graphs
+    with n <= 16, and every circulant with n <= 16."""
+    walk = []
+
+    def recording(g):
+        walk.append(g)
+        return canon(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "canon", recording)
+        for task in [tricyclic_task(m) for m in range(6, 11)] + \
+                [bicyclic_task(m) for m in range(5, 10)]:
+            for _ in enumerate_connected(task):
+                pass
+    rng = random.Random(41)
+    return {
+        "walk": walk,
+        "random": [random_graph(rng, 1, 16) for _ in range(2000)],
+        "twin-rich": [random_twin_rich(rng) for _ in range(1000)],
+        "circulant": list(circulants(16)),
+    }
+
+
+def test_canon_matches_reference_search(oracle_graphs):
+    """Splitter-only refinement and twin pruning change nothing `canon`
+    returns but the generators: canon_adj, labeling and orbit_of equal the
+    full-recount, unpruned search's, and so do the pair orbits of the two
+    generator sets on edges and on non-edges.  Every generator is an
+    automorphism."""
+    assert len(oracle_graphs["walk"]) > 1000
+    for kind, graphs in oracle_graphs.items():
+        for g in graphs:
+            got, want = canon(g), reference_canon(g)
+            assert (got.canon_adj, got.labeling, got.orbit_of) == \
+                (want.canon_adj, want.labeling, want.orbit_of), (kind, g)
+            for gen in got.generators:
+                assert sorted(gen) == list(range(g.n)), (kind, g)
+                assert g.relabel(list(gen)) == g, (kind, g, gen)
+            if got.generators == want.generators:
+                continue
+            pairs = list(itertools.combinations(range(g.n), 2))
+            for subset in ([e for e in pairs if g.has_edge(*e)],
+                           [e for e in pairs if not g.has_edge(*e)]):
+                assert pair_orbit_reps(g.n, got.generators, subset) == \
+                    pair_orbit_reps(g.n, want.generators, subset), (kind, g)
+
+
+def test_orbits_of_every_connected_graph_to_6_vertices():
+    """orbit_of equals the brute-force automorphism orbits on every connected
+    class with n <= 6, as enumerated and under one random relabelling."""
+    rng = random.Random(43)
+    count = 0
+    for n in range(1, 7):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            for g in enumerate_connected(EnumerationTask(n, m)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, g.relabel(perm)):
+                    assert canon(h).orbit_of == brute_orbits(h), h
+                count += 1
+    assert count == 1 + 1 + 2 + 6 + 21 + 112   # OEIS A001349
+
+
+def test_vertex_transitive_relabeling_invariance():
+    """Vertex-transitive graphs refine to one cell and lean hardest on the
+    automorphism pruning: Petersen, Q4 and every circulant with n <= 16."""
+    rng = random.Random(47)
+    for g in [petersen(), hypercube(4), *circulants(16)]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == canonical_form(g), g
+
+
+def test_orbit_count_equals_canon_dedup():
+    """The Burnside class count that the completeness tests use agrees with
+    deduplicating every labelled connected graph by `canon`, for n <= 6."""
+    for n in range(1, 7):
+        for m in range(n * (n - 1) // 2 + 1):
+            assert brute_connected_class_count(n, m) == \
+                canon_connected_class_count(n, m), (n, m)
