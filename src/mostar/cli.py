@@ -42,6 +42,14 @@ def _load_registry(path: str | None) -> FamilyRegistry:
         )
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Reject an output path whose directory is missing before any work
+    starts; the write itself comes only after the enumeration or suite."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _write_output(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -93,6 +101,7 @@ def _parse_sizes(args) -> list[int]:
 
 
 def cmd_compute(args) -> int:
+    _check_output_dirs(args.output)
     sources: list[tuple[bytes, str]] = []
     if args.inputs:
         for fname in args.inputs:
@@ -152,6 +161,7 @@ def _emit_rows(rows, args) -> None:
 
 
 def cmd_verify(args) -> int:
+    _check_output_dirs(args.output)
     rows = args.verify(
         _parse_sizes(args),
         registry=_load_registry(args.registry),
@@ -166,10 +176,7 @@ def cmd_atlas(args) -> int:
     # sizes (n > 16 from m = 19 on), so neither may write the registry
     if not 7 <= args.max_size <= 12:
         raise UsageError(f"--max-size {args.max_size} outside supported range 7..12")
-    # checked up front: a failed write comes after the enumeration
-    for path in (args.output, args.report):
-        if path and not Path(path).parent.is_dir():
-            raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+    _check_output_dirs(args.output, args.report)
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, 10),
@@ -191,6 +198,7 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    _check_output_dirs(args.output)
     report = run_shift_suite(count=args.count, seed=args.seed)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(text, args.output)

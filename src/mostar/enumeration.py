@@ -12,53 +12,54 @@ so output is identical for any worker count.
 
 Acceptance is a function of the child and the edge just added alone, never
 of the size the walk is heading for (lazy labelling, below, changes only
-whether canon data comes back).  It reads the child's bridges off its
-parent (step 2), but those are the child's own bridges, whichever parent
-they come from.  So the accepted nodes with m edges in the walk from the
-trees on n vertices are one representative per class of connected (n, m)
-graphs, whatever size the walk goes on to.  A tricyclic walk (n vertices,
-n + 2 edges) therefore passes through every bicyclic graph on n vertices
-at level n + 1, and `survey` reads both classes, and any other size with
-the same n, off one walk.
+whether canon data comes back).  It reads the child's bridges off the bridge
+sides its parent carries (step 0), but those are the child's own bridges,
+whichever parent they come from.  So the accepted nodes with m edges in the
+walk from the trees on n vertices are one representative per class of
+connected (n, m) graphs, whatever size the walk goes on to.  A tricyclic
+walk (n vertices, n + 2 edges) therefore passes through every bicyclic graph
+on n vertices at level n + 1, and `survey` reads both classes, and any other
+size with the same n, off one walk.
 
 The canonical deletion edge of a child is defined on its non-bridge edges
 (deleting one keeps the graph connected): take those with the smallest
 `_edge_inv` score (sorted end degrees, then the sorted degrees of the
 vertices adjacent to either end), and among them the edge whose sorted pair of
-canonical labels is smallest.  A child made by adding e to its parent is
-tested against that rule cheapest step first:
+canonical labels is smallest.  A child made by adding e = uv to its parent
+is tested against that rule cheapest step first, and everything the
+parent's degrees and bridges decide is decided before any child is built:
 
-0. Once per parent, `_nonbridge_floor` finds the non-bridge edges and,
-   for each bridge xy, the vertices reachable from x without it (one
-   bitset reachability pass per edge with no end of degree 1).  Before the
-   child is built, `_parent_rejects` reads those non-bridge edges with the
-   degrees of e's ends raised by one, and rejects when one of them has a
-   strictly smaller degree pair than e.  Sound because adding an edge
-   never turns a non-bridge into a bridge, and the pair is the score's
-   leading component.
-
-`_accept_edge_child` then runs the rest on the built child:
-
-1. Score every edge by its sorted degree pair alone, and compute the full
-   score only for edges whose pair equals e's.  The pair is the score's
-   leading component, so a smaller or larger pair settles the comparison.
-2. Test bridge-ness only for edges scoring no higher than e, with no
-   search: adding e = uv creates no bridge, and a parent bridge xy stays a
-   bridge of the child exactly when u and v lie on the same side of it.
-   e itself always closes a cycle, so it is never a bridge.
-3. Reject as soon as a non-bridge edge scores strictly lower than e: then
+0. Every node above the last level carries the side of each of its bridges
+   xy, x < y: the vertices reachable from x without xy.  `_bridge_sides`
+   finds them on the tree seeds, one reachability pass per edge; below the
+   seeds they are inherited with no search.  Adding uv creates no bridge,
+   and a parent bridge xy stays a bridge of the child, with the same two
+   sides, exactly when u and v lie on the same side of it.  uv itself
+   closes a cycle, so it is never a bridge.
+1. Once per parent, `_candidates` sorts the parent's edges by degree pair
+   and scans that list for each non-edge uv.  The child's edges are the
+   parent's plus uv, and only the degrees of u and v rise, by one.  The
+   scan skips each bridge that uv does not bypass, drops uv when an edge
+   has a smaller child degree pair than uv's, and collects the edges with
+   an equal pair as uv's pair ties.  It stops at the first parent pair
+   above uv's child pair: both degrees only rise, so no later edge can tie
+   or undercut.  The pair is the score's leading component, so an edge
+   with a larger pair can be neither the minimum nor a tie: skipping it
+   selects the same canonical deletion edge as scoring every edge.
+2. The scan reads only degrees and bridges, which automorphisms preserve,
+   so the surviving non-edges are a union of orbits.  `pair_orbit_reps`
+   runs on them alone, and their representatives are exactly those of all
+   non-edges that survive.  One child per representative is built.
+3. `_accept_edge_child` computes the full score of e and of its pair ties
+   only, and rejects as soon as a tie scores strictly lower than e: then
    e is not of minimum score and cannot be the canonical deletion edge.
-4. Otherwise e's score is the minimum, and the non-bridge edges sharing it
-   (the tie set) are exactly the candidates the full rule ranks.  Only now
-   is the child canonically labelled.  If e is the only candidate or the
-   best-labelled one it is accepted; if not, accept when e and the best
-   candidate share an orbit under the automorphism group.  The tie set is
-   closed under automorphisms, which preserve scores and bridges, so the
-   orbit walk runs on it alone.
-
-Edges scoring higher than e can neither be the minimum nor enter the tie
-set, so skipping them selects the same canonical deletion edge as scoring
-every non-bridge edge.
+4. Otherwise e's score is the minimum, and e with the pair ties sharing
+   its score (the tie set) are exactly the candidates the full rule ranks.
+   Only now is the child canonically labelled.  If e is the only candidate
+   or the best-labelled one it is accepted; if not, accept when e and the
+   best candidate share an orbit under the automorphism group.  The tie
+   set is closed under automorphisms, which preserve scores and bridges,
+   so the orbit walk runs on it alone.
 
 Labelling is lazy where nothing needs it.  A child at the last level has
 no children, so its canon data only serves the fold: when its tie set is
@@ -185,48 +186,85 @@ def _edge_inv(adj: tuple[int, ...], deg: list[int], a: int, b: int):
     return (da, db, tuple(nbr))
 
 
-def _accept_edge_child(
-    n: int, child: tuple[int, ...], a: int, b: int, label: bool,
-    sides: dict[tuple[int, int], int],
-) -> tuple[bool, Optional[CanonResult]]:
-    """McKay acceptance: does (a, b) sit in the orbit of the canonical
-    deletion edge of `child`?  Returns (accepted, the child's canon data).
-    `sides` holds the bridge sides of the parent, `child` minus (a, b).
-    With `label` false, a child whose tie set is {(a, b)} is accepted
-    without labelling and the canon data is None.  The steps run cheapest
-    first, in the order the module docstring gives."""
-    deg = [row.bit_count() for row in child]
-    e = (a, b) if a < b else (b, a)
-    da, db = deg[a], deg[b]
-    e_pair = (da, db) if da <= db else (db, da)
-    e_inv = None
-    ties = [e]
+def _bridge_sides(adj: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The sides of the edges of a tree seed, every one a bridge: for xy,
+    x < y, the vertices reachable from x without xy.  Every node below the
+    seeds inherits its parent's sides (`_augment`)."""
+    cut = list(adj)
+    sides = {}
+    for x, y in edge_pairs(adj):
+        cut[x], cut[y] = adj[x] ^ 1 << y, adj[y] ^ 1 << x
+        sides[x, y] = reachable_mask(cut, x)
+        cut[x], cut[y] = adj[x], adj[y]
+    return sides
+
+
+def _candidates(
+    n: int, adj: tuple[int, ...], sides: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Step 1 of the acceptance test, decided on the parent: map each
+    non-edge uv, u < v, that survives it to its pair ties, the non-bridge
+    edges of the child adj + uv whose degree pair equals uv's.  A non-edge
+    is dropped when such an edge has a smaller pair.  `sides` holds the
+    bridge sides of `adj`."""
+    deg = [row.bit_count() for row in adj]
+    # a degree pair (lo, hi) as the code lo * n + hi, which orders as pairs do
+    scan = []
+    for x, y in edge_pairs(adj):
+        dx, dy = deg[x], deg[y]
+        key = dx * n + dy if dx <= dy else dy * n + dx
+        scan.append((key, x, y, sides.get((x, y), 0)))
+    scan.sort()
+    full = (1 << n) - 1
+    live = {}
     for u in range(n):
-        du = deg[u]
-        row = child[u] >> (u + 1)
-        base = u + 1
+        du = deg[u] + 1
+        row = ~adj[u] & full & -(2 << u)
         while row:
             low = row & -row
-            v = base + low.bit_length() - 1
             row ^= low
-            dv = deg[v]
-            pair = (du, dv) if du <= dv else (dv, du)
-            if pair > e_pair or (u, v) == e:
-                continue
-            lower = pair < e_pair
-            if not lower:
-                if e_inv is None:
-                    e_inv = _edge_inv(child, deg, a, b)
-                inv = _edge_inv(child, deg, u, v)
-                if inv > e_inv:
-                    continue
-                lower = inv < e_inv
-            side = sides.get((u, v))
-            if side is not None and not (side >> a ^ side >> b) & 1:
-                continue  # a parent bridge that (a, b) does not bypass
-            if lower:
+            v = low.bit_length() - 1
+            dv = deg[v] + 1
+            e_key = du * n + dv if du <= dv else dv * n + du
+            ends = 1 << u | low
+            ties = []
+            for key, x, y, side in scan:
+                if key > e_key:
+                    break  # child pairs only grow, so none further ties or is lower
+                if side and not (side >> u ^ side >> v) & 1:
+                    continue  # a parent bridge that uv does not bypass
+                dx, dy = deg[x] + (ends >> x & 1), deg[y] + (ends >> y & 1)
+                key = dx * n + dy if dx <= dy else dy * n + dx
+                if key < e_key:
+                    ties = None
+                    break
+                if key == e_key:
+                    ties.append((x, y))
+            if ties is not None:
+                live[u, v] = ties
+    return live
+
+
+def _accept_edge_child(
+    n: int, child: tuple[int, ...], a: int, b: int,
+    pair_ties: list[tuple[int, int]], label: bool,
+) -> tuple[bool, Optional[CanonResult]]:
+    """Steps 3-4 of the acceptance test: does (a, b) sit in the orbit of the
+    canonical deletion edge of `child`?  Returns (accepted, the child's
+    canon data).  `pair_ties` comes from `_candidates`.  With `label` false,
+    a child whose tie set is {(a, b)} is accepted without labelling and the
+    canon data is None."""
+    e = (a, b) if a < b else (b, a)
+    ties = [e]
+    if pair_ties:
+        deg = [row.bit_count() for row in child]
+        e_inv = _edge_inv(child, deg, a, b)
+        for f in pair_ties:
+            inv = _edge_inv(child, deg, *f)
+            if inv < e_inv:
                 return False, None
-            ties.append((u, v))
+            if inv == e_inv:
+                ties.append(f)
     if len(ties) == 1 and not label:
         return True, None
     cres = canon(Graph(n, child))
@@ -245,95 +283,42 @@ def _accept_edge_child(
     return False, None
 
 
-def _nonbridge_floor(
-    n: int, adj: tuple[int, ...]
-) -> tuple[list[tuple[int, int, int, int]], dict[tuple[int, int], int]]:
-    """The non-bridge edges xy of a connected parent as (deg x, deg y, x, y)
-    with deg x <= deg y, sorted (the pre-filter's input), and the side of
-    each bridge xy, x < y: the vertices reachable from x without xy."""
-    cut = list(adj)
-    deg = [row.bit_count() for row in adj]
-    floor = []
-    sides = {}
-    for x, y in edge_pairs(adj):
-        dx, dy = deg[x], deg[y]
-        if dx == 1:
-            sides[x, y] = 1 << x
-        elif dy == 1:
-            sides[x, y] = (1 << n) - 1 - (1 << y)
-        else:
-            cut[x], cut[y] = adj[x] ^ 1 << y, adj[y] ^ 1 << x
-            side = reachable_mask(cut, x)
-            cut[x], cut[y] = adj[x], adj[y]
-            if side >> y & 1:
-                floor.append((dx, dy, x, y) if dx <= dy else (dy, dx, y, x))
-            else:
-                sides[x, y] = side
-    floor.sort()
-    return floor, sides
-
-
-def _parent_rejects(
-    adj: tuple[int, ...], floor: list[tuple[int, int, int, int]], u: int, v: int
-) -> bool:
-    """Pre-filter: True when the child adj + uv has a parent non-bridge
-    edge whose child degree pair is strictly smaller than uv's, so that
-    `_accept_edge_child` would reject it.  Adding uv keeps every non-bridge
-    a non-bridge and raises only the degrees of u and v by one."""
-    du, dv = adj[u].bit_count() + 1, adj[v].bit_count() + 1
-    e_pair = (du, dv) if du <= dv else (dv, du)
-    for dx, dy, x, y in floor:
-        if (dx, dy) >= e_pair:
-            return False  # child pairs only grow, so none further is lower
-        if x == u or x == v:
-            dx += 1
-        if y == u or y == v:
-            dy += 1
-        if ((dx, dy) if dx <= dy else (dy, dx)) < e_pair:
-            return True
-    return False
-
-
 def _augment(
     n: int,
     adj: tuple[int, ...],
     cres: Optional[CanonResult],
+    sides: Optional[dict[tuple[int, int], int]],
     m_cur: int,
     sizes: tuple[int, ...],
 ) -> Iterator[tuple[int, tuple[int, ...], Optional[CanonResult]]]:
     """Accepted descendants of `adj` (itself included) whose size is in
     `sizes`, as (size, adjacency, canon data), depth first down to the
-    largest size.  A node at the largest size comes with canon data None
-    when accepting it needed none; a node above it is always labelled,
-    since its own children are generated from its automorphisms."""
+    largest size.  A node at the largest size gets bridge sides None, and
+    canon data None when accepting it needed no labelling; a node above it
+    always gets both, since its own children are generated from its
+    automorphisms and bridges."""
     if m_cur in sizes:
         yield m_cur, adj, cres
     m_last = sizes[-1]
     if m_cur == m_last:
         return
-    full = (1 << n) - 1
-    nonedges = []
-    for u in range(n):
-        row = (~adj[u]) & full & ~((1 << (u + 1)) - 1)
-        while row:
-            low = row & -row
-            nonedges.append((u, low.bit_length() - 1))
-            row ^= low
-    if not nonedges:
+    live = _candidates(n, adj, sides)
+    if not live:
         return
-    reps = pair_orbit_reps(n, cres.generators, nonedges)
-    floor, sides = _nonbridge_floor(n, adj)
+    reps = pair_orbit_reps(n, cres.generators, list(live))
     last = m_cur + 1 == m_last
     for u, v in sorted(set(reps.values())):
-        if _parent_rejects(adj, floor, u, v):
-            continue
         child = tuple(
             r | (1 << v) if i == u else (r | (1 << u) if i == v else r)
             for i, r in enumerate(adj)
         )
-        accepted, ccres = _accept_edge_child(n, child, u, v, label=not last, sides=sides)
+        accepted, ccres = _accept_edge_child(n, child, u, v, live[u, v], label=not last)
         if accepted:
-            yield from _augment(n, child, ccres, m_cur + 1, sizes)
+            # a bridge that uv does not bypass keeps its two sides
+            child_sides = None if last else {
+                f: s for f, s in sides.items() if not (s >> u ^ s >> v) & 1
+            }
+            yield from _augment(n, child, ccres, child_sides, m_cur + 1, sizes)
 
 
 def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
@@ -344,7 +329,7 @@ def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
         return
     n = task.n
     for seed, cres in trees(n):
-        for _, adj, _ in _augment(n, seed, cres, n - 1, (task.m,)):
+        for _, adj, _ in _augment(n, seed, cres, _bridge_sides(seed), n - 1, (task.m,)):
             yield Graph(n, adj)
 
 
@@ -396,7 +381,7 @@ def _fold_seed(args) -> dict[int, _Fold]:
     """One tree seed's subtree, folded at each requested size."""
     n, sizes, seed_adj, cres = args
     folds = {m: _Fold() for m in sizes}
-    for m, adj, ccres in _augment(n, seed_adj, cres, n - 1, sizes):
+    for m, adj, ccres in _augment(n, seed_adj, cres, _bridge_sides(seed_adj), n - 1, sizes):
         folds[m].add(n, adj, ccres)
     return folds
 

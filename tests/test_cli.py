@@ -324,6 +324,30 @@ def test_atlas_missing_output_directory(tmp_path, capsys, monkeypatch, argv, mis
     assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json"]
 
 
+@pytest.mark.parametrize("argv,target", [
+    (["compute", "in.g6"], "mostar.cli.mostar_summary"),
+    (["verify-theorem1", "--size", "12", "--threads", "1"], "mostar.verify.survey"),
+    (["verify-theorem2", "--size", "10", "--threads", "1"], "mostar.verify.survey"),
+    (["lemmas"], "mostar.cli.run_shift_suite"),
+], ids=["compute", "verify-theorem1", "verify-theorem2", "lemmas"])
+def test_missing_output_directory(tmp_path, capsys, monkeypatch, argv, target):
+    """Rejected before any work starts: exit 2 with the path and its
+    missing directory named, and nothing written."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the output path was checked")
+
+    monkeypatch.setattr(target, no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.g6").write_text(write_graph6(cycle(4)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", "missing/out.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot write missing/out.json: no directory missing" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.g6"]
+
+
 def test_atlas_unwritable_report_keeps_registry(tmp_path, capsys, monkeypatch):
     """A report path that is an existing directory fails after the
     enumeration: exit 2, and the registry in place (the default

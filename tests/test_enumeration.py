@@ -14,7 +14,8 @@ from mostar import (
     isomorphic,
 )
 from mostar.braces import classify
-from mostar.graphs import parse_graph6
+from mostar.canon import pair_orbit_reps
+from mostar.graphs import edge_pairs, parse_graph6
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
@@ -76,29 +77,60 @@ def test_class_counts_n8():
         assert _class_count(EnumerationTask(8, m)) == count, m
 
 
+def _walk_small_sizes():
+    """The walks for tricyclic m <= 10 and bicyclic m <= 9."""
+    for m in range(6, 11):
+        _class_count(tricyclic_task(m))
+    for m in range(5, 10):
+        _class_count(bicyclic_task(m))
+
+
+def _nonedges(n, adj):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if not adj[u] >> v & 1]
+
+
+def _add_edge(adj, u, v):
+    child = list(adj)
+    child[u] |= 1 << v
+    child[v] |= 1 << u
+    return tuple(child)
+
+
 def test_acceptance_matches_reference_rule(monkeypatch):
-    """Every child generated for tricyclic m <= 10 and bicyclic m <= 9 is
-    judged as the full-Tarjan reference rule judges it: a child the
-    parent-side pre-filter skips is one the reference rejects, a child
-    accepted unlabelled is one the reference accepts, and every labelled
-    decision equals the reference's, canon data included."""
+    """Every non-edge of every parent in the tricyclic m <= 10 and bicyclic
+    m <= 9 walks is judged as the full-Tarjan reference rule judges it: a
+    non-edge the parent-side scan drops is one the reference rejects, the
+    pair ties of a survivor are the child's non-bridge edges with its
+    degree pair, a child accepted unlabelled is one the reference accepts,
+    and every labelled decision equals the reference's, canon data
+    included."""
+    fast_candidates = enumeration._candidates
     fast_accept = enumeration._accept_edge_child
-    fast_reject = enumeration._parent_rejects
     seen = Counter()
 
-    def checked_reject(adj, floor, u, v):
-        got = fast_reject(adj, floor, u, v)
-        if got:
-            child = list(adj)
-            child[u] |= 1 << v
-            child[v] |= 1 << u
-            ref = reference_accept_edge_child(len(adj), tuple(child), u, v)
-            assert ref is None, (adj, u, v)
-            seen["skipped"] += 1
-        return got
+    def checked_candidates(n, adj, sides):
+        live = fast_candidates(n, adj, sides)
+        nonedges = _nonedges(n, adj)
+        for u, v in nonedges:
+            child = _add_edge(adj, u, v)
+            if (u, v) not in live:
+                assert reference_accept_edge_child(n, child, u, v) is None, (adj, u, v)
+                continue
+            deg = [row.bit_count() for row in child]
+            bridges = tarjan_bridges(n, child)
+            want = sorted(
+                (x, y) for x, y in edge_pairs(child)
+                if (x, y) not in bridges and (x, y) != (u, v)
+                and sorted((deg[x], deg[y])) == sorted((deg[u], deg[v]))
+            )
+            assert sorted(live[u, v]) == want, (adj, u, v)
+        # the children the old walk built: one per orbit of all non-edges
+        reps = set(pair_orbit_reps(n, canon(Graph(n, adj)).generators, nonedges).values())
+        seen["dropped"] += len(reps - set(live))
+        return live
 
-    def checked_accept(n, child, a, b, label, sides):
-        accepted, cres = fast_accept(n, child, a, b, label, sides)
+    def checked_accept(n, child, a, b, pair_ties, label):
+        accepted, cres = fast_accept(n, child, a, b, pair_ties, label)
         ref = reference_accept_edge_child(n, child, a, b)
         if accepted and cres is None:
             assert not label and ref is not None, (child, a, b)
@@ -108,53 +140,58 @@ def test_acceptance_matches_reference_rule(monkeypatch):
             seen[accepted] += 1
         return accepted, cres
 
-    monkeypatch.setattr(enumeration, "_parent_rejects", checked_reject)
+    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
     monkeypatch.setattr(enumeration, "_accept_edge_child", checked_accept)
-    for m in range(6, 11):
-        _class_count(tricyclic_task(m))
-    for m in range(5, 10):
-        _class_count(bicyclic_task(m))
-    assert all(seen[k] > 0 for k in ("skipped", "unlabelled", True, False))
+    _walk_small_sizes()
+    assert all(seen[k] > 0 for k in ("dropped", "unlabelled", True, False))
     # every child of the generation forest at these sizes was judged
     assert sum(seen.values()) == 7167
 
 
-def test_bridge_sides_match_tarjan(monkeypatch):
+def test_orbits_over_survivors(monkeypatch):
     """For every parent of the tricyclic m <= 10 and bicyclic m <= 9 walks,
-    the non-bridge edges and bridge sides equal Tarjan's bridges and a
-    dict-BFS reach; for every child the parent builds, the bridges read off
-    those sides equal Tarjan's bridges of the child."""
-    fast_floor = enumeration._nonbridge_floor
-    fast_accept = enumeration._accept_edge_child
+    the non-edges that survive the parent-side scan are a union of orbits,
+    so their orbit representatives are those of all non-edges that
+    survive, in the same order."""
+    fast_candidates = enumeration._candidates
     seen = Counter()
 
-    def checked_floor(n, adj):
-        floor, sides = fast_floor(n, adj)
+    def checked_candidates(n, adj, sides):
+        live = fast_candidates(n, adj, sides)
+        gens = canon(Graph(n, adj)).generators
+        for gen in gens:
+            assert {tuple(sorted((gen[u], gen[v]))) for u, v in live} == set(live), adj
+        every = sorted(set(pair_orbit_reps(n, gens, _nonedges(n, adj)).values()))
+        got = sorted(set(pair_orbit_reps(n, gens, list(live)).values()))
+        assert got == [p for p in every if p in live], adj
+        seen["parents"] += 1
+        return live
+
+    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
+    _walk_small_sizes()
+    assert seen == {"parents": 702}
+
+
+def test_bridge_sides_match_tarjan(monkeypatch):
+    """For every parent of the tricyclic m <= 10 and bicyclic m <= 9 walks,
+    the bridge sides it hands to the parent-side scan, computed on the tree
+    seeds and inherited below them, equal Tarjan's bridges and a dict-BFS
+    reach."""
+    fast_candidates = enumeration._candidates
+    seen = Counter()
+
+    def checked_candidates(n, adj, sides):
         parent = Graph(n, adj)
-        bridges = tarjan_bridges(n, adj)
-        assert set(sides) == bridges, adj
-        assert {(min(x, y), max(x, y)) for _, _, x, y in floor} == \
-            {tuple(e) for e in parent.edges()} - bridges, adj
+        assert set(sides) == tarjan_bridges(n, adj), adj
         for (x, y), side in sides.items():
             reach = naive_distances(parent.remove_edge(x, y), x)
             assert side == sum(1 << v for v in reach), (adj, x, y)
         seen["parents"] += 1
-        return floor, sides
+        return fast_candidates(n, adj, sides)
 
-    def checked_accept(n, child, a, b, label, sides):
-        got = {f for f, side in sides.items() if not (side >> a ^ side >> b) & 1}
-        assert got == tarjan_bridges(n, child), (child, a, b)
-        seen["children"] += 1
-        return fast_accept(n, child, a, b, label, sides)
-
-    monkeypatch.setattr(enumeration, "_nonbridge_floor", checked_floor)
-    monkeypatch.setattr(enumeration, "_accept_edge_child", checked_accept)
-    for m in range(6, 11):
-        _class_count(tricyclic_task(m))
-    for m in range(5, 10):
-        _class_count(bicyclic_task(m))
-    # the children the pre-filter lets through (7,167 minus the skipped)
-    assert seen == {"parents": 702, "children": 3096}
+    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
+    _walk_small_sizes()
+    assert seen == {"parents": 702}
 
 
 def _naive_fold(task):
