@@ -3,10 +3,10 @@
 A family is a base graph plus a designated attachment vertex; the member
 of size m is the base with pendant edges added at that vertex.  Four
 tricyclic/bicyclic constructions are pinned analytically (their closed
-forms were verified directly), the standard star/cycle/path/cycle-with-
-pendants families are built structurally, and every other named family is
-reconstructed by the discovery pipeline from the braces (graphs of minimum
-degree >= 2) the enumeration surveys visit, `Survey.braces`.  One pass
+forms were verified directly), as are the cycles with pendants at one
+vertex, and every other named family is reconstructed by the discovery
+pipeline from the braces (graphs of minimum degree >= 2) the enumeration
+surveys visit, `Survey.braces`.  One pass
 reads the exact pendant tail (`indices.pendant_tails`) at every vertex of
 every surveyed brace; (brace, vertex) is a candidate for a family when its
 tail is the family's polynomial, the brace has the family's shape and the
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional
 
 from . import braces as br
-from .canon import canon, canonical_form, isomorphic
+from .canon import canon, canonical_form
 from .graphs import Graph, GraphError, is_connected, parse_graph6, theta
 from .graphs import with_pendants, write_graph6
-from .graphs import cycle as cycle_graph, path as path_graph, star as star_graph
 from .indices import edge_mostar, pendant_tails
 
 ANALYTIC = "ANALYTIC"
@@ -44,6 +44,12 @@ class NotPinnedError(KeyError):
 def _poly_eval(poly: tuple[int, int, int], m: int) -> int:
     a, b, c = poly
     return a * m * m + b * m + c
+
+
+def _ints(value, count: int) -> bool:
+    """A list of `count` ints, bools (an int subclass) and floats excluded."""
+    return isinstance(value, list) and len(value) == count and all(
+        type(x) is int for x in value)
 
 
 @dataclass(frozen=True)
@@ -83,16 +89,29 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
-        """Read one registry entry, rejecting any entry `build` cannot turn
-        into a connected graph of at least m_min edges."""
+        """Read one registry entry, rejecting any entry with a field of the
+        wrong type or that `build` cannot turn into a connected graph of at
+        least m_min edges."""
+        fid = d["id"]
+        if not isinstance(fid, str):
+            raise ValueError(f"family id {fid!r} is not a string")
         if not d["base_edges"]:
-            raise ValueError(f"family {d['id']} has no base edges")
+            raise ValueError(f"family {fid} has no base edges")
+        for e in d["base_edges"]:
+            if not _ints(e, 2):
+                raise ValueError(f"family {fid}: base edge {e!r} is not two integers")
+        for name in ("attach", "m_min"):
+            if type(d[name]) is not int:
+                raise ValueError(f"family {fid}: {name} {d[name]!r} is not an integer")
+        poly = d.get("poly")
+        if poly is not None and not _ints(poly, 3):
+            raise ValueError(f"family {fid}: poly {poly!r} is not three integers")
         spec = cls(
-            id=d["id"],
-            base_edges=tuple((int(a), int(b)) for a, b in d["base_edges"]),
-            attach=int(d["attach"]),
-            m_min=int(d["m_min"]),
-            poly=tuple(d["poly"]) if d.get("poly") is not None else None,
+            id=fid,
+            base_edges=tuple(tuple(e) for e in d["base_edges"]),
+            attach=d["attach"],
+            m_min=d["m_min"],
+            poly=None if poly is None else tuple(poly),
             provenance=d["provenance"],
         )
         try:
@@ -198,40 +217,14 @@ def builtin_registry() -> FamilyRegistry:
     return FamilyRegistry(_analytic_specs())
 
 
-def s_mr(m: int, r: int) -> Graph:
-    """Cycle of length r with m - r pendant edges at one cycle vertex."""
-    if r < 3:
-        raise GraphError("cycle length must be at least 3")
-    if m < r:
-        raise GraphError(f"size {m} below cycle length {r}")
-    return with_pendants(cycle_graph(r), {0: m - r})
-
-
-def build(fid: str, m: int, registry: Optional[FamilyRegistry] = None,
-          r: Optional[int] = None) -> Graph:
-    """Size-m member of a named family; deterministic labeling."""
-    if fid == "CYCLE":
-        return cycle_graph(m)
-    if fid == "PATH":
-        return path_graph(m + 1)
-    if fid == "S_STAR":
-        return star_graph(m + 1)
-    if fid == "S_MR":
-        if r is None:
-            raise GraphError("S_MR requires the cycle length r")
-        return s_mr(m, r)
+def build(fid: str, m: int, registry: Optional[FamilyRegistry] = None) -> Graph:
+    """Size-m member of a registry family; deterministic labeling."""
     reg = registry if registry is not None else builtin_registry()
     return reg[fid].build(m)
 
 
 def polynomial(fid: str, m: int, registry: Optional[FamilyRegistry] = None) -> int:
     """Exact closed-form value of the family at size m."""
-    if fid == "CYCLE":
-        return 0
-    if fid == "S_STAR":
-        return m * m - m
-    if fid == "PATH":
-        raise NoPolynomialError("PATH has no quadratic closed form (m^2/2 rounded)")
     reg = registry if registry is not None else builtin_registry()
     spec = reg[fid]
     if spec.poly is None:
@@ -306,9 +299,6 @@ class Candidate:
             provenance=DISCOVERED,
         )
 
-    def base_graph(self) -> Graph:
-        return Graph.from_edges(1 + max(max(e) for e in self.base_edges), self.base_edges)
-
 
 def single_attach_decomposition(g: Graph) -> Optional[tuple[Graph, int]]:
     """(brace, attach) when g is exactly a brace plus bare pendant edges at
@@ -344,6 +334,23 @@ def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int
     return tuple(base_c.edges()), attach_new, write_graph6(gc)
 
 
+def member_key(g: Graph) -> str:
+    """A string two connected graphs of one size share exactly when they
+    are isomorphic: the marked-base key (`_normalize_candidate`) of a brace
+    plus bare pendant edges at one vertex (single-attach), else the
+    canonical form; trees (m < n) have no brace.  Being single-attach is
+    invariant under isomorphism, and a form equal to a marked-base key is a
+    single-attach graph's, so equal keys come from two graphs with one form
+    or from two single-attach graphs, whose key fixes the brace and its
+    attachment orbit and whose size fixes the pendant count.  So the rule
+    holds for the members of any connected base, not only of braces."""
+    if g.m >= g.n:
+        dec = single_attach_decomposition(g)
+        if dec is not None:
+            return _normalize_candidate(*dec)[2]
+    return canonical_form(g)
+
+
 @dataclass
 class DiscoveryReport:
     resolved: dict[str, dict] = field(default_factory=dict)
@@ -353,7 +360,8 @@ class DiscoveryReport:
     # number of validated distinct constructions hitting m^2-3m-18 with a
     # composite brace (settles how many families share that closed form)
     composite_18_family_count: int = 0
-    # sizes m <= 12 at which two registry families have isomorphic members
+    # sizes m <= max(12, largest surveyed size) at which two registry
+    # families have isomorphic members
     collisions: dict[str, list[int]] = field(default_factory=dict)
     distinct_max_families_at_9: Optional[int] = None
     # per size: enumerated maximizers not explained by any registry family
@@ -427,15 +435,6 @@ def _collect_group(ids: tuple[str, ...], tails: list[_Tail]) -> list[Candidate]:
     )
 
 
-def _resolved_info(c: Candidate) -> dict:
-    return {
-        "key": c.key,
-        "m_min": c.m_min,
-        "first_seen_m": c.first_seen_m,
-        "base_m": len(c.base_edges),
-    }
-
-
 def _poly_str(poly: tuple[int, int, int]) -> str:
     a, b, c = poly
     parts = []
@@ -499,19 +498,21 @@ def discover_families(
         if not picks:
             report.unresolved.append(fid)
             return None
-        reg.add(picks[0].spec(fid))
-        report.resolved[fid] = _resolved_info(picks[0])
+        c = picks[0]
+        reg.add(c.spec(fid))
+        report.resolved[fid] = {"key": c.key, "m_min": c.m_min,
+                                "first_seen_m": c.first_seen_m, "base_m": len(c.base_edges)}
         if len(picks) > 1:
-            report.ambiguities[fid] = [c.key for c in picks[1:]]
-        return picks[0]
+            report.ambiguities[fid] = [p.key for p in picks[1:]]
+        return c
 
     def maximizing(fid: str, m: int, cands: list[Candidate]) -> list[Candidate]:
         if m not in tri_surveys:
             return []
-        top = set(tri_surveys[m].result.maximizers)
+        top = {member_key(parse_graph6(g6)) for g6 in tri_surveys[m].result.maximizers}
         return [
             c for c in cands
-            if c.m_min <= m and canonical_form(c.spec(fid).build(m)) in top
+            if c.m_min <= m and member_key(c.spec(fid).build(m)) in top
         ]
 
     # tricyclic groups
@@ -558,20 +559,19 @@ def discover_families(
             _unresolved_forensics(fid, report)
 
     # bicyclic: B3 is the member of its group built on the 4-vertex 5-edge
-    # graph (the size-5 member both B3 and B4 degenerate to)
-    theta122 = theta((1, 2, 2))
+    # graph K4 - e (the size-5 member both B3 and B4 degenerate to), the
+    # one bicyclic brace with 5 edges
     b_cands = _collect_group(_BICYCLIC_GROUP, _brace_tails(bi_surveys))
-    b3 = adopt("B3", [c for c in b_cands if isomorphic(c.base_graph(), theta122)])
+    b3 = adopt("B3", [c for c in b_cands if len(c.base_edges) == 5])
     adopt("B1", [c for c in b_cands if b3 is None or c.key != b3.key])
 
     # B2/B4 have no closed form; they are the remaining size-9 maximizers
     extras: list[Candidate] = []
     if 9 in bi_surveys:
-        known9 = set()
-        for fid in ("B0", "B1", "B3"):
-            if fid in reg and reg[fid].m_min <= 9:
-                known9.add(canonical_form(reg[fid].build(9)))
-        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers if g6 not in known9]
+        known9 = {member_key(reg[f].build(9)) for f in ("B0", "B1", "B3")
+                  if f in reg and reg[f].m_min <= 9}
+        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers
+                  if member_key(parse_graph6(g6)) not in known9]
         for g6 in sorted(extra9):
             dec = single_attach_decomposition(parse_graph6(g6))
             if dec is None:
@@ -582,42 +582,34 @@ def discover_families(
                 continue
             edges, attach_c, key = _normalize_candidate(*dec)
             extras.append(Candidate(key, edges, attach_c, len(edges), 9))
-    b4_picks = [c for c in extras if isomorphic(c.base_graph(), theta122)]
+    b4_picks = [c for c in extras if len(c.base_edges) == 5]
     adopt("B4", b4_picks)
     adopt("B2", [c for c in extras if c not in b4_picks])
 
-    _collision_scan(reg, report)
-    _attribute_maximizers(reg, report, tri_surveys, bi_surveys)
+    table = _member_table(reg, max(12, *tri_surveys, *bi_surveys))
+    report.collisions = _member_collisions(table)
+    # how many distinct graphs the theorem's size-9 maximizer list names
+    listed = ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7")
+    report.distinct_max_families_at_9 = len({k for f, k in table[9].items() if f in listed})
+    _attribute_maximizers(table, report, tri_surveys, bi_surveys)
     return reg, report
 
 
-def _family_keys(reg: FamilyRegistry) -> dict[str, str]:
-    """Each registry family's marked-base key."""
-    return {f: _normalize_candidate(reg[f].base_graph(), reg[f].attach)[2]
-            for f in reg.ids()}
+def _member_table(reg: FamilyRegistry, hi: int) -> dict[int, dict[str, str]]:
+    """{m: {family id: member_key of its size-m member}} for m <= hi."""
+    return {m: {f: member_key(reg[f].build(m)) for f in reg.ids() if reg[f].m_min <= m}
+            for m in range(hi + 1)}
 
 
-def _member_ids(reg: FamilyRegistry, keys: dict[str, str], g: Graph) -> list[str]:
-    """The registry families whose member of g's size is isomorphic to g;
-    `keys` is `_family_keys(reg)`.  Registry bases are braces, so past a
-    family's base size b its members are exactly the graphs whose
-    single-attach decomposition has the family's marked-base key, and at
-    m = b the member is the base itself."""
-    dec = single_attach_decomposition(g)
-    g_key = None if dec is None else _normalize_candidate(*dec)[2]
-    return [f for f, key in keys.items() if reg[f].m_min <= g.m and (
-        isomorphic(g, reg[f].base_graph()) if g.m == reg[f].m_base else g_key == key)]
-
-
-def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
+def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
-    """Match every enumerated maximizer to a registry family; leftovers are
-    the graphs the printed equality cases do not name."""
-    keys = _family_keys(reg)
+    """Match every enumerated maximizer to a registry family by member key;
+    leftovers are the graphs the printed equality cases do not name."""
     for surveys in (tri_surveys, bi_surveys):
         for m in sorted(surveys):
+            members = set(table[m].values())
             extras = [g6 for g6 in surveys[m].result.maximizers
-                      if not _member_ids(reg, keys, parse_graph6(g6))]
+                      if member_key(parse_graph6(g6)) not in members]
             if not extras:
                 continue
             report.unattributed_maximizers.setdefault(m, []).extend(extras)
@@ -634,38 +626,12 @@ def _attribute_maximizers(reg: FamilyRegistry, report: DiscoveryReport,
                 )
 
 
-def _member_collisions(reg: FamilyRegistry, hi: int) -> dict[str, list[int]]:
-    """Sizes m <= hi at which two registry families have isomorphic members.
-
-    Registry bases are braces, so stripping the pendants of a member of
-    size m > b (b base edges) recovers its base and attach orbit, and the
-    member of size b is the base itself.  Two families can share a member
-    only when their bases have one size b: at m = b exactly when the bases
-    are isomorphic, at m > b exactly when their marked-base keys are equal.
-    """
-    ids = reg.ids()
-    keys = _family_keys(reg)
-    out = {}
-    for i, f1 in enumerate(ids):
-        for f2 in ids[i + 1:]:
-            s1, s2 = reg[f1], reg[f2]
-            if s1.m_base != s2.m_base:
-                continue
-            lo = max(s1.m_min, s2.m_min)  # m_min >= b, so lo == b means both are b
-            if keys[f1] == keys[f2] and lo <= hi:
-                out[f"{f1}/{f2}"] = list(range(lo, hi + 1))
-            elif lo == s1.m_base <= hi and isomorphic(s1.base_graph(), s2.base_graph()):
-                out[f"{f1}/{f2}"] = [lo]
-    return out
-
-
-def _collision_scan(reg: FamilyRegistry, report: DiscoveryReport) -> None:
-    """Record member collisions up to size 12 and the size-9 list's size."""
-    report.collisions = _member_collisions(reg, 12)
-    # how many distinct graphs the theorem's size-9 maximizer list names
-    listed = [f for f in ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7") if f in reg]
-    forms = set()
-    for f in listed:
-        if reg[f].m_min <= 9:
-            forms.add(canonical_form(reg[f].build(9)))
-    report.distinct_max_families_at_9 = len(forms)
+def _member_collisions(table: dict[int, dict[str, str]]) -> dict[str, list[int]]:
+    """Sizes at which two registry families have isomorphic members: the
+    pairs of ids that share a member key at each size of `table`."""
+    pairs: dict[tuple[str, str], list[int]] = {}
+    for m, keys in sorted(table.items()):
+        for f1, f2 in combinations(sorted(keys), 2):
+            if keys[f1] == keys[f2]:
+                pairs.setdefault((f1, f2), []).append(m)
+    return {f"{f1}/{f2}": ms for (f1, f2), ms in sorted(pairs.items())}

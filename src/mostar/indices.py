@@ -1,4 +1,4 @@
-"""Edge Mostar index and friends.
+"""Edge Mostar index, per-edge summaries and exact pendant tails.
 
 For an edge e = uv, every other edge f is classified by comparing its
 distance to u against its distance to v (edge-to-vertex distance is the
@@ -31,9 +31,7 @@ one big-integer OR per adjacency.  T(s) is the sum over k >= 0 of
 m - |EB_k(s)|.  An edge f is in EB_k(u) but not in EB_k(v) exactly when
 k = d(u, f) < d(v, f), so m_u is the sum over k of the sizes of those
 set differences.
-The vertex Mostar index uses the same recurrence seeded with one-vertex
-balls: n_u - n_v = Tr(v) - Tr(u) for the vertex transmission Tr.  In a
-connected graph a ball short of full grows at the next level, so the
+In a connected graph a ball short of full grows at the next level, so the
 recurrence is also the connectivity check, with no separate search.
 
 `edge_report` keeps the definition itself, one distance table and a pass
@@ -93,13 +91,6 @@ class MostarSummary:
             "edge_mostar": self.edge_mostar,
             "edges": [r.to_dict() for r in self.per_edge],
         }
-
-
-def edge_vertex_distance(dm: list[list], f: Edge, x: int) -> int:
-    """min(d(x, f.u), d(x, f.v)) from a precomputed distance table."""
-    du = dm[x][f.u]
-    dv = dm[x][f.v]
-    return du if du < dv else dv
 
 
 def edge_report(g: Graph, e: Edge, dm: list[list] | None = None) -> EdgeReport:
@@ -165,17 +156,6 @@ def _balls(adj: tuple[int, ...], seeds: list[int]) -> Iterator[list[int]]:
         balls = nxt
 
 
-def _transmissions(adj: tuple[int, ...], seeds: list[int], size: int) -> list[int]:
-    """Sum over k of (size - |B_k[s]|) for every source s: the edge
-    transmission for incidence seeds (size m), the vertex one for
-    singletons (size n)."""
-    t = [0] * len(adj)
-    for balls in _balls(adj, seeds):
-        for s, b in enumerate(balls):
-            t[s] += size - b.bit_count()
-    return t
-
-
 def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
     """`edge_pairs(adj)` and EB_0: per vertex, the bitmask of the indices
     of its edges."""
@@ -187,10 +167,21 @@ def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]
     return pairs, inc
 
 
+def _transmissions(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
+    """`edge_pairs(adj)` and the edge transmission of every vertex s, the
+    sum over k of (m - |EB_k(s)|)."""
+    pairs, inc = _edge_seeds(adj)
+    m = len(pairs)
+    t = [0] * len(adj)
+    for balls in _balls(adj, inc):
+        for s, b in enumerate(balls):
+            t[s] += m - b.bit_count()
+    return pairs, t
+
+
 def edge_mostar(g: Graph) -> int:
     """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|."""
-    pairs, inc = _edge_seeds(g.adj)
-    t = _transmissions(g.adj, inc, len(pairs))
+    pairs, t = _transmissions(g.adj)
     return sum(abs(t[u] - t[v]) for u, v in pairs)
 
 
@@ -214,9 +205,8 @@ def pendant_tails(
     holds_from, head): poly holds for every m >= holds_from = b + k0 and,
     when k0 > 0, fails at holds_from - 1; head holds the exact index at
     m = b .. holds_from - 1, read off that difference."""
-    pairs, inc = _edge_seeds(brace.adj)
+    pairs, t = _transmissions(brace.adj)
     b = len(pairs)
-    t = _transmissions(brace.adj, inc, b)
     forms = []
     for w in range(brace.n):
         dw = bfs_distances(brace, w)
@@ -233,12 +223,6 @@ def pendant_tails(
         )
         forms.append((poly, b + k0, head))
     return forms
-
-
-def vertex_mostar(g: Graph) -> int:
-    """Vertex analogue: count vertices strictly closer to each endpoint."""
-    tr = _transmissions(g.adj, [1 << s for s in range(g.n)], g.n)
-    return sum(abs(tr[u] - tr[v]) for u, v in edge_pairs(g.adj))
 
 
 def mostar_summary(g: Graph) -> MostarSummary:

@@ -1,4 +1,4 @@
-"""Pendant-shift rewriting and its exact index deltas.
+"""Pendant-shift rules and their exact index deltas.
 
 A shift detaches k pendant edges from one vertex and reattaches them at
 another; the named rules (L3.2a .. L3.8b) each pair a specific brace,
@@ -29,41 +29,6 @@ from .indices import edge_mostar
 MATCH = "MATCH"
 DISCREPANT = "DISCREPANT"
 SKIPPED = "SKIPPED"
-
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    source: int
-    target: int
-    count: int
-
-
-def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
-    """Move `count` pendant edges from source to target.
-
-    The moved vertices are the smallest-labeled pendant neighbours of the
-    source; order, size and connectivity are preserved.
-    """
-    if spec.source == spec.target:
-        raise GraphError("shift source and target must differ")
-    if not (0 <= spec.source < g.n and 0 <= spec.target < g.n):
-        raise GraphError("shift endpoints out of range")
-    if spec.count == 0:
-        return g
-    pendants = [
-        w for w in g.neighbors(spec.source)
-        if g.degree(w) == 1 and w != spec.target
-    ]
-    if len(pendants) < spec.count:
-        raise GraphError(
-            f"vertex {spec.source} has {len(pendants)} movable pendant "
-            f"neighbours, need {spec.count}"
-        )
-    out = g
-    for w in pendants[: spec.count]:
-        out = out.remove_edge(spec.source, w).add_edge(spec.target, w)
-    # re-hanging a leaf on another vertex keeps a connected graph connected
-    return out
 
 
 # -- rule table ---------------------------------------------------------------
@@ -189,19 +154,6 @@ GROUPS: dict[str, RuleGroup] = {
 
 def rule_ids() -> list[str]:
     return sorted(RULES)
-
-
-def lemma_delta(rule_id: str, params: dict[str, int]) -> int:
-    """Exact evaluation of a rule's closed-form delta expression."""
-    rule = RULES.get(rule_id)
-    if rule is None:
-        raise GraphError(f"unknown rule {rule_id}")
-    p = dict.fromkeys(PARAMS, 0)
-    for k, v in params.items():
-        if v < 0:
-            raise GraphError("pendant multiplicities must be nonnegative")
-        p[k] = v
-    return rule.delta(p)
 
 
 # -- configuration building and measurement -----------------------------------

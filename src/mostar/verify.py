@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .canon import canonical_form
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -35,7 +34,9 @@ from .families import (
     FamilyRegistry,
     builtin_registry,
     discover_families,
+    member_key,
 )
+from .graphs import parse_graph6
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -133,14 +134,14 @@ def _row(
     expected = spec.expected_max(m)
     families = spec.expected_families(m)
     observed_max = res.max_value
-    hits: dict[str, Optional[bool]] = {}
     max_set = set(res.maximizers)
+    max_keys = {member_key(parse_graph6(g6)) for g6 in max_set}
+    hits: dict[str, Optional[bool]] = {
+        fid: None if fid not in registry or registry[fid].m_min > m
+        else member_key(registry[fid].build(m)) in max_keys
+        for fid in families
+    }
     notes = []
-    for fid in families:
-        if fid not in registry or registry[fid].m_min > m:
-            hits[fid] = None
-            continue
-        hits[fid] = canonical_form(registry[fid].build(m)) in max_set
     if expected is None:
         status = INFO
         notes.append("outside the theorem's statement")

@@ -12,7 +12,9 @@ import math
 import random
 from collections import deque
 
-from mostar import Graph
+from dataclasses import dataclass
+
+from mostar import Graph, GraphError
 
 
 def random_connected(rng: random.Random, n_lo: int = 2, n_hi: int = 10) -> Graph:
@@ -168,18 +170,6 @@ def naive_edge_rows(g: Graph) -> list[tuple[int, int, int]]:
 
 def naive_edge_mostar(g: Graph) -> int:
     return sum(abs(mu - mv) for mu, mv, _ in naive_edge_rows(g))
-
-
-def naive_vertex_mostar(g: Graph) -> int:
-    """Sum over edges uv of |n_u - n_v|, vertices compared one by one."""
-    dist = [naive_distances(g, s) for s in range(g.n)]
-    total = 0
-    for e in g.edges():
-        du, dv = dist[e.u], dist[e.v]
-        nu = sum(du[x] < dv[x] for x in range(g.n))
-        nv = sum(dv[x] < du[x] for x in range(g.n))
-        total += abs(nu - nv)
-    return total
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -548,13 +538,47 @@ def hang_random_trees(rng: random.Random, g: Graph, count: int) -> Graph:
     return g
 
 
+@dataclass(frozen=True)
+class ShiftSpec:
+    source: int
+    target: int
+    count: int
+
+
+def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
+    """Move `count` pendant edges from source to target.
+
+    The moved vertices are the smallest-labeled pendant neighbours of the
+    source; order, size and connectivity are preserved.
+    """
+    if spec.source == spec.target:
+        raise GraphError("shift source and target must differ")
+    if not (0 <= spec.source < g.n and 0 <= spec.target < g.n):
+        raise GraphError("shift endpoints out of range")
+    if spec.count == 0:
+        return g
+    pendants = [
+        w for w in g.neighbors(spec.source)
+        if g.degree(w) == 1 and w != spec.target
+    ]
+    if len(pendants) < spec.count:
+        raise GraphError(
+            f"vertex {spec.source} has {len(pendants)} movable pendant "
+            f"neighbours, need {spec.count}"
+        )
+    out = g
+    for w in pendants[: spec.count]:
+        out = out.remove_edge(spec.source, w).add_edge(spec.target, w)
+    # re-hanging a leaf on another vertex keeps a connected graph connected
+    return out
+
+
 def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
     """A shift rule's delta by build, shift and difference: role v_i gets
     a_i pendants one `add_pendant` call at a time, `shift_pendants` moves
     them as the rule says, and the indices are differenced.  Same contract
     as `shifts.measured_delta`."""
     from mostar import edge_mostar
-    from mostar.shifts import ShiftSpec, shift_pendants
 
     g = brace
     for i, v in enumerate(roles, start=1):

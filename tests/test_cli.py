@@ -36,10 +36,10 @@ def test_compute_json(tmp_path, capsys):
 
 
 def test_compute_s104(capsys, tmp_path):
-    from mostar.families import s_mr
+    from mostar.families import build
 
     f = tmp_path / "in.g6"
-    f.write_text(write_graph6(s_mr(10, 4)) + "\n")
+    f.write_text(write_graph6(build("S_M4", 10)) + "\n")
     rc, out, _ = run(capsys, ["compute", str(f), "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[1].endswith(",78")
@@ -138,8 +138,19 @@ def _entry(copies=1, **changes):
      "ValueError: family H1: base edges are not connected"),
     (_entry(m_min=3), "ValueError: family H1: m_min 3 below its 7 base edges"),
     (_entry(copies=2), "ValueError: duplicate family id H1"),
+    (_entry(poly=[1, -4]), "ValueError: family H1: poly [1, -4] is not three integers"),
+    (_entry(poly="abc"), "ValueError: family H1: poly 'abc' is not three integers"),
+    (_entry(poly=[1, -4, -9.5]),
+     "ValueError: family H1: poly [1, -4, -9.5] is not three integers"),
+    (_entry(m_min=7.7), "ValueError: family H1: m_min 7.7 is not an integer"),
+    (_entry(attach=True), "ValueError: family H1: attach True is not an integer"),
+    (_entry(id=5), "ValueError: family id 5 is not a string"),
+    (_entry(base_edges=H1_EDGES + [[1, 4.0]]),
+     "ValueError: family H1: base edge [1, 4.0] is not two integers"),
 ], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
-        "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id"])
+        "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id",
+        "poly-two-terms", "poly-string", "poly-float", "m-min-float", "attach-bool",
+        "id-not-string", "endpoint-float"])
 def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
                                   reason):
     """Rejected when the registry loads, before any enumeration starts."""

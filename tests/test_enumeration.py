@@ -270,15 +270,14 @@ def test_maximize_small_tricyclic():
 
 def test_maximize_unicyclic_tie():
     # the two cycle-with-pendants shapes tie at total size 9
-    from mostar import edge_mostar
-    from mostar.families import s_mr
+    from mostar import canonical_form, cycle, edge_mostar
+    from mostar.graphs import with_pendants
 
-    assert edge_mostar(s_mr(9, 3)) == edge_mostar(s_mr(9, 4))
+    s93, s94 = (with_pendants(cycle(r), {0: 9 - r}) for r in (3, 4))
+    assert edge_mostar(s93) == edge_mostar(s94)
     res = maximize(EnumerationTask(9, 9))  # unicyclic: as many edges as vertices
-    from mostar import canonical_form
-
-    assert canonical_form(s_mr(9, 3)) in res.maximizers
-    assert canonical_form(s_mr(9, 4)) in res.maximizers
+    assert canonical_form(s93) in res.maximizers
+    assert canonical_form(s94) in res.maximizers
 
 
 def test_bicyclic_m5():

@@ -5,6 +5,7 @@ import pytest
 
 from mostar import GraphError, canonical_form, complete, cycle, edge_mostar, isomorphic
 from mostar.braces import strip_pendants
+from mostar.enumeration import EnumerationTask, enumerate_connected
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
@@ -13,17 +14,16 @@ from mostar.families import (
     NotPinnedError,
     _brace_tails,
     _collect_group,
-    _family_keys,
-    _member_ids,
     _member_collisions,
+    _member_table,
     _normalize_candidate,
     _poly_eval,
     _poly_str,
     _unresolved_forensics,
     build,
     builtin_registry,
+    member_key,
     polynomial,
-    s_mr,
     single_attach_decomposition,
     verify_family,
 )
@@ -34,10 +34,11 @@ from _helpers import hang_random_trees
 
 
 def test_build_s_mr():
-    g = build("S_MR", 9, r=4)
+    """S_M4 is the cycle of length 4 with m - 4 pendant edges at one vertex."""
+    g = build("S_M4", 9)
     assert (g.n, g.m) == (9, 9)
     assert g.degree(0) == 7  # cycle vertex carrying 5 pendants
-    assert isomorphic(g, s_mr(9, 4))
+    assert isomorphic(g, with_pendants(cycle(4), {0: 5}))
 
 
 def test_build_a0_value():
@@ -50,12 +51,13 @@ def test_build_a3_value():
 
 
 def test_build_structural_families():
-    assert isomorphic(build("CYCLE", 6), cycle(6))
-    assert build("PATH", 5).m == 5
-    assert build("S_STAR", 7).m == 7
-    assert polynomial("CYCLE", 9) == 0
-    assert polynomial("S_STAR", 7) == 42
-    assert edge_mostar(build("S_STAR", 7)) == 42
+    """Only registry ids name families: cycles, paths, stars and S_MR are
+    built with the graph builders, not by `build` or `polynomial`."""
+    for fid in ("CYCLE", "PATH", "S_STAR", "S_MR"):
+        with pytest.raises(NotPinnedError):
+            build(fid, 9)
+        with pytest.raises(NotPinnedError):
+            polynomial(fid, 9)
 
 
 def test_build_errors():
@@ -63,10 +65,6 @@ def test_build_errors():
         build("A0", 11)  # below m_min
     with pytest.raises(NotPinnedError):
         build("F1", 9)  # not pinned in the builtin registry
-    with pytest.raises(GraphError):
-        build("S_MR", 9)  # r missing
-    with pytest.raises(NoPolynomialError):
-        polynomial("PATH", 6)
 
 
 def test_polynomial_values(registry):
@@ -240,49 +238,98 @@ def _isomorphism_scan(reg, hi):
     return scan
 
 
+def _with_base_pendant(spec, fid, at):
+    """spec's family on its base plus one pendant edge at vertex `at`: a
+    base that is not a brace, one size larger."""
+    return dataclasses.replace(spec, id=fid, m_min=spec.m_base + 1,
+                               base_edges=spec.base_edges + ((at, spec.n_base),))
+
+
 def test_member_collisions_exact(registry):
-    """The size rule for shared members equals the isomorphism scan over
-    every registry pair for m <= 16, and the marked-base keys are distinct.
-    A relabelled copy of F1 collides with F1 at every size."""
+    """The ids sharing a member key at each size of the table equal the
+    isomorphism scan over every registry pair for m <= 16, and the
+    marked-base keys are distinct.  A relabelled copy of F1 collides with F1
+    at every size, and H1 on its base plus a pendant edge at its attachment
+    vertex collides with H1 from that base's size on; with the pendant edge
+    at a degree-2 vertex it collides with nothing."""
     hi = 16
     keys = [_normalize_candidate(registry[f].base_graph(), registry[f].attach)[2]
             for f in registry.ids()]
     assert len(set(keys)) == len(keys)
-    assert _member_collisions(registry, hi) == _isomorphism_scan(registry, hi) == {
+    table = _member_table(registry, hi)
+    assert _member_collisions(table) == _isomorphism_scan(registry, hi) == {
         "B3/B4": [5]
     }
-    f1 = registry["F1"]
+    f1, h1 = registry["F1"], registry["H1"]
     last = f1.n_base - 1
     copy = dataclasses.replace(
         f1, id="F1_copy", attach=last - f1.attach,
         base_edges=tuple((last - a, last - b) for a, b in f1.base_edges),
     )
-    reg = FamilyRegistry([f1, copy, registry["H1"]])
-    assert _member_collisions(reg, hi) == _isomorphism_scan(reg, hi) == {
-        "F1/F1_copy": list(range(7, hi + 1))
+    reg = FamilyRegistry([f1, copy, h1, _with_base_pendant(h1, "H1_hub", 0),
+                          _with_base_pendant(h1, "H1_deg2", 2)])
+    assert _member_collisions(_member_table(reg, hi)) == _isomorphism_scan(reg, hi) == {
+        "F1/F1_copy": list(range(7, hi + 1)),
+        "H1/H1_hub": list(range(8, hi + 1)),
     }
 
 
 def test_member_key_rule_matches_labelling(registry, tri_surveys, bi_surveys):
     """For every registry family and every size 7..12 (tricyclic) and 5..10
-    (bicyclic), the key rule that attributes maximizers says "member" of
-    exactly the graphs whose canonical form is the family's member's.  The
+    (bicyclic), the table row of that size holds a graph's member key under
+    exactly the families whose member has the graph's canonical form.  The
     graphs judged are every family's member of that size and every
     enumerated maximizer."""
-    keys = _family_keys(registry)
+    table = _member_table(registry, 12)
     checked = 0
     for surveys in (tri_surveys, bi_surveys):
         for m, s in sorted(surveys.items()):
             built = {f: registry[f].build(m)
                      for f in registry.ids() if registry[f].m_min <= m}
+            assert sorted(table[m]) == sorted(built)
             members = {f: canonical_form(g) for f, g in built.items()}
             graphs = {members[f]: g for f, g in built.items()}
             graphs.update((g6, parse_graph6(g6)) for g6 in s.result.maximizers)
             for form, g in graphs.items():
                 want = [f for f in registry.ids() if members.get(f) == form]
-                assert _member_ids(registry, keys, g) == want, (m, form)
+                key = member_key(g)
+                assert [f for f in sorted(table[m]) if table[m][f] == key] == want, \
+                    (m, form)
                 checked += len(want)
     assert checked > 0
+
+
+def test_member_key_complete_invariant():
+    """On every connected class with at most 8 edges (trees, unicyclic
+    graphs, braces, single-attach and multi-attach graphs) the keys of one
+    size are pairwise distinct, and each survives a random relabelling.
+    The class counts per size are the published ones (OEIS A002905)."""
+    import random
+
+    rng = random.Random(13)
+    kinds = set()
+    classes = []
+    for m in range(9):
+        keys = set()
+        for n in range(1, m + 2):
+            for g in enumerate_connected(EnumerationTask(n, m)):
+                key = member_key(g)
+                assert key not in keys, g.edges()
+                keys.add(key)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert member_key(g.relabel(perm)) == key, (g.edges(), perm)
+                if g.m < g.n:
+                    kinds.add("tree")
+                elif single_attach_decomposition(g) is not None:
+                    kinds.add("single-attach")
+                elif min(map(g.degree, range(g.n))) >= 2:
+                    kinds.add("brace")
+                else:
+                    kinds.add("multi-attach")
+        classes.append(len(keys))
+    assert classes == [1, 1, 1, 3, 5, 12, 30, 79, 227]
+    assert kinds == {"tree", "single-attach", "brace", "multi-attach"}
 
 
 def _reference_single_attach(g):

@@ -14,11 +14,9 @@ from mostar import (
     dot_product,
     edge_mostar,
     edge_report,
-    edge_vertex_distance,
     mostar_summary,
     path,
     star,
-    vertex_mostar,
 )
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
@@ -26,7 +24,6 @@ from _helpers import (
     naive_distances,
     naive_edge_mostar,
     naive_edge_rows,
-    naive_vertex_mostar,
     random_connected,
     random_connected_density,
     random_tree,
@@ -37,19 +34,6 @@ def pend(g, at, k):
     for _ in range(k):
         g = g.add_pendant(at)
     return g
-
-
-def test_edge_vertex_distance_path():
-    g = path(4)
-    dm = all_pairs_distances(g)
-    assert edge_vertex_distance(dm, Edge(2, 3), 0) == 2
-
-
-def test_edge_vertex_distance_incident_zero():
-    g = cycle(5)
-    dm = all_pairs_distances(g)
-    assert edge_vertex_distance(dm, Edge(0, 1), 0) == 0
-    assert edge_vertex_distance(dm, Edge(2, 3), 0) == 2
 
 
 def test_edge_report_triangle():
@@ -92,13 +76,6 @@ def test_cycle_with_pendants_value():
     assert edge_mostar(pend(cycle(3), 0, 2)) == 12  # (m-3)(m+1) at m=5
 
 
-def test_vertex_mostar_examples():
-    assert vertex_mostar(cycle(6)) == 0
-    assert vertex_mostar(path(3)) == 2
-    for n in range(3, 8):
-        assert vertex_mostar(star(n)) == (n - 1) * (n - 2)
-
-
 def test_summary_partition_and_json():
     g = pend(cycle(4), 0, 3)
     s = mostar_summary(g)
@@ -128,7 +105,6 @@ def assert_matches_definition(g):
     assert [r.edge for r in s.per_edge] == g.edges()
     assert [(r.m_u, r.m_v, r.equidistant) for r in s.per_edge] == naive_edge_rows(g)
     assert s.edge_mostar == edge_mostar(g) == naive_edge_mostar(g)
-    assert vertex_mostar(g) == naive_vertex_mostar(g)
 
 
 @given(st.integers(0, 10**6))
@@ -209,7 +185,7 @@ def test_disconnected_rejected():
         Graph.from_edges(24, [(i, i + 1) for i in range(11)]
                          + [(i, i + 1) for i in range(12, 23)]),
     ):
-        for index in (edge_mostar, vertex_mostar, mostar_summary, pendant_tails):
+        for index in (edge_mostar, mostar_summary, pendant_tails):
             with pytest.raises(GraphError, match="requires a connected graph"):
                 index(g)
 
@@ -217,7 +193,7 @@ def test_disconnected_rejected():
 @pytest.mark.parametrize("n", [0, 1])
 def test_trivial_graphs_score_zero(n):
     g = Graph.empty(n)
-    assert edge_mostar(g) == vertex_mostar(g) == mostar_summary(g).edge_mostar == 0
+    assert edge_mostar(g) == mostar_summary(g).edge_mostar == 0
     assert mostar_summary(g).per_edge == ()
 
 

@@ -6,20 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from mostar import Graph, GraphError, cycle, cyclomatic_number, is_connected, isomorphic
 from mostar.graphs import theta
-from _helpers import reference_measured_delta
+from _helpers import ShiftSpec, reference_measured_delta, shift_pendants
 from mostar.shifts import (
     DISCREPANT,
     GROUPS,
     MATCH,
     SKIPPED,
     RULES,
-    ShiftSpec,
     calibrate,
-    lemma_delta,
     measured_delta,
     rule_ids,
     run_shift_suite,
-    shift_pendants,
     verify_lemma_shift,
 )
 
@@ -95,11 +92,15 @@ def test_shift_errors():
 
 
 def test_lemma_delta_values():
-    assert lemma_delta("L3.7a", {"a3": 1, "a4": 1, "a5": 1, "a6": 1}) == 8
-    assert lemma_delta("L3.4a", {"a6": 0}) == 0
-    assert lemma_delta("L3.3a", {"a1": 0, "a2": 4, "a3": 1, "a5": 1}) == 10
+    def delta(rule_id, params):
+        return RULES[rule_id].delta({"a1": 0, "a2": 0, "a3": 0, "a4": 0,
+                                     "a5": 0, "a6": 0, **params})
+
+    assert delta("L3.7a", {"a3": 1, "a4": 1, "a5": 1, "a6": 1}) == 8
+    assert delta("L3.4a", {"a6": 0}) == 0
+    assert delta("L3.3a", {"a1": 0, "a2": 4, "a3": 1, "a5": 1}) == 10
     with pytest.raises(GraphError):
-        lemma_delta("L9.9z", {})
+        verify_lemma_shift("L9.9z", {})
 
 
 def test_rule_table_complete():

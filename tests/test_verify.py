@@ -1,6 +1,9 @@
+import dataclasses
 from typing import Optional
 
-from mostar.verify import BICYCLIC, TRICYCLIC
+from mostar import canonical_form
+from mostar.families import FamilyRegistry, FamilySpec
+from mostar.verify import BICYCLIC, TRICYCLIC, _row
 
 
 # the per-class functions the ClassSpec table replaced, kept verbatim as the
@@ -61,3 +64,34 @@ def test_class_tables_match_reference():
         assert TRICYCLIC.expected_families(m) == reference_tricyclic_families(m), m
         assert BICYCLIC.expected_max(m) == reference_bicyclic_max(m), m
         assert BICYCLIC.expected_families(m) == reference_bicyclic_families(m), m
+
+
+def _labelled_hits(spec, m, result, registry):
+    """family_hits by labelling each built member, the rule `_row` replaced."""
+    return {f: None if f not in registry or registry[f].m_min > m
+            else canonical_form(registry[f].build(m)) in result.maximizers
+            for f in spec.expected_families(m)}
+
+
+def test_family_hits_match_labelling(registry, tri_surveys, bi_surveys):
+    """Every row's family_hits equal labelling each family's member, on the
+    committed registry and on one whose bases are not braces: H1's base
+    plus a pendant edge at its attachment vertex (which hits wherever H1
+    does from that size on), H1's base plus a pendant edge at a degree-2
+    vertex, and a star."""
+    h1 = registry["H1"]
+    hub = dataclasses.replace(h1, m_min=8, base_edges=h1.base_edges + ((0, 5),))
+    side = dataclasses.replace(hub, id="F1", base_edges=h1.base_edges + ((2, 5),))
+    star = FamilySpec("A3", ((0, 1), (0, 2), (0, 3)), 0, 3, None, "TEST")
+    odd = FamilyRegistry([hub, side, star, dataclasses.replace(star, id="B0")])
+    rows = 0
+    for spec, surveys in ((TRICYCLIC, tri_surveys), (BICYCLIC, bi_surveys)):
+        for m, s in sorted(surveys.items()):
+            for reg in (registry, odd):
+                hits = _row(spec, m, s.result, reg).family_hits
+                assert hits == _labelled_hits(spec, m, s.result, reg), (m, hits)
+                rows += 1
+            if "H1" in spec.expected_families(m) and m >= 8:
+                assert _row(spec, m, s.result, odd).family_hits["H1"] is \
+                    _row(spec, m, s.result, registry).family_hits["H1"] is True
+    assert rows == 24
