@@ -105,6 +105,9 @@ class EnumerationTask:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """The max/argmax fold of one task; each maximizer string is its
+    graph's `canonical_form`, which discovery and the verify rows rely on."""
+
     task: EnumerationTask
     graphs_visited: int
     max_value: Optional[int]
@@ -389,7 +392,7 @@ def _fold_seed(args) -> dict[int, _Fold]:
 @dataclass(frozen=True)
 class Survey:
     """Result of one task's enumeration: the max/argmax fold and the
-    canonical graph6 of every brace visited, sorted."""
+    `canonical_form` of every brace visited, sorted."""
 
     result: EnumerationResult
     braces: tuple[str, ...]

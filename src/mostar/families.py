@@ -106,6 +106,9 @@ class FamilySpec:
         poly = d.get("poly")
         if poly is not None and not _ints(poly, 3):
             raise ValueError(f"family {fid}: poly {poly!r} is not three integers")
+        if not isinstance(d["provenance"], str):
+            raise ValueError(
+                f"family {fid}: provenance {d['provenance']!r} is not a string")
         spec = cls(
             id=fid,
             base_edges=tuple(tuple(e) for e in d["base_edges"]),
@@ -334,23 +337,6 @@ def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int
     return tuple(base_c.edges()), attach_new, write_graph6(gc)
 
 
-def member_key(g: Graph) -> str:
-    """A string two connected graphs of one size share exactly when they
-    are isomorphic: the marked-base key (`_normalize_candidate`) of a brace
-    plus bare pendant edges at one vertex (single-attach), else the
-    canonical form; trees (m < n) have no brace.  Being single-attach is
-    invariant under isomorphism, and a form equal to a marked-base key is a
-    single-attach graph's, so equal keys come from two graphs with one form
-    or from two single-attach graphs, whose key fixes the brace and its
-    attachment orbit and whose size fixes the pendant count.  So the rule
-    holds for the members of any connected base, not only of braces."""
-    if g.m >= g.n:
-        dec = single_attach_decomposition(g)
-        if dec is not None:
-            return _normalize_candidate(*dec)[2]
-    return canonical_form(g)
-
-
 @dataclass
 class DiscoveryReport:
     resolved: dict[str, dict] = field(default_factory=dict)
@@ -380,15 +366,6 @@ class DiscoveryReport:
                 str(m): v for m, v in sorted(self.unattributed_maximizers.items())
             },
         }
-
-
-# tricyclic candidate groups: ids sharing one DISCOVERY entry
-_GROUPS: list[tuple[str, ...]] = [
-    ("A1", "A2"), ("A4",), ("A5", "A6", "A7"), ("D1",), ("D2",), ("F1",),
-    ("F2",), ("F3",), ("F4",), ("H2",), ("H3",), ("H4",),
-]
-# bicyclic: B1 and B3 share m^2-3m-6
-_BICYCLIC_GROUP = ("B1", "B3")
 
 
 # a surveyed brace's class, a DISCOVERY polynomial, the construction
@@ -422,10 +399,11 @@ def _brace_tails(surveys: dict) -> list[_Tail]:
     return out
 
 
-def _collect_group(ids: tuple[str, ...], tails: list[_Tail]) -> list[Candidate]:
-    """The candidates whose tail is the group's polynomial and, where the
-    table names one, whose brace has the group's shape."""
-    poly, kind, params = DISCOVERY[ids[0]]
+def _collect_group(fid: str, tails: list[_Tail]) -> list[Candidate]:
+    """The candidates whose tail is the family's polynomial and, where
+    DISCOVERY names one, whose brace has the family's shape; ids sharing
+    a DISCOVERY entry share these candidates."""
+    poly, kind, params = DISCOVERY[fid]
     return sorted(
         (c for cls, p, c in tails
          if p == poly and (kind is None or (
@@ -509,18 +487,16 @@ def discover_families(
     def maximizing(fid: str, m: int, cands: list[Candidate]) -> list[Candidate]:
         if m not in tri_surveys:
             return []
-        top = {member_key(parse_graph6(g6)) for g6 in tri_surveys[m].result.maximizers}
+        top = tri_surveys[m].result.maximizers
         return [
             c for c in cands
-            if c.m_min <= m and member_key(c.spec(fid).build(m)) in top
+            if c.m_min <= m and canonical_form(c.spec(fid).build(m)) in top
         ]
 
-    # tricyclic groups
     tri_tails = _brace_tails(tri_surveys)
-    group_cands = {ids: _collect_group(ids, tri_tails) for ids in _GROUPS}
 
     # A2 is the unique size-10 maximizer; A1 joins it at size 11
-    a_cands = group_cands[("A1", "A2")]
+    a_cands = _collect_group("A2", tri_tails)
     a2 = adopt("A2", maximizing("A2", 10, a_cands))
     a1 = adopt("A1", maximizing(
         "A1", 11, [c for c in a_cands if a2 is None or c.key != a2.key]
@@ -536,10 +512,10 @@ def discover_families(
 
     # A4: same polynomial as the pinned A3 but a different construction
     a3_key = _normalize_candidate(reg["A3"].base_graph(), reg["A3"].attach)[2]
-    adopt("A4", [c for c in group_cands[("A4",)] if c.key != a3_key])
+    adopt("A4", [c for c in _collect_group("A4", tri_tails) if c.key != a3_key])
 
     # A5/A6 (and possibly A7) share m^2-3m-18
-    a56 = group_cands[("A5", "A6", "A7")]
+    a56 = _collect_group("A5", tri_tails)
     report.composite_18_family_count = len(a56)
     adopt("A5", a56[:1])
     adopt("A6", a56[1:2])
@@ -555,23 +531,22 @@ def discover_families(
         )
 
     for fid in ("D1", "D2", "F1", "F2", "F3", "F4", "H2", "H3", "H4"):
-        if adopt(fid, group_cands[(fid,)]) is None:
+        if adopt(fid, _collect_group(fid, tri_tails)) is None:
             _unresolved_forensics(fid, report)
 
     # bicyclic: B3 is the member of its group built on the 4-vertex 5-edge
     # graph K4 - e (the size-5 member both B3 and B4 degenerate to), the
     # one bicyclic brace with 5 edges
-    b_cands = _collect_group(_BICYCLIC_GROUP, _brace_tails(bi_surveys))
+    b_cands = _collect_group("B1", _brace_tails(bi_surveys))
     b3 = adopt("B3", [c for c in b_cands if len(c.base_edges) == 5])
     adopt("B1", [c for c in b_cands if b3 is None or c.key != b3.key])
 
     # B2/B4 have no closed form; they are the remaining size-9 maximizers
     extras: list[Candidate] = []
     if 9 in bi_surveys:
-        known9 = {member_key(reg[f].build(9)) for f in ("B0", "B1", "B3")
+        known9 = {canonical_form(reg[f].build(9)) for f in ("B0", "B1", "B3")
                   if f in reg and reg[f].m_min <= 9}
-        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers
-                  if member_key(parse_graph6(g6)) not in known9]
+        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers if g6 not in known9]
         for g6 in sorted(extra9):
             dec = single_attach_decomposition(parse_graph6(g6))
             if dec is None:
@@ -596,20 +571,19 @@ def discover_families(
 
 
 def _member_table(reg: FamilyRegistry, hi: int) -> dict[int, dict[str, str]]:
-    """{m: {family id: member_key of its size-m member}} for m <= hi."""
-    return {m: {f: member_key(reg[f].build(m)) for f in reg.ids() if reg[f].m_min <= m}
+    """{m: {family id: canonical form of its size-m member}} for m <= hi."""
+    return {m: {f: canonical_form(reg[f].build(m)) for f in reg.ids() if reg[f].m_min <= m}
             for m in range(hi + 1)}
 
 
 def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
-    """Match every enumerated maximizer to a registry family by member key;
-    leftovers are the graphs the printed equality cases do not name."""
+    """Match every enumerated maximizer to a registry family by canonical
+    form; leftovers are the graphs the printed equality cases do not name."""
     for surveys in (tri_surveys, bi_surveys):
         for m in sorted(surveys):
             members = set(table[m].values())
-            extras = [g6 for g6 in surveys[m].result.maximizers
-                      if member_key(parse_graph6(g6)) not in members]
+            extras = [g6 for g6 in surveys[m].result.maximizers if g6 not in members]
             if not extras:
                 continue
             report.unattributed_maximizers.setdefault(m, []).extend(extras)
@@ -628,10 +602,10 @@ def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryRep
 
 def _member_collisions(table: dict[int, dict[str, str]]) -> dict[str, list[int]]:
     """Sizes at which two registry families have isomorphic members: the
-    pairs of ids that share a member key at each size of `table`."""
+    pairs of ids that share a canonical form at each size of `table`."""
     pairs: dict[tuple[str, str], list[int]] = {}
-    for m, keys in sorted(table.items()):
-        for f1, f2 in combinations(sorted(keys), 2):
-            if keys[f1] == keys[f2]:
+    for m, forms in sorted(table.items()):
+        for f1, f2 in combinations(sorted(forms), 2):
+            if forms[f1] == forms[f2]:
                 pairs.setdefault((f1, f2), []).append(m)
     return {f"{f1}/{f2}": ms for (f1, f2), ms in sorted(pairs.items())}

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .canon import canonical_form
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -34,9 +35,7 @@ from .families import (
     FamilyRegistry,
     builtin_registry,
     discover_families,
-    member_key,
 )
-from .graphs import parse_graph6
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -135,10 +134,9 @@ def _row(
     families = spec.expected_families(m)
     observed_max = res.max_value
     max_set = set(res.maximizers)
-    max_keys = {member_key(parse_graph6(g6)) for g6 in max_set}
     hits: dict[str, Optional[bool]] = {
         fid: None if fid not in registry or registry[fid].m_min > m
-        else member_key(registry[fid].build(m)) in max_keys
+        else canonical_form(registry[fid].build(m)) in max_set
         for fid in families
     }
     notes = []

@@ -147,10 +147,12 @@ def _entry(copies=1, **changes):
     (_entry(id=5), "ValueError: family id 5 is not a string"),
     (_entry(base_edges=H1_EDGES + [[1, 4.0]]),
      "ValueError: family H1: base edge [1, 4.0] is not two integers"),
+    (_entry(provenance=5), "ValueError: family H1: provenance 5 is not a string"),
+    (_entry(provenance=None), "ValueError: family H1: provenance None is not a string"),
 ], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
         "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id",
         "poly-two-terms", "poly-string", "poly-float", "m-min-float", "attach-bool",
-        "id-not-string", "endpoint-float"])
+        "id-not-string", "endpoint-float", "provenance-int", "provenance-null"])
 def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
                                   reason):
     """Rejected when the registry loads, before any enumeration starts."""

@@ -231,6 +231,29 @@ def test_survey_matches_labelling_fold(task):
         assert got == want, workers
 
 
+def test_connected_class_totals():
+    """Connected graphs with m = 0..8 edges, summed over n: the published
+    totals (OEIS A002905)."""
+    totals = [sum(len(list(enumerate_connected(EnumerationTask(n, m))))
+                  for n in range(1, m + 2))
+              for m in range(9)]
+    assert totals == [1, 1, 1, 3, 5, 12, 30, 79, 227]
+
+
+def test_survey_strings_are_canonical(tri_surveys, bi_surveys):
+    """Every maximizer and brace string of the tricyclic 7..12 and bicyclic
+    5..10 surveys is its own `canonical_form`: discovery and the
+    verification rows identify a family member by looking its canonical
+    form up among these strings."""
+    checked = 0
+    for surveys in (tri_surveys, bi_surveys):
+        for m, s in sorted(surveys.items()):
+            for g6 in (*s.result.maximizers, *s.braces):
+                assert canonical_form(parse_graph6(g6)) == g6, (m, g6)
+                checked += 1
+    assert checked > 0
+
+
 def test_no_duplicates_at_tricyclic_7():
     forms = [canon(g).key for g in enumerate_connected(EnumerationTask(7, 9))]
     assert len(forms) == len(set(forms)) == 107

@@ -5,7 +5,6 @@ import pytest
 
 from mostar import GraphError, canonical_form, complete, cycle, edge_mostar, isomorphic
 from mostar.braces import strip_pendants
-from mostar.enumeration import EnumerationTask, enumerate_connected
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
@@ -22,12 +21,11 @@ from mostar.families import (
     _unresolved_forensics,
     build,
     builtin_registry,
-    member_key,
     polynomial,
     single_attach_decomposition,
     verify_family,
 )
-from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
+from mostar.graphs import hub_paths, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import hang_random_trees
@@ -147,7 +145,7 @@ def test_h4_head_coincidence_rejected(atlas_report):
     assert forms[2][:2] == ((1, -3, -32), 11)
     for hi in (9, 12):
         surveys = {base.m: _Survey(base), hi: _Survey()}
-        assert _collect_group(("H4",), _brace_tails(surveys)) == []
+        assert _collect_group("H4", _brace_tails(surveys)) == []
     # the three measured forms the atlas report records for H4
     note = next(n for n in atlas_report["notes"] if n.startswith("H4:"))
     for v, form in ((0, "m^2-3m-20 from m>=8"), (2, "m^2-3m-32 from m>=11"),
@@ -208,7 +206,7 @@ def test_brace_pass_needs_tail_by_largest_size(registry):
     key = _normalize_candidate(base, spec.attach)[2]
     for hi, want in ((9, []), (10, [(10, 10)])):
         tails = _brace_tails({base.m: _Survey(base), hi: _Survey()})
-        assert [(c.m_min, c.first_seen_m) for c in _collect_group(("F2",), tails)
+        assert [(c.m_min, c.first_seen_m) for c in _collect_group("F2", tails)
                 if c.key == key] == want
 
 
@@ -246,7 +244,7 @@ def _with_base_pendant(spec, fid, at):
 
 
 def test_member_collisions_exact(registry):
-    """The ids sharing a member key at each size of the table equal the
+    """The ids sharing a canonical form at each size of the table equal the
     isomorphism scan over every registry pair for m <= 16, and the
     marked-base keys are distinct.  A relabelled copy of F1 collides with F1
     at every size, and H1 on its base plus a pendant edge at its attachment
@@ -272,64 +270,6 @@ def test_member_collisions_exact(registry):
         "F1/F1_copy": list(range(7, hi + 1)),
         "H1/H1_hub": list(range(8, hi + 1)),
     }
-
-
-def test_member_key_rule_matches_labelling(registry, tri_surveys, bi_surveys):
-    """For every registry family and every size 7..12 (tricyclic) and 5..10
-    (bicyclic), the table row of that size holds a graph's member key under
-    exactly the families whose member has the graph's canonical form.  The
-    graphs judged are every family's member of that size and every
-    enumerated maximizer."""
-    table = _member_table(registry, 12)
-    checked = 0
-    for surveys in (tri_surveys, bi_surveys):
-        for m, s in sorted(surveys.items()):
-            built = {f: registry[f].build(m)
-                     for f in registry.ids() if registry[f].m_min <= m}
-            assert sorted(table[m]) == sorted(built)
-            members = {f: canonical_form(g) for f, g in built.items()}
-            graphs = {members[f]: g for f, g in built.items()}
-            graphs.update((g6, parse_graph6(g6)) for g6 in s.result.maximizers)
-            for form, g in graphs.items():
-                want = [f for f in registry.ids() if members.get(f) == form]
-                key = member_key(g)
-                assert [f for f in sorted(table[m]) if table[m][f] == key] == want, \
-                    (m, form)
-                checked += len(want)
-    assert checked > 0
-
-
-def test_member_key_complete_invariant():
-    """On every connected class with at most 8 edges (trees, unicyclic
-    graphs, braces, single-attach and multi-attach graphs) the keys of one
-    size are pairwise distinct, and each survives a random relabelling.
-    The class counts per size are the published ones (OEIS A002905)."""
-    import random
-
-    rng = random.Random(13)
-    kinds = set()
-    classes = []
-    for m in range(9):
-        keys = set()
-        for n in range(1, m + 2):
-            for g in enumerate_connected(EnumerationTask(n, m)):
-                key = member_key(g)
-                assert key not in keys, g.edges()
-                keys.add(key)
-                perm = list(range(g.n))
-                rng.shuffle(perm)
-                assert member_key(g.relabel(perm)) == key, (g.edges(), perm)
-                if g.m < g.n:
-                    kinds.add("tree")
-                elif single_attach_decomposition(g) is not None:
-                    kinds.add("single-attach")
-                elif min(map(g.degree, range(g.n))) >= 2:
-                    kinds.add("brace")
-                else:
-                    kinds.add("multi-attach")
-        classes.append(len(keys))
-    assert classes == [1, 1, 1, 3, 5, 12, 30, 79, 227]
-    assert kinds == {"tree", "single-attach", "brace", "multi-attach"}
 
 
 def _reference_single_attach(g):

@@ -67,7 +67,9 @@ def test_class_tables_match_reference():
 
 
 def _labelled_hits(spec, m, result, registry):
-    """family_hits by labelling each built member, the rule `_row` replaced."""
+    """family_hits by the one identity rule, written out apart from `_row`:
+    a family hits when its size-m member's canonical form is one of the
+    maximizer strings, which the survey stores in that form."""
     return {f: None if f not in registry or registry[f].m_min > m
             else canonical_form(registry[f].build(m)) in result.maximizers
             for f in spec.expected_families(m)}
