@@ -1,20 +1,17 @@
 """Edge Mostar index toolkit: invariants, extremal families, exhaustive search."""
 
 from .graphs import (
-    Edge,
     Graph,
     Graph6Error,
     GraphError,
     all_pairs_distances,
     bfs_distances,
-    complete,
     cycle,
     cyclomatic_number,
     dot_product,
     is_connected,
     parse_graph6,
     path,
-    star,
     write_graph6,
 )
 from .canon import (
@@ -22,7 +19,6 @@ from .canon import (
     CanonCapacityError,
     canon,
     canonical_form,
-    isomorphic,
 )
 from .indices import (
     EdgeReport,
@@ -49,12 +45,9 @@ from .enumeration import (
 from .families import (
     FamilyRegistry,
     FamilySpec,
-    NoPolynomialError,
     NotPinnedError,
-    build,
     builtin_registry,
     discover_families,
-    polynomial,
     verify_family,
 )
 from .shifts import (
@@ -70,16 +63,13 @@ __all__ = [
     "EnumerationTask",
     "FamilyRegistry",
     "FamilySpec",
-    "NoPolynomialError",
     "NotPinnedError",
     "Skeleton",
-    "build",
     "builtin_registry",
     "classify",
     "discover_families",
     "enumerate_connected",
     "maximize",
-    "polynomial",
     "run_atlas",
     "run_shift_suite",
     "skeleton",
@@ -91,7 +81,6 @@ __all__ = [
     "verify_tricyclic",
     "CANON_MAX_N",
     "CanonCapacityError",
-    "Edge",
     "EdgeReport",
     "Graph",
     "Graph6Error",
@@ -101,17 +90,14 @@ __all__ = [
     "bfs_distances",
     "canon",
     "canonical_form",
-    "complete",
     "cycle",
     "cyclomatic_number",
     "dot_product",
     "edge_mostar",
     "edge_report",
     "is_connected",
-    "isomorphic",
     "mostar_summary",
     "parse_graph6",
     "path",
-    "star",
     "write_graph6",
 ]

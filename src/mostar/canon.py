@@ -44,10 +44,6 @@ class CanonResult(NamedTuple):
     generators: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]       # vertex -> smallest vertex in its orbit
 
-    @property
-    def key(self) -> tuple:
-        return (self.n, self.canon_adj)
-
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
     """Refine an ordered partition of vertex bitmasks to equitability, with
@@ -212,14 +208,6 @@ def canonical_form(g: Graph) -> str:
     return write_graph6(Graph(res.n, res.canon_adj))
 
 
-def isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(r.bit_count() for r in g1.adj) != sorted(r.bit_count() for r in g2.adj):
-        return False
-    return canon(g1).key == canon(g2).key
-
-
 def pair_orbit_reps(
     n: int,
     generators: tuple[tuple[int, ...], ...],
@@ -236,18 +224,8 @@ def pair_orbit_reps(
     if not generators:
         return {p: p for p in pairs}
     parent = list(range(n * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for gen in generators:
         for u, v in pairs:
             x, y = gen[u], gen[v]
-            ra, rb = find(u * n + v), find(x * n + y if x < y else y * n + x)
-            if ra < rb:
-                parent[rb] = ra
-            elif rb < ra:
-                parent[ra] = rb
-    return {(u, v): divmod(find(u * n + v), n) for u, v in pairs}
+            _union(parent, u * n + v, x * n + y if x < y else y * n + x)
+    return {(u, v): divmod(_find(parent, u * n + v), n) for u, v in pairs}

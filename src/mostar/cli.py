@@ -184,10 +184,7 @@ def cmd_atlas(args) -> int:
     )
     # the report first, so an unwritable report path leaves the registry as it was
     report_text = json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if args.report:
-        Path(args.report).write_text(report_text)
-    else:
-        sys.stdout.write(report_text)
+    _write_output(report_text, args.report)
     result.registry.save(args.output)
     print(f"registry written to {args.output}", file=sys.stderr)
     if result.report.unresolved:

@@ -33,10 +33,6 @@ ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
 
 
-class NoPolynomialError(ValueError):
-    """The family has no quadratic closed form."""
-
-
 class NotPinnedError(KeyError):
     """The family has no registry entry yet (discovery has not resolved it)."""
 
@@ -220,21 +216,6 @@ def builtin_registry() -> FamilyRegistry:
     return FamilyRegistry(_analytic_specs())
 
 
-def build(fid: str, m: int, registry: Optional[FamilyRegistry] = None) -> Graph:
-    """Size-m member of a registry family; deterministic labeling."""
-    reg = registry if registry is not None else builtin_registry()
-    return reg[fid].build(m)
-
-
-def polynomial(fid: str, m: int, registry: Optional[FamilyRegistry] = None) -> int:
-    """Exact closed-form value of the family at size m."""
-    reg = registry if registry is not None else builtin_registry()
-    spec = reg[fid]
-    if spec.poly is None:
-        raise NoPolynomialError(f"{fid} carries no closed form")
-    return _poly_eval(spec.poly, m)
-
-
 @dataclass(frozen=True)
 class FamilyCheckRow:
     m: int
@@ -249,12 +230,12 @@ class FamilyCheckRow:
 def verify_family(
     fid: str, m_range: Iterable[int], registry: Optional[FamilyRegistry] = None
 ) -> list[FamilyCheckRow]:
-    """Compare edge_mostar(build(fid, m)) against the closed form, exactly."""
-    rows = []
-    for m in m_range:
-        g = build(fid, m, registry)
-        rows.append(FamilyCheckRow(m, edge_mostar(g), polynomial(fid, m, registry)))
-    return rows
+    """Compare edge_mostar(spec.build(m)) against the closed form, exactly."""
+    spec = (registry if registry is not None else builtin_registry())[fid]
+    if spec.poly is None:
+        raise ValueError(f"{fid} carries no closed form")
+    return [FamilyCheckRow(m, edge_mostar(spec.build(m)), _poly_eval(spec.poly, m))
+            for m in m_range]
 
 
 # -- discovery ---------------------------------------------------------------
@@ -326,7 +307,7 @@ def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int
     remembers the attachment orbit; canonicalizing that graph makes the
     stored registry entry independent of how the candidate was found.
     """
-    tagged = base.add_pendant(attach)
+    tagged = with_pendants(base, {attach: 1})
     res = canon(tagged)
     gc = Graph(res.n, res.canon_adj)
     tag = next(v for v in range(gc.n) if gc.degree(v) == 1)

@@ -2,30 +2,18 @@
 
 Adjacency is stored as one bitmask per vertex, which keeps edge tests,
 BFS frontiers and neighbourhood scans cheap at the sizes this library
-works with.  Graphs are value objects: every mutator returns a new
-instance, so instances can be shared freely across worker processes.
+works with.  An edge is a plain (u, v) pair with u < v.  Graphs are
+immutable values, so instances can be shared freely across worker
+processes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class GraphError(ValueError):
     """Invalid graph construction or operation."""
-
-
-class Edge(NamedTuple):
-    """Undirected edge, normalized so that u < v."""
-
-    u: int
-    v: int
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "Edge":
-        if a == b:
-            raise GraphError(f"self-loop at vertex {a}")
-        return cls(a, b) if a < b else cls(b, a)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -61,12 +49,6 @@ class Graph:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
-        if n < 0:
-            raise GraphError("vertex count must be nonnegative")
-        return cls(n, (0,) * n)
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for a, b in edges:
@@ -95,8 +77,8 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return _bits(self.adj[v])
 
-    def edges(self) -> list[Edge]:
-        return [Edge(u, v) for u, v in edge_pairs(self.adj)]
+    def edges(self) -> list[tuple[int, int]]:
+        return edge_pairs(self.adj)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -107,31 +89,7 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- mutators (return new graphs) -------------------------------------
-
-    def add_edge(self, a: int, b: int) -> "Graph":
-        e = Edge.of(a, b)
-        if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-            raise GraphError(f"edge {e} out of range")
-        if self.has_edge(e.u, e.v):
-            raise GraphError(f"edge {e} already present")
-        adj = list(self.adj)
-        adj[e.u] |= 1 << e.v
-        adj[e.v] |= 1 << e.u
-        return Graph(self.n, tuple(adj))
-
-    def remove_edge(self, a: int, b: int) -> "Graph":
-        e = Edge.of(a, b)
-        if not self.has_edge(e.u, e.v):
-            raise GraphError(f"edge {e} not present")
-        adj = list(self.adj)
-        adj[e.u] &= ~(1 << e.v)
-        adj[e.v] &= ~(1 << e.u)
-        return Graph(self.n, tuple(adj))
-
-    def add_pendant(self, at: int) -> "Graph":
-        """Attach one new degree-1 vertex to `at` (new vertex gets label n)."""
-        return with_pendants(self, {at: 1})
+    # -- derived graphs -------------------------------------------------
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -171,17 +129,6 @@ def path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def star(n: int) -> Graph:
-    """Star on n vertices with center 0."""
-    if n < 1:
-        raise GraphError("star needs at least 1 vertex")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
-def complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
     """Hubs 0..hubs-1 joined by internally disjoint paths (a, b, length).
 
@@ -210,8 +157,8 @@ def theta(lengths: Iterable[int]) -> Graph:
 def with_pendants(g: Graph, counts: Mapping[int, int]) -> Graph:
     """g with counts[v] new degree-1 vertices attached at each vertex v.
 
-    The new vertices are numbered from g.n on, in increasing order of v,
-    as repeated `add_pendant` calls in that order would number them.
+    The new vertices are numbered from g.n on: the pendants of the
+    smallest v first, then those of the next v, and so on.
     """
     adj = list(g.adj)
     for v in sorted(counts):
@@ -305,7 +252,7 @@ def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
         else:
             remap[w] = nxt
             nxt += 1
-    edges = [(u, v) for u, v in g1.edges()]
+    edges = g1.edges()
     edges += [(remap[u], remap[v]) for u, v in g2.edges()]
     return Graph.from_edges(g1.n + g2.n - 1, edges)
 

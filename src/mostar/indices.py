@@ -48,7 +48,7 @@ from itertools import takewhile
 from typing import Iterator
 
 from .graphs import (
-    Edge, Graph, GraphError, all_pairs_distances, bfs_distances, edge_pairs,
+    Graph, GraphError, all_pairs_distances, bfs_distances, edge_pairs,
     is_connected, write_graph6,
 )
 
@@ -57,9 +57,10 @@ _DISCONNECTED = "operation requires a connected graph"
 
 @dataclass(frozen=True)
 class EdgeReport:
-    """Orientation counts for a single edge e = (u, v)."""
+    """Orientation counts for a single edge e = (u, v), u < v."""
 
-    edge: Edge
+    u: int
+    v: int
     m_u: int          # edges strictly closer to u
     m_v: int          # edges strictly closer to v
     equidistant: int  # remaining edges (e itself excluded)
@@ -70,8 +71,8 @@ class EdgeReport:
 
     def to_dict(self) -> dict:
         return {
-            "u": self.edge.u,
-            "v": self.edge.v,
+            "u": self.u,
+            "v": self.v,
             "mu": self.m_u,
             "mv": self.m_v,
             "eq": self.equidistant,
@@ -93,30 +94,31 @@ class MostarSummary:
         }
 
 
-def edge_report(g: Graph, e: Edge, dm: list[list] | None = None) -> EdgeReport:
-    """Classify all edges f != e by which endpoint of e they sit closer to."""
-    e = Edge.of(e[0], e[1])
-    if not g.has_edge(e.u, e.v):
-        raise GraphError(f"edge {e} not in graph")
+def edge_report(g: Graph, e: tuple[int, int], dm: list[list] | None = None) -> EdgeReport:
+    """Classify all edges f != e by which endpoint of e they sit closer to;
+    e is any pair of adjacent vertices, reported as (u, v) with u < v."""
+    u, v = sorted(e)
+    if not g.has_edge(u, v):
+        raise GraphError(f"edge ({u}, {v}) not in graph")
     if not is_connected(g):
         raise GraphError(_DISCONNECTED)
     if dm is None:
         dm = all_pairs_distances(g)
-    du = dm[e.u]
-    dv = dm[e.v]
+    du = dm[u]
+    dv = dm[v]
     m_u = m_v = eq = 0
-    for f in g.edges():
-        if f == e:
+    for a, b in g.edges():
+        if a == u and b == v:
             continue
-        fu = du[f.u] if du[f.u] < du[f.v] else du[f.v]
-        fv = dv[f.u] if dv[f.u] < dv[f.v] else dv[f.v]
+        fu = du[a] if du[a] < du[b] else du[b]
+        fv = dv[a] if dv[a] < dv[b] else dv[b]
         if fu < fv:
             m_u += 1
         elif fv < fu:
             m_v += 1
         else:
             eq += 1
-    return EdgeReport(e, m_u, m_v, eq)
+    return EdgeReport(u, v, m_u, m_v, eq)
 
 
 def _balls(adj: tuple[int, ...], seeds: list[int]) -> Iterator[list[int]]:
@@ -239,5 +241,5 @@ def mostar_summary(g: Graph) -> MostarSummary:
     reports = []
     for (u, v), m_u in zip(pairs, mu):
         m_v = m_u + t[u] - t[v]
-        reports.append(EdgeReport(Edge(u, v), m_u, m_v, m - 1 - m_u - m_v))
+        reports.append(EdgeReport(u, v, m_u, m_v, m - 1 - m_u - m_v))
     return MostarSummary(write_graph6(g), sum(r.psi for r in reports), tuple(reports))

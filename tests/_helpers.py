@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from mostar import Graph, GraphError
+from mostar.graphs import with_pendants
 
 
 def random_connected(rng: random.Random, n_lo: int = 2, n_hi: int = 10) -> Graph:
@@ -91,6 +92,24 @@ def circulants(n_max: int):
             }))
 
 
+def star(n: int) -> Graph:
+    """Star on n vertices with center 0."""
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def toggle_edge(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """Adjacency rows `adj` with the pair uv added when absent, removed when
+    present."""
+    out = list(adj)
+    out[u] ^= 1 << v
+    out[v] ^= 1 << u
+    return tuple(out)
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -147,7 +166,7 @@ def naive_edge_rows(g: Graph) -> list[tuple[int, int, int]]:
     """(m_u, m_v, equidistant) for every edge e = uv, in `g.edges()` order,
     straight from the definition: dict-BFS distances and one comparison of
     every edge f != e."""
-    edges = [(e.u, e.v) for e in g.edges()]
+    edges = g.edges()
     dist = [naive_distances(g, s) for s in range(g.n)]
     rows = []
     for u, v in edges:
@@ -242,7 +261,7 @@ def brute_connected_class_count(n: int, m: int) -> int:
 def canon_connected_class_count(n: int, m: int) -> int:
     """Labeled enumeration of every m-edge subset, connectivity filter,
     canonical dedup."""
-    from mostar import canon, is_connected
+    from mostar import canonical_form, is_connected
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     seen = set()
@@ -250,7 +269,7 @@ def canon_connected_class_count(n: int, m: int) -> int:
         g = Graph.from_edges(n, combo)
         if not is_connected(g):
             continue
-        seen.add(canon(g).key)
+        seen.add(canonical_form(g))
     return len(seen)
 
 
@@ -534,7 +553,7 @@ def hang_random_trees(rng: random.Random, g: Graph, count: int) -> Graph:
     """Attach `count` new vertices one by one, each to a uniformly random
     earlier vertex, so random trees hang off random vertices of g."""
     for _ in range(count):
-        g = g.add_pendant(rng.randrange(g.n))
+        g = with_pendants(g, {rng.randrange(g.n): 1})
     return g
 
 
@@ -566,24 +585,23 @@ def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
             f"vertex {spec.source} has {len(pendants)} movable pendant "
             f"neighbours, need {spec.count}"
         )
-    out = g
+    adj = g.adj
     for w in pendants[: spec.count]:
-        out = out.remove_edge(spec.source, w).add_edge(spec.target, w)
+        adj = toggle_edge(toggle_edge(adj, spec.source, w), spec.target, w)
     # re-hanging a leaf on another vertex keeps a connected graph connected
-    return out
+    return Graph(g.n, adj)
 
 
 def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
     """A shift rule's delta by build, shift and difference: role v_i gets
-    a_i pendants one `add_pendant` call at a time, `shift_pendants` moves
-    them as the rule says, and the indices are differenced.  Same contract
-    as `shifts.measured_delta`."""
+    a_i pendants, one role after another in role order, `shift_pendants`
+    moves them as the rule says, and the indices are differenced.  Same
+    contract as `shifts.measured_delta`."""
     from mostar import edge_mostar
 
     g = brace
     for i, v in enumerate(roles, start=1):
-        for _ in range(params.get(f"a{i}", 0)):
-            g = g.add_pendant(v)
+        g = with_pendants(g, {v: params.get(f"a{i}", 0)})
     shifted = g
     for src, dst, pname in rule.moves:
         k = params.get(pname, 0)

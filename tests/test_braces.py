@@ -3,9 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mostar import (
-    Graph, GraphError, complete, cycle, cyclomatic_number, dot_product, edge_mostar, path,
-)
+from mostar import Graph, GraphError, cycle, cyclomatic_number, edge_mostar, path
 from mostar.braces import (
     COMPOSITE,
     DIGON_RING,
@@ -24,20 +22,15 @@ from mostar.graphs import with_pendants
 from _helpers import (
     brute_cut_vertices,
     brute_strip_pendants,
+    complete,
     hang_random_trees,
     random_connected,
     random_connected_density,
 )
 
 
-def pend(g, at, k):
-    for _ in range(k):
-        g = g.add_pendant(at)
-    return g
-
-
 def test_strip_cycle_with_pendants():
-    d = strip_pendants(pend(cycle(4), 0, 5))
+    d = strip_pendants(with_pendants(cycle(4), {0: 5}))
     assert d.brace.m == 4
     assert d.pendant_count == 5
     assert d.attachment_profile[0] == 5
@@ -45,7 +38,7 @@ def test_strip_cycle_with_pendants():
 
 
 def test_strip_three_squares():
-    g = pend(builtin_registry()["A0"].build(12), 0, 3)
+    g = with_pendants(builtin_registry()["A0"].build(12), {0: 3})
     d = strip_pendants(g)
     assert d.brace.m == 12
     assert d.pendant_count == 3
@@ -57,7 +50,7 @@ def test_strip_fixed_point():
 
 
 def test_strip_idempotent_and_preserves_cyclomatic():
-    g = pend(pend(complete(4), 1, 2), 3, 1)
+    g = with_pendants(complete(4), {1: 2, 3: 1})
     d = strip_pendants(g)
     assert cyclomatic_number(d.brace) == cyclomatic_number(g)
     again = strip_pendants(d.brace)
@@ -66,10 +59,7 @@ def test_strip_idempotent_and_preserves_cyclomatic():
 
 def test_strip_deep_tree():
     # a hanging path strips all the way back to the cycle
-    g = cycle(3)
-    g = g.add_pendant(0)
-    g = g.add_pendant(3)
-    g = g.add_pendant(4)
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5)])
     d = strip_pendants(g)
     assert d.brace.m == 3
     assert d.pendant_count == 3
@@ -79,6 +69,14 @@ def test_strip_deep_tree():
 def test_strip_tree_rejected():
     with pytest.raises(GraphError):
         strip_pendants(path(5))
+
+
+def test_disconnected_rejected():
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(GraphError, match="brace extraction requires a connected graph"):
+        strip_pendants(two_triangles)
+    with pytest.raises(GraphError, match="classification requires a connected graph"):
+        classify(two_triangles)
 
 
 def test_skeleton_four_theta():
@@ -111,8 +109,8 @@ def test_classify_examples():
     assert classify(reg["H1"].build(9)).kind == FOUR_THETA
     assert classify(reg["H1"].build(9)).path_parameters == (1, 2, 2, 2)
     assert classify(reg["A0"].build(13)).kind == COMPOSITE
-    k4p = pend(complete(4), 0, 3)
-    assert classify(k4p) == classify(complete(4).add_pendant(1))
+    k4p = with_pendants(complete(4), {0: 3})
+    assert classify(k4p) == classify(with_pendants(complete(4), {1: 1}))
     assert classify(k4p).kind == K4_SUBDIVISION
     assert classify(k4p).path_parameters == (1, 1, 1, 1, 1, 1)
     assert classify(cycle(9)).kind == NOT_TRICYCLIC
@@ -130,7 +128,7 @@ def test_classify_digon_ring():
 
 def test_classify_isomorphism_invariant():
     rng = random.Random(3)
-    g = pend(builtin_registry()["H1"].build(9), 2, 1)
+    g = with_pendants(builtin_registry()["H1"].build(9), {2: 1})
     for _ in range(10):
         perm = list(range(g.n))
         rng.shuffle(perm)

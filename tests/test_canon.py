@@ -11,12 +11,9 @@ from mostar import (
     Graph,
     canon,
     canonical_form,
-    complete,
     cycle,
     enumerate_connected,
-    isomorphic,
     path,
-    star,
 )
 from mostar import enumeration
 from mostar.canon import pair_orbit_reps
@@ -32,6 +29,7 @@ from _helpers import (
     random_graph,
     random_twin_rich,
     reference_canon,
+    star,
 )
 
 
@@ -86,12 +84,21 @@ def test_c4_p4_distinct():
 
 
 def test_same_graph_two_descriptions():
-    assert isomorphic(complete(4).remove_edge(0, 1), cycle(4).add_edge(0, 2))
+    """K4 less the edge 01 and C4 plus the chord 02."""
+    k4_minus = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    c4_plus = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    assert canonical_form(k4_minus) == canonical_form(c4_plus)
+
+
+def test_empty_graph():
+    res = canon(Graph(0, ()))
+    assert (res.n, res.canon_adj, res.orbit_of) == (0, (), ())
+    assert canonical_form(Graph(0, ())) == "?"
 
 
 def test_capacity_error():
     with pytest.raises(CanonCapacityError):
-        canon(Graph.empty(17))
+        canon(Graph.from_edges(17, []))
 
 
 def test_partition_agrees_with_brute_force():
@@ -104,7 +111,7 @@ def test_partition_agrees_with_brute_force():
             chosen = tuple(sorted(e for e in pairs if rng.random() < rng.choice((0.3, 0.6))))
             g = Graph.from_edges(n, chosen)
             by_brute[brute_canon_key(g)].add(chosen)
-            by_canon[canon(g).key].add(chosen)
+            by_canon[canonical_form(g)].add(chosen)
         assert sorted(map(sorted, by_brute.values())) == sorted(
             map(sorted, by_canon.values())
         )
@@ -129,7 +136,7 @@ def test_structured_orbits():
 def test_pair_orbit_reps_on_star_edges():
     g = star(5)
     res = canon(g)
-    reps = pair_orbit_reps(g.n, res.generators, [(e.u, e.v) for e in g.edges()])
+    reps = pair_orbit_reps(g.n, res.generators, g.edges())
     assert len(set(reps.values())) == 1  # all spokes equivalent
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mostar import complete, cycle, write_graph6
+from mostar import cycle, write_graph6
 from mostar import verify
 from mostar.cli import main
 from mostar.enumeration import survey
@@ -36,10 +36,8 @@ def test_compute_json(tmp_path, capsys):
 
 
 def test_compute_s104(capsys, tmp_path):
-    from mostar.families import build
-
     f = tmp_path / "in.g6"
-    f.write_text(write_graph6(build("S_M4", 10)) + "\n")
+    f.write_text(write_graph6(builtin_registry()["S_M4"].build(10)) + "\n")
     rc, out, _ = run(capsys, ["compute", str(f), "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[1].endswith(",78")
@@ -245,7 +243,7 @@ def test_verify_bad_range(capsys, command, text):
     assert "argument --range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "x", "abc"])
 @pytest.mark.parametrize("command,option", [
     ("verify-theorem1", "--threads"),
     ("verify-theorem2", "--threads"),
@@ -253,11 +251,15 @@ def test_verify_bad_range(capsys, command, text):
     ("lemmas", "--count"),
 ])
 def test_nonpositive_count_rejected(tmp_path, capsys, command, option, value):
+    """Non-positive and non-integer counts exit 2 with a message, no traceback."""
     # --output keeps a regression from overwriting the committed registry
     with pytest.raises(SystemExit) as exc:
         main([command, option, value, "--output", str(tmp_path / "out.json")])
     assert exc.value.code == 2
-    assert f"argument {option}: must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    reason = "must be at least 1" if value.lstrip("-").isdigit() else "not an integer"
+    assert f"argument {option}: {reason}" in err
+    assert "Traceback" not in err
 
 
 def test_atlas_partial_on_small_range(tmp_path, capsys):
@@ -273,6 +275,20 @@ def test_atlas_partial_on_small_range(tmp_path, capsys):
     assert "A2" in report["unresolved"]
     entries = {e["id"] for e in json.loads(reg_path.read_text())}
     assert {"F1", "H1", "A3", "B0", "B1", "B3"} <= entries
+
+
+def test_atlas_report_to_stdout(tmp_path, capsys):
+    """Without --report the report goes to stdout, byte for byte what
+    --report writes; the registry is written either way."""
+    argv = ["atlas", "--max-size", "7", "--threads", "1"]
+    rc, out, _ = run(capsys, argv + ["--output", str(tmp_path / "a.json")])
+    assert rc == 3 and "H4" in json.loads(out)["unresolved"]
+    rep_path = tmp_path / "rep.json"
+    rc, out_with_report, _ = run(capsys, argv + ["--output", str(tmp_path / "b.json"),
+                                                 "--report", str(rep_path)])
+    assert rc == 3 and out_with_report == ""
+    assert out == rep_path.read_text()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_lemmas_report(tmp_path, capsys):

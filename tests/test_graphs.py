@@ -8,18 +8,16 @@ from mostar import (
     GraphError,
     Graph6Error,
     bfs_distances,
-    complete,
     cycle,
     cyclomatic_number,
     dot_product,
     is_connected,
     parse_graph6,
     path,
-    star,
     write_graph6,
 )
 from mostar.graphs import with_pendants
-from _helpers import all_graphs, floyd_warshall, random_connected
+from _helpers import all_graphs, complete, floyd_warshall, random_connected, star
 
 
 def test_bfs_cycle():
@@ -48,8 +46,8 @@ def test_connectivity():
     assert is_connected(cycle(5))
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert not is_connected(two_triangles)
-    assert is_connected(Graph.empty(1))
-    assert is_connected(Graph.empty(0))
+    assert is_connected(Graph.from_edges(1, []))
+    assert is_connected(Graph.from_edges(0, []))
 
 
 def test_cyclomatic():
@@ -80,7 +78,7 @@ def test_dot_product_star_cycle():
 
 def test_dot_product_identity_with_k1():
     g = cycle(5)
-    h = dot_product(g, 2, Graph.empty(1), 0)
+    h = dot_product(g, 2, Graph.from_edges(1, []), 0)
     assert h == g
 
 
@@ -128,7 +126,7 @@ def test_graph6_k4_round_trip():
 
 
 def test_graph6_single_vertex():
-    g = Graph.empty(1)
+    g = Graph.from_edges(1, [])
     assert parse_graph6(write_graph6(g)) == g
 
 
@@ -154,7 +152,7 @@ def test_graph6_known_encoding():
 
 
 def test_graph6_large_order_three_byte_form():
-    g = Graph.empty(100)
+    g = Graph.from_edges(100, [])
     line = write_graph6(g)
     assert line.startswith("~")
     assert parse_graph6(line).n == 100
@@ -168,6 +166,14 @@ def test_graph6_errors_carry_offset():
         parse_graph6("")
     with pytest.raises(Graph6Error):
         parse_graph6("I???")  # truncated adjacency for n=10
+    for text, offset, message in (
+        ("~~??????", 0, "order > 258047"),
+        ("~?", 2, "truncated extended order"),
+        ("A__", 2, "trailing data"),
+    ):
+        with pytest.raises(Graph6Error, match=message) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset, text
 
 
 @pytest.mark.parametrize("text,offset", [("D\u00e9{", 1), ("\u00ff", 0),
@@ -189,6 +195,20 @@ def test_graph6_round_trip_random(seed):
     assert parse_graph6(write_graph6(g)) == g
 
 
+def test_relabel_rejects_non_permutation():
+    for perm in ([0, 0, 1], [0, 1], [1, 2, 3]):
+        with pytest.raises(GraphError, match="not a permutation"):
+            cycle(3).relabel(perm)
+
+
+def test_public_names_resolve():
+    import mostar
+
+    assert len(mostar.__all__) == len(set(mostar.__all__))
+    for name in mostar.__all__:
+        assert getattr(mostar, name) is not None, name
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])
@@ -199,10 +219,10 @@ def test_graph_invariants_enforced():
 
 
 def _one_by_one(g, counts):
-    """One `add_pendant` call per new vertex, vertices in increasing order."""
+    """One pendant per `with_pendants` call, vertices in increasing order."""
     for v in sorted(counts):
         for _ in range(counts[v]):
-            g = g.add_pendant(v)
+            g = with_pendants(g, {v: 1})
     return g
 
 
@@ -219,7 +239,7 @@ def test_with_pendants_labels():
     order, whatever order the counts come in."""
     want = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (2, 5)])
     assert with_pendants(cycle(3), {2: 1, 0: 2}) == want
-    assert cycle(3).add_pendant(0).add_pendant(0).add_pendant(2) == want
+    assert _one_by_one(cycle(3), {0: 2, 2: 1}) == want
 
 
 def test_with_pendants_errors():
@@ -228,4 +248,4 @@ def test_with_pendants_errors():
     with pytest.raises(GraphError, match="out of range"):
         with_pendants(cycle(3), {3: 1})
     with pytest.raises(GraphError, match="out of range"):
-        cycle(3).add_pendant(-1)
+        with_pendants(cycle(3), {-1: 1})
