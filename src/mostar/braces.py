@@ -17,13 +17,24 @@ into exactly one of five buckets:
 
 Path parameters are the sorted internal path lengths between branch
 vertices, which is the granularity the extremal case analysis needs.
+
+`kernel_braces` runs the suppression backwards.  With cyclomatic number
+c >= 2 the skeleton is a kernel, a connected multigraph of minimum degree
+3, so every brace is a kernel with its edges subdivided; the kernels are
+few and small (at most 2(c - 1) vertices), so they and their
+automorphisms are found by brute force, and the braces and their
+automorphism groups follow with no canonical labelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
+from typing import Iterable
 
-from .graphs import Graph, GraphError, cyclomatic_number, is_connected, reachable_mask
+from .graphs import (
+    Graph, GraphError, cyclomatic_number, hub_paths, is_connected, reachable_mask,
+)
 
 K4_SUBDIVISION = "K4_SUBDIVISION"
 THREE_HUB = "THREE_HUB"
@@ -134,6 +145,140 @@ def skeleton(brace: Graph) -> Skeleton:
             a, b = (s, cur) if s <= cur else (cur, s)
             paths.append((a, b, len(walk)))
     return Skeleton(tuple(branch), tuple(sorted(paths)))
+
+
+def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The kernels with cyclomatic number c >= 2, one per isomorphism class:
+    connected multigraphs with minimum degree 3 (a loop counts 2), loops
+    and parallel edges allowed, as (order, edges), each edge (a, b) with
+    a <= b.  Degrees sum to 2(order + c - 1) >= 3 order, so order <=
+    2(c - 1); every multiset of edges of each order is tried, and its
+    smallest sorted edge list over all relabellings keeps the class."""
+    out = {}
+    for order in range(1, 2 * c - 1):
+        size = order + c - 1
+        top = 2 * size - 3 * (order - 1)   # the largest degree the others leave
+        slots = [(a, b) for a in range(order) for b in range(a, order)]
+        perms = list(permutations(range(order)))
+        deg = [0] * order
+
+        def grow(start: int, edges: list[tuple[int, int]]) -> None:
+            if len(edges) == size:
+                if min(deg) < 3:
+                    return
+                reach = {0}
+                for _ in range(order):
+                    reach |= {x for e in edges if e[0] in reach or e[1] in reach for x in e}
+                if len(reach) < order:
+                    return
+                key = min(
+                    tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
+                    for p in perms
+                )
+                out[order, key] = None
+                return
+            for i in range(start, len(slots)):
+                a, b = slots[i]
+                deg[a] += 1
+                deg[b] += 1
+                if deg[a] <= top and deg[b] <= top:
+                    grow(i, edges + [(a, b)])
+                deg[a] -= 1
+                deg[b] -= 1
+
+        grow(0, [])
+    return sorted(out)
+
+
+def _edge_maps(
+    order: int, edges: tuple[tuple[int, int], ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The automorphisms of a kernel acting on its edges, as pairs (pi,
+    sigma): pi permutes the vertices and edge i goes to edge sigma[i],
+    with a parallel class going to the class between the image vertices
+    in every possible order.  Loop flips are not listed."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(edges):
+        classes.setdefault(e, []).append(i)
+    out = []
+    for pi in permutations(range(order)):
+        image = {e: (min(pi[e[0]], pi[e[1]]), max(pi[e[0]], pi[e[1]])) for e in classes}
+        if any(len(classes.get(f, ())) != len(classes[e]) for e, f in image.items()):
+            continue
+        for choice in product(*(permutations(classes[image[e]]) for e in classes)):
+            sigma = [0] * len(edges)
+            for e, targets in zip(classes, choice):
+                for i, j in zip(classes[e], targets):
+                    sigma[i] = j
+            out.append((pi, tuple(sigma)))
+    return out
+
+
+def kernel_braces(
+    c: int, sizes: Iterable[int]
+) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...]]]]:
+    """Map each size b in `sizes` to every brace with cyclomatic number
+    c >= 2 and b edges, one per isomorphism class, each with its
+    automorphism group as a list of vertex permutations (the identity
+    first).  The inverse of `skeleton`: a brace is its kernel with edge i
+    subdivided into a path of length l_i, built by `hub_paths` in kernel
+    edge order.
+
+    Two subdivisions are isomorphic exactly when a kernel automorphism
+    carries one length tuple to the other, since every isomorphism maps
+    branch vertices to branch vertices and paths to paths.  So each
+    composition of b over a kernel's edges is kept when it is the
+    smallest in its orbit, and the simple graphs are those whose loops
+    have length >= 3 and whose parallel classes hold at most one edge of
+    length 1.  The automorphisms of a brace are the kernel's edge maps that
+    keep the lengths, each with either direction round every loop; loops
+    and length-1 edges leave no two of them equal, so the list has no
+    repeats (at most 48 elements for c <= 3)."""
+    out: dict[int, list] = {b: [] for b in sizes}
+    for order, edges in _kernels(c):
+        maps = _edge_maps(order, edges)
+        moves = sorted({sigma for _, sigma in maps} - {tuple(range(len(edges)))})
+        loops = [i for i, (x, y) in enumerate(edges) if x == y]
+        twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
+        # a loop has length >= 3: 2 plus its positive part of the composition
+        lift = [2 if i in loops else 0 for i in range(len(edges))]
+        for b in out:
+            for cuts in combinations(range(1, b - 2 * len(loops)), len(edges) - 1):
+                lengths = tuple([y - x + up for x, y, up in
+                                 zip((0, *cuts), (*cuts, b - 2 * len(loops)), lift)])
+                if any(lengths[i] == lengths[j] == 1 for i, j in twins):
+                    continue
+                if any(tuple([lengths[j] for j in sigma]) < lengths for sigma in moves):
+                    continue
+                brace = hub_paths(order, [(x, y, k) for (x, y), k in zip(edges, lengths)])
+                out[b].append((brace, _brace_automorphisms(order, edges, lengths, maps, loops)))
+    return out
+
+
+def _brace_automorphisms(order, edges, lengths, maps, loops) -> tuple[tuple[int, ...], ...]:
+    """The vertex permutations of the subdivision built by `kernel_braces`,
+    one per length-keeping edge map and choice of loop directions."""
+    inner, start = [], order
+    for k in lengths:
+        inner.append(range(start, start + k - 1))
+        start += k - 1
+    out = []
+    for pi, sigma in maps:
+        if any(lengths[j] != k for j, k in zip(sigma, lengths)):
+            continue
+        for flips in product((False, True), repeat=len(loops)):
+            perm = list(pi) + [0] * (start - order)
+            flipped = {i for i, f in zip(loops, flips) if f}
+            for i, (a, z) in enumerate(edges):
+                j = sigma[i]
+                path = inner[j]
+                if i in flipped or (a != z and pi[a] != edges[j][0]):
+                    path = path[::-1]
+                for x, y in zip(inner[i], path):
+                    perm[x] = y
+            out.append(tuple(perm))
+    out.sort(key=lambda p: p != tuple(range(start)))
+    return tuple(out)
 
 
 def _cut_vertices(g: Graph) -> list[int]:

@@ -1,14 +1,28 @@
 """Isomorphism-free enumeration of connected graphs with fixed (n, m).
 
-Generation follows the canonical-augmentation scheme: spanning trees on n
-vertices are grown by leaf additions, then edges are added one at a time
-up to the target size.  A child is kept only when the edge (or leaf) that
-produced it lies in the automorphism orbit of the child's canonical
-deletion edge, which guarantees exactly one representative per isomorphism
-class with no global dedup state.  That memorylessness is what makes the
-parallel split trivial: every spanning-tree seed owns an independent
-subtree of the generation forest, and fold results merge associatively,
-so output is identical for any worker count.
+Two generators give one representative per isomorphism class, with no
+global dedup state.
+
+Brace-first, for every task with cyclomatic number c = m - n + 1 of 2 or 3
+(the bicyclic and tricyclic classes the verification and the atlas ask
+for).  A connected graph with c >= 1 is its brace (its 2-core) with a
+rooted tree hung at every brace vertex, and two such graphs are isomorphic
+exactly when their braces are and an automorphism of the brace carries one
+assignment of trees to the other.  `braces.kernel_braces` lists the braces
+with their automorphism groups, `_rooted_trees` the rooted trees by edge
+count, and `_hang_trees` keeps one assignment per orbit.  Nothing is
+labelled to be generated: `survey` labels only the braces that have all of
+a task's edges and the graphs at the task's best value.
+
+The walk, for every other (n, m), behind `enumerate_connected`, and the
+cross-check of the brace-first classes.  It follows the
+canonical-augmentation scheme: spanning trees on n vertices are grown by
+leaf additions, then edges are added one at a time up to the target size.
+A child is kept only when the edge (or leaf) that produced it lies in the
+automorphism orbit of the child's canonical deletion edge, which
+guarantees exactly one representative per isomorphism class.  Every
+spanning-tree seed owns an independent subtree of the generation forest,
+so the seeds split across workers.
 
 Acceptance is a function of the child and the edge just added alone, never
 of the size the walk is heading for (lazy labelling, below, changes only
@@ -16,10 +30,8 @@ whether canon data comes back).  It reads the child's bridges off the bridge
 sides its parent carries (step 0), but those are the child's own bridges,
 whichever parent they come from.  So the accepted nodes with m edges in the
 walk from the trees on n vertices are one representative per class of
-connected (n, m) graphs, whatever size the walk goes on to.  A tricyclic
-walk (n vertices, n + 2 edges) therefore passes through every bicyclic graph
-on n vertices at level n + 1, and `survey` reads both classes, and any other
-size with the same n, off one walk.
+connected (n, m) graphs, whatever size the walk goes on to, and `survey`
+reads every walked size with the same n off one walk.
 
 The canonical deletion edge of a child is defined on its non-bridge edges
 (deleting one keeps the graph connected): take those with the smallest
@@ -66,17 +78,18 @@ no children, so its canon data only serves the fold: when its tie set is
 {e} it is accepted unlabelled, since the only candidate is the canonical
 deletion edge whatever the labels.  Only the deepest requested size is
 such a last level: a node at a shallower requested size still has
-children, so it is labelled.  The fold (`_Fold.add`) then labels a graph
-only when its value is at least the seed's running best or it is a brace
-(minimum degree >= 2), the only graphs whose canonical form it keeps.
+children, so it is labelled.  The fold then labels a walked graph only
+when it is a brace (minimum degree >= 2) or reaches the task's best value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
+from .braces import kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, CanonResult, canon, pair_orbit_reps
 from .graphs import Graph, edge_pairs, reachable_mask, write_graph6
 from .indices import edge_mostar
@@ -336,40 +349,126 @@ def enumerate_connected(task: EnumerationTask) -> Iterator[Graph]:
             yield Graph(n, adj)
 
 
+# -- brace-first classes ----------------------------------------------------
+
+
+def _rooted_trees(k_max: int) -> list[list[tuple[int, ...]]]:
+    """Entry k lists the rooted trees with k edges, one per isomorphism
+    class (OEIS A000081, shifted by one), each as its parent list: vertex
+    i + 1 hangs from parent[i], the root being 0.  The classes come from
+    their codes, the tuples of the children's codes sorted by size and
+    then code: a tree with k edges is a multiset of subtrees with j edges,
+    each costing j + 1."""
+    codes: list[list[tuple]] = [[()]]
+    for k in range(1, k_max + 1):
+        planted = [(j + 1, code) for j in range(k) for code in codes[j]]
+        level = []
+
+        def grow(start: int, left: int, kids: tuple) -> None:
+            if not left:
+                level.append(kids)
+            for i in range(start, len(planted)):
+                cost, code = planted[i]
+                if cost > left:
+                    break
+                grow(i, left - cost, kids + (code,))
+
+        grow(0, k, ())
+        codes.append(level)
+
+    def parents(code: tuple) -> tuple[int, ...]:
+        out: list[int] = []
+
+        def walk(node: tuple, me: int) -> None:
+            for kid in node:
+                out.append(me)
+                walk(kid, len(out))
+
+        walk(code, 0)
+        return tuple(out)
+
+    return [[parents(code) for code in level] for level in codes]
+
+
+def _compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write k as an ordered sum of `parts` nonnegative terms."""
+    if parts == 1:
+        yield (k,)
+        return
+    for first in range(k, -1, -1):
+        for rest in _compositions(k - first, parts - 1):
+            yield (first, *rest)
+
+
+def _hang_trees(
+    brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
+    trees: list[list[tuple[int, ...]]], k: int,
+) -> Iterator[tuple[int, ...]]:
+    """One graph per isomorphism class of connected graphs whose brace is
+    `brace` and which have k edges more, as adjacency rows.  `auts` is the
+    brace's automorphism group, the identity first, and `trees` comes from
+    `_rooted_trees(k)`.
+
+    Such a graph is the brace with a rooted tree hung at every vertex, and
+    two of them are isomorphic exactly when an automorphism of the brace
+    carries one assignment of trees to the other.  An assignment is kept
+    when it is the least in its orbit: first its composition (the edge
+    count at each vertex) must be the least under the whole group, and then
+    its trees, as their indices in `trees`, the least under the
+    composition's stabiliser, which acts within the vertices of each
+    count.  Every orbit holds assignments with the least composition, and
+    those form one orbit of the stabiliser, so each class comes out once."""
+    n_b = len(brace)
+    others = auts[1:]
+    for comp in _compositions(k, n_b):
+        stab = []
+        for g in others:
+            image = tuple([comp[x] for x in g])
+            if image < comp:
+                break
+            if image == comp:
+                stab.append(g)
+        else:
+            support = [v for v in range(n_b) if comp[v]]
+            where = {v: i for i, v in enumerate(support)}
+            moves = [[where[g[v]] for v in support] for g in stab]
+            for pick in product(*(range(len(trees[comp[v]])) for v in support)):
+                if any(tuple([pick[i] for i in mv]) < pick for mv in moves):
+                    continue
+                adj = list(brace)
+                for v, t in zip(support, pick):
+                    base = len(adj) - 1
+                    for p in trees[comp[v]][t]:
+                        p = v if p == 0 else base + p
+                        adj[p] |= 1 << len(adj)
+                        adj.append(1 << p)
+                yield tuple(adj)
+
+
 # -- folds -------------------------------------------------------------------
 
 
 @dataclass
 class _Fold:
-    """What one tree seed's subtree (or several merged) contributes to one
-    task's survey; `merge` is associative, so any split gives the same
-    survey."""
+    """What one work unit (a tree seed's subtree, or one brace) contributes
+    to one task's survey; `merge` is associative, so any split gives the
+    same survey.  The graphs at the best value are kept unlabelled: only
+    those that reach the task's best are labelled, once every unit is in."""
 
     count: int = 0
     best: Optional[int] = None
-    argmax: list[str] = field(default_factory=list)
+    argmax: list[tuple[int, ...]] = field(default_factory=list)
     braces: list[str] = field(default_factory=list)
 
-    def add(self, n: int, adj: tuple[int, ...], cres: Optional[CanonResult]) -> None:
+    def add(self, adj: tuple[int, ...]) -> None:
         self.count += 1
-        g = Graph(n, adj)
-        value = edge_mostar(g)
-        # every row with two or more bits: minimum degree >= 2
-        brace = all(row & (row - 1) for row in adj)
+        value = edge_mostar(Graph(len(adj), adj))
         best = self.best
-        # only a value at least the running best or a brace is kept, so
-        # only those graphs are labelled
-        if best is None or value >= best or brace:
-            if cres is None:
-                cres = canon(g)
-            canon_g6 = write_graph6(Graph(n, cres.canon_adj))
-            if best is None or value > best:
-                self.best = value
-                self.argmax = [canon_g6]
-            elif value == best:
-                self.argmax.append(canon_g6)
-            if brace:
-                self.braces.append(canon_g6)
+        if best is None or value > best:
+            self.best = value
+            self.argmax = [adj]
+        elif value == best:
+            self.argmax.append(adj)
 
     def merge(self, other: "_Fold") -> None:
         self.count += other.count
@@ -380,13 +479,41 @@ class _Fold:
         self.braces.extend(other.braces)
 
 
-def _fold_seed(args) -> dict[int, _Fold]:
+def _canonical_g6(adj: tuple[int, ...], cres: Optional[CanonResult] = None) -> str:
+    """The `canonical_form` of the graph with rows `adj`, from `cres` when
+    its canon data is at hand."""
+    g = Graph(len(adj), adj)
+    return write_graph6(Graph(g.n, (cres or canon(g)).canon_adj))
+
+
+def _fold_seed(args) -> dict[EnumerationTask, _Fold]:
     """One tree seed's subtree, folded at each requested size."""
     n, sizes, seed_adj, cres = args
     folds = {m: _Fold() for m in sizes}
     for m, adj, ccres in _augment(n, seed_adj, cres, _bridge_sides(seed_adj), n - 1, sizes):
-        folds[m].add(n, adj, ccres)
-    return folds
+        folds[m].add(adj)
+        # every row with two or more bits: minimum degree >= 2
+        if all(row & (row - 1) for row in adj):
+            folds[m].braces.append(_canonical_g6(adj, ccres))
+    return {EnumerationTask(n, m): fold for m, fold in folds.items()}
+
+
+def _fold_brace(args) -> dict[EnumerationTask, _Fold]:
+    """The classes of one task on one brace.  `trees` runs up to the
+    number of edges the trees take; when that is 0 the brace itself is the
+    one class, and only then is it labelled."""
+    task, brace, auts, trees = args
+    fold = _Fold()
+    for adj in _hang_trees(brace, auts, trees, len(trees) - 1):
+        fold.add(adj)
+    if len(trees) == 1:
+        fold.braces.append(_canonical_g6(brace))
+    return {task: fold}
+
+
+def _run_unit(unit) -> dict[EnumerationTask, _Fold]:
+    fold, args = unit
+    return fold(args)
 
 
 @dataclass(frozen=True)
@@ -404,46 +531,72 @@ def survey(
     """Enumerate every task in one pass, folding max/argmax and the braces
     of each.
 
-    Tasks on the same n share their walk: the graphs with n vertices and m
-    edges are exactly the accepted nodes with m edges in the
-    edge-augmentation walk from the trees on n vertices, whatever size the
-    walk goes on to, because acceptance reads only the child and its new
-    edge.  So a bicyclic task (n, n + 1) is read off at level n + 1 of the
-    tricyclic walk (n, n + 2) on its way down.  The trees are walked once,
-    up to the largest n, and one pool runs every (n, tree seed) pair,
-    largest n first; a seed folds each requested size of its n.
+    A task with cyclomatic number c = m - n + 1 of 2 or 3 (bicyclic or
+    tricyclic) is built from braces: its work units are its braces with at
+    most m edges, from `braces.kernel_braces`, each with the classes
+    `_hang_trees` grows on it.  Every other task is read off the
+    edge-augmentation walk: the graphs with n vertices and m edges are
+    exactly the accepted nodes with m edges in the walk from the trees on
+    n vertices, whatever size the walk goes on to, because acceptance reads
+    only the child and its new edge; so tasks on the same n share a walk,
+    whose units are its tree seeds, and a seed folds each requested size
+    of its n.  One pool runs every unit, the brace units with the most tree
+    edges first.
 
-    Deterministic: each task's folds merge in tree order, so the outcome
-    is independent of `workers`.  Repeated tasks collapse to one key; an
-    infeasible task reads 0 graphs.  Every task is validated before any
-    work starts.
+    Deterministic: the folds keep counts, values and unlabelled graphs, and
+    the maximizers and braces are reported as sorted canonical strings, so
+    the outcome is independent of `workers`.  Repeated tasks collapse to
+    one key; an infeasible task reads 0 graphs.  Every task is validated
+    before any work starts.
     """
     tasks = list(dict.fromkeys(tasks))
     sizes: dict[int, set[int]] = {}
+    brace_tasks = []
     for task in tasks:
         task.validate()
         if task.feasible:
-            sizes.setdefault(task.n, set()).add(task.m)
+            if task.m - task.n + 1 in (2, 3):
+                brace_tasks.append(task)
+            else:
+                sizes.setdefault(task.n, set()).add(task.m)
+    catalogue = {c: kernel_braces(c, range(max(t.m for t in brace_tasks) + 1))
+                 for c in {t.m - t.n + 1 for t in brace_tasks}}
+    jobs = [(task, brace.adj, auts, task.m - b)
+            for task in brace_tasks
+            for b, found in catalogue[task.m - task.n + 1].items() if b <= task.m
+            for brace, auts in found]
+    # the most tree edges, then the largest brace, first
+    jobs.sort(key=lambda job: (job[3], len(job[1])), reverse=True)
+    trees = _rooted_trees(jobs[0][3] if jobs else 0)
+    units = [(_fold_brace, (task, brace, auts, trees[:k + 1]))
+             for task, brace, auts, k in jobs]
     levels = _tree_levels(max(sizes, default=0))
-    args = [(n, tuple(sorted(sizes[n])), adj, cres)
-            for n in sorted(sizes, reverse=True) for adj, cres in levels[n]]
-    if workers > 1 and len(args) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=min(workers, len(args))) as pool:
-            partials = pool.map(_fold_seed, args, chunksize=1)
-    else:
-        partials = [_fold_seed(a) for a in args]
+    units += [(_fold_seed, (n, tuple(sorted(sizes[n])), adj, cres))
+              for n in sorted(sizes, reverse=True) for adj, cres in levels[n]]
     totals = {task: _Fold() for task in tasks}
-    for (n, *_), folds in zip(args, partials):
-        for m, fold in folds.items():
-            totals[EnumerationTask(n, m)].merge(fold)
+
+    def merge(partials: Iterable[dict[EnumerationTask, _Fold]]) -> None:
+        # as the units come in, so that only each task's running best stays
+        for folds in partials:
+            for task, fold in folds.items():
+                totals[task].merge(fold)
+
+    if workers > 1 and len(units) > 1:
+        ctx = get_context("fork")
+        processes = min(workers, len(units))
+        # a unit can take well under the pool's own cost of one hand-off,
+        # so they go out in runs of consecutive units, about 16 per process
+        with ctx.Pool(processes=processes) as pool:
+            merge(pool.imap(_run_unit, units, chunksize=1 + len(units) // (16 * processes)))
+    else:
+        merge(map(_run_unit, units))
     out = {}
     for task, total in totals.items():
         result = EnumerationResult(
             task=task,
             graphs_visited=total.count,
             max_value=total.best,
-            maximizers=tuple(sorted(total.argmax)),
+            maximizers=tuple(sorted(_canonical_g6(adj) for adj in total.argmax)),
         )
         out[task] = Survey(result=result, braces=tuple(sorted(total.braces)))
     return out

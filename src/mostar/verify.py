@@ -221,8 +221,8 @@ def run_atlas(
 
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
-    Both classes come from one survey, so a bicyclic size m is read off
-    the walk for tricyclic size m + 1 (both have m - 1 vertices).
+    Both classes come from one survey, whose pool runs the brace units of
+    every size together.
     """
     tri_tasks = {m: tricyclic_task(m) for m in range(7, tri_max_size + 1)}
     bi_tasks = {m: bicyclic_task(m) for m in range(5, bi_max_size + 1)}

@@ -258,6 +258,62 @@ def brute_connected_class_count(n: int, m: int) -> int:
     return total // math.factorial(n)
 
 
+def rooted_tree_counts(k_max: int) -> list[int]:
+    """r_0 .. r_k_max, r_k the number of rooted trees with k edges: OEIS
+    A000081 at k + 1 vertices, by its recurrence
+    a(n + 1) = (1/n) sum_{j=1..n} (sum_{d | j} d a(d)) a(n - j + 1)."""
+    a = [0, 1]
+    for n in range(1, k_max + 1):
+        s = sum(
+            sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[n - j + 1]
+            for j in range(1, n + 1)
+        )
+        assert s % n == 0
+        a.append(s // n)
+    return a[1:]
+
+
+def polya_class_count(m: int, braces) -> int:
+    """Connected graphs with m edges whose brace (2-core) is one of
+    `braces`, up to isomorphism, by Polya's theorem.  `braces` holds
+    (b, group): the brace's edge count and its automorphism group as
+    vertex permutations.  Such a graph is its brace with a rooted tree
+    hung at every vertex, and two are isomorphic exactly when their braces
+    are and an automorphism carries one assignment of trees to the other.
+    So a brace contributes [x^(m - b)] of the cycle index of its group on
+    the vertices, each cycle of length L replaced by t(x^L), where t counts
+    rooted trees by edges.  The sum over the group is taken first, in exact
+    integers, and its division by the group order must leave no
+    remainder.  Nothing here uses canonical labelling or the enumerator."""
+    r = rooted_tree_counts(m)
+    count = 0
+    for b, group in braces:
+        k = m - b
+        if k < 0:
+            continue
+        fixed = 0
+        for perm in group:
+            poly = [1] + [0] * k
+            seen = set()
+            for v in range(len(perm)):
+                length = 0
+                while v not in seen:
+                    seen.add(v)
+                    v = perm[v]
+                    length += 1
+                if length:
+                    # times t(x^length), truncated at degree k
+                    poly = [
+                        sum(poly[d - j * length] * r[j] for j in range(d // length + 1))
+                        for d in range(k + 1)
+                    ]
+            fixed += poly[k]
+        q, rest = divmod(fixed, len(group))
+        assert rest == 0, (b, len(group), fixed)
+        count += q
+    return count
+
+
 def canon_connected_class_count(n: int, m: int) -> int:
     """Labeled enumeration of every m-edge subset, connectivity filter,
     canonical dedup."""

@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mostar import Graph, GraphError, cycle, cyclomatic_number, edge_mostar, path
+from mostar import (
+    Graph, GraphError, canon, canonical_form, cycle, cyclomatic_number, edge_mostar, path,
+)
 from mostar.braces import (
     COMPOSITE,
     DIGON_RING,
@@ -12,11 +15,14 @@ from mostar.braces import (
     NOT_TRICYCLIC,
     THREE_HUB,
     classify,
+    kernel_braces,
     skeleton,
     strip_pendants,
     _cut_vertices,
 )
-from mostar.enumeration import EnumerationTask, enumerate_connected, tricyclic_task
+from mostar.enumeration import (
+    EnumerationTask, bicyclic_task, enumerate_connected, tricyclic_task,
+)
 from mostar.families import builtin_registry
 from mostar.graphs import with_pendants
 from _helpers import (
@@ -259,3 +265,56 @@ def test_strip_pendants_matches_leaf_peeling():
         assert d.attachment_profile == {i: carried[v] for i, v in enumerate(keep)}
         assert d.pendant_count == sum(carried.values())
         checked += 1
+
+
+# braces per size: tricyclic with 6..14 edges, bicyclic with 5..13
+KERNEL_BRACE_COUNTS = {
+    3: dict(zip(range(6, 15), [1, 3, 11, 31, 71, 144, 274, 474, 787])),
+    2: dict(zip(range(5, 14), [1, 3, 5, 8, 12, 16, 21, 27, 33])),
+}
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_kernel_brace_counts(c):
+    """The braces grown from kernels number the known counts at every
+    size; none has fewer edges than the smallest (K4 less an edge, K4),
+    and each is a connected graph of minimum degree 2 with cyclomatic
+    number c.  The largest size lists in under a second."""
+    counts = KERNEL_BRACE_COUNTS[c]
+    found = kernel_braces(c, range(max(counts) + 1))
+    assert {b: len(v) for b, v in found.items() if v} == counts
+    for b, braces in found.items():
+        for g, _ in braces:
+            assert g.m == b and cyclomatic_number(g) == c
+            assert all(g.degree(v) >= 2 for v in range(g.n))
+    t0 = time.perf_counter()
+    kernel_braces(c, [max(counts)])
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _closure(n, generators):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        frontier = [q for p in frontier for gen in generators
+                    for q in [tuple(gen[x] for x in p)] if q not in group]
+        group.update(frontier)
+    return group
+
+
+@pytest.mark.parametrize("c, top", [(3, 12), (2, 10)])
+def test_kernel_braces_match_walk(c, top):
+    """Up to tricyclic 12 and bicyclic 10 edges, the kernel braces are,
+    up to isomorphism, exactly the minimum-degree-2 graphs of the
+    edge-augmentation walk, each once; and the automorphisms listed with
+    each are the group `canon`'s generators generate, the identity first,
+    with no repeats."""
+    found = kernel_braces(c, range(top + 1))
+    for b in range(c + 3, top + 1):
+        task = tricyclic_task(b) if c == 3 else bicyclic_task(b)
+        walk = sorted(canonical_form(g) for g in enumerate_connected(task)
+                      if all(g.degree(v) >= 2 for v in range(g.n)))
+        assert sorted(canonical_form(g) for g, _ in found[b]) == walk, b
+        for g, group in found[b]:
+            assert group[0] == tuple(range(g.n)) and len(set(group)) == len(group)
+            assert set(group) == _closure(g.n, canon(g).generators), g.edges()

@@ -11,7 +11,7 @@ from mostar import (
     edge_mostar,
     enumeration,
 )
-from mostar.braces import classify
+from mostar.braces import classify, kernel_braces
 from mostar.canon import pair_orbit_reps
 from mostar.graphs import edge_pairs, parse_graph6
 from mostar.enumeration import (
@@ -27,7 +27,9 @@ from _helpers import (
     brute_connected_class_count,
     complete,
     naive_distances,
+    polya_class_count,
     reference_accept_edge_child,
+    rooted_tree_counts,
     tarjan_bridges,
     toggle_edge,
 )
@@ -384,7 +386,8 @@ def test_multi_task_survey_edge_cases(monkeypatch):
     assert got[tricyclic_task(5)].result.graphs_visited == 0
     assert got[tricyclic_task(5)].result.max_value is None
     assert got[tricyclic_task(7)].result.graphs_visited == 4
-    # trees, unicyclic and bicyclic graphs on 6 vertices from one walk
+    # trees and unicyclic graphs on 6 vertices from one walk, bicyclic ones
+    # from braces, in one pool
     shared = [EnumerationTask(6, m) for m in (5, 6, 7)]
     got = survey(shared, workers=2)
     assert [got[t].result.graphs_visited for t in shared] == [6, 13, 19]
@@ -400,9 +403,85 @@ def test_multi_task_survey_edge_cases(monkeypatch):
         survey([tricyclic_task(7), EnumerationTask(17, 18)], workers=2)
 
 
-def test_pool_never_larger_than_seed_count(monkeypatch, capsys):
-    """`--threads 64` on tricyclic size 7 (3 tree seeds) asks for a pool of
-    3.  The recording context runs the seeds in this process."""
+def _brace_first_forms(task):
+    """The canonical forms of the classes `survey` builds for a bicyclic
+    or tricyclic task: every kernel brace with at most m edges, with the
+    classes `_hang_trees` grows on it."""
+    c = task.m - task.n + 1
+    trees = enumeration._rooted_trees(task.m)
+    return [
+        canonical_form(Graph(task.n, adj))
+        for b, found in kernel_braces(c, range(task.m + 1)).items()
+        for brace, auts in found
+        for adj in enumeration._hang_trees(brace.adj, auts, trees[:task.m - b + 1], task.m - b)
+    ]
+
+
+@pytest.mark.parametrize("task", [pytest.param(t, id=f"{t.n}-{t.m}") for t in ATLAS_TASKS])
+def test_brace_first_classes_equal_walk(task):
+    """Two generators, one class set: on every atlas task the graphs grown
+    from kernel braces and the edge-augmentation walk's graphs have the
+    same canonical forms, and neither repeats a class."""
+    walk = [canonical_form(g) for g in enumerate_connected(task)]
+    mine = _brace_first_forms(task)
+    assert len(set(mine)) == len(mine) == len(walk)
+    assert set(mine) == set(walk)
+
+
+def test_rooted_trees():
+    """The rooted-tree tables the brace-first survey hangs: OEIS A000081
+    by its recurrence, every entry a tree with its number of edges, no two
+    of one size isomorphic."""
+    trees = enumeration._rooted_trees(9)
+    assert [len(level) for level in trees] == rooted_tree_counts(9)
+    for k, level in enumerate(trees):
+        forms = set()
+        for parents in level:
+            assert len(parents) == k and all(p <= i for i, p in enumerate(parents))
+            # a triangle on the root, the one cycle, keeps the root fixed
+            g = Graph.from_edges(k + 3, [(p, i + 1) for i, p in enumerate(parents)]
+                                 + [(0, k + 1), (0, k + 2), (k + 1, k + 2)])
+            forms.add(canonical_form(g))
+        assert len(forms) == len(level)
+
+
+def _polya(c, m):
+    found = kernel_braces(c, range(m + 1))
+    return polya_class_count(m, [(b, auts) for b, braces in found.items()
+                                 for _, auts in braces])
+
+
+def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
+    """Braces times trees account for every class: Polya's count over the
+    kernel braces and their automorphism groups equals the survey's
+    `graphs_visited` at tricyclic 7..12 and bicyclic 5..10, and gives the
+    class totals of the sizes past them that CI and the walk recorded
+    (tricyclic 13 and 14, bicyclic 11..13)."""
+    for m, s in tri_surveys.items():
+        assert _polya(3, m) == s.result.graphs_visited, m
+    for m, s in bi_surveys.items():
+        assert _polya(2, m) == s.result.graphs_visited, m
+    assert [_polya(3, m) for m in (13, 14)] == [33851, 130365]
+    assert [_polya(2, m) for m in (11, 12, 13)] == [2678, 8833, 28908]
+
+
+def test_polya_count_per_brace():
+    """Per brace, not only per size: at tricyclic m = 12 and bicyclic
+    m = 10, the classes `_hang_trees` grows on each kernel brace number
+    Polya's count for that brace alone, so a defect that dropped classes
+    on one brace and repeated them on another would show."""
+    for c, m in ((3, 12), (2, 10)):
+        trees = enumeration._rooted_trees(m)
+        for b, found in kernel_braces(c, range(m + 1)).items():
+            for brace, auts in found:
+                grown = enumeration._hang_trees(brace.adj, auts, trees[:m - b + 1], m - b)
+                assert sum(1 for _ in grown) == polya_class_count(m, [(b, auts)]), brace.edges()
+
+
+def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
+    """`--threads 64` on tricyclic size 7 (4 work units: K4 and the three
+    braces with 7 edges) asks for a pool of 4.  The recording context runs
+    the units in this process."""
     from mostar.cli import main
 
     requested = []
@@ -417,8 +496,8 @@ def test_pool_never_larger_than_seed_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args, chunksize=1):
-            return [fn(a) for a in args]
+        def imap(self, fn, args, chunksize=1):
+            return map(fn, args)
 
     class RecordingContext:
         Pool = RecordingPool
@@ -426,4 +505,4 @@ def test_pool_never_larger_than_seed_count(monkeypatch, capsys):
     monkeypatch.setattr(enumeration, "get_context", lambda method: RecordingContext())
     assert main(["verify-theorem1", "--size", "7", "--threads", "64"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["observed_max"] == 12
-    assert requested == [3]
+    assert requested == [4]

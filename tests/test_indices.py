@@ -8,6 +8,7 @@ from mostar import (
     Graph,
     GraphError,
     all_pairs_distances,
+    canonical_form,
     cycle,
     dot_product,
     edge_mostar,
@@ -15,6 +16,7 @@ from mostar import (
     mostar_summary,
     path,
 )
+from mostar.braces import kernel_braces
 from mostar.graphs import with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
@@ -216,3 +218,30 @@ def test_pendant_tail_heads_closed_form(registry):
             direct = [k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
                       for k in range(k0)]
             assert list(head) == direct, (brace, w)
+
+
+def test_best_single_attach_tails_up_to_14_edges(registry):
+    """Per-brace tail forms on every brace up to 14 edges: the best
+    single-attach tail of each brace size, taken over all its braces and
+    vertices and ordered as quadratics in m (so for every large m).
+    Tricyclic braces with 6..14 edges: the best is m^2 - m - 36, reached
+    by A0's 12-edge brace alone, and the 13- and 14-edge braces reach
+    m^2 - m - 44 and m^2 - m - 52.  Bicyclic braces with 5..13 edges: B0's
+    m^2 - m - 24 (8 edges) is the largest.  A brace beating a published
+    tail would be a finding against the theorems."""
+    for c, top, fid, best_tail in ((3, 14, "A0", (1, -1, -36)), (2, 13, "B0", (1, -1, -24))):
+        best = {}
+        for b, braces in kernel_braces(c, range(top + 1)).items():
+            for g, _ in braces:
+                tail = max(poly for poly, _, _ in pendant_tails(g))
+                if b not in best or tail > best[b][0]:
+                    best[b] = (tail, [g])
+                elif tail == best[b][0]:
+                    best[b][1].append(g)
+        tail, holders = max(best.values(), key=lambda t: t[0])
+        assert tail == best_tail, c
+        base = registry[fid].base_graph()
+        assert [canonical_form(g) for g in holders] == [canonical_form(base)], c
+        assert [b for b, (t, _) in best.items() if t == tail] == [base.m], c
+        if c == 3:
+            assert best[13][0] == (1, -1, -44) and best[14][0] == (1, -1, -52)
