@@ -38,7 +38,6 @@ from .braces import (
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
-    enumerate_connected,
     maximize,
     survey,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "builtin_registry",
     "classify",
     "discover_families",
-    "enumerate_connected",
     "maximize",
     "run_atlas",
     "run_shift_suite",

@@ -7,6 +7,7 @@ genuinely different routes to the same numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -201,6 +202,7 @@ def _partitions(n: int, largest: int | None = None):
             yield (k,) + rest
 
 
+@functools.cache  # the (7, 9) count alone takes about 0.5 s, and two suites ask for it
 def brute_connected_class_count(n: int, m: int) -> int:
     """Connected graphs with n vertices and m edges up to isomorphism, by
     Burnside's lemma: the mean, over all n! permutations, of the number of
@@ -528,10 +530,10 @@ def reference_accept_edge_child(n: int, child: tuple[int, ...], a: int, b: int):
     """The canonical-deletion rule applied literally: score every non-bridge
     edge, canonically label the child whenever (a, b) has the minimum
     score, and take orbits over all non-bridge edges.  Same contract as
-    `enumeration._accept_edge_child`."""
+    `_walk._accept_edge_child`."""
     from mostar import canon
     from mostar.canon import pair_orbit_reps
-    from mostar.enumeration import _edge_inv
+    from _walk import _edge_inv
 
     deg = [row.bit_count() for row in child]
     bridges = tarjan_bridges(n, child)

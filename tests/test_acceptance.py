@@ -19,8 +19,8 @@ from mostar import (
 from mostar.braces import FOUR_THETA, THREE_HUB, classify
 from mostar.enumeration import (
     EnumerationTask,
-    enumerate_connected,
     maximize,
+    survey,
     tricyclic_task,
 )
 from mostar.families import ANALYTIC, discover_families, verify_family
@@ -182,14 +182,14 @@ def test_criterion_6_invariant_suites(tri_surveys):
 
         assert host_sum(t1) == host_sum(t2)
 
-    # enumeration completeness against the labeled brute-force oracle
+    # enumeration completeness against the labeled brute-force oracle:
+    # every bicyclic and tricyclic class with at most 7 vertices
     t0 = time.perf_counter()
-    for n in range(2, 7):
-        for m in range(n - 1, n * (n - 1) // 2 + 1):
-            mine = sum(1 for _ in enumerate_connected(EnumerationTask(n, m)))
-            assert mine == brute_connected_class_count(n, m), (n, m)
-    mine79 = sum(1 for _ in enumerate_connected(EnumerationTask(7, 9)))
-    assert mine79 == brute_connected_class_count(7, 9) == 107
+    tasks = [EnumerationTask(n, n + c - 1) for n in range(1, 8) for c in (2, 3)]
+    done = survey(tasks)
+    mine = [done[task].result.graphs_visited for task in tasks]
+    assert mine == [brute_connected_class_count(t.n, t.m) for t in tasks]
+    assert mine == [0] * 6 + [1, 1, 5, 4, 19, 22, 67, 107]
     t_brute = time.perf_counter() - t0
 
     # worker-count determinism, byte for byte
@@ -205,7 +205,8 @@ def test_criterion_6_invariant_suites(tri_surveys):
     _ok(
         "6: PASS - partition identity on 10^4 graphs "
         f"({t_part:.1f}s), relabeling invariance, pendant-tree invariance, "
-        f"completeness vs brute force at n<=7 ({t_brute:.1f}s), "
+        f"bicyclic and tricyclic completeness vs brute force at n<=7 "
+        f"({t_brute:.1f}s), "
         "byte-identical results across 1/2/8 workers"
     )
 

@@ -20,11 +20,10 @@ from mostar.braces import (
     strip_pendants,
     _cut_vertices,
 )
-from mostar.enumeration import (
-    EnumerationTask, bicyclic_task, enumerate_connected, tricyclic_task,
-)
+from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
 from mostar.families import builtin_registry
 from mostar.graphs import with_pendants
+from _walk import enumerate_connected
 from _helpers import (
     brute_cut_vertices,
     brute_strip_pendants,

@@ -12,13 +12,13 @@ from mostar import (
     canon,
     canonical_form,
     cycle,
-    enumerate_connected,
     path,
 )
-from mostar import enumeration
 from mostar.canon import pair_orbit_reps
 from mostar.enumeration import bicyclic_task, tricyclic_task
 from mostar.graphs import _bits
+import _walk
+from _walk import enumerate_connected
 from _helpers import (
     brute_connected_class_count,
     canon_connected_class_count,
@@ -190,8 +190,8 @@ def test_relabeling_invariance(seed):
 
 @pytest.fixture(scope="module")
 def oracle_graphs():
-    """Every graph `enumeration.canon` labels in the tricyclic m <= 10 and
-    bicyclic m <= 9 walks, 2,000 random graphs and 1,000 twin-rich graphs
+    """Every graph `canon` labels in the tricyclic m <= 10 and bicyclic
+    m <= 9 walks, 2,000 random graphs and 1,000 twin-rich graphs
     with n <= 16, and every circulant with n <= 16."""
     walk = []
 
@@ -200,7 +200,7 @@ def oracle_graphs():
         return canon(g)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "canon", recording)
+        mp.setattr(_walk, "canon", recording)
         for task in [tricyclic_task(m) for m in range(6, 11)] + \
                 [bicyclic_task(m) for m in range(5, 10)]:
             for _ in enumerate_connected(task):

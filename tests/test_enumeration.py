@@ -17,12 +17,12 @@ from mostar.graphs import edge_pairs, parse_graph6
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
-    enumerate_connected,
     maximize,
     survey,
-    trees,
     tricyclic_task,
 )
+import _walk
+from _walk import enumerate_connected, trees
 from _helpers import (
     brute_connected_class_count,
     complete,
@@ -59,13 +59,12 @@ def test_k4_minus_edge_unique():
 
 
 def test_counts_match_brute_force_small():
-    for n in range(2, 6):
+    """The walk against the labelled brute-force oracle: every connected
+    (n, m) class with n <= 6, and (7, 9)."""
+    for n in range(2, 7):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            mine = sum(1 for _ in enumerate_connected(EnumerationTask(n, m)))
-            assert mine == brute_connected_class_count(n, m), (n, m)
-    for m in (5, 6, 7, 8):
-        mine = sum(1 for _ in enumerate_connected(EnumerationTask(6, m)))
-        assert mine == brute_connected_class_count(6, m), m
+            assert _class_count(EnumerationTask(n, m)) == brute_connected_class_count(n, m), (n, m)
+    assert _class_count(EnumerationTask(7, 9)) == brute_connected_class_count(7, 9) == 107
 
 
 def test_class_count_n7_total():
@@ -100,8 +99,8 @@ def test_acceptance_matches_reference_rule(monkeypatch):
     degree pair, a child accepted unlabelled is one the reference accepts,
     and every labelled decision equals the reference's, canon data
     included."""
-    fast_candidates = enumeration._candidates
-    fast_accept = enumeration._accept_edge_child
+    fast_candidates = _walk._candidates
+    fast_accept = _walk._accept_edge_child
     seen = Counter()
 
     def checked_candidates(n, adj, sides):
@@ -136,8 +135,8 @@ def test_acceptance_matches_reference_rule(monkeypatch):
             seen[accepted] += 1
         return accepted, cres
 
-    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
-    monkeypatch.setattr(enumeration, "_accept_edge_child", checked_accept)
+    monkeypatch.setattr(_walk, "_candidates", checked_candidates)
+    monkeypatch.setattr(_walk, "_accept_edge_child", checked_accept)
     _walk_small_sizes()
     assert all(seen[k] > 0 for k in ("dropped", "unlabelled", True, False))
     # every child of the generation forest at these sizes was judged
@@ -149,7 +148,7 @@ def test_orbits_over_survivors(monkeypatch):
     the non-edges that survive the parent-side scan are a union of orbits,
     so their orbit representatives are those of all non-edges that
     survive, in the same order."""
-    fast_candidates = enumeration._candidates
+    fast_candidates = _walk._candidates
     seen = Counter()
 
     def checked_candidates(n, adj, sides):
@@ -163,7 +162,7 @@ def test_orbits_over_survivors(monkeypatch):
         seen["parents"] += 1
         return live
 
-    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
+    monkeypatch.setattr(_walk, "_candidates", checked_candidates)
     _walk_small_sizes()
     assert seen == {"parents": 702}
 
@@ -173,7 +172,7 @@ def test_bridge_sides_match_tarjan(monkeypatch):
     the bridge sides it hands to the parent-side scan, computed on the tree
     seeds and inherited below them, equal Tarjan's bridges and a dict-BFS
     reach."""
-    fast_candidates = enumeration._candidates
+    fast_candidates = _walk._candidates
     seen = Counter()
 
     def checked_candidates(n, adj, sides):
@@ -184,7 +183,7 @@ def test_bridge_sides_match_tarjan(monkeypatch):
         seen["parents"] += 1
         return fast_candidates(n, adj, sides)
 
-    monkeypatch.setattr(enumeration, "_candidates", checked_candidates)
+    monkeypatch.setattr(_walk, "_candidates", checked_candidates)
     _walk_small_sizes()
     assert seen == {"parents": 702}
 
@@ -254,27 +253,15 @@ def test_no_duplicates_at_tricyclic_7():
     assert len(forms) == len(set(forms)) == 107
 
 
-def test_survey_braces_on_6_vertices():
-    """Braces outside the tricyclic and bicyclic tasks: 6 vertices, 8 and
-    9 edges, against the label-everything fold."""
-    for m in (8, 9):
-        task = EnumerationTask(6, m)
-        want = _naive_fold(task)[3]
-        assert want
-        for workers in (1, 2):
-            assert survey([task], workers=workers)[task].braces == want
-
-
 def test_empty_and_infeasible_classes():
     res = maximize(tricyclic_task(5))  # would need 3 vertices with 5 edges
     assert res.graphs_visited == 0
     assert res.max_value is None and res.maximizers == ()
-    assert maximize(EnumerationTask(3, 0)).graphs_visited == 0
 
 
 def test_capacity_error():
     with pytest.raises(CanonCapacityError):
-        list(enumerate_connected(EnumerationTask(17, 18)))
+        maximize(EnumerationTask(17, 18))
 
 
 def test_negative_task_rejected():
@@ -289,18 +276,6 @@ def test_maximize_small_tricyclic():
     assert res.graphs_visited == 4
     res6 = maximize(tricyclic_task(6))
     assert res6.max_value == 0 and res6.graphs_visited == 1
-
-
-def test_maximize_unicyclic_tie():
-    # the two cycle-with-pendants shapes tie at total size 9
-    from mostar import canonical_form, cycle, edge_mostar
-    from mostar.graphs import with_pendants
-
-    s93, s94 = (with_pendants(cycle(r), {0: 9 - r}) for r in (3, 4))
-    assert edge_mostar(s93) == edge_mostar(s94)
-    res = maximize(EnumerationTask(9, 9))  # unicyclic: as many edges as vertices
-    assert canonical_form(s93) in res.maximizers
-    assert canonical_form(s94) in res.maximizers
 
 
 def test_bicyclic_m5():
@@ -379,6 +354,10 @@ def test_multi_task_survey_order_and_repeats():
             assert all(_survey_blob(got[t]) == _survey_blob(want[t]) for t in tasks)
 
 
+def _no_pool(*args):
+    raise AssertionError("a pool was started, or work began")
+
+
 def test_multi_task_survey_edge_cases(monkeypatch):
     assert survey([]) == {}
     # an infeasible task (3 vertices, 5 edges) beside a feasible one
@@ -386,21 +365,52 @@ def test_multi_task_survey_edge_cases(monkeypatch):
     assert got[tricyclic_task(5)].result.graphs_visited == 0
     assert got[tricyclic_task(5)].result.max_value is None
     assert got[tricyclic_task(7)].result.graphs_visited == 4
-    # trees and unicyclic graphs on 6 vertices from one walk, bicyclic ones
-    # from braces, in one pool
-    shared = [EnumerationTask(6, m) for m in (5, 6, 7)]
-    got = survey(shared, workers=2)
-    assert [got[t].result.graphs_visited for t in shared] == [6, 13, 19]
-    for t in shared:
-        assert _survey_blob(got[t]) == _survey_blob(survey([t])[t]), t
 
     # n > 16 is rejected before any pool starts
-    def no_pool(method):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(enumeration, "get_context", no_pool)
+    monkeypatch.setattr(enumeration, "get_context", _no_pool)
     with pytest.raises(CanonCapacityError):
         survey([tricyclic_task(7), EnumerationTask(17, 18)], workers=2)
+
+
+@pytest.mark.parametrize("task", [
+    pytest.param(EnumerationTask(9, 9), id="unicyclic"),
+    pytest.param(EnumerationTask(3, 0), id="edgeless"),
+    pytest.param(EnumerationTask(6, 5), id="tree"),
+])
+def test_tasks_not_bicyclic_or_tricyclic_rejected(monkeypatch, task):
+    """`survey` and `maximize` build bicyclic and tricyclic classes only:
+    any other task raises ValueError, alone or beside a tricyclic one and
+    with any worker count, before a brace is listed or a pool starts."""
+    monkeypatch.setattr(enumeration, "get_context", _no_pool)
+    monkeypatch.setattr(enumeration, "kernel_braces", _no_pool)
+    match = "bicyclic and tricyclic"
+    for workers in (1, 2):
+        for tasks in ([task], [tricyclic_task(7), task], [task, tricyclic_task(7)]):
+            with pytest.raises(ValueError, match=match):
+                survey(tasks, workers=workers)
+        with pytest.raises(ValueError, match=match):
+            maximize(task, workers=workers)
+
+
+def test_tasks_too_small_for_any_brace():
+    """No tricyclic brace has fewer than 6 edges and no bicyclic one fewer
+    than 5, so these tasks read no graph and no maximum: alone, together
+    and beside tasks that have graphs, with 1 and 2 workers."""
+    small = [*(tricyclic_task(m) for m in range(2, 6)),
+             *(bicyclic_task(m) for m in range(2, 5))]
+    empty = (0, None, (), ())
+    for workers in (1, 2):
+        for task in small:
+            s = survey([task], workers=workers)[task]
+            assert (s.result.graphs_visited, s.result.max_value,
+                    s.result.maximizers, s.braces) == empty, task
+        got = survey([*small, tricyclic_task(7), bicyclic_task(6)], workers=workers)
+        for task in small:
+            s = got[task]
+            assert (s.result.graphs_visited, s.result.max_value,
+                    s.result.maximizers, s.braces) == empty, (task, workers)
+        assert got[tricyclic_task(7)].result.graphs_visited == 4
+        assert got[bicyclic_task(6)].result.graphs_visited == 5
 
 
 def _brace_first_forms(task):
