@@ -7,22 +7,23 @@ their braces are and an automorphism of the brace carries one assignment of
 trees to the other.  `braces.kernel_braces` lists the braces with their
 automorphism groups, `_rooted_trees` the rooted trees by edge count, and
 `_hang_trees` keeps one assignment per orbit, so each class comes out once
-with no global dedup state.  Nothing is labelled to be generated: `survey`
-labels only the braces that have all of a task's edges and the graphs at
-the task's best value.
+with no global dedup state.  Nothing is labelled to be generated and
+nothing built to be scored: a class's index is read off its brace's
+`indices.pendant_model` and its trees' sizes, and `survey` labels only the
+braces that have all of a task's edges and the graphs at the task's best.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
 from .braces import kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, canon
 from .graphs import Graph, write_graph6
-from .indices import edge_mostar
+from .indices import pendant_model
 
 
 @dataclass(frozen=True)
@@ -72,72 +73,53 @@ class EnumerationResult:
 def _rooted_trees(k_max: int) -> list[list[tuple[int, ...]]]:
     """Entry k lists the rooted trees with k edges, one per isomorphism
     class (OEIS A000081, shifted by one), each as its parent list: vertex
-    i + 1 hangs from parent[i], the root being 0.  The classes come from
-    their codes, the tuples of the children's codes sorted by size and
-    then code: a tree with k edges is a multiset of subtrees with j edges,
-    each costing j + 1."""
-    codes: list[list[tuple]] = [[()]]
+    i + 1 hangs from parent[i], the root being 0.  The trees come as their
+    canonical level sequences (the depths in preorder) by the successor
+    rule of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980): from the path,
+    find the last node p deeper than 1 and its parent q, and refill p.. by
+    repeating the sequence from q; stop at the star."""
+    out = [[()]]
     for k in range(1, k_max + 1):
-        planted = [(j + 1, code) for j in range(k) for code in codes[j]]
-        level = []
-
-        def grow(start: int, left: int, kids: tuple) -> None:
-            if not left:
-                level.append(kids)
-            for i in range(start, len(planted)):
-                cost, code = planted[i]
-                if cost > left:
-                    break
-                grow(i, left - cost, kids + (code,))
-
-        grow(0, k, ())
-        codes.append(level)
-
-    def parents(code: tuple) -> tuple[int, ...]:
-        out: list[int] = []
-
-        def walk(node: tuple, me: int) -> None:
-            for kid in node:
-                out.append(me)
-                walk(kid, len(out))
-
-        walk(code, 0)
-        return tuple(out)
-
-    return [[parents(code) for code in level] for level in codes]
-
-
-def _compositions(k: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every way to write k as an ordered sum of `parts` nonnegative terms."""
-    if parts == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _compositions(k - first, parts - 1):
-            yield (first, *rest)
+        level, depths = [], list(range(k + 1))
+        while True:
+            last, parents = [0] * (k + 1), []
+            for i in range(1, k + 1):
+                parents.append(last[depths[i] - 1])
+                last[depths[i]] = i
+            level.append(tuple(parents))
+            p = max((i for i in range(k + 1) if depths[i] > 1), default=0)
+            if not p:
+                break
+            q = parents[p - 1]
+            for i in range(p, k + 1):
+                depths[i] = depths[i - p + q]
+        out.append(level)
+    return out
 
 
 def _hang_trees(
-    brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
+    n_b: int, auts: tuple[tuple[int, ...], ...],
     trees: list[list[tuple[int, ...]]], k: int,
-) -> Iterator[tuple[int, ...]]:
-    """One graph per isomorphism class of connected graphs whose brace is
-    `brace` and which have k edges more, as adjacency rows.  `auts` is the
-    brace's automorphism group, the identity first, and `trees` comes from
-    `_rooted_trees(k)`.
+) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]]:
+    """One assignment per isomorphism class of connected graphs whose brace,
+    on n_b vertices, has k edges fewer: each kept composition (the edge
+    count at each brace vertex, as the gaps n_b - 1 bars leave in
+    k + n_b - 1 slots), its support (the vertices of nonzero count) and its
+    kept picks (per support vertex, an index into `trees[count]`; `_grow`
+    builds the graph).  `auts` is the brace's automorphism group, the
+    identity first, and `trees` comes from `_rooted_trees(k)`.
 
     Such a graph is the brace with a rooted tree hung at every vertex, and
     two of them are isomorphic exactly when an automorphism of the brace
     carries one assignment of trees to the other.  An assignment is kept
-    when it is the least in its orbit: first its composition (the edge
-    count at each vertex) must be the least under the whole group, and then
-    its trees, as their indices in `trees`, the least under the
+    when it is the least in its orbit: first its composition must be the
+    least under the whole group, and then its pick the least under the
     composition's stabiliser, which acts within the vertices of each
     count.  Every orbit holds assignments with the least composition, and
     those form one orbit of the stabiliser, so each class comes out once."""
-    n_b = len(brace)
-    others = auts[1:]
-    for comp in _compositions(k, n_b):
+    others, end = auts[1:], k + n_b - 1
+    for bars in combinations(range(end), n_b - 1):
+        comp = tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, end))])
         stab = []
         for g in others:
             image = tuple([comp[x] for x in g])
@@ -149,17 +131,47 @@ def _hang_trees(
             support = [v for v in range(n_b) if comp[v]]
             where = {v: i for i, v in enumerate(support)}
             moves = [[where[g[v]] for v in support] for g in stab]
-            for pick in product(*(range(len(trees[comp[v]])) for v in support)):
-                if any(tuple([pick[i] for i in mv]) < pick for mv in moves):
-                    continue
-                adj = list(brace)
-                for v, t in zip(support, pick):
-                    base = len(adj) - 1
-                    for p in trees[comp[v]][t]:
-                        p = v if p == 0 else base + p
-                        adj[p] |= 1 << len(adj)
-                        adj.append(1 << p)
-                yield tuple(adj)
+            yield comp, support, [
+                pick for pick in product(*(range(len(trees[comp[v]])) for v in support))
+                if not any(tuple([pick[i] for i in mv]) < pick for mv in moves)
+            ]
+
+
+def _grow(brace: tuple[int, ...], trees: list[list[tuple[int, ...]]],
+          comp: tuple[int, ...], support: list[int], pick: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency rows of `brace` with the trees of `pick` hung on."""
+    adj = list(brace)
+    for v, t in zip(support, pick):
+        base = len(adj) - 1
+        for p in trees[comp[v]][t]:
+            p = v if p == 0 else base + p
+            adj[p] |= 1 << len(adj)
+            adj.append(1 << p)
+    return tuple(adj)
+
+
+def _tree_scores(trees: list[list[tuple[int, ...]]], m: int) -> list[list[int]]:
+    """What each tree in `trees` adds to the index of a graph with m edges:
+    |m - 1 - 2 s| per tree edge, s edges below it (see `indices`)."""
+    def score(parents: tuple[int, ...]) -> int:
+        size = [1] * (len(parents) + 1)  # vertices at or below each vertex
+        for i in range(len(parents) - 1, -1, -1):
+            size[parents[i]] += size[i + 1]
+        return sum(abs(m + 1 - 2 * s) for s in size[1:])
+    return [[score(parents) for parents in level] for level in trees]
+
+
+def _values(model, scores: list[list[int]], comp: tuple[int, ...],
+            support: list[int], picks: list[tuple[int, ...]]) -> list[int]:
+    """The index of each pick on one composition, off the brace's
+    `pendant_model`: the brace term once, plus each tree's score."""
+    _, sums, rows = model
+    for v in support:
+        a = comp[v]
+        sums = [x + a * s for x, s in zip(sums, rows[v])]
+    base = sum(map(abs, sums))
+    tables = [scores[comp[v]] for v in support]
+    return [base + sum(map(list.__getitem__, tables, pick)) for pick in picks]
 
 
 # -- folds -------------------------------------------------------------------
@@ -177,22 +189,16 @@ class _Fold:
     argmax: list[tuple[int, ...]] = field(default_factory=list)
     braces: list[str] = field(default_factory=list)
 
-    def add(self, adj: tuple[int, ...]) -> None:
-        self.count += 1
-        value = edge_mostar(Graph(len(adj), adj))
-        best = self.best
-        if best is None or value > best:
-            self.best = value
-            self.argmax = [adj]
-        elif value == best:
-            self.argmax.append(adj)
+    def keep(self, value: int, graphs: list[tuple[int, ...]]) -> None:
+        if self.best is None or value > self.best:
+            self.best, self.argmax = value, []
+        if value == self.best:
+            self.argmax += graphs
 
     def merge(self, other: "_Fold") -> None:
         self.count += other.count
-        if other.best is not None and (self.best is None or other.best > self.best):
-            self.best, self.argmax = other.best, list(other.argmax)
-        elif other.best is not None and other.best == self.best:
-            self.argmax.extend(other.argmax)
+        if other.best is not None:
+            self.keep(other.best, other.argmax)
         self.braces.extend(other.braces)
 
 
@@ -203,13 +209,20 @@ def _canonical_g6(adj: tuple[int, ...]) -> str:
 
 
 def _fold_brace(args) -> tuple[EnumerationTask, _Fold]:
-    """The classes of one task on one brace.  `trees` runs up to the
-    number of edges the trees take; when that is 0 the brace itself is the
-    one class, and only then is it labelled."""
-    task, brace, auts, trees = args
+    """The classes of one task on one brace, scored unbuilt; rows are built
+    only for a composition's best picks, and only when they reach the
+    running best.  `trees` and `scores` run up to the tree edge count; when
+    that is 0 the brace itself is the one class, and only then labelled."""
+    task, brace, auts, trees, scores = args
+    model = pendant_model(brace)
     fold = _Fold()
-    for adj in _hang_trees(brace, auts, trees, len(trees) - 1):
-        fold.add(adj)
+    for comp, support, picks in _hang_trees(len(brace), auts, trees, len(trees) - 1):
+        fold.count += len(picks)
+        values = _values(model, scores, comp, support, picks)
+        top = max(values)
+        if fold.best is None or top >= fold.best:
+            fold.keep(top, [_grow(brace, trees, comp, support, pick)
+                            for pick, value in zip(picks, values) if value == top])
     if len(trees) == 1:
         fold.braces.append(_canonical_g6(brace))
     return task, fold
@@ -253,7 +266,9 @@ def survey(
     # the most tree edges, then the largest brace, first
     jobs.sort(key=lambda job: (job[3], len(job[1])), reverse=True)
     trees = _rooted_trees(jobs[0][3] if jobs else 0)
-    units = [(task, brace, auts, trees[:k + 1]) for task, brace, auts, k in jobs]
+    scores = {task: _tree_scores(trees[:task.m + 1], task.m) for task in tasks}
+    units = [(task, brace, auts, trees[:k + 1], scores[task][:k + 1])
+             for task, brace, auts, k in jobs]
     totals = {task: _Fold() for task in tasks}
 
     def merge(partials: Iterable[tuple[EnumerationTask, _Fold]]) -> None:
@@ -283,8 +298,8 @@ def survey(
 
 
 def maximize(task: EnumerationTask, workers: int = 1) -> EnumerationResult:
-    """Fold edge_mostar over the enumeration stream; collect all argmax
-    canonical forms.  Empty classes yield graphs_visited=0 explicitly."""
+    """The task's maximum edge Mostar index and all argmax canonical
+    forms.  Empty classes yield graphs_visited=0 explicitly."""
     return survey([task], workers=workers)[task].result
 
 

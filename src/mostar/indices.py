@@ -34,6 +34,22 @@ set differences.
 In a connected graph a ball short of full grows at the next level, so the
 recurrence is also the connectivity check, with no separate search.
 
+A brace with a rooted tree hung at each vertex w, a_w tree edges at w and
+m edges in all, has index
+
+    sum over brace edges e = uv of |c_e + sum_w a_w s_e(w)|
+    + sum over tree edges f of |m - 1 - 2 s_f|,
+
+with c_e = m_u - m_v in the brace alone, s_e(w) = +1, -1 or 0 as
+d(u, w) <, > or = d(v, w), and s_f edges below f: trees change no distance
+inside the brace, a tree edge at w sits on w's side of e, and a tree edge
+is a bridge with s_f edges on its far side and the other m - 1 - s_f on
+its near side.  `pendant_model` gives c_e and s_e(w).  So replacing each
+tree by as many pendant edges at its root keeps the brace term and turns
+every |m - 1 - 2 s_f| into m - 1, a strict rise exactly when s_f >= 1, as
+s_f < m - 1 (the brace's edges are on f's near side): trees to stars never
+lower the index, and raise it exactly when some tree vertex is not a leaf.
+
 `edge_report` keeps the definition itself, one distance table and a pass
 over the edges, as the per-edge reference.
 
@@ -43,13 +59,13 @@ family-polynomial checks at large sizes safe without any width concerns.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import Iterator
 
 from .graphs import (
-    Graph, GraphError, all_pairs_distances, bfs_distances, edge_pairs,
-    is_connected, write_graph6,
+    Graph, GraphError, all_pairs_distances, edge_pairs, is_connected,
+    write_graph6,
 )
 
 _DISCONNECTED = "operation requires a connected graph"
@@ -169,61 +185,68 @@ def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]
     return pairs, inc
 
 
-def _transmissions(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]:
-    """`edge_pairs(adj)` and the edge transmission of every vertex s, the
-    sum over k of (m - |EB_k(s)|)."""
-    pairs, inc = _edge_seeds(adj)
+def edge_mostar(g: Graph) -> int:
+    """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|, T(s) being the
+    sum over k of m - |EB_k(s)|."""
+    pairs, inc = _edge_seeds(g.adj)
     m = len(pairs)
-    t = [0] * len(adj)
-    for balls in _balls(adj, inc):
+    t = [0] * g.n
+    for balls in _balls(g.adj, inc):
         for s, b in enumerate(balls):
             t[s] += m - b.bit_count()
-    return pairs, t
-
-
-def edge_mostar(g: Graph) -> int:
-    """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|."""
-    pairs, t = _transmissions(g.adj)
     return sum(abs(t[u] - t[v]) for u, v in pairs)
+
+
+def pendant_model(
+    adj: tuple[int, ...],
+) -> tuple[list[tuple[int, int]], list[int], list[tuple[int, ...]]]:
+    """`edge_pairs(adj)`, c_e = m_u - m_v for every edge and, per vertex w,
+    the row of s_e(w) (module docstring); GraphError when disconnected.
+    One ball pass computes B_k(s): EB_k(s) in the low m bits and the
+    vertices within k of s above them, w at bit m + w.  An edge or vertex
+    x is in B_k(u) but not B_k(v) exactly when k = d(u, x) < d(v, x), so
+    those sets are disjoint over k and their union, all that is nearer u,
+    is the integer sum over k of B_k(u) - (B_k(u) & B_k(v))."""
+    pairs, inc = _edge_seeds(adj)
+    m = len(pairs)
+    edges = (1 << m) - 1
+    levels = list(_balls(adj, [b | 1 << m + s for s, b in enumerate(inc)]))
+    total = [sum(col) for col in zip(*levels)]
+    both = [sum(col) for col in zip(*[[lv[u] & lv[v] for u, v in pairs] for lv in levels])]
+    near = [(total[u] - x, total[v] - x) for (u, v), x in zip(pairs, both)]
+    rows = [tuple([(x >> w & 1) - (y >> w & 1) for x, y in near])
+            for w in range(m, m + len(adj))]
+    return pairs, [(x & edges).bit_count() - (y & edges).bit_count() for x, y in near], rows
 
 
 def pendant_tails(
     brace: Graph,
 ) -> list[tuple[tuple[int, int, int], int, tuple[int, ...]]]:
-    """Edge Mostar index of the brace plus k pendant edges at w, exactly,
-    for every vertex w; the transmissions are computed once for all of them.
-
-    Pendant edges change no distance inside the brace.  Each sees its
-    m - 1 = b + k - 1 fellow edges on its w side; a brace edge e = uv,
-    with c_e = m_u - m_v in the brace alone, gains s_e = +1, -1 or 0 per
-    pendant as d(u, w) <, > or = d(v, w).  So the index is
-    k (m - 1) + sum of |c_e + k s_e|, and from k0 = max(0, max -s_e c_e)
-    on it is the quadratic poly = (1, N - 1 - b, b - bN + C) in m, where
-    N counts the edges with s_e != 0 and C = sum of s_e c_e plus the
-    |c_e| with s_e = 0.  k0 is also the least such k: with s_e = +-1,
-    |c_e + k s_e| = |s_e c_e + k|, so the exact index minus the quadratic
-    is 2 * sum over s_e != 0 of max(0, d_e - k) with d_e = -s_e c_e, which
-    is positive for every k < k0.  Returns, indexed by w, (poly,
-    holds_from, head): poly holds for every m >= holds_from = b + k0 and,
-    when k0 > 0, fails at holds_from - 1; head holds the exact index at
-    m = b .. holds_from - 1, read off that difference."""
-    pairs, t = _transmissions(brace.adj)
+    """For every vertex w, the edge Mostar index of the brace plus k
+    pendant edges at w, exactly: k (m - 1) + sum of |c_e + k s_e| with
+    s_e = s_e(w) (module docstring).  From k0 = max(0, max -s_e c_e) on it
+    is poly = (1, N - 1 - b, b - bN + C) in m, N counting the edges with
+    s_e != 0 and C = sum of s_e c_e plus the |c_e| with s_e = 0; k0 is the
+    least such k, as |c_e + k s_e| = |s_e c_e + k| makes the exact index
+    minus poly 2 * sum over s_e != 0 of max(0, d_e - k), d_e = -s_e c_e,
+    positive for k < k0.  Returns, per w, (poly, holds_from = b + k0,
+    head): head is the exact index at m = b .. holds_from - 1, read off that
+    difference, and poly fails at holds_from - 1 when k0 > 0."""
+    pairs, ce, rows = pendant_model(brace.adj)
     b = len(pairs)
     forms = []
-    for w in range(brace.n):
-        dw = bfs_distances(brace, w)
-        terms = [(t[v] - t[u], (dw[u] < dw[v]) - (dw[u] > dw[v])) for u, v in pairs]
-        n_sloped = sum(1 for _, s in terms if s)
+    for row in rows:
+        terms = list(zip(ce, row))
+        n_sloped = b - row.count(0)
         const = sum(s * c if s else abs(c) for c, s in terms)
         poly = (1, n_sloped - 1 - b, b - b * n_sloped + const)
-        ds = sorted((-s * c for c, s in terms if s * c < 0), reverse=True)
-        k0 = ds[0] if ds else 0
-        head = tuple(
-            (b + k) * (b + k + poly[1]) + poly[2]
-            + 2 * sum(d - k for d in takewhile(lambda d: d > k, ds))
-            for k in range(k0)
-        )
-        forms.append((poly, b + k0, head))
+        ds = sorted(-s * c for c, s in terms if s * c < 0)
+        k0 = ds[-1] if ds else 0
+        head, excess = [], 2 * sum(ds)
+        for k in range(k0):
+            head.append((b + k) * (b + k + poly[1]) + poly[2] + excess)
+            excess -= 2 * (len(ds) - bisect_right(ds, k))  # 2 per d_e > k
+        forms.append((poly, b + k0, tuple(head)))
     return forms
 
 

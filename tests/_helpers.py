@@ -666,3 +666,39 @@ def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
         if k:
             shifted = shift_pendants(shifted, ShiftSpec(roles[src - 1], roles[dst - 1], k))
     return edge_mostar(shifted) - edge_mostar(g)
+
+
+def check_model_scores(c: int, m: int) -> int:
+    """Every class the survey grows for cyclomatic number c and size m,
+    scored as the survey scores it (`enumeration._values` on the brace's
+    `pendant_model`, no graph built), equals `edge_mostar` of the graph
+    `_grow` builds, on every pick and not only on maximizers; and each
+    brace's fold keeps exactly the rows of its best picks.  Returns the
+    number of classes checked.  Run on tricyclic m = 13 by CI:
+
+        PYTHONPATH=src:tests python -c "import _helpers; print(_helpers.check_model_scores(3, 13))"
+    """
+    from mostar import edge_mostar, enumeration
+    from mostar.braces import kernel_braces
+    from mostar.indices import pendant_model
+
+    trees = enumeration._rooted_trees(m)
+    scores = enumeration._tree_scores(trees, m)
+    checked = 0
+    for b, found in kernel_braces(c, range(m + 1)).items():
+        for brace, auts in found:
+            model = pendant_model(brace.adj)
+            scored = []
+            for comp, support, picks in enumeration._hang_trees(brace.n, auts, trees, m - b):
+                values = enumeration._values(model, scores, comp, support, picks)
+                for pick, value in zip(picks, values):
+                    adj = enumeration._grow(brace.adj, trees, comp, support, pick)
+                    assert value == edge_mostar(Graph(len(adj), adj)), (brace.edges(), comp, pick)
+                    scored.append((value, adj))
+            unit = (None, brace.adj, auts, trees[:m - b + 1], scores[:m - b + 1])
+            _, fold = enumeration._fold_brace(unit)
+            best = max(value for value, _ in scored)
+            assert fold.count == len(scored) and fold.best == best, brace.edges()
+            assert sorted(fold.argmax) == sorted(adj for value, adj in scored if value == best)
+            checked += len(scored)
+    return checked

@@ -25,6 +25,7 @@ import _walk
 from _walk import enumerate_connected, trees
 from _helpers import (
     brute_connected_class_count,
+    check_model_scores,
     complete,
     naive_distances,
     polya_class_count,
@@ -420,10 +421,11 @@ def _brace_first_forms(task):
     c = task.m - task.n + 1
     trees = enumeration._rooted_trees(task.m)
     return [
-        canonical_form(Graph(task.n, adj))
+        canonical_form(Graph(task.n, enumeration._grow(brace.adj, trees, comp, support, pick)))
         for b, found in kernel_braces(c, range(task.m + 1)).items()
         for brace, auts in found
-        for adj in enumeration._hang_trees(brace.adj, auts, trees[:task.m - b + 1], task.m - b)
+        for comp, support, picks in enumeration._hang_trees(brace.n, auts, trees, task.m - b)
+        for pick in picks
     ]
 
 
@@ -475,6 +477,16 @@ def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
     assert [_polya(2, m) for m in (11, 12, 13)] == [2678, 8833, 28908]
 
 
+def test_model_scores_equal_edge_mostar():
+    """The survey scores each class off its brace's pendant model, with no
+    graph built: on every class of tricyclic 7..11 and bicyclic 5..10, on
+    every pick, that score equals `edge_mostar` of the built graph, and
+    each brace's fold keeps the rows of exactly its best picks (CI runs
+    tricyclic 13)."""
+    assert [check_model_scores(3, m) for m in range(7, 12)] == [4, 22, 107, 486, 2075]
+    assert [check_model_scores(2, m) for m in range(5, 11)] == [1, 5, 19, 67, 236, 797]
+
+
 def test_polya_count_per_brace():
     """Per brace, not only per size: at tricyclic m = 12 and bicyclic
     m = 10, the classes `_hang_trees` grows on each kernel brace number
@@ -484,8 +496,9 @@ def test_polya_count_per_brace():
         trees = enumeration._rooted_trees(m)
         for b, found in kernel_braces(c, range(m + 1)).items():
             for brace, auts in found:
-                grown = enumeration._hang_trees(brace.adj, auts, trees[:m - b + 1], m - b)
-                assert sum(1 for _ in grown) == polya_class_count(m, [(b, auts)]), brace.edges()
+                grown = enumeration._hang_trees(brace.n, auts, trees, m - b)
+                assert (sum(len(picks) for _, _, picks in grown)
+                        == polya_class_count(m, [(b, auts)])), brace.edges()
 
 
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):

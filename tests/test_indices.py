@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from mostar import (
 )
 from mostar.braces import kernel_braces
 from mostar.graphs import with_pendants
-from mostar.indices import pendant_tails
+from mostar.indices import pendant_model, pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import (
     complete,
@@ -185,7 +186,8 @@ def test_disconnected_rejected():
         Graph.from_edges(24, [(i, i + 1) for i in range(11)]
                          + [(i, i + 1) for i in range(12, 23)]),
     ):
-        for index in (edge_mostar, mostar_summary, pendant_tails):
+        for index in (edge_mostar, mostar_summary, pendant_tails,
+                      lambda g: pendant_model(g.adj)):
             with pytest.raises(GraphError, match="requires a connected graph"):
                 index(g)
 
@@ -245,3 +247,49 @@ def test_best_single_attach_tails_up_to_14_edges(registry):
         assert [b for b, (t, _) in best.items() if t == tail] == [base.m], c
         if c == 3:
             assert best[13][0] == (1, -1, -44) and best[14][0] == (1, -1, -52)
+
+
+def _kernel_braces_up_to(c, top):
+    return [g for found in kernel_braces(c, range(top + 1)).values() for g, _ in found]
+
+
+def test_pendant_model_matches_definition():
+    """On every kernel brace up to 14 edges (tricyclic) and 13 edges
+    (bicyclic): the edges are `g.edges()`, c_e is m_u - m_v from the
+    definition, and s_e(w) compares dict-BFS distances d(u, w), d(v, w)."""
+    for c, top in ((3, 14), (2, 13)):
+        for g in _kernel_braces_up_to(c, top):
+            pairs, ce, rows = pendant_model(g.adj)
+            assert pairs == g.edges()
+            assert ce == [mu - mv for mu, mv, _ in naive_edge_rows(g)], g.edges()
+            dist = [naive_distances(g, s) for s in range(g.n)]
+            assert rows == [
+                tuple((dist[u][w] < dist[v][w]) - (dist[u][w] > dist[v][w]) for u, v in pairs)
+                for w in range(g.n)
+            ], g.edges()
+
+
+def test_pendants_best_at_one_vertex():
+    """One attachment vertex, on every kernel brace up to 14 edges in both
+    classes: of all ways to hang k pendant edges (k = 2; k = 3 up to 12
+    edges), one with all k at a single vertex has the largest index.
+
+    The index is k (m - 1) plus V(a) = sum over e of |c_e + sum_w a_w
+    s_e(w)|, with a_w pendants at w.  V is convex in a, a sum of absolute
+    values of affine functions, and the distributions with sum k lie in
+    the simplex whose corners are the k e_w; a convex function is largest
+    at a corner, so this holds for every k, and a failure here would be a
+    fault in the model."""
+    for c in (3, 2):
+        for g in _kernel_braces_up_to(c, 14):
+            _, ce, rows = pendant_model(g.adj)
+
+            def value(at):
+                sums = ce
+                for w in at:
+                    sums = [x + s for x, s in zip(sums, rows[w])]
+                return sum(map(abs, sums))
+
+            for k in (2, 3) if g.m <= 12 else (2,):
+                best = max(map(value, combinations_with_replacement(range(g.n), k)))
+                assert best == max(value((w,) * k) for w in range(g.n)), (g.edges(), k)
