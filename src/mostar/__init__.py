@@ -8,7 +8,6 @@ from .graphs import (
     bfs_distances,
     cycle,
     cyclomatic_number,
-    dot_product,
     is_connected,
     parse_graph6,
     path,
@@ -90,7 +89,6 @@ __all__ = [
     "canonical_form",
     "cycle",
     "cyclomatic_number",
-    "dot_product",
     "edge_mostar",
     "edge_report",
     "is_connected",

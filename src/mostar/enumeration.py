@@ -9,8 +9,10 @@ automorphism groups, `_rooted_trees` the rooted trees by edge count, and
 `_hang_trees` keeps one assignment per orbit, so each class comes out once
 with no global dedup state.  Nothing is labelled to be generated and
 nothing built to be scored: a class's index is read off its brace's
-`indices.pendant_model` and its trees' sizes, and `survey` labels only the
-braces that have all of a task's edges and the graphs at the task's best.
+`indices.pendant_model`, computed once per brace for every task that uses
+it, and its trees' sizes.  `survey` labels only the braces that have all
+of a task's edges, reading their pendant tails off the same model, and the
+graphs at the task's best.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Optional
 from .braces import kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, canon
 from .graphs import Graph, write_graph6
-from .indices import pendant_model
+from .indices import model_tails, pendant_model
 
 
 @dataclass(frozen=True)
@@ -179,15 +181,16 @@ def _values(model, scores: list[list[int]], comp: tuple[int, ...],
 
 @dataclass
 class _Fold:
-    """What one work unit, a brace, contributes to its task's survey;
+    """What one work unit, a brace, contributes to one task's survey;
     `merge` is associative, so any split gives the same survey.  The
     graphs at the best value are kept unlabelled: only those that reach
-    the task's best are labelled, once every unit is in."""
+    the task's best are labelled, once every unit is in.  Each brace is
+    kept as its canonical form and its tails."""
 
     count: int = 0
     best: Optional[int] = None
     argmax: list[tuple[int, ...]] = field(default_factory=list)
-    braces: list[str] = field(default_factory=list)
+    braces: list[tuple[str, tuple]] = field(default_factory=list)
 
     def keep(self, value: int, graphs: list[tuple[int, ...]]) -> None:
         if self.best is None or value > self.best:
@@ -208,33 +211,50 @@ def _canonical_g6(adj: tuple[int, ...]) -> str:
     return write_graph6(Graph(g.n, canon(g).canon_adj))
 
 
-def _fold_brace(args) -> tuple[EnumerationTask, _Fold]:
-    """The classes of one task on one brace, scored unbuilt; rows are built
-    only for a composition's best picks, and only when they reach the
-    running best.  `trees` and `scores` run up to the tree edge count; when
-    that is 0 the brace itself is the one class, and only then labelled."""
-    task, brace, auts, trees, scores = args
+def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
+    """The brace's `canonical_form` and, per vertex of that form, its
+    (poly, holds_from) from `indices.model_tails`."""
+    res = canon(Graph(len(brace), brace))
+    tails = [None] * res.n
+    for v, tail in zip(res.labeling, model_tails(model)):
+        tails[v] = tail
+    return write_graph6(Graph(res.n, res.canon_adj)), tuple(tails)
+
+
+def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
+    """The classes of every task on one brace, scored unbuilt off its one
+    `pendant_model`; rows are built only for a composition's best picks,
+    and only when they reach the running best.  Each task comes with its
+    tree scores up to its tree edge count; when that is 0 the brace itself
+    is the one class, and only then labelled."""
+    brace, auts, trees, jobs = args
     model = pendant_model(brace)
-    fold = _Fold()
-    for comp, support, picks in _hang_trees(len(brace), auts, trees, len(trees) - 1):
-        fold.count += len(picks)
-        values = _values(model, scores, comp, support, picks)
-        top = max(values)
-        if fold.best is None or top >= fold.best:
-            fold.keep(top, [_grow(brace, trees, comp, support, pick)
-                            for pick, value in zip(picks, values) if value == top])
-    if len(trees) == 1:
-        fold.braces.append(_canonical_g6(brace))
-    return task, fold
+    out = []
+    for task, scores in jobs:
+        fold = _Fold()
+        for comp, support, picks in _hang_trees(len(brace), auts, trees, len(scores) - 1):
+            fold.count += len(picks)
+            values = _values(model, scores, comp, support, picks)
+            top = max(values)
+            if fold.best is None or top >= fold.best:
+                fold.keep(top, [_grow(brace, trees, comp, support, pick)
+                                for pick, value in zip(picks, values) if value == top])
+        if len(scores) == 1:
+            fold.braces.append(_label(brace, model))
+        out.append((task, fold))
+    return out
 
 
 @dataclass(frozen=True)
 class Survey:
-    """Result of one task's enumeration: the max/argmax fold and the
-    `canonical_form` of every brace visited, sorted."""
+    """Result of one task's enumeration: the max/argmax fold, the
+    `canonical_form` of every brace with all of the task's edges, sorted,
+    and aligned with them each brace's tails, per vertex of that form
+    (poly, holds_from) as `indices.pendant_tails` gives them."""
 
     result: EnumerationResult
     braces: tuple[str, ...]
+    tails: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
 
 
 def survey(
@@ -243,9 +263,11 @@ def survey(
     """Enumerate every task in one pass, folding max/argmax and the braces
     of each.
 
-    A task's work units are its braces with at most m edges, from
-    `braces.kernel_braces`, each with the classes `_hang_trees` grows on
-    it.  One pool runs every unit, those with the most tree edges first.
+    A work unit is one brace from `braces.kernel_braces`, listed per class
+    up to that class's largest task, with every task of its class that has
+    at least its edges; the unit computes the brace's `pendant_model` once
+    and folds each task's classes that `_hang_trees` grows on it.  One
+    pool runs every unit, those with the most tree edges first.
 
     Deterministic: the folds keep counts, values and unlabelled graphs, and
     the maximizers and braces are reported as sorted canonical strings, so
@@ -257,24 +279,25 @@ def survey(
     tasks = list(dict.fromkeys(tasks))
     for task in tasks:
         task.validate()
-    catalogue = {c: kernel_braces(c, range(max(t.m for t in tasks) + 1))
-                 for c in {t.m - t.n + 1 for t in tasks}}
-    jobs = [(task, brace.adj, auts, task.m - b)
-            for task in tasks
-            for b, found in catalogue[task.m - task.n + 1].items() if b <= task.m
-            for brace, auts in found]
+    jobs = []
+    for c in {t.m - t.n + 1 for t in tasks}:
+        mine = [t for t in tasks if t.m - t.n + 1 == c]
+        for b, found in kernel_braces(c, range(max(t.m for t in mine) + 1)).items():
+            ks = [(t, t.m - b) for t in mine if t.m >= b]  # tree edges per task
+            jobs += [(brace.adj, auts, ks, max(k for _, k in ks)) for brace, auts in found]
     # the most tree edges, then the largest brace, first
-    jobs.sort(key=lambda job: (job[3], len(job[1])), reverse=True)
+    jobs.sort(key=lambda job: (job[3], len(job[0])), reverse=True)
     trees = _rooted_trees(jobs[0][3] if jobs else 0)
     scores = {task: _tree_scores(trees[:task.m + 1], task.m) for task in tasks}
-    units = [(task, brace, auts, trees[:k + 1], scores[task][:k + 1])
-             for task, brace, auts, k in jobs]
+    units = [(brace, auts, trees[:top + 1], [(t, scores[t][:k + 1]) for t, k in ks])
+             for brace, auts, ks, top in jobs]
     totals = {task: _Fold() for task in tasks}
 
-    def merge(partials: Iterable[tuple[EnumerationTask, _Fold]]) -> None:
+    def merge(partials: Iterable[list[tuple[EnumerationTask, _Fold]]]) -> None:
         # as the units come in, so that only each task's running best stays
-        for task, fold in partials:
-            totals[task].merge(fold)
+        for folds in partials:
+            for task, fold in folds:
+                totals[task].merge(fold)
 
     if workers > 1 and len(units) > 1:
         ctx = get_context("fork")
@@ -293,7 +316,9 @@ def survey(
             max_value=total.best,
             maximizers=tuple(sorted(_canonical_g6(adj) for adj in total.argmax)),
         )
-        out[task] = Survey(result=result, braces=tuple(sorted(total.braces)))
+        braces = sorted(total.braces)
+        out[task] = Survey(result=result, braces=tuple(g6 for g6, _ in braces),
+                           tails=tuple(tails for _, tails in braces))
     return out
 
 

@@ -6,13 +6,14 @@ tricyclic/bicyclic constructions are pinned analytically (their closed
 forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
 pipeline from the braces (graphs of minimum degree >= 2) the enumeration
-surveys visit, `Survey.braces`.  One pass
-reads the exact pendant tail (`indices.pendant_tails`) at every vertex of
-every surveyed brace; (brace, vertex) is a candidate for a family when its
-tail is the family's polynomial, the brace has the family's shape and the
-tail holds by the largest surveyed size.  The pinned m_min is the size
-from which the tail holds, so every registry polynomial is proved for all
-m >= m_min.
+surveys visit, `Survey.braces`.  One pass reads the exact pendant tail at
+every vertex of every surveyed brace off `Survey.tails`, which the survey
+computed from the brace's pendant model (`indices.pendant_tails` gives the
+same); (brace, vertex) is a candidate for a family when its tail is the
+family's polynomial, the brace has the family's shape and the tail holds
+by the largest surveyed size, and only such a brace is parsed.  The
+pinned m_min is the size from which the tail holds, so every registry
+polynomial is proved for all m >= m_min.
 """
 
 from __future__ import annotations
@@ -355,21 +356,23 @@ _Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 
 def _brace_tails(surveys: dict) -> list[_Tail]:
     """One pass over the surveyed braces: every (brace, vertex) whose exact
-    pendant tail is a DISCOVERY polynomial that holds by the largest
-    surveyed size.  A brace with b edges comes from the survey of size b
+    pendant tail, as the survey carries it, is a DISCOVERY polynomial that
+    holds by the largest surveyed size; a brace is parsed only when it has
+    such a vertex.  A brace with b edges comes from the survey of size b
     and its tail holds from some size >= b; the surveyed sizes are
     consecutive, so the member of size holds_from is the first one seen."""
     hi = max(surveys, default=0)
     wanted = {poly for poly, _, _ in DISCOVERY.values()}
     out = []
     for s in surveys.values():
-        for g6 in s.braces:
-            brace = parse_graph6(g6)
-            cls = None
+        for g6, tails in zip(s.braces, s.tails):
+            brace = cls = None
             keys = set()
-            for v, (poly, holds_from, _) in enumerate(pendant_tails(brace)):
+            for v, (poly, holds_from) in enumerate(tails):
                 if poly not in wanted or holds_from > hi:
                     continue
+                if brace is None:
+                    brace = parse_graph6(g6)
                 edges, attach, key = _normalize_candidate(brace, v)
                 if key in keys:
                     continue  # v shares an orbit with an earlier vertex

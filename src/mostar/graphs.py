@@ -234,29 +234,6 @@ def cyclomatic_number(g: Graph) -> int:
     return g.m - g.n + 1
 
 
-def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
-    """Disjoint union of g1 and g2 with v1 and v2 identified.
-
-    g1 keeps its labels and the merged vertex keeps label v1; g2's other
-    vertices follow in their original order starting at label g1.n.
-    """
-    if not 0 <= v1 < g1.n:
-        raise GraphError(f"vertex {v1} out of range in first factor")
-    if not 0 <= v2 < g2.n:
-        raise GraphError(f"vertex {v2} out of range in second factor")
-    remap = {}
-    nxt = g1.n
-    for w in range(g2.n):
-        if w == v2:
-            remap[w] = v1
-        else:
-            remap[w] = nxt
-            nxt += 1
-    edges = g1.edges()
-    edges += [(remap[u], remap[v]) for u, v in g2.edges()]
-    return Graph.from_edges(g1.n + g2.n - 1, edges)
-
-
 # -- graph6 format ----------------------------------------------------------
 
 

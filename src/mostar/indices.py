@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator
 
 from .graphs import (
@@ -219,34 +220,48 @@ def pendant_model(
     return pairs, [(x & edges).bit_count() - (y & edges).bit_count() for x, y in near], rows
 
 
+def model_tails(
+    model: tuple[list[tuple[int, int]], list[int], list[tuple[int, ...]]],
+) -> list[tuple[tuple[int, int, int], int]]:
+    """For every vertex w of the brace whose `pendant_model` is `model`,
+    the edge Mostar index of the brace plus k pendant edges at w, exactly:
+    k (m - 1) + sum of |c_e + k s_e| with s_e = s_e(w) (module docstring).
+    From k0 = max(0, max -s_e c_e) on it is poly = (1, N - 1 - b,
+    b - bN + C) in m, N counting the edges with s_e != 0 and C = sum of
+    s_e c_e plus the |c_e| with s_e = 0; k0 is the least such k, as
+    |c_e + k s_e| = |s_e c_e + k| makes the exact index minus poly
+    2 * sum over s_e != 0 of max(0, d_e - k), d_e = -s_e c_e, positive for
+    k < k0.  Returns, per w, (poly, holds_from = b + k0)."""
+    pairs, ce, rows = model
+    b = len(pairs)
+    total = sum(map(abs, ce))
+    forms = []
+    for row in rows:
+        prods = list(map(mul, ce, row))  # s_e c_e
+        n_sloped = b - row.count(0)
+        const = total - sum(map(abs, prods)) + sum(prods)
+        k0 = max(0, -min(prods, default=0))
+        forms.append(((1, n_sloped - 1 - b, b - b * n_sloped + const), b + k0))
+    return forms
+
+
 def pendant_tails(
     brace: Graph,
 ) -> list[tuple[tuple[int, int, int], int, tuple[int, ...]]]:
-    """For every vertex w, the edge Mostar index of the brace plus k
-    pendant edges at w, exactly: k (m - 1) + sum of |c_e + k s_e| with
-    s_e = s_e(w) (module docstring).  From k0 = max(0, max -s_e c_e) on it
-    is poly = (1, N - 1 - b, b - bN + C) in m, N counting the edges with
-    s_e != 0 and C = sum of s_e c_e plus the |c_e| with s_e = 0; k0 is the
-    least such k, as |c_e + k s_e| = |s_e c_e + k| makes the exact index
-    minus poly 2 * sum over s_e != 0 of max(0, d_e - k), d_e = -s_e c_e,
-    positive for k < k0.  Returns, per w, (poly, holds_from = b + k0,
-    head): head is the exact index at m = b .. holds_from - 1, read off that
-    difference, and poly fails at holds_from - 1 when k0 > 0."""
-    pairs, ce, rows = pendant_model(brace.adj)
+    """`model_tails` of the brace's `pendant_model`, each with its head:
+    the exact index at m = b .. holds_from - 1, read off the difference to
+    poly in the `model_tails` docstring, so poly fails at holds_from - 1
+    when k0 > 0.  GraphError when disconnected."""
+    pairs, ce, rows = model = pendant_model(brace.adj)
     b = len(pairs)
     forms = []
-    for row in rows:
-        terms = list(zip(ce, row))
-        n_sloped = b - row.count(0)
-        const = sum(s * c if s else abs(c) for c, s in terms)
-        poly = (1, n_sloped - 1 - b, b - b * n_sloped + const)
-        ds = sorted(-s * c for c, s in terms if s * c < 0)
-        k0 = ds[-1] if ds else 0
+    for (poly, holds_from), row in zip(model_tails(model), rows):
+        ds = sorted([-x for x in map(mul, ce, row) if x < 0])
         head, excess = [], 2 * sum(ds)
-        for k in range(k0):
+        for k in range(holds_from - b):
             head.append((b + k) * (b + k + poly[1]) + poly[2] + excess)
             excess -= 2 * (len(ds) - bisect_right(ds, k))  # 2 per d_e > k
-        forms.append((poly, b + k0, tuple(head)))
+        forms.append((poly, holds_from, tuple(head)))
     return forms
 
 

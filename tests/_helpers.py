@@ -102,6 +102,29 @@ def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
+    """Disjoint union of g1 and g2 with v1 and v2 identified.
+
+    g1 keeps its labels and the merged vertex keeps label v1; g2's other
+    vertices follow in their original order starting at label g1.n.
+    """
+    if not 0 <= v1 < g1.n:
+        raise GraphError(f"vertex {v1} out of range in first factor")
+    if not 0 <= v2 < g2.n:
+        raise GraphError(f"vertex {v2} out of range in second factor")
+    remap = {}
+    nxt = g1.n
+    for w in range(g2.n):
+        if w == v2:
+            remap[w] = v1
+        else:
+            remap[w] = nxt
+            nxt += 1
+    edges = g1.edges()
+    edges += [(remap[u], remap[v]) for u, v in g2.edges()]
+    return Graph.from_edges(g1.n + g2.n - 1, edges)
+
+
 def toggle_edge(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     """Adjacency rows `adj` with the pair uv added when absent, removed when
     present."""
@@ -668,13 +691,15 @@ def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
     return edge_mostar(shifted) - edge_mostar(g)
 
 
-def check_model_scores(c: int, m: int) -> int:
-    """Every class the survey grows for cyclomatic number c and size m,
-    scored as the survey scores it (`enumeration._values` on the brace's
-    `pendant_model`, no graph built), equals `edge_mostar` of the graph
-    `_grow` builds, on every pick and not only on maximizers; and each
-    brace's fold keeps exactly the rows of its best picks.  Returns the
-    number of classes checked.  Run on tricyclic m = 13 by CI:
+def check_model_scores(c: int, m: int) -> dict[int, int]:
+    """Every class the survey grows for cyclomatic number c at each size up
+    to m, scored as the survey scores it (`enumeration._values` on the
+    brace's `pendant_model`, no graph built), equals `edge_mostar` of the
+    graph `_grow` builds, on every pick and not only on maximizers; and the
+    survey's work unit for each brace, `_fold_brace` with the task of every
+    size from the brace's to m, keeps for each task exactly its class
+    count, its best value and the rows of its best picks.  Returns the
+    number of classes checked per size.  Run on tricyclic m = 13 by CI:
 
         PYTHONPATH=src:tests python -c "import _helpers; print(_helpers.check_model_scores(3, 13))"
     """
@@ -683,22 +708,27 @@ def check_model_scores(c: int, m: int) -> int:
     from mostar.indices import pendant_model
 
     trees = enumeration._rooted_trees(m)
-    scores = enumeration._tree_scores(trees, m)
-    checked = 0
+    checked: dict[int, int] = {}
     for b, found in kernel_braces(c, range(m + 1)).items():
+        tasks = [enumeration.EnumerationTask(size - c + 1, size) for size in range(b, m + 1)]
+        scores = {t: enumeration._tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
         for brace, auts in found:
             model = pendant_model(brace.adj)
-            scored = []
-            for comp, support, picks in enumeration._hang_trees(brace.n, auts, trees, m - b):
-                values = enumeration._values(model, scores, comp, support, picks)
-                for pick, value in zip(picks, values):
-                    adj = enumeration._grow(brace.adj, trees, comp, support, pick)
-                    assert value == edge_mostar(Graph(len(adj), adj)), (brace.edges(), comp, pick)
-                    scored.append((value, adj))
-            unit = (None, brace.adj, auts, trees[:m - b + 1], scores[:m - b + 1])
-            _, fold = enumeration._fold_brace(unit)
-            best = max(value for value, _ in scored)
-            assert fold.count == len(scored) and fold.best == best, brace.edges()
-            assert sorted(fold.argmax) == sorted(adj for value, adj in scored if value == best)
-            checked += len(scored)
+            unit = (brace.adj, auts, trees[:m - b + 1], [(t, scores[t]) for t in tasks])
+            folds = enumeration._fold_brace(unit)
+            assert [task for task, _ in folds] == tasks, brace.edges()
+            for task, fold in folds:
+                scored = []
+                for comp, support, picks in enumeration._hang_trees(
+                        brace.n, auts, trees, task.m - b):
+                    values = enumeration._values(model, scores[task], comp, support, picks)
+                    for pick, value in zip(picks, values):
+                        adj = enumeration._grow(brace.adj, trees, comp, support, pick)
+                        assert value == edge_mostar(Graph(len(adj), adj)), \
+                            (brace.edges(), comp, pick)
+                        scored.append((value, adj))
+                best = max(value for value, _ in scored)
+                assert fold.count == len(scored) and fold.best == best, (brace.edges(), task)
+                assert sorted(fold.argmax) == sorted(adj for value, adj in scored if value == best)
+                checked[task.m] = checked.get(task.m, 0) + len(scored)
     return checked

@@ -11,7 +11,6 @@ import time
 from mostar import (
     all_pairs_distances,
     canonical_form,
-    dot_product,
     edge_mostar,
     edge_report,
     parse_graph6,
@@ -25,7 +24,9 @@ from mostar.enumeration import (
 )
 from mostar.families import ANALYTIC, discover_families, verify_family
 from mostar.shifts import run_shift_suite
-from _helpers import brute_connected_class_count, random_connected, random_tree
+from _helpers import (
+    brute_connected_class_count, dot_product, random_connected, random_tree,
+)
 
 EXPECTED_TRICYCLIC = {7: 12, 8: 23, 9: 36, 10: 53, 11: 72, 12: 96}
 EXPECTED_BICYCLIC = {5: 4, 6: 12, 7: 22, 8: 34, 9: 48, 10: 66}

@@ -14,6 +14,7 @@ from mostar import (
 from mostar.braces import classify, kernel_braces
 from mostar.canon import pair_orbit_reps
 from mostar.graphs import edge_pairs, parse_graph6
+from mostar.indices import pendant_model, pendant_tails
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
@@ -310,7 +311,7 @@ ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
 
 
 def _survey_blob(s):
-    return json.dumps([s.result.to_dict(), s.braces], sort_keys=True)
+    return json.dumps([s.result.to_dict(), s.braces, s.tails], sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -479,12 +480,53 @@ def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
 
 def test_model_scores_equal_edge_mostar():
     """The survey scores each class off its brace's pendant model, with no
-    graph built: on every class of tricyclic 7..11 and bicyclic 5..10, on
+    graph built: on every class of tricyclic 6..11 and bicyclic 5..10, on
     every pick, that score equals `edge_mostar` of the built graph, and
-    each brace's fold keeps the rows of exactly its best picks (CI runs
-    tricyclic 13)."""
-    assert [check_model_scores(3, m) for m in range(7, 12)] == [4, 22, 107, 486, 2075]
-    assert [check_model_scores(2, m) for m in range(5, 11)] == [1, 5, 19, 67, 236, 797]
+    each brace's unit, driven with every one of those sizes at once, keeps
+    for each the rows of exactly its best picks (CI runs tricyclic up to
+    13)."""
+    assert check_model_scores(3, 11) == {6: 1, 7: 4, 8: 22, 9: 107, 10: 486, 11: 2075}
+    assert check_model_scores(2, 10) == {5: 1, 6: 5, 7: 19, 8: 67, 9: 236, 10: 797}
+
+
+def test_one_unit_per_brace(monkeypatch):
+    """Each class's braces are listed up to that class's own largest task,
+    not the largest of any class, and each brace's pendant model is
+    computed once however many tasks share the brace: tricyclic braces
+    with 6..9 edges number 1 + 3 + 11 + 31, bicyclic ones with 5..8 edges
+    1 + 3 + 5 + 8."""
+    asked, models = {}, []
+
+    def recording_braces(c, sizes):
+        asked[c] = list(sizes)
+        return kernel_braces(c, asked[c])
+
+    def recording_model(adj):
+        models.append(adj)
+        return pendant_model(adj)
+
+    monkeypatch.setattr(enumeration, "kernel_braces", recording_braces)
+    monkeypatch.setattr(enumeration, "pendant_model", recording_model)
+    tasks = [*(tricyclic_task(m) for m in range(7, 10)),
+             *(bicyclic_task(m) for m in range(6, 9))]
+    got = survey(tasks)
+    assert {c: max(sizes) for c, sizes in asked.items()} == {3: 9, 2: 8}
+    assert len(models) == len(set(models)) == 46 + 17
+    assert [got[t].result.graphs_visited for t in tasks] == [4, 22, 107, 5, 19, 67]
+
+
+def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
+    """At every vertex of every brace the atlas surveys (tricyclic 7..12,
+    bicyclic 5..10), the tail the survey carries, in the vertex order of
+    the brace's canonical form, is `pendant_tails` of that form."""
+    checked = 0
+    for surveys in (tri_surveys, bi_surveys):
+        for m, s in surveys.items():
+            assert len(s.tails) == len(s.braces), m
+            for g6, tails in zip(s.braces, s.tails):
+                assert tails == tuple(t[:2] for t in pendant_tails(parse_graph6(g6))), (m, g6)
+                checked += 1
+    assert checked == 579
 
 
 def test_polya_count_per_brace():

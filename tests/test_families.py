@@ -22,7 +22,7 @@ from mostar.families import (
     single_attach_decomposition,
     verify_family,
 )
-from mostar.graphs import hub_paths, theta, with_pendants
+from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import complete, hang_random_trees
@@ -130,6 +130,8 @@ class _Survey:
 
     def __init__(self, *braces):
         self.braces = tuple(sorted(canonical_form(g) for g in braces))
+        self.tails = tuple(tuple(t[:2] for t in pendant_tails(parse_graph6(g6)))
+                           for g6 in self.braces)
 
 
 def test_h4_head_coincidence_rejected(atlas_report):

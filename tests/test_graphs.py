@@ -10,14 +10,15 @@ from mostar import (
     bfs_distances,
     cycle,
     cyclomatic_number,
-    dot_product,
     is_connected,
     parse_graph6,
     path,
     write_graph6,
 )
 from mostar.graphs import with_pendants
-from _helpers import all_graphs, complete, floyd_warshall, random_connected, star
+from _helpers import (
+    all_graphs, complete, dot_product, floyd_warshall, random_connected, star,
+)
 
 
 def test_bfs_cycle():

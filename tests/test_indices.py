@@ -11,7 +11,6 @@ from mostar import (
     all_pairs_distances,
     canonical_form,
     cycle,
-    dot_product,
     edge_mostar,
     edge_report,
     mostar_summary,
@@ -23,6 +22,7 @@ from mostar.indices import pendant_model, pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import (
     complete,
+    dot_product,
     naive_distances,
     naive_edge_mostar,
     naive_edge_rows,
