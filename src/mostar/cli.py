@@ -133,7 +133,7 @@ def cmd_compute(args) -> int:
                 print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
                 skipped += 1
     if args.format == "json":
-        text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for _, r in out_rows)
+        text = "".join(r.to_json() + "\n" for _, r in out_rows)
     else:
         buf = io.StringIO()
         w = csv.writer(buf)

@@ -9,6 +9,7 @@ processes.
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from typing import Iterable, Iterator, Mapping, Optional
 
 
@@ -90,18 +91,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     # -- derived graphs -------------------------------------------------
-
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Return the graph with vertex v renamed to perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("relabeling is not a permutation")
-        adj = [0] * self.n
-        for v, row in enumerate(self.adj):
-            new = 0
-            for w in _bits(row):
-                new |= 1 << perm[w]
-            adj[perm[v]] = new
-        return Graph(self.n, tuple(adj))
 
     def induced(self, keep: list[int]) -> "Graph":
         """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in order."""
@@ -245,33 +234,39 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+# graph6 packs the bits in 6-bit groups, each stored as byte 63 + value, the
+# same grouping as base64, so binascii converts between the groups and one
+# integer in C once the alphabets are swapped; 4 groups make 3 bytes.
+_G6 = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+
+
 def write_graph6(g: Graph) -> str:
-    """Standard graph6 line (no trailing newline, no >>graph6<< header)."""
+    """Standard graph6 line (no trailing newline, no >>graph6<< header).
+    Bit k of the body, first bit first, is the pair (i, j) with
+    k = j(j - 1)/2 + i, i < j; one bit is set per edge."""
     n = g.n
     if n > 258047:
         raise GraphError("graph6 supports at most 258047 vertices here")
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     else:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    bits = []
-    for j in range(n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[k : k + 6]:
-            b = b << 1 | bit
-        body.append(b + 63)
-    return bytes(head + body).decode("ascii")
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    groups = (n * (n - 1) // 2 + 5) // 6
+    pad = -groups % 4
+    bits = bytearray(b"0" * (6 * (groups + pad)))
+    for i, j in edge_pairs(g.adj):
+        bits[j * (j - 1) // 2 + i] = 49  # "1"
+    raw = int(bits or b"0", 2).to_bytes(3 * (groups + pad) // 4, "big")
+    body = b2a_base64(raw, newline=False)[:groups].translate(_B64_TO_G6)
+    return (head + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse one graph6 line (optional >>graph6<< header tolerated)."""
+    """Parse one graph6 line (optional >>graph6<< header tolerated).
+    Padding bits after the last pair are ignored."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -281,9 +276,10 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
     if not data:
         raise Graph6Error("empty graph6 string", 0)
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte} outside graph6 range 63..126", off)
+    if min(data) < 63 or max(data) > 126:
+        for off, byte in enumerate(data):
+            if not 63 <= byte <= 126:
+                raise Graph6Error(f"byte {byte} outside graph6 range 63..126", off)
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -304,13 +300,19 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise Graph6Error("trailing data after adjacency bits", pos + nbytes)
+    body = data[pos:]
+    pad = -nbytes % 4
+    x = int.from_bytes(a2b_base64(body.translate(_G6_TO_B64) + b"A" * pad), "big")
+    bits = f"{x >> 6 * pad:0{6 * nbytes}b}"
     adj = [0] * n
-    k = 0
-    for j in range(n):
-        for i in range(j):
-            byte = data[pos + k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    j = start = 0  # the pairs (0, j) .. (j - 1, j) are bits start .. start + j - 1
+    k = bits.find("1", 0, nbits)
+    while k >= 0:
+        while k >= start + j:
+            start += j
+            j += 1
+        i = k - start
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        k = bits.find("1", k + 1, nbits)
     return Graph(n, tuple(adj))

@@ -59,10 +59,11 @@ family-polynomial checks at large sizes safe without any width concerns.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     Graph, GraphError, all_pairs_distances, edge_pairs, is_connected,
@@ -72,8 +73,7 @@ from .graphs import (
 _DISCONNECTED = "operation requires a connected graph"
 
 
-@dataclass(frozen=True)
-class EdgeReport:
+class EdgeReport(NamedTuple):
     """Orientation counts for a single edge e = (u, v), u < v."""
 
     u: int
@@ -109,6 +109,17 @@ class MostarSummary:
             "edge_mostar": self.edge_mostar,
             "edges": [r.to_dict() for r in self.per_edge],
         }
+
+    def to_json(self) -> str:
+        """`json.dumps(self.to_dict(), sort_keys=True)`, written directly;
+        the graph6 string goes through `json.dumps`, as `\\` is a
+        graph6 character."""
+        edges = ", ".join([
+            f'{{"eq": {eq}, "mu": {mu}, "mv": {mv}, "psi": {abs(mu - mv)}, "u": {u}, "v": {v}}}'
+            for u, v, mu, mv, eq in self.per_edge
+        ])
+        return (f'{{"edge_mostar": {self.edge_mostar}, "edges": [{edges}], '
+                f'"graph6": {json.dumps(self.graph6)}}}')
 
 
 def edge_report(g: Graph, e: tuple[int, int], dm: list[list] | None = None) -> EdgeReport:
@@ -280,4 +291,5 @@ def mostar_summary(g: Graph) -> MostarSummary:
     for (u, v), m_u in zip(pairs, mu):
         m_v = m_u + t[u] - t[v]
         reports.append(EdgeReport(u, v, m_u, m_v, m - 1 - m_u - m_v))
-    return MostarSummary(write_graph6(g), sum(r.psi for r in reports), tuple(reports))
+    return MostarSummary(
+        write_graph6(g), sum(abs(t[u] - t[v]) for u, v in pairs), tuple(reports))

@@ -15,7 +15,7 @@ from collections import deque
 
 from dataclasses import dataclass
 
-from mostar import Graph, GraphError
+from mostar import Graph, Graph6Error, GraphError
 from mostar.graphs import with_pendants
 
 
@@ -78,7 +78,7 @@ def random_twin_rich(rng: random.Random, n_max: int = 16) -> Graph:
                 edges += itertools.product(cls, classes[j])
     perm = list(range(starts[-1]))
     rng.shuffle(perm)
-    return Graph.from_edges(starts[-1], edges).relabel(perm)
+    return relabel(Graph.from_edges(starts[-1], edges), perm)
 
 
 def circulants(n_max: int):
@@ -123,6 +123,19 @@ def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     edges = g1.edges()
     edges += [(remap[u], remap[v]) for u, v in g2.edges()]
     return Graph.from_edges(g1.n + g2.n - 1, edges)
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed to perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError("relabeling is not a permutation")
+    adj = [0] * g.n
+    for v in range(g.n):
+        new = 0
+        for w in g.neighbors(v):
+            new |= 1 << perm[w]
+        adj[perm[v]] = new
+    return Graph(g.n, tuple(adj))
 
 
 def toggle_edge(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -505,6 +518,78 @@ def all_graphs(n: int):
         yield Graph.from_edges(
             n, [e for k, e in enumerate(pairs) if bits >> k & 1]
         )
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """graph6 line of g, one bit per vertex pair in the format's order."""
+    n = g.n
+    if n > 258047:
+        raise GraphError("graph6 supports at most 258047 vertices here")
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    bits = []
+    for j in range(n):
+        col = g.adj[j]
+        for i in range(j):
+            bits.append(col >> i & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for k in range(0, len(bits), 6):
+        b = 0
+        for bit in bits[k : k + 6]:
+            b = b << 1 | bit
+        body.append(b + 63)
+    return bytes(head + body).decode("ascii")
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """graph6 line to a graph, one vertex pair at a time, with the errors
+    and offsets of `mostar.parse_graph6`."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {s[exc.start]!r}", exc.start) from None
+    if not data:
+        raise Graph6Error("empty graph6 string", 0)
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"byte {byte} outside graph6 range 63..126", off)
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("graphs of order > 258047 unsupported", 0)
+        if len(data) < 4:
+            raise Graph6Error("truncated extended order field", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise Graph6Error(
+            f"truncated adjacency data: need {nbytes} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise Graph6Error("trailing data after adjacency bits", pos + nbytes)
+    adj = [0] * n
+    k = 0
+    for j in range(n):
+        for i in range(j):
+            byte = data[pos + k // 6] - 63
+            if byte >> (5 - k % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    return Graph(n, tuple(adj))
 
 
 def tarjan_bridges(n: int, adj: tuple[int, ...]) -> set[tuple[int, int]]:

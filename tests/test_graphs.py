@@ -17,7 +17,8 @@ from mostar import (
 )
 from mostar.graphs import with_pendants
 from _helpers import (
-    all_graphs, complete, dot_product, floyd_warshall, random_connected, star,
+    all_graphs, complete, dot_product, floyd_warshall, random_connected,
+    random_graph, reference_parse_graph6, reference_write_graph6, relabel, star,
 )
 
 
@@ -196,10 +197,55 @@ def test_graph6_round_trip_random(seed):
     assert parse_graph6(write_graph6(g)) == g
 
 
+def test_graph6_codec_matches_reference():
+    """Both directions against the pair-by-pair reference codec, at every
+    order 0..70 (62, 63 and 64 straddle the switch to the four-byte
+    order field) and densities from empty to complete.  Padding bits after
+    the last pair are ignored whatever their value."""
+    rng = random.Random(6)
+    for n in range(71):
+        for g in (Graph.from_edges(n, []), complete(n),
+                  random_graph(rng, n, n), random_graph(rng, n, n)):
+            line = write_graph6(g)
+            assert line == reference_write_graph6(g), line
+            assert parse_graph6(line) == reference_parse_graph6(line) == g, line
+            pad = -(n * (n - 1) // 2) % 6
+            if pad:
+                last = (ord(line[-1]) - 63) | rng.randint(1, (1 << pad) - 1)
+                noisy = line[:-1] + chr(last + 63)
+                assert parse_graph6(noisy) == reference_parse_graph6(noisy) == g, noisy
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+def test_graph6_errors_match_reference():
+    """Lines cut short, extended or with one byte replaced by one outside
+    63..126 get the reference parser's graph, or its message and offset."""
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.choice([0, 1, 2, 5, 11, 62, 63, 64, 70])
+        line = write_graph6(random_graph(rng, n, n))
+        k = rng.randrange(len(line) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = line[:k]
+        elif kind == 1:
+            text = line + "".join(chr(rng.randint(63, 126)) for _ in range(rng.randint(1, 3)))
+        else:
+            bad = chr(rng.choice([*range(33, 63), 127]))
+            text = line[:k] + bad + line[k + 1:]
+        assert _parse_outcome(parse_graph6, text) == _parse_outcome(reference_parse_graph6, text), text
+
+
 def test_relabel_rejects_non_permutation():
     for perm in ([0, 0, 1], [0, 1], [1, 2, 3]):
         with pytest.raises(GraphError, match="not a permutation"):
-            cycle(3).relabel(perm)
+            relabel(cycle(3), perm)
 
 
 def test_public_names_resolve():

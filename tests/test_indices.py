@@ -14,6 +14,7 @@ from mostar import (
     edge_mostar,
     edge_report,
     mostar_summary,
+    parse_graph6,
     path,
 )
 from mostar.braces import kernel_braces
@@ -86,6 +87,22 @@ def test_summary_partition_and_json():
     assert set(d["edges"][0]) == {"u", "v", "mu", "mv", "eq", "psi"}
     for row in d["edges"]:
         assert row["mu"] + row["mv"] + row["eq"] == g.m - 1
+
+
+def test_summary_json_writer_matches_json_dumps():
+    """`to_json` is `json.dumps(to_dict(), sort_keys=True)` byte for byte:
+    on random connected graphs, a graph6 string holding a backslash, which
+    JSON escapes, the one-vertex graph (no edges) and orders past 62 (the
+    four-byte order field)."""
+    rng = random.Random(20)
+    backslash = parse_graph6("C\\")
+    graphs = [random_connected_density(rng, 1, 30) for _ in range(60)]
+    graphs += [backslash, Graph.from_edges(1, []), path(63),
+               with_pendants(cycle(40), {0: 30})]
+    for g in graphs:
+        s = mostar_summary(g)
+        assert s.to_json() == json.dumps(s.to_dict(), sort_keys=True), s.graph6
+    assert mostar_summary(backslash).to_json().endswith('"graph6": "C\\\\"}')
 
 
 @given(st.integers(0, 10**6))
