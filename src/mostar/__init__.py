@@ -29,15 +29,12 @@ from .indices import (
 from .braces import (
     BraceClass,
     BraceDecomposition,
-    Skeleton,
     classify,
-    skeleton,
     strip_pendants,
 )
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
-    maximize,
     survey,
 )
 from .families import (
@@ -46,7 +43,6 @@ from .families import (
     NotPinnedError,
     builtin_registry,
     discover_families,
-    verify_family,
 )
 from .shifts import (
     run_shift_suite,
@@ -62,18 +58,14 @@ __all__ = [
     "FamilyRegistry",
     "FamilySpec",
     "NotPinnedError",
-    "Skeleton",
     "builtin_registry",
     "classify",
     "discover_families",
-    "maximize",
     "run_atlas",
     "run_shift_suite",
-    "skeleton",
     "strip_pendants",
     "survey",
     "verify_bicyclic",
-    "verify_family",
     "verify_lemma_shift",
     "verify_tricyclic",
     "CANON_MAX_N",

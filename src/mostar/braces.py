@@ -1,10 +1,17 @@
-"""Brace extraction and tricyclic skeleton classification.
+"""Brace extraction, and every brace of a cyclomatic number with its class.
 
 The brace of a graph is what remains after repeatedly deleting degree-1
 vertices; it has minimum degree >= 2 and carries all of the cycle
-structure.  Suppressing its degree-2 vertices yields a small multigraph
-(the skeleton) whose shape classifies every connected tricyclic graph
-into exactly one of five buckets:
+structure.  With cyclomatic number c >= 2, suppressing its degree-2
+vertices leaves its kernel, a connected multigraph of minimum degree 3 (a
+loop counts 2) on at most 2(c - 1) vertices.  `kernel_braces` runs the
+suppression backwards: it finds the few small kernels and their
+automorphisms by brute force and subdivides them into the braces and
+their automorphism groups, with no canonical labelling.
+
+Each brace carries its class, which `classify` reads off its kernel once
+per kernel.  The classes split the connected tricyclic graphs into five
+buckets:
 
   K4_SUBDIVISION   4 branch vertices, six paths in the K4 pattern
   THREE_HUB        3 branch vertices, five paths (two doubled pairs
@@ -15,15 +22,10 @@ into exactly one of five buckets:
   COMPOSITE        the brace has a cut vertex (it splits into a bicyclic
                    part and a unicyclic part at that vertex)
 
-Path parameters are the sorted internal path lengths between branch
-vertices, which is the granularity the extremal case analysis needs.
-
-`kernel_braces` runs the suppression backwards.  With cyclomatic number
-c >= 2 the skeleton is a kernel, a connected multigraph of minimum degree
-3, so every brace is a kernel with its edges subdivided; the kernels are
-few and small (at most 2(c - 1) vertices), so they and their
-automorphisms are found by brute force, and the braces and their
-automorphism groups follow with no canonical labelling.
+Path parameters are the sorted path lengths between branch vertices (the
+length composition over the kernel's edges), the granularity the
+extremal case analysis needs.  Classifying a graph by walking its own
+suppression survives only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,17 +54,6 @@ class BraceDecomposition:
     attachment_profile: dict[int, int]
     # brace vertex -> original vertex label
     original_labels: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    branch_vertices: tuple[int, ...]
-    # (a, b, length) with a <= b; loops appear as (v, v, cycle_length)
-    paths: tuple[tuple[int, int, int], ...]
-
-    @property
-    def path_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(p[2] for p in self.paths))
 
 
 @dataclass(frozen=True)
@@ -111,42 +102,6 @@ def strip_pendants(g: Graph) -> BraceDecomposition:
     )
 
 
-def skeleton(brace: Graph) -> Skeleton:
-    """Suppress degree-2 vertices of a min-degree-2 graph.
-
-    Walks every path between branch vertices (degree >= 3); a cycle
-    attached at a single branch vertex becomes a loop.  A bare cycle (no
-    branch vertices) reports no branch vertices and a single loop.
-    """
-    if any(brace.degree(v) < 2 for v in range(brace.n)):
-        raise GraphError("skeleton requires minimum degree 2")
-    branch = [v for v in range(brace.n) if brace.degree(v) >= 3]
-    if not branch:
-        if not is_connected(brace):
-            raise GraphError("skeleton requires a connected graph")
-        return Skeleton((), ((0, 0, brace.m),) if brace.n else ())
-    paths = []
-    # walk from each branch vertex along each incident edge; dedup by the
-    # full walk's edge set so parallel paths and loops both survive
-    seen_walks = set()
-    for s in branch:
-        for t0 in brace.neighbors(s):
-            walk_edges = frozenset()
-            prev, cur = s, t0
-            walk = [(min(prev, cur), max(prev, cur))]
-            while brace.degree(cur) == 2:
-                nxts = [w for w in brace.neighbors(cur) if w != prev]
-                prev, cur = cur, nxts[0]
-                walk.append((min(prev, cur), max(prev, cur)))
-            walk_edges = frozenset(walk)
-            if walk_edges in seen_walks:
-                continue
-            seen_walks.add(walk_edges)
-            a, b = (s, cur) if s <= cur else (cur, s)
-            paths.append((a, b, len(walk)))
-    return Skeleton(tuple(branch), tuple(sorted(paths)))
-
-
 def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """The kernels with cyclomatic number c >= 2, one per isomorphism class:
     connected multigraphs with minimum degree 3 (a loop counts 2), loops
@@ -190,6 +145,39 @@ def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     return sorted(out)
 
 
+def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
+    """The class of every brace on the kernel (order, edges), without the
+    path parameters, which `kernel_braces` adds per brace.  A kernel with
+    cyclomatic number c = len(edges) - order + 1 other than 3 is
+    NOT_TRICYCLIC.  Let c = 3.  A loop at v becomes a cycle through v
+    alone, and the kernel is more than that loop, so v is a cut vertex of
+    every brace on the kernel: COMPOSITE.  A loop-free kernel is
+    2-connected: cyclomatic numbers add over blocks, and a leaf block of
+    a loop-free kernel is no bridge (its far end would have degree 1), so
+    it is a 2-connected multigraph whose vertices but the cut vertex keep
+    all of their degree >= 3 inside it; it has more edges than vertices
+    and c >= 2, and two leaf blocks would need c >= 4.  Subdividing keeps
+    a multigraph 2-connected, and the kernel's vertices and edges are its
+    braces' branch vertices and paths.  A loop-free kernel has at least 2
+    and at most 2(c - 1) = 4 vertices: 2 joined by four paths is
+    FOUR_THETA; on 3 the pair multiplicities sum to 5 with every vertex of
+    degree >= 3, which only 2, 2, 1 meet (THREE_HUB); on 4 the kernel is
+    3-regular, K4_SUBDIVISION when its six edges join six distinct pairs.
+    Otherwise a pair ab is doubled but not tripled (a tripled pair would
+    be a whole component), so a and b each have one more edge; both to c
+    would leave d with degree <= 1, so say ac and bd, and cd is doubled:
+    DIGON_RING."""
+    if len(edges) - order + 1 != 3:
+        return BraceClass(NOT_TRICYCLIC)
+    if any(a == b for a, b in edges):
+        return BraceClass(COMPOSITE)
+    if order == 2:
+        return BraceClass(FOUR_THETA)
+    if order == 3:
+        return BraceClass(THREE_HUB)
+    return BraceClass(K4_SUBDIVISION if len(set(edges)) == 6 else DIGON_RING)
+
+
 def _edge_maps(
     order: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -216,13 +204,14 @@ def _edge_maps(
 
 def kernel_braces(
     c: int, sizes: Iterable[int]
-) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...]]]]:
+) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...], BraceClass]]]:
     """Map each size b in `sizes` to every brace with cyclomatic number
     c >= 2 and b edges, one per isomorphism class, each with its
     automorphism group as a list of vertex permutations (the identity
-    first).  The inverse of `skeleton`: a brace is its kernel with edge i
-    subdivided into a path of length l_i, built by `hub_paths` in kernel
-    edge order.
+    first) and its class: its kernel's `classify`, with the sorted lengths
+    as path parameters when the brace is 2-connected.  A brace is its
+    kernel with edge i subdivided into a path of length l_i, built by
+    `hub_paths` in kernel edge order.
 
     Two subdivisions are isomorphic exactly when a kernel automorphism
     carries one length tuple to the other, since every isomorphism maps
@@ -236,6 +225,7 @@ def kernel_braces(
     repeats (at most 48 elements for c <= 3)."""
     out: dict[int, list] = {b: [] for b in sizes}
     for order, edges in _kernels(c):
+        kind = classify(order, edges).kind
         maps = _edge_maps(order, edges)
         moves = sorted({sigma for _, sigma in maps} - {tuple(range(len(edges)))})
         loops = [i for i, (x, y) in enumerate(edges) if x == y]
@@ -251,7 +241,9 @@ def kernel_braces(
                 if any(tuple([lengths[j] for j in sigma]) < lengths for sigma in moves):
                     continue
                 brace = hub_paths(order, [(x, y, k) for (x, y), k in zip(edges, lengths)])
-                out[b].append((brace, _brace_automorphisms(order, edges, lengths, maps, loops)))
+                auts = _brace_automorphisms(order, edges, lengths, maps, loops)
+                params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
+                out[b].append((brace, auts, BraceClass(kind, params)))
     return out
 
 
@@ -279,46 +271,3 @@ def _brace_automorphisms(order, edges, lengths, maps, loops) -> tuple[tuple[int,
             out.append(tuple(perm))
     out.sort(key=lambda p: p != tuple(range(start)))
     return tuple(out)
-
-
-def _cut_vertices(g: Graph) -> list[int]:
-    """Vertices whose removal disconnects their neighbours from each other."""
-    out = []
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        if nbrs & (nbrs - 1):  # two or more neighbours
-            bit = 1 << v
-            rest = tuple(row & ~bit for row in g.adj)
-            if nbrs & ~reachable_mask(rest, (nbrs & -nbrs).bit_length() - 1):
-                out.append(v)
-    return out
-
-
-def classify(g: Graph) -> BraceClass:
-    """Total classification of a connected graph's tricyclic structure."""
-    if not is_connected(g):
-        raise GraphError("classification requires a connected graph")
-    if cyclomatic_number(g) != 3:
-        return BraceClass(NOT_TRICYCLIC)
-    brace = strip_pendants(g).brace
-    if _cut_vertices(brace):
-        return BraceClass(COMPOSITE)
-    sk = skeleton(brace)
-    params = sk.path_lengths
-    b = len(sk.branch_vertices)
-    if b == 2:
-        return BraceClass(FOUR_THETA, params)
-    if b == 3:
-        return BraceClass(THREE_HUB, params)
-    if b == 4:
-        # distinguish the two 3-regular shapes by parallel-path pattern:
-        # K4 has six distinct vertex pairs, the ring shape has two doubled
-        multiplicity = {}
-        for a, c, _ in sk.paths:
-            multiplicity[(a, c)] = multiplicity.get((a, c), 0) + 1
-        mults = sorted(multiplicity.values())
-        if mults == [1, 1, 1, 1, 1, 1]:
-            return BraceClass(K4_SUBDIVISION, params)
-        if mults == [1, 1, 2, 2]:
-            return BraceClass(DIGON_RING, params)
-    raise GraphError("unrecognized 2-connected tricyclic skeleton")

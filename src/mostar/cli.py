@@ -113,7 +113,7 @@ def cmd_compute(args) -> int:
     else:
         sources.append((sys.stdin.buffer.read(), "<stdin>"))
     out_rows = []  # (graph, summary)
-    skipped = 0
+    read = skipped = 0
     for data, src in sources:
         # undecodable bytes become lone surrogates, which the graph6 parser
         # reports as non-ASCII characters on their own line
@@ -121,6 +121,7 @@ def cmd_compute(args) -> int:
         for no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
+            read += 1
             try:
                 g = parse_graph6(line)
             except Graph6Error as exc:
@@ -132,6 +133,9 @@ def cmd_compute(args) -> int:
             except GraphError:
                 print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
                 skipped += 1
+    if not read:
+        print("error: no graph6 input", file=sys.stderr)
+        return 2
     if args.format == "json":
         text = "".join(r.to_json() + "\n" for _, r in out_rows)
     else:

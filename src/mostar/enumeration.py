@@ -12,7 +12,8 @@ nothing built to be scored: a class's index is read off its brace's
 `indices.pendant_model`, computed once per brace for every task that uses
 it, and its trees' sizes.  `survey` labels only the braces that have all
 of a task's edges, reading their pendant tails off the same model, and the
-graphs at the task's best.
+graphs at the task's best; each comes with the class of the brace it grew
+on, which `kernel_braces` gives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations, product
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
-from .braces import kernel_braces
+from .braces import BraceClass, kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, canon
 from .graphs import Graph, write_graph6
 from .indices import model_tails, pendant_model
@@ -183,16 +184,16 @@ def _values(model, scores: list[list[int]], comp: tuple[int, ...],
 class _Fold:
     """What one work unit, a brace, contributes to one task's survey;
     `merge` is associative, so any split gives the same survey.  The
-    graphs at the best value are kept unlabelled: only those that reach
-    the task's best are labelled, once every unit is in.  Each brace is
-    kept as its canonical form and its tails."""
+    graphs at the best value are kept unlabelled, with their brace's
+    class: only those that reach the task's best are labelled, once every
+    unit is in.  Each brace is kept as its canonical form, tails and class."""
 
     count: int = 0
     best: Optional[int] = None
-    argmax: list[tuple[int, ...]] = field(default_factory=list)
-    braces: list[tuple[str, tuple]] = field(default_factory=list)
+    argmax: list[tuple[tuple[int, ...], BraceClass]] = field(default_factory=list)
+    braces: list[tuple[str, tuple, BraceClass]] = field(default_factory=list)
 
-    def keep(self, value: int, graphs: list[tuple[int, ...]]) -> None:
+    def keep(self, value: int, graphs: list[tuple[tuple[int, ...], BraceClass]]) -> None:
         if self.best is None or value > self.best:
             self.best, self.argmax = value, []
         if value == self.best:
@@ -227,7 +228,7 @@ def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
     and only when they reach the running best.  Each task comes with its
     tree scores up to its tree edge count; when that is 0 the brace itself
     is the one class, and only then labelled."""
-    brace, auts, trees, jobs = args
+    brace, auts, cls, trees, jobs = args
     model = pendant_model(brace)
     out = []
     for task, scores in jobs:
@@ -237,10 +238,10 @@ def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
             values = _values(model, scores, comp, support, picks)
             top = max(values)
             if fold.best is None or top >= fold.best:
-                fold.keep(top, [_grow(brace, trees, comp, support, pick)
+                fold.keep(top, [(_grow(brace, trees, comp, support, pick), cls)
                                 for pick, value in zip(picks, values) if value == top])
         if len(scores) == 1:
-            fold.braces.append(_label(brace, model))
+            fold.braces.append((*_label(brace, model), cls))
         out.append((task, fold))
     return out
 
@@ -250,11 +251,15 @@ class Survey:
     """Result of one task's enumeration: the max/argmax fold, the
     `canonical_form` of every brace with all of the task's edges, sorted,
     and aligned with them each brace's tails, per vertex of that form
-    (poly, holds_from) as `indices.pendant_tails` gives them."""
+    (poly, holds_from) as `indices.pendant_tails` gives them, and its
+    class; and aligned with `result.maximizers`, the class of the brace
+    each maximizer grew on."""
 
     result: EnumerationResult
     braces: tuple[str, ...]
     tails: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
+    classes: tuple[BraceClass, ...]
+    maximizer_classes: tuple[BraceClass, ...]
 
 
 def survey(
@@ -284,13 +289,14 @@ def survey(
         mine = [t for t in tasks if t.m - t.n + 1 == c]
         for b, found in kernel_braces(c, range(max(t.m for t in mine) + 1)).items():
             ks = [(t, t.m - b) for t in mine if t.m >= b]  # tree edges per task
-            jobs += [(brace.adj, auts, ks, max(k for _, k in ks)) for brace, auts in found]
+            jobs += [(brace.adj, auts, cls, ks, max(k for _, k in ks))
+                     for brace, auts, cls in found]
     # the most tree edges, then the largest brace, first
-    jobs.sort(key=lambda job: (job[3], len(job[0])), reverse=True)
-    trees = _rooted_trees(jobs[0][3] if jobs else 0)
+    jobs.sort(key=lambda job: (job[4], len(job[0])), reverse=True)
+    trees = _rooted_trees(jobs[0][4] if jobs else 0)
     scores = {task: _tree_scores(trees[:task.m + 1], task.m) for task in tasks}
-    units = [(brace, auts, trees[:top + 1], [(t, scores[t][:k + 1]) for t, k in ks])
-             for brace, auts, ks, top in jobs]
+    units = [(brace, auts, cls, trees[:top + 1], [(t, scores[t][:k + 1]) for t, k in ks])
+             for brace, auts, cls, ks, top in jobs]
     totals = {task: _Fold() for task in tasks}
 
     def merge(partials: Iterable[list[tuple[EnumerationTask, _Fold]]]) -> None:
@@ -310,22 +316,14 @@ def survey(
         merge(map(_fold_brace, units))
     out = {}
     for task, total in totals.items():
-        result = EnumerationResult(
-            task=task,
-            graphs_visited=total.count,
-            max_value=total.best,
-            maximizers=tuple(sorted(_canonical_g6(adj) for adj in total.argmax)),
-        )
+        # each class comes out once: no two strings tie, so no classes are compared
+        top = sorted((_canonical_g6(adj), cls) for adj, cls in total.argmax)
         braces = sorted(total.braces)
-        out[task] = Survey(result=result, braces=tuple(g6 for g6, _ in braces),
-                           tails=tuple(tails for _, tails in braces))
+        result = EnumerationResult(task, total.count, total.best, tuple(g6 for g6, _ in top))
+        out[task] = Survey(result, tuple(g6 for g6, _, _ in braces),
+                           tuple(tails for _, tails, _ in braces),
+                           tuple(cls for _, _, cls in braces), tuple(cls for _, cls in top))
     return out
-
-
-def maximize(task: EnumerationTask, workers: int = 1) -> EnumerationResult:
-    """The task's maximum edge Mostar index and all argmax canonical
-    forms.  Empty classes yield graphs_visited=0 explicitly."""
-    return survey([task], workers=workers)[task].result
 
 
 def tricyclic_task(m: int) -> EnumerationTask:

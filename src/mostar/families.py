@@ -11,7 +11,8 @@ every vertex of every surveyed brace off `Survey.tails`, which the survey
 computed from the brace's pendant model (`indices.pendant_tails` gives the
 same); (brace, vertex) is a candidate for a family when its tail is the
 family's polynomial, the brace has the family's shape and the tail holds
-by the largest surveyed size, and only such a brace is parsed.  The
+by the largest surveyed size, and only such a brace is parsed; the shape
+is the class the survey carries for the brace (`Survey.classes`).  The
 pinned m_min is the size from which the tail holds, so every registry
 polynomial is proved for all m >= m_min.
 """
@@ -28,7 +29,7 @@ from . import braces as br
 from .canon import canon, canonical_form
 from .graphs import Graph, GraphError, is_connected, parse_graph6, theta
 from .graphs import with_pendants, write_graph6
-from .indices import edge_mostar, pendant_tails
+from .indices import pendant_tails
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
@@ -217,28 +218,6 @@ def builtin_registry() -> FamilyRegistry:
     return FamilyRegistry(_analytic_specs())
 
 
-@dataclass(frozen=True)
-class FamilyCheckRow:
-    m: int
-    computed: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-def verify_family(
-    fid: str, m_range: Iterable[int], registry: Optional[FamilyRegistry] = None
-) -> list[FamilyCheckRow]:
-    """Compare edge_mostar(spec.build(m)) against the closed form, exactly."""
-    spec = (registry if registry is not None else builtin_registry())[fid]
-    if spec.poly is None:
-        raise ValueError(f"{fid} carries no closed form")
-    return [FamilyCheckRow(m, edge_mostar(spec.build(m)), _poly_eval(spec.poly, m))
-            for m in m_range]
-
-
 # -- discovery ---------------------------------------------------------------
 
 # the families whose drawings are unavailable: closed form, brace kind (None:
@@ -357,16 +336,17 @@ _Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 def _brace_tails(surveys: dict) -> list[_Tail]:
     """One pass over the surveyed braces: every (brace, vertex) whose exact
     pendant tail, as the survey carries it, is a DISCOVERY polynomial that
-    holds by the largest surveyed size; a brace is parsed only when it has
-    such a vertex.  A brace with b edges comes from the survey of size b
-    and its tail holds from some size >= b; the surveyed sizes are
-    consecutive, so the member of size holds_from is the first one seen."""
+    holds by the largest surveyed size, with the class the survey carries
+    for the brace; a brace is parsed only when it has such a vertex.  A
+    brace with b edges comes from the survey of size b and its tail holds
+    from some size >= b; the surveyed sizes are consecutive, so the member
+    of size holds_from is the first one seen."""
     hi = max(surveys, default=0)
     wanted = {poly for poly, _, _ in DISCOVERY.values()}
     out = []
     for s in surveys.values():
-        for g6, tails in zip(s.braces, s.tails):
-            brace = cls = None
+        for g6, tails, cls in zip(s.braces, s.tails, s.classes):
+            brace = None
             keys = set()
             for v, (poly, holds_from) in enumerate(tails):
                 if poly not in wanted or holds_from > hi:
@@ -377,7 +357,6 @@ def _brace_tails(surveys: dict) -> list[_Tail]:
                 if key in keys:
                     continue  # v shares an orbit with an earlier vertex
                 keys.add(key)
-                cls = cls or br.classify(brace)
                 cand = Candidate(key, edges, attach, holds_from, holds_from)
                 out.append((cls, poly, cand))
     return out
@@ -563,24 +542,25 @@ def _member_table(reg: FamilyRegistry, hi: int) -> dict[int, dict[str, str]]:
 def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
     """Match every enumerated maximizer to a registry family by canonical
-    form; leftovers are the graphs the printed equality cases do not name."""
+    form; leftovers are the graphs the printed equality cases do not name,
+    each noted with the class the survey carries for its brace."""
     for surveys in (tri_surveys, bi_surveys):
-        for m in sorted(surveys):
+        for m, s in sorted(surveys.items()):
             members = set(table[m].values())
-            extras = [g6 for g6 in surveys[m].result.maximizers if g6 not in members]
+            extras = [(g6, cls) for g6, cls in zip(s.result.maximizers, s.maximizer_classes)
+                      if g6 not in members]
             if not extras:
                 continue
-            report.unattributed_maximizers.setdefault(m, []).extend(extras)
-            for g6 in extras:
-                g = parse_graph6(g6)
-                dec = single_attach_decomposition(g)
+            report.unattributed_maximizers.setdefault(m, []).extend(g6 for g6, _ in extras)
+            for g6, cls in extras:
+                dec = single_attach_decomposition(parse_graph6(g6))
                 if dec is None:
                     continue
                 poly, holds_from, _ = pendant_tails(dec[0])[dec[1]]
                 report.notes.append(
                     f"size-{m} maximizer {g6} belongs to no registered family; "
                     f"its single-attach family follows {_poly_str(poly)} from "
-                    f"m>={holds_from} ({br.classify(g).kind} brace)"
+                    f"m>={holds_from} ({cls.kind} brace)"
                 )
 
 

@@ -15,8 +15,12 @@ from collections import deque
 
 from dataclasses import dataclass
 
-from mostar import Graph, Graph6Error, GraphError
-from mostar.graphs import with_pendants
+from mostar import Graph, Graph6Error, GraphError, cyclomatic_number, is_connected
+from mostar.braces import (
+    COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
+    BraceClass, strip_pendants,
+)
+from mostar.graphs import reachable_mask, with_pendants
 
 
 def random_connected(rng: random.Random, n_lo: int = 2, n_hi: int = 10) -> Graph:
@@ -715,6 +719,98 @@ def brute_strip_pendants(g: Graph) -> tuple[list[int], dict[int, int]]:
     return keep, {v: carried[v] for v in keep}
 
 
+@dataclass(frozen=True)
+class Skeleton:
+    branch_vertices: tuple[int, ...]
+    # (a, b, length) with a <= b; loops appear as (v, v, cycle_length)
+    paths: tuple[tuple[int, int, int], ...]
+
+    @property
+    def path_lengths(self) -> tuple[int, ...]:
+        return tuple(sorted(p[2] for p in self.paths))
+
+
+def skeleton(brace: Graph) -> Skeleton:
+    """Suppress degree-2 vertices of a min-degree-2 graph.
+
+    Walks every path between branch vertices (degree >= 3); a cycle
+    attached at a single branch vertex becomes a loop.  A bare cycle (no
+    branch vertices) reports no branch vertices and a single loop.
+    """
+    if any(brace.degree(v) < 2 for v in range(brace.n)):
+        raise GraphError("skeleton requires minimum degree 2")
+    branch = [v for v in range(brace.n) if brace.degree(v) >= 3]
+    if not branch:
+        if not is_connected(brace):
+            raise GraphError("skeleton requires a connected graph")
+        return Skeleton((), ((0, 0, brace.m),) if brace.n else ())
+    paths = []
+    # walk from each branch vertex along each incident edge; dedup by the
+    # full walk's edge set so parallel paths and loops both survive
+    seen_walks = set()
+    for s in branch:
+        for t0 in brace.neighbors(s):
+            prev, cur = s, t0
+            walk = [(min(prev, cur), max(prev, cur))]
+            while brace.degree(cur) == 2:
+                nxts = [w for w in brace.neighbors(cur) if w != prev]
+                prev, cur = cur, nxts[0]
+                walk.append((min(prev, cur), max(prev, cur)))
+            walk_edges = frozenset(walk)
+            if walk_edges in seen_walks:
+                continue
+            seen_walks.add(walk_edges)
+            a, b = (s, cur) if s <= cur else (cur, s)
+            paths.append((a, b, len(walk)))
+    return Skeleton(tuple(branch), tuple(sorted(paths)))
+
+
+def _cut_vertices(g: Graph) -> list[int]:
+    """Vertices whose removal disconnects their neighbours from each other."""
+    out = []
+    for v in range(g.n):
+        nbrs = g.adj[v]
+        if nbrs & (nbrs - 1):  # two or more neighbours
+            bit = 1 << v
+            rest = tuple(row & ~bit for row in g.adj)
+            if nbrs & ~reachable_mask(rest, (nbrs & -nbrs).bit_length() - 1):
+                out.append(v)
+    return out
+
+
+def classify_graph(g: Graph) -> BraceClass:
+    """The class of a connected graph's tricyclic structure, from the graph
+    alone: strip its pendants, look for a cut vertex, walk the skeleton and
+    count its parallel paths.  The oracle for the classes that
+    `braces.kernel_braces` reads off each kernel."""
+    if not is_connected(g):
+        raise GraphError("classification requires a connected graph")
+    if cyclomatic_number(g) != 3:
+        return BraceClass(NOT_TRICYCLIC)
+    brace = strip_pendants(g).brace
+    if _cut_vertices(brace):
+        return BraceClass(COMPOSITE)
+    sk = skeleton(brace)
+    params = sk.path_lengths
+    b = len(sk.branch_vertices)
+    if b == 2:
+        return BraceClass(FOUR_THETA, params)
+    if b == 3:
+        return BraceClass(THREE_HUB, params)
+    if b == 4:
+        # distinguish the two 3-regular shapes by parallel-path pattern:
+        # K4 has six distinct vertex pairs, the ring shape has two doubled
+        multiplicity = {}
+        for a, c, _ in sk.paths:
+            multiplicity[(a, c)] = multiplicity.get((a, c), 0) + 1
+        mults = sorted(multiplicity.values())
+        if mults == [1, 1, 1, 1, 1, 1]:
+            return BraceClass(K4_SUBDIVISION, params)
+        if mults == [1, 1, 2, 2]:
+            return BraceClass(DIGON_RING, params)
+    raise GraphError("unrecognized 2-connected tricyclic skeleton")
+
+
 def hang_random_trees(rng: random.Random, g: Graph, count: int) -> Graph:
     """Attach `count` new vertices one by one, each to a uniformly random
     earlier vertex, so random trees hang off random vertices of g."""
@@ -797,9 +893,9 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     for b, found in kernel_braces(c, range(m + 1)).items():
         tasks = [enumeration.EnumerationTask(size - c + 1, size) for size in range(b, m + 1)]
         scores = {t: enumeration._tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
-        for brace, auts in found:
+        for brace, auts, cls in found:
             model = pendant_model(brace.adj)
-            unit = (brace.adj, auts, trees[:m - b + 1], [(t, scores[t]) for t in tasks])
+            unit = (brace.adj, auts, cls, trees[:m - b + 1], [(t, scores[t]) for t in tasks])
             folds = enumeration._fold_brace(unit)
             assert [task for task, _ in folds] == tasks, brace.edges()
             for task, fold in folds:
@@ -814,6 +910,39 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
                         scored.append((value, adj))
                 best = max(value for value, _ in scored)
                 assert fold.count == len(scored) and fold.best == best, (brace.edges(), task)
-                assert sorted(fold.argmax) == sorted(adj for value, adj in scored if value == best)
+                assert sorted(fold.argmax) == sorted((adj, cls) for value, adj in scored
+                                                     if value == best)
                 checked[task.m] = checked.get(task.m, 0) + len(scored)
     return checked
+
+
+def maximize(task, workers: int = 1):
+    """The task's maximum edge Mostar index and all argmax canonical
+    forms, as `survey` gives them for the task alone.  Empty classes yield
+    graphs_visited=0 explicitly."""
+    from mostar.enumeration import survey
+
+    return survey([task], workers=workers)[task].result
+
+
+@dataclass(frozen=True)
+class FamilyCheckRow:
+    m: int
+    computed: int
+    expected: int
+
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
+
+
+def verify_family(fid: str, m_range, registry=None) -> list[FamilyCheckRow]:
+    """Compare edge_mostar(spec.build(m)) against the closed form, exactly."""
+    from mostar import edge_mostar
+    from mostar.families import _poly_eval, builtin_registry
+
+    spec = (registry if registry is not None else builtin_registry())[fid]
+    if spec.poly is None:
+        raise ValueError(f"{fid} carries no closed form")
+    return [FamilyCheckRow(m, edge_mostar(spec.build(m)), _poly_eval(spec.poly, m))
+            for m in m_range]

@@ -15,18 +15,17 @@ from mostar import (
     edge_report,
     parse_graph6,
 )
-from mostar.braces import FOUR_THETA, THREE_HUB, classify
+from mostar.braces import FOUR_THETA, THREE_HUB
 from mostar.enumeration import (
     EnumerationTask,
-    maximize,
     survey,
     tricyclic_task,
 )
-from mostar.families import ANALYTIC, discover_families, verify_family
+from mostar.families import ANALYTIC, discover_families
 from mostar.shifts import run_shift_suite
 from _helpers import (
-    brute_connected_class_count, dot_product, random_connected, random_tree,
-    relabel,
+    brute_connected_class_count, classify_graph, dot_product, maximize, random_connected,
+    random_tree, relabel, verify_family,
 )
 
 EXPECTED_TRICYCLIC = {7: 12, 8: 23, 9: 36, 10: 53, 11: 72, 12: 96}
@@ -66,7 +65,7 @@ def test_criterion_2_maximizer_structure(tri_surveys, registry):
     assert len(max7) == 2
     kinds = {}
     for g6 in max7:
-        cls = classify(parse_graph6(g6))
+        cls = classify_graph(parse_graph6(g6))
         kinds[cls.kind] = cls.path_parameters
     assert set(kinds) == {FOUR_THETA, THREE_HUB}
     assert kinds[FOUR_THETA] == (1, 2, 2, 2)

@@ -8,30 +8,31 @@ from mostar import (
     Graph, GraphError, canon, canonical_form, cycle, cyclomatic_number, edge_mostar, path,
 )
 from mostar.braces import (
+    BraceClass,
     COMPOSITE,
     DIGON_RING,
     FOUR_THETA,
     K4_SUBDIVISION,
     NOT_TRICYCLIC,
     THREE_HUB,
-    classify,
     kernel_braces,
-    skeleton,
     strip_pendants,
-    _cut_vertices,
 )
 from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
 from mostar.families import builtin_registry
-from mostar.graphs import with_pendants
+from mostar.graphs import parse_graph6, with_pendants
 from _walk import enumerate_connected
 from _helpers import (
+    _cut_vertices,
     brute_cut_vertices,
+    classify_graph,
     brute_strip_pendants,
     complete,
     hang_random_trees,
     random_connected,
     random_connected_density,
     relabel,
+    skeleton,
 )
 
 
@@ -82,7 +83,7 @@ def test_disconnected_rejected():
     with pytest.raises(GraphError, match="brace extraction requires a connected graph"):
         strip_pendants(two_triangles)
     with pytest.raises(GraphError, match="classification requires a connected graph"):
-        classify(two_triangles)
+        classify_graph(two_triangles)
 
 
 def test_skeleton_four_theta():
@@ -112,22 +113,22 @@ def test_skeleton_bare_cycle():
 
 def test_classify_examples():
     reg = builtin_registry()
-    assert classify(reg["H1"].build(9)).kind == FOUR_THETA
-    assert classify(reg["H1"].build(9)).path_parameters == (1, 2, 2, 2)
-    assert classify(reg["A0"].build(13)).kind == COMPOSITE
+    assert classify_graph(reg["H1"].build(9)).kind == FOUR_THETA
+    assert classify_graph(reg["H1"].build(9)).path_parameters == (1, 2, 2, 2)
+    assert classify_graph(reg["A0"].build(13)).kind == COMPOSITE
     k4p = with_pendants(complete(4), {0: 3})
-    assert classify(k4p) == classify(with_pendants(complete(4), {1: 1}))
-    assert classify(k4p).kind == K4_SUBDIVISION
-    assert classify(k4p).path_parameters == (1, 1, 1, 1, 1, 1)
-    assert classify(cycle(9)).kind == NOT_TRICYCLIC
-    assert classify(reg["A3"].build(10)).kind == COMPOSITE
+    assert classify_graph(k4p) == classify_graph(with_pendants(complete(4), {1: 1}))
+    assert classify_graph(k4p).kind == K4_SUBDIVISION
+    assert classify_graph(k4p).path_parameters == (1, 1, 1, 1, 1, 1)
+    assert classify_graph(cycle(9)).kind == NOT_TRICYCLIC
+    assert classify_graph(reg["A3"].build(10)).kind == COMPOSITE
 
 
 def test_classify_digon_ring():
     g = Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 1), (2, 5), (5, 3)]
     )
-    cls = classify(g)
+    cls = classify_graph(g)
     assert cls.kind == DIGON_RING
     assert cls.path_parameters == (1, 1, 1, 1, 2, 2)
 
@@ -138,7 +139,7 @@ def test_classify_isomorphism_invariant():
     for _ in range(10):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert classify(relabel(g, perm)) == classify(g)
+        assert classify_graph(relabel(g, perm)) == classify_graph(g)
 
 
 def _bipartition_cyclomatics(brace):
@@ -190,7 +191,7 @@ def test_exhaustive_partition_small_sizes(tri_surveys=None):
     for m in (7, 8, 9):
         kinds = set()
         for g in enumerate_connected(EnumerationTask(m - 2, m)):
-            cls = classify(g)
+            cls = classify_graph(g)
             assert cls.kind in (
                 K4_SUBDIVISION, THREE_HUB, FOUR_THETA, DIGON_RING, COMPOSITE
             )
@@ -225,7 +226,7 @@ def test_trees_to_stars_never_lowers_index():
 def test_classify_total_on_random_connected(seed):
     rng = random.Random(seed)
     g = random_connected(rng, 3, 9)
-    cls = classify(g)
+    cls = classify_graph(g)
     if cyclomatic_number(g) != 3:
         assert cls.kind == NOT_TRICYCLIC
     else:
@@ -287,12 +288,39 @@ def test_kernel_brace_counts(c):
     found = kernel_braces(c, range(max(counts) + 1))
     assert {b: len(v) for b, v in found.items() if v} == counts
     for b, braces in found.items():
-        for g, _ in braces:
+        for g, _, _ in braces:
             assert g.m == b and cyclomatic_number(g) == c
             assert all(g.degree(v) >= 2 for v in range(g.n))
     t0 = time.perf_counter()
     kernel_braces(c, [max(counts)])
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_kernel_classes_equal_graph_classifier(tri_surveys, bi_surveys):
+    """The class each brace carries from its kernel is the graph-level
+    classifier's (pendants stripped, cut vertices searched, skeleton
+    walked): on every tricyclic brace of 6..14 edges, kind and path
+    parameters, and on every bicyclic one up to 14 edges, NOT_TRICYCLIC.
+    The atlas surveys (tricyclic 7..12, bicyclic 5..10) carry the same
+    class for each brace and for each maximizer's brace."""
+    tri = [(g, cls) for found in kernel_braces(3, range(15)).values() for g, _, cls in found]
+    bi = [(g, cls) for found in kernel_braces(2, range(15)).values() for g, _, cls in found]
+    assert (len(tri), len(bi)) == (1796, 166)
+    for g, cls in tri:
+        assert cls == classify_graph(g), g.edges()
+    assert {cls.kind for _, cls in tri} == {
+        K4_SUBDIVISION, THREE_HUB, FOUR_THETA, DIGON_RING, COMPOSITE}
+    assert all(cls == classify_graph(g) == BraceClass(NOT_TRICYCLIC) for g, cls in bi)
+    checked = 0
+    for surveys in (tri_surveys, bi_surveys):
+        for m, s in surveys.items():
+            assert len(s.classes) == len(s.braces), m
+            assert len(s.maximizer_classes) == len(s.result.maximizers), m
+            for g6, cls in [*zip(s.braces, s.classes),
+                            *zip(s.result.maximizers, s.maximizer_classes)]:
+                assert cls == classify_graph(parse_graph6(g6)), (m, g6)
+                checked += 1
+    assert checked == 579 + 30  # braces, then maximizers
 
 
 def _closure(n, generators):
@@ -317,7 +345,7 @@ def test_kernel_braces_match_walk(c, top):
         task = tricyclic_task(b) if c == 3 else bicyclic_task(b)
         walk = sorted(canonical_form(g) for g in enumerate_connected(task)
                       if all(g.degree(v) >= 2 for v in range(g.n)))
-        assert sorted(canonical_form(g) for g, _ in found[b]) == walk, b
-        for g, group in found[b]:
+        assert sorted(canonical_form(g) for g, _, _ in found[b]) == walk, b
+        for g, group, _ in found[b]:
             assert group[0] == tuple(range(g.n)) and len(set(group)) == len(group)
             assert set(group) == _closure(g.n, canon(g).generators), g.edges()

@@ -168,6 +168,25 @@ def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, conten
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("data", [b"", b"\n  \n\t\n"], ids=["empty", "blank"])
+def test_compute_no_input(tmp_path, capsys, monkeypatch, source, data):
+    """Input with no non-blank line is an input error, not a pass: exit 2
+    with one message, and no output written, not even the CSV header."""
+    out_path = tmp_path / "out.csv"
+    argv = ["compute", "--format", "csv", "--output", str(out_path)]
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    else:
+        f = tmp_path / "in.g6"
+        f.write_bytes(data)
+        argv.append(str(f))
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert err == "error: no graph6 input\n"
+    assert out == "" and not out_path.exists()
+
+
 def test_compute_missing_file(capsys):
     rc, _, err = run(capsys, ["compute", "/nonexistent/x.g6"])
     assert rc == 2

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -11,14 +12,13 @@ from mostar import (
     edge_mostar,
     enumeration,
 )
-from mostar.braces import classify, kernel_braces
+from mostar.braces import kernel_braces
 from mostar.canon import pair_orbit_reps
 from mostar.graphs import edge_pairs, parse_graph6
 from mostar.indices import pendant_model, pendant_tails
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
-    maximize,
     survey,
     tricyclic_task,
 )
@@ -27,8 +27,10 @@ from _walk import enumerate_connected, trees
 from _helpers import (
     brute_connected_class_count,
     check_model_scores,
+    classify_graph,
     complete,
     naive_distances,
+    maximize,
     polya_class_count,
     reference_accept_edge_child,
     rooted_tree_counts,
@@ -300,7 +302,7 @@ def test_survey_braces_tricyclic_8():
         assert s.result.max_value == 23
         assert s.braces == _naive_fold(tricyclic_task(8))[3]
         assert len(s.braces) == 11
-        kinds = {classify(parse_graph6(g6)).kind for g6 in s.braces}
+        kinds = {classify_graph(parse_graph6(g6)).kind for g6 in s.braces}
         assert "COMPOSITE" in kinds
 
 
@@ -311,7 +313,8 @@ ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
 
 
 def _survey_blob(s):
-    return json.dumps([s.result.to_dict(), s.braces, s.tails], sort_keys=True)
+    classes = [astuple(cls) for cls in (*s.classes, *s.maximizer_classes)]
+    return json.dumps([s.result.to_dict(), s.braces, s.tails, classes], sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +330,7 @@ def multi_surveys():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_task_survey_matches_single_tasks(single_surveys, multi_surveys, workers):
     """One call over many tasks, several sharing a vertex count, gives each
-    task exactly its single-task survey: result and braces."""
+    task exactly its single-task survey: result, braces and classes."""
     got = multi_surveys[workers]
     assert list(got) == ATLAS_TASKS
     for task in ATLAS_TASKS:
@@ -424,7 +427,7 @@ def _brace_first_forms(task):
     return [
         canonical_form(Graph(task.n, enumeration._grow(brace.adj, trees, comp, support, pick)))
         for b, found in kernel_braces(c, range(task.m + 1)).items()
-        for brace, auts in found
+        for brace, auts, _ in found
         for comp, support, picks in enumeration._hang_trees(brace.n, auts, trees, task.m - b)
         for pick in picks
     ]
@@ -461,7 +464,7 @@ def test_rooted_trees():
 def _polya(c, m):
     found = kernel_braces(c, range(m + 1))
     return polya_class_count(m, [(b, auts) for b, braces in found.items()
-                                 for _, auts in braces])
+                                 for _, auts, _ in braces])
 
 
 def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
@@ -537,7 +540,7 @@ def test_polya_count_per_brace():
     for c, m in ((3, 12), (2, 10)):
         trees = enumeration._rooted_trees(m)
         for b, found in kernel_braces(c, range(m + 1)).items():
-            for brace, auts in found:
+            for brace, auts, _ in found:
                 grown = enumeration._hang_trees(brace.n, auts, trees, m - b)
                 assert (sum(len(picks) for _, _, picks in grown)
                         == polya_class_count(m, [(b, auts)])), brace.edges()

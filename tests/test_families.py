@@ -20,12 +20,11 @@ from mostar.families import (
     _unresolved_forensics,
     builtin_registry,
     single_attach_decomposition,
-    verify_family,
 )
 from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
-from _helpers import complete, hang_random_trees
+from _helpers import classify_graph, complete, hang_random_trees, verify_family
 
 
 def test_build_s_mr():
@@ -132,6 +131,7 @@ class _Survey:
         self.braces = tuple(sorted(canonical_form(g) for g in braces))
         self.tails = tuple(tuple(t[:2] for t in pendant_tails(parse_graph6(g6)))
                            for g6 in self.braces)
+        self.classes = tuple(classify_graph(parse_graph6(g6)) for g6 in self.braces)
 
 
 def test_h4_head_coincidence_rejected(atlas_report):

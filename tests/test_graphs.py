@@ -256,6 +256,24 @@ def test_public_names_resolve():
         assert getattr(mostar, name) is not None, name
 
 
+def test_span_targets_resolve():
+    """Every function the benchmark's call spans wrap by attribute name,
+    `perfbench/spans.py`'s TARGETS as "layer.name", is a callable of
+    `mostar.<layer>`; a refactor that drops or renames one fails here."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for target in spans.TARGETS:
+        layer, name = target.split(".")
+        assert callable(getattr(importlib.import_module(f"mostar.{layer}"), name, None)), target
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])

@@ -251,7 +251,7 @@ def test_best_single_attach_tails_up_to_14_edges(registry):
     for c, top, fid, best_tail in ((3, 14, "A0", (1, -1, -36)), (2, 13, "B0", (1, -1, -24))):
         best = {}
         for b, braces in kernel_braces(c, range(top + 1)).items():
-            for g, _ in braces:
+            for g, _, _ in braces:
                 tail = max(poly for poly, _, _ in pendant_tails(g))
                 if b not in best or tail > best[b][0]:
                     best[b] = (tail, [g])
@@ -267,7 +267,7 @@ def test_best_single_attach_tails_up_to_14_edges(registry):
 
 
 def _kernel_braces_up_to(c, top):
-    return [g for found in kernel_braces(c, range(top + 1)).values() for g, _ in found]
+    return [g for found in kernel_braces(c, range(top + 1)).values() for g, _, _ in found]
 
 
 def test_pendant_model_matches_definition():
