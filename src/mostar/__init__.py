@@ -28,9 +28,7 @@ from .indices import (
 )
 from .braces import (
     BraceClass,
-    BraceDecomposition,
     classify,
-    strip_pendants,
 )
 from .enumeration import (
     EnumerationResult,
@@ -52,7 +50,6 @@ from .verify import run_atlas, verify_bicyclic, verify_tricyclic
 
 __all__ = [
     "BraceClass",
-    "BraceDecomposition",
     "EnumerationResult",
     "EnumerationTask",
     "FamilyRegistry",
@@ -63,7 +60,6 @@ __all__ = [
     "discover_families",
     "run_atlas",
     "run_shift_suite",
-    "strip_pendants",
     "survey",
     "verify_bicyclic",
     "verify_lemma_shift",

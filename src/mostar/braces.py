@@ -1,4 +1,4 @@
-"""Brace extraction, and every brace of a cyclomatic number with its class.
+"""Every brace of a cyclomatic number, with its class.
 
 The brace of a graph is what remains after repeatedly deleting degree-1
 vertices; it has minimum degree >= 2 and carries all of the cycle
@@ -24,8 +24,8 @@ buckets:
 
 Path parameters are the sorted path lengths between branch vertices (the
 length composition over the kernel's edges), the granularity the
-extremal case analysis needs.  Classifying a graph by walking its own
-suppression survives only as the tests' oracle.
+extremal case analysis needs.  Peeling a graph's leaves and classifying
+it by walking its own suppression survive only as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from .graphs import (
-    Graph, GraphError, cyclomatic_number, hub_paths, is_connected, reachable_mask,
-)
+from .graphs import Graph, hub_paths
 
 K4_SUBDIVISION = "K4_SUBDIVISION"
 THREE_HUB = "THREE_HUB"
@@ -47,59 +45,9 @@ NOT_TRICYCLIC = "NOT_TRICYCLIC"
 
 
 @dataclass(frozen=True)
-class BraceDecomposition:
-    brace: Graph
-    pendant_count: int
-    # brace vertex -> number of pendant-tree edges hanging there
-    attachment_profile: dict[int, int]
-    # brace vertex -> original vertex label
-    original_labels: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class BraceClass:
     kind: str
     path_parameters: tuple[int, ...] | None = None
-
-
-def strip_pendants(g: Graph) -> BraceDecomposition:
-    """Iteratively delete degree-1 vertices; record where the trees hung.
-
-    Raises for trees (their brace would be empty).
-    """
-    if not is_connected(g):
-        raise GraphError("brace extraction requires a connected graph")
-    if cyclomatic_number(g) < 1:
-        raise GraphError("a tree has no brace")
-    adj = g.adj
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if alive >> v & 1 and (adj[v] & alive).bit_count() == 1:
-                alive &= ~(1 << v)
-                changed = True
-    keep = [v for v in range(g.n) if alive >> v & 1]
-    brace = g.induced(keep)
-    # each stripped component is a tree hanging at exactly one brace vertex;
-    # its edge count equals its vertex count
-    profile = {i: 0 for i in range(len(keep))}
-    dead_adj = tuple(row & ~alive for row in adj)
-    seen = alive
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = reachable_mask(dead_adj, v)
-        anchor = next(i for i, x in enumerate(keep) if adj[x] & comp)
-        profile[anchor] += comp.bit_count()
-        seen |= comp
-    return BraceDecomposition(
-        brace=brace,
-        pendant_count=g.m - brace.m,
-        attachment_profile=profile,
-        original_labels=tuple(keep),
-    )
 
 
 def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

@@ -12,8 +12,8 @@ nothing built to be scored: a class's index is read off its brace's
 `indices.pendant_model`, computed once per brace for every task that uses
 it, and its trees' sizes.  `survey` labels only the braces that have all
 of a task's edges, reading their pendant tails off the same model, and the
-graphs at the task's best; each comes with the class of the brace it grew
-on, which `kernel_braces` gives.
+graphs at the task's best, each with its brace's class from `kernel_braces`
+and, if it is that brace plus pendant edges at one vertex, that vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
 from .braces import BraceClass, kernel_braces
-from .canon import CANON_MAX_N, CanonCapacityError, canon
+from .canon import CANON_MAX_N, CanonCapacityError, canon, canonical_form
 from .graphs import Graph, write_graph6
 from .indices import model_tails, pendant_model
 
@@ -180,20 +180,24 @@ def _values(model, scores: list[list[int]], comp: tuple[int, ...],
 # -- folds -------------------------------------------------------------------
 
 
+_Row = tuple[tuple[int, ...], BraceClass, Optional[tuple[Graph, int]]]
+
+
 @dataclass
 class _Fold:
     """What one work unit, a brace, contributes to one task's survey;
     `merge` is associative, so any split gives the same survey.  The
-    graphs at the best value are kept unlabelled, with their brace's
-    class: only those that reach the task's best are labelled, once every
-    unit is in.  Each brace is kept as its canonical form, tails and class."""
+    graphs at the best value are kept unlabelled, with their brace's class
+    and decomposition: only those that reach the task's best are labelled,
+    once every unit is in.  Each brace is kept as its canonical form,
+    tails and class."""
 
     count: int = 0
     best: Optional[int] = None
-    argmax: list[tuple[tuple[int, ...], BraceClass]] = field(default_factory=list)
+    argmax: list[_Row] = field(default_factory=list)
     braces: list[tuple[str, tuple, BraceClass]] = field(default_factory=list)
 
-    def keep(self, value: int, graphs: list[tuple[tuple[int, ...], BraceClass]]) -> None:
+    def keep(self, value: int, graphs: list[_Row]) -> None:
         if self.best is None or value > self.best:
             self.best, self.argmax = value, []
         if value == self.best:
@@ -204,12 +208,6 @@ class _Fold:
         if other.best is not None:
             self.keep(other.best, other.argmax)
         self.braces.extend(other.braces)
-
-
-def _canonical_g6(adj: tuple[int, ...]) -> str:
-    """The `canonical_form` of the graph with rows `adj`."""
-    g = Graph(len(adj), adj)
-    return write_graph6(Graph(g.n, canon(g).canon_adj))
 
 
 def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
@@ -225,11 +223,13 @@ def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
 def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
     """The classes of every task on one brace, scored unbuilt off its one
     `pendant_model`; rows are built only for a composition's best picks,
-    and only when they reach the running best.  Each task comes with its
-    tree scores up to its tree edge count; when that is 0 the brace itself
-    is the one class, and only then labelled."""
+    and only when they reach the running best, each with (brace, attach)
+    when its one tree hangs at attach and is the star (`_rooted_trees`
+    lists it last), else None.  Each task comes with its tree scores up
+    to its tree edge count; when that is 0 the brace itself is the one
+    class, and only then labelled."""
     brace, auts, cls, trees, jobs = args
-    model = pendant_model(brace)
+    model, g = pendant_model(brace), Graph(len(brace), brace)
     out = []
     for task, scores in jobs:
         fold = _Fold()
@@ -238,7 +238,9 @@ def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
             values = _values(model, scores, comp, support, picks)
             top = max(values)
             if fold.best is None or top >= fold.best:
-                fold.keep(top, [(_grow(brace, trees, comp, support, pick), cls)
+                star = (len(trees[comp[support[0]]]) - 1,) if len(support) == 1 else None
+                fold.keep(top, [(_grow(brace, trees, comp, support, pick), cls,
+                                 (g, support[0]) if pick == star else None)
                                 for pick, value in zip(picks, values) if value == top])
         if len(scores) == 1:
             fold.braces.append((*_label(brace, model), cls))
@@ -253,13 +255,15 @@ class Survey:
     and aligned with them each brace's tails, per vertex of that form
     (poly, holds_from) as `indices.pendant_tails` gives them, and its
     class; and aligned with `result.maximizers`, the class of the brace
-    each maximizer grew on."""
+    each maximizer grew on and, when the maximizer is that brace plus bare
+    pendant edges at one vertex, (brace, that vertex), else None."""
 
     result: EnumerationResult
     braces: tuple[str, ...]
     tails: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
     classes: tuple[BraceClass, ...]
     maximizer_classes: tuple[BraceClass, ...]
+    maximizer_braces: tuple[Optional[tuple[Graph, int]], ...]
 
 
 def survey(
@@ -317,12 +321,14 @@ def survey(
     out = {}
     for task, total in totals.items():
         # each class comes out once: no two strings tie, so no classes are compared
-        top = sorted((_canonical_g6(adj), cls) for adj, cls in total.argmax)
+        top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec)
+                     for adj, cls, dec in total.argmax)
         braces = sorted(total.braces)
-        result = EnumerationResult(task, total.count, total.best, tuple(g6 for g6, _ in top))
+        result = EnumerationResult(task, total.count, total.best, tuple(g6 for g6, _, _ in top))
         out[task] = Survey(result, tuple(g6 for g6, _, _ in braces),
                            tuple(tails for _, tails, _ in braces),
-                           tuple(cls for _, _, cls in braces), tuple(cls for _, cls in top))
+                           tuple(cls for _, _, cls in braces),
+                           tuple(cls for _, cls, _ in top), tuple(dec for _, _, dec in top))
     return out
 
 

@@ -14,7 +14,8 @@ family's polynomial, the brace has the family's shape and the tail holds
 by the largest surveyed size, and only such a brace is parsed; the shape
 is the class the survey carries for the brace (`Survey.classes`).  The
 pinned m_min is the size from which the tail holds, so every registry
-polynomial is proved for all m >= m_min.
+polynomial is proved for all m >= m_min.  No maximizer is parsed: the
+survey carries the brace and attachment vertex of each that has one.
 """
 
 from __future__ import annotations
@@ -264,21 +265,6 @@ class Candidate:
         )
 
 
-def single_attach_decomposition(g: Graph) -> Optional[tuple[Graph, int]]:
-    """(brace, attach) when g is exactly a brace plus bare pendant edges at
-    one brace vertex; None otherwise (including pendant-free graphs).  When
-    every pendant tree hangs at one brace vertex, the trees are bare edges
-    exactly when that vertex has `pendant_count` neighbours of degree 1."""
-    d = br.strip_pendants(g)
-    hot = [v for v, k in d.attachment_profile.items() if k > 0]
-    if len(hot) != 1:
-        return None
-    attach = hot[0]
-    x = d.original_labels[attach]
-    leaves = sum(1 for w in g.neighbors(x) if g.degree(w) == 1)
-    return (d.brace, attach) if leaves == d.pendant_count else None
-
-
 def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int], ...], int, str]:
     """Canonical (base_edges, attach) representation of a marked brace.
 
@@ -509,9 +495,10 @@ def discover_families(
     if 9 in bi_surveys:
         known9 = {canonical_form(reg[f].build(9)) for f in ("B0", "B1", "B3")
                   if f in reg and reg[f].m_min <= 9}
-        extra9 = [g6 for g6 in bi_surveys[9].result.maximizers if g6 not in known9]
-        for g6 in sorted(extra9):
-            dec = single_attach_decomposition(parse_graph6(g6))
+        s9 = bi_surveys[9]
+        for g6, dec in zip(s9.result.maximizers, s9.maximizer_braces):
+            if g6 in known9:
+                continue
             if dec is None:
                 report.notes.append(
                     f"size-9 bicyclic maximizer {g6} is not a single-vertex "
@@ -547,13 +534,12 @@ def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryRep
     for surveys in (tri_surveys, bi_surveys):
         for m, s in sorted(surveys.items()):
             members = set(table[m].values())
-            extras = [(g6, cls) for g6, cls in zip(s.result.maximizers, s.maximizer_classes)
-                      if g6 not in members]
+            extras = [row for row in zip(s.result.maximizers, s.maximizer_classes,
+                                         s.maximizer_braces) if row[0] not in members]
             if not extras:
                 continue
-            report.unattributed_maximizers.setdefault(m, []).extend(g6 for g6, _ in extras)
-            for g6, cls in extras:
-                dec = single_attach_decomposition(parse_graph6(g6))
+            report.unattributed_maximizers.setdefault(m, []).extend(g6 for g6, _, _ in extras)
+            for g6, cls, dec in extras:
                 if dec is None:
                     continue
                 poly, holds_from, _ = pendant_tails(dec[0])[dec[1]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from mostar import Graph, Graph6Error, GraphError, cyclomatic_number, is_connected
 from mostar.braces import (
     COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
-    BraceClass, strip_pendants,
+    BraceClass,
 )
 from mostar.graphs import reachable_mask, with_pendants
 
@@ -720,6 +720,81 @@ def brute_strip_pendants(g: Graph) -> tuple[list[int], dict[int, int]]:
 
 
 @dataclass(frozen=True)
+class BraceDecomposition:
+    brace: Graph
+    pendant_count: int
+    # brace vertex -> number of pendant-tree edges hanging there
+    attachment_profile: dict[int, int]
+    # brace vertex -> original vertex label
+    original_labels: tuple[int, ...]
+
+
+def strip_pendants(g: Graph) -> BraceDecomposition:
+    """Iteratively delete degree-1 vertices; record where the trees hung.
+
+    Raises for trees (their brace would be empty).
+    """
+    if not is_connected(g):
+        raise GraphError("brace extraction requires a connected graph")
+    if cyclomatic_number(g) < 1:
+        raise GraphError("a tree has no brace")
+    adj = g.adj
+    alive = (1 << g.n) - 1
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if alive >> v & 1 and (adj[v] & alive).bit_count() == 1:
+                alive &= ~(1 << v)
+                changed = True
+    keep = [v for v in range(g.n) if alive >> v & 1]
+    brace = g.induced(keep)
+    # each stripped component is a tree hanging at exactly one brace vertex;
+    # its edge count equals its vertex count
+    profile = {i: 0 for i in range(len(keep))}
+    dead_adj = tuple(row & ~alive for row in adj)
+    seen = alive
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        comp = reachable_mask(dead_adj, v)
+        anchor = next(i for i, x in enumerate(keep) if adj[x] & comp)
+        profile[anchor] += comp.bit_count()
+        seen |= comp
+    return BraceDecomposition(
+        brace=brace,
+        pendant_count=g.m - brace.m,
+        attachment_profile=profile,
+        original_labels=tuple(keep),
+    )
+
+
+def single_attach_decomposition(g: Graph) -> tuple[Graph, int] | None:
+    """(brace, attach) when g is exactly a brace plus bare pendant edges at
+    one brace vertex; None otherwise (including pendant-free graphs).  When
+    every pendant tree hangs at one brace vertex, the trees are bare edges
+    exactly when that vertex has `pendant_count` neighbours of degree 1.
+    The oracle for the `Survey.maximizer_braces` the survey carries."""
+    d = strip_pendants(g)
+    hot = [v for v, k in d.attachment_profile.items() if k > 0]
+    if len(hot) != 1:
+        return None
+    attach = hot[0]
+    x = d.original_labels[attach]
+    leaves = sum(1 for w in g.neighbors(x) if g.degree(w) == 1)
+    return (d.brace, attach) if leaves == d.pendant_count else None
+
+
+def attach_key(dec: tuple[Graph, int] | None) -> str | None:
+    """The `families._normalize_candidate` key of a (brace, attach) pair,
+    equal for two pairs exactly when an isomorphism of the braces maps one
+    attachment vertex to the other; None for None."""
+    from mostar.families import _normalize_candidate
+
+    return None if dec is None else _normalize_candidate(*dec)[2]
+
+
+@dataclass(frozen=True)
 class Skeleton:
     branch_vertices: tuple[int, ...]
     # (a, b, length) with a <= b; loops appear as (v, v, cycle_length)
@@ -879,7 +954,8 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     graph `_grow` builds, on every pick and not only on maximizers; and the
     survey's work unit for each brace, `_fold_brace` with the task of every
     size from the brace's to m, keeps for each task exactly its class
-    count, its best value and the rows of its best picks.  Returns the
+    count, its best value and the rows of its best picks, each with its
+    brace's class and `single_attach_decomposition`.  Returns the
     number of classes checked per size.  Run on tricyclic m = 13 by CI:
 
         PYTHONPATH=src:tests python -c "import _helpers; print(_helpers.check_model_scores(3, 13))"
@@ -910,8 +986,11 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
                         scored.append((value, adj))
                 best = max(value for value, _ in scored)
                 assert fold.count == len(scored) and fold.best == best, (brace.edges(), task)
-                assert sorted(fold.argmax) == sorted((adj, cls) for value, adj in scored
-                                                     if value == best)
+                # a grown row keeps its brace's labels, so the oracle peels
+                # off exactly the brace the unit carries
+                assert sorted(fold.argmax) == sorted(
+                    (adj, cls, single_attach_decomposition(Graph(len(adj), adj)))
+                    for value, adj in scored if value == best), (brace.edges(), task)
                 checked[task.m] = checked.get(task.m, 0) + len(scored)
     return checked
 

@@ -16,7 +16,6 @@ from mostar.braces import (
     NOT_TRICYCLIC,
     THREE_HUB,
     kernel_braces,
-    strip_pendants,
 )
 from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
 from mostar.families import builtin_registry
@@ -33,6 +32,7 @@ from _helpers import (
     random_connected_density,
     relabel,
     skeleton,
+    strip_pendants,
 )
 
 

@@ -25,6 +25,7 @@ from mostar.enumeration import (
 import _walk
 from _walk import enumerate_connected, trees
 from _helpers import (
+    attach_key,
     brute_connected_class_count,
     check_model_scores,
     classify_graph,
@@ -34,6 +35,7 @@ from _helpers import (
     polya_class_count,
     reference_accept_edge_child,
     rooted_tree_counts,
+    single_attach_decomposition,
     tarjan_bridges,
     toggle_edge,
 )
@@ -314,7 +316,8 @@ ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
 
 def _survey_blob(s):
     classes = [astuple(cls) for cls in (*s.classes, *s.maximizer_classes)]
-    return json.dumps([s.result.to_dict(), s.braces, s.tails, classes], sort_keys=True)
+    decs = [dec and (dec[0].adj, dec[1]) for dec in s.maximizer_braces]
+    return json.dumps([s.result.to_dict(), s.braces, s.tails, classes, decs], sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +462,27 @@ def test_rooted_trees():
                                  + [(0, k + 1), (0, k + 2), (k + 1, k + 2)])
             forms.add(canonical_form(g))
         assert len(forms) == len(level)
+
+
+def test_maximizer_braces_equal_leaf_peeling(tri_surveys, bi_surveys):
+    """The brace and attachment vertex the survey carries for each maximizer
+    are, up to an isomorphism of the braces, what peeling its leaves gives
+    (the `_helpers` oracle): on all 31 maximizers of tricyclic 6..12 and
+    bicyclic 4..10, 20 of them a brace plus bare pendant edges at one
+    vertex and 11 not.  The survey's star test relies on the star, every
+    edge at the root, being the last rooted tree of each size."""
+    small = survey([tricyclic_task(6), bicyclic_task(4)])
+    surveys = [*tri_surveys.values(), *bi_surveys.values(), *small.values()]
+    counts = Counter()
+    for s in surveys:
+        assert len(s.maximizer_braces) == len(s.result.maximizers)
+        for g6, dec in zip(s.result.maximizers, s.maximizer_braces):
+            want = single_attach_decomposition(parse_graph6(g6))
+            assert attach_key(dec) == attach_key(want), g6
+            counts[dec is None] += 1
+    assert counts == {False: 20, True: 11}
+    for k, level in enumerate(enumeration._rooted_trees(12)):
+        assert level[-1] == (0,) * k
 
 
 def _polya(c, m):

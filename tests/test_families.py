@@ -4,7 +4,6 @@ import json
 import pytest
 
 from mostar import GraphError, canonical_form, cycle, edge_mostar
-from mostar.braces import strip_pendants
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
@@ -19,12 +18,14 @@ from mostar.families import (
     _poly_str,
     _unresolved_forensics,
     builtin_registry,
-    single_attach_decomposition,
 )
 from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
-from _helpers import classify_graph, complete, hang_random_trees, verify_family
+from _helpers import (
+    classify_graph, complete, hang_random_trees, single_attach_decomposition, strip_pendants,
+    verify_family,
+)
 
 
 def test_build_s_mr():
@@ -132,6 +133,7 @@ class _Survey:
         self.tails = tuple(tuple(t[:2] for t in pendant_tails(parse_graph6(g6)))
                            for g6 in self.braces)
         self.classes = tuple(classify_graph(parse_graph6(g6)) for g6 in self.braces)
+        self.maximizer_braces = ()  # no maximizers: the brace pass reads none
 
 
 def test_h4_head_coincidence_rejected(atlas_report):
@@ -180,8 +182,6 @@ def test_forensic_hits_exact(monkeypatch, claimed):
 
 
 def test_build_strip_round_trip(registry):
-    from mostar.braces import strip_pendants
-
     spec = registry["A2"]
     g = spec.build(spec.m_min + 4)
     d = strip_pendants(g)
