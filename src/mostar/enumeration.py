@@ -5,21 +5,24 @@ A connected graph with c >= 1 is its brace (its 2-core) with a rooted tree
 hung at every brace vertex, and two such graphs are isomorphic exactly when
 their braces are and an automorphism of the brace carries one assignment of
 trees to the other.  `braces.kernel_braces` lists the braces with their
-automorphism groups, `_rooted_trees` the rooted trees by edge count, and
-`_hang_trees` keeps one assignment per orbit, so each class comes out once
-with no global dedup state.  Nothing is labelled to be generated and
-nothing built to be scored: a class's index is read off its brace's
+automorphism groups, and `_compositions` keeps one composition (tree edges
+per brace vertex) per orbit and counts its classes by Burnside from the
+rooted-tree counts, so no tree is listed and no global dedup state kept.
+Nothing is labelled to be generated and nothing built to be scored: by the
+strict trees-to-stars step in `indices`, each composition's one best class
+is its all-star graph, whose index is read off its brace's
 `indices.pendant_model`, computed once per brace for every task that uses
-it, and its trees' sizes.  `survey` labels only the braces that have all
-of a task's edges, reading their pendant tails off the same model, and the
-graphs at the task's best, each with its brace's class from `kernel_braces`
-and, if it is that brace plus pendant edges at one vertex, that vertex.
+it.  `survey` labels only the braces that have all of a task's edges,
+reading their pendant tails off the same model, and the graphs at the
+task's best, each with its brace's class from `kernel_braces` and, if it
+is that brace plus pendant edges at one vertex, that vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
+from math import prod
 from multiprocessing import get_context
 from typing import Iterable, Iterator, Optional
 
@@ -73,53 +76,37 @@ class EnumerationResult:
 # -- brace-first classes ----------------------------------------------------
 
 
-def _rooted_trees(k_max: int) -> list[list[tuple[int, ...]]]:
-    """Entry k lists the rooted trees with k edges, one per isomorphism
-    class (OEIS A000081, shifted by one), each as its parent list: vertex
-    i + 1 hangs from parent[i], the root being 0.  The trees come as their
-    canonical level sequences (the depths in preorder) by the successor
-    rule of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980): from the path,
-    find the last node p deeper than 1 and its parent q, and refill p.. by
-    repeating the sequence from q; stop at the star."""
-    out = [[()]]
-    for k in range(1, k_max + 1):
-        level, depths = [], list(range(k + 1))
-        while True:
-            last, parents = [0] * (k + 1), []
-            for i in range(1, k + 1):
-                parents.append(last[depths[i] - 1])
-                last[depths[i]] = i
-            level.append(tuple(parents))
-            p = max((i for i in range(k + 1) if depths[i] > 1), default=0)
-            if not p:
-                break
-            q = parents[p - 1]
-            for i in range(p, k + 1):
-                depths[i] = depths[i - p + q]
-        out.append(level)
-    return out
+def _rooted_tree_counts(k_max: int) -> list[int]:
+    """r(0) .. r(k_max), r(k) the number of rooted trees with k edges: OEIS
+    A000081 at k + 1 vertices, by its recurrence
+    a(n + 1) = (1/n) sum_{j=1..n} (sum_{d | j} d a(d)) a(n - j + 1)."""
+    a = [0, 1]
+    for n in range(1, k_max + 1):
+        a.append(sum(sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[n - j + 1]
+                     for j in range(1, n + 1)) // n)
+    return a[1:]
 
 
-def _hang_trees(
-    n_b: int, auts: tuple[tuple[int, ...], ...],
-    trees: list[list[tuple[int, ...]]], k: int,
-) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]]:
-    """One assignment per isomorphism class of connected graphs whose brace,
-    on n_b vertices, has k edges fewer: each kept composition (the edge
-    count at each brace vertex, as the gaps n_b - 1 bars leave in
-    k + n_b - 1 slots), its support (the vertices of nonzero count) and its
-    kept picks (per support vertex, an index into `trees[count]`; `_grow`
-    builds the graph).  `auts` is the brace's automorphism group, the
-    identity first, and `trees` comes from `_rooted_trees(k)`.
+def _compositions(
+    n_b: int, auts: tuple[tuple[int, ...], ...], counts: list[int], k: int,
+) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """The isomorphism classes of connected graphs whose brace, on n_b
+    vertices, has k edges fewer, grouped by composition: each kept
+    composition (the edge count at each brace vertex, as the gaps n_b - 1
+    bars leave in k + n_b - 1 slots), its support (the vertices of nonzero
+    count) and its number of classes.  `auts` is the brace's automorphism
+    group, the identity first, and `counts` is `_rooted_tree_counts(k)`.
 
     Such a graph is the brace with a rooted tree hung at every vertex, and
     two of them are isomorphic exactly when an automorphism of the brace
-    carries one assignment of trees to the other.  An assignment is kept
-    when it is the least in its orbit: first its composition must be the
-    least under the whole group, and then its pick the least under the
-    composition's stabiliser, which acts within the vertices of each
-    count.  Every orbit holds assignments with the least composition, and
-    those form one orbit of the stabiliser, so each class comes out once."""
+    carries one assignment of trees to the other.  A composition is kept
+    when it is the least under the whole group.  Every orbit holds
+    assignments with the least composition, and those form one orbit of
+    its stabiliser, so the composition's classes are the stabiliser's
+    orbits on its tree assignments.  By Burnside they number the mean over
+    the stabiliser of the assignments each element fixes: those constant
+    on each of its cycles on the support, one tree per cycle, of its
+    vertices' count."""
     others, end = auts[1:], k + n_b - 1
     for bars in combinations(range(end), n_b - 1):
         comp = tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, end))])
@@ -132,49 +119,28 @@ def _hang_trees(
                 stab.append(g)
         else:
             support = [v for v in range(n_b) if comp[v]]
-            where = {v: i for i, v in enumerate(support)}
-            moves = [[where[g[v]] for v in support] for g in stab]
-            yield comp, support, [
-                pick for pick in product(*(range(len(trees[comp[v]])) for v in support))
-                if not any(tuple([pick[i] for i in mv]) < pick for mv in moves)
-            ]
+            fixed = prod([counts[comp[v]] for v in support])  # by the identity
+            for g in stab:
+                seen, kept = 0, 1
+                for v in support:
+                    if not seen >> v & 1:
+                        kept *= counts[comp[v]]
+                        u = v
+                        while not seen >> u & 1:
+                            seen |= 1 << u
+                            u = g[u]
+                fixed += kept
+            yield comp, support, fixed // (1 + len(stab))
 
 
-def _grow(brace: tuple[int, ...], trees: list[list[tuple[int, ...]]],
-          comp: tuple[int, ...], support: list[int], pick: tuple[int, ...]) -> tuple[int, ...]:
-    """The adjacency rows of `brace` with the trees of `pick` hung on."""
+def _grow(brace: tuple[int, ...], comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency rows of `brace` with comp[v] pendant edges at each v."""
     adj = list(brace)
-    for v, t in zip(support, pick):
-        base = len(adj) - 1
-        for p in trees[comp[v]][t]:
-            p = v if p == 0 else base + p
-            adj[p] |= 1 << len(adj)
-            adj.append(1 << p)
+    for v, a in enumerate(comp):
+        for _ in range(a):
+            adj[v] |= 1 << len(adj)
+            adj.append(1 << v)
     return tuple(adj)
-
-
-def _tree_scores(trees: list[list[tuple[int, ...]]], m: int) -> list[list[int]]:
-    """What each tree in `trees` adds to the index of a graph with m edges:
-    |m - 1 - 2 s| per tree edge, s edges below it (see `indices`)."""
-    def score(parents: tuple[int, ...]) -> int:
-        size = [1] * (len(parents) + 1)  # vertices at or below each vertex
-        for i in range(len(parents) - 1, -1, -1):
-            size[parents[i]] += size[i + 1]
-        return sum(abs(m + 1 - 2 * s) for s in size[1:])
-    return [[score(parents) for parents in level] for level in trees]
-
-
-def _values(model, scores: list[list[int]], comp: tuple[int, ...],
-            support: list[int], picks: list[tuple[int, ...]]) -> list[int]:
-    """The index of each pick on one composition, off the brace's
-    `pendant_model`: the brace term once, plus each tree's score."""
-    _, sums, rows = model
-    for v in support:
-        a = comp[v]
-        sums = [x + a * s for x, s in zip(sums, rows[v])]
-    base = sum(map(abs, sums))
-    tables = [scores[comp[v]] for v in support]
-    return [base + sum(map(list.__getitem__, tables, pick)) for pick in picks]
 
 
 # -- folds -------------------------------------------------------------------
@@ -221,28 +187,31 @@ def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
 
 
 def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
-    """The classes of every task on one brace, scored unbuilt off its one
-    `pendant_model`; rows are built only for a composition's best picks,
-    and only when they reach the running best, each with (brace, attach)
-    when its one tree hangs at attach and is the star (`_rooted_trees`
-    lists it last), else None.  Each task comes with its tree scores up
-    to its tree edge count; when that is 0 the brace itself is the one
-    class, and only then labelled."""
-    brace, auts, cls, trees, jobs = args
+    """The classes of every task on one brace, counted per composition and
+    scored unbuilt off its one `pendant_model`.  A composition's best class
+    is its all-star graph, comp[v] pendant edges at each v, and no other
+    class ties it (the strict trees-to-stars step in `indices`), so it is
+    scored as the brace term plus k(m - 1) and built only when it reaches
+    the running best, with (brace, attach) when its pendants all hang at
+    attach, else None.  Each task comes with its tree edge count k; when
+    that is 0 the brace itself is the one class, and only then labelled."""
+    brace, auts, cls, counts, jobs = args
     model, g = pendant_model(brace), Graph(len(brace), brace)
+    _, sums, rows = model
     out = []
-    for task, scores in jobs:
+    for task, k in jobs:
         fold = _Fold()
-        for comp, support, picks in _hang_trees(len(brace), auts, trees, len(scores) - 1):
-            fold.count += len(picks)
-            values = _values(model, scores, comp, support, picks)
-            top = max(values)
+        for comp, support, classes in _compositions(len(brace), auts, counts, k):
+            fold.count += classes
+            terms = sums
+            for v in support:
+                a = comp[v]
+                terms = [x + a * s for x, s in zip(terms, rows[v])]
+            top = sum(map(abs, terms)) + k * (task.m - 1)
             if fold.best is None or top >= fold.best:
-                star = (len(trees[comp[support[0]]]) - 1,) if len(support) == 1 else None
-                fold.keep(top, [(_grow(brace, trees, comp, support, pick), cls,
-                                 (g, support[0]) if pick == star else None)
-                                for pick, value in zip(picks, values) if value == top])
-        if len(scores) == 1:
+                fold.keep(top, [(_grow(brace, comp), cls,
+                                 (g, support[0]) if len(support) == 1 else None)])
+        if not k:
             fold.braces.append((*_label(brace, model), cls))
         out.append((task, fold))
     return out
@@ -275,8 +244,11 @@ def survey(
     A work unit is one brace from `braces.kernel_braces`, listed per class
     up to that class's largest task, with every task of its class that has
     at least its edges; the unit computes the brace's `pendant_model` once
-    and folds each task's classes that `_hang_trees` grows on it.  One
-    pool runs every unit, those with the most tree edges first.
+    and, for each task, counts the classes of every composition
+    `_compositions` keeps and scores only its all-star graph, the one best
+    class of the composition (the strict trees-to-stars proof in the
+    `indices` docstring).  One pool runs every unit, those with the most
+    tree edges first.
 
     Deterministic: the folds keep counts, values and unlabelled graphs, and
     the maximizers and braces are reported as sorted canonical strings, so
@@ -297,10 +269,8 @@ def survey(
                      for brace, auts, cls in found]
     # the most tree edges, then the largest brace, first
     jobs.sort(key=lambda job: (job[4], len(job[0])), reverse=True)
-    trees = _rooted_trees(jobs[0][4] if jobs else 0)
-    scores = {task: _tree_scores(trees[:task.m + 1], task.m) for task in tasks}
-    units = [(brace, auts, cls, trees[:top + 1], [(t, scores[t][:k + 1]) for t, k in ks])
-             for brace, auts, cls, ks, top in jobs]
+    counts = _rooted_tree_counts(jobs[0][4] if jobs else 0)
+    units = [(brace, auts, cls, counts[:top + 1], ks) for brace, auts, cls, ks, top in jobs]
     totals = {task: _Fold() for task in tasks}
 
     def merge(partials: Iterable[list[tuple[EnumerationTask, _Fold]]]) -> None:

@@ -12,6 +12,8 @@ import itertools
 import math
 import random
 from collections import deque
+from itertools import combinations, product
+from typing import Iterator
 
 from dataclasses import dataclass
 
@@ -20,6 +22,7 @@ from mostar.braces import (
     COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
     BraceClass,
 )
+from mostar.enumeration import _rooted_tree_counts
 from mostar.graphs import reachable_mask, with_pendants
 
 
@@ -300,21 +303,6 @@ def brute_connected_class_count(n: int, m: int) -> int:
     return total // math.factorial(n)
 
 
-def rooted_tree_counts(k_max: int) -> list[int]:
-    """r_0 .. r_k_max, r_k the number of rooted trees with k edges: OEIS
-    A000081 at k + 1 vertices, by its recurrence
-    a(n + 1) = (1/n) sum_{j=1..n} (sum_{d | j} d a(d)) a(n - j + 1)."""
-    a = [0, 1]
-    for n in range(1, k_max + 1):
-        s = sum(
-            sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[n - j + 1]
-            for j in range(1, n + 1)
-        )
-        assert s % n == 0
-        a.append(s // n)
-    return a[1:]
-
-
 def polya_class_count(m: int, braces) -> int:
     """Connected graphs with m edges whose brace (2-core) is one of
     `braces`, up to isomorphism, by Polya's theorem.  `braces` holds
@@ -326,8 +314,10 @@ def polya_class_count(m: int, braces) -> int:
     the vertices, each cycle of length L replaced by t(x^L), where t counts
     rooted trees by edges.  The sum over the group is taken first, in exact
     integers, and its division by the group order must leave no
-    remainder.  Nothing here uses canonical labelling or the enumerator."""
-    r = rooted_tree_counts(m)
+    remainder.  Nothing here uses canonical labelling, and of the
+    enumerator only `_rooted_tree_counts`, which `test_rooted_trees` checks
+    against the listing of `_rooted_trees`."""
+    r = _rooted_tree_counts(m)
     count = 0
     for b, group in braces:
         k = m - b
@@ -354,6 +344,116 @@ def polya_class_count(m: int, braces) -> int:
         assert rest == 0, (b, len(group), fixed)
         count += q
     return count
+
+
+# The pick listing: every rooted tree listed, and every assignment of
+# trees kept, scored and grown.  It is the oracle for the survey, which
+# counts each composition's picks (`enumeration._compositions`) and scores
+# and grows only its all-star pick (`enumeration._fold_brace`).
+
+
+def _rooted_trees(k_max: int) -> list[list[tuple[int, ...]]]:
+    """Entry k lists the rooted trees with k edges, one per isomorphism
+    class (OEIS A000081, shifted by one), each as its parent list: vertex
+    i + 1 hangs from parent[i], the root being 0.  The trees come as their
+    canonical level sequences (the depths in preorder) by the successor
+    rule of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980): from the path,
+    find the last node p deeper than 1 and its parent q, and refill p.. by
+    repeating the sequence from q; stop at the star."""
+    out = [[()]]
+    for k in range(1, k_max + 1):
+        level, depths = [], list(range(k + 1))
+        while True:
+            last, parents = [0] * (k + 1), []
+            for i in range(1, k + 1):
+                parents.append(last[depths[i] - 1])
+                last[depths[i]] = i
+            level.append(tuple(parents))
+            p = max((i for i in range(k + 1) if depths[i] > 1), default=0)
+            if not p:
+                break
+            q = parents[p - 1]
+            for i in range(p, k + 1):
+                depths[i] = depths[i - p + q]
+        out.append(level)
+    return out
+
+
+def _hang_trees(
+    n_b: int, auts: tuple[tuple[int, ...], ...],
+    trees: list[list[tuple[int, ...]]], k: int,
+) -> Iterator[tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]]:
+    """One assignment per isomorphism class of connected graphs whose brace,
+    on n_b vertices, has k edges fewer: each kept composition (the edge
+    count at each brace vertex, as the gaps n_b - 1 bars leave in
+    k + n_b - 1 slots), its support (the vertices of nonzero count) and its
+    kept picks (per support vertex, an index into `trees[count]`; `_grow`
+    builds the graph).  `auts` is the brace's automorphism group, the
+    identity first, and `trees` comes from `_rooted_trees(k)`.
+
+    Such a graph is the brace with a rooted tree hung at every vertex, and
+    two of them are isomorphic exactly when an automorphism of the brace
+    carries one assignment of trees to the other.  An assignment is kept
+    when it is the least in its orbit: first its composition must be the
+    least under the whole group, and then its pick the least under the
+    composition's stabiliser, which acts within the vertices of each
+    count.  Every orbit holds assignments with the least composition, and
+    those form one orbit of the stabiliser, so each class comes out once."""
+    others, end = auts[1:], k + n_b - 1
+    for bars in combinations(range(end), n_b - 1):
+        comp = tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, end))])
+        stab = []
+        for g in others:
+            image = tuple([comp[x] for x in g])
+            if image < comp:
+                break
+            if image == comp:
+                stab.append(g)
+        else:
+            support = [v for v in range(n_b) if comp[v]]
+            where = {v: i for i, v in enumerate(support)}
+            moves = [[where[g[v]] for v in support] for g in stab]
+            yield comp, support, [
+                pick for pick in product(*(range(len(trees[comp[v]])) for v in support))
+                if not any(tuple([pick[i] for i in mv]) < pick for mv in moves)
+            ]
+
+
+def _grow(brace: tuple[int, ...], trees: list[list[tuple[int, ...]]],
+          comp: tuple[int, ...], support: list[int], pick: tuple[int, ...]) -> tuple[int, ...]:
+    """The adjacency rows of `brace` with the trees of `pick` hung on."""
+    adj = list(brace)
+    for v, t in zip(support, pick):
+        base = len(adj) - 1
+        for p in trees[comp[v]][t]:
+            p = v if p == 0 else base + p
+            adj[p] |= 1 << len(adj)
+            adj.append(1 << p)
+    return tuple(adj)
+
+
+def _tree_scores(trees: list[list[tuple[int, ...]]], m: int) -> list[list[int]]:
+    """What each tree in `trees` adds to the index of a graph with m edges:
+    |m - 1 - 2 s| per tree edge, s edges below it (see `indices`)."""
+    def score(parents: tuple[int, ...]) -> int:
+        size = [1] * (len(parents) + 1)  # vertices at or below each vertex
+        for i in range(len(parents) - 1, -1, -1):
+            size[parents[i]] += size[i + 1]
+        return sum(abs(m + 1 - 2 * s) for s in size[1:])
+    return [[score(parents) for parents in level] for level in trees]
+
+
+def _values(model, scores: list[list[int]], comp: tuple[int, ...],
+            support: list[int], picks: list[tuple[int, ...]]) -> list[int]:
+    """The index of each pick on one composition, off the brace's
+    `pendant_model`: the brace term once, plus each tree's score."""
+    _, sums, rows = model
+    for v in support:
+        a = comp[v]
+        sums = [x + a * s for x, s in zip(sums, rows[v])]
+    base = sum(map(abs, sums))
+    tables = [scores[comp[v]] for v in support]
+    return [base + sum(map(list.__getitem__, tables, pick)) for pick in picks]
 
 
 def canon_connected_class_count(n: int, m: int) -> int:
@@ -948,15 +1048,16 @@ def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
 
 
 def check_model_scores(c: int, m: int) -> dict[int, int]:
-    """Every class the survey grows for cyclomatic number c at each size up
-    to m, scored as the survey scores it (`enumeration._values` on the
-    brace's `pendant_model`, no graph built), equals `edge_mostar` of the
-    graph `_grow` builds, on every pick and not only on maximizers; and the
-    survey's work unit for each brace, `_fold_brace` with the task of every
-    size from the brace's to m, keeps for each task exactly its class
-    count, its best value and the rows of its best picks, each with its
-    brace's class and `single_attach_decomposition`.  Returns the
-    number of classes checked per size.  Run on tricyclic m = 13 by CI:
+    """Every class the pick listing (`_hang_trees`) grows for cyclomatic
+    number c at each size up to m, scored off the brace's `pendant_model`
+    with no graph built (`_values`), equals `edge_mostar` of the graph
+    `_grow` builds, on every pick and not only on maximizers; and the
+    survey's work unit for each brace, `enumeration._fold_brace` with the
+    task of every size from the brace's to m, keeps for each task exactly
+    its class count, its best value and the rows of its best picks, each
+    with its brace's class and `single_attach_decomposition`.  Returns the
+    number of classes checked per size.  Run on tricyclic m = 13 and
+    bicyclic m = 12 by CI:
 
         PYTHONPATH=src:tests python -c "import _helpers; print(_helpers.check_model_scores(3, 13))"
     """
@@ -964,23 +1065,23 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     from mostar.braces import kernel_braces
     from mostar.indices import pendant_model
 
-    trees = enumeration._rooted_trees(m)
+    trees = _rooted_trees(m)
+    counts = enumeration._rooted_tree_counts(m)
     checked: dict[int, int] = {}
     for b, found in kernel_braces(c, range(m + 1)).items():
         tasks = [enumeration.EnumerationTask(size - c + 1, size) for size in range(b, m + 1)]
-        scores = {t: enumeration._tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
+        scores = {t: _tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
         for brace, auts, cls in found:
             model = pendant_model(brace.adj)
-            unit = (brace.adj, auts, cls, trees[:m - b + 1], [(t, scores[t]) for t in tasks])
+            unit = (brace.adj, auts, cls, counts[:m - b + 1], [(t, t.m - b) for t in tasks])
             folds = enumeration._fold_brace(unit)
             assert [task for task, _ in folds] == tasks, brace.edges()
             for task, fold in folds:
                 scored = []
-                for comp, support, picks in enumeration._hang_trees(
-                        brace.n, auts, trees, task.m - b):
-                    values = enumeration._values(model, scores[task], comp, support, picks)
+                for comp, support, picks in _hang_trees(brace.n, auts, trees, task.m - b):
+                    values = _values(model, scores[task], comp, support, picks)
                     for pick, value in zip(picks, values):
-                        adj = enumeration._grow(brace.adj, trees, comp, support, pick)
+                        adj = _grow(brace.adj, trees, comp, support, pick)
                         assert value == edge_mostar(Graph(len(adj), adj)), \
                             (brace.edges(), comp, pick)
                         scored.append((value, adj))

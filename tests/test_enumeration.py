@@ -25,6 +25,11 @@ from mostar.enumeration import (
 import _walk
 from _walk import enumerate_connected, trees
 from _helpers import (
+    _grow,
+    _hang_trees,
+    _rooted_trees,
+    _tree_scores,
+    _values,
     attach_key,
     brute_connected_class_count,
     check_model_scores,
@@ -34,7 +39,6 @@ from _helpers import (
     maximize,
     polya_class_count,
     reference_accept_edge_child,
-    rooted_tree_counts,
     single_attach_decomposition,
     tarjan_bridges,
     toggle_edge,
@@ -424,14 +428,14 @@ def test_tasks_too_small_for_any_brace():
 def _brace_first_forms(task):
     """The canonical forms of the classes `survey` builds for a bicyclic
     or tricyclic task: every kernel brace with at most m edges, with the
-    classes `_hang_trees` grows on it."""
+    classes the pick listing `_hang_trees` grows on it."""
     c = task.m - task.n + 1
-    trees = enumeration._rooted_trees(task.m)
+    trees = _rooted_trees(task.m)
     return [
-        canonical_form(Graph(task.n, enumeration._grow(brace.adj, trees, comp, support, pick)))
+        canonical_form(Graph(task.n, _grow(brace.adj, trees, comp, support, pick)))
         for b, found in kernel_braces(c, range(task.m + 1)).items()
         for brace, auts, _ in found
-        for comp, support, picks in enumeration._hang_trees(brace.n, auts, trees, task.m - b)
+        for comp, support, picks in _hang_trees(brace.n, auts, trees, task.m - b)
         for pick in picks
     ]
 
@@ -448,11 +452,12 @@ def test_brace_first_classes_equal_walk(task):
 
 
 def test_rooted_trees():
-    """The rooted-tree tables the brace-first survey hangs: OEIS A000081
-    by its recurrence, every entry a tree with its number of edges, no two
-    of one size isomorphic."""
-    trees = enumeration._rooted_trees(9)
-    assert [len(level) for level in trees] == rooted_tree_counts(9)
+    """The rooted-tree tables the pick listing hangs: every entry a tree
+    with its number of edges, no two of one size isomorphic (up to 9
+    edges); and the survey's counts, OEIS A000081 by its recurrence, are
+    the sizes of the listing up to 12 edges."""
+    assert [len(level) for level in _rooted_trees(12)] == enumeration._rooted_tree_counts(12)
+    trees = _rooted_trees(9)
     for k, level in enumerate(trees):
         forms = set()
         for parents in level:
@@ -469,8 +474,9 @@ def test_maximizer_braces_equal_leaf_peeling(tri_surveys, bi_surveys):
     are, up to an isomorphism of the braces, what peeling its leaves gives
     (the `_helpers` oracle): on all 31 maximizers of tricyclic 6..12 and
     bicyclic 4..10, 20 of them a brace plus bare pendant edges at one
-    vertex and 11 not.  The survey's star test relies on the star, every
-    edge at the root, being the last rooted tree of each size."""
+    vertex and 11 not.  The pick listing's star test (`check_model_scores`
+    and `test_compositions_count_picks_and_star_is_best`) relies on the
+    star, every edge at the root, being the last rooted tree of each size."""
     small = survey([tricyclic_task(6), bicyclic_task(4)])
     surveys = [*tri_surveys.values(), *bi_surveys.values(), *small.values()]
     counts = Counter()
@@ -481,7 +487,7 @@ def test_maximizer_braces_equal_leaf_peeling(tri_surveys, bi_surveys):
             assert attach_key(dec) == attach_key(want), g6
             counts[dec is None] += 1
     assert counts == {False: 20, True: 11}
-    for k, level in enumerate(enumeration._rooted_trees(12)):
+    for k, level in enumerate(_rooted_trees(12)):
         assert level[-1] == (0,) * k
 
 
@@ -506,12 +512,12 @@ def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
 
 
 def test_model_scores_equal_edge_mostar():
-    """The survey scores each class off its brace's pendant model, with no
-    graph built: on every class of tricyclic 6..11 and bicyclic 5..10, on
-    every pick, that score equals `edge_mostar` of the built graph, and
-    each brace's unit, driven with every one of those sizes at once, keeps
-    for each the rows of exactly its best picks (CI runs tricyclic up to
-    13)."""
+    """The pick listing scores each class off its brace's pendant model,
+    with no graph built: on every class of tricyclic 6..11 and bicyclic
+    5..10, on every pick, that score equals `edge_mostar` of the built
+    graph, and each brace's survey unit, driven with every one of those
+    sizes at once, keeps for each its class count and the rows of exactly
+    its best picks (CI runs tricyclic up to 13 and bicyclic up to 12)."""
     assert check_model_scores(3, 11) == {6: 1, 7: 4, 8: 22, 9: 107, 10: 486, 11: 2075}
     assert check_model_scores(2, 10) == {5: 1, 6: 5, 7: 19, 8: 67, 9: 236, 10: 797}
 
@@ -558,16 +564,45 @@ def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
 
 def test_polya_count_per_brace():
     """Per brace, not only per size: at tricyclic m = 12 and bicyclic
-    m = 10, the classes `_hang_trees` grows on each kernel brace number
-    Polya's count for that brace alone, so a defect that dropped classes
-    on one brace and repeated them on another would show."""
+    m = 10, the classes the pick listing `_hang_trees` grows on each kernel
+    brace number Polya's count for that brace alone, so a defect that
+    dropped classes on one brace and repeated them on another would show."""
     for c, m in ((3, 12), (2, 10)):
-        trees = enumeration._rooted_trees(m)
+        trees = _rooted_trees(m)
         for b, found in kernel_braces(c, range(m + 1)).items():
             for brace, auts, _ in found:
-                grown = enumeration._hang_trees(brace.n, auts, trees, m - b)
+                grown = _hang_trees(brace.n, auts, trees, m - b)
                 assert (sum(len(picks) for _, _, picks in grown)
                         == polya_class_count(m, [(b, auts)])), brace.edges()
+
+
+def test_compositions_count_picks_and_star_is_best():
+    """The survey counts a composition's classes by Burnside over its
+    stabiliser and scores only its all-star graph.  At tricyclic m = 12 and
+    bicyclic m = 10, on every composition of every kernel brace, that
+    count is the number of picks the pick listing keeps, and the all-star
+    pick (the star, last of each size, at every support vertex) is the one
+    pick at the listing's top value, as the strict trees-to-stars step in
+    `indices` says.  The bicyclic braces' loop flips reach the stabilisers
+    here, so a count that mis-walked their cycles would show."""
+    for c, m in ((3, 12), (2, 10)):
+        trees = _rooted_trees(m)
+        counts = enumeration._rooted_tree_counts(m)
+        for b, found in kernel_braces(c, range(m + 1)).items():
+            scores = _tree_scores(trees[:m - b + 1], m)
+            for brace, auts, _ in found:
+                model = pendant_model(brace.adj)
+                listed = list(_hang_trees(brace.n, auts, trees, m - b))
+                counted = list(enumeration._compositions(brace.n, auts, counts, m - b))
+                assert [(comp, support) for comp, support, _ in counted] == \
+                    [(comp, support) for comp, support, _ in listed], brace.edges()
+                for (comp, support, picks), (_, _, classes) in zip(listed, counted):
+                    assert classes == len(picks), (brace.edges(), comp)
+                    values = _values(model, scores, comp, support, picks)
+                    star = tuple(len(trees[comp[v]]) - 1 for v in support)
+                    top = max(values)
+                    assert [p for p, x in zip(picks, values) if x == top] == [star], \
+                        (brace.edges(), comp)
 
 
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
