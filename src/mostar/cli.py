@@ -25,7 +25,7 @@ from .families import FamilyRegistry, builtin_registry
 from .graphs import Graph6Error, GraphError, parse_graph6
 from .indices import mostar_summary
 from .shifts import run_shift_suite
-from .verify import run_atlas, verify_bicyclic, verify_tricyclic
+from .verify import BICYCLIC, TRICYCLIC, run_atlas, verify_bicyclic, verify_tricyclic
 
 
 def _load_registry(path: str | None) -> FamilyRegistry:
@@ -82,22 +82,18 @@ def _size_range(text: str) -> tuple[int, int]:
 
 
 def _parse_sizes(args) -> list[int]:
-    lo, hi = args.bounds
-    default = args.default_range
+    """The requested sizes, checked by their ends alone (they are
+    consecutive), so a huge --range is rejected before it is listed."""
+    spec = args.spec
     if args.size is not None:
-        sizes = [args.size]
-    elif args.range is not None:
-        sizes = list(range(args.range[0], args.range[1] + 1))
+        lo = hi = args.size
     else:
-        sizes = list(range(default[0], default[1] + 1))
-    hi_eff = hi + 1 if getattr(args, "deep", False) else hi
-    bad = [m for m in sizes if not lo <= m <= hi_eff]
-    if bad:
-        raise UsageError(
-            f"sizes {bad} outside supported range {lo}..{hi_eff}"
-            + ("" if getattr(args, "deep", False) else " (use --deep for the next size)")
-        )
-    return sizes
+        # by default the table itself: its first listed size through its tail's start
+        lo, hi = args.range or (min(spec.listed_max), spec.tail_start)
+    if lo not in spec.sizes or hi not in spec.sizes:
+        raise UsageError(f"sizes {lo}..{hi} outside supported range "
+                         f"{spec.sizes[0]}..{spec.sizes[-1]}")
+    return list(range(lo, hi + 1))
 
 
 def cmd_compute(args) -> int:
@@ -176,8 +172,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    # below 7 nothing is enumerated; above 12 the runs leave the supported
-    # sizes (n > 16 from m = 19 on), so neither may write the registry
+    # below 7 nothing is enumerated; 12 is the committed registry's size
+    # (13..16 run, but from 17 on the member table labels S_M3's 17-vertex
+    # member, past canonical labelling); no run outside may write the registry
     if not 7 <= args.max_size <= 12:
         raise UsageError(f"--max-size {args.max_size} outside supported range 7..12")
     _check_output_dirs(args.output, args.report)
@@ -218,8 +215,6 @@ def _add_common(p, default_threads) -> None:
     sizes.add_argument("--size", type=int, help="verify a single size m")
     sizes.add_argument("--range", type=_size_range,
                        help="verify sizes A-B inclusive, e.g. 7-12")
-    p.add_argument("--deep", action="store_true",
-                   help="allow the next size up (slow)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,17 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_compute)
 
-    # bounds: the supported sizes (--deep allows one more)
-    for name, help_text, verify, bounds, default_range in (
-        ("verify-theorem1", "tricyclic maxima table", verify_tricyclic,
-         (6, 12), (7, 12)),
-        ("verify-theorem2", "bicyclic maxima table", verify_bicyclic,
-         (5, 11), (5, 10)),
+    for name, help_text, verify, spec in (
+        ("verify-theorem1", "tricyclic maxima table", verify_tricyclic, TRICYCLIC),
+        ("verify-theorem2", "bicyclic maxima table", verify_bicyclic, BICYCLIC),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, default_threads)
-        p.set_defaults(func=cmd_verify, verify=verify, bounds=bounds,
-                       default_range=default_range)
+        p.set_defaults(func=cmd_verify, verify=verify, spec=spec)
 
     p = sub.add_parser("atlas", help="discover families, write registry")
     p.add_argument("--output", default="families.json")

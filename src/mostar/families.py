@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional
@@ -217,6 +218,17 @@ def _analytic_specs() -> list[FamilySpec]:
 
 def builtin_registry() -> FamilyRegistry:
     return FamilyRegistry(_analytic_specs())
+
+
+def member_form(spec: FamilySpec, m: int, order: Optional[int] = None) -> Optional[str]:
+    """The one rule for family-member identity: a graph is the family's
+    size-m member exactly when its canonical form is this one.  A member
+    of another order than `order` (if given) is not labelled: None, so no
+    member past canonical labelling's capacity is compared with a search's
+    graphs."""
+    if order is not None and spec.n_base + m - spec.m_base != order:
+        return None
+    return canonical_form(spec.build(m))
 
 
 # -- discovery ---------------------------------------------------------------
@@ -419,6 +431,7 @@ def discover_families(
     """
     reg = builtin_registry()
     report = DiscoveryReport()
+    member = lru_cache(maxsize=None)(member_form)  # each (spec, m) labelled once
 
     def adopt(fid: str, picks: list[Candidate]) -> Optional[Candidate]:
         """Pin the first pick; the others are recorded as ambiguities."""
@@ -439,7 +452,7 @@ def discover_families(
         top = tri_surveys[m].result.maximizers
         return [
             c for c in cands
-            if c.m_min <= m and canonical_form(c.spec(fid).build(m)) in top
+            if c.m_min <= m and member(c.spec(fid), m) in top
         ]
 
     tri_tails = _brace_tails(tri_surveys)
@@ -493,7 +506,7 @@ def discover_families(
     # B2/B4 have no closed form; they are the remaining size-9 maximizers
     extras: list[Candidate] = []
     if 9 in bi_surveys:
-        known9 = {canonical_form(reg[f].build(9)) for f in ("B0", "B1", "B3")
+        known9 = {member(reg[f], 9) for f in ("B0", "B1", "B3")
                   if f in reg and reg[f].m_min <= 9}
         s9 = bi_surveys[9]
         for g6, dec in zip(s9.result.maximizers, s9.maximizer_braces):
@@ -511,7 +524,7 @@ def discover_families(
     adopt("B4", b4_picks)
     adopt("B2", [c for c in extras if c not in b4_picks])
 
-    table = _member_table(reg, max(12, *tri_surveys, *bi_surveys))
+    table = _member_table(reg, max(12, *tri_surveys, *bi_surveys), member)
     report.collisions = _member_collisions(table)
     # how many distinct graphs the theorem's size-9 maximizer list names
     listed = ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -520,9 +533,10 @@ def discover_families(
     return reg, report
 
 
-def _member_table(reg: FamilyRegistry, hi: int) -> dict[int, dict[str, str]]:
+def _member_table(reg: FamilyRegistry, hi: int,
+                  member=member_form) -> dict[int, dict[str, str]]:
     """{m: {family id: canonical form of its size-m member}} for m <= hi."""
-    return {m: {f: canonical_form(reg[f].build(m)) for f in reg.ids() if reg[f].m_min <= m}
+    return {m: {f: member(reg[f], m) for f in reg.ids() if reg[f].m_min <= m}
             for m in range(hi + 1)}
 
 

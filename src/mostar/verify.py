@@ -18,10 +18,12 @@ or double-counts, which is precisely what exhaustive search is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import count
+from math import comb
 from typing import Callable, Optional
 
-from .canon import canonical_form
+from .canon import CANON_MAX_N
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -33,8 +35,10 @@ from .enumeration import (
 from .families import (
     DiscoveryReport,
     FamilyRegistry,
+    _poly_eval,
     builtin_registry,
     discover_families,
+    member_form,
 )
 
 PASS = "PASS"
@@ -58,15 +62,22 @@ class ClassSpec:
     def expected_max(self, m: int) -> Optional[int]:
         if m in self.listed_max:
             return self.listed_max[m]
-        if m >= self.tail_start:
-            a, b, c = self.tail_poly
-            return a * m * m + b * m + c
-        return None
+        return _poly_eval(self.tail_poly, m) if m >= self.tail_start else None
 
     def expected_families(self, m: int) -> tuple[str, ...]:
         if m in self.listed_families:
             return self.listed_families[m]
         return self.tail_families if m >= self.tail_start else ()
+
+    @property
+    def sizes(self) -> range:
+        """The sizes that can be verified: from the first at which the class
+        has a graph (m <= n(n-1)/2) through the last whose task canonical
+        labelling covers (n <= CANON_MAX_N, as `EnumerationTask.validate`
+        requires)."""
+        lo = next(m for m in count(1) if m <= comb(max(self.task(m).n, 0), 2))
+        hi = next(m for m in count(lo) if self.task(m + 1).n > CANON_MAX_N)
+        return range(lo, hi + 1)
 
 
 TRICYCLIC = ClassSpec(
@@ -115,16 +126,7 @@ class VerificationRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "expected_max": self.expected_max,
-            "observed_max": self.observed_max,
-            "expected_families": list(self.expected_families),
-            "observed_maximizer_count": self.observed_maximizer_count,
-            "family_hits": self.family_hits,
-            "status": self.status,
-            "note": self.note,
-        }
+        return {**asdict(self), "expected_families": list(self.expected_families)}
 
 
 def _row(
@@ -132,11 +134,10 @@ def _row(
 ) -> VerificationRow:
     expected = spec.expected_max(m)
     families = spec.expected_families(m)
-    observed_max = res.max_value
     max_set = set(res.maximizers)
     hits: dict[str, Optional[bool]] = {
         fid: None if fid not in registry or registry[fid].m_min > m
-        else canonical_form(registry[fid].build(m)) in max_set
+        else member_form(registry[fid], m, order=res.task.n) in max_set
         for fid in families
     }
     notes = []
@@ -144,7 +145,7 @@ def _row(
         status = INFO
         notes.append("outside the theorem's statement")
     else:
-        ok = observed_max == expected and all(v is not False for v in hits.values())
+        ok = res.max_value == expected and all(v is not False for v in hits.values())
         status = PASS if ok else FAIL
     listed = len(families)
     if expected is not None and listed and listed != len(max_set):
@@ -156,15 +157,9 @@ def _row(
     if unpinned:
         notes.append(f"not pinned at this size: {unpinned}")
     return VerificationRow(
-        m=m,
-        expected_max=expected,
-        observed_max=observed_max,
-        expected_families=families,
-        observed_maximizer_count=len(max_set),
-        family_hits=hits,
-        status=status,
-        note="; ".join(notes),
-    )
+        m=m, expected_max=expected, observed_max=res.max_value, expected_families=families,
+        observed_maximizer_count=len(max_set), family_hits=hits, status=status,
+        note="; ".join(notes))
 
 
 def _verify(

@@ -8,9 +8,10 @@ import pytest
 
 from mostar import cycle, write_graph6
 from mostar import verify
-from mostar.cli import main
+from mostar.canon import CanonCapacityError
+from mostar.cli import _parse_sizes, build_parser, main
 from mostar.enumeration import survey
-from mostar.families import FamilyRegistry, builtin_registry
+from mostar.families import FamilyRegistry, FamilySpec, builtin_registry
 
 REGISTRY = Path(__file__).resolve().parents[1] / "families.json"
 
@@ -246,11 +247,85 @@ def test_verify_theorem1_m6_informational(capsys):
     assert rows[0]["observed_max"] == 0
 
 
-def test_verify_range_guard(capsys):
+@pytest.mark.parametrize("command,sizes,supported", [
+    ("verify-theorem1", ["--size", "5"], "6..18"),
+    ("verify-theorem1", ["--size", "19"], "6..18"),
+    ("verify-theorem1", ["--range", "18-19"], "6..18"),
+    ("verify-theorem2", ["--size", "4"], "5..17"),
+    ("verify-theorem2", ["--size", "18"], "5..17"),
+    ("verify-theorem2", ["--range", "4-5"], "5..17"),
+    ("verify-theorem2", ["--range", "5-99999999999999"], "5..17"),
+])
+def test_verify_size_outside_range(capsys, monkeypatch, command, sizes, supported):
+    """Below the first size with a graph or past canonical labelling: exit 2
+    before any enumeration, naming the supported range."""
+    def no_survey(*args, **kwargs):
+        raise AssertionError("enumerated an unsupported size")
+
+    monkeypatch.setattr(verify, "survey", no_survey)
     with pytest.raises(SystemExit) as exc:
-        main(["verify-theorem1", "--size", "13"])  # needs --deep
+        main([command, *sizes, "--threads", "1"])
     assert exc.value.code == 2
-    assert "--deep" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"outside supported range {supported}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+def test_verify_deep_is_not_an_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--size", "7", "--deep"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,size,expected", [
+    ("verify-theorem1", 13, 120), ("verify-theorem2", 17, 248),
+])
+def test_verify_past_the_table_without_flag(capsys, command, size, expected):
+    rc, out, _ = run(capsys, [command, "--size", str(size), "--threads", "1",
+                              "--registry", str(REGISTRY)])
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert (row["observed_max"], row["observed_maximizer_count"], row["status"]) == (
+        expected, 1, "PASS")
+
+
+@pytest.mark.parametrize("command,supported,default", [
+    ("verify-theorem1", range(6, 19), range(7, 13)),
+    ("verify-theorem2", range(5, 18), range(5, 11)),
+])
+def test_verify_sizes_match_the_enumerator(command, supported, default):
+    """The accepted sizes run from the first at which the class has a graph
+    through the last task `EnumerationTask.validate` accepts, and the
+    default is the table's own range."""
+    args = build_parser().parse_args([command])
+    spec = args.spec
+    assert spec.sizes == supported
+    assert _parse_sizes(args) == list(default)
+    lo, top = spec.task(supported[0]), spec.task(supported[-1])
+    top.validate()
+    with pytest.raises(CanonCapacityError):
+        spec.task(supported[-1] + 1).validate()
+    below = spec.task(supported[0] - 1)
+    got = survey([below, lo])
+    assert (got[below].result.graphs_visited, got[lo].result.graphs_visited) == (0, 1)
+
+
+def test_verify_member_past_capacity(tmp_path, capsys):
+    """A family member of another order than the task's is no maximizer and
+    is not labelled: B0 as one edge has 17 vertices at size 16, past
+    canonical labelling, and its hit is False."""
+    reg = FamilyRegistry([FamilySpec("B0", ((0, 1),), 0, 1, None, "TEST")])
+    path = tmp_path / "fam.json"
+    reg.save(path)
+    rc, out, err = run(capsys, ["verify-theorem2", "--size", "16", "--threads", "1",
+                                "--registry", str(path)])
+    assert rc == 1
+    (row,) = json.loads(out)
+    assert row["family_hits"] == {"B0": False} and row["status"] == "FAIL"
+    assert row["observed_max"] == 16 * 16 - 16 - 24
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from mostar import GraphError, canonical_form, cycle, edge_mostar
+from mostar import families
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
@@ -18,6 +19,7 @@ from mostar.families import (
     _poly_str,
     _unresolved_forensics,
     builtin_registry,
+    discover_families,
 )
 from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
 from mostar.indices import pendant_tails
@@ -274,6 +276,23 @@ def test_member_collisions_exact(registry):
         "F1/F1_copy": list(range(7, hi + 1)),
         "H1/H1_hub": list(range(8, hi + 1)),
     }
+
+
+def test_discovery_labels_each_member_once(monkeypatch, tri_surveys, bi_surveys):
+    """One discovery pass labels each member graph once: the candidate
+    checks at sizes 10 and 11, the known size-9 bicyclic members and the
+    member table share one cache.  B3 and B4 at size 5 are different
+    constructions with isomorphic members, so both are labelled."""
+    seen = []
+
+    def counting(g):
+        seen.append((g.n, tuple(g.edges())))
+        return canonical_form(g)
+
+    monkeypatch.setattr(families, "canonical_form", counting)
+    _, report = discover_families(tri_surveys, bi_surveys)
+    assert report.collisions == {"B3/B4": [5]}
+    assert len(seen) == len(set(seen)) == 122
 
 
 def _reference_single_attach(g):
