@@ -7,7 +7,6 @@ from .graphs import (
     all_pairs_distances,
     bfs_distances,
     cycle,
-    cyclomatic_number,
     is_connected,
     parse_graph6,
     path,
@@ -76,7 +75,6 @@ __all__ = [
     "canon",
     "canonical_form",
     "cycle",
-    "cyclomatic_number",
     "edge_mostar",
     "edge_report",
     "is_connected",

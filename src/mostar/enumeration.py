@@ -4,27 +4,22 @@ graphs with fixed (n, m), whose cyclomatic number c = m - n + 1 is 2 or 3.
 A connected graph with c >= 1 is its brace (its 2-core) with a rooted tree
 hung at every brace vertex, and two such graphs are isomorphic exactly when
 their braces are and an automorphism of the brace carries one assignment of
-trees to the other.  `braces.kernel_braces` lists the braces with their
-automorphism groups, and `_compositions` keeps one composition (tree edges
-per brace vertex) per orbit and counts its classes by Burnside from the
-rooted-tree counts, so no tree is listed and no global dedup state kept.
-Nothing is labelled to be generated and nothing built to be scored: by the
-strict trees-to-stars step in `indices`, each composition's one best class
-is its all-star graph, whose index is read off its brace's
-`indices.pendant_model`, computed once per brace for every task that uses
-it.  `survey` labels only the braces that have all of a task's edges,
-reading their pendant tails off the same model, and the graphs at the
-task's best, each with its brace's class from `kernel_braces` and, if it
-is that brace plus pendant edges at one vertex, that vertex.
+trees to the other.  Per brace of `braces.kernel_braces` nothing is listed:
+its classes are counted off its group's cycle index (`_class_counts`), the
+best of them read at the corners of its `indices.pendant_model`, and only
+the compositions on the face of the best corners walked (`_survey_brace`).
+`survey` labels only the braces that have all of a task's edges and the
+graphs at the task's best.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from math import prod
 from multiprocessing import get_context
-from typing import Iterable, Iterator, Optional
+from operator import mul
+from typing import Iterable, Optional
 
 from .braces import BraceClass, kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, canon, canonical_form
@@ -87,93 +82,114 @@ def _rooted_tree_counts(k_max: int) -> list[int]:
     return a[1:]
 
 
-def _compositions(
-    n_b: int, auts: tuple[tuple[int, ...], ...], counts: list[int], k: int,
-) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """The isomorphism classes of connected graphs whose brace, on n_b
-    vertices, has k edges fewer, grouped by composition: each kept
-    composition (the edge count at each brace vertex, as the gaps n_b - 1
-    bars leave in k + n_b - 1 slots), its support (the vertices of nonzero
-    count) and its number of classes.  `auts` is the brace's automorphism
-    group, the identity first, and `counts` is `_rooted_tree_counts(k)`.
-
-    Such a graph is the brace with a rooted tree hung at every vertex, and
-    two of them are isomorphic exactly when an automorphism of the brace
-    carries one assignment of trees to the other.  A composition is kept
-    when it is the least under the whole group.  Every orbit holds
-    assignments with the least composition, and those form one orbit of
-    its stabiliser, so the composition's classes are the stabiliser's
-    orbits on its tree assignments.  By Burnside they number the mean over
-    the stabiliser of the assignments each element fixes: those constant
-    on each of its cycles on the support, one tree per cycle, of its
-    vertices' count."""
-    others, end = auts[1:], k + n_b - 1
-    for bars in combinations(range(end), n_b - 1):
-        comp = tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, end))])
-        stab = []
-        for g in others:
-            image = tuple([comp[x] for x in g])
-            if image < comp:
-                break
-            if image == comp:
-                stab.append(g)
-        else:
-            support = [v for v in range(n_b) if comp[v]]
-            fixed = prod([counts[comp[v]] for v in support])  # by the identity
-            for g in stab:
-                seen, kept = 0, 1
-                for v in support:
-                    if not seen >> v & 1:
-                        kept *= counts[comp[v]]
-                        u = v
-                        while not seen >> u & 1:
-                            seen |= 1 << u
-                            u = g[u]
-                fixed += kept
-            yield comp, support, fixed // (1 + len(stab))
+@lru_cache(maxsize=None)
+def _cycle_series(lengths: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Degrees 0..k of the product over `lengths` of t(x^L), t(x) the
+    series of `_rooted_tree_counts`; each cycle type, sorted, extends the
+    one without its last cycle, so the types of one size share a chain."""
+    if not lengths:
+        return (1,) + (0,) * k
+    head, step, r = _cycle_series(lengths[:-1], k), lengths[-1], _rooted_tree_counts(k)
+    return tuple([sum([head[d - j * step] * r[j] for j in range(d // step + 1)])
+                  for d in range(k + 1)])
 
 
-def _grow(brace: tuple[int, ...], comp: tuple[int, ...]) -> tuple[int, ...]:
-    """The adjacency rows of `brace` with comp[v] pendant edges at each v."""
+@lru_cache(maxsize=1 << 12)  # most braces share the trivial group of their order
+def _class_counts(auts: tuple[tuple[int, ...], ...], k_max: int) -> tuple[int, ...]:
+    """The classes on one brace with k tree edges, for k = 0 .. k_max.
+
+    They are the orbits of the brace's automorphism group G on the
+    assignments of a rooted tree to every brace vertex with k edges in all.
+    By Burnside those number the mean over G of the assignments each
+    element g fixes.  An assignment is fixed by g exactly when it is
+    constant on each cycle of g, and a cycle of length L carrying a tree of
+    j edges carries L j of the k.  So g fixes [x^k] of the product over its
+    cycles of t(x^L) (Polya): the cycle index of G, each L-cycle replaced
+    by t(x^L).  The sum over G is exact and divisible by its order."""
+    totals = [0] * (k_max + 1)
+    for g in auts:
+        seen, lengths = 0, []
+        for v in range(len(g)):
+            if not seen >> v & 1:
+                length = 0
+                while not seen >> v & 1:
+                    seen |= 1 << v
+                    v, length = g[v], length + 1
+                lengths.append(length)
+        totals = list(map(int.__add__, totals, _cycle_series(tuple(sorted(lengths)), k_max)))
+    return tuple([x // len(auts) for x in totals])
+
+
+def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls: BraceClass,
+                  jobs: list[tuple[EnumerationTask, int]]):
+    """One work unit: the brace's share of every task in `jobs`, each with
+    its tree edge count k.  Per task, in the order of `jobs`: its class
+    count (`_class_counts`), its best value and the compositions of its
+    best classes, each least in its orbit under `auts`; and, for the task
+    with k = 0, where the brace itself is the one class, its label
+    (`_label`), else None.
+
+    The best class of a composition a is its all-star graph, a_w pendant
+    edges at each vertex w, and no other class of a ties it (the strict
+    trees-to-stars step in `indices`); it is worth V(a) + k(m - 1), V(a)
+    the brace term sum_e |c_e + sum_w a_w s_e(w)| of `pendant_model`.  V is
+    a sum of absolute values of affine forms, so it is convex; a is the
+    mean sum_w (a_w / k)(k e_w) of the corners k e_w, so by Jensen
+    V(a) <= sum_w (a_w / k) V(k e_w) <= the best corner, and the second
+    step is strict as soon as some a_w > 0 sits at a corner w below the
+    best.  So the best value is the best corner, and every tie lies on the
+    face spanned by the best corners W: only compositions of k over W are
+    walked, each scored, since the first step may still be strict.  A
+    corner is V(k e_w) = N k + C + 2 sum_e max(0, d_e - k) over the edges
+    with d_e = -s_e(w) c_e > 0, N counting the edges with s_e(w) != 0 and
+    C as in `indices.model_tails`, so each w is read once for every k."""
+    _, sums, rows = model = pendant_model(brace)
+    counts = _class_counts(auts, max(k for _, k in jobs))
+    lines, total = [], sum(map(abs, sums))
+    for row in rows:
+        prods = list(map(mul, sums, row))  # s_e c_e
+        lines.append((len(row) - row.count(0), total - sum(map(abs, prods)) + sum(prods),
+                      [-x for x in prods if x < 0]))
+    # a corner k e_w is least in its orbit when w is the last vertex of its orbit
+    last = [max([g[w] for g in auts]) for w in range(len(brace))]
+    found, label = [], None
+    for task, k in jobs:
+        corners = [n * k + c + 2 * sum([d - k for d in ds if d > k]) for n, c, ds in lines]
+        top = max(corners)
+        face = [w for w, value in enumerate(corners) if value == top]
+        ties, end = [], k + len(face) - 1
+        for bars in combinations(range(end), len(face) - 1):
+            comp = [0] * len(brace)
+            for w, a, b in zip(face, (-1, *bars), (*bars, end)):
+                comp[w] = b - a - 1
+            comp, support = tuple(comp), [w for w in face if comp[w]]
+            if len(support) < 2:  # k = 0, or a corner at the top
+                keep = not support or last[support[0]] == support[0]
+            else:
+                terms = sums
+                for w in support:
+                    terms = [x + comp[w] * s for x, s in zip(terms, rows[w])]
+                keep = sum(map(abs, terms)) == top and \
+                    not any(tuple([comp[x] for x in g]) < comp for g in auts[1:])
+            if keep:
+                ties.append(comp)
+        found.append((counts[k], top + k * (task.m - 1), ties))
+        if not k:
+            label = _label(brace, model)
+    return found, label
+
+
+def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
+    """The all-star graph of `comp` on `brace` as (adjacency rows, cls,
+    decomposition): comp[v] pendant edges at each v, and (brace, v) when v
+    is the one vertex with pendants, else None."""
     adj = list(brace)
     for v, a in enumerate(comp):
         for _ in range(a):
             adj[v] |= 1 << len(adj)
             adj.append(1 << v)
-    return tuple(adj)
-
-
-# -- folds -------------------------------------------------------------------
-
-
-_Row = tuple[tuple[int, ...], BraceClass, Optional[tuple[Graph, int]]]
-
-
-@dataclass
-class _Fold:
-    """What one work unit, a brace, contributes to one task's survey;
-    `merge` is associative, so any split gives the same survey.  The
-    graphs at the best value are kept unlabelled, with their brace's class
-    and decomposition: only those that reach the task's best are labelled,
-    once every unit is in.  Each brace is kept as its canonical form,
-    tails and class."""
-
-    count: int = 0
-    best: Optional[int] = None
-    argmax: list[_Row] = field(default_factory=list)
-    braces: list[tuple[str, tuple, BraceClass]] = field(default_factory=list)
-
-    def keep(self, value: int, graphs: list[_Row]) -> None:
-        if self.best is None or value > self.best:
-            self.best, self.argmax = value, []
-        if value == self.best:
-            self.argmax += graphs
-
-    def merge(self, other: "_Fold") -> None:
-        self.count += other.count
-        if other.best is not None:
-            self.keep(other.best, other.argmax)
-        self.braces.extend(other.braces)
+    support = [v for v, a in enumerate(comp) if a]
+    return tuple(adj), cls, (Graph(len(brace), brace), support[0]) if len(support) == 1 else None
 
 
 def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
@@ -186,35 +202,12 @@ def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
     return write_graph6(Graph(res.n, res.canon_adj)), tuple(tails)
 
 
-def _fold_brace(args) -> list[tuple[EnumerationTask, _Fold]]:
-    """The classes of every task on one brace, counted per composition and
-    scored unbuilt off its one `pendant_model`.  A composition's best class
-    is its all-star graph, comp[v] pendant edges at each v, and no other
-    class ties it (the strict trees-to-stars step in `indices`), so it is
-    scored as the brace term plus k(m - 1) and built only when it reaches
-    the running best, with (brace, attach) when its pendants all hang at
-    attach, else None.  Each task comes with its tree edge count k; when
-    that is 0 the brace itself is the one class, and only then labelled."""
-    brace, auts, cls, counts, jobs = args
-    model, g = pendant_model(brace), Graph(len(brace), brace)
-    _, sums, rows = model
-    out = []
-    for task, k in jobs:
-        fold = _Fold()
-        for comp, support, classes in _compositions(len(brace), auts, counts, k):
-            fold.count += classes
-            terms = sums
-            for v in support:
-                a = comp[v]
-                terms = [x + a * s for x, s in zip(terms, rows[v])]
-            top = sum(map(abs, terms)) + k * (task.m - 1)
-            if fold.best is None or top >= fold.best:
-                fold.keep(top, [(_grow(brace, comp), cls,
-                                 (g, support[0]) if len(support) == 1 else None)])
-        if not k:
-            fold.braces.append((*_label(brace, model), cls))
-        out.append((task, fold))
-    return out
+# the work units of the running survey, inherited by its forked workers
+_units: list = []
+
+
+def _run(i: int):
+    return _survey_brace(*_units[i])
 
 
 @dataclass(frozen=True)
@@ -243,58 +236,65 @@ def survey(
 
     A work unit is one brace from `braces.kernel_braces`, listed per class
     up to that class's largest task, with every task of its class that has
-    at least its edges; the unit computes the brace's `pendant_model` once
-    and, for each task, counts the classes of every composition
-    `_compositions` keeps and scores only its all-star graph, the one best
-    class of the composition (the strict trees-to-stars proof in the
-    `indices` docstring).  One pool runs every unit, those with the most
-    tree edges first.
+    at least its edges; `_survey_brace` returns, per task, plain data: the
+    class count, the best value and the compositions at it.  One pool runs
+    every unit, those with the most tree edges first; it is forked, so its
+    workers inherit the unit list and are sent only indices into it.  Only
+    the compositions at a task's final best are grown and labelled, here.
 
-    Deterministic: the folds keep counts, values and unlabelled graphs, and
-    the maximizers and braces are reported as sorted canonical strings, so
-    the outcome is independent of `workers`.  Repeated tasks collapse to
-    one key; a task too small for any brace reads 0 graphs.  Every task is
-    validated, so one that is not bicyclic or tricyclic raises ValueError,
-    before any work starts.
+    Deterministic: the maximizers and braces are reported as sorted
+    canonical strings, so the outcome is independent of `workers`.
+    Repeated tasks collapse to one key; a task too small for any brace
+    reads 0 graphs.  Every task is validated, so one that is not bicyclic
+    or tricyclic raises ValueError, before any work starts.
     """
+    global _units
     tasks = list(dict.fromkeys(tasks))
     for task in tasks:
         task.validate()
-    jobs = []
+    units = []
     for c in {t.m - t.n + 1 for t in tasks}:
         mine = [t for t in tasks if t.m - t.n + 1 == c]
         for b, found in kernel_braces(c, range(max(t.m for t in mine) + 1)).items():
-            ks = [(t, t.m - b) for t in mine if t.m >= b]  # tree edges per task
-            jobs += [(brace.adj, auts, cls, ks, max(k for _, k in ks))
-                     for brace, auts, cls in found]
+            jobs = [(t, t.m - b) for t in mine if t.m >= b]  # tree edges per task
+            units += [(brace.adj, auts, cls, jobs) for brace, auts, cls in found]
     # the most tree edges, then the largest brace, first
-    jobs.sort(key=lambda job: (job[4], len(job[0])), reverse=True)
-    counts = _rooted_tree_counts(jobs[0][4] if jobs else 0)
-    units = [(brace, auts, cls, counts[:top + 1], ks) for brace, auts, cls, ks, top in jobs]
-    totals = {task: _Fold() for task in tasks}
+    units.sort(key=lambda u: (max(k for _, k in u[3]), len(u[0])), reverse=True)
+    # per task: classes, best value, (unit, composition) at it, braces
+    totals = {task: [0, None, [], []] for task in tasks}
 
-    def merge(partials: Iterable[list[tuple[EnumerationTask, _Fold]]]) -> None:
+    def merge(results: Iterable) -> None:
         # as the units come in, so that only each task's running best stays
-        for folds in partials:
-            for task, fold in folds:
-                totals[task].merge(fold)
+        for i, (found, label) in enumerate(results):
+            for (task, k), (count, best, ties) in zip(units[i][3], found):
+                total = totals[task]
+                total[0] += count
+                if total[1] is None or best > total[1]:
+                    total[1], total[2] = best, []
+                if best == total[1]:
+                    total[2] += [(i, comp) for comp in ties]
+                if not k:
+                    total[3].append((*label, units[i][2]))
 
-    if workers > 1 and len(units) > 1:
-        ctx = get_context("fork")
-        processes = min(workers, len(units))
-        # a unit can take well under the pool's own cost of one hand-off,
-        # so they go out in runs of consecutive units, about 16 per process
-        with ctx.Pool(processes=processes) as pool:
-            merge(pool.imap(_fold_brace, units, chunksize=1 + len(units) // (16 * processes)))
-    else:
-        merge(map(_fold_brace, units))
+    _units = units
+    try:
+        if workers > 1 and len(units) > 1:
+            processes = min(workers, len(units))
+            with get_context("fork").Pool(processes=processes) as pool:
+                # runs of about 16 units per process: a hand-off can cost more than a unit
+                merge(pool.imap(_run, range(len(units)),
+                                chunksize=1 + len(units) // (16 * processes)))
+        else:
+            merge(map(_run, range(len(units))))
+    finally:
+        _units = []
     out = {}
-    for task, total in totals.items():
+    for task, (count, best, argmax, braces) in totals.items():
+        rows = [_grow(units[i][0], units[i][2], comp) for i, comp in argmax]
         # each class comes out once: no two strings tie, so no classes are compared
-        top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec)
-                     for adj, cls, dec in total.argmax)
-        braces = sorted(total.braces)
-        result = EnumerationResult(task, total.count, total.best, tuple(g6 for g6, _, _ in top))
+        top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec) for adj, cls, dec in rows)
+        braces.sort()
+        result = EnumerationResult(task, count, best, tuple(g6 for g6, _, _ in top))
         out[task] = Survey(result, tuple(g6 for g6, _, _ in braces),
                            tuple(tails for _, tails, _ in braces),
                            tuple(cls for _, _, cls in braces),

@@ -216,13 +216,6 @@ def is_connected(g: Graph) -> bool:
     return reachable_mask(g.adj, 0) == (1 << g.n) - 1
 
 
-def cyclomatic_number(g: Graph) -> int:
-    """m - n + 1 for a connected graph (3 = tricyclic, 0 = tree)."""
-    if not is_connected(g):
-        raise GraphError("cyclomatic number requires a connected graph")
-    return g.m - g.n + 1
-
-
 # -- graph6 format ----------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from itertools import count
 from math import comb
 from typing import Callable, Optional
 
-from .canon import CANON_MAX_N
+from .canon import CANON_MAX_N, CanonCapacityError
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -217,8 +217,17 @@ def run_atlas(
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
     Both classes come from one survey, whose pool runs the brace units of
-    every size together.
+    every size together.  Discovery labels every family's member up to the
+    largest size (at least 12), so one past canonical labelling raises
+    CanonCapacityError first; built-in unicyclic families have the largest.
     """
+    top, reg = max(12, tri_max_size, bi_max_size), builtin_registry()
+    order, fid = max((reg[f].n_base + top - reg[f].m_base, f)
+                     for f in reg.ids() if reg[f].m_min <= top)
+    if order > CANON_MAX_N:
+        raise CanonCapacityError(
+            f"atlas size {top} needs family {fid}'s member on {order} vertices; "
+            f"canonical labelling supports n <= {CANON_MAX_N}")
     tri_tasks = {m: tricyclic_task(m) for m in range(7, tri_max_size + 1)}
     bi_tasks = {m: bicyclic_task(m) for m in range(5, bi_max_size + 1)}
     done = survey([*tri_tasks.values(), *bi_tasks.values()], workers=workers)

@@ -17,13 +17,20 @@ from typing import Iterator
 
 from dataclasses import dataclass
 
-from mostar import Graph, Graph6Error, GraphError, cyclomatic_number, is_connected
+from mostar import Graph, Graph6Error, GraphError, is_connected
 from mostar.braces import (
     COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
     BraceClass,
 )
 from mostar.enumeration import _rooted_tree_counts
 from mostar.graphs import reachable_mask, with_pendants
+
+
+def cyclomatic_number(g: Graph) -> int:
+    """m - n + 1 for a connected graph (3 = tricyclic, 0 = tree)."""
+    if not is_connected(g):
+        raise GraphError("cyclomatic number requires a connected graph")
+    return g.m - g.n + 1
 
 
 def random_connected(rng: random.Random, n_lo: int = 2, n_hi: int = 10) -> Graph:
@@ -346,10 +353,82 @@ def polya_class_count(m: int, braces) -> int:
     return count
 
 
+# The composition listing: every composition of a brace's tree edges kept
+# once per orbit, its classes counted by Burnside and its all-star graph
+# scored.  It is the oracle for the survey's work unit
+# (`enumeration._survey_brace`), which counts by the cycle index and walks
+# only the face of the best corners.
+
+
+def _compositions(
+    n_b: int, auts: tuple[tuple[int, ...], ...], counts: list[int], k: int,
+) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """The isomorphism classes of connected graphs whose brace, on n_b
+    vertices, has k edges fewer, grouped by composition: each kept
+    composition (the edge count at each brace vertex, as the gaps n_b - 1
+    bars leave in k + n_b - 1 slots), its support (the vertices of nonzero
+    count) and its number of classes.  `auts` is the brace's automorphism
+    group, the identity first, and `counts` is `_rooted_tree_counts(k)`.
+
+    Such a graph is the brace with a rooted tree hung at every vertex, and
+    two of them are isomorphic exactly when an automorphism of the brace
+    carries one assignment of trees to the other.  A composition is kept
+    when it is the least under the whole group.  Every orbit holds
+    assignments with the least composition, and those form one orbit of
+    its stabiliser, so the composition's classes are the stabiliser's
+    orbits on its tree assignments.  By Burnside they number the mean over
+    the stabiliser of the assignments each element fixes: those constant
+    on each of its cycles on the support, one tree per cycle, of its
+    vertices' count."""
+    others, end = auts[1:], k + n_b - 1
+    for bars in combinations(range(end), n_b - 1):
+        comp = tuple([b - a - 1 for a, b in zip((-1, *bars), (*bars, end))])
+        stab = []
+        for g in others:
+            image = tuple([comp[x] for x in g])
+            if image < comp:
+                break
+            if image == comp:
+                stab.append(g)
+        else:
+            support = [v for v in range(n_b) if comp[v]]
+            fixed = math.prod([counts[comp[v]] for v in support])  # by the identity
+            for g in stab:
+                seen, kept = 0, 1
+                for v in support:
+                    if not seen >> v & 1:
+                        kept *= counts[comp[v]]
+                        u = v
+                        while not seen >> u & 1:
+                            seen |= 1 << u
+                            u = g[u]
+                fixed += kept
+            yield comp, support, fixed // (1 + len(stab))
+
+
+def composition_listing(brace: Graph, auts, m: int) -> tuple[int, int, list[tuple[int, ...]]]:
+    """One brace's share of the task with m edges, by listing: the classes
+    of every composition `_compositions` keeps, summed, the best all-star
+    value, read off the brace's `pendant_model` as the brace term plus
+    k(m - 1), and the compositions at it, in listing order."""
+    from mostar.indices import pendant_model
+
+    _, sums, rows = pendant_model(brace.adj)
+    k = m - brace.m
+    count, scored = 0, []
+    for comp, support, classes in _compositions(brace.n, auts, _rooted_tree_counts(k), k):
+        count += classes
+        terms = sums
+        for v in support:
+            terms = [x + comp[v] * s for x, s in zip(terms, rows[v])]
+        scored.append((sum(map(abs, terms)) + k * (m - 1), comp))
+    best = max(value for value, _ in scored)
+    return count, best, [comp for value, comp in scored if value == best]
+
+
 # The pick listing: every rooted tree listed, and every assignment of
-# trees kept, scored and grown.  It is the oracle for the survey, which
-# counts each composition's picks (`enumeration._compositions`) and scores
-# and grows only its all-star pick (`enumeration._fold_brace`).
+# trees kept, scored and grown.  It is the oracle for the composition
+# listing, whose counts and all-star scores stand for every pick.
 
 
 def _rooted_trees(k_max: int) -> list[list[tuple[int, ...]]]:
@@ -1052,10 +1131,11 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     number c at each size up to m, scored off the brace's `pendant_model`
     with no graph built (`_values`), equals `edge_mostar` of the graph
     `_grow` builds, on every pick and not only on maximizers; and the
-    survey's work unit for each brace, `enumeration._fold_brace` with the
-    task of every size from the brace's to m, keeps for each task exactly
-    its class count, its best value and the rows of its best picks, each
-    with its brace's class and `single_attach_decomposition`.  Returns the
+    survey's work unit for each brace, `enumeration._survey_brace` with the
+    task of every size from the brace's to m, gives for each task exactly
+    its class count, its best value and the compositions whose all-star
+    graphs (`enumeration._grow`) are its best picks, each with its brace's
+    class and `single_attach_decomposition`.  Returns the
     number of classes checked per size.  Run on tricyclic m = 13 and
     bicyclic m = 12 by CI:
 
@@ -1066,17 +1146,16 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     from mostar.indices import pendant_model
 
     trees = _rooted_trees(m)
-    counts = enumeration._rooted_tree_counts(m)
     checked: dict[int, int] = {}
     for b, found in kernel_braces(c, range(m + 1)).items():
         tasks = [enumeration.EnumerationTask(size - c + 1, size) for size in range(b, m + 1)]
         scores = {t: _tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
         for brace, auts, cls in found:
             model = pendant_model(brace.adj)
-            unit = (brace.adj, auts, cls, counts[:m - b + 1], [(t, t.m - b) for t in tasks])
-            folds = enumeration._fold_brace(unit)
-            assert [task for task, _ in folds] == tasks, brace.edges()
-            for task, fold in folds:
+            got, _ = enumeration._survey_brace(brace.adj, auts, cls,
+                                               [(t, t.m - b) for t in tasks])
+            assert len(got) == len(tasks), brace.edges()
+            for task, (count, top, ties) in zip(tasks, got):
                 scored = []
                 for comp, support, picks in _hang_trees(brace.n, auts, trees, task.m - b):
                     values = _values(model, scores[task], comp, support, picks)
@@ -1086,10 +1165,10 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
                             (brace.edges(), comp, pick)
                         scored.append((value, adj))
                 best = max(value for value, _ in scored)
-                assert fold.count == len(scored) and fold.best == best, (brace.edges(), task)
+                assert count == len(scored) and top == best, (brace.edges(), task)
                 # a grown row keeps its brace's labels, so the oracle peels
                 # off exactly the brace the unit carries
-                assert sorted(fold.argmax) == sorted(
+                assert sorted(enumeration._grow(brace.adj, cls, comp) for comp in ties) == sorted(
                     (adj, cls, single_attach_decomposition(Graph(len(adj), adj)))
                     for value, adj in scored if value == best), (brace.edges(), task)
                 checked[task.m] = checked.get(task.m, 0) + len(scored)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mostar import (
-    Graph, GraphError, canon, canonical_form, cycle, cyclomatic_number, edge_mostar, path,
+    Graph, GraphError, canon, canonical_form, cycle, edge_mostar, path,
 )
 from mostar.braces import (
     BraceClass,
@@ -23,6 +23,7 @@ from mostar.graphs import parse_graph6, with_pendants
 from _walk import enumerate_connected
 from _helpers import (
     _cut_vertices,
+    cyclomatic_number,
     brute_cut_vertices,
     classify_graph,
     brute_strip_pendants,

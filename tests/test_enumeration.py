@@ -25,6 +25,7 @@ from mostar.enumeration import (
 import _walk
 from _walk import enumerate_connected, trees
 from _helpers import (
+    _compositions,
     _grow,
     _hang_trees,
     _rooted_trees,
@@ -35,6 +36,7 @@ from _helpers import (
     check_model_scores,
     classify_graph,
     complete,
+    composition_listing,
     naive_distances,
     maximize,
     polya_class_count,
@@ -577,25 +579,29 @@ def test_polya_count_per_brace():
 
 
 def test_compositions_count_picks_and_star_is_best():
-    """The survey counts a composition's classes by Burnside over its
-    stabiliser and scores only its all-star graph.  At tricyclic m = 12 and
-    bicyclic m = 10, on every composition of every kernel brace, that
-    count is the number of picks the pick listing keeps, and the all-star
-    pick (the star, last of each size, at every support vertex) is the one
-    pick at the listing's top value, as the strict trees-to-stars step in
-    `indices` says.  The bicyclic braces' loop flips reach the stabilisers
-    here, so a count that mis-walked their cycles would show."""
+    """The composition listing counts a composition's classes by Burnside
+    over its stabiliser and scores only its all-star graph.  At tricyclic
+    m = 12 and bicyclic m = 10, on every composition of every kernel brace,
+    that count is the number of picks the pick listing keeps, and the
+    all-star pick (the star, last of each size, at every support vertex) is
+    the one pick at the listing's top value, as the strict trees-to-stars
+    step in `indices` says; the survey's unit for the brace counts their
+    sum.  The bicyclic braces' loop flips reach the stabilisers here, so a
+    count that mis-walked their cycles would show."""
     for c, m in ((3, 12), (2, 10)):
+        task = EnumerationTask(m - c + 1, m)
         trees = _rooted_trees(m)
         counts = enumeration._rooted_tree_counts(m)
         for b, found in kernel_braces(c, range(m + 1)).items():
             scores = _tree_scores(trees[:m - b + 1], m)
-            for brace, auts, _ in found:
+            for brace, auts, cls in found:
                 model = pendant_model(brace.adj)
                 listed = list(_hang_trees(brace.n, auts, trees, m - b))
-                counted = list(enumeration._compositions(brace.n, auts, counts, m - b))
+                counted = list(_compositions(brace.n, auts, counts, m - b))
                 assert [(comp, support) for comp, support, _ in counted] == \
                     [(comp, support) for comp, support, _ in listed], brace.edges()
+                (unit, _, _), = enumeration._survey_brace(brace.adj, auts, cls, [(task, m - b)])[0]
+                assert unit == sum(classes for _, _, classes in counted), brace.edges()
                 for (comp, support, picks), (_, _, classes) in zip(listed, counted):
                     assert classes == len(picks), (brace.edges(), comp)
                     values = _values(model, scores, comp, support, picks)
@@ -603,6 +609,39 @@ def test_compositions_count_picks_and_star_is_best():
                     top = max(values)
                     assert [p for p, x in zip(picks, values) if x == top] == [star], \
                         (brace.edges(), comp)
+
+
+def test_face_walk_equals_composition_listing():
+    """The survey's unit counts by the cycle index and walks only the face
+    of the best corners; the composition listing counts and scores every
+    composition.  On every kernel brace of both classes, for every size it
+    serves up to tricyclic 14 and bicyclic 13 (one unit per brace, all its
+    sizes at once), the two give the same class count, the same best value
+    and the same tie set, least in each orbit; each tie's all-star graph
+    carries its brace's class and, when it has pendants at one vertex
+    only, (brace, that vertex), as leaf peeling finds.  Ties of both kinds
+    occur: 636 corners that tie with another composition on their brace,
+    and 37 compositions with pendants at several vertices; the other 3,861
+    are a brace's lone best, its bare self or one corner."""
+    shapes = Counter()
+    for c, top in ((3, 14), (2, 13)):
+        for b, found in kernel_braces(c, range(top + 1)).items():
+            tasks = [EnumerationTask(m - c + 1, m) for m in range(b, top + 1)]
+            for brace, auts, cls in found:
+                got, _ = enumeration._survey_brace(brace.adj, auts, cls,
+                                                   [(t, t.m - b) for t in tasks])
+                for task, (count, best, ties) in zip(tasks, got):
+                    want = composition_listing(brace, auts, task.m)
+                    assert (count, best, sorted(ties)) == (want[0], want[1], sorted(want[2])), \
+                        (brace.edges(), task)
+                    for comp in ties:
+                        adj, kind, dec = enumeration._grow(brace.adj, cls, comp)
+                        assert kind == cls
+                        assert dec == single_attach_decomposition(Graph(len(adj), adj)), \
+                            (brace.edges(), comp)
+                        support = sum(1 for a in comp if a)
+                        shapes[support > 1, len(ties) > 1] += 1
+    assert shapes == {(False, False): 3861, (False, True): 636, (True, True): 37}, shapes
 
 
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):

@@ -94,7 +94,7 @@ def test_registry_round_trip(registry):
 
 
 def test_registry_classes(registry):
-    from mostar import cyclomatic_number
+    from _helpers import cyclomatic_number
 
     for fid in registry.ids():
         spec = registry[fid]

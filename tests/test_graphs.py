@@ -9,7 +9,6 @@ from mostar import (
     Graph6Error,
     bfs_distances,
     cycle,
-    cyclomatic_number,
     is_connected,
     parse_graph6,
     path,
@@ -17,7 +16,7 @@ from mostar import (
 )
 from mostar.graphs import with_pendants
 from _helpers import (
-    all_graphs, complete, dot_product, floyd_warshall, random_connected,
+    all_graphs, complete, cyclomatic_number, dot_product, floyd_warshall, random_connected,
     random_graph, reference_parse_graph6, reference_write_graph6, relabel, star,
 )
 

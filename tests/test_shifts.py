@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mostar import Graph, GraphError, canonical_form, cycle, cyclomatic_number, is_connected
+from mostar import Graph, GraphError, canonical_form, cycle, is_connected
 from mostar.graphs import theta, with_pendants
-from _helpers import ShiftSpec, reference_measured_delta, shift_pendants
+from _helpers import ShiftSpec, cyclomatic_number, reference_measured_delta, shift_pendants
 from mostar.shifts import (
     DISCREPANT,
     GROUPS,

@@ -1,9 +1,11 @@
 import dataclasses
 from typing import Optional
 
-from mostar import canonical_form
+import pytest
+
+from mostar import CanonCapacityError, canonical_form, verify
 from mostar.families import FamilyRegistry, FamilySpec
-from mostar.verify import BICYCLIC, TRICYCLIC, _row
+from mostar.verify import BICYCLIC, TRICYCLIC, _row, run_atlas
 
 
 # the per-class functions the ClassSpec table replaced, kept verbatim as the
@@ -97,3 +99,22 @@ def test_family_hits_match_labelling(registry, tri_surveys, bi_surveys):
                 assert _row(spec, m, s.result, odd).family_hits["H1"] is \
                     _row(spec, m, s.result, registry).family_hits["H1"] is True
     assert rows == 24
+
+
+def test_atlas_sizes_checked_before_any_survey(monkeypatch):
+    """A size whose family members canonical labelling cannot label (the
+    cycle families S_M3 and S_M4 have m vertices at size m) raises before any
+    survey starts, in either class; the largest size it can label gets past
+    the check to the survey."""
+    class Surveyed(Exception):
+        pass
+
+    def no_survey(*args, **kwargs):
+        raise Surveyed
+
+    monkeypatch.setattr(verify, "survey", no_survey)
+    for tri, bi in ((17, 10), (12, 17), (18, 18)):
+        with pytest.raises(CanonCapacityError, match=f"S_M4's member on {max(tri, bi)} vertices"):
+            run_atlas(tri_max_size=tri, bi_max_size=bi, workers=2)
+    with pytest.raises(Surveyed):
+        run_atlas(tri_max_size=16, bi_max_size=16)
