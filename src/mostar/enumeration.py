@@ -8,8 +8,8 @@ trees to the other.  Per brace of `braces.kernel_braces` nothing is listed:
 its classes are counted off its group's cycle index (`_class_counts`), the
 best of them read at the corners of its `indices.pendant_model`, and only
 the compositions on the face of the best corners walked (`_survey_brace`).
-`survey` labels only the braces that have all of a task's edges and the
-graphs at the task's best.
+`survey` labels only the graphs at each task's best; the braces that have
+all of a task's edges travel as graphs, in `kernel_braces`' own labelling.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .braces import BraceClass, kernel_braces
-from .canon import CANON_MAX_N, CanonCapacityError, canon, canonical_form
-from .graphs import Graph, write_graph6
+from .canon import CANON_MAX_N, CanonCapacityError, canonical_form
+from .graphs import Graph
 from .indices import model_tails, pendant_model
 
 
@@ -126,8 +126,8 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
     its tree edge count k.  Per task, in the order of `jobs`: its class
     count (`_class_counts`), its best value and the compositions of its
     best classes, each least in its orbit under `auts`; and, for the task
-    with k = 0, where the brace itself is the one class, its label
-    (`_label`), else None.
+    with k = 0, where the brace itself is the one class, its tails per
+    vertex (`indices.model_tails`), else None.
 
     The best class of a composition a is its all-star graph, a_w pendant
     edges at each vertex w, and no other class of a ties it (the strict
@@ -152,7 +152,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
                       [-x for x in prods if x < 0]))
     # a corner k e_w is least in its orbit when w is the last vertex of its orbit
     last = [max([g[w] for g in auts]) for w in range(len(brace))]
-    found, label = [], None
+    found, tails = [], None
     for task, k in jobs:
         corners = [n * k + c + 2 * sum([d - k for d in ds if d > k]) for n, c, ds in lines]
         top = max(corners)
@@ -175,8 +175,8 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
                 ties.append(comp)
         found.append((counts[k], top + k * (task.m - 1), ties))
         if not k:
-            label = _label(brace, model)
-    return found, label
+            tails = tuple(model_tails(model))
+    return found, tails
 
 
 def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
@@ -192,16 +192,6 @@ def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
     return tuple(adj), cls, (Graph(len(brace), brace), support[0]) if len(support) == 1 else None
 
 
-def _label(brace: tuple[int, ...], model) -> tuple[str, tuple]:
-    """The brace's `canonical_form` and, per vertex of that form, its
-    (poly, holds_from) from `indices.model_tails`."""
-    res = canon(Graph(len(brace), brace))
-    tails = [None] * res.n
-    for v, tail in zip(res.labeling, model_tails(model)):
-        tails[v] = tail
-    return write_graph6(Graph(res.n, res.canon_adj)), tuple(tails)
-
-
 # the work units of the running survey, inherited by its forked workers
 _units: list = []
 
@@ -212,18 +202,17 @@ def _run(i: int):
 
 @dataclass(frozen=True)
 class Survey:
-    """Result of one task's enumeration: the max/argmax fold, the
-    `canonical_form` of every brace with all of the task's edges, sorted,
-    and aligned with them each brace's tails, per vertex of that form
-    (poly, holds_from) as `indices.pendant_tails` gives them, and its
-    class; and aligned with `result.maximizers`, the class of the brace
-    each maximizer grew on and, when the maximizer is that brace plus bare
-    pendant edges at one vertex, (brace, that vertex), else None."""
+    """Result of one task's enumeration: the max/argmax fold; every brace
+    with all of the task's edges as (graph, tails, class), the graph in
+    `kernel_braces` order and labelling and the tails per vertex (poly,
+    holds_from) as `indices.pendant_tails` gives them; and aligned with
+    `result.maximizers`, the class of the brace each maximizer grew on
+    and, when the maximizer is that brace plus bare pendant edges at one
+    vertex, (brace, that vertex), else None.  No brace is labelled: its
+    identity is worked out only where discovery needs it."""
 
     result: EnumerationResult
-    braces: tuple[str, ...]
-    tails: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
-    classes: tuple[BraceClass, ...]
+    braces: tuple[tuple[Graph, tuple[tuple[tuple[int, int, int], int], ...], BraceClass], ...]
     maximizer_classes: tuple[BraceClass, ...]
     maximizer_braces: tuple[Optional[tuple[Graph, int]], ...]
 
@@ -242,8 +231,10 @@ def survey(
     workers inherit the unit list and are sent only indices into it.  Only
     the compositions at a task's final best are grown and labelled, here.
 
-    Deterministic: the maximizers and braces are reported as sorted
-    canonical strings, so the outcome is independent of `workers`.
+    Deterministic: the maximizers are reported as sorted canonical
+    strings, and a task's braces in `kernel_braces` order, which the unit
+    sort keeps (every brace of one size shares its sort key), so the
+    outcome is independent of `workers` and of the other tasks.
     Repeated tasks collapse to one key; a task too small for any brace
     reads 0 graphs.  Every task is validated, so one that is not bicyclic
     or tricyclic raises ValueError, before any work starts.
@@ -265,7 +256,7 @@ def survey(
 
     def merge(results: Iterable) -> None:
         # as the units come in, so that only each task's running best stays
-        for i, (found, label) in enumerate(results):
+        for i, (found, tails) in enumerate(results):
             for (task, k), (count, best, ties) in zip(units[i][3], found):
                 total = totals[task]
                 total[0] += count
@@ -274,7 +265,8 @@ def survey(
                 if best == total[1]:
                     total[2] += [(i, comp) for comp in ties]
                 if not k:
-                    total[3].append((*label, units[i][2]))
+                    adj = units[i][0]
+                    total[3].append((Graph(len(adj), adj), tails, units[i][2]))
 
     _units = units
     try:
@@ -293,12 +285,9 @@ def survey(
         rows = [_grow(units[i][0], units[i][2], comp) for i, comp in argmax]
         # each class comes out once: no two strings tie, so no classes are compared
         top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec) for adj, cls, dec in rows)
-        braces.sort()
         result = EnumerationResult(task, count, best, tuple(g6 for g6, _, _ in top))
-        out[task] = Survey(result, tuple(g6 for g6, _, _ in braces),
-                           tuple(tails for _, tails, _ in braces),
-                           tuple(cls for _, _, cls in braces),
-                           tuple(cls for _, cls, _ in top), tuple(dec for _, _, dec in top))
+        out[task] = Survey(result, tuple(braces), tuple(cls for _, cls, _ in top),
+                           tuple(dec for _, _, dec in top))
     return out
 
 

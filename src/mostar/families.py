@@ -6,16 +6,17 @@ tricyclic/bicyclic constructions are pinned analytically (their closed
 forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
 pipeline from the braces (graphs of minimum degree >= 2) the enumeration
-surveys visit, `Survey.braces`.  One pass reads the exact pendant tail at
-every vertex of every surveyed brace off `Survey.tails`, which the survey
+surveys visit.  `Survey.braces` carries each as (graph, tails, class), the
+tails being the exact pendant tail at every vertex, which the survey
 computed from the brace's pendant model (`indices.pendant_tails` gives the
-same); (brace, vertex) is a candidate for a family when its tail is the
-family's polynomial, the brace has the family's shape and the tail holds
-by the largest surveyed size, and only such a brace is parsed; the shape
-is the class the survey carries for the brace (`Survey.classes`).  The
-pinned m_min is the size from which the tail holds, so every registry
-polynomial is proved for all m >= m_min.  No maximizer is parsed: the
-survey carries the brace and attachment vertex of each that has one.
+same).  One pass reads them: (brace, vertex) is a candidate for a family
+when its tail is the family's polynomial, the brace has the family's
+shape (the carried class) and the tail holds by the largest surveyed
+size, and only a candidate is labelled (`_normalize_candidate`), the one
+place a surveyed brace's identity is worked out.  The pinned m_min is the
+size from which the tail holds, so every registry polynomial is proved
+for all m >= m_min.  No maximizer is parsed: the survey carries the brace
+and attachment vertex of each that has one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form
-from .graphs import Graph, GraphError, is_connected, parse_graph6, theta
+from .graphs import Graph, GraphError, is_connected, theta
 from .graphs import with_pendants, write_graph6
 from .indices import pendant_tails
 
@@ -335,22 +336,20 @@ def _brace_tails(surveys: dict) -> list[_Tail]:
     """One pass over the surveyed braces: every (brace, vertex) whose exact
     pendant tail, as the survey carries it, is a DISCOVERY polynomial that
     holds by the largest surveyed size, with the class the survey carries
-    for the brace; a brace is parsed only when it has such a vertex.  A
-    brace with b edges comes from the survey of size b and its tail holds
-    from some size >= b; the surveyed sizes are consecutive, so the member
-    of size holds_from is the first one seen."""
+    for the brace; only such a pair is labelled, so candidates do not
+    depend on the labelling the brace arrives in.  A brace with b edges
+    comes from the survey of size b and its tail holds from some size
+    >= b; the surveyed sizes are consecutive, so the member of size
+    holds_from is the first one seen."""
     hi = max(surveys, default=0)
     wanted = {poly for poly, _, _ in DISCOVERY.values()}
     out = []
     for s in surveys.values():
-        for g6, tails, cls in zip(s.braces, s.tails, s.classes):
-            brace = None
+        for brace, tails, cls in s.braces:
             keys = set()
             for v, (poly, holds_from) in enumerate(tails):
                 if poly not in wanted or holds_from > hi:
                     continue
-                if brace is None:
-                    brace = parse_graph6(g6)
                 edges, attach, key = _normalize_candidate(brace, v)
                 if key in keys:
                     continue  # v shares an orbit with an earlier vertex

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from dataclasses import astuple
 
@@ -215,6 +216,12 @@ def _naive_fold(task):
     return count, best, tuple(sorted(argmax)), tuple(sorted(braces))
 
 
+def _brace_forms(s):
+    """The canonical forms of the braces a survey carries, sorted, with
+    any repeat kept, so a duplicated or missing brace shows."""
+    return tuple(sorted(canonical_form(g) for g, _, _ in s.braces))
+
+
 # braces per size: tricyclic with 6..10 edges, bicyclic with 5..9
 BRACE_COUNTS = {"tri": [1, 3, 11, 31, 71], "bi": [1, 3, 5, 8, 12]}
 
@@ -233,7 +240,7 @@ def test_survey_matches_labelling_fold(task):
     for workers in (1, 2):
         s = survey([task], workers=workers)[task]
         got = (s.result.graphs_visited, s.result.max_value,
-               s.result.maximizers, s.braces)
+               s.result.maximizers, _brace_forms(s))
         assert got == want, workers
 
 
@@ -247,16 +254,19 @@ def test_connected_class_totals():
 
 
 def test_survey_strings_are_canonical(tri_surveys, bi_surveys):
-    """Every maximizer and brace string of the tricyclic 7..12 and bicyclic
-    5..10 surveys is its own `canonical_form`: discovery and the
-    verification rows identify a family member by looking its canonical
-    form up among these strings."""
+    """Every maximizer string of the tricyclic 7..12 and bicyclic 5..10
+    surveys is its own `canonical_form`: discovery and the verification
+    rows identify a family member by looking its canonical form up among
+    these strings.  The braces travel unlabelled, and no two of them are
+    isomorphic."""
     checked = 0
     for surveys in (tri_surveys, bi_surveys):
         for m, s in sorted(surveys.items()):
-            for g6 in (*s.result.maximizers, *s.braces):
+            for g6 in s.result.maximizers:
                 assert canonical_form(parse_graph6(g6)) == g6, (m, g6)
                 checked += 1
+            forms = _brace_forms(s)
+            assert len(set(forms)) == len(forms), m
     assert checked > 0
 
 
@@ -308,9 +318,9 @@ def test_survey_braces_tricyclic_8():
         task = tricyclic_task(8)
         s = survey([task], workers=workers)[task]
         assert s.result.max_value == 23
-        assert s.braces == _naive_fold(tricyclic_task(8))[3]
+        assert _brace_forms(s) == _naive_fold(tricyclic_task(8))[3]
         assert len(s.braces) == 11
-        kinds = {classify_graph(parse_graph6(g6)).kind for g6 in s.braces}
+        kinds = {classify_graph(g).kind for g, _, _ in s.braces}
         assert "COMPOSITE" in kinds
 
 
@@ -321,9 +331,10 @@ ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
 
 
 def _survey_blob(s):
-    classes = [astuple(cls) for cls in (*s.classes, *s.maximizer_classes)]
+    braces = [(g.adj, tails, astuple(cls)) for g, tails, cls in s.braces]
+    classes = [astuple(cls) for cls in s.maximizer_classes]
     decs = [dec and (dec[0].adj, dec[1]) for dec in s.maximizer_braces]
-    return json.dumps([s.result.to_dict(), s.braces, s.tails, classes, decs], sort_keys=True)
+    return json.dumps([s.result.to_dict(), braces, classes, decs], sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +355,23 @@ def test_multi_task_survey_matches_single_tasks(single_surveys, multi_surveys, w
     assert list(got) == ATLAS_TASKS
     for task in ATLAS_TASKS:
         assert _survey_blob(got[task]) == _survey_blob(single_surveys[task]), task
+
+
+def test_survey_labels_only_maximizers(monkeypatch):
+    """A survey labels the graphs at each task's best and nothing else: over
+    the atlas tasks, one `canon` call per maximizer, none per brace."""
+    calls = Counter()
+
+    def counting_canon(g):
+        calls["canon"] += 1
+        return canon(g)
+
+    # every module of the package that holds the function, however imported
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mostar") and getattr(module, "canon", None) is canon:
+            monkeypatch.setattr(module, "canon", counting_canon)
+    got = survey(ATLAS_TASKS, workers=1)
+    assert calls["canon"] == sum(len(s.result.maximizers) for s in got.values())
 
 
 def test_multi_task_survey_class_totals(multi_surveys):
@@ -417,12 +445,12 @@ def test_tasks_too_small_for_any_brace():
         for task in small:
             s = survey([task], workers=workers)[task]
             assert (s.result.graphs_visited, s.result.max_value,
-                    s.result.maximizers, s.braces) == empty, task
+                    s.result.maximizers, _brace_forms(s)) == empty, task
         got = survey([*small, tricyclic_task(7), bicyclic_task(6)], workers=workers)
         for task in small:
             s = got[task]
             assert (s.result.graphs_visited, s.result.max_value,
-                    s.result.maximizers, s.braces) == empty, (task, workers)
+                    s.result.maximizers, _brace_forms(s)) == empty, (task, workers)
         assert got[tricyclic_task(7)].result.graphs_visited == 4
         assert got[bicyclic_task(6)].result.graphs_visited == 5
 
@@ -552,14 +580,13 @@ def test_one_unit_per_brace(monkeypatch):
 
 def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
     """At every vertex of every brace the atlas surveys (tricyclic 7..12,
-    bicyclic 5..10), the tail the survey carries, in the vertex order of
-    the brace's canonical form, is `pendant_tails` of that form."""
+    bicyclic 5..10), the tail the survey carries is `pendant_tails` of the
+    graph it carries, vertex for vertex."""
     checked = 0
     for surveys in (tri_surveys, bi_surveys):
         for m, s in surveys.items():
-            assert len(s.tails) == len(s.braces), m
-            for g6, tails in zip(s.braces, s.tails):
-                assert tails == tuple(t[:2] for t in pendant_tails(parse_graph6(g6))), (m, g6)
+            for g, tails, _ in s.braces:
+                assert tails == tuple(t[:2] for t in pendant_tails(g)), (m, g.edges())
                 checked += 1
     assert checked == 579
 

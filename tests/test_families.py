@@ -21,7 +21,7 @@ from mostar.families import (
     builtin_registry,
     discover_families,
 )
-from mostar.graphs import hub_paths, parse_graph6, theta, with_pendants
+from mostar.graphs import hub_paths, theta, with_pendants
 from mostar.indices import pendant_tails
 from mostar.shifts import GROUPS
 from _helpers import (
@@ -131,10 +131,8 @@ class _Survey:
     """The part of an enumeration Survey the brace pass reads."""
 
     def __init__(self, *braces):
-        self.braces = tuple(sorted(canonical_form(g) for g in braces))
-        self.tails = tuple(tuple(t[:2] for t in pendant_tails(parse_graph6(g6)))
-                           for g6 in self.braces)
-        self.classes = tuple(classify_graph(parse_graph6(g6)) for g6 in self.braces)
+        self.braces = tuple((g, tuple(t[:2] for t in pendant_tails(g)), classify_graph(g))
+                            for g in braces)
         self.maximizer_braces = ()  # no maximizers: the brace pass reads none
 
 
