@@ -172,15 +172,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    # below 7 nothing is enumerated; 12 is the committed registry's size
-    # (13..16 run, but from 17 on the member table labels S_M3's 17-vertex
-    # member, past canonical labelling); no run outside may write the registry
-    if not 7 <= args.max_size <= 12:
-        raise UsageError(f"--max-size {args.max_size} outside supported range 7..12")
+    try:
+        TRICYCLIC.atlas_sizes(args.max_size, "--max-size")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _check_output_dirs(args.output, args.report)
     result = run_atlas(
         tri_max_size=args.max_size,
-        bi_max_size=min(args.max_size, 10),
+        bi_max_size=min(args.max_size, BICYCLIC.tail_start),
         workers=args.threads,
     )
     # the report first, so an unwritable report path leaves the registry as it was
@@ -242,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="discover families, write registry")
     p.add_argument("--output", default="families.json")
     p.add_argument("--report", help="write the discovery report here")
+    tops = TRICYCLIC.atlas_tops
     p.add_argument("--max-size", type=int, default=12,
-                   help="largest tricyclic size to enumerate (7..12)")
+                   help=f"largest tricyclic size to enumerate ({tops[0]}..{tops[-1]}); "
+                   f"the bicyclic one is the smaller of it and {BICYCLIC.tail_start}")
     p.add_argument("--threads", type=_positive_int, default=default_threads)
     p.set_defaults(func=cmd_atlas)
 

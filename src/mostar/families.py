@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form
+from .enumeration import bicyclic_task, tricyclic_task
 from .graphs import Graph, GraphError, is_connected, theta
 from .graphs import with_pendants, write_graph6
 from .indices import pendant_tails
@@ -221,13 +222,12 @@ def builtin_registry() -> FamilyRegistry:
     return FamilyRegistry(_analytic_specs())
 
 
-def member_form(spec: FamilySpec, m: int, order: Optional[int] = None) -> Optional[str]:
+def member_form(spec: FamilySpec, m: int, order: int) -> Optional[str]:
     """The one rule for family-member identity: a graph is the family's
     size-m member exactly when its canonical form is this one.  A member
-    of another order than `order` (if given) is not labelled: None, so no
-    member past canonical labelling's capacity is compared with a search's
-    graphs."""
-    if order is not None and spec.n_base + m - spec.m_base != order:
+    of another order than `order` is not labelled: None, so no member past
+    canonical labelling's capacity is compared with a search's graphs."""
+    if spec.n_base + m - spec.m_base != order:
         return None
     return canonical_form(spec.build(m))
 
@@ -306,8 +306,8 @@ class DiscoveryReport:
     # number of validated distinct constructions hitting m^2-3m-18 with a
     # composite brace (settles how many families share that closed form)
     composite_18_family_count: int = 0
-    # sizes m <= max(12, largest surveyed size) at which two registry
-    # families have isomorphic members
+    # sizes at which two registry families have isomorphic members, each
+    # family's up to max(12, its class's largest surveyed size)
     collisions: dict[str, list[int]] = field(default_factory=dict)
     distinct_max_families_at_9: Optional[int] = None
     # per size: enumerated maximizers not explained by any registry family
@@ -430,7 +430,7 @@ def discover_families(
     """
     reg = builtin_registry()
     report = DiscoveryReport()
-    member = lru_cache(maxsize=None)(member_form)  # each (spec, m) labelled once
+    member = lru_cache(maxsize=None)(member_form)  # each (spec, m, order) labelled once
 
     def adopt(fid: str, picks: list[Candidate]) -> Optional[Candidate]:
         """Pin the first pick; the others are recorded as ambiguities."""
@@ -446,26 +446,17 @@ def discover_families(
         return c
 
     def maximizing(fid: str, m: int, cands: list[Candidate]) -> list[Candidate]:
-        if m not in tri_surveys:
-            return []
-        top = tri_surveys[m].result.maximizers
-        return [
-            c for c in cands
-            if c.m_min <= m and member(c.spec(fid), m) in top
-        ]
+        top = tri_surveys[m].result.maximizers if m in tri_surveys else ()
+        return [c for c in cands if top and c.m_min <= m
+                and member(c.spec(fid), m, tricyclic_task(m).n) in top]
 
     tri_tails = _brace_tails(tri_surveys)
 
     # A2 is the unique size-10 maximizer; A1 joins it at size 11
     a_cands = _collect_group("A2", tri_tails)
     a2 = adopt("A2", maximizing("A2", 10, a_cands))
-    a1 = adopt("A1", maximizing(
-        "A1", 11, [c for c in a_cands if a2 is None or c.key != a2.key]
-    ))
-    leftovers = [
-        c.key for c in a_cands
-        if (a2 is None or c.key != a2.key) and (a1 is None or c.key != a1.key)
-    ]
+    a1 = adopt("A1", maximizing("A1", 11, [c for c in a_cands if c != a2]))
+    leftovers = [c.key for c in a_cands if c not in (a1, a2)]
     if leftovers:
         report.notes.append(
             f"additional m^2-2m-27 composite constructions: {leftovers}"
@@ -500,12 +491,12 @@ def discover_families(
     # one bicyclic brace with 5 edges
     b_cands = _collect_group("B1", _brace_tails(bi_surveys))
     b3 = adopt("B3", [c for c in b_cands if len(c.base_edges) == 5])
-    adopt("B1", [c for c in b_cands if b3 is None or c.key != b3.key])
+    adopt("B1", [c for c in b_cands if c != b3])
 
     # B2/B4 have no closed form; they are the remaining size-9 maximizers
     extras: list[Candidate] = []
     if 9 in bi_surveys:
-        known9 = {member(reg[f], 9) for f in ("B0", "B1", "B3")
+        known9 = {member(reg[f], 9, bicyclic_task(9).n) for f in ("B0", "B1", "B3")
                   if f in reg and reg[f].m_min <= 9}
         s9 = bi_surveys[9]
         for g6, dec in zip(s9.result.maximizers, s9.maximizer_braces):
@@ -523,7 +514,8 @@ def discover_families(
     adopt("B4", b4_picks)
     adopt("B2", [c for c in extras if c not in b4_picks])
 
-    table = _member_table(reg, max(12, *tri_surveys, *bi_surveys), member)
+    table = _member_table(reg, {tricyclic_task: max([12, *tri_surveys]),
+                                bicyclic_task: max([12, *bi_surveys])}, member)
     report.collisions = _member_collisions(table)
     # how many distinct graphs the theorem's size-9 maximizer list names
     listed = ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7")
@@ -532,11 +524,14 @@ def discover_families(
     return reg, report
 
 
-def _member_table(reg: FamilyRegistry, hi: int,
+def _member_table(reg: FamilyRegistry, tops: dict,
                   member=member_form) -> dict[int, dict[str, str]]:
-    """{m: {family id: canonical form of its size-m member}} for m <= hi."""
-    return {m: {f: member(reg[f], m) for f in reg.ids() if reg[f].m_min <= m}
-            for m in range(hi + 1)}
+    """{m: {family id: canonical form of its size-m member}} for each class
+    task in `tops` and m up to its top: a family is labelled only at its
+    class's task order (never S_M3, S_M4), as other orders never collide."""
+    return {m: {f: form for task, hi in tops.items() if m <= hi for f in reg.ids()
+                if reg[f].m_min <= m and (form := member(reg[f], m, task(m).n))}
+            for m in range(max(tops.values()) + 1)}
 
 
 def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryReport,

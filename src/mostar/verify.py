@@ -23,7 +23,7 @@ from itertools import count
 from math import comb
 from typing import Callable, Optional
 
-from .canon import CANON_MAX_N, CanonCapacityError
+from .canon import CANON_MAX_N
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -78,6 +78,18 @@ class ClassSpec:
         lo = next(m for m in count(1) if m <= comb(max(self.task(m).n, 0), 2))
         hi = next(m for m in count(lo) if self.task(m + 1).n > CANON_MAX_N)
         return range(lo, hi + 1)
+
+    @property
+    def atlas_tops(self) -> range:
+        """The limits an atlas accepts: the first listed size through the last of `sizes`."""
+        return range(min(self.listed_max), self.sizes[-1] + 1)
+
+    def atlas_sizes(self, top: int, name: str) -> range:
+        """The sizes an atlas surveys, up to `top`; ValueError naming `name`
+        when `top` is not in `atlas_tops`."""
+        if top not in (tops := self.atlas_tops):
+            raise ValueError(f"{name} {top} outside supported range {tops[0]}..{tops[-1]}")
+        return range(tops[0], top + 1)
 
 
 TRICYCLIC = ClassSpec(
@@ -216,20 +228,12 @@ def run_atlas(
 
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
-    Both classes come from one survey, whose pool runs the brace units of
-    every size together.  Discovery labels every family's member up to the
-    largest size (at least 12), so one past canonical labelling raises
-    CanonCapacityError first; built-in unicyclic families have the largest.
+    Each limit is checked by `ClassSpec.atlas_sizes` before any survey
+    (tricyclic 7..18, bicyclic 5..17).  Both classes come from one survey,
+    whose pool runs the brace units of every size together.
     """
-    top, reg = max(12, tri_max_size, bi_max_size), builtin_registry()
-    order, fid = max((reg[f].n_base + top - reg[f].m_base, f)
-                     for f in reg.ids() if reg[f].m_min <= top)
-    if order > CANON_MAX_N:
-        raise CanonCapacityError(
-            f"atlas size {top} needs family {fid}'s member on {order} vertices; "
-            f"canonical labelling supports n <= {CANON_MAX_N}")
-    tri_tasks = {m: tricyclic_task(m) for m in range(7, tri_max_size + 1)}
-    bi_tasks = {m: bicyclic_task(m) for m in range(5, bi_max_size + 1)}
+    tri_tasks = {m: TRICYCLIC.task(m) for m in TRICYCLIC.atlas_sizes(tri_max_size, "tri_max_size")}
+    bi_tasks = {m: BICYCLIC.task(m) for m in BICYCLIC.atlas_sizes(bi_max_size, "bi_max_size")}
     done = survey([*tri_tasks.values(), *bi_tasks.values()], workers=workers)
     tri = {m: done[task] for m, task in tri_tasks.items()}
     bi = {m: done[task] for m, task in bi_tasks.items()}

@@ -407,10 +407,11 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["0", "6", "13"])
+@pytest.mark.parametrize("value", ["0", "6", "19", "12345678901234567890"])
 def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
     """Rejected before any enumeration, and an existing registry stays as
-    it was."""
+    it was: the tricyclic table's first listed size 7 through the last size
+    verify-theorem1 accepts, 18, are the limits."""
     reg_path = tmp_path / "fam.json"
     reg_path.write_text("[]\n")
     before = reg_path.read_bytes()
@@ -418,7 +419,9 @@ def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
         main(["atlas", "--max-size", value, "--threads", "1",
               "--output", str(reg_path), "--report", str(tmp_path / "rep.json")])
     assert exc.value.code == 2
-    assert f"--max-size {value} outside supported range 7..12" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"--max-size {value} outside supported range 7..18" in err
+    assert "Traceback" not in err
     assert reg_path.read_bytes() == before
     assert not (tmp_path / "rep.json").exists()
 

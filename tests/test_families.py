@@ -5,6 +5,7 @@ import pytest
 
 from mostar import GraphError, canonical_form, cycle, edge_mostar
 from mostar import families
+from mostar.enumeration import bicyclic_task, tricyclic_task
 from mostar.families import (
     DISCOVERY,
     DiscoveryReport,
@@ -249,16 +250,19 @@ def _with_base_pendant(spec, fid, at):
 
 def test_member_collisions_exact(registry):
     """The ids sharing a canonical form at each size of the table equal the
-    isomorphism scan over every registry pair for m <= 16, and the
-    marked-base keys are distinct.  A relabelled copy of F1 collides with F1
-    at every size, and H1 on its base plus a pendant edge at its attachment
-    vertex collides with H1 from that base's size on; with the pendant edge
-    at a degree-2 vertex it collides with nothing."""
+    isomorphism scan over every registry pair for m <= 16 (the table labels
+    each family at its class's task order only, and a unicyclic family's
+    members collide with none), and the marked-base keys are distinct.  A
+    relabelled copy of F1 collides with F1 at every size, and H1 on its base
+    plus a pendant edge at its attachment vertex collides with H1 from that
+    base's size on; with the pendant edge at a degree-2 vertex it collides
+    with nothing."""
     hi = 16
     keys = [_normalize_candidate(registry[f].base_graph(), registry[f].attach)[2]
             for f in registry.ids()]
     assert len(set(keys)) == len(keys)
-    table = _member_table(registry, hi)
+    tops = {tricyclic_task: hi, bicyclic_task: hi}
+    table = _member_table(registry, tops)
     assert _member_collisions(table) == _isomorphism_scan(registry, hi) == {
         "B3/B4": [5]
     }
@@ -270,7 +274,7 @@ def test_member_collisions_exact(registry):
     )
     reg = FamilyRegistry([f1, copy, h1, _with_base_pendant(h1, "H1_hub", 0),
                           _with_base_pendant(h1, "H1_deg2", 2)])
-    assert _member_collisions(_member_table(reg, hi)) == _isomorphism_scan(reg, hi) == {
+    assert _member_collisions(_member_table(reg, tops)) == _isomorphism_scan(reg, hi) == {
         "F1/F1_copy": list(range(7, hi + 1)),
         "H1/H1_hub": list(range(8, hi + 1)),
     }
@@ -280,7 +284,9 @@ def test_discovery_labels_each_member_once(monkeypatch, tri_surveys, bi_surveys)
     """One discovery pass labels each member graph once: the candidate
     checks at sizes 10 and 11, the known size-9 bicyclic members and the
     member table share one cache.  B3 and B4 at size 5 are different
-    constructions with isomorphic members, so both are labelled."""
+    constructions with isomorphic members, so both are labelled.  Every
+    labelled member has its class's task order at its size, so no member
+    of the unicyclic S_M3 or S_M4 is labelled."""
     seen = []
 
     def counting(g):
@@ -290,7 +296,10 @@ def test_discovery_labels_each_member_once(monkeypatch, tri_surveys, bi_surveys)
     monkeypatch.setattr(families, "canonical_form", counting)
     _, report = discover_families(tri_surveys, bi_surveys)
     assert report.collisions == {"B3/B4": [5]}
-    assert len(seen) == len(set(seen)) == 122
+    assert len(seen) == len(set(seen)) == 103
+    assert all(n in (tricyclic_task(len(edges)).n, bicyclic_task(len(edges)).n)
+               for n, edges in seen)
+    assert {len(edges) - n for n, edges in seen} == {1, 2}  # both classes labelled
 
 
 def _reference_single_attach(g):

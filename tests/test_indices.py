@@ -239,31 +239,41 @@ def test_pendant_tail_heads_closed_form(registry):
             assert list(head) == direct, (brace, w)
 
 
-def test_best_single_attach_tails_up_to_14_edges(registry):
-    """Per-brace tail forms on every brace up to 14 edges: the best
-    single-attach tail of each brace size, taken over all its braces and
-    vertices and ordered as quadratics in m (so for every large m).
-    Tricyclic braces with 6..14 edges: the best is m^2 - m - 36, reached
-    by A0's 12-edge brace alone, and the 13- and 14-edge braces reach
-    m^2 - m - 44 and m^2 - m - 52.  Bicyclic braces with 5..13 edges: B0's
-    m^2 - m - 24 (8 edges) is the largest.  A brace beating a published
+# the best single-attach tail of each brace size: tricyclic 6..16 edges,
+# bicyclic 5..18; from b_3 = 12 and b_2 = 8 on the constant is
+# -ceil(b(b-c)/c), written floor(-b(b-c)/c)
+BEST_TAILS = {
+    3: {6: (1, -4, -12), 7: (1, -2, -31), 8: (1, -1, -48), 9: (1, -1, -52),
+        10: (1, -1, -40), 11: (1, -1, -42),
+        **{b: (1, -1, -b * (b - 3) // 3) for b in range(12, 17)}},
+    2: {5: (1, -2, -15), 6: (1, -1, -28), 7: (1, -1, -30),
+        **{b: (1, -1, -b * (b - 2) // 2) for b in range(8, 19)}},
+}
+
+
+def test_best_single_attach_tail_of_every_brace_size(registry):
+    """Per-brace tail forms on every kernel brace up to 16 tricyclic and
+    18 bicyclic edges: the best single-attach tail of each brace size,
+    taken over all its braces and vertices and ordered as quadratics in m
+    (so for every large m), is the `BEST_TAILS` table.  Over all sizes the
+    best is m^2 - m - 36, reached by A0's 12-edge brace alone, and
+    m^2 - m - 24, by B0's 8-edge brace alone.  A brace beating a published
     tail would be a finding against the theorems."""
-    for c, top, fid, best_tail in ((3, 14, "A0", (1, -1, -36)), (2, 13, "B0", (1, -1, -24))):
+    for c, fid, best_tail in ((3, "A0", (1, -1, -36)), (2, "B0", (1, -1, -24))):
         best = {}
-        for b, braces in kernel_braces(c, range(top + 1)).items():
+        for b, braces in kernel_braces(c, range(max(BEST_TAILS[c]) + 1)).items():
             for g, _, _ in braces:
                 tail = max(poly for poly, _, _ in pendant_tails(g))
                 if b not in best or tail > best[b][0]:
                     best[b] = (tail, [g])
                 elif tail == best[b][0]:
                     best[b][1].append(g)
+        assert {b: t for b, (t, _) in best.items()} == BEST_TAILS[c], c
         tail, holders = max(best.values(), key=lambda t: t[0])
         assert tail == best_tail, c
         base = registry[fid].base_graph()
         assert [canonical_form(g) for g in holders] == [canonical_form(base)], c
         assert [b for b, (t, _) in best.items() if t == tail] == [base.m], c
-        if c == 3:
-            assert best[13][0] == (1, -1, -44) and best[14][0] == (1, -1, -52)
 
 
 def _kernel_braces_up_to(c, top):

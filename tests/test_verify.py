@@ -3,7 +3,7 @@ from typing import Optional
 
 import pytest
 
-from mostar import CanonCapacityError, canonical_form, verify
+from mostar import canonical_form, verify
 from mostar.families import FamilyRegistry, FamilySpec
 from mostar.verify import BICYCLIC, TRICYCLIC, _row, run_atlas
 
@@ -102,10 +102,10 @@ def test_family_hits_match_labelling(registry, tri_surveys, bi_surveys):
 
 
 def test_atlas_sizes_checked_before_any_survey(monkeypatch):
-    """A size whose family members canonical labelling cannot label (the
-    cycle families S_M3 and S_M4 have m vertices at size m) raises before any
-    survey starts, in either class; the largest size it can label gets past
-    the check to the survey."""
+    """A limit outside its class's range, from the table's first listed
+    size through the last size the verify command accepts (tricyclic 7..18,
+    bicyclic 5..17), raises ValueError before any survey starts, in either
+    class; the largest limits of both get past the check to the survey."""
     class Surveyed(Exception):
         pass
 
@@ -113,8 +113,12 @@ def test_atlas_sizes_checked_before_any_survey(monkeypatch):
         raise Surveyed
 
     monkeypatch.setattr(verify, "survey", no_survey)
-    for tri, bi in ((17, 10), (12, 17), (18, 18)):
-        with pytest.raises(CanonCapacityError, match=f"S_M4's member on {max(tri, bi)} vertices"):
+    for tri, bi, msg in ((6, 10, "tri_max_size 6 outside supported range 7..18"),
+                         (19, 10, "tri_max_size 19 outside supported range 7..18"),
+                         (12, 4, "bi_max_size 4 outside supported range 5..17"),
+                         (12, 18, "bi_max_size 18 outside supported range 5..17")):
+        with pytest.raises(ValueError, match=msg):
             run_atlas(tri_max_size=tri, bi_max_size=bi, workers=2)
-    with pytest.raises(Surveyed):
-        run_atlas(tri_max_size=16, bi_max_size=16)
+    for tri, bi in ((18, 17), (17, 10), (12, 17)):
+        with pytest.raises(Surveyed):
+            run_atlas(tri_max_size=tri, bi_max_size=bi)
