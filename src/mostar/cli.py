@@ -165,7 +165,8 @@ def cmd_verify(args) -> int:
     rows = args.verify(
         _parse_sizes(args),
         registry=_load_registry(args.registry),
-        workers=args.threads,
+        # at most one worker per core: the count never changes results
+        workers=min(args.threads, os.cpu_count() or 1),
     )
     _emit_rows(rows, args)
     return 0 if all(r.status != "FAIL" for r in rows) else 1
@@ -180,7 +181,7 @@ def cmd_atlas(args) -> int:
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, BICYCLIC.tail_start),
-        workers=args.threads,
+        workers=min(args.threads, os.cpu_count() or 1),
     )
     # the report first, so an unwritable report path leaves the registry as it was
     report_text = json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"

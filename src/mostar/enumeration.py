@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from multiprocessing import get_context
-from operator import mul
 from typing import Iterable, Optional
 
 from .braces import BraceClass, kernel_braces
 from .canon import CANON_MAX_N, CanonCapacityError, canonical_form
-from .graphs import Graph
-from .indices import model_tails, pendant_model
+from .graphs import Graph, with_pendants
+from .indices import model_tails, pendant_model, tail_index
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
     count (`_class_counts`), its best value and the compositions of its
     best classes, each least in its orbit under `auts`; and, for the task
     with k = 0, where the brace itself is the one class, its tails per
-    vertex (`indices.model_tails`), else None.
+    vertex, (poly, holds_from) of `indices.model_tails`, else None.
 
     The best class of a composition a is its all-star graph, a_w pendant
     edges at each vertex w, and no other class of a ties it (the strict
@@ -140,21 +139,17 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
     best.  So the best value is the best corner, and every tie lies on the
     face spanned by the best corners W: only compositions of k over W are
     walked, each scored, since the first step may still be strict.  A
-    corner is V(k e_w) = N k + C + 2 sum_e max(0, d_e - k) over the edges
-    with d_e = -s_e(w) c_e > 0, N counting the edges with s_e(w) != 0 and
-    C as in `indices.model_tails`, so each w is read once for every k."""
+    corner is the brace plus k pendant edges at w, so its index is
+    `indices.tail_index` of w's `model_tails` entry: each w is read once
+    for every k, and every value here is a whole index, V + k(m - 1)."""
     _, sums, rows = model = pendant_model(brace)
+    tails = model_tails(model)
     counts = _class_counts(auts, max(k for _, k in jobs))
-    lines, total = [], sum(map(abs, sums))
-    for row in rows:
-        prods = list(map(mul, sums, row))  # s_e c_e
-        lines.append((len(row) - row.count(0), total - sum(map(abs, prods)) + sum(prods),
-                      [-x for x in prods if x < 0]))
     # a corner k e_w is least in its orbit when w is the last vertex of its orbit
     last = [max([g[w] for g in auts]) for w in range(len(brace))]
-    found, tails = [], None
+    found, carried = [], None
     for task, k in jobs:
-        corners = [n * k + c + 2 * sum([d - k for d in ds if d > k]) for n, c, ds in lines]
+        corners = [tail_index(tail, k, task.m) for tail in tails]
         top = max(corners)
         face = [w for w, value in enumerate(corners) if value == top]
         ties, end = [], k + len(face) - 1
@@ -169,27 +164,24 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
                 terms = sums
                 for w in support:
                     terms = [x + comp[w] * s for x, s in zip(terms, rows[w])]
-                keep = sum(map(abs, terms)) == top and \
+                keep = sum(map(abs, terms)) + k * (task.m - 1) == top and \
                     not any(tuple([comp[x] for x in g]) < comp for g in auts[1:])
             if keep:
                 ties.append(comp)
-        found.append((counts[k], top + k * (task.m - 1), ties))
+        found.append((counts[k], top, ties))
         if not k:
-            tails = tuple(model_tails(model))
-    return found, tails
+            carried = tuple([tail[:2] for tail in tails])
+    return found, carried
 
 
 def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
     """The all-star graph of `comp` on `brace` as (adjacency rows, cls,
     decomposition): comp[v] pendant edges at each v, and (brace, v) when v
     is the one vertex with pendants, else None."""
-    adj = list(brace)
-    for v, a in enumerate(comp):
-        for _ in range(a):
-            adj[v] |= 1 << len(adj)
-            adj.append(1 << v)
+    g = Graph(len(brace), brace)
     support = [v for v, a in enumerate(comp) if a]
-    return tuple(adj), cls, (Graph(len(brace), brace), support[0]) if len(support) == 1 else None
+    return (with_pendants(g, dict(enumerate(comp))).adj, cls,
+            (g, support[0]) if len(support) == 1 else None)
 
 
 # the work units of the running survey, inherited by its forked workers

@@ -33,7 +33,7 @@ from .canon import canon, canonical_form
 from .enumeration import bicyclic_task, tricyclic_task
 from .graphs import Graph, GraphError, is_connected, theta
 from .graphs import with_pendants, write_graph6
-from .indices import pendant_tails
+from .indices import pendant_tails, poly_eval
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
@@ -41,11 +41,6 @@ DISCOVERED = "DISCOVERED"
 
 class NotPinnedError(KeyError):
     """The family has no registry entry yet (discovery has not resolved it)."""
-
-
-def _poly_eval(poly: tuple[int, int, int], m: int) -> int:
-    a, b, c = poly
-    return a * m * m + b * m + c
 
 
 def _ints(value, count: int) -> bool:
@@ -119,6 +114,9 @@ class FamilySpec:
             poly=None if poly is None else tuple(poly),
             provenance=d["provenance"],
         )
+        if spec.n_base > spec.m_base + 1:  # before building: a huge id is a huge graph
+            raise ValueError(f"family {fid}: {spec.n_base} base vertices cannot be "
+                             f"connected by {spec.m_base} base edges")
         try:
             base = spec.base_graph()  # rejects loops and repeated edges
         except GraphError as exc:
@@ -398,7 +396,7 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
         poly, holds_from, head = forms[v]
         hits = [
             m for m, value in enumerate(head, start=base.m)
-            if value == _poly_eval(claimed, m)
+            if value == poly_eval(claimed, m)
         ]
         # both forms are monic, so past the head they differ by a linear
         # function with at most one root (none when the forms are equal)

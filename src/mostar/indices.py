@@ -29,8 +29,7 @@ EB_0(s) is the set of edges incident to s, and
 N[s] being s and its neighbours, so every source advances one level with
 one big-integer OR per adjacency.  T(s) is the sum over k >= 0 of
 m - |EB_k(s)|.  An edge f is in EB_k(u) but not in EB_k(v) exactly when
-k = d(u, f) < d(v, f), so m_u is the sum over k of the sizes of those
-set differences.
+k = d(u, f) < d(v, f), so m_u counts those set differences over k (`_near`).
 In a connected graph a ball short of full grows at the next level, so the
 recurrence is also the connectivity check, with no separate search.
 
@@ -60,9 +59,8 @@ family-polynomial checks at large sizes safe without any width concerns.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import mul
+from operator import and_, mul
 from typing import Iterator, NamedTuple
 
 from .graphs import (
@@ -209,31 +207,44 @@ def edge_mostar(g: Graph) -> int:
     return sum(abs(t[u] - t[v]) for u, v in pairs)
 
 
+def _near(
+    adj: tuple[int, ...], pairs: list[tuple[int, int]], seeds: list[int],
+) -> list[tuple[int, int]]:
+    """Per edge uv of `pairs`, the bits of the balls B_k grown from `seeds`
+    (`_balls`: edges from EB_0, and vertices too when `pendant_model` sets
+    w at bit m + w) nearer u and those nearer v; GraphError when
+    disconnected.  A bit x is in B_k(u) but not B_k(v) exactly when
+    k = d(u, x) < d(v, x), so those sets are disjoint over k and their
+    union, all that is nearer u, is the integer sum over k of
+    B_k(u) - (B_k(u) & B_k(v))."""
+    cols = list(zip(*_balls(adj, seeds)))  # per vertex, its ball at each level
+    total = list(map(sum, cols))
+    both = [sum(map(and_, cols[u], cols[v])) for u, v in pairs]
+    return [(total[u] - x, total[v] - x) for (u, v), x in zip(pairs, both)]
+
+
 def pendant_model(
     adj: tuple[int, ...],
 ) -> tuple[list[tuple[int, int]], list[int], list[tuple[int, ...]]]:
     """`edge_pairs(adj)`, c_e = m_u - m_v for every edge and, per vertex w,
-    the row of s_e(w) (module docstring); GraphError when disconnected.
-    One ball pass computes B_k(s): EB_k(s) in the low m bits and the
-    vertices within k of s above them, w at bit m + w.  An edge or vertex
-    x is in B_k(u) but not B_k(v) exactly when k = d(u, x) < d(v, x), so
-    those sets are disjoint over k and their union, all that is nearer u,
-    is the integer sum over k of B_k(u) - (B_k(u) & B_k(v))."""
+    the row of s_e(w) (module docstring), read off `_near` with edge and
+    vertex seeds; GraphError when disconnected."""
     pairs, inc = _edge_seeds(adj)
     m = len(pairs)
+    near = _near(adj, pairs, [b | 1 << m + s for s, b in enumerate(inc)])
     edges = (1 << m) - 1
-    levels = list(_balls(adj, [b | 1 << m + s for s, b in enumerate(inc)]))
-    total = [sum(col) for col in zip(*levels)]
-    both = [sum(col) for col in zip(*[[lv[u] & lv[v] for u, v in pairs] for lv in levels])]
-    near = [(total[u] - x, total[v] - x) for (u, v), x in zip(pairs, both)]
     rows = [tuple([(x >> w & 1) - (y >> w & 1) for x, y in near])
             for w in range(m, m + len(adj))]
     return pairs, [(x & edges).bit_count() - (y & edges).bit_count() for x, y in near], rows
 
 
+def poly_eval(poly: tuple[int, int, int], m: int) -> int:
+    return (poly[0] * m + poly[1]) * m + poly[2]
+
+
 def model_tails(
     model: tuple[list[tuple[int, int]], list[int], list[tuple[int, ...]]],
-) -> list[tuple[tuple[int, int, int], int]]:
+) -> list[tuple[tuple[int, int, int], int, list[int]]]:
     """For every vertex w of the brace whose `pendant_model` is `model`,
     the edge Mostar index of the brace plus k pendant edges at w, exactly:
     k (m - 1) + sum of |c_e + k s_e| with s_e = s_e(w) (module docstring).
@@ -242,7 +253,8 @@ def model_tails(
     s_e c_e plus the |c_e| with s_e = 0; k0 is the least such k, as
     |c_e + k s_e| = |s_e c_e + k| makes the exact index minus poly
     2 * sum over s_e != 0 of max(0, d_e - k), d_e = -s_e c_e, positive for
-    k < k0.  Returns, per w, (poly, holds_from = b + k0)."""
+    k < k0.  Returns, per w, (poly, holds_from = b + k0, ds), ds the
+    positive d_e, which `tail_index` reads."""
     pairs, ce, rows = model
     b = len(pairs)
     total = sum(map(abs, ce))
@@ -251,45 +263,35 @@ def model_tails(
         prods = list(map(mul, ce, row))  # s_e c_e
         n_sloped = b - row.count(0)
         const = total - sum(map(abs, prods)) + sum(prods)
-        k0 = max(0, -min(prods, default=0))
-        forms.append(((1, n_sloped - 1 - b, b - b * n_sloped + const), b + k0))
+        ds = [-x for x in prods if x < 0]
+        forms.append(((1, n_sloped - 1 - b, b - b * n_sloped + const), b + max(ds, default=0), ds))
     return forms
+
+
+def tail_index(tail: tuple[tuple[int, int, int], int, list[int]], k: int, m: int) -> int:
+    """The exact index of the brace plus k pendant edges at the vertex of
+    `tail` (a `model_tails` entry), m = b + k edges in all: poly(m) plus
+    2 * sum of max(0, d_e - k)."""
+    return poly_eval(tail[0], m) + 2 * sum([d - k for d in tail[2] if d > k])
 
 
 def pendant_tails(
     brace: Graph,
 ) -> list[tuple[tuple[int, int, int], int, tuple[int, ...]]]:
     """`model_tails` of the brace's `pendant_model`, each with its head:
-    the exact index at m = b .. holds_from - 1, read off the difference to
-    poly in the `model_tails` docstring, so poly fails at holds_from - 1
-    when k0 > 0.  GraphError when disconnected."""
-    pairs, ce, rows = model = pendant_model(brace.adj)
-    b = len(pairs)
-    forms = []
-    for (poly, holds_from), row in zip(model_tails(model), rows):
-        ds = sorted([-x for x in map(mul, ce, row) if x < 0])
-        head, excess = [], 2 * sum(ds)
-        for k in range(holds_from - b):
-            head.append((b + k) * (b + k + poly[1]) + poly[2] + excess)
-            excess -= 2 * (len(ds) - bisect_right(ds, k))  # 2 per d_e > k
-        forms.append((poly, holds_from, tuple(head)))
-    return forms
+    the exact index at m = b .. holds_from - 1 (`tail_index`), so poly
+    fails at holds_from - 1 when k0 > 0.  GraphError when disconnected."""
+    b = brace.m
+    return [(*tail[:2], tuple([tail_index(tail, m - b, m) for m in range(b, tail[1])]))
+            for tail in model_tails(pendant_model(brace.adj))]
 
 
 def mostar_summary(g: Graph) -> MostarSummary:
-    """Full per-edge breakdown from one pass over the edge balls."""
+    """Full per-edge breakdown, counted off `_near` with edge seeds."""
     pairs, inc = _edge_seeds(g.adj)
-    m = len(pairs)
-    t = [0] * g.n
-    mu = [0] * m
-    for balls in _balls(g.adj, inc):
-        for s, b in enumerate(balls):
-            t[s] += m - b.bit_count()
-        for i, (u, v) in enumerate(pairs):
-            mu[i] += (balls[u] & ~balls[v]).bit_count()
-    reports = []
-    for (u, v), m_u in zip(pairs, mu):
-        m_v = m_u + t[u] - t[v]
-        reports.append(EdgeReport(u, v, m_u, m_v, m - 1 - m_u - m_v))
-    return MostarSummary(
-        write_graph6(g), sum(abs(t[u] - t[v]) for u, v in pairs), tuple(reports))
+    reports, index = [], 0
+    for (u, v), (x, y) in zip(pairs, _near(g.adj, pairs, inc)):
+        a, b = x.bit_count(), y.bit_count()
+        index += abs(a - b)
+        reports.append(EdgeReport(u, v, a, b, len(pairs) - 1 - a - b))
+    return MostarSummary(write_graph6(g), index, tuple(reports))

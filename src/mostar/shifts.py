@@ -349,9 +349,10 @@ def verify_lemma_shift(rule_id: str, params: dict[str, int],
 
 
 def _interpolate_measured(rule: ShiftRule, cal: Calibration,
-                          samples: list[dict[str, int]]) -> str:
+                          rows: list[ShiftCheckRow]) -> str:
     """Fit the measured delta as an exact affine form of the live parameters
-    at a deep-interior base point, then state where the fit holds."""
+    at a deep-interior base point, then state on how many of the rule's
+    rows it holds (only a skipped row's delta is measured here)."""
     base = dict.fromkeys(PARAMS, 0)
     for k in rule.live:
         base[k] = 8
@@ -374,12 +375,10 @@ def _interpolate_measured(rule: ShiftRule, cal: Calibration,
     if const:
         terms.append(f"{'+' if const > 0 else '-'}{abs(const)}")
     fit = "".join(terms).lstrip("+") or "0"
-    hold = sum(
-        1
-        for s in samples
-        if meas(s) == sum(coeffs[k] * s[k] for k in rule.live) + const
-    )
-    return f"{fit} (interior fit; holds on {hold}/{len(samples)} sampled tuples)"
+    hold = sum(1 for r in rows
+               if (meas(r.params) if r.measured is None else r.measured)
+               == sum(coeffs[k] * r.params[k] for k in rule.live) + const)
+    return f"{fit} (interior fit; holds on {hold}/{len(rows)} sampled tuples)"
 
 
 @dataclass
@@ -454,15 +453,10 @@ def run_shift_suite(count: int = 20, seed: int = 0) -> ShiftSuiteReport:
         general = _sample_params(
             rule, random.Random(f"{seed}:{rule_id}"), count
         )
-        discrepant = False
-        for region, batch in (("loaded", loaded), ("general", general)):
-            for p in batch:
-                row = verify_lemma_shift(rule_id, p, region)
-                report.rows.append(row)
-                if row.status == DISCREPANT:
-                    discrepant = True
-        if discrepant:
-            report.interpolations[rule_id] = _interpolate_measured(
-                rule, cal, loaded + general
-            )
+        rows = [verify_lemma_shift(rule_id, p, region)
+                for region, batch in (("loaded", loaded), ("general", general))
+                for p in batch]
+        report.rows += rows
+        if any(row.status == DISCREPANT for row in rows):
+            report.interpolations[rule_id] = _interpolate_measured(rule, cal, rows)
     return report

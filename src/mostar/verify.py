@@ -35,11 +35,11 @@ from .enumeration import (
 from .families import (
     DiscoveryReport,
     FamilyRegistry,
-    _poly_eval,
     builtin_registry,
     discover_families,
     member_form,
 )
+from .indices import poly_eval
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -62,7 +62,7 @@ class ClassSpec:
     def expected_max(self, m: int) -> Optional[int]:
         if m in self.listed_max:
             return self.listed_max[m]
-        return _poly_eval(self.tail_poly, m) if m >= self.tail_start else None
+        return poly_eval(self.tail_poly, m) if m >= self.tail_start else None
 
     def expected_families(self, m: int) -> tuple[str, ...]:
         if m in self.listed_families:

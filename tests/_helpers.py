@@ -1198,10 +1198,11 @@ class FamilyCheckRow:
 def verify_family(fid: str, m_range, registry=None) -> list[FamilyCheckRow]:
     """Compare edge_mostar(spec.build(m)) against the closed form, exactly."""
     from mostar import edge_mostar
-    from mostar.families import _poly_eval, builtin_registry
+    from mostar.families import builtin_registry
+    from mostar.indices import poly_eval
 
     spec = (registry if registry is not None else builtin_registry())[fid]
     if spec.poly is None:
         raise ValueError(f"{fid} carries no closed form")
-    return [FamilyCheckRow(m, edge_mostar(spec.build(m)), _poly_eval(spec.poly, m))
+    return [FamilyCheckRow(m, edge_mostar(spec.build(m)), poly_eval(spec.poly, m))
             for m in m_range]

@@ -148,10 +148,14 @@ def _entry(copies=1, **changes):
      "ValueError: family H1: base edge [1, 4.0] is not two integers"),
     (_entry(provenance=5), "ValueError: family H1: provenance 5 is not a string"),
     (_entry(provenance=None), "ValueError: family H1: provenance None is not a string"),
+    # rejected before the graph is built: 10^12 vertices would not fit in memory
+    (_entry(base_edges=[[0, 10**12]] + H1_EDGES[1:]),
+     f"ValueError: family H1: {10**12 + 1} base vertices cannot be connected by 7 base edges"),
 ], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
         "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id",
         "poly-two-terms", "poly-string", "poly-float", "m-min-float", "attach-bool",
-        "id-not-string", "endpoint-float", "provenance-int", "provenance-null"])
+        "id-not-string", "endpoint-float", "provenance-int", "provenance-null",
+        "endpoint-huge"])
 def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
                                   reason):
     """Rejected when the registry loads, before any enumeration starts."""
@@ -354,6 +358,31 @@ def test_nonpositive_count_rejected(tmp_path, capsys, command, option, value):
     reason = "must be at least 1" if value.lstrip("-").isdigit() else "not an integer"
     assert f"argument {option}: {reason}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads,cores,want", [("20000", 3, 3), ("2", 3, 2), ("5", None, 1)])
+@pytest.mark.parametrize("argv,target", [
+    (["verify-theorem1", "--size", "7"], "mostar.verify.survey"),
+    (["verify-theorem2", "--size", "5"], "mostar.verify.survey"),
+    (["atlas", "--max-size", "7"], "mostar.cli.run_atlas"),
+], ids=["verify-theorem1", "verify-theorem2", "atlas"])
+def test_threads_capped_at_core_count(tmp_path, capsys, monkeypatch, argv, target,
+                                      threads, cores, want):
+    """`--threads` asks for at most one worker per core (`os.cpu_count()`,
+    1 when unknown).  The stand-in records the count it is given and runs
+    the real work on one worker, so no large pool ever starts."""
+    module, name = target.rsplit(".", 1)
+    real, seen = getattr(sys.modules[module], name), []
+
+    def recording(*args, workers, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(target, recording)
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+    rc, _, _ = run(capsys, [*argv, "--threads", threads, "--output", str(tmp_path / "out.json")])
+    assert rc in (0, 3)  # atlas at 7 leaves families unresolved
+    assert seen == [want]
 
 
 def test_atlas_partial_on_small_range(tmp_path, capsys):

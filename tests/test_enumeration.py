@@ -674,7 +674,8 @@ def test_face_walk_equals_composition_listing():
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
     """`--threads 64` on tricyclic size 7 (4 work units: K4 and the three
     braces with 7 edges) asks for a pool of 4.  The recording context runs
-    the units in this process."""
+    the units in this process, and 64 cores are reported, so the CLI's own
+    cap at the core count leaves the 64 as asked."""
     from mostar.cli import main
 
     requested = []
@@ -696,6 +697,7 @@ def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
         Pool = RecordingPool
 
     monkeypatch.setattr(enumeration, "get_context", lambda method: RecordingContext())
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
     assert main(["verify-theorem1", "--size", "7", "--threads", "64"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["observed_max"] == 12
     assert requested == [4]

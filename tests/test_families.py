@@ -16,14 +16,13 @@ from mostar.families import (
     _member_collisions,
     _member_table,
     _normalize_candidate,
-    _poly_eval,
     _poly_str,
     _unresolved_forensics,
     builtin_registry,
     discover_families,
 )
 from mostar.graphs import hub_paths, theta, with_pendants
-from mostar.indices import pendant_tails
+from mostar.indices import pendant_tails, poly_eval
 from mostar.shifts import GROUPS
 from _helpers import (
     classify_graph, complete, hang_random_trees, single_attach_decomposition, strip_pendants,
@@ -68,9 +67,9 @@ def test_build_errors():
 
 
 def test_polynomial_values(registry):
-    assert _poly_eval(registry["A0"].poly, 12) == 96
-    assert _poly_eval(registry["F2"].poly, 18) == 244
-    assert _poly_eval(registry["H2"].poly, 12) == 89
+    assert poly_eval(registry["A0"].poly, 12) == 96
+    assert poly_eval(registry["F2"].poly, 18) == 244
+    assert poly_eval(registry["H2"].poly, 12) == 89
     for fid in ("B2", "B4"):
         assert registry[fid].poly is None
         with pytest.raises(ValueError, match="no closed form"):
@@ -144,7 +143,7 @@ def test_h4_head_coincidence_rejected(atlas_report):
     printed = DISCOVERY["H4"][0]
     base = theta((1, 2, 2, 3))
     g = with_pendants(base, {2: 1})
-    assert edge_mostar(g) == _poly_eval(printed, 9)
+    assert edge_mostar(g) == poly_eval(printed, 9)
     forms = pendant_tails(base)
     assert forms[2][:2] == ((1, -3, -32), 11)
     for hi in (9, 12):
@@ -176,7 +175,7 @@ def test_forensic_hits_exact(monkeypatch, claimed):
         reported = json.loads(line.split("only at m=")[1]) if "only at" in line else []
         g, hits = base, []
         for m in range(base.m, base.m + 60):
-            if edge_mostar(g) == _poly_eval(claimed, m):
+            if edge_mostar(g) == poly_eval(claimed, m):
                 hits.append(m)
             g = with_pendants(g, {v: 1})
         assert reported == hits, line
@@ -192,7 +191,7 @@ def test_build_strip_round_trip(registry):
 
 def test_crossover_consistency(registry):
     def value(fid, m):
-        return _poly_eval(registry[fid].poly, m)
+        return poly_eval(registry[fid].poly, m)
 
     # the dominant family never loses to its same-class runner-up late
     for m in range(12, 30):
