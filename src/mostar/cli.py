@@ -35,7 +35,7 @@ def _load_registry(path: str | None) -> FamilyRegistry:
         path = "families.json"
     try:
         return FamilyRegistry.load(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(
             f"registry {path} is not a families registry: "
             f"{type(exc).__name__}: {exc}"
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="verify pendant-shift delta rules")
     p.add_argument("--count", type=_positive_int, default=20,
-                   help="parameter tuples per rule and region")
+                   help="at most this many parameter tuples per rule and region")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_lemmas)

@@ -126,7 +126,8 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
     count (`_class_counts`), its best value and the compositions of its
     best classes, each least in its orbit under `auts`; and, for the task
     with k = 0, where the brace itself is the one class, its tails per
-    vertex, (poly, holds_from) of `indices.model_tails`, else None.
+    vertex: (poly, holds_from) of `indices.model_tails` at the last vertex
+    of each orbit, None at the others; for any other task None.
 
     The best class of a composition a is its all-star graph, a_w pendant
     edges at each vertex w, and no other class of a ties it (the strict
@@ -170,7 +171,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls
                 ties.append(comp)
         found.append((counts[k], top, ties))
         if not k:
-            carried = tuple([tail[:2] for tail in tails])
+            carried = tuple([t[:2] if last[w] == w else None for w, t in enumerate(tails)])
     return found, carried
 
 
@@ -197,14 +198,16 @@ class Survey:
     """Result of one task's enumeration: the max/argmax fold; every brace
     with all of the task's edges as (graph, tails, class), the graph in
     `kernel_braces` order and labelling and the tails per vertex (poly,
-    holds_from) as `indices.pendant_tails` gives them; and aligned with
+    holds_from) as `indices.pendant_tails` gives them at the largest vertex
+    of each orbit of the brace's group, None elsewhere; and aligned with
     `result.maximizers`, the class of the brace each maximizer grew on
     and, when the maximizer is that brace plus bare pendant edges at one
     vertex, (brace, that vertex), else None.  No brace is labelled: its
     identity is worked out only where discovery needs it."""
 
     result: EnumerationResult
-    braces: tuple[tuple[Graph, tuple[tuple[tuple[int, int, int], int], ...], BraceClass], ...]
+    braces: tuple[tuple[Graph, tuple[Optional[tuple[tuple[int, int, int], int]], ...],
+                        BraceClass], ...]
     maximizer_classes: tuple[BraceClass, ...]
     maximizer_braces: tuple[Optional[tuple[Graph, int]], ...]
 

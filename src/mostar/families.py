@@ -7,16 +7,16 @@ forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
 pipeline from the braces (graphs of minimum degree >= 2) the enumeration
 surveys visit.  `Survey.braces` carries each as (graph, tails, class), the
-tails being the exact pendant tail at every vertex, which the survey
-computed from the brace's pendant model (`indices.pendant_tails` gives the
-same).  One pass reads them: (brace, vertex) is a candidate for a family
-when its tail is the family's polynomial, the brace has the family's
-shape (the carried class) and the tail holds by the largest surveyed
-size, and only a candidate is labelled (`_normalize_candidate`), the one
-place a surveyed brace's identity is worked out.  The pinned m_min is the
-size from which the tail holds, so every registry polynomial is proved
-for all m >= m_min.  No maximizer is parsed: the survey carries the brace
-and attachment vertex of each that has one.
+tails being the exact pendant tail at one vertex of each orbit, which the
+survey computed from the brace's pendant model (`indices.pendant_tails`
+gives the same).  One pass reads them: (brace, vertex) is a candidate for
+a family when its tail is the family's polynomial, the brace has the
+family's shape (the carried class) and the tail holds by the largest
+surveyed size, and only a candidate is labelled (`_normalize_candidate`),
+the one place a surveyed brace's identity is worked out.  The pinned
+m_min is the size from which the tail holds, so every registry polynomial
+is proved for all m >= m_min.  No maximizer is parsed: the survey carries
+the brace and attachment vertex of each that has one.
 """
 
 from __future__ import annotations
@@ -332,28 +332,23 @@ _Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 
 def _brace_tails(surveys: dict) -> list[_Tail]:
     """One pass over the surveyed braces: every (brace, vertex) whose exact
-    pendant tail, as the survey carries it, is a DISCOVERY polynomial that
-    holds by the largest surveyed size, with the class the survey carries
-    for the brace; only such a pair is labelled, so candidates do not
-    depend on the labelling the brace arrives in.  A brace with b edges
-    comes from the survey of size b and its tail holds from some size
-    >= b; the surveyed sizes are consecutive, so the member of size
-    holds_from is the first one seen."""
+    pendant tail, as the survey carries it (one vertex per orbit), is a
+    DISCOVERY polynomial that holds by the largest surveyed size, with the
+    class the survey carries for the brace; only such a pair is labelled,
+    so candidates do not depend on the labelling the brace arrives in.  A
+    brace with b edges comes from the survey of size b and its tail holds
+    from some size >= b; the surveyed sizes are consecutive, so the member
+    of size holds_from is the first one seen."""
     hi = max(surveys, default=0)
     wanted = {poly for poly, _, _ in DISCOVERY.values()}
     out = []
     for s in surveys.values():
         for brace, tails, cls in s.braces:
-            keys = set()
-            for v, (poly, holds_from) in enumerate(tails):
-                if poly not in wanted or holds_from > hi:
+            for v, tail in enumerate(tails):
+                if tail is None or tail[0] not in wanted or tail[1] > hi:
                     continue
                 edges, attach, key = _normalize_candidate(brace, v)
-                if key in keys:
-                    continue  # v shares an orbit with an earlier vertex
-                keys.add(key)
-                cand = Candidate(key, edges, attach, holds_from, holds_from)
-                out.append((cls, poly, cand))
+                out.append((cls, tail[0], Candidate(key, edges, attach, tail[1], tail[1])))
     return out
 
 

@@ -225,28 +225,21 @@ def _calibration_probes(rule: ShiftRule) -> list[dict[str, int]]:
 
 def _role_assignments(brace: Graph, roles: int,
                       role_degrees: Optional[tuple[int, ...]]):
-    """Injective role -> vertex maps, one per automorphism class."""
-    gens = canon(brace).generators
-    seen = set()
+    """Injective role -> vertex maps, one per automorphism class: the least
+    image of each under the brace's group, in lexicographic order."""
+    gens, group = canon(brace).generators, {tuple(range(brace.n))}
+    frontier = list(group)
+    while frontier:  # the closure of canon's generators
+        g = frontier.pop()
+        for gen in gens:
+            if (h := tuple([gen[v] for v in g])) not in group:
+                group.add(h)
+                frontier.append(h)
     for perm in itertools.permutations(range(brace.n), roles):
-        if role_degrees is not None and any(
-            brace.degree(v) != d for v, d in zip(perm, role_degrees)
-        ):
+        if role_degrees and any(brace.degree(v) != d for v, d in zip(perm, role_degrees)):
             continue
-        orbit = {perm}
-        frontier = [perm]
-        while frontier:
-            cur = frontier.pop()
-            for gen in gens:
-                img = tuple(gen[v] for v in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        rep = min(orbit)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        yield perm
+        if not any(tuple([g[v] for v in perm]) < perm for g in group):
+            yield perm
 
 
 @dataclass(frozen=True)
@@ -324,9 +317,11 @@ def verify_lemma_shift(rule_id: str, params: dict[str, int],
                        region: str = "general") -> ShiftCheckRow:
     """Build the rule's configuration, apply its shift, compare exactly.
 
-    Tuples violating the stated side conditions raise; tuples where the
-    prediction is non-positive or the shift moves nothing are SKIPPED.
+    Counts that are not non-negative ints and tuples violating the side
+    conditions raise; a non-positive prediction or an empty shift is SKIPPED.
     """
+    if bad := {k: v for k, v in params.items() if type(v) is not int or v < 0}:
+        raise GraphError(f"{rule_id}: counts {bad} are not non-negative integers")
     rule = RULES.get(rule_id)
     if rule is None:
         raise GraphError(f"unknown rule {rule_id}")
@@ -430,7 +425,8 @@ class ShiftSuiteReport:
 
 
 def run_shift_suite(count: int = 20, seed: int = 0) -> ShiftSuiteReport:
-    """Verify every rule on two deterministic batches of `count` tuples.
+    """Verify every rule on two deterministic batches of at most `count`
+    tuples (the sampler stops after 20,000 draws, so a rare region has fewer).
 
     The loaded batch samples mid-chain configurations (the regime the
     expressions were derived in) and determines the MATCH/DISCREPANT

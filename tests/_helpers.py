@@ -1126,6 +1126,49 @@ def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
     return edge_mostar(shifted) - edge_mostar(g)
 
 
+def orbit_tails(g: Graph) -> tuple:
+    """`pendant_tails` of g as (poly, holds_from) at the largest vertex of
+    each orbit of `canon(g).orbit_of` and None at the others: the tails
+    `Survey.braces` carries for a brace."""
+    from mostar.canon import canon
+    from mostar.indices import pendant_tails
+
+    orbit = canon(g).orbit_of
+    last = {o: v for v, o in enumerate(orbit)}  # the largest vertex of each orbit
+    return tuple([t[:2] if last[orbit[v]] == v else None
+                  for v, t in enumerate(pendant_tails(g))])
+
+
+def orbit_walk_role_assignments(brace: Graph, roles: int, role_degrees):
+    """Injective role -> vertex maps, one per automorphism class, by
+    walking each map's whole orbit over `canon`'s generators and keeping
+    the first map met of every orbit, in `itertools.permutations` order.
+    Same contract as `shifts._role_assignments`."""
+    from mostar.canon import canon
+
+    gens = canon(brace).generators
+    seen = set()
+    for perm in itertools.permutations(range(brace.n), roles):
+        if role_degrees is not None and any(
+            brace.degree(v) != d for v, d in zip(perm, role_degrees)
+        ):
+            continue
+        orbit = {perm}
+        frontier = [perm]
+        while frontier:
+            cur = frontier.pop()
+            for gen in gens:
+                img = tuple(gen[v] for v in cur)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        rep = min(orbit)
+        if rep in seen:
+            continue
+        seen.add(rep)
+        yield perm
+
+
 def check_model_scores(c: int, m: int) -> dict[int, int]:
     """Every class the pick listing (`_hang_trees`) grows for cyclomatic
     number c at each size up to m, scored off the brace's `pendant_model`

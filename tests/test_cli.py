@@ -151,11 +151,13 @@ def _entry(copies=1, **changes):
     # rejected before the graph is built: 10^12 vertices would not fit in memory
     (_entry(base_edges=[[0, 10**12]] + H1_EDGES[1:]),
      f"ValueError: family H1: {10**12 + 1} base vertices cannot be connected by 7 base edges"),
+    # deeper than the JSON decoder's recursion can go
+    ("[" * 200_000 + "]" * 200_000 + "\n", "RecursionError"),
 ], ids=["not-json", "missing-keys", "no-base-edges", "attach-outside",
         "repeated-edge", "loop", "disconnected", "m-min-below-base", "duplicate-id",
         "poly-two-terms", "poly-string", "poly-float", "m-min-float", "attach-bool",
         "id-not-string", "endpoint-float", "provenance-int", "provenance-null",
-        "endpoint-huge"])
+        "endpoint-huge", "deep-nesting"])
 def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, content,
                                   reason):
     """Rejected when the registry loads, before any enumeration starts."""

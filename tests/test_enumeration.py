@@ -40,6 +40,7 @@ from _helpers import (
     composition_listing,
     naive_distances,
     maximize,
+    orbit_tails,
     polya_class_count,
     reference_accept_edge_child,
     single_attach_decomposition,
@@ -579,16 +580,23 @@ def test_one_unit_per_brace(monkeypatch):
 
 
 def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
-    """At every vertex of every brace the atlas surveys (tricyclic 7..12,
-    bicyclic 5..10), the tail the survey carries is `pendant_tails` of the
-    graph it carries, vertex for vertex."""
-    checked = 0
+    """On every brace the atlas surveys (tricyclic 7..12, bicyclic 5..10),
+    the survey carries one tail per orbit, at the largest vertex of each
+    class of `canon(g).orbit_of`, and None at every other vertex; each tail
+    it carries is `pendant_tails` of the graph it carries at that vertex."""
+    checked = carried = 0
     for surveys in (tri_surveys, bi_surveys):
         for m, s in surveys.items():
             for g, tails, _ in s.braces:
-                assert tails == tuple(t[:2] for t in pendant_tails(g)), (m, g.edges())
+                orbit = canon(g).orbit_of
+                reps = {max(v for v in range(g.n) if orbit[v] == o) for o in orbit}
+                full = pendant_tails(g)
+                assert tails == tuple([full[v][:2] if v in reps else None
+                                       for v in range(g.n)]), (m, g.edges())
+                assert tails == orbit_tails(g)
                 checked += 1
-    assert checked == 579
+                carried += len(reps)
+    assert (checked, carried) == (579, 3693)  # of 5,247 vertices
 
 
 def test_polya_count_per_brace():

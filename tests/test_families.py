@@ -25,8 +25,8 @@ from mostar.graphs import hub_paths, theta, with_pendants
 from mostar.indices import pendant_tails, poly_eval
 from mostar.shifts import GROUPS
 from _helpers import (
-    classify_graph, complete, hang_random_trees, single_attach_decomposition, strip_pendants,
-    verify_family,
+    classify_graph, complete, hang_random_trees, orbit_tails, single_attach_decomposition,
+    strip_pendants, verify_family,
 )
 
 
@@ -131,8 +131,8 @@ class _Survey:
     """The part of an enumeration Survey the brace pass reads."""
 
     def __init__(self, *braces):
-        self.braces = tuple((g, tuple(t[:2] for t in pendant_tails(g)), classify_graph(g))
-                            for g in braces)
+        # tails at orbit representatives only, as a survey carries them
+        self.braces = tuple((g, orbit_tails(g), classify_graph(g)) for g in braces)
         self.maximizer_braces = ()  # no maximizers: the brace pass reads none
 
 
@@ -212,6 +212,22 @@ def test_brace_pass_needs_tail_by_largest_size(registry):
         tails = _brace_tails({base.m: _Survey(base), hi: _Survey()})
         assert [(c.m_min, c.first_seen_m) for c in _collect_group("F2", tails)
                 if c.key == key] == want
+
+
+def test_brace_pass_labels_each_orbit_once(monkeypatch, tri_surveys, bi_surveys):
+    """The survey carries a tail at one vertex per orbit, so the brace pass
+    labels each candidate orbit once: over the atlas surveys (tricyclic
+    7..12, bicyclic 5..10) 55 labels for 55 distinct keys (77 labels when
+    every vertex carried its tail)."""
+    real, labels = families._normalize_candidate, []
+
+    def counted(base, attach):
+        labels.append(real(base, attach))
+        return labels[-1]
+
+    monkeypatch.setattr(families, "_normalize_candidate", counted)
+    tails = _brace_tails(tri_surveys) + _brace_tails(bi_surveys)
+    assert len(labels) == len(tails) == len({key for _, _, key in labels}) == 55
 
 
 def test_k4_has_no_discovery_tail():

@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from mostar import Graph, GraphError, canonical_form, cycle, is_connected
 from mostar.graphs import theta, with_pendants
-from _helpers import ShiftSpec, cyclomatic_number, reference_measured_delta, shift_pendants
+from _helpers import (
+    ShiftSpec, cyclomatic_number, orbit_walk_role_assignments, reference_measured_delta,
+    shift_pendants,
+)
 from mostar.shifts import (
     DISCREPANT,
     GROUPS,
     MATCH,
     SKIPPED,
     RULES,
+    _role_assignments,
+    _sample_params,
     calibrate,
     measured_delta,
     rule_ids,
@@ -131,6 +136,39 @@ def test_verify_rejects_condition_violations():
         verify_lemma_shift("L3.7a", {"a3": 1, "a4": 2, "a5": 1, "a6": 1})
     with pytest.raises(GraphError):
         verify_lemma_shift("L3.2c", {"a1": 1, "a6": 1})  # a6 not live here
+    # a count that is not a non-negative int raises before any other check
+    for rule_id, params in (
+        ("L3.2a", {"a1": 5, "a2": 1, "a3": -3}),  # not a SKIPPED row (paper delta -6)
+        ("L3.7a", {"a3": 2.0, "a4": 2, "a5": 2, "a6": 2}),  # not with_pendants' TypeError
+        ("L3.2c", {"a1": True}),  # bools are ints to isinstance
+        ("L3.2c", {"a1": 1, "a6": -1}),  # before the dead-parameter check
+    ):
+        with pytest.raises(GraphError, match="not non-negative integers"):
+            verify_lemma_shift(rule_id, params)
+
+
+def test_sampler_gives_at_most_count():
+    """`lemmas --count N` gives at most N rows per rule and region: the
+    sampler stops after 20,000 draws, and L3.2c's loaded batch at suite
+    seed 0 (seeded as `run_shift_suite` seeds it) holds 34 of 500."""
+    rule = RULES["L3.2c"]
+    batch = _sample_params(rule, random.Random("0:L3.2c:loaded"), 500, loaded=True)
+    assert len(batch) == 34
+    assert _sample_params(rule, random.Random("0:L3.2c:loaded"), 40, loaded=True) \
+        == batch
+
+
+def test_role_assignments_equal_orbit_walk():
+    """On every rule brace, the least images under the closed group are the
+    tuples the orbit walk keeps, in the same order (1,544 in all)."""
+    total = 0
+    for group in GROUPS.values():
+        for brace in group.realizations:
+            got = list(_role_assignments(brace, group.roles, group.role_degrees))
+            assert got == list(orbit_walk_role_assignments(
+                brace, group.roles, group.role_degrees)), group.group
+            total += len(got)
+    assert total == 1544
 
 
 def test_hub_swap_with_empty_far_hub_is_isomorphic():
