@@ -13,8 +13,6 @@ from .graphs import (
     write_graph6,
 )
 from .canon import (
-    CANON_MAX_N,
-    CanonCapacityError,
     canon,
     canonical_form,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "verify_bicyclic",
     "verify_lemma_shift",
     "verify_tricyclic",
-    "CANON_MAX_N",
-    "CanonCapacityError",
     "EdgeReport",
     "Graph",
     "Graph6Error",

@@ -1,4 +1,4 @@
-"""Exact canonical labeling and automorphisms for graphs with n <= 16.
+"""Exact canonical labeling and automorphisms of graphs of any order.
 
 The enumerator's dedup rests on this exact individualize-refine search (no
 hashing): equitable refinement, branching on the first non-singleton cell,
@@ -29,12 +29,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, write_graph6
-
-CANON_MAX_N = 16
-
-
-class CanonCapacityError(ValueError):
-    """Graph order exceeds the canonical-labeling bound."""
 
 
 class CanonResult(NamedTuple):
@@ -172,10 +166,6 @@ class _Search:
 
 def canon(g: Graph) -> CanonResult:
     """Canonical labeling, automorphism generators, and vertex orbits."""
-    if g.n > CANON_MAX_N:
-        raise CanonCapacityError(
-            f"canonical labeling supports n <= {CANON_MAX_N}, got {g.n}"
-        )
     if g.n == 0:
         return CanonResult(0, (), (), (), ())
     by_degree: dict[int, int] = {}   # the first round splits by degree
@@ -202,7 +192,7 @@ def canon(g: Graph) -> CanonResult:
 def canonical_form(g: Graph) -> str:
     """Total-order key: graph6 of the canonically relabeled graph.
 
-    Equal strings exactly when the graphs are isomorphic (for n <= 16).
+    Equal strings exactly when the graphs are isomorphic.
     """
     res = canon(g)
     return write_graph6(Graph(res.n, res.canon_adj))

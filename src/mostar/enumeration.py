@@ -21,7 +21,7 @@ from multiprocessing import get_context
 from typing import Iterable, Optional
 
 from .braces import BraceClass, kernel_braces
-from .canon import CANON_MAX_N, CanonCapacityError, canonical_form
+from .canon import canonical_form
 from .graphs import Graph, with_pendants
 from .indices import model_tails, pendant_model, tail_index
 
@@ -34,10 +34,6 @@ class EnumerationTask:
     def validate(self) -> None:
         if self.n < 0 or self.m < 0:
             raise ValueError("order and size must be nonnegative")
-        if self.n > CANON_MAX_N:
-            raise CanonCapacityError(
-                f"enumeration supports n <= {CANON_MAX_N}, got {self.n}"
-            )
         if self.m - self.n + 1 not in (2, 3):
             raise ValueError(
                 "enumeration covers bicyclic and tricyclic graphs "

@@ -223,8 +223,8 @@ def builtin_registry() -> FamilyRegistry:
 def member_form(spec: FamilySpec, m: int, order: int) -> Optional[str]:
     """The one rule for family-member identity: a graph is the family's
     size-m member exactly when its canonical form is this one.  A member
-    of another order than `order` is not labelled: None, so no member past
-    canonical labelling's capacity is compared with a search's graphs."""
+    of another order than `order` is not labelled: None, as graphs of
+    different orders never share a form."""
     if spec.n_base + m - spec.m_base != order:
         return None
     return canonical_form(spec.build(m))

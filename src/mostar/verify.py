@@ -23,7 +23,6 @@ from itertools import count
 from math import comb
 from typing import Callable, Optional
 
-from .canon import CANON_MAX_N
 from .enumeration import (
     EnumerationResult,
     EnumerationTask,
@@ -50,7 +49,9 @@ INFO = "INFO"
 class ClassSpec:
     """One graph class's published table: the maxima and equality families
     listed size by size, then one quadratic and family list from
-    `tail_start` on.  Sizes below the table are outside the statement."""
+    `tail_start` on.  Sizes below the table are outside the statement;
+    `top`, the largest size the CI workflow verifies, is the largest the
+    command line accepts."""
 
     task: Callable[[int], EnumerationTask]
     listed_max: dict[int, int]
@@ -58,6 +59,7 @@ class ClassSpec:
     tail_start: int
     tail_poly: tuple[int, int, int]
     tail_families: tuple[str, ...]
+    top: int
 
     def expected_max(self, m: int) -> Optional[int]:
         if m in self.listed_max:
@@ -72,12 +74,9 @@ class ClassSpec:
     @property
     def sizes(self) -> range:
         """The sizes that can be verified: from the first at which the class
-        has a graph (m <= n(n-1)/2) through the last whose task canonical
-        labelling covers (n <= CANON_MAX_N, as `EnumerationTask.validate`
-        requires)."""
+        has a graph (m <= n(n-1)/2) through `top`."""
         lo = next(m for m in count(1) if m <= comb(max(self.task(m).n, 0), 2))
-        hi = next(m for m in count(lo) if self.task(m + 1).n > CANON_MAX_N)
-        return range(lo, hi + 1)
+        return range(lo, self.top + 1)
 
     @property
     def atlas_tops(self) -> range:
@@ -105,6 +104,7 @@ TRICYCLIC = ClassSpec(
     tail_start=12,
     tail_poly=(1, -1, -36),
     tail_families=("A0",),
+    top=22,
 )
 
 BICYCLIC = ClassSpec(
@@ -121,6 +121,7 @@ BICYCLIC = ClassSpec(
     tail_start=10,
     tail_poly=(1, -1, -24),
     tail_families=("B0",),
+    top=30,
 )
 
 
@@ -229,7 +230,7 @@ def run_atlas(
     Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
     bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
     Each limit is checked by `ClassSpec.atlas_sizes` before any survey
-    (tricyclic 7..18, bicyclic 5..17).  Both classes come from one survey,
+    (tricyclic 7..22, bicyclic 5..30).  Both classes come from one survey,
     whose pool runs the brace units of every size together.
     """
     tri_tasks = {m: TRICYCLIC.task(m) for m in TRICYCLIC.atlas_sizes(tri_max_size, "tri_max_size")}

@@ -673,12 +673,8 @@ def reference_canon(g: Graph):
     search branches on every vertex its orbit pruning leaves.  `canon` must
     return the same canon_adj, labeling and orbit_of; the generators may
     differ."""
-    from mostar.canon import CANON_MAX_N, CanonCapacityError, CanonResult
+    from mostar.canon import CanonResult
 
-    if g.n > CANON_MAX_N:
-        raise CanonCapacityError(
-            f"canonical labeling supports n <= {CANON_MAX_N}, got {g.n}"
-        )
     if g.n == 0:
         return CanonResult(0, (), (), (), ())
     search = _ReferenceSearch(g.n, g.adj)

@@ -1,6 +1,6 @@
 """The canonical-augmentation walk: one representative per isomorphism
-class of connected graphs with n vertices and m edges, for any (n, m) with
-n <= 16.  It shares no generation code with `mostar.enumeration`, which
+class of connected graphs with n vertices and m edges, for any (n, m).
+It shares no generation code with `mostar.enumeration`, which
 builds only the bicyclic and tricyclic classes, from braces, so the tests
 use it as the independent oracle for those classes and for the canon
 inputs it produces (McKay, "Isomorph-free exhaustive generation",

@@ -1,14 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mostar import cycle, write_graph6
 from mostar import verify
-from mostar.canon import CanonCapacityError
 from mostar.cli import _parse_sizes, build_parser, main
 from mostar.enumeration import survey
 from mostar.families import FamilyRegistry, FamilySpec, builtin_registry
@@ -254,16 +256,16 @@ def test_verify_theorem1_m6_informational(capsys):
 
 
 @pytest.mark.parametrize("command,sizes,supported", [
-    ("verify-theorem1", ["--size", "5"], "6..18"),
-    ("verify-theorem1", ["--size", "19"], "6..18"),
-    ("verify-theorem1", ["--range", "18-19"], "6..18"),
-    ("verify-theorem2", ["--size", "4"], "5..17"),
-    ("verify-theorem2", ["--size", "18"], "5..17"),
-    ("verify-theorem2", ["--range", "4-5"], "5..17"),
-    ("verify-theorem2", ["--range", "5-99999999999999"], "5..17"),
+    ("verify-theorem1", ["--size", "5"], "6..22"),
+    ("verify-theorem1", ["--size", "23"], "6..22"),
+    ("verify-theorem1", ["--range", "22-23"], "6..22"),
+    ("verify-theorem2", ["--size", "4"], "5..30"),
+    ("verify-theorem2", ["--size", "31"], "5..30"),
+    ("verify-theorem2", ["--range", "4-5"], "5..30"),
+    ("verify-theorem2", ["--range", "5-99999999999999"], "5..30"),
 ])
 def test_verify_size_outside_range(capsys, monkeypatch, command, sizes, supported):
-    """Below the first size with a graph or past canonical labelling: exit 2
+    """Below the first size with a graph or past the class's top: exit 2
     before any enumeration, naming the supported range."""
     def no_survey(*args, **kwargs):
         raise AssertionError("enumerated an unsupported size")
@@ -286,7 +288,7 @@ def test_verify_deep_is_not_an_option(capsys, command):
 
 
 @pytest.mark.parametrize("command,size,expected", [
-    ("verify-theorem1", 13, 120), ("verify-theorem2", 17, 248),
+    ("verify-theorem1", 13, 120), ("verify-theorem2", 30, 846),
 ])
 def test_verify_past_the_table_without_flag(capsys, command, size, expected):
     rc, out, _ = run(capsys, [command, "--size", str(size), "--threads", "1",
@@ -298,30 +300,30 @@ def test_verify_past_the_table_without_flag(capsys, command, size, expected):
 
 
 @pytest.mark.parametrize("command,supported,default", [
-    ("verify-theorem1", range(6, 19), range(7, 13)),
-    ("verify-theorem2", range(5, 18), range(5, 11)),
+    ("verify-theorem1", range(6, 23), range(7, 13)),
+    ("verify-theorem2", range(5, 31), range(5, 11)),
 ])
 def test_verify_sizes_match_the_enumerator(command, supported, default):
     """The accepted sizes run from the first at which the class has a graph
-    through the last task `EnumerationTask.validate` accepts, and the
-    default is the table's own range."""
+    through the class's top, and the default is the table's own range.
+    Only the command line bounds the size: `EnumerationTask.validate`
+    accepts the task past the top."""
     args = build_parser().parse_args([command])
     spec = args.spec
     assert spec.sizes == supported
     assert _parse_sizes(args) == list(default)
     lo, top = spec.task(supported[0]), spec.task(supported[-1])
     top.validate()
-    with pytest.raises(CanonCapacityError):
-        spec.task(supported[-1] + 1).validate()
+    spec.task(supported[-1] + 1).validate()
     below = spec.task(supported[0] - 1)
     got = survey([below, lo])
     assert (got[below].result.graphs_visited, got[lo].result.graphs_visited) == (0, 1)
 
 
-def test_verify_member_past_capacity(tmp_path, capsys):
+def test_verify_member_of_another_order(tmp_path, capsys):
     """A family member of another order than the task's is no maximizer and
-    is not labelled: B0 as one edge has 17 vertices at size 16, past
-    canonical labelling, and its hit is False."""
+    is not labelled: B0 as one edge has 17 vertices at size 16, where the
+    task has 15, and its hit is False."""
     reg = FamilyRegistry([FamilySpec("B0", ((0, 1),), 0, 1, None, "TEST")])
     path = tmp_path / "fam.json"
     reg.save(path)
@@ -438,11 +440,11 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["0", "6", "19", "12345678901234567890"])
+@pytest.mark.parametrize("value", ["0", "6", "23", "12345678901234567890"])
 def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
     """Rejected before any enumeration, and an existing registry stays as
     it was: the tricyclic table's first listed size 7 through the last size
-    verify-theorem1 accepts, 18, are the limits."""
+    verify-theorem1 accepts, 22, are the limits."""
     reg_path = tmp_path / "fam.json"
     reg_path.write_text("[]\n")
     before = reg_path.read_bytes()
@@ -451,10 +453,82 @@ def test_atlas_max_size_out_of_range(tmp_path, capsys, value):
               "--output", str(reg_path), "--report", str(tmp_path / "rep.json")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"--max-size {value} outside supported range 7..18" in err
+    assert f"--max-size {value} outside supported range 7..22" in err
     assert "Traceback" not in err
     assert reg_path.read_bytes() == before
     assert not (tmp_path / "rep.json").exists()
+
+
+class _Surveyed(Exception):
+    """Raised in place of a survey, with the sizes it was asked for."""
+
+
+def _surveyed(tasks, workers=1):
+    raise _Surveyed(sorted(task.m for task in tasks))
+
+
+_INTS = st.one_of(st.integers(-3, 40), st.integers(-10**20, 10**20))
+_SIZE_TEXT = st.one_of(_INTS.map(str), st.text(max_size=6))
+_RANGE_TEXT = st.one_of(st.tuples(_INTS, _INTS).map("{0[0]}-{0[1]}".format),
+                        st.text(max_size=8))
+
+
+def _ends(name, text):
+    """The first and last size a plain decimal argument names; None for
+    any other text, which Python's int may still read (" 7", "1_0")."""
+    pattern = r"([0-9]+)-([0-9]+)" if name == "--range" else r"(-?[0-9]+)"
+    match = re.fullmatch(pattern, text)
+    if match is None:
+        return None
+    return int(match.group(1)), int(match.group(match.lastindex))
+
+
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2", "atlas"])
+def test_size_arguments_reach_the_survey_only_in_range(monkeypatch, tmp_path, command):
+    """Every --size, --range or --max-size string either reaches the survey,
+    asking for sizes whose ends lie in the class's `sizes` (`atlas_tops` for
+    atlas), or exits 2 with one error line and no traceback."""
+    monkeypatch.setattr(verify, "survey", _surveyed)
+    if command == "atlas":
+        allowed = verify.TRICYCLIC.atlas_tops
+        flags = st.tuples(st.just("--max-size"), _SIZE_TEXT)
+        rest = ["--output", str(tmp_path / "fam.json"), "--report", str(tmp_path / "rep.json")]
+    else:
+        allowed = build_parser().parse_args([command]).spec.sizes
+        flags = st.one_of(st.tuples(st.just("--size"), _SIZE_TEXT),
+                          st.tuples(st.just("--range"), _RANGE_TEXT))
+        rest = ["--registry", str(REGISTRY)]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(flags)
+    def check(flag):
+        ends = _ends(*flag)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                main([command, *flag, "--threads", "1", *rest])
+            except _Surveyed as reached:
+                (sizes,) = reached.args
+            except SystemExit as exc:
+                sizes = None
+                assert exc.code == 2, flag
+            else:
+                pytest.fail(f"{flag} neither surveyed nor exited")
+        if sizes is None:
+            lines = err.getvalue().splitlines()
+            assert [line for line in lines if ": error: " in line] == lines[-1:], flag
+            assert "Traceback" not in err.getvalue()
+            assert ends is None or not (ends[0] <= ends[1] and ends[0] in allowed
+                                        and ends[1] in allowed), flag
+            return
+        # atlas surveys tricyclic 7..top beside bicyclic sizes up to min(top, 10)
+        got = (sizes[-1], sizes[-1]) if command == "atlas" else (sizes[0], sizes[-1])
+        assert got[0] in allowed and got[1] in allowed, flag
+        assert ends is None or ends == got, flag
+        if command != "atlas":
+            assert sizes == list(range(got[0], got[1] + 1)), flag
+
+    check()
 
 
 @pytest.mark.parametrize("argv,missing", [

@@ -6,7 +6,6 @@ from dataclasses import astuple
 import pytest
 
 from mostar import (
-    CanonCapacityError,
     Graph,
     canon,
     canonical_form,
@@ -15,6 +14,7 @@ from mostar import (
 )
 from mostar.braces import kernel_braces
 from mostar.canon import pair_orbit_reps
+from mostar.families import builtin_registry, member_form
 from mostar.graphs import edge_pairs, parse_graph6
 from mostar.indices import pendant_model, pendant_tails
 from mostar.enumeration import (
@@ -282,9 +282,12 @@ def test_empty_and_infeasible_classes():
     assert res.max_value is None and res.maximizers == ()
 
 
-def test_capacity_error():
-    with pytest.raises(CanonCapacityError):
-        maximize(EnumerationTask(17, 18))
+def test_maximize_seventeen_vertices():
+    """No order bound: bicyclic m = 18 on 17 vertices reads m^2-m-24 with
+    the one maximizer B0's size-18 member."""
+    res = maximize(EnumerationTask(17, 18))
+    assert res.max_value == 18 * 18 - 18 - 24 == 282
+    assert res.maximizers == (member_form(builtin_registry()["B0"], 18, order=17),)
 
 
 def test_negative_task_rejected():
@@ -401,18 +404,13 @@ def _no_pool(*args):
     raise AssertionError("a pool was started, or work began")
 
 
-def test_multi_task_survey_edge_cases(monkeypatch):
+def test_multi_task_survey_edge_cases():
     assert survey([]) == {}
     # an infeasible task (3 vertices, 5 edges) beside a feasible one
     got = survey([tricyclic_task(5), tricyclic_task(7)], workers=2)
     assert got[tricyclic_task(5)].result.graphs_visited == 0
     assert got[tricyclic_task(5)].result.max_value is None
     assert got[tricyclic_task(7)].result.graphs_visited == 4
-
-    # n > 16 is rejected before any pool starts
-    monkeypatch.setattr(enumeration, "get_context", _no_pool)
-    with pytest.raises(CanonCapacityError):
-        survey([tricyclic_task(7), EnumerationTask(17, 18)], workers=2)
 
 
 @pytest.mark.parametrize("task", [

@@ -103,8 +103,8 @@ def test_family_hits_match_labelling(registry, tri_surveys, bi_surveys):
 
 def test_atlas_sizes_checked_before_any_survey(monkeypatch):
     """A limit outside its class's range, from the table's first listed
-    size through the last size the verify command accepts (tricyclic 7..18,
-    bicyclic 5..17), raises ValueError before any survey starts, in either
+    size through the last size the verify command accepts (tricyclic 7..22,
+    bicyclic 5..30), raises ValueError before any survey starts, in either
     class; the largest limits of both get past the check to the survey."""
     class Surveyed(Exception):
         pass
@@ -113,12 +113,12 @@ def test_atlas_sizes_checked_before_any_survey(monkeypatch):
         raise Surveyed
 
     monkeypatch.setattr(verify, "survey", no_survey)
-    for tri, bi, msg in ((6, 10, "tri_max_size 6 outside supported range 7..18"),
-                         (19, 10, "tri_max_size 19 outside supported range 7..18"),
-                         (12, 4, "bi_max_size 4 outside supported range 5..17"),
-                         (12, 18, "bi_max_size 18 outside supported range 5..17")):
+    for tri, bi, msg in ((6, 10, "tri_max_size 6 outside supported range 7..22"),
+                         (23, 10, "tri_max_size 23 outside supported range 7..22"),
+                         (12, 4, "bi_max_size 4 outside supported range 5..30"),
+                         (12, 31, "bi_max_size 31 outside supported range 5..30")):
         with pytest.raises(ValueError, match=msg):
             run_atlas(tri_max_size=tri, bi_max_size=bi, workers=2)
-    for tri, bi in ((18, 17), (17, 10), (12, 17)):
+    for tri, bi in ((22, 30), (21, 10), (12, 30)):
         with pytest.raises(Surveyed):
             run_atlas(tri_max_size=tri, bi_max_size=bi)
