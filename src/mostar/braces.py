@@ -31,6 +31,7 @@ it by walking its own suppression survive only as the tests' oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -50,6 +51,7 @@ class BraceClass:
     path_parameters: tuple[int, ...] | None = None
 
 
+@lru_cache(maxsize=None)
 def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """The kernels with cyclomatic number c >= 2, one per isomorphism class:
     connected multigraphs with minimum degree 3 (a loop counts 2), loops
@@ -126,6 +128,7 @@ def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
     return BraceClass(K4_SUBDIVISION if len(set(edges)) == 6 else DIGON_RING)
 
 
+@lru_cache(maxsize=None)  # `kernel_braces` asks once per kernel and size
 def _edge_maps(
     order: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

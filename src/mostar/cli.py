@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -61,21 +62,26 @@ class UsageError(Exception):
     """Arguments that parse but cannot be run; reported with exit code 2."""
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
+    # ASCII only: `int` alone also reads "+7", "1_0", " 7" and other scripts' digits
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
+        return int(re.fullmatch(r"-?[0-9]+", text)[0])
+    except (TypeError, ValueError):  # no match, or more digits than `int` converts
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if (value := _integer(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _size_range(text: str) -> tuple[int, int]:
-    a, sep, b = text.partition("-")
-    if not (sep and a.isdecimal() and b.isdecimal()):
-        raise argparse.ArgumentTypeError(f"expected A-B with integers A <= B, got {text!r}")
-    lo, hi = int(a), int(b)
+    try:
+        lo, hi = map(_integer, text.partition("-")[::2])  # the text either side of the first "-"
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected A-B with integers A <= B, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"reversed range {text!r}: {lo} > {hi}")
     return lo, hi
@@ -212,7 +218,7 @@ def _add_common(p, default_threads) -> None:
     p.add_argument("--registry", help="families registry JSON "
                    "(default: ./families.json if present)")
     sizes = p.add_mutually_exclusive_group()
-    sizes.add_argument("--size", type=int, help="verify a single size m")
+    sizes.add_argument("--size", type=_integer, help="verify a single size m")
     sizes.add_argument("--range", type=_size_range,
                        help="verify sizes A-B inclusive, e.g. 7-12")
 
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="families.json")
     p.add_argument("--report", help="write the discovery report here")
     tops = TRICYCLIC.atlas_tops
-    p.add_argument("--max-size", type=int, default=12,
+    p.add_argument("--max-size", type=_integer, default=12,
                    help=f"largest tricyclic size to enumerate ({tops[0]}..{tops[-1]}); "
                    f"the bicyclic one is the smaller of it and {BICYCLIC.tail_start}")
     p.add_argument("--threads", type=_positive_int, default=default_threads)

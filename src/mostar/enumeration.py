@@ -8,8 +8,9 @@ trees to the other.  Per brace of `braces.kernel_braces` nothing is listed:
 its classes are counted off its group's cycle index (`_class_counts`), the
 best of them read at the corners of its `indices.pendant_model`, and only
 the compositions on the face of the best corners walked (`_survey_brace`).
-`survey` labels only the graphs at each task's best; the braces that have
-all of a task's edges travel as graphs, in `kernel_braces`' own labelling.
+`survey`'s workers list the braces, one class and size each, and it labels
+only the graphs at each task's best; the braces with all of a task's edges
+travel as graphs, in `kernel_braces`' own labelling.
 """
 
 from __future__ import annotations
@@ -115,12 +116,12 @@ def _class_counts(auts: tuple[tuple[int, ...], ...], k_max: int) -> tuple[int, .
     return tuple([x // len(auts) for x in totals])
 
 
-def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...], cls: BraceClass,
+def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
                   jobs: list[tuple[EnumerationTask, int]]):
-    """One work unit: the brace's share of every task in `jobs`, each with
-    its tree edge count k.  Per task, in the order of `jobs`: its class
-    count (`_class_counts`), its best value and the compositions of its
-    best classes, each least in its orbit under `auts`; and, for the task
+    """The brace's share of every task in `jobs`, each with its tree edge
+    count k.  Per task, in the order of `jobs`: its class count
+    (`_class_counts`), its best value and the compositions of its best
+    classes, each least in its orbit under `auts`; and, for the task
     with k = 0, where the brace itself is the one class, its tails per
     vertex: (poly, holds_from) of `indices.model_tails` at the last vertex
     of each orbit, None at the others; for any other task None.
@@ -181,12 +182,11 @@ def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
             (g, support[0]) if len(support) == 1 else None)
 
 
-# the work units of the running survey, inherited by its forked workers
-_units: list = []
-
-
-def _run(i: int):
-    return _survey_brace(*_units[i])
+def _run(unit):
+    """Per brace of `kernel_braces(c, [b])`: adj, class, `_survey_brace`'s found, tails."""
+    c, b, jobs = unit
+    return [(brace.adj, cls, *_survey_brace(brace.adj, auts, jobs))
+            for brace, auts, cls in kernel_braces(c, [b])[b]]
 
 
 @dataclass(frozen=True)
@@ -214,66 +214,56 @@ def survey(
     """Enumerate every task in one pass, folding max/argmax and the braces
     of each.
 
-    A work unit is one brace from `braces.kernel_braces`, listed per class
-    up to that class's largest task, with every task of its class that has
-    at least its edges; `_survey_brace` returns, per task, plain data: the
-    class count, the best value and the compositions at it.  One pool runs
-    every unit, those with the most tree edges first; it is forked, so its
-    workers inherit the unit list and are sent only indices into it.  Only
-    the compositions at a task's final best are grown and labelled, here.
+    A work unit is one cyclomatic number c and brace size b up to c's
+    largest task, with every task of class c that has at least b edges.
+    Its worker lists the braces itself (`_run`), so a unit is all it needs,
+    and returns plain data per brace: per task the class count, the best
+    value and the compositions at it.  One pool runs every unit, the
+    largest braces first.  Only the compositions at a task's final best
+    are grown and labelled, here.
 
-    Deterministic: the maximizers are reported as sorted canonical
-    strings, and a task's braces in `kernel_braces` order, which the unit
-    sort keeps (every brace of one size shares its sort key), so the
-    outcome is independent of `workers` and of the other tasks.
-    Repeated tasks collapse to one key; a task too small for any brace
-    reads 0 graphs.  Every task is validated, so one that is not bicyclic
-    or tricyclic raises ValueError, before any work starts.
+    Deterministic: the maximizers are sorted canonical strings, and a
+    task's braces come from the one unit of its size, in `kernel_braces`
+    order, so nothing depends on `workers`, the unit order or the other
+    tasks.  Repeated tasks collapse to one key; a task too small for any
+    brace reads 0 graphs.  Every task is validated first, so one that is
+    not bicyclic or tricyclic raises ValueError before any work starts.
     """
-    global _units
     tasks = list(dict.fromkeys(tasks))
     for task in tasks:
         task.validate()
     units = []
     for c in {t.m - t.n + 1 for t in tasks}:
         mine = [t for t in tasks if t.m - t.n + 1 == c]
-        for b, found in kernel_braces(c, range(max(t.m for t in mine) + 1)).items():
-            jobs = [(t, t.m - b) for t in mine if t.m >= b]  # tree edges per task
-            units += [(brace.adj, auts, cls, jobs) for brace, auts, cls in found]
-    # the most tree edges, then the largest brace, first
-    units.sort(key=lambda u: (max(k for _, k in u[3]), len(u[0])), reverse=True)
-    # per task: classes, best value, (unit, composition) at it, braces
+        units += [(c, b, [(t, t.m - b) for t in mine if t.m >= b])  # tree edges per task
+                  for b in range(max(t.m for t in mine) + 1)]
+    units.sort(key=lambda u: u[1], reverse=True)
+    # per task: classes, best value, (brace, class, composition) at it, braces
     totals = {task: [0, None, [], []] for task in tasks}
 
     def merge(results: Iterable) -> None:
         # as the units come in, so that only each task's running best stays
-        for i, (found, tails) in enumerate(results):
-            for (task, k), (count, best, ties) in zip(units[i][3], found):
-                total = totals[task]
-                total[0] += count
-                if total[1] is None or best > total[1]:
-                    total[1], total[2] = best, []
-                if best == total[1]:
-                    total[2] += [(i, comp) for comp in ties]
-                if not k:
-                    adj = units[i][0]
-                    total[3].append((Graph(len(adj), adj), tails, units[i][2]))
+        for (_, _, jobs), rows in zip(units, results):
+            for adj, cls, found, tails in rows:
+                for (task, k), (count, best, ties) in zip(jobs, found):
+                    total = totals[task]
+                    total[0] += count
+                    if total[1] is None or best > total[1]:
+                        total[1], total[2] = best, []
+                    if best == total[1]:
+                        total[2] += [(adj, cls, comp) for comp in ties]
+                    if not k:
+                        total[3].append((Graph(len(adj), adj), tails, cls))
 
-    _units = units
-    try:
-        if workers > 1 and len(units) > 1:
-            processes = min(workers, len(units))
-            with get_context("fork").Pool(processes=processes) as pool:
-                # runs of about 16 units per process: a hand-off can cost more than a unit
-                merge(pool.imap(_run, range(len(units)),
-                                chunksize=1 + len(units) // (16 * processes)))
-        else:
-            merge(map(_run, range(len(units))))
-    finally:
-        _units = []
+    if workers > 1 and len(units) > 1:
+        # fork only for its start-up cost: a unit is all its worker reads
+        with get_context("fork").Pool(processes=min(workers, len(units))) as pool:
+            merge(pool.imap(_run, units))
+    else:
+        merge(map(_run, units))
     out = {}
     for task, (count, best, argmax, braces) in totals.items():
-        rows = [_grow(units[i][0], units[i][2], comp) for i, comp in argmax]
+        rows = [_grow(*tie) for tie in argmax]
         # each class comes out once: no two strings tie, so no classes are compared
         top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec) for adj, cls, dec in rows)
         result = EnumerationResult(task, count, best, tuple(g6 for g6, _, _ in top))

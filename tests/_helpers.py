@@ -355,7 +355,7 @@ def polya_class_count(m: int, braces) -> int:
 
 # The composition listing: every composition of a brace's tree edges kept
 # once per orbit, its classes counted by Burnside and its all-star graph
-# scored.  It is the oracle for the survey's work unit
+# scored.  It is the oracle for the survey's per-brace pass
 # (`enumeration._survey_brace`), which counts by the cycle index and walks
 # only the face of the best corners.
 
@@ -1170,7 +1170,7 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
     number c at each size up to m, scored off the brace's `pendant_model`
     with no graph built (`_values`), equals `edge_mostar` of the graph
     `_grow` builds, on every pick and not only on maximizers; and the
-    survey's work unit for each brace, `enumeration._survey_brace` with the
+    survey's pass over each brace, `enumeration._survey_brace` with the
     task of every size from the brace's to m, gives for each task exactly
     its class count, its best value and the compositions whose all-star
     graphs (`enumeration._grow`) are its best picks, each with its brace's
@@ -1191,8 +1191,7 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
         scores = {t: _tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
         for brace, auts, cls in found:
             model = pendant_model(brace.adj)
-            got, _ = enumeration._survey_brace(brace.adj, auts, cls,
-                                               [(t, t.m - b) for t in tasks])
+            got, _ = enumeration._survey_brace(brace.adj, auts, [(t, t.m - b) for t in tasks])
             assert len(got) == len(tasks), brace.edges()
             for task, (count, top, ties) in zip(tasks, got):
                 scored = []
@@ -1206,7 +1205,7 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
                 best = max(value for value, _ in scored)
                 assert count == len(scored) and top == best, (brace.edges(), task)
                 # a grown row keeps its brace's labels, so the oracle peels
-                # off exactly the brace the unit carries
+                # off exactly the brace the pass carries
                 assert sorted(enumeration._grow(brace.adj, cls, comp) for comp in ties) == sorted(
                     (adj, cls, single_attach_decomposition(Graph(len(adj), adj)))
                     for value, adj in scored if value == best), (brace.edges(), task)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mostar import cycle, write_graph6
 from mostar import verify
@@ -467,6 +467,12 @@ def _surveyed(tasks, workers=1):
     raise _Surveyed(sorted(task.m for task in tasks))
 
 
+def _assert_one_error_line(err, argv):
+    lines = err.splitlines()
+    assert [line for line in lines if ": error: " in line] == lines[-1:], argv
+    assert "Traceback" not in err, argv
+
+
 _INTS = st.one_of(st.integers(-3, 40), st.integers(-10**20, 10**20))
 _SIZE_TEXT = st.one_of(_INTS.map(str), st.text(max_size=6))
 _RANGE_TEXT = st.one_of(st.tuples(_INTS, _INTS).map("{0[0]}-{0[1]}".format),
@@ -474,8 +480,9 @@ _RANGE_TEXT = st.one_of(st.tuples(_INTS, _INTS).map("{0[0]}-{0[1]}".format),
 
 
 def _ends(name, text):
-    """The first and last size a plain decimal argument names; None for
-    any other text, which Python's int may still read (" 7", "1_0")."""
+    """The first and last size a plain ASCII decimal argument names; None
+    for any other text, which must exit 2 even where Python's int would
+    read it (" 7", "1_0", "+7", "٧")."""
     pattern = r"([0-9]+)-([0-9]+)" if name == "--range" else r"(-?[0-9]+)"
     match = re.fullmatch(pattern, text)
     if match is None:
@@ -515,18 +522,78 @@ def test_size_arguments_reach_the_survey_only_in_range(monkeypatch, tmp_path, co
             else:
                 pytest.fail(f"{flag} neither surveyed nor exited")
         if sizes is None:
-            lines = err.getvalue().splitlines()
-            assert [line for line in lines if ": error: " in line] == lines[-1:], flag
-            assert "Traceback" not in err.getvalue()
+            _assert_one_error_line(err.getvalue(), flag)
             assert ends is None or not (ends[0] <= ends[1] and ends[0] in allowed
                                         and ends[1] in allowed), flag
             return
+        assert ends is not None, flag
         # atlas surveys tricyclic 7..top beside bicyclic sizes up to min(top, 10)
         got = (sizes[-1], sizes[-1]) if command == "atlas" else (sizes[0], sizes[-1])
         assert got[0] in allowed and got[1] in allowed, flag
-        assert ends is None or ends == got, flag
+        assert ends == got, flag
         if command != "atlas":
             assert sizes == list(range(got[0], got[1] + 1)), flag
+
+    check()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem1", "--size", "+7"],
+    ["verify-theorem1", "--size", "1_0"],
+    ["verify-theorem2", "--size", "\u0667"],
+    ["verify-theorem1", "--range", "\u0667-\u0668"],
+    ["atlas", "--max-size", "+12"],
+], ids=["plus", "underscore", "arabic-indic", "arabic-indic-range", "plus-max-size"])
+def test_sizes_are_ascii_decimal(monkeypatch, tmp_path, capsys, argv):
+    """Sizes `int` would read but that are not plain ASCII decimal exit 2
+    with one error line, before any survey."""
+    monkeypatch.setattr(verify, "survey", _surveyed)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "1", "--output", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    _assert_one_error_line(capsys.readouterr().err, argv)
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["verify-theorem1", "--size", "7"], "mostar.verify.survey"),
+    (["verify-theorem2", "--size", "5"], "mostar.verify.survey"),
+    (["atlas", "--max-size", "7"], "mostar.cli.run_atlas"),
+], ids=["verify-theorem1", "verify-theorem2", "atlas"])
+def test_threads_reach_the_survey_capped_or_exit(monkeypatch, tmp_path, argv, target):
+    """Every --threads string either reaches the survey as
+    min(n, os.cpu_count() or 1) workers, n its plain ASCII decimal value of
+    at least 1, or exits 2 with one error line and no traceback."""
+
+    class Reached(Exception):
+        pass
+
+    def recording(*args, workers, **kwargs):
+        raise Reached(workers)
+
+    monkeypatch.setattr(target, recording)
+    output = str(tmp_path / "out.json")
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.one_of(_INTS.map(str), st.text(max_size=6)), st.sampled_from([None, 1, 2, 64]))
+    @example("+2", 2)
+    @example("1_0", 64)
+    @example(" 3", 2)
+    @example("\u0663", 64)
+    def check(threads, cores):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        plain = re.fullmatch(r"-?[0-9]+", threads) and int(threads) >= 1
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                main([*argv, "--threads", threads, "--output", output])
+            except Reached as reached:
+                (workers,) = reached.args
+                assert plain and workers == min(int(threads), cores or 1), threads
+            except SystemExit as exc:
+                assert exc.code == 2 and not plain, threads
+                _assert_one_error_line(err.getvalue(), threads)
+            else:
+                pytest.fail(f"--threads {threads!r} neither surveyed nor exited")
 
     check()
 

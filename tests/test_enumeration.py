@@ -544,24 +544,25 @@ def test_model_scores_equal_edge_mostar():
     """The pick listing scores each class off its brace's pendant model,
     with no graph built: on every class of tricyclic 6..11 and bicyclic
     5..10, on every pick, that score equals `edge_mostar` of the built
-    graph, and each brace's survey unit, driven with every one of those
-    sizes at once, keeps for each its class count and the rows of exactly
-    its best picks (CI runs tricyclic up to 13 and bicyclic up to 12)."""
+    graph, and the survey's pass over each brace, driven with every one of
+    those sizes at once, keeps for each its class count and the rows of
+    exactly its best picks (CI runs tricyclic up to 13 and bicyclic up to
+    12)."""
     assert check_model_scores(3, 11) == {6: 1, 7: 4, 8: 22, 9: 107, 10: 486, 11: 2075}
     assert check_model_scores(2, 10) == {5: 1, 6: 5, 7: 19, 8: 67, 9: 236, 10: 797}
 
 
-def test_one_unit_per_brace(monkeypatch):
-    """Each class's braces are listed up to that class's own largest task,
-    not the largest of any class, and each brace's pendant model is
-    computed once however many tasks share the brace: tricyclic braces
-    with 6..9 edges number 1 + 3 + 11 + 31, bicyclic ones with 5..8 edges
-    1 + 3 + 5 + 8."""
-    asked, models = {}, []
+def test_one_unit_per_class_and_size(monkeypatch):
+    """Each work unit lists the braces of one size, each class only up to
+    its own largest task, not the largest of any class, and each brace's
+    pendant model is computed once however many tasks share the brace:
+    tricyclic braces with 6..9 edges number 1 + 3 + 11 + 31, bicyclic
+    ones with 5..8 edges 1 + 3 + 5 + 8."""
+    asked, models = [], []
 
     def recording_braces(c, sizes):
-        asked[c] = list(sizes)
-        return kernel_braces(c, asked[c])
+        asked.append((c, list(sizes)))
+        return kernel_braces(c, asked[-1][1])
 
     def recording_model(adj):
         models.append(adj)
@@ -572,9 +573,43 @@ def test_one_unit_per_brace(monkeypatch):
     tasks = [*(tricyclic_task(m) for m in range(7, 10)),
              *(bicyclic_task(m) for m in range(6, 9))]
     got = survey(tasks)
-    assert {c: max(sizes) for c, sizes in asked.items()} == {3: 9, 2: 8}
+    assert all(len(sizes) == 1 for _, sizes in asked)
+    assert sorted((c, b) for c, (b,) in asked) == [(c, b) for c in (2, 3)
+                                                   for b in range({2: 9, 3: 10}[c])]
     assert len(models) == len(set(models)) == 46 + 17
     assert [got[t].result.graphs_visited for t in tasks] == [4, 22, 107, 5, 19, 67]
+
+
+def test_survey_lists_no_brace_in_the_parent(monkeypatch):
+    """A pooled survey lists every brace in its workers: the parent never
+    calls `kernel_braces`.  On one worker, in this process, it is called
+    once per work unit, one per class and brace size up to the class's
+    largest task: 12 tricyclic (0..11) and 11 bicyclic (0..10) units on
+    the atlas tasks."""
+    calls = []
+
+    def counting_braces(c, sizes):
+        calls.append(c)
+        return kernel_braces(c, sizes)
+
+    monkeypatch.setattr(enumeration, "kernel_braces", counting_braces)
+    survey(ATLAS_TASKS, workers=2)
+    assert calls == []
+    survey(ATLAS_TASKS, workers=1)
+    assert Counter(calls) == {3: 12, 2: 11}
+
+
+def test_survey_needs_no_inherited_state(monkeypatch):
+    """Each work unit carries all its worker needs, so a pool whose workers
+    start afresh ("spawn", which inherits no memory of the parent) gives
+    the same surveys as one worker."""
+    import multiprocessing
+
+    monkeypatch.setattr(enumeration, "get_context",
+                        lambda method: multiprocessing.get_context("spawn"))
+    tasks = [tricyclic_task(8), bicyclic_task(7)]
+    got, want = survey(tasks, workers=2), survey(tasks, workers=1)
+    assert all(_survey_blob(got[t]) == _survey_blob(want[t]) for t in tasks)
 
 
 def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
@@ -618,7 +653,7 @@ def test_compositions_count_picks_and_star_is_best():
     that count is the number of picks the pick listing keeps, and the
     all-star pick (the star, last of each size, at every support vertex) is
     the one pick at the listing's top value, as the strict trees-to-stars
-    step in `indices` says; the survey's unit for the brace counts their
+    step in `indices` says; the survey's pass over the brace counts their
     sum.  The bicyclic braces' loop flips reach the stabilisers here, so a
     count that mis-walked their cycles would show."""
     for c, m in ((3, 12), (2, 10)):
@@ -633,8 +668,8 @@ def test_compositions_count_picks_and_star_is_best():
                 counted = list(_compositions(brace.n, auts, counts, m - b))
                 assert [(comp, support) for comp, support, _ in counted] == \
                     [(comp, support) for comp, support, _ in listed], brace.edges()
-                (unit, _, _), = enumeration._survey_brace(brace.adj, auts, cls, [(task, m - b)])[0]
-                assert unit == sum(classes for _, _, classes in counted), brace.edges()
+                (count, _, _), = enumeration._survey_brace(brace.adj, auts, [(task, m - b)])[0]
+                assert count == sum(classes for _, _, classes in counted), brace.edges()
                 for (comp, support, picks), (_, _, classes) in zip(listed, counted):
                     assert classes == len(picks), (brace.edges(), comp)
                     values = _values(model, scores, comp, support, picks)
@@ -645,14 +680,14 @@ def test_compositions_count_picks_and_star_is_best():
 
 
 def test_face_walk_equals_composition_listing():
-    """The survey's unit counts by the cycle index and walks only the face
-    of the best corners; the composition listing counts and scores every
-    composition.  On every kernel brace of both classes, for every size it
-    serves up to tricyclic 14 and bicyclic 13 (one unit per brace, all its
-    sizes at once), the two give the same class count, the same best value
-    and the same tie set, least in each orbit; each tie's all-star graph
-    carries its brace's class and, when it has pendants at one vertex
-    only, (brace, that vertex), as leaf peeling finds.  Ties of both kinds
+    """The survey's per-brace pass counts by the cycle index and walks only
+    the face of the best corners; the composition listing counts and scores
+    every composition.  On every kernel brace of both classes, for every
+    size it serves up to tricyclic 14 and bicyclic 13 (one pass per brace,
+    all its sizes at once), the two give the same class count, the same
+    best value and the same tie set, least in each orbit; each tie's
+    all-star graph carries its brace's class and, when it has pendants at
+    one vertex only, (brace, that vertex), as leaf peeling finds.  Ties of both kinds
     occur: 636 corners that tie with another composition on their brace,
     and 37 compositions with pendants at several vertices; the other 3,861
     are a brace's lone best, its bare self or one corner."""
@@ -661,7 +696,7 @@ def test_face_walk_equals_composition_listing():
         for b, found in kernel_braces(c, range(top + 1)).items():
             tasks = [EnumerationTask(m - c + 1, m) for m in range(b, top + 1)]
             for brace, auts, cls in found:
-                got, _ = enumeration._survey_brace(brace.adj, auts, cls,
+                got, _ = enumeration._survey_brace(brace.adj, auts,
                                                    [(t, t.m - b) for t in tasks])
                 for task, (count, best, ties) in zip(tasks, got):
                     want = composition_listing(brace, auts, task.m)
@@ -678,8 +713,8 @@ def test_face_walk_equals_composition_listing():
 
 
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
-    """`--threads 64` on tricyclic size 7 (4 work units: K4 and the three
-    braces with 7 edges) asks for a pool of 4.  The recording context runs
+    """`--threads 64` on tricyclic size 7 (8 work units, one per brace size
+    0..7) asks for a pool of 8.  The recording context runs
     the units in this process, and 64 cores are reported, so the CLI's own
     cap at the core count leaves the 64 as asked."""
     from mostar.cli import main
@@ -706,4 +741,4 @@ def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
     monkeypatch.setattr("os.cpu_count", lambda: 64)
     assert main(["verify-theorem1", "--size", "7", "--threads", "64"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["observed_max"] == 12
-    assert requested == [4]
+    assert requested == [8]
