@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="verify pendant-shift delta rules")
     p.add_argument("--count", type=_positive_int, default=20,
                    help="at most this many parameter tuples per rule and region")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_lemmas)
     return parser

@@ -6,8 +6,8 @@ hung at every brace vertex, and two such graphs are isomorphic exactly when
 their braces are and an automorphism of the brace carries one assignment of
 trees to the other.  Per brace of `braces.kernel_braces` nothing is listed:
 its classes are counted off its group's cycle index (`_class_counts`), the
-best of them read at the corners of its `indices.pendant_model`, and only
-the compositions on the face of the best corners walked (`_survey_brace`).
+best of them read at the corners of its `indices.pendant_model`, and the
+ties listed, unscored, by that bound's equality case (`_survey_brace`).
 `survey`'s workers list the braces, one class and size each, and it labels
 only the graphs at each task's best; the braces with all of a task's edges
 travel as graphs, in `kernel_braces`' own labelling.
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from multiprocessing import get_context
+from operator import mul
 from typing import Iterable, Optional
 
 from .braces import BraceClass, kernel_braces
@@ -129,43 +129,42 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
     The best class of a composition a is its all-star graph, a_w pendant
     edges at each vertex w, and no other class of a ties it (the strict
     trees-to-stars step in `indices`); it is worth V(a) + k(m - 1), V(a)
-    the brace term sum_e |c_e + sum_w a_w s_e(w)| of `pendant_model`.  V is
-    a sum of absolute values of affine forms, so it is convex; a is the
-    mean sum_w (a_w / k)(k e_w) of the corners k e_w, so by Jensen
-    V(a) <= sum_w (a_w / k) V(k e_w) <= the best corner, and the second
-    step is strict as soon as some a_w > 0 sits at a corner w below the
-    best.  So the best value is the best corner, and every tie lies on the
-    face spanned by the best corners W: only compositions of k over W are
-    walked, each scored, since the first step may still be strict.  A
-    corner is the brace plus k pendant edges at w, so its index is
-    `indices.tail_index` of w's `model_tails` entry: each w is read once
-    for every k, and every value here is a whole index, V + k(m - 1)."""
+    the brace term sum_e |c_e + sum_w a_w s_e(w)| of `pendant_model`.  A
+    corner k e_w, the brace plus k pendant edges at w, is read off w's
+    `model_tails` entry (`indices.tail_index`).  For k > 0, with the
+    corner form f_e(w) = c_e + k s_e(w), V(a) = sum_e |sum_w (a_w / k)
+    f_e(w)| and V(k e_w) = sum_e |f_e(w)|, so by the triangle inequality
+    on each edge V(a) <= sum_w (a_w / k) V(k e_w) <= the best corner: the
+    best value is the best corner.  a ties it exactly when both steps are
+    equalities: the second when a lies on the best corners W, the first
+    when on each edge the nonzero f_e(w) over the support of a, all of
+    positive weight, share one sign.  So the ties are the compositions of
+    k over W with no two support corners of opposite signs on one edge,
+    each least in its orbit under `auts`; none is scored.  k = 0 leaves
+    the zero composition, and k = 1 lone corners, which need no forms."""
     _, sums, rows = model = pendant_model(brace)
     tails = model_tails(model)
     counts = _class_counts(auts, max(k for _, k in jobs))
-    # a corner k e_w is least in its orbit when w is the last vertex of its orbit
-    last = [max([g[w] for g in auts]) for w in range(len(brace))]
+    last = [max([g[w] for g in auts]) for w in range(len(brace))]  # each orbit's last vertex
     found, carried = [], None
     for task, k in jobs:
         corners = [tail_index(tail, k, task.m) for tail in tails]
         top = max(corners)
         face = [w for w, value in enumerate(corners) if value == top]
-        ties, end = [], k + len(face) - 1
-        for bars in combinations(range(end), len(face) - 1):
-            comp = [0] * len(brace)
-            for w, a, b in zip(face, (-1, *bars), (*bars, end)):
-                comp[w] = b - a - 1
-            comp, support = tuple(comp), [w for w in face if comp[w]]
-            if len(support) < 2:  # k = 0, or a corner at the top
-                keep = not support or last[support[0]] == support[0]
-            else:
-                terms = sums
-                for w in support:
-                    terms = [x + comp[w] * s for x, s in zip(terms, rows[w])]
-                keep = sum(map(abs, terms)) + k * (task.m - 1) == top and \
-                    not any(tuple([comp[x] for x in g]) < comp for g in auts[1:])
-            if keep:
-                ties.append(comp)
+        # ok[j]: the face corners never of opposite sign to face[j] on one edge
+        forms = [[c + k * s for c, s in zip(sums, rows[w])] for w in face] if k > 1 else []
+        ok = [sum([1 << j for j, g in enumerate(forms) if min(map(mul, f, g)) >= 0])
+              for f in forms] or [0] * len(face)
+        # each composition once: support corners in face order, each allowed
+        # by those before; a part short of what is left needs a later corner
+        spread = [((0,) * len(brace), k, (1 << len(face)) - 1)]
+        for comp, left, free in spread:  # grows as it is read
+            for j in [j for j in range(len(face)) if left and free >> j & 1]:
+                w, later = face[j], free & ok[j] & -2 << j
+                spread += [(comp[:w] + (a,) + comp[w + 1:], left - a, later)
+                           for a in range(1 if later else left, left + 1)]
+        ties = [comp for comp, left, _ in spread if not left
+                and not any(tuple([comp[x] for x in g]) < comp for g in auts[1:])]
         found.append((counts[k], top, ties))
         if not k:
             carried = tuple([t[:2] if last[w] == w else None for w, t in enumerate(tails)])

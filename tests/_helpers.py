@@ -356,8 +356,8 @@ def polya_class_count(m: int, braces) -> int:
 # The composition listing: every composition of a brace's tree edges kept
 # once per orbit, its classes counted by Burnside and its all-star graph
 # scored.  It is the oracle for the survey's per-brace pass
-# (`enumeration._survey_brace`), which counts by the cycle index and walks
-# only the face of the best corners.
+# (`enumeration._survey_brace`), which counts by the cycle index and lists
+# its ties by the equality case of its Jensen step.
 
 
 def _compositions(
@@ -424,6 +424,43 @@ def composition_listing(brace: Graph, auts, m: int) -> tuple[int, int, list[tupl
         scored.append((sum(map(abs, terms)) + k * (m - 1), comp))
     best = max(value for value, _ in scored)
     return count, best, [comp for value, comp in scored if value == best]
+
+
+# The face walk: every composition over a brace's best corners scored off
+# its pendant model.  It is the oracle for the survey's per-brace pass,
+# which lists the same ties by the equality case of its Jensen step, at
+# sizes the composition listing cannot reach.
+
+
+def face_walk(brace: Graph, auts, sizes) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Per size m in `sizes`, (best, ties) for the task with m edges: best
+    the brace's best corner (`indices.tail_index`), and ties the
+    compositions of its k = m - b tree edges over the corners at best
+    whose all-star value, the brace term plus k(m - 1), reaches it, each
+    least in its orbit under `auts`, in walk order."""
+    from mostar.indices import model_tails, pendant_model, tail_index
+
+    _, sums, rows = model = pendant_model(brace.adj)
+    tails, out = model_tails(model), []
+    for m in sizes:
+        k = m - brace.m
+        corners = [tail_index(tail, k, m) for tail in tails]
+        top = max(corners)
+        face = [w for w, value in enumerate(corners) if value == top]
+        ties, end = [], k + len(face) - 1
+        for bars in combinations(range(end), len(face) - 1):
+            comp = [0] * brace.n
+            for w, a, b in zip(face, (-1, *bars), (*bars, end)):
+                comp[w] = b - a - 1
+            comp, terms = tuple(comp), sums
+            for w in face:
+                if comp[w]:
+                    terms = [x + comp[w] * s for x, s in zip(terms, rows[w])]
+            if sum(map(abs, terms)) + k * (m - 1) == top and \
+                    not any(tuple([comp[x] for x in g]) < comp for g in auts[1:]):
+                ties.append(comp)
+        out.append((top, ties))
+    return out
 
 
 # The pick listing: every rooted tree listed, and every assignment of

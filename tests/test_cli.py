@@ -554,6 +554,19 @@ def test_sizes_are_ascii_decimal(monkeypatch, tmp_path, capsys, argv):
     _assert_one_error_line(capsys.readouterr().err, argv)
 
 
+@pytest.mark.parametrize("seed", ["+7", "1_0", " 7", "\u0667"],
+                         ids=["plus", "underscore", "space", "arabic-indic"])
+def test_lemma_seed_is_ascii_decimal(monkeypatch, tmp_path, capsys, seed):
+    """`lemmas --seed` reads by the sizes' rule: a seed `int` would read
+    but that is not plain ASCII decimal exits 2 with one error line, before
+    any sampling; every other argument is valid."""
+    monkeypatch.setattr("mostar.cli.run_shift_suite", _surveyed)
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--count", "1", "--seed", seed, "--output", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    _assert_one_error_line(capsys.readouterr().err, seed)
+
+
 @pytest.mark.parametrize("argv,target", [
     (["verify-theorem1", "--size", "7"], "mostar.verify.survey"),
     (["verify-theorem2", "--size", "5"], "mostar.verify.survey"),

@@ -38,6 +38,7 @@ from _helpers import (
     classify_graph,
     complete,
     composition_listing,
+    face_walk,
     naive_distances,
     maximize,
     orbit_tails,
@@ -680,17 +681,18 @@ def test_compositions_count_picks_and_star_is_best():
 
 
 def test_face_walk_equals_composition_listing():
-    """The survey's per-brace pass counts by the cycle index and walks only
-    the face of the best corners; the composition listing counts and scores
-    every composition.  On every kernel brace of both classes, for every
-    size it serves up to tricyclic 14 and bicyclic 13 (one pass per brace,
-    all its sizes at once), the two give the same class count, the same
-    best value and the same tie set, least in each orbit; each tie's
-    all-star graph carries its brace's class and, when it has pendants at
-    one vertex only, (brace, that vertex), as leaf peeling finds.  Ties of both kinds
-    occur: 636 corners that tie with another composition on their brace,
-    and 37 compositions with pendants at several vertices; the other 3,861
-    are a brace's lone best, its bare self or one corner."""
+    """The survey's per-brace pass counts by the cycle index and lists its
+    ties by the equality case of its Jensen step, scoring none; the
+    composition listing counts and scores every composition.  On every
+    kernel brace of both classes, for every size it serves up to tricyclic
+    14 and bicyclic 13 (one pass per brace, all its sizes at once), the two
+    give the same class count, the same best value and the same tie set,
+    least in each orbit; each tie's all-star graph carries its brace's
+    class and, when it has pendants at one vertex only, (brace, that
+    vertex), as leaf peeling finds.  Ties of both kinds occur: 636 corners
+    that tie with another composition on their brace, and 37 compositions
+    with pendants at several vertices; the other 3,861 are a brace's lone
+    best, its bare self or one corner."""
     shapes = Counter()
     for c, top in ((3, 14), (2, 13)):
         for b, found in kernel_braces(c, range(top + 1)).items():
@@ -710,6 +712,28 @@ def test_face_walk_equals_composition_listing():
                         support = sum(1 for a in comp if a)
                         shapes[support > 1, len(ties) > 1] += 1
     assert shapes == {(False, False): 3861, (False, True): 636, (True, True): 37}, shapes
+
+
+def test_tie_rule_equals_face_walk():
+    """The survey's per-brace pass lists its ties by the equality case of
+    its Jensen step and scores none; the face walk scores every
+    composition on the face of the best corners.  On every kernel brace of
+    both classes, for every size it serves up to tricyclic 16 and bicyclic
+    20, the two give the same best value and the same tie set: 16,270 ties,
+    128 of them with pendants at several vertices."""
+    ties = Counter()
+    for c, top in ((3, 16), (2, 20)):
+        for b, found in kernel_braces(c, range(top + 1)).items():
+            tasks = [EnumerationTask(m - c + 1, m) for m in range(b, top + 1)]
+            for brace, auts, _ in found:
+                got, _ = enumeration._survey_brace(brace.adj, auts,
+                                                   [(t, t.m - b) for t in tasks])
+                want = face_walk(brace, auts, [t.m for t in tasks])
+                assert [(best, sorted(comps)) for _, best, comps in got] == \
+                    [(best, sorted(comps)) for best, comps in want], brace.edges()
+                ties.update(sum(1 for a in comp if a) > 1
+                            for _, _, comps in got for comp in comps)
+    assert ties == {False: 16142, True: 128}, ties
 
 
 def test_pool_never_larger_than_unit_count(monkeypatch, capsys):

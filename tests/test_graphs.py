@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from mostar import (
     path,
     write_graph6,
 )
+from mostar.cli import main
 from mostar.graphs import with_pendants
 from _helpers import (
     all_graphs, complete, cyclomatic_number, dot_product, floyd_warshall, random_connected,
@@ -239,6 +242,55 @@ def test_graph6_errors_match_reference():
             bad = chr(rng.choice([*range(33, 63), 127]))
             text = line[:k] + bad + line[k + 1:]
         assert _parse_outcome(parse_graph6, text) == _parse_outcome(reference_parse_graph6, text), text
+
+
+_G6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+def _g6_sized(n):
+    """An order byte for n vertices and as many graph6 bytes as its pairs need."""
+    size = (n * (n - 1) // 2 + 5) // 6
+    return st.text(_G6_CHARS, min_size=size, max_size=size).map(lambda t: chr(63 + n) + t)
+
+
+# any text; text in the graph6 range 63..126, bare or behind the header;
+# and lines of the right length for 0..8 vertices, so that a fair share
+# of the lines parse
+_GRAPH6_LINES = st.one_of(
+    st.text(max_size=16),
+    st.tuples(st.sampled_from(["", ">>graph6<<"]), st.text(_G6_CHARS, max_size=16)).map("".join),
+    st.integers(0, 8).flatmap(_g6_sized))
+
+
+def test_compute_reads_any_text(tmp_path):
+    """Every line of any text parses to the graph the reference parser
+    reads, or raises `Graph6Error` with the reference's message and
+    offset; and the `compute` command on a file of such text returns, with
+    no traceback, 2 when no line holds more than whitespace, 3 when a line
+    is skipped (it does not parse, or its graph is disconnected) and 0
+    otherwise, with one error line per skipped line and one row per
+    computed one."""
+    g6_file = tmp_path / "in.g6"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(_GRAPH6_LINES, max_size=5))
+    def check(lines):
+        text, read, skipped = "\n".join(lines), 0, 0
+        for line in text.splitlines():
+            if line.strip():
+                got = _parse_outcome(parse_graph6, line)
+                assert got == _parse_outcome(reference_parse_graph6, line), line
+                read += 1
+                skipped += not isinstance(got, Graph) or not is_connected(got)
+        g6_file.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["compute", "--format", "csv", str(g6_file)])
+        assert rc == (3 if skipped else 0 if read else 2), lines
+        assert len(err.getvalue().splitlines()) == (skipped if read else 1), lines
+        assert len(out.getvalue().splitlines()) == (1 + read - skipped if read else 0), lines
+
+    check()
 
 
 def test_relabel_rejects_non_permutation():
