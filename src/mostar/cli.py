@@ -264,15 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: Exception) -> str:
+    """The message of `exc` with every character that is not printable, line
+    breaks included, written as its escape: a message quotes input (a
+    registry's family id, a path) that may hold any character."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        parser.error(_one_line(exc))
     except (GraphError, Graph6Error, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
 
 

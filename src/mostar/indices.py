@@ -33,6 +33,22 @@ k = d(u, f) < d(v, f), so m_u counts those set differences over k (`_near`).
 In a connected graph a ball short of full grows at the next level, so the
 recurrence is also the connectivity check, with no separate search.
 
+Leaves need no ball.  Let l be a leaf with neighbour w, so N[l] = {l, w}.
+Then EB_0(l) = {lw} is in EB_0(w), and EB_k(l) = EB_{k-1}(l) | EB_{k-1}(w)
+is in EB_k(w) by induction, as EB_{k-1}(w) is in EB_k(w).  So dropping l
+from N[w] leaves EB_k(w) unchanged, and no other vertex has l in its
+N[s]: the recurrence over the vertices that are not leaves, each with its
+own seed EB_0, gives those vertices the same balls.  Every path from l to
+an edge f != lw passes through w, so d(l, f) = d(w, f) + 1 for those m - 1
+edges, and d(l, lw) = d(w, lw) = 0; hence T(l) = T(w) + m - 1, and each
+pendant edge lw scores |T(l) - T(w)| = m - 1.  The connectivity rule for
+leaves: a leaf whose neighbour is a leaf makes a K2 component, so the
+graph is connected only if it is that K2 (n = 2).  Otherwise every leaf
+hangs on a vertex that is not a leaf, no path between two such vertices
+passes through a leaf, and the graph is connected exactly when the
+recurrence over those vertices (isolated ones included, which have degree
+0) reaches the union of their seeds, which is then every edge.
+
 A brace with a rooted tree hung at each vertex w, a_w tree edges at w and
 m edges in all, has index
 
@@ -61,7 +77,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import and_, mul
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
     Graph, GraphError, all_pairs_distances, edge_pairs, is_connected,
@@ -147,27 +163,32 @@ def edge_report(g: Graph, e: tuple[int, int], dm: list[list] | None = None) -> E
     return EdgeReport(u, v, m_u, m_v, eq)
 
 
-def _balls(adj: tuple[int, ...], seeds: list[int]) -> Iterator[list[int]]:
+def _nbrs(adj: Sequence[int]) -> list[list[int]]:
+    """Per adjacency row, its neighbours: the positions of its set bits."""
+    out = []
+    for row in adj:
+        nbrs = []
+        while row:
+            low = row & -row
+            nbrs.append(low.bit_length() - 1)
+            row ^= low
+        out.append(nbrs)
+    return out
+
+
+def _balls(nbrs: list[list[int]], seeds: list[int]) -> Iterator[list[int]]:
     """Yield B_0, B_1, ... for every source at once, where B_0[s] = seeds[s]
-    and B_k[s] is the union of B_{k-1}[t] over t in N[s]; stop after the
-    first level at which every ball holds the union of all seeds, and raise
-    when no ball grows while one is short of it (see the module docstring).
-    Edge seeds on an edgeless graph start full, so that case is tested on
-    its own."""
-    n = len(adj)
+    and B_k[s] is the union of B_{k-1}[t] over s and its neighbours t in
+    nbrs[s]; stop after the first level at which every ball holds the
+    union of all seeds, and raise when no ball grows while one is short of
+    it (see the module docstring).  Edge seeds on an edgeless graph start
+    full, so that case is tested on its own."""
+    n = len(nbrs)
     full = 0
     for b in seeds:
         full |= b
     if not full and n > 1:
         raise GraphError(_DISCONNECTED)
-    nbrs = []
-    for row in adj:
-        out = []
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        nbrs.append(out)
     balls = seeds
     while True:
         yield balls
@@ -197,13 +218,35 @@ def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]
 
 def edge_mostar(g: Graph) -> int:
     """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|, T(s) being the
-    sum over k of m - |EB_k(s)|."""
-    pairs, inc = _edge_seeds(g.adj)
+    sum over k of m - |EB_k(s)|.  Only the vertices that are not leaves run
+    the recurrence, with their seeds unchanged; a leaf l with neighbour w
+    gets T(l) = T(w) + m - 1, so each pendant edge scores m - 1.  A leaf
+    whose neighbour is a leaf is a K2 component: GraphError unless the
+    graph is that K2.  The recurrence checks that the rest is connected
+    (module docstring, for both proofs)."""
+    adj = g.adj
+    pairs, inc = _edge_seeds(adj)
     m = len(pairs)
+    core, leaves, mask = [], [], 0
+    for s, row in enumerate(adj):
+        if row and not row & row - 1:  # one bit: a leaf
+            leaves.append(s)
+        else:
+            core.append(s)
+            mask |= 1 << s
+    pos = [0] * g.n
+    for i, s in enumerate(core):
+        pos[s] = i
+    nbrs = [[pos[t] for t in out] for out in _nbrs([adj[s] & mask for s in core])]
     t = [0] * g.n
-    for balls in _balls(g.adj, inc):
-        for s, b in enumerate(balls):
+    for balls in _balls(nbrs, [inc[s] for s in core]):
+        for s, b in zip(core, balls):
             t[s] += m - b.bit_count()
+    for s in leaves:
+        w = adj[s].bit_length() - 1
+        if adj[w] == 1 << s and g.n > 2:
+            raise GraphError(_DISCONNECTED)
+        t[s] = t[w] + m - 1
     return sum(abs(t[u] - t[v]) for u, v in pairs)
 
 
@@ -217,7 +260,7 @@ def _near(
     k = d(u, x) < d(v, x), so those sets are disjoint over k and their
     union, all that is nearer u, is the integer sum over k of
     B_k(u) - (B_k(u) & B_k(v))."""
-    cols = list(zip(*_balls(adj, seeds)))  # per vertex, its ball at each level
+    cols = list(zip(*_balls(_nbrs(adj), seeds)))  # per vertex, its ball at each level
     total = list(map(sum, cols))
     both = [sum(map(and_, cols[u], cols[v])) for u, v in pairs]
     return [(total[u] - x, total[v] - x) for (u, v), x in zip(pairs, both)]

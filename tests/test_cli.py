@@ -177,6 +177,104 @@ def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, conten
     assert "Traceback" not in err
 
 
+_ODD = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.integers(-3, 30), st.sampled_from([-1, -10**12, 10**12, 10**30, 10**400]),
+    st.lists(st.integers(-2, 12), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 12), max_size=2),
+)
+_NEST = "\x00nest\x00"  # stands for a value that is wrapped in lists in the text
+
+
+@st.composite
+def _mutated_registry(draw):
+    """The committed registry's text after one to three mutations: a value
+    of another type, a removed or added key, a huge or negative int, an
+    entry dropped or repeated, or a value wrapped in 1 to 100,000 lists
+    (deeper than `json.loads` can read)."""
+    entries = json.loads(REGISTRY.read_text())
+    depth = 0
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        keys = sorted(entry) if isinstance(entry, dict) else []
+        kind = draw(st.sampled_from(["swap", "drop", "add", "int", "nest", "entry"]))
+        if kind == "entry" or not keys:
+            if draw(st.booleans()):
+                del entries[i]
+                if not entries:
+                    break
+            else:
+                entries.insert(i, draw(st.one_of(st.just(entry), _ODD)))
+            continue
+        key = draw(st.sampled_from(keys))
+        if kind == "swap":
+            entry[key] = draw(_ODD)
+        elif kind == "drop":
+            del entry[key]
+        elif kind == "add":
+            entry[draw(st.text(max_size=6))] = draw(_ODD)
+        elif kind == "int":  # the value itself, or one inside it: a coefficient, an endpoint
+            value = draw(st.sampled_from([-1, -10**12, 10**12, 10**30, 10**400]))
+            target = entry[key]
+            if isinstance(target, list) and target:
+                j = draw(st.integers(0, len(target) - 1))
+                if isinstance(target[j], list) and target[j]:
+                    target[j][draw(st.integers(0, len(target[j]) - 1))] = value
+                else:
+                    target[j] = value
+            else:
+                entry[key] = value
+        elif not depth:
+            depth = draw(st.sampled_from([1, 3, 100, 100_000]))
+            entry[key], nested = _NEST, json.dumps(entry[key])
+    text = json.dumps(entries)
+    if depth:
+        text = text.replace(json.dumps(_NEST), "[" * depth + nested + "]" * depth)
+    return text
+
+
+def test_mutated_registry_exits_cleanly(tmp_path, monkeypatch):
+    """Any mutation of the committed registry, run through
+    `verify-theorem1 --size 7 --registry F`, exits 0 or 1 with rows, or 2
+    with one error line, and never shows a traceback.  The size-7 survey
+    does not read the registry, so it is made once."""
+    surveyed = {}
+    real_survey = verify.survey
+
+    def survey_once(tasks, workers):
+        key = tuple(tasks)
+        if key not in surveyed:
+            surveyed[key] = real_survey(key, workers=workers)
+        return surveyed[key]
+
+    monkeypatch.setattr(verify, "survey", survey_once)
+    path = tmp_path / "families.json"
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_mutated_registry())
+    @example(json.dumps([{"id": "a\nb", "base_edges": [], "attach": 0, "m_min": 7,
+                          "poly": None, "provenance": "x"}]))
+    def check(text):
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(["verify-theorem1", "--size", "7", "--threads", "1",
+                           "--registry", str(path)])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2), text[:200]
+        assert "Traceback" not in err.getvalue(), text[:200]
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert [line for line in lines if "error: " in line] == lines[-1:], text[:200]
+        else:
+            assert [row["m"] for row in json.loads(out.getvalue())] == [7], text[:200]
+
+    check()
+
+
 @pytest.mark.parametrize("source", ["stdin", "file"])
 @pytest.mark.parametrize("data", [b"", b"\n  \n\t\n"], ids=["empty", "blank"])
 def test_compute_no_input(tmp_path, capsys, monkeypatch, source, data):

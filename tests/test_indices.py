@@ -13,6 +13,7 @@ from mostar import (
     cycle,
     edge_mostar,
     edge_report,
+    is_connected,
     mostar_summary,
     parse_graph6,
     path,
@@ -29,6 +30,7 @@ from _helpers import (
     naive_edge_rows,
     random_connected,
     random_connected_density,
+    random_graph,
     random_tree,
     star,
 )
@@ -193,8 +195,11 @@ def test_pendant_tree_contribution_invariance(seed):
 
 
 def test_disconnected_rejected():
-    """The ball recurrence's exit is the connectivity check: edgeless
-    graphs, isolated vertices and components far apart all raise."""
+    """The ball recurrence's exit, with `edge_mostar`'s leaf rule, is the
+    connectivity check: edgeless graphs, isolated vertices and components
+    far apart all raise, and so do graphs whose leaves alone could hide a
+    second component from the recurrence over the other vertices (two
+    K2s, a star beside a K2, a star or P3 beside an isolated vertex)."""
     for g in (
         Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
         Graph.from_edges(2, []),
@@ -202,6 +207,12 @@ def test_disconnected_rejected():
         Graph.from_edges(4, [(1, 2)]),
         Graph.from_edges(24, [(i, i + 1) for i in range(11)]
                          + [(i, i + 1) for i in range(12, 23)]),
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)]),
+        Graph.from_edges(6, [(0, 1), (2, 3), (2, 4), (2, 5)]),
+        Graph.from_edges(5, [(1, 0), (1, 2), (1, 3)]),
+        Graph.from_edges(4, [(0, 1), (1, 2)]),
+        Graph.from_edges(4, [(1, 2), (2, 3)]),
     ):
         for index in (edge_mostar, mostar_summary, pendant_tails,
                       lambda g: pendant_model(g.adj)):
@@ -214,6 +225,40 @@ def test_trivial_graphs_score_zero(n):
     g = Graph.from_edges(n, [])
     assert edge_mostar(g) == mostar_summary(g).edge_mostar == 0
     assert mostar_summary(g).per_edge == ()
+
+
+def test_graphs_of_leaves_score_m_minus_one_per_pendant_edge():
+    """Graphs whose non-leaf vertices number 0 or 1: K2 scores 0, P3
+    scores 2 and the star K_{1,r} scores r (r - 1), every edge pendant."""
+    assert edge_mostar(path(2)) == 0
+    assert edge_mostar(path(3)) == 2
+    for r in range(1, 12):
+        assert edge_mostar(star(r + 1)) == mostar_summary(star(r + 1)).edge_mostar == r * (r - 1)
+
+
+@given(st.integers(0, 10**6))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+def test_pendants_and_pieces_match_definition_or_raise(seed):
+    """A random graph (possibly disconnected), random pendant edges hung on
+    it, and sometimes a disjoint piece (a vertex, a K2, a star or another
+    random graph): `edge_mostar` equals the sum of `edge_report` psi, or
+    raises GraphError exactly when the graph is disconnected."""
+    rng = random.Random(seed)
+    g = random_graph(rng, 1, 8)
+    if rng.random() < 0.7:
+        g = with_pendants(g, {rng.randrange(g.n): rng.randint(1, 4)
+                              for _ in range(rng.randint(1, 4))})
+    if rng.random() < 0.3:
+        piece = rng.choice([Graph.from_edges(1, []), path(2), star(rng.randint(3, 5)),
+                            random_graph(rng, 1, 5)])
+        g = Graph.from_edges(g.n + piece.n,
+                             g.edges() + [(u + g.n, v + g.n) for u, v in piece.edges()])
+    if not is_connected(g):
+        with pytest.raises(GraphError, match="requires a connected graph"):
+            edge_mostar(g)
+        return
+    dm = all_pairs_distances(g)
+    assert edge_mostar(g) == sum(edge_report(g, e, dm).psi for e in g.edges())
 
 
 def test_pendant_tail_heads_closed_form(registry):

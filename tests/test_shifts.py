@@ -14,8 +14,10 @@ from mostar.shifts import (
     DISCREPANT,
     GROUPS,
     MATCH,
+    PARAMS,
     SKIPPED,
     RULES,
+    ShiftCheckRow,
     _role_assignments,
     _sample_params,
     calibrate,
@@ -145,6 +147,29 @@ def test_verify_rejects_condition_violations():
     ):
         with pytest.raises(GraphError, match="not non-negative integers"):
             verify_lemma_shift(rule_id, params)
+
+
+_COUNTS = st.one_of(st.integers(-3, 12), st.booleans(), st.floats(), st.text(max_size=3), st.none())
+
+
+@given(st.sampled_from(rule_ids()), st.one_of(
+    st.dictionaries(st.sampled_from(PARAMS), st.integers(-3, 12), max_size=6),
+    st.dictionaries(st.one_of(st.sampled_from(PARAMS), st.text(max_size=3)), _COUNTS,
+                    max_size=8),
+))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_verify_lemma_shift_params_give_a_row_or_graph_error(rule_id, params):
+    """Any params dict (counts a1..a6 and foreign keys, each a bool, float,
+    string, None or an int in -3..12) gives a `ShiftCheckRow` or raises
+    `GraphError`, never another exception; a row means every count is a
+    non-negative int, and it is measured exactly when it is not SKIPPED."""
+    try:
+        row = verify_lemma_shift(rule_id, params)
+    except GraphError:
+        return
+    assert isinstance(row, ShiftCheckRow)
+    assert all(type(v) is int and v >= 0 for v in params.values()), params
+    assert (row.measured is None) == (row.status == SKIPPED), row
 
 
 def test_sampler_gives_at_most_count():
