@@ -6,8 +6,9 @@ structure.  With cyclomatic number c >= 2, suppressing its degree-2
 vertices leaves its kernel, a connected multigraph of minimum degree 3 (a
 loop counts 2) on at most 2(c - 1) vertices.  `kernel_braces` runs the
 suppression backwards: it finds the few small kernels and their
-automorphisms by brute force and subdivides them into the braces and
-their automorphism groups, with no canonical labelling.
+automorphisms by brute force, and `subdivision` turns a kernel and one
+length per edge into the brace and its automorphism group, with no
+canonical labelling.  The shift rules' braces are built the same way.
 
 Each brace carries its class, which `classify` reads off its kernel once
 per kernel.  The classes split the connected tricyclic graphs into five
@@ -128,7 +129,7 @@ def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
     return BraceClass(K4_SUBDIVISION if len(set(edges)) == 6 else DIGON_RING)
 
 
-@lru_cache(maxsize=None)  # `kernel_braces` asks once per kernel and size
+@lru_cache(maxsize=None)  # `subdivision` asks once per brace, of a few kernels
 def _edge_maps(
     order: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -153,16 +154,57 @@ def _edge_maps(
     return out
 
 
+def subdivision(
+    order: int, edges: tuple[tuple[int, int], ...], lengths: tuple[int, ...]
+) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """The subdivision of the kernel (order, edges) with edge i a path of
+    length lengths[i], and its automorphism group as vertex permutations,
+    the identity first.  The kernel has every vertex of degree >= 3 and
+    each edge (a, b) with a <= b; the brace is a simple graph when every
+    loop has length >= 3 and no parallel class holds two edges of length 1.
+
+    The brace is `hub_paths` in kernel edge order: kernel vertex v is
+    brace vertex v, and the inner vertices of edge i follow those of
+    edges 0..i-1, from a to b.  The shift rules' calibrated roles name
+    these vertices, so the numbering is part of the contract, pinned
+    where `hub_paths` says.  Every automorphism maps branch vertices to
+    branch vertices and paths to paths, so the group is the kernel's edge
+    maps that keep the lengths, each with either direction round every
+    loop; on a simple brace no two of them are equal (at most 48 for
+    c <= 3)."""
+    brace = hub_paths(order, [(x, y, k) for (x, y), k in zip(edges, lengths)])
+    loops = [i for i, (x, y) in enumerate(edges) if x == y]
+    inner, start = [], order
+    for k in lengths:
+        inner.append(range(start, start + k - 1))
+        start += k - 1
+    auts = []
+    for pi, sigma in _edge_maps(order, edges):
+        if any(lengths[j] != k for j, k in zip(sigma, lengths)):
+            continue
+        for flips in product((False, True), repeat=len(loops)):
+            perm = list(pi) + [0] * (start - order)
+            flipped = {i for i, f in zip(loops, flips) if f}
+            for i, (a, z) in enumerate(edges):
+                j = sigma[i]
+                path = inner[j]
+                if i in flipped or (a != z and pi[a] != edges[j][0]):
+                    path = path[::-1]
+                for x, y in zip(inner[i], path):
+                    perm[x] = y
+            auts.append(tuple(perm))
+    auts.sort(key=lambda p: p != tuple(range(start)))
+    return brace, tuple(auts)
+
+
 def kernel_braces(
     c: int, sizes: Iterable[int]
 ) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...], BraceClass]]]:
     """Map each size b in `sizes` to every brace with cyclomatic number
     c >= 2 and b edges, one per isomorphism class, each with its
-    automorphism group as a list of vertex permutations (the identity
-    first) and its class: its kernel's `classify`, with the sorted lengths
-    as path parameters when the brace is 2-connected.  A brace is its
-    kernel with edge i subdivided into a path of length l_i, built by
-    `hub_paths` in kernel edge order.
+    automorphism group and its class: its kernel's `classify`, with the
+    sorted lengths as path parameters when the brace is 2-connected.
+    Each brace and group is a `subdivision` of a kernel.
 
     Two subdivisions are isomorphic exactly when a kernel automorphism
     carries one length tuple to the other, since every isomorphism maps
@@ -170,10 +212,7 @@ def kernel_braces(
     composition of b over a kernel's edges is kept when it is the
     smallest in its orbit, and the simple graphs are those whose loops
     have length >= 3 and whose parallel classes hold at most one edge of
-    length 1.  The automorphisms of a brace are the kernel's edge maps that
-    keep the lengths, each with either direction round every loop; loops
-    and length-1 edges leave no two of them equal, so the list has no
-    repeats (at most 48 elements for c <= 3)."""
+    length 1."""
     out: dict[int, list] = {b: [] for b in sizes}
     for order, edges in _kernels(c):
         kind = classify(order, edges).kind
@@ -191,34 +230,6 @@ def kernel_braces(
                     continue
                 if any(tuple([lengths[j] for j in sigma]) < lengths for sigma in moves):
                     continue
-                brace = hub_paths(order, [(x, y, k) for (x, y), k in zip(edges, lengths)])
-                auts = _brace_automorphisms(order, edges, lengths, maps, loops)
                 params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
-                out[b].append((brace, auts, BraceClass(kind, params)))
+                out[b].append((*subdivision(order, edges, lengths), BraceClass(kind, params)))
     return out
-
-
-def _brace_automorphisms(order, edges, lengths, maps, loops) -> tuple[tuple[int, ...], ...]:
-    """The vertex permutations of the subdivision built by `kernel_braces`,
-    one per length-keeping edge map and choice of loop directions."""
-    inner, start = [], order
-    for k in lengths:
-        inner.append(range(start, start + k - 1))
-        start += k - 1
-    out = []
-    for pi, sigma in maps:
-        if any(lengths[j] != k for j, k in zip(sigma, lengths)):
-            continue
-        for flips in product((False, True), repeat=len(loops)):
-            perm = list(pi) + [0] * (start - order)
-            flipped = {i for i, f in zip(loops, flips) if f}
-            for i, (a, z) in enumerate(edges):
-                j = sigma[i]
-                path = inner[j]
-                if i in flipped or (a != z and pi[a] != edges[j][0]):
-                    path = path[::-1]
-                for x, y in zip(inner[i], path):
-                    perm[x] = y
-            out.append(tuple(perm))
-    out.sort(key=lambda p: p != tuple(range(start)))
-    return tuple(out)

@@ -12,16 +12,10 @@ cell of the last partition agree (that round grouped by them), which fixes
 the dropped counts, and equal components change neither the grouping nor
 the order.  A cell with no neighbour in a splitter cannot split.
 
-Twin pruning: if adj[v] - {w} == adj[w] - {v}, the transposition (v w) is an
-automorphism fixing all else, so it maps the subtree individualizing w at a
-node onto the one individualizing v, keys included.  With w branched first,
-skipping v keeps the first largest leaf; the transpositions join the
-generators after the search.
-
 Orbit pruning uses the found group's orbits, not the node stabilizer's
 (McKay & Piperno, "Practical graph isomorphism, II", 2014).  That it never
 drops the first largest leaf is unproved; tests check it against brute
-force for n <= 6 and against the search without the shortcuts above.
+force for n <= 6 and against the search without splitter-only refinement.
 """
 
 from __future__ import annotations
@@ -89,14 +83,11 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _union(parent: list[int], a: int, b: int) -> bool:
+def _union(parent: list[int], a: int, b: int) -> None:
     ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
     if ra > rb:
         ra, rb = rb, ra
     parent[rb] = ra
-    return True
 
 
 class _Search:
@@ -108,7 +99,6 @@ class _Search:
         self.leaf_perms: dict[tuple[int, ...], list[int]] = {}
         self.generators: list[tuple[int, ...]] = []
         self.parent = list(range(n))
-        self.twins: list[tuple[int, int]] = []
 
     def _leaf(self, cells: list[int]) -> None:
         adj = self.adj
@@ -146,7 +136,7 @@ class _Search:
         else:
             self._leaf(cells)
             return
-        adj, parent = self.adj, self.parent
+        parent = self.parent
         branched: list[int] = []
         rest = cell
         while rest:
@@ -155,13 +145,8 @@ class _Search:
             v = low.bit_length() - 1
             if any(_find(parent, w) == _find(parent, v) for w in branched):
                 continue
-            for w in branched:
-                if adj[v] ^ adj[w] in (0, low | 1 << w):
-                    self.twins.append((v, w))
-                    break
-            else:
-                branched.append(v)
-                self.run(cells[:target] + [low, cell ^ low] + cells[target + 1 :], [low])
+            branched.append(v)
+            self.run(cells[:target] + [low, cell ^ low] + cells[target + 1 :], [low])
 
 
 def canon(g: Graph) -> CanonResult:
@@ -175,15 +160,6 @@ def canon(g: Graph) -> CanonResult:
     cells = [by_degree[d] for d in sorted(by_degree)]
     search = _Search(g.n, g.adj)
     search.run(cells, cells[:-1])
-    # a spanning forest of the twin pairs generates what they all generate:
-    # a connected graph's edge transpositions give all its permutations
-    forest = list(range(g.n))
-    for v, w in search.twins:
-        if _union(forest, v, w):
-            swap = list(range(g.n))
-            swap[v], swap[w] = w, v
-            search.generators.append(tuple(swap))
-            _union(search.parent, v, w)
     orbit_of = tuple([_find(search.parent, v) for v in range(g.n)])
     return CanonResult(g.n, search.best_key, tuple(search.best_lam),
                        tuple(search.generators), orbit_of)

@@ -43,11 +43,18 @@ def _load_registry(path: str | None) -> FamilyRegistry:
         )
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Reject an output path whose directory is missing before any work
-    starts; the write itself comes only after the enumeration or suite."""
+def _check_outputs(*paths: str | None) -> None:
+    """Reject an output path that is empty, an existing directory or in a
+    missing directory before any work starts; the write itself comes only
+    after the enumeration or suite."""
     for path in paths:
-        if path and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if not path:
+            raise UsageError("cannot write '': empty path")
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(Path(path).parent):
             raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
@@ -103,14 +110,14 @@ def _parse_sizes(args) -> list[int]:
 
 
 def cmd_compute(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs(args.output)
     sources: list[tuple[bytes, str]] = []
     if args.inputs:
         for fname in args.inputs:
             try:
                 sources.append((Path(fname).read_bytes(), fname))
             except OSError as exc:
-                print(f"error: cannot read {fname}: {exc}", file=sys.stderr)
+                print(_one_line(f"error: cannot read {fname}: {exc}"), file=sys.stderr)
                 return 2
     else:
         sources.append((sys.stdin.buffer.read(), "<stdin>"))
@@ -127,13 +134,13 @@ def cmd_compute(args) -> int:
             try:
                 g = parse_graph6(line)
             except Graph6Error as exc:
-                print(f"{src}:{no}: parse error: {exc}", file=sys.stderr)
+                print(_one_line(f"{src}:{no}: parse error: {exc}"), file=sys.stderr)
                 skipped += 1
                 continue
             try:
                 out_rows.append((g, mostar_summary(g)))
             except GraphError:
-                print(f"{src}:{no}: disconnected graph skipped", file=sys.stderr)
+                print(_one_line(f"{src}:{no}: disconnected graph skipped"), file=sys.stderr)
                 skipped += 1
     if not read:
         print("error: no graph6 input", file=sys.stderr)
@@ -167,7 +174,7 @@ def _emit_rows(rows, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs(args.output)
     rows = args.verify(
         _parse_sizes(args),
         registry=_load_registry(args.registry),
@@ -183,7 +190,7 @@ def cmd_atlas(args) -> int:
         TRICYCLIC.atlas_sizes(args.max_size, "--max-size")
     except ValueError as exc:
         raise UsageError(str(exc))
-    _check_output_dirs(args.output, args.report)
+    _check_outputs(args.output, args.report)
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, BICYCLIC.tail_start),
@@ -193,7 +200,7 @@ def cmd_atlas(args) -> int:
     report_text = json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(report_text, args.report)
     result.registry.save(args.output)
-    print(f"registry written to {args.output}", file=sys.stderr)
+    print(_one_line(f"registry written to {args.output}"), file=sys.stderr)
     if result.report.unresolved:
         print(f"unresolved families: {sorted(result.report.unresolved)}",
               file=sys.stderr)
@@ -202,7 +209,7 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    _check_output_dirs(args.output)
+    _check_outputs(args.output)
     report = run_shift_suite(count=args.count, seed=args.seed)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(text, args.output)
@@ -264,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_line(exc: Exception) -> str:
-    """The message of `exc` with every character that is not printable, line
-    breaks included, written as its escape: a message quotes input (a
-    registry's family id, a path) that may hold any character."""
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+def _one_line(text: object) -> str:
+    """`text` with every character that is not printable, line breaks
+    included, written as its escape: a message quotes input (a registry's
+    family id, a path) that may hold any character."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(text))
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 from . import braces as br
 from .canon import canon, canonical_form
 from .enumeration import bicyclic_task, tricyclic_task
-from .graphs import Graph, GraphError, is_connected, theta
+from .graphs import Graph, GraphError, is_connected
 from .graphs import with_pendants, write_graph6
 from .indices import pendant_tails, poly_eval
 
@@ -384,10 +384,10 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     claimed, kind, params = DISCOVERY[fid]
     if kind != br.FOUR_THETA or params is None:
         return
-    base = theta(params)
+    base, auts = br.subdivision(2, ((0, 1),) * len(params), params)
     forms = pendant_tails(base)
     lines = []
-    for v in sorted(set(canon(base).orbit_of)):
+    for v in sorted({min(g[u] for g in auts) for u in range(base.n)}):  # one per orbit
         poly, holds_from, head = forms[v]
         hits = [
             m for m, value in enumerate(head, start=base.m)

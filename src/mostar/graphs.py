@@ -122,9 +122,11 @@ def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
     """Hubs 0..hubs-1 joined by internally disjoint paths (a, b, length).
 
     Internal vertices are numbered from `hubs` on, path by path in the
-    given order and along each path from a to b.  The shift rules'
-    calibrated roles name vertices of these braces, so the numbering is
-    part of the contract.
+    given order and along each path from a to b.  `braces.subdivision`
+    builds every kernel brace, the shift rules' included, this way, and
+    the rules' calibrated roles name these vertices, so the numbering is
+    part of the contract (`test_group_realizations_keep_their_labels` and
+    `perfbench/reference.json` pin it).
     """
     edges = []
     nxt = hubs
@@ -136,11 +138,6 @@ def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
             nxt += 1
         edges.append((prev, b))
     return Graph.from_edges(nxt, edges)
-
-
-def theta(lengths: Iterable[int]) -> Graph:
-    """Hubs 0 and 1 joined by internally disjoint paths of the given lengths."""
-    return hub_paths(2, [(0, 1, length) for length in lengths])
 
 
 def with_pendants(g: Graph, counts: Mapping[int, int]) -> Graph:

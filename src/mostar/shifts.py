@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, GraphError, hub_paths, theta, with_pendants
-from .canon import canon
+from .braces import subdivision
+from .graphs import Graph, GraphError, with_pendants
 from .indices import edge_mostar
 
 MATCH = "MATCH"
@@ -123,33 +123,38 @@ RULES: dict[str, ShiftRule] = {r.id: r for r in [
 @dataclass(frozen=True)
 class RuleGroup:
     group: str
-    realizations: tuple[Graph, ...]     # candidate braces (sorted lengths can
-                                        # admit several simple realizations)
-    roles: int                          # number of labeled vertices
-    role_degrees: Optional[tuple[int, ...]]  # stated brace degrees, if any
+    order: int                                  # kernel hubs 0..order-1
+    edges: tuple[tuple[int, int], ...]          # kernel edges (a, b), a <= b
+    lengths: tuple[tuple[int, ...], ...]        # one per realization (sorted lengths
+                                                # can admit several simple ones)
+    roles: int                                  # number of labeled vertices
+    role_degrees: Optional[tuple[int, ...]]     # stated brace degrees, if any
+    # the `subdivision` of the kernel by each length tuple
+    realizations: tuple[Graph, ...] = field(init=False, repr=False)
+    automorphisms: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        built = [subdivision(self.order, self.edges, k) for k in self.lengths]
+        object.__setattr__(self, "realizations", tuple(g for g, _ in built))
+        object.__setattr__(self, "automorphisms", tuple(auts for _, auts in built))
 
 
+_K4 = (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 # three-hub braces have hubs x=0, y=1, z=2: two paths x-y, two paths x-z
 # and one path y-z
-GROUPS: dict[str, RuleGroup] = {
-    # K4 with one edge split by a new vertex: path lengths (1,1,1,1,1,2)
-    "L3.2": RuleGroup("L3.2", (hub_paths(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
-                                             (1, 2, 1), (1, 3, 1), (2, 3, 2)]),),
-                      5, None),
-    "L3.3": RuleGroup("L3.3", (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1),
-                                             (0, 2, 2), (1, 2, 1)]),), 5, None),
-    "L3.4": RuleGroup(
-        "L3.4",
-        (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 2), (0, 2, 2), (1, 2, 1)]),
-         hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 2, 2)])),
-        6, None,
-    ),
-    "L3.5": RuleGroup("L3.5", (hub_paths(3, [(0, 1, 1), (0, 1, 2), (0, 2, 1),
-                                             (0, 2, 3), (1, 2, 1)]),), 6, None),
-    "L3.6": RuleGroup("L3.6", (theta((1, 2, 2, 2)),), 5, (4, 4, 2, 2, 2)),
-    "L3.7": RuleGroup("L3.7", (theta((2, 2, 2, 2)),), 6, (4, 4, 2, 2, 2, 2)),
-    "L3.8": RuleGroup("L3.8", (theta((1, 2, 2, 3)),), 6, (4, 4, 2, 2, 2, 2)),
-}
+_THREE_HUB = (3, ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2)))
+_FOUR_THETA = (2, ((0, 1),) * 4)
+
+GROUPS: dict[str, RuleGroup] = {g.group: g for g in [
+    # K4 with one edge split by a new vertex
+    RuleGroup("L3.2", *_K4, ((1, 1, 1, 1, 1, 2),), 5, None),
+    RuleGroup("L3.3", *_THREE_HUB, ((1, 2, 1, 2, 1),), 5, None),
+    RuleGroup("L3.4", *_THREE_HUB, ((1, 2, 2, 2, 1), (1, 2, 1, 2, 2)), 6, None),
+    RuleGroup("L3.5", *_THREE_HUB, ((1, 2, 1, 3, 1),), 6, None),
+    RuleGroup("L3.6", *_FOUR_THETA, ((1, 2, 2, 2),), 5, (4, 4, 2, 2, 2)),
+    RuleGroup("L3.7", *_FOUR_THETA, ((2, 2, 2, 2),), 6, (4, 4, 2, 2, 2, 2)),
+    RuleGroup("L3.8", *_FOUR_THETA, ((1, 2, 2, 3),), 6, (4, 4, 2, 2, 2, 2)),
+]}
 
 
 def rule_ids() -> list[str]:
@@ -223,18 +228,11 @@ def _calibration_probes(rule: ShiftRule) -> list[dict[str, int]]:
 # -- calibration ---------------------------------------------------------------
 
 
-def _role_assignments(brace: Graph, roles: int,
+def _role_assignments(brace: Graph, group: tuple[tuple[int, ...], ...], roles: int,
                       role_degrees: Optional[tuple[int, ...]]):
     """Injective role -> vertex maps, one per automorphism class: the least
-    image of each under the brace's group, in lexicographic order."""
-    gens, group = canon(brace).generators, {tuple(range(brace.n))}
-    frontier = list(group)
-    while frontier:  # the closure of canon's generators
-        g = frontier.pop()
-        for gen in gens:
-            if (h := tuple([gen[v] for v in g])) not in group:
-                group.add(h)
-                frontier.append(h)
+    image of each under `group`, the brace's automorphism group, in
+    lexicographic order."""
     for perm in itertools.permutations(range(brace.n), roles):
         if role_degrees and any(brace.degree(v) != d for v, d in zip(perm, role_degrees)):
             continue
@@ -270,8 +268,8 @@ def calibrate(group_id: str) -> Calibration:
     probes = {r.id: _calibration_probes(r) for r in rules}
     best: Optional[Calibration] = None
     best_score = -1
-    for ridx, brace in enumerate(group.realizations):
-        for roles in _role_assignments(brace, group.roles, group.role_degrees):
+    for ridx, (brace, auts) in enumerate(zip(group.realizations, group.automorphisms)):
+        for roles in _role_assignments(brace, auts, group.roles, group.role_degrees):
             score = 0
             matched = []
             for r in rules:

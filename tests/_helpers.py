@@ -705,9 +705,9 @@ class _ReferenceSearch:
 
 
 def reference_canon(g: Graph):
-    """`mostar.canon` as it was before splitter-only refinement and twin
-    pruning: every round recounts every vertex against every cell, and the
-    search branches on every vertex its orbit pruning leaves.  `canon` must
+    """`mostar.canon` as it was before splitter-only refinement: every
+    round recounts every vertex against every cell, and the search
+    branches on every vertex its orbit pruning leaves.  `canon` must
     return the same canon_adj, labeling and orbit_of; the generators may
     differ."""
     from mostar.canon import CanonResult

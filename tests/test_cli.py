@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -300,6 +301,23 @@ def test_compute_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_compute_messages_are_one_line(tmp_path, capsys, monkeypatch):
+    """compute's own messages quote the file name, which may hold a line
+    break: a missing file, an unparsable line and a disconnected graph
+    each give one line, with the break written as its escape."""
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, ["compute", "no\nsuch"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read no\\nsuch: ") and err.count("\n") == 1
+    (tmp_path / "bad\nname").write_text("C~\n@@@\nCK\n")
+    rc, out, err = run(capsys, ["compute", "bad\nname"])
+    assert rc == 3 and out.count("\n") == 1
+    assert err.splitlines() == [
+        "bad\\nname:2: parse error: trailing data after adjacency bits (byte offset 1)",
+        "bad\\nname:3: disconnected graph skipped",
+    ]
+
+
 def test_verify_theorem2_pass(tmp_path, capsys):
     out_file = tmp_path / "rows.json"
     rc, _, _ = run(capsys, [
@@ -434,6 +452,25 @@ def test_verify_member_of_another_order(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_unpinned_family_passes_on_the_maximum(tmp_path, capsys):
+    """A row whose expected family is not pinned at its size (A0 with an
+    m_min of 10**30) still PASSes, with exit 0: the row checks the maximum
+    over every class of the size, and the family's hit is null, meaning
+    unchecked, with the note naming it."""
+    reg = FamilyRegistry.load(REGISTRY)
+    reg.add(dataclasses.replace(reg["A0"], m_min=10**30))
+    path = tmp_path / "fam.json"
+    reg.save(path)
+    rc, out, err = run(capsys, ["verify-theorem1", "--size", "12", "--threads", "1",
+                                "--registry", str(path)])
+    assert rc == 0 and err == ""
+    (row,) = json.loads(out)
+    assert row["status"] == "PASS" and row["family_hits"] == {"A0": None}
+    assert row["observed_max"] == row["expected_max"] == 12 * 12 - 12 - 36
+    assert row["observed_maximizer_count"] == 1
+    assert row["note"] == "not pinned at this size: ['A0']"
+
+
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
 @pytest.mark.parametrize("text", ["7-x", "7", "a-b", "9-7"])
 def test_verify_bad_range(capsys, command, text):
@@ -488,13 +525,17 @@ def test_threads_capped_at_core_count(tmp_path, capsys, monkeypatch, argv, targe
 
 
 def test_atlas_partial_on_small_range(tmp_path, capsys):
-    reg_path = tmp_path / "fam.json"
+    """Exit 3 with the unresolved families named; the registry path, which
+    may hold a line break, is quoted on one line."""
+    reg_path = tmp_path / "fam\nily.json"
     rep_path = tmp_path / "rep.json"
     rc, _, err = run(capsys, [
         "atlas", "--max-size", "9", "--threads", "2",
         "--output", str(reg_path), "--report", str(rep_path),
     ])
     assert rc == 3  # A1 needs size 11, A2 size 10, H4 never resolves
+    assert err.splitlines()[0] == f"registry written to {tmp_path}/fam\\nily.json"
+    assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("unresolved")
     report = json.loads(rep_path.read_text())
     assert "A1" in report["unresolved"]
     assert "A2" in report["unresolved"]
@@ -757,19 +798,63 @@ def test_missing_output_directory(tmp_path, capsys, monkeypatch, argv, target):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.g6"]
 
 
-def test_atlas_unwritable_report_keeps_registry(tmp_path, capsys, monkeypatch):
-    """A report path that is an existing directory fails after the
-    enumeration: exit 2, and the registry in place (the default
-    ./families.json) stays byte for byte."""
+@pytest.mark.parametrize("path", ["adir", ""], ids=["directory", "empty"])
+@pytest.mark.parametrize("argv,target", [
+    (["compute", "in.g6", "--output"], "mostar.cli.mostar_summary"),
+    (["verify-theorem1", "--size", "12", "--threads", "1", "--output"], "mostar.verify.survey"),
+    (["verify-theorem2", "--size", "10", "--threads", "1", "--output"], "mostar.verify.survey"),
+    (["lemmas", "--output"], "mostar.cli.run_shift_suite"),
+    (["atlas", "--threads", "1", "--output"], "mostar.verify.survey"),
+    (["atlas", "--threads", "1", "--report"], "mostar.verify.survey"),
+], ids=["compute", "verify-theorem1", "verify-theorem2", "lemmas", "atlas-output",
+        "atlas-report"])
+def test_output_path_directory_or_empty(tmp_path, capsys, monkeypatch, argv, target, path):
+    """An --output or --report path that is an existing directory, or is
+    empty, is rejected before any work starts: exit 2 with the path named,
+    nothing written, and the registry in place (./families.json, the atlas
+    default) byte for byte as it was."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the output path was checked")
+
+    monkeypatch.setattr(target, no_work)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.g6").write_text(write_graph6(cycle(4)) + "\n")
     (tmp_path / "adir").mkdir()
     registry = tmp_path / "families.json"
     registry.write_bytes(REGISTRY.read_bytes())
-    rc, _, err = run(capsys, ["atlas", "--max-size", "7", "--threads", "1",
-                              "--report", "adir"])
-    assert rc == 2
-    assert "error:" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    want = "cannot write adir: is a directory" if path else "cannot write '': empty path"
+    assert want in err and "Traceback" not in err
     assert registry.read_bytes() == REGISTRY.read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "families.json", "in.g6"]
+
+
+def test_atlas_unwritable_report_keeps_registry(tmp_path, capsys, monkeypatch):
+    """A report name the filesystem refuses only at the write (300
+    characters, past the 255 a file name may have) fails after the
+    enumeration: exit 2 with one error line, and the registry in place
+    (the default ./families.json) stays byte for byte, since the report
+    is written before it."""
+    surveyed = []
+    real_survey = verify.survey
+
+    def counting(*args, **kwargs):
+        surveyed.append(1)
+        return real_survey(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "survey", counting)
+    monkeypatch.chdir(tmp_path)
+    registry = tmp_path / "families.json"
+    registry.write_bytes(REGISTRY.read_bytes())
+    rc, _, err = run(capsys, ["atlas", "--max-size", "7", "--threads", "1",
+                              "--report", "r" * 300])
+    assert rc == 2 and surveyed
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert registry.read_bytes() == REGISTRY.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json"]
 
 
 @pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])

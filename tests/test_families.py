@@ -21,7 +21,8 @@ from mostar.families import (
     builtin_registry,
     discover_families,
 )
-from mostar.graphs import hub_paths, theta, with_pendants
+from mostar.braces import subdivision
+from mostar.graphs import hub_paths, with_pendants
 from mostar.indices import pendant_tails, poly_eval
 from mostar.shifts import GROUPS
 from _helpers import (
@@ -141,7 +142,7 @@ def test_h4_head_coincidence_rejected(atlas_report):
     m^2-3m-24 at m = 9 only: the tail is m^2-3m-32 from m >= 11, so the
     brace pass over sizes up to 9 (or 12) yields no H4 candidate."""
     printed = DISCOVERY["H4"][0]
-    base = theta((1, 2, 2, 3))
+    base, _ = subdivision(2, ((0, 1),) * 4, (1, 2, 2, 3))
     g = with_pendants(base, {2: 1})
     assert edge_mostar(g) == poly_eval(printed, 9)
     forms = pendant_tails(base)
@@ -167,7 +168,7 @@ def test_forensic_hits_exact(monkeypatch, claimed):
     monkeypatch.setitem(DISCOVERY, "H4", (claimed, kind, params))
     report = DiscoveryReport()
     _unresolved_forensics("H4", report)
-    base = theta(params)
+    base, _ = subdivision(2, ((0, 1),) * 4, params)
     families = report.notes[0].split("measured families: ")[1].split("; ")
     assert len(families) == 3
     for line in families:

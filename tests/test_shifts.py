@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mostar import Graph, GraphError, canonical_form, cycle, is_connected
-from mostar.graphs import theta, with_pendants
+from mostar import Graph, GraphError, canon, canonical_form, cycle, is_connected
+from mostar.braces import subdivision
+from mostar.graphs import hub_paths, with_pendants
 from _helpers import (
     ShiftSpec, cyclomatic_number, orbit_walk_role_assignments, reference_measured_delta,
     shift_pendants,
@@ -183,13 +184,32 @@ def test_sampler_gives_at_most_count():
         == batch
 
 
+def test_realization_groups_equal_canon_closure():
+    """Every rule realization's `subdivision` group is, as a set, the closure
+    of `canon`'s generators on the same brace, with the identity first and
+    no repeats."""
+    for group in GROUPS.values():
+        for brace, auts in zip(group.realizations, group.automorphisms):
+            gens = canon(brace).generators
+            closure, frontier = {tuple(range(brace.n))}, [tuple(range(brace.n))]
+            while frontier:
+                g = frontier.pop()
+                for gen in gens:
+                    if (h := tuple(gen[v] for v in g)) not in closure:
+                        closure.add(h)
+                        frontier.append(h)
+            assert auts[0] == tuple(range(brace.n))
+            assert len(set(auts)) == len(auts) and set(auts) == closure, group.group
+
+
 def test_role_assignments_equal_orbit_walk():
-    """On every rule brace, the least images under the closed group are the
-    tuples the orbit walk keeps, in the same order (1,544 in all)."""
+    """On every rule brace, the least images under its `subdivision` group
+    are the tuples the orbit walk over `canon`'s generators keeps, in the
+    same order (1,544 in all)."""
     total = 0
     for group in GROUPS.values():
-        for brace in group.realizations:
-            got = list(_role_assignments(brace, group.roles, group.role_degrees))
+        for brace, auts in zip(group.realizations, group.automorphisms):
+            got = list(_role_assignments(brace, auts, group.roles, group.role_degrees))
             assert got == list(orbit_walk_role_assignments(
                 brace, group.roles, group.role_degrees)), group.group
             total += len(got)
@@ -199,7 +219,7 @@ def test_role_assignments_equal_orbit_walk():
 def test_hub_swap_with_empty_far_hub_is_isomorphic():
     """The printed hub-to-hub delta cannot hold when the receiving hub is
     bare: that shift is an automorphism flip, so the index cannot change."""
-    brace = theta((1, 2, 2, 2))
+    brace = hub_paths(2, [(0, 1, 1), (0, 1, 2), (0, 1, 2), (0, 1, 2)])
     g = with_pendants(brace, {1: 3})  # three pendants at one hub, none at the other
     h = shift_pendants(g, ShiftSpec(1, 0, 3))
     assert canonical_form(g) == canonical_form(h)
@@ -270,6 +290,6 @@ def test_group_realizations_keep_their_labels():
             == GROUP_EDGES[gid], gid
         assert all(r.n == 1 + max(max(e) for e in r.edges())
                    for r in group.realizations)
-    # the bicyclic discovery brace B3 and B4 are told apart by
-    assert [tuple(e) for e in theta((1, 2, 2)).edges()] == \
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    # a bicyclic theta is numbered the same way: hubs, then path by path
+    brace, _ = subdivision(2, ((0, 1),) * 3, (1, 2, 2))
+    assert [tuple(e) for e in brace.edges()] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
