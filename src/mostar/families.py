@@ -17,20 +17,23 @@ the one place a surveyed brace's identity is worked out.  The pinned
 m_min is the size from which the tail holds, so every registry polynomial
 is proved for all m >= m_min.  No maximizer is parsed: the survey carries
 the brace and attachment vertex of each that has one.
+
+Which candidate becomes which family is read off the paper's equality
+lists (`verify.TRICYCLIC` and `verify.BICYCLIC`, `listed_families`), by
+one rule for every id: a family's member is a maximizer at each surveyed
+size whose list names the family (`discover_families`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form
-from .enumeration import bicyclic_task, tricyclic_task
 from .graphs import Graph, GraphError, is_connected
 from .graphs import with_pendants, write_graph6
 from .indices import pendant_tails, poly_eval
@@ -232,11 +235,11 @@ def member_form(spec: FamilySpec, m: int, order: int) -> Optional[str]:
 
 # -- discovery ---------------------------------------------------------------
 
-# the families whose drawings are unavailable: closed form, brace kind (None:
-# no shape filter) and, for a 2-connected brace, the sorted path lengths that
-# identify it
+# the families whose drawings are unavailable: closed form, brace kind and,
+# for a 2-connected brace, the sorted path lengths that identify it; B2 and
+# B4 have no closed form and are found among the maximizers
 DISCOVERY: dict[
-    str, tuple[tuple[int, int, int], Optional[str], Optional[tuple[int, ...]]]
+    str, tuple[Optional[tuple[int, int, int]], Optional[str], Optional[tuple[int, ...]]]
 ] = {
     "A1": ((1, -2, -27), br.COMPOSITE, None),
     "A2": ((1, -2, -27), br.COMPOSITE, None),
@@ -253,8 +256,10 @@ DISCOVERY: dict[
     "H2": ((1, -2, -31), br.FOUR_THETA, (1, 2, 2, 2)),
     "H3": ((1, -1, -48), br.FOUR_THETA, (2, 2, 2, 2)),
     "H4": ((1, -3, -24), br.FOUR_THETA, (1, 2, 2, 3)),
-    "B1": ((1, -3, -6), None, None),
-    "B3": ((1, -3, -6), None, None),
+    "B1": ((1, -3, -6), br.NOT_TRICYCLIC, None),
+    "B2": (None, None, None),
+    "B3": ((1, -3, -6), br.NOT_TRICYCLIC, None),
+    "B4": (None, None, None),
 }
 
 @dataclass(frozen=True)
@@ -271,7 +276,7 @@ class Candidate:
             base_edges=self.base_edges,
             attach=self.attach,
             m_min=self.m_min,
-            poly=DISCOVERY[fid][0] if fid in DISCOVERY else None,
+            poly=DISCOVERY[fid][0],
             provenance=DISCOVERED,
         )
 
@@ -409,6 +414,17 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     )
 
 
+def _maximizer_pool(s, m: int) -> list[Candidate]:
+    """The single-attach decompositions of the survey's size-m maximizers,
+    as candidates first seen at m, by (m_min, key)."""
+    out = []
+    for dec in s.maximizer_braces:
+        if dec is not None:
+            edges, attach, key = _normalize_candidate(*dec)
+            out.append(Candidate(key, edges, attach, len(edges), m))
+    return sorted(out, key=lambda c: (c.m_min, c.key))
+
+
 def discover_families(
     tri_surveys: dict,
     bi_surveys: dict,
@@ -417,54 +433,63 @@ def discover_families(
 
     `tri_surveys` and `bi_surveys` map size m to that size's Survey;
     discovery reads their braces and maximizers and extends the builtin
-    registry.  Ambiguities (several non-isomorphic candidates for one id)
-    are all recorded; a family with no surviving candidate is listed as
-    unresolved, never fabricated.
+    registry.  One rule pins every DISCOVERY id, read against the
+    published equality lists: the ids listed at the most surveyed sizes
+    go first (ties by id), and each takes the first candidate, by
+    (m_min, key), whose key no registry family has and whose member is a
+    maximizer at every surveyed size that lists the id.  An id with no
+    closed form draws its candidates from the maximizers at the largest
+    size that lists it.  The other candidates that pass, unless another
+    id takes them, are recorded as ambiguities; an id with none is
+    listed as unresolved, never fabricated.
     """
+    # verify imports this module, so the published tables are read here
+    from .verify import BICYCLIC, TRICYCLIC
+
     reg = builtin_registry()
     report = DiscoveryReport()
-    member = lru_cache(maxsize=None)(member_form)  # each (spec, m, order) labelled once
+    forms: dict = {}
 
-    def adopt(fid: str, picks: list[Candidate]) -> Optional[Candidate]:
-        """Pin the first pick; the others are recorded as ambiguities."""
-        if not picks:
+    def member(spec: FamilySpec, m: int, order: int) -> Optional[str]:
+        """`member_form`, labelled once per construction, size and order."""
+        key = (spec.base_edges, spec.attach, m, order)
+        if key not in forms:
+            forms[key] = member_form(spec, m, order)
+        return forms[key]
+
+    # per id, (size, order, survey or None) at each size whose list names it
+    listed = {fid: [(m, spec.task(m).n, surveys.get(m))
+                    for spec, surveys in ((TRICYCLIC, tri_surveys), (BICYCLIC, bi_surveys))
+                    for m, ids in sorted(spec.listed_families.items()) if fid in ids]
+              for fid in DISCOVERY}
+    tails = _brace_tails(tri_surveys) + _brace_tails(bi_surveys)
+    taken = {_normalize_candidate(spec.base_graph(), spec.attach)[2]
+             for spec in reg.specs.values()}
+    passed: dict[str, list[Candidate]] = {}
+    for fid in sorted(DISCOVERY, key=lambda f: (-sum(s is not None for *_, s in listed[f]), f)):
+        if DISCOVERY[fid][0] is not None:
+            pool = _collect_group(fid, tails)
+        else:
+            m, _, s = listed[fid][-1]
+            pool = [] if s is None else _maximizer_pool(s, m)
+        checks = [(m, n, s.result.maximizers) for m, n, s in listed[fid] if s is not None]
+        passed[fid] = [c for c in pool if c.key not in taken and all(
+            c.m_min <= m and member(c.spec(fid), m, n) in top for m, n, top in checks)]
+        if not passed[fid]:
             report.unresolved.append(fid)
-            return None
-        c = picks[0]
+            continue
+        c = passed[fid][0]
+        taken.add(c.key)
         reg.add(c.spec(fid))
         report.resolved[fid] = {"key": c.key, "m_min": c.m_min,
                                 "first_seen_m": c.first_seen_m, "base_m": len(c.base_edges)}
-        if len(picks) > 1:
-            report.ambiguities[fid] = [p.key for p in picks[1:]]
-        return c
+    for fid, picks in passed.items():
+        if rest := [c.key for c in picks[1:] if c.key not in taken]:
+            report.ambiguities[fid] = rest
 
-    def maximizing(fid: str, m: int, cands: list[Candidate]) -> list[Candidate]:
-        top = tri_surveys[m].result.maximizers if m in tri_surveys else ()
-        return [c for c in cands if top and c.m_min <= m
-                and member(c.spec(fid), m, tricyclic_task(m).n) in top]
-
-    tri_tails = _brace_tails(tri_surveys)
-
-    # A2 is the unique size-10 maximizer; A1 joins it at size 11
-    a_cands = _collect_group("A2", tri_tails)
-    a2 = adopt("A2", maximizing("A2", 10, a_cands))
-    a1 = adopt("A1", maximizing("A1", 11, [c for c in a_cands if c != a2]))
-    leftovers = [c.key for c in a_cands if c not in (a1, a2)]
-    if leftovers:
-        report.notes.append(
-            f"additional m^2-2m-27 composite constructions: {leftovers}"
-        )
-
-    # A4: same polynomial as the pinned A3 but a different construction
-    a3_key = _normalize_candidate(reg["A3"].base_graph(), reg["A3"].attach)[2]
-    adopt("A4", [c for c in _collect_group("A4", tri_tails) if c.key != a3_key])
-
-    # A5/A6 (and possibly A7) share m^2-3m-18
-    a56 = _collect_group("A5", tri_tails)
-    report.composite_18_family_count = len(a56)
-    adopt("A5", a56[:1])
-    adopt("A6", a56[1:2])
-    if adopt("A7", a56[2:]):
+    # every construction with A7's closed form and shape (the m^2-3m-18 group)
+    report.composite_18_family_count = len(_collect_group("A7", tails))
+    if "A7" in report.resolved:
         report.notes.append(
             "a third composite construction with closed form m^2-3m-18 exists; "
             "recorded as A7"
@@ -474,45 +499,15 @@ def discover_families(
             "only two composite constructions match m^2-3m-18; A7 appears to "
             "duplicate another family"
         )
+    for fid in report.unresolved:
+        _unresolved_forensics(fid, report)
 
-    for fid in ("D1", "D2", "F1", "F2", "F3", "F4", "H2", "H3", "H4"):
-        if adopt(fid, _collect_group(fid, tri_tails)) is None:
-            _unresolved_forensics(fid, report)
-
-    # bicyclic: B3 is the member of its group built on the 4-vertex 5-edge
-    # graph K4 - e (the size-5 member both B3 and B4 degenerate to), the
-    # one bicyclic brace with 5 edges
-    b_cands = _collect_group("B1", _brace_tails(bi_surveys))
-    b3 = adopt("B3", [c for c in b_cands if len(c.base_edges) == 5])
-    adopt("B1", [c for c in b_cands if c != b3])
-
-    # B2/B4 have no closed form; they are the remaining size-9 maximizers
-    extras: list[Candidate] = []
-    if 9 in bi_surveys:
-        known9 = {member(reg[f], 9, bicyclic_task(9).n) for f in ("B0", "B1", "B3")
-                  if f in reg and reg[f].m_min <= 9}
-        s9 = bi_surveys[9]
-        for g6, dec in zip(s9.result.maximizers, s9.maximizer_braces):
-            if g6 in known9:
-                continue
-            if dec is None:
-                report.notes.append(
-                    f"size-9 bicyclic maximizer {g6} is not a single-vertex "
-                    "pendant attachment; left unresolved"
-                )
-                continue
-            edges, attach_c, key = _normalize_candidate(*dec)
-            extras.append(Candidate(key, edges, attach_c, len(edges), 9))
-    b4_picks = [c for c in extras if len(c.base_edges) == 5]
-    adopt("B4", b4_picks)
-    adopt("B2", [c for c in extras if c not in b4_picks])
-
-    table = _member_table(reg, {tricyclic_task: max([12, *tri_surveys]),
-                                bicyclic_task: max([12, *bi_surveys])}, member)
+    table = _member_table(reg, {TRICYCLIC.task: max([12, *tri_surveys]),
+                                BICYCLIC.task: max([12, *bi_surveys])}, member)
     report.collisions = _member_collisions(table)
     # how many distinct graphs the theorem's size-9 maximizer list names
-    listed = ("F1", "H1", "A2", "A3", "A4", "A5", "A6", "A7")
-    report.distinct_max_families_at_9 = len({k for f, k in table[9].items() if f in listed})
+    report.distinct_max_families_at_9 = len(
+        {k for f, k in table[9].items() if f in TRICYCLIC.listed_families[9]})
     _attribute_maximizers(table, report, tri_surveys, bi_surveys)
     return reg, report
 
@@ -530,7 +525,7 @@ def _member_table(reg: FamilyRegistry, tops: dict,
 def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryReport,
                           tri_surveys: dict, bi_surveys: dict) -> None:
     """Match every enumerated maximizer to a registry family by canonical
-    form; leftovers are the graphs the printed equality cases do not name,
+    form; the rest are the graphs the printed equality cases do not name,
     each noted with the class the survey carries for its brace."""
     for surveys in (tri_surveys, bi_surveys):
         for m, s in sorted(surveys.items()):

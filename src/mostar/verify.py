@@ -227,8 +227,11 @@ def run_atlas(
 ) -> AtlasResult:
     """Enumerate, discover the unpinned families, and report.
 
-    Needs tri_max_size >= 11 to resolve A1 (a size-11 maximizer) and
-    bi_max_size >= 9 for B2/B4; smaller limits leave those unresolved.
+    Each family takes the first construction whose member is a maximizer
+    at every surveyed size whose published list names it
+    (`discover_families`).  A1's tail holds from size 11, so it needs
+    tri_max_size >= 11; B2/B4, drawn from the size-9 maximizers, need
+    bi_max_size >= 9.
     Each limit is checked by `ClassSpec.atlas_sizes` before any survey
     (tricyclic 7..22, bicyclic 5..30).  Both classes come from one survey,
     whose pool runs the brace units of every size together.

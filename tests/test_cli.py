@@ -524,21 +524,22 @@ def test_threads_capped_at_core_count(tmp_path, capsys, monkeypatch, argv, targe
     assert seen == [want]
 
 
-def test_atlas_partial_on_small_range(tmp_path, capsys):
+def test_atlas_partial_on_small_range(tmp_path, capsys, atlas_report):
     """Exit 3 with the unresolved families named; the registry path, which
-    may hold a line break, is quoted on one line."""
+    may hold a line break, is quoted on one line.  A2 resolves from the
+    size-9 list to its committed key; A1, listed only at size 11, does not."""
     reg_path = tmp_path / "fam\nily.json"
     rep_path = tmp_path / "rep.json"
     rc, _, err = run(capsys, [
         "atlas", "--max-size", "9", "--threads", "2",
         "--output", str(reg_path), "--report", str(rep_path),
     ])
-    assert rc == 3  # A1 needs size 11, A2 size 10, H4 never resolves
+    assert rc == 3  # A1 needs size 11, H4 never resolves
     assert err.splitlines()[0] == f"registry written to {tmp_path}/fam\\nily.json"
     assert len(err.splitlines()) == 2 and err.splitlines()[1].startswith("unresolved")
     report = json.loads(rep_path.read_text())
     assert "A1" in report["unresolved"]
-    assert "A2" in report["unresolved"]
+    assert report["resolved"]["A2"]["key"] == atlas_report["resolved"]["A2"]["key"]
     entries = {e["id"] for e in json.loads(reg_path.read_text())}
     assert {"F1", "H1", "A3", "B0", "B1", "B3"} <= entries
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from mostar.braces import subdivision
 from mostar.graphs import hub_paths, with_pendants
 from mostar.indices import pendant_tails, poly_eval
 from mostar.shifts import GROUPS
+from mostar.verify import BICYCLIC
 from _helpers import (
     classify_graph, complete, hang_random_trees, orbit_tails, single_attach_decomposition,
     strip_pendants, verify_family,
@@ -298,8 +300,8 @@ def test_member_collisions_exact(registry):
 
 def test_discovery_labels_each_member_once(monkeypatch, tri_surveys, bi_surveys):
     """One discovery pass labels each member graph once: the candidate
-    checks at sizes 10 and 11, the known size-9 bicyclic members and the
-    member table share one cache.  B3 and B4 at size 5 are different
+    checks at every surveyed size that lists an id, for whichever id asks,
+    and the member table share one cache.  B3 and B4 at size 5 are different
     constructions with isomorphic members, so both are labelled.  Every
     labelled member has its class's task order at its size, so no member
     of the unicyclic S_M3 or S_M4 is labelled."""
@@ -318,6 +320,34 @@ def test_discovery_labels_each_member_once(monkeypatch, tri_surveys, bi_surveys)
     assert {len(edges) - n for n, edges in seen} == {1, 2}  # both classes labelled
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_discovery_ignores_table_order(monkeypatch, tri_surveys, bi_surveys, seed):
+    """Ids are visited by how many surveyed sizes list them, ties by id, so
+    the registry and report do not depend on DISCOVERY's insertion order."""
+    reg, report = discover_families(tri_surveys, bi_surveys)
+    items = list(DISCOVERY.items())
+    random.Random(seed).shuffle(items)
+    assert items != list(DISCOVERY.items())
+    monkeypatch.setattr(families, "DISCOVERY", dict(items))
+    shuffled_reg, shuffled_report = discover_families(tri_surveys, bi_surveys)
+    assert shuffled_reg.to_json() == reg.to_json()
+    assert json.dumps(shuffled_report.to_dict()) == json.dumps(report.to_dict())
+
+
+@pytest.mark.parametrize("top", range(7, 13))
+def test_discovery_at_each_atlas_limit(tri_surveys, bi_surveys, atlas_report, top):
+    """Surveys cut at each atlas limit (bicyclic capped as `atlas` caps it)
+    resolve every id they resolve to its committed key.  At limit 9, A2
+    resolves from the size-9 list; A1, listed only at size 11, does not."""
+    _, report = discover_families(
+        {m: s for m, s in tri_surveys.items() if m <= top},
+        {m: s for m, s in bi_surveys.items() if m <= min(top, BICYCLIC.tail_start)})
+    for fid, entry in report.resolved.items():
+        assert entry["key"] == atlas_report["resolved"][fid]["key"], fid
+    if top == 9:
+        assert sorted(report.unresolved) == ["A1", "A7", "F2", "H3", "H4"]
+
+
 def _reference_single_attach(g):
     """The rebuild rule: the brace with all pendants bare at the one
     attachment vertex must be isomorphic to g."""
@@ -332,8 +362,6 @@ def _reference_single_attach(g):
 def test_single_attach_decomposition_matches_rebuild(registry):
     """On braces with random trees hung on, and with bare pendants at one
     vertex, the leaf-count rule decides as rebuild-and-isomorphic does."""
-    import random
-
     rng = random.Random(47)
     braces = [registry[f].base_graph() for f in registry.ids()]
     braces += [b for group in GROUPS.values() for b in group.realizations]
