@@ -49,6 +49,19 @@ passes through a leaf, and the graph is connected exactly when the
 recurrence over those vertices (isolated ones included, which have degree
 0) reaches the union of their seeds, which is then every edge.
 
+Nor need pendant edges be listed.  Edge indices are only names: `_balls`
+builds every ball from the seeds by unions alone, so renaming the edges
+by a bijection renames the bits of every ball and keeps its size, and T
+depends only on the edge sets.  Among the seeds of the vertices that are
+not leaves, a pendant edge lw is in EB_0(w) alone, as l has no seed, so
+any bit that no other edge uses can carry it.  `edge_mostar` numbers the
+edges between those vertices first and gives each such vertex w its
+p_w = |N(w) & leaves| pendant edges as the next p_w bits, one run
+((1 << p_w) - 1) << offset in w's seed.  The index is the sum of
+|T(u) - T(v)| over the edges between vertices that are not leaves plus
+(m - 1) per pendant edge, with m counting both kinds.  A leaf hangs on a
+leaf exactly when the union of the leaves' rows meets the set of leaves.
+
 A brace with a rooted tree hung at each vertex w, a_w tree edges at w and
 m edges in all, has index
 
@@ -76,7 +89,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import and_, mul
+from operator import add, and_, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
@@ -218,36 +231,47 @@ def _edge_seeds(adj: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[int]]
 
 def edge_mostar(g: Graph) -> int:
     """Sum of |m_u - m_v| over all edges, as |T(u) - T(v)|, T(s) being the
-    sum over k of m - |EB_k(s)|.  Only the vertices that are not leaves run
-    the recurrence, with their seeds unchanged; a leaf l with neighbour w
-    gets T(l) = T(w) + m - 1, so each pendant edge scores m - 1.  A leaf
-    whose neighbour is a leaf is a K2 component: GraphError unless the
-    graph is that K2.  The recurrence checks that the rest is connected
-    (module docstring, for both proofs)."""
+    sum over k of m - |EB_k(s)|.  No pendant edge is listed: only the
+    vertices that are not leaves run the recurrence, the edges between
+    them numbered first and each vertex's p pendant edges one run of p
+    bits in its seed, and each pendant edge scores m - 1.  A leaf whose
+    neighbour is a leaf is a K2 component: GraphError unless the graph is
+    that K2.  The recurrence checks that the rest is connected (module
+    docstring, for the proofs).  Summing |EB_k(s)| over the K levels
+    gives m K - T(s), whose differences are those of T."""
     adj = g.adj
-    pairs, inc = _edge_seeds(adj)
-    m = len(pairs)
-    core, leaves, mask = [], [], 0
+    core, leaves, hung = [], 0, 0
     for s, row in enumerate(adj):
         if row and not row & row - 1:  # one bit: a leaf
-            leaves.append(s)
+            leaves |= 1 << s
+            hung |= row
         else:
             core.append(s)
-            mask |= 1 << s
+    if hung & leaves:  # a leaf on a leaf: a K2 component
+        if g.n == 2:
+            return 0
+        raise GraphError(_DISCONNECTED)
     pos = [0] * g.n
     for i, s in enumerate(core):
         pos[s] = i
-    nbrs = [[pos[t] for t in out] for out in _nbrs([adj[s] & mask for s in core])]
-    t = [0] * g.n
-    for balls in _balls(nbrs, [inc[s] for s in core]):
-        for s, b in zip(core, balls):
-            t[s] += m - b.bit_count()
-    for s in leaves:
-        w = adj[s].bit_length() - 1
-        if adj[w] == 1 << s and g.n > 2:
-            raise GraphError(_DISCONNECTED)
-        t[s] = t[w] + m - 1
-    return sum(abs(t[u] - t[v]) for u, v in pairs)
+    nbrs = [[pos[t] for t in out] for out in _nbrs([adj[s] & ~leaves for s in core])]
+    seeds = [0] * len(core)
+    pairs = []
+    for u, out in enumerate(nbrs):
+        for v in out:
+            if v > u:
+                seeds[u] |= 1 << len(pairs)
+                seeds[v] |= 1 << len(pairs)
+                pairs.append((u, v))
+    m = len(pairs)
+    for u, s in enumerate(core):
+        p = (adj[s] & leaves).bit_count()
+        seeds[u] |= ((1 << p) - 1) << m
+        m += p
+    t = [0] * len(core)
+    for balls in _balls(nbrs, seeds):
+        t = list(map(add, t, map(int.bit_count, balls)))
+    return sum([abs(t[u] - t[v]) for u, v in pairs]) + (m - len(pairs)) * (m - 1)
 
 
 def _near(

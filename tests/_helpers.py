@@ -1159,6 +1159,37 @@ def reference_measured_delta(brace: Graph, roles, rule, params) -> int:
     return edge_mostar(shifted) - edge_mostar(g)
 
 
+def pendant_row_sum(model, counts: dict[int, int]) -> int:
+    """The row-sum oracle: the index of a brace plus counts[w] pendant
+    edges at each vertex w, off the brace's `pendant_model` `model`, as
+    k (m - 1) + sum over e of |c_e + sum_w a_w s_e(w)| (the `indices`
+    module docstring), k the pendant edges and m all edges."""
+    pairs, ce, rows = model
+    k = sum(counts.values())
+    sums = ce
+    for w, a in counts.items():
+        sums = [x + a * s for x, s in zip(sums, rows[w])]
+    return k * (len(pairs) + k - 1) + sum(map(abs, sums))
+
+
+def pendant_row_mismatches(brace: Graph, size: int, top: int) -> list:
+    """Every way to hang 0..top pendant edges at each of `size` vertices
+    of `brace`: the (counts, edge_mostar, `pendant_row_sum`) triples at
+    which the two differ."""
+    from mostar import edge_mostar
+    from mostar.indices import pendant_model
+
+    model = pendant_model(brace.adj)
+    bad = []
+    for at in combinations(range(brace.n), size):
+        for a in product(range(top + 1), repeat=size):
+            counts = dict(zip(at, a))
+            got, want = edge_mostar(with_pendants(brace, counts)), pendant_row_sum(model, counts)
+            if got != want:
+                bad.append((counts, got, want))
+    return bad
+
+
 def orbit_tails(g: Graph) -> tuple:
     """`pendant_tails` of g as (poly, holds_from) at the largest vertex of
     each orbit of `canon(g).orbit_of` and None at the others: the tails

@@ -157,9 +157,28 @@ def lemma_rows() -> None:
         f"{len(rows)} rows (want 800); {len(bad)} differ from the oracle, first {bad[:3]}")
 
 
+def pendant_rows() -> None:
+    """`edge_mostar` of every shift-rule brace with 0..4 pendant edges at
+    each vertex of every triple (16,250 graphs) equals the row-sum oracle
+    k (m - 1) + sum over e of |c_e + sum_w a_w s_e(w)| off the brace's
+    `pendant_model`; tier-1 checks the vertex pairs, counts 0..8.  It
+    guards the pendant runs `edge_mostar` puts in each vertex's seed, and
+    the row sum is what a graph-free `shifts.measured_delta` would
+    compute."""
+    import _helpers
+    from mostar.shifts import GROUPS
+
+    for gid, group in sorted(GROUPS.items()):
+        for i, brace in enumerate(group.realizations):
+            bad = _helpers.pendant_row_mismatches(brace, 3, 4)
+            assert not bad, (
+                f"{gid} realization {i}, edges {brace.edges()}: {len(bad)} count maps "
+                f"differ; first (counts, edge_mostar, row sum) {bad[0]}")
+
+
 CHECKS = {f.__name__: f for f in (tricyclic_13_totals, tricyclic_13_model_scores,
                                   bicyclic_12_model_scores, tricyclic_14_totals,
-                                  lemma_rows)}
+                                  lemma_rows, pendant_rows)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -28,10 +28,13 @@ from _helpers import (
     naive_distances,
     naive_edge_mostar,
     naive_edge_rows,
+    pendant_row_mismatches,
+    pendant_row_sum,
     random_connected,
     random_connected_density,
     random_graph,
     random_tree,
+    relabel,
     star,
 )
 
@@ -199,7 +202,9 @@ def test_disconnected_rejected():
     connectivity check: edgeless graphs, isolated vertices and components
     far apart all raise, and so do graphs whose leaves alone could hide a
     second component from the recurrence over the other vertices (two
-    K2s, a star beside a K2, a star or P3 beside an isolated vertex)."""
+    K2s, a star beside a K2, a star or P3 beside an isolated vertex, two
+    K_{1,3}s, whose centres carry only pendant runs, a star beside a
+    triangle, and a K2 on vertices 0 and 1 beside a tricyclic core)."""
     for g in (
         Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
         Graph.from_edges(2, []),
@@ -213,6 +218,10 @@ def test_disconnected_rejected():
         Graph.from_edges(5, [(1, 0), (1, 2), (1, 3)]),
         Graph.from_edges(4, [(0, 1), (1, 2)]),
         Graph.from_edges(4, [(1, 2), (2, 3)]),
+        Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]),
+        Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 4)]),
+        Graph.from_edges(22, [(0, 1)] + [(i, i + 1) for i in range(2, 21)] + [(21, 2)]
+                         + [(2, 11), (5, 16)]),
     ):
         for index in (edge_mostar, mostar_summary, pendant_tails,
                       lambda g: pendant_model(g.adj)):
@@ -259,6 +268,42 @@ def test_pendants_and_pieces_match_definition_or_raise(seed):
         return
     dm = all_pairs_distances(g)
     assert edge_mostar(g) == sum(edge_report(g, e, dm).psi for e in g.edges())
+
+
+@given(st.integers(0, 10**6))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+def test_relabeled_pendant_graphs_keep_their_index(seed):
+    """A connected graph with pendant edges hung on it, relabeled by a
+    random permutation, so that leaves are numbered below and between the
+    vertices they hang on: `edge_mostar` does not change and equals the
+    sum of `edge_report` psi."""
+    rng = random.Random(seed)
+    g = random_connected(rng, 2, 8)
+    g = with_pendants(g, {rng.randrange(g.n): rng.randint(1, 12)
+                          for _ in range(rng.randint(1, 4))})
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    dm = all_pairs_distances(h)
+    assert edge_mostar(h) == edge_mostar(g) == sum(edge_report(h, e, dm).psi for e in h.edges())
+
+
+def test_pendant_row_sum_on_rule_braces():
+    """The row-sum oracle: on every shift-rule brace, with 0..8 pendant
+    edges at each vertex of every pair (8,505 graphs), `edge_mostar`
+    equals k (m - 1) + sum over e of |c_e + sum_w a_w s_e(w)| off
+    `pendant_model`, and so it does for a few count maps with a run of
+    more than 64 pendant edges at one vertex (`tests/deep.py pendant_rows`
+    checks the triples)."""
+    for gid, group in sorted(GROUPS.items()):
+        for i, brace in enumerate(group.realizations):
+            bad = pendant_row_mismatches(brace, 2, 8)
+            assert not bad, (gid, i, len(bad), bad[:3])
+            model = pendant_model(brace.adj)
+            last = brace.n - 1
+            for counts in ({0: 70}, {last: 130, 0: 3}, {1: 65, 2: 1, last: 71}):
+                assert edge_mostar(with_pendants(brace, counts)) == pendant_row_sum(
+                    model, counts), (gid, i, counts)
 
 
 def test_pendant_tail_heads_closed_form(registry):
