@@ -29,11 +29,17 @@ from .shifts import run_shift_suite
 from .verify import BICYCLIC, TRICYCLIC, run_atlas, verify_bicyclic, verify_tricyclic
 
 
+def _registry_path(path: str | None) -> str | None:
+    """The registry file a verify command reads: `path` when given, else
+    ./families.json when it exists, else None (the built-in registry)."""
+    if path:
+        return path
+    return "families.json" if Path("families.json").exists() else None
+
+
 def _load_registry(path: str | None) -> FamilyRegistry:
-    if not path:
-        if not Path("families.json").exists():
-            return builtin_registry()
-        path = "families.json"
+    if path is None:
+        return builtin_registry()
     try:
         return FamilyRegistry.load(path)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -43,10 +49,21 @@ def _load_registry(path: str | None) -> FamilyRegistry:
         )
 
 
-def _check_outputs(*paths: str | None) -> None:
-    """Reject an output path that is empty, an existing directory or in a
-    missing directory before any work starts; the write itself comes only
-    after the enumeration or suite."""
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: `os.path.samefile` when both exist,
+    else equal `os.path.realpath`s."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(*paths: str | None, reads: tuple[str | None, ...] = ()) -> None:
+    """Reject an output path that is empty, an existing directory, in a
+    missing directory, the same file as another output or the same file
+    as one the command `reads`, before any work starts; the write itself
+    comes only after the enumeration or suite."""
+    written: list[str] = []
     for path in paths:
         if path is None:
             continue
@@ -56,6 +73,12 @@ def _check_outputs(*paths: str | None) -> None:
             raise UsageError(f"cannot write {path}: is a directory")
         if not os.path.isdir(Path(path).parent):
             raise UsageError(f"cannot write {path}: no directory {Path(path).parent}")
+        if any(_same_file(path, other) for other in written):
+            raise UsageError(f"cannot write {path}: it is also the other output")
+        for other in reads:
+            if other is not None and _same_file(path, other):
+                raise UsageError(f"cannot write {path}: it is the input {other}")
+        written.append(path)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -110,7 +133,7 @@ def _parse_sizes(args) -> list[int]:
 
 
 def cmd_compute(args) -> int:
-    _check_outputs(args.output)
+    _check_outputs(args.output, reads=tuple(args.inputs))
     sources: list[tuple[bytes, str]] = []
     if args.inputs:
         for fname in args.inputs:
@@ -174,10 +197,11 @@ def _emit_rows(rows, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    _check_outputs(args.output)
+    registry = _registry_path(args.registry)
+    _check_outputs(args.output, reads=(registry,))
     rows = args.verify(
         _parse_sizes(args),
-        registry=_load_registry(args.registry),
+        registry=_load_registry(registry),
         # at most one worker per core: the count never changes results
         workers=min(args.threads, os.cpu_count() or 1),
     )

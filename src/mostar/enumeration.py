@@ -193,7 +193,7 @@ class Survey:
     """Result of one task's enumeration: the max/argmax fold; every brace
     with all of the task's edges as (graph, tails, class), the graph in
     `kernel_braces` order and labelling and the tails per vertex (poly,
-    holds_from) as `indices.pendant_tails` gives them at the largest vertex
+    holds_from) of the `indices.model_tails` record at the largest vertex
     of each orbit of the brace's group, None elsewhere; and aligned with
     `result.maximizers`, the class of the brace each maximizer grew on
     and, when the maximizer is that brace plus bare pendant edges at one

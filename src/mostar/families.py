@@ -7,16 +7,16 @@ forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
 pipeline from the braces (graphs of minimum degree >= 2) the enumeration
 surveys visit.  `Survey.braces` carries each as (graph, tails, class), the
-tails being the exact pendant tail at one vertex of each orbit, which the
-survey computed from the brace's pendant model (`indices.pendant_tails`
-gives the same).  One pass reads them: (brace, vertex) is a candidate for
-a family when its tail is the family's polynomial, the brace has the
-family's shape (the carried class) and the tail holds by the largest
-surveyed size, and only a candidate is labelled (`_normalize_candidate`),
-the one place a surveyed brace's identity is worked out.  The pinned
-m_min is the size from which the tail holds, so every registry polynomial
-is proved for all m >= m_min.  No maximizer is parsed: the survey carries
-the brace and attachment vertex of each that has one.
+tails being the (poly, holds_from) of its `indices.model_tails` record at
+one vertex of each orbit.  One pass reads them: (brace, vertex) is a
+candidate for a family when its tail is the family's polynomial, the brace
+has the family's shape (the carried class) and the tail holds by the
+largest surveyed size, and only a candidate is labelled
+(`_normalize_candidate`), the one place a surveyed brace's identity is
+worked out.  The pinned m_min is the size from which the tail holds, so
+every registry polynomial is proved for all m >= m_min.  No maximizer is
+parsed: the survey carries the brace and attachment vertex of each that
+has one.
 
 Which candidate becomes which family is read off the paper's equality
 lists (`verify.TRICYCLIC` and `verify.BICYCLIC`, `listed_families`), by
@@ -36,7 +36,7 @@ from . import braces as br
 from .canon import canon, canonical_form
 from .graphs import Graph, GraphError, is_connected
 from .graphs import with_pendants, write_graph6
-from .indices import pendant_tails, poly_eval
+from .indices import model_tails, pendant_model, poly_eval, tail_index
 
 ANALYTIC = "ANALYTIC"
 DISCOVERED = "DISCOVERED"
@@ -390,14 +390,12 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     if kind != br.FOUR_THETA or params is None:
         return
     base, auts = br.subdivision(2, ((0, 1),) * len(params), params)
-    forms = pendant_tails(base)
+    tails = model_tails(pendant_model(base.adj))
     lines = []
     for v in sorted({min(g[u] for g in auts) for u in range(base.n)}):  # one per orbit
-        poly, holds_from, head = forms[v]
-        hits = [
-            m for m, value in enumerate(head, start=base.m)
-            if value == poly_eval(claimed, m)
-        ]
+        poly, holds_from, _ = tail = tails[v]
+        hits = [m for m in range(base.m, holds_from)
+                if tail_index(tail, m - base.m, m) == poly_eval(claimed, m)]
         # both forms are monic, so past the head they differ by a linear
         # function with at most one root (none when the forms are equal)
         slope, offset = poly[1] - claimed[1], poly[2] - claimed[2]
@@ -538,7 +536,7 @@ def _attribute_maximizers(table: dict[int, dict[str, str]], report: DiscoveryRep
             for g6, cls, dec in extras:
                 if dec is None:
                     continue
-                poly, holds_from, _ = pendant_tails(dec[0])[dec[1]]
+                poly, holds_from, _ = model_tails(pendant_model(dec[0].adj))[dec[1]]
                 report.notes.append(
                     f"size-{m} maximizer {g6} belongs to no registered family; "
                     f"its single-attach family follows {_poly_str(poly)} from "

@@ -78,6 +78,20 @@ every |m - 1 - 2 s_f| into m - 1, a strict rise exactly when s_f >= 1, as
 s_f < m - 1 (the brace's edges are on f's near side): trees to stars never
 lower the index, and raise it exactly when some tree vertex is not a leaf.
 
+The deficit identity.  Every edge f != e = uv is nearer u, nearer v or
+equidistant, so m_u + m_v + eq_e = m - 1, eq_e counting the equidistant
+ones, and |m_u - m_v| = m - 1 - eq_e - 2 min(m_u, m_v).  Summed over the
+m edges,
+
+    Mo_e(G) = m (m - 1) - sum over e of (eq_e + 2 min(m_u, m_v)),
+
+every term of the sum >= 0.  The brace bound: every brace vertex has at
+least two brace neighbours, so for a brace edge uv, u has a brace edge
+ux with x != v, d(u, ux) = 0 and d(v, ux) = 1 (v is adjacent to u and is
+not x), so ux is nearer u; likewise at v.  Hence min(m_u, m_v) >= 1 on
+every brace edge, whatever trees hang on the brace, and a graph whose
+brace has b edges has Mo_e(G) <= m (m - 1) - 2b.
+
 `edge_report` keeps the definition itself, one distance table and a pass
 over the edges, as the per-edge reference.
 
@@ -340,17 +354,6 @@ def tail_index(tail: tuple[tuple[int, int, int], int, list[int]], k: int, m: int
     `tail` (a `model_tails` entry), m = b + k edges in all: poly(m) plus
     2 * sum of max(0, d_e - k)."""
     return poly_eval(tail[0], m) + 2 * sum([d - k for d in tail[2] if d > k])
-
-
-def pendant_tails(
-    brace: Graph,
-) -> list[tuple[tuple[int, int, int], int, tuple[int, ...]]]:
-    """`model_tails` of the brace's `pendant_model`, each with its head:
-    the exact index at m = b .. holds_from - 1 (`tail_index`), so poly
-    fails at holds_from - 1 when k0 > 0.  GraphError when disconnected."""
-    b = brace.m
-    return [(*tail[:2], tuple([tail_index(tail, m - b, m) for m in range(b, tail[1])]))
-            for tail in model_tails(pendant_model(brace.adj))]
 
 
 def mostar_summary(g: Graph) -> MostarSummary:

@@ -345,7 +345,7 @@ def _interpolate_measured(rule: ShiftRule, cal: Calibration,
                           rows: list[ShiftCheckRow]) -> str:
     """Fit the measured delta as an exact affine form of the live parameters
     at a deep-interior base point, then state on how many of the rule's
-    rows it holds (only a skipped row's delta is measured here)."""
+    rows it holds."""
     base = dict.fromkeys(PARAMS, 0)
     for k in rule.live:
         base[k] = 8
@@ -369,8 +369,7 @@ def _interpolate_measured(rule: ShiftRule, cal: Calibration,
         terms.append(f"{'+' if const > 0 else '-'}{abs(const)}")
     fit = "".join(terms).lstrip("+") or "0"
     hold = sum(1 for r in rows
-               if (meas(r.params) if r.measured is None else r.measured)
-               == sum(coeffs[k] * r.params[k] for k in rule.live) + const)
+               if r.measured == sum(coeffs[k] * r.params[k] for k in rule.live) + const)
     return f"{fit} (interior fit; holds on {hold}/{len(rows)} sampled tuples)"
 
 

@@ -1191,16 +1191,16 @@ def pendant_row_mismatches(brace: Graph, size: int, top: int) -> list:
 
 
 def orbit_tails(g: Graph) -> tuple:
-    """`pendant_tails` of g as (poly, holds_from) at the largest vertex of
-    each orbit of `canon(g).orbit_of` and None at the others: the tails
-    `Survey.braces` carries for a brace."""
+    """The `model_tails` records of g as (poly, holds_from) at the largest
+    vertex of each orbit of `canon(g).orbit_of` and None at the others:
+    the tails `Survey.braces` carries for a brace."""
     from mostar.canon import canon
-    from mostar.indices import pendant_tails
+    from mostar.indices import model_tails, pendant_model
 
     orbit = canon(g).orbit_of
     last = {o: v for v, o in enumerate(orbit)}  # the largest vertex of each orbit
     return tuple([t[:2] if last[orbit[v]] == v else None
-                  for v, t in enumerate(pendant_tails(g))])
+                  for v, t in enumerate(model_tails(pendant_model(g.adj)))])
 
 
 def orbit_walk_role_assignments(brace: Graph, roles: int, role_degrees):

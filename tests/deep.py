@@ -51,8 +51,8 @@ def tricyclic_13_totals() -> None:
     another up to isomorphism (the braces travel as graphs, so the count
     is of distinct canonical forms), a maximizer string that is not its
     own canonical form, which family identity relies on, or pendant tails
-    the survey carries for a brace that are not `pendant_tails` of the
-    graph it carries at the largest vertex of each orbit and None
+    the survey carries for a brace that are not the `model_tails` records
+    of the graph it carries at the largest vertex of each orbit and None
     elsewhere (`_helpers.orbit_tails`), which discovery reads, or a class
     carried for a brace or a maximizer that is not the graph-level
     classifier's (`_helpers.classify_graph`), or a brace and attachment

@@ -6,7 +6,9 @@ PASS lines and timing report.
 
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 from mostar import (
     all_pairs_distances,
@@ -23,6 +25,7 @@ from mostar.enumeration import (
 )
 from mostar.families import ANALYTIC, discover_families
 from mostar.shifts import run_shift_suite
+import deep
 from _helpers import (
     brute_connected_class_count, classify_graph, dot_product, maximize, random_connected,
     random_tree, relabel, verify_family,
@@ -131,6 +134,7 @@ def test_criterion_5_shift_deltas():
             )
             discrepant.append(rule)
     for row in report.rows:
+        assert row.measured is not None, row  # the sampler yields no SKIPPED tuple
         if row.status == "MATCH":
             assert row.measured == row.expected > 0
     nonpos = {
@@ -223,3 +227,12 @@ def test_registry_reproducible_from_enumeration(tri_surveys, bi_surveys, registr
     assert report.to_dict() == atlas_report
     _ok("registry: PASS - committed families.json reproduced bit-exactly by "
         "a fresh discovery run")
+
+
+def test_every_deep_check_runs_in_ci():
+    """Each named check in `tests/deep.py` has its own
+    `python -B tests/deep.py <name>` step in the tier-1 workflow, and each
+    such step names a check, so no deep check goes unrun."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    steps = re.findall(r"python -B tests/deep\.py (\w+)", workflow.read_text())
+    assert sorted(steps) == sorted(deep.CHECKS)

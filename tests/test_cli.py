@@ -833,6 +833,51 @@ def test_output_path_directory_or_empty(tmp_path, capsys, monkeypatch, argv, tar
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "families.json", "in.g6"]
 
 
+@pytest.mark.parametrize("argv,target,clash", [
+    (["atlas", "--threads", "1", "--output", "x.json", "--report", "x.json"],
+     "mostar.verify.survey", "x.json: it is also the other output"),
+    (["atlas", "--threads", "1", "--output", "new.json", "--report", "./new.json"],
+     "mostar.verify.survey", "./new.json: it is also the other output"),
+    (["atlas", "--threads", "1", "--report", "families.json"],
+     "mostar.verify.survey", "families.json: it is also the other output"),
+    (["verify-theorem1", "--size", "12", "--threads", "1", "--output", "families.json"],
+     "mostar.verify.survey", "families.json: it is the input families.json"),
+    (["verify-theorem2", "--size", "10", "--threads", "1", "--registry", "x.json",
+      "--output", "./x.json"],
+     "mostar.verify.survey", "./x.json: it is the input x.json"),
+    (["compute", "in.g6", "--output", "in.g6"],
+     "mostar.cli.mostar_summary", "in.g6: it is the input in.g6"),
+    (["compute", "x.g6", "in.g6", "--output", "link.g6"],
+     "mostar.cli.mostar_summary", "link.g6: it is the input in.g6"),
+], ids=["atlas-both", "atlas-both-new", "atlas-default-output", "verify-theorem1-implicit",
+        "verify-theorem2-explicit", "compute", "compute-hard-link"])
+def test_output_that_is_an_input_or_the_other_output(tmp_path, capsys, monkeypatch,
+                                                     argv, target, clash):
+    """An output naming the same file as the other output, the registry
+    the command reads (explicit, or the implicit ./families.json) or a
+    compute input, by the same or another path (link.g6 is a hard link
+    to in.g6), is rejected before any work starts: exit 2 with the path
+    named, and every file as it was."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the output paths were checked")
+
+    monkeypatch.setattr(target, no_work)
+    monkeypatch.chdir(tmp_path)
+    for name in ("families.json", "x.json"):
+        (tmp_path / name).write_bytes(REGISTRY.read_bytes())
+    for name, g in (("in.g6", cycle(4)), ("x.g6", cycle(5))):
+        (tmp_path / name).write_text(write_graph6(g) + "\n")
+    (tmp_path / "link.g6").hardlink_to(tmp_path / "in.g6")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {clash}" in err
+    _assert_one_error_line(err, argv)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_atlas_unwritable_report_keeps_registry(tmp_path, capsys, monkeypatch):
     """A report name the filesystem refuses only at the write (300
     characters, past the 255 a file name may have) fails after the

@@ -16,7 +16,7 @@ from mostar.braces import kernel_braces
 from mostar.canon import pair_orbit_reps
 from mostar.families import builtin_registry, member_form
 from mostar.graphs import edge_pairs, parse_graph6
-from mostar.indices import pendant_model, pendant_tails
+from mostar.indices import model_tails, pendant_model
 from mostar.enumeration import (
     EnumerationTask,
     bicyclic_task,
@@ -617,14 +617,15 @@ def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
     """On every brace the atlas surveys (tricyclic 7..12, bicyclic 5..10),
     the survey carries one tail per orbit, at the largest vertex of each
     class of `canon(g).orbit_of`, and None at every other vertex; each tail
-    it carries is `pendant_tails` of the graph it carries at that vertex."""
+    it carries is the (poly, holds_from) of the `model_tails` record of the
+    graph it carries at that vertex."""
     checked = carried = 0
     for surveys in (tri_surveys, bi_surveys):
         for m, s in surveys.items():
             for g, tails, _ in s.braces:
                 orbit = canon(g).orbit_of
                 reps = {max(v for v in range(g.n) if orbit[v] == o) for o in orbit}
-                full = pendant_tails(g)
+                full = model_tails(pendant_model(g.adj))
                 assert tails == tuple([full[v][:2] if v in reps else None
                                        for v in range(g.n)]), (m, g.edges())
                 assert tails == orbit_tails(g)

@@ -24,7 +24,7 @@ from mostar.families import (
 )
 from mostar.braces import subdivision
 from mostar.graphs import hub_paths, with_pendants
-from mostar.indices import pendant_tails, poly_eval
+from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.shifts import GROUPS
 from mostar.verify import BICYCLIC
 from _helpers import (
@@ -126,7 +126,7 @@ def test_registry_polynomials_are_pendant_tails(registry):
     for fid in registry.ids():
         spec = registry[fid]
         if spec.poly is not None:
-            tail = pendant_tails(spec.base_graph())[spec.attach][:2]
+            tail = model_tails(pendant_model(spec.base_graph().adj))[spec.attach][:2]
             assert tail == (spec.poly, spec.m_min), fid
 
 
@@ -147,8 +147,9 @@ def test_h4_head_coincidence_rejected(atlas_report):
     base, _ = subdivision(2, ((0, 1),) * 4, (1, 2, 2, 3))
     g = with_pendants(base, {2: 1})
     assert edge_mostar(g) == poly_eval(printed, 9)
-    forms = pendant_tails(base)
+    forms = model_tails(pendant_model(base.adj))
     assert forms[2][:2] == ((1, -3, -32), 11)
+    assert tail_index(forms[2], 9 - base.m, 9) == poly_eval(printed, 9)
     for hi in (9, 12):
         surveys = {base.m: _Survey(base), hi: _Survey()}
         assert _collect_group("H4", _brace_tails(surveys)) == []
@@ -237,7 +238,7 @@ def test_k4_has_no_discovery_tail():
     """K4, the only tricyclic brace below size 7 (the smallest surveyed
     size), is vertex-transitive with tail m^2-4m-12, no DISCOVERY form."""
     k4 = complete(4)
-    assert {f[:2] for f in pendant_tails(k4)} == {((1, -4, -12), 6)}
+    assert {f[:2] for f in model_tails(pendant_model(k4.adj))} == {((1, -4, -12), 6)}
     assert (1, -4, -12) not in {poly for poly, _, _ in DISCOVERY.values()}
     assert _brace_tails({6: _Survey(k4), 12: _Survey()}) == []
 

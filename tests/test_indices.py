@@ -20,7 +20,7 @@ from mostar import (
 )
 from mostar.braces import kernel_braces
 from mostar.graphs import with_pendants
-from mostar.indices import pendant_model, pendant_tails
+from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.shifts import GROUPS
 from _helpers import (
     complete,
@@ -111,16 +111,42 @@ def test_summary_json_writer_matches_json_dumps():
 
 
 @given(st.integers(0, 10**6))
-@settings(max_examples=120, deadline=None)
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
 def test_partition_identity_and_incident_bound(seed):
+    """m_u + m_v + eq_e = m - 1 on every edge, and the deficit identity
+    Mo_e(G) = m(m - 1) - sum over e of (eq_e + 2 min(m_u, m_v)) (module
+    docstring), each term from the definition's `edge_report` row, not from
+    `mostar_summary`, whose eq is derived as m - 1 - m_u - m_v."""
     rng = random.Random(seed)
     g = random_connected(rng, 2, 10)
     dm = all_pairs_distances(g)
+    deficit = 0
     for u, v in g.edges():
         r = edge_report(g, (u, v), dm)
         assert r.m_u + r.m_v + r.equidistant == g.m - 1
         assert r.m_u >= g.degree(u) - 1
         assert r.m_v >= g.degree(v) - 1
+        deficit += r.equidistant + 2 * min(r.m_u, r.m_v)
+    assert edge_mostar(g) == g.m * (g.m - 1) - deficit
+
+
+def test_brace_bound():
+    """On every kernel brace of up to 12 edges, bicyclic and tricyclic,
+    with 0..3 random pendant edges at each vertex: min(m_u, m_v) >= 1 on
+    every brace edge (`edge_report`), so Mo_e <= m(m - 1) - 2b."""
+    rng = random.Random(23)
+    checked = 0
+    for c in (2, 3):
+        for b, braces in kernel_braces(c, range(13)).items():
+            for brace, _, _ in braces:
+                g = with_pendants(brace, {v: rng.randint(0, 3) for v in range(brace.n)})
+                dm = all_pairs_distances(g)
+                for e in brace.edges():
+                    r = edge_report(g, e, dm)
+                    assert min(r.m_u, r.m_v) >= 1, (brace.edges(), e)
+                assert edge_mostar(g) <= g.m * (g.m - 1) - 2 * b, brace.edges()
+                checked += 1
+    assert checked == 628
 
 
 def assert_matches_definition(g):
@@ -151,23 +177,26 @@ def test_oracle_equivalence_pendant_braces(brace):
 
 
 def test_pendant_tail_against_edge_mostar(registry):
-    """At every vertex of every registry base and shift-rule brace: head
-    and poly equal edge_mostar from k = 0 through 20 sizes past k0 (k0 is
-    at most max |c_e| <= b - 1), and poly fails just below holds_from."""
+    """At every vertex of every registry base and shift-rule brace:
+    `tail_index` equals edge_mostar from k = 0 through 20 sizes past k0
+    (k0 is at most max |c_e| <= b - 1), poly alone equals it from
+    holds_from on, and poly fails just below holds_from."""
     braces = [registry[fid].base_graph() for fid in registry.ids()]
     braces += [b for group in GROUPS.values() for b in group.realizations]
     for brace in braces:
         b = brace.m
-        for w, ((one, p1, p0), holds_from, head) in enumerate(pendant_tails(brace)):
-            assert one == 1 and len(head) == holds_from - b
+        for w, tail in enumerate(model_tails(pendant_model(brace.adj))):
+            poly, holds_from, _ = tail
+            assert poly[0] == 1 and holds_from >= b
             g = brace
             for m in range(b, 2 * b + 21):
-                expected = head[m - b] if m < holds_from else m * m + p1 * m + p0
+                expected = tail_index(tail, m - b, m)
                 assert edge_mostar(g) == expected, (brace, w, m)
+                assert m < holds_from or expected == poly_eval(poly, m), (brace, w, m)
                 g = with_pendants(g, {w: 1})
             m = holds_from - 1
             if m >= b:
-                assert head[-1] != m * m + p1 * m + p0, (brace, w)
+                assert tail_index(tail, m - b, m) != poly_eval(poly, m), (brace, w)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -223,7 +252,8 @@ def test_disconnected_rejected():
         Graph.from_edges(22, [(0, 1)] + [(i, i + 1) for i in range(2, 21)] + [(21, 2)]
                          + [(2, 11), (5, 16)]),
     ):
-        for index in (edge_mostar, mostar_summary, pendant_tails,
+        for index in (edge_mostar, mostar_summary,
+                      lambda g: model_tails(pendant_model(g.adj)),
                       lambda g: pendant_model(g.adj)):
             with pytest.raises(GraphError, match="requires a connected graph"):
                 index(g)
@@ -307,17 +337,18 @@ def test_pendant_row_sum_on_rule_braces():
 
 
 def test_pendant_tail_heads_closed_form(registry):
-    """The heads, read off the sorted positive d_e, equal the direct sum
-    k (b + k - 1) + sum of |c_e + k s_e| with c_e and s_e taken from the
-    definition (dict-BFS distances), at every vertex of every registry
-    base and shift-rule brace."""
+    """The heads, `tail_index` below holds_from, read off the positive
+    d_e, equal the direct sum k (b + k - 1) + sum of |c_e + k s_e| with
+    c_e and s_e taken from the definition (dict-BFS distances), at every
+    vertex of every registry base and shift-rule brace."""
     braces = [registry[fid].base_graph() for fid in registry.ids()]
     braces += [b for group in GROUPS.values() for b in group.realizations]
     for brace in braces:
         b = brace.m
         rows = naive_edge_rows(brace)
         dist = [naive_distances(brace, s) for s in range(brace.n)]
-        for w, (_, holds_from, head) in enumerate(pendant_tails(brace)):
+        for w, tail in enumerate(model_tails(pendant_model(brace.adj))):
+            holds_from = tail[1]
             terms = [
                 (mu - mv, (dist[w][u] < dist[w][v]) - (dist[w][u] > dist[w][v]))
                 for (u, v), (mu, mv, _) in zip(brace.edges(), rows)
@@ -326,7 +357,7 @@ def test_pendant_tail_heads_closed_form(registry):
             assert holds_from == b + k0, (brace, w)
             direct = [k * (b + k - 1) + sum(abs(c + k * s) for c, s in terms)
                       for k in range(k0)]
-            assert list(head) == direct, (brace, w)
+            assert [tail_index(tail, k, b + k) for k in range(k0)] == direct, (brace, w)
 
 
 # the best single-attach tail of each brace size: tricyclic 6..16 edges,
@@ -353,7 +384,7 @@ def test_best_single_attach_tail_of_every_brace_size(registry):
         best = {}
         for b, braces in kernel_braces(c, range(max(BEST_TAILS[c]) + 1)).items():
             for g, _, _ in braces:
-                tail = max(poly for poly, _, _ in pendant_tails(g))
+                tail = max(poly for poly, _, _ in model_tails(pendant_model(g.adj)))
                 if b not in best or tail > best[b][0]:
                     best[b] = (tail, [g])
                 elif tail == best[b][0]:
