@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from .graphs import Graph, hub_paths
+from .graphs import Graph
 
 K4_SUBDIVISION = "K4_SUBDIVISION"
 THREE_HUB = "THREE_HUB"
@@ -163,21 +163,22 @@ def subdivision(
     each edge (a, b) with a <= b; the brace is a simple graph when every
     loop has length >= 3 and no parallel class holds two edges of length 1.
 
-    The brace is `hub_paths` in kernel edge order: kernel vertex v is
-    brace vertex v, and the inner vertices of edge i follow those of
-    edges 0..i-1, from a to b.  The shift rules' calibrated roles name
-    these vertices, so the numbering is part of the contract, pinned
-    where `hub_paths` says.  Every automorphism maps branch vertices to
-    branch vertices and paths to paths, so the group is the kernel's edge
-    maps that keep the lengths, each with either direction round every
-    loop; on a simple brace no two of them are equal (at most 48 for
-    c <= 3)."""
-    brace = hub_paths(order, [(x, y, k) for (x, y), k in zip(edges, lengths)])
-    loops = [i for i, (x, y) in enumerate(edges) if x == y]
+    Kernel vertex v is brace vertex v, and the inner vertices of edge i
+    follow those of edges 0..i-1, numbered from a to b.  The shift rules'
+    calibrated roles name these vertices, so the numbering is part of the
+    contract (`test_group_realizations_keep_their_labels` and
+    `perfbench/reference.json` pin it).  Every automorphism maps branch
+    vertices to branch vertices and paths to paths, so the group is the
+    kernel's edge maps that keep the lengths, each with either direction
+    round every loop; on a simple brace no two of them are equal (at most
+    48 for c <= 3)."""
     inner, start = [], order
     for k in lengths:
         inner.append(range(start, start + k - 1))
         start += k - 1
+    brace = Graph.from_edges(start, [pair for (a, b), path in zip(edges, inner)
+                                     for pair in zip((a, *path), (*path, b))])
+    loops = [i for i, (x, y) in enumerate(edges) if x == y]
     auts = []
     for pi, sigma in _edge_maps(order, edges):
         if any(lengths[j] != k for j, k in zip(sigma, lengths)):

@@ -31,8 +31,11 @@ from .verify import BICYCLIC, TRICYCLIC, run_atlas, verify_bicyclic, verify_tric
 
 def _registry_path(path: str | None) -> str | None:
     """The registry file a verify command reads: `path` when given, else
-    ./families.json when it exists, else None (the built-in registry)."""
-    if path:
+    ./families.json when it exists, else None (the built-in registry).
+    An empty `path` is rejected, not read as "not given"."""
+    if path == "":
+        raise UsageError("cannot read registry '': empty path")
+    if path is not None:
         return path
     return "families.json" if Path("families.json").exists() else None
 

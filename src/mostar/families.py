@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, edge_pairs, is_connected
 from .graphs import with_pendants, write_graph6
 from .indices import model_tails, pendant_model, poly_eval, tail_index
 
@@ -282,22 +282,22 @@ class Candidate:
 
 
 def _normalize_candidate(base: Graph, attach: int) -> tuple[tuple[tuple[int, int], ...], int, str]:
-    """Canonical (base_edges, attach) representation of a marked brace.
+    """Canonical (base_edges, attach) representation of a marked brace,
+    and its key, the graph6 of the canonical marked graph.
 
     The marker trick: a brace has minimum degree 2, so tagging the attach
     vertex with one pendant produces a graph whose unique degree-1 vertex
     remembers the attachment orbit; canonicalizing that graph makes the
     stored registry entry independent of how the candidate was found.
+    `with_pendants` numbers the marker base.n, so `canon`'s labelling
+    gives its canonical position and the attach vertex's; the base keeps
+    the other positions in order.
     """
-    tagged = with_pendants(base, {attach: 1})
-    res = canon(tagged)
-    gc = Graph(res.n, res.canon_adj)
-    tag = next(v for v in range(gc.n) if gc.degree(v) == 1)
-    attach_c = next(gc.neighbors(tag))
-    keep = [v for v in range(gc.n) if v != tag]
-    base_c = gc.induced(keep)
-    attach_new = keep.index(attach_c)
-    return tuple(base_c.edges()), attach_new, write_graph6(gc)
+    res = canon(with_pendants(base, {attach: 1}))
+    tag = res.labeling[base.n]
+    new = {p: p - 1 if p > tag else p for p in range(res.n)}
+    edges = tuple((new[u], new[v]) for u, v in edge_pairs(res.canon_adj) if tag not in (u, v))
+    return edges, new[res.labeling[attach]], write_graph6(Graph(res.n, res.canon_adj))
 
 
 @dataclass

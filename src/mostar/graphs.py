@@ -75,9 +75,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.adj[a] >> b & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         return edge_pairs(self.adj)
 
@@ -89,18 +86,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-    # -- derived graphs -------------------------------------------------
-
-    def induced(self, keep: list[int]) -> "Graph":
-        """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in order."""
-        pos = {v: i for i, v in enumerate(keep)}
-        edges = []
-        for i, v in enumerate(keep):
-            for w in _bits(self.adj[v]):
-                if w in pos and v < w:
-                    edges.append((i, pos[w]))
-        return Graph.from_edges(len(keep), edges)
 
 
 # -- named constructors ----------------------------------------------------
@@ -116,28 +101,6 @@ def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def hub_paths(hubs: int, paths: Iterable[tuple[int, int, int]]) -> Graph:
-    """Hubs 0..hubs-1 joined by internally disjoint paths (a, b, length).
-
-    Internal vertices are numbered from `hubs` on, path by path in the
-    given order and along each path from a to b.  `braces.subdivision`
-    builds every kernel brace, the shift rules' included, this way, and
-    the rules' calibrated roles name these vertices, so the numbering is
-    part of the contract (`test_group_realizations_keep_their_labels` and
-    `perfbench/reference.json` pin it).
-    """
-    edges = []
-    nxt = hubs
-    for a, b, length in paths:
-        prev = a
-        for _ in range(length - 1):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, b))
-    return Graph.from_edges(nxt, edges)
 
 
 def with_pendants(g: Graph, counts: Mapping[int, int]) -> Graph:
@@ -192,25 +155,9 @@ def all_pairs_distances(g: Graph) -> list[list[Optional[int]]]:
     return [bfs_distances(g, s) for s in range(g.n)]
 
 
-def reachable_mask(adj: tuple[int, ...], start: int) -> int:
-    seen = frontier = 1 << start
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 def is_connected(g: Graph) -> bool:
     """True when one BFS from vertex 0 reaches everything (n=0: True)."""
-    if g.n == 0:
-        return True
-    return reachable_mask(g.adj, 0) == (1 << g.n) - 1
+    return g.n == 0 or None not in bfs_distances(g, 0)
 
 
 # -- graph6 format ----------------------------------------------------------

@@ -23,7 +23,7 @@ from mostar.braces import (
     BraceClass,
 )
 from mostar.enumeration import _rooted_tree_counts
-from mostar.graphs import reachable_mask, with_pendants
+from mostar.graphs import with_pendants
 
 
 def cyclomatic_number(g: Graph) -> int:
@@ -139,6 +139,36 @@ def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
     return Graph.from_edges(g1.n + g2.n - 1, edges)
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """The neighbours of v in increasing order."""
+    row = g.adj[v]
+    return [w for w in range(row.bit_length()) if row >> w & 1]
+
+
+def induced(g: Graph, keep: list[int]) -> Graph:
+    """Induced subgraph on `keep`, relabeled to 0..len(keep)-1 in order."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), [
+        (i, pos[w]) for i, v in enumerate(keep) for w in neighbors(g, v)
+        if w in pos and v < w])
+
+
+def reachable_mask(adj: tuple[int, ...], start: int) -> int:
+    """The vertices reachable from `start` in adjacency rows `adj`, as a
+    bitmask."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        nxt &= ~seen
+        seen |= nxt
+        frontier = nxt
+    return seen
+
+
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed to perm[v]."""
     if sorted(perm) != list(range(g.n)):
@@ -146,7 +176,7 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     adj = [0] * g.n
     for v in range(g.n):
         new = 0
-        for w in g.neighbors(v):
+        for w in neighbors(g, v):
             new |= 1 << perm[w]
         adj[perm[v]] = new
     return Graph(g.n, tuple(adj))
@@ -960,7 +990,7 @@ def strip_pendants(g: Graph) -> BraceDecomposition:
                 alive &= ~(1 << v)
                 changed = True
     keep = [v for v in range(g.n) if alive >> v & 1]
-    brace = g.induced(keep)
+    brace = induced(g, keep)
     # each stripped component is a tree hanging at exactly one brace vertex;
     # its edge count equals its vertex count
     profile = {i: 0 for i in range(len(keep))}
@@ -993,7 +1023,7 @@ def single_attach_decomposition(g: Graph) -> tuple[Graph, int] | None:
         return None
     attach = hot[0]
     x = d.original_labels[attach]
-    leaves = sum(1 for w in g.neighbors(x) if g.degree(w) == 1)
+    leaves = sum(1 for w in neighbors(g, x) if g.degree(w) == 1)
     return (d.brace, attach) if leaves == d.pendant_count else None
 
 
@@ -1036,11 +1066,11 @@ def skeleton(brace: Graph) -> Skeleton:
     # full walk's edge set so parallel paths and loops both survive
     seen_walks = set()
     for s in branch:
-        for t0 in brace.neighbors(s):
+        for t0 in neighbors(brace, s):
             prev, cur = s, t0
             walk = [(min(prev, cur), max(prev, cur))]
             while brace.degree(cur) == 2:
-                nxts = [w for w in brace.neighbors(cur) if w != prev]
+                nxts = [w for w in neighbors(brace, cur) if w != prev]
                 prev, cur = cur, nxts[0]
                 walk.append((min(prev, cur), max(prev, cur)))
             walk_edges = frozenset(walk)
@@ -1126,7 +1156,7 @@ def shift_pendants(g: Graph, spec: ShiftSpec) -> Graph:
     if spec.count == 0:
         return g
     pendants = [
-        w for w in g.neighbors(spec.source)
+        w for w in neighbors(g, spec.source)
         if g.degree(w) == 1 and w != spec.target
     ]
     if len(pendants) < spec.count:

@@ -67,7 +67,8 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from mostar.canon import CanonResult, canon, pair_orbit_reps
-from mostar.graphs import Graph, edge_pairs, reachable_mask
+from mostar.graphs import Graph, edge_pairs
+from _helpers import reachable_mask
 
 
 # -- spanning-tree seeds -----------------------------------------------------

@@ -137,7 +137,8 @@ def lemma_rows() -> None:
     its brute-force distance oracle (`perfbench/gates.shift_delta`); this
     rebuilds every row of the seed-0 suite, on the pinned calibrations.
     The suite samples with random.randint, whose sequence Python does not
-    promise to keep across versions, so the pinned rows hold on 3.11."""
+    promise to keep across versions; the pinned rows hold on 3.10 through
+    3.13, and a version that changes the sequence fails here."""
     sys.dont_write_bytecode = True  # nothing is written under perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gates

@@ -15,6 +15,8 @@ from mostar.braces import (
     K4_SUBDIVISION,
     NOT_TRICYCLIC,
     THREE_HUB,
+    _edge_maps,
+    _kernels,
     kernel_braces,
 )
 from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
@@ -29,6 +31,8 @@ from _helpers import (
     brute_strip_pendants,
     complete,
     hang_random_trees,
+    induced,
+    neighbors,
     random_connected,
     random_connected_density,
     relabel,
@@ -150,7 +154,7 @@ def _bipartition_cyclomatics(brace):
     for v in _cut_vertices(brace):
         rest = [w for w in range(brace.n) if w != v]
         comp_of = {}
-        sub = brace.induced(rest)
+        sub = induced(brace, rest)
         seen = set()
         comps = []
         for w in range(sub.n):
@@ -162,7 +166,7 @@ def _bipartition_cyclomatics(brace):
                 if x in comp:
                     continue
                 comp.add(x)
-                stack.extend(sub.neighbors(x))
+                stack.extend(neighbors(sub, x))
             seen |= comp
             comps.append([rest[i] for i in comp])
         for take in range(1, len(comps)):
@@ -176,8 +180,8 @@ def _bipartition_cyclomatics(brace):
                     [v] + [x for i in range(len(comps)) if i not in combo
                            for x in comps[i]]
                 )
-                g1 = brace.induced(side1)
-                g2 = brace.induced(side2)
+                g1 = induced(brace, side1)
+                g2 = induced(brace, side2)
                 if is_connected(g1) and is_connected(g2):
                     c1 = cyclomatic_number(g1)
                     c2 = cyclomatic_number(g2)
@@ -266,7 +270,7 @@ def test_strip_pendants_matches_leaf_peeling():
         keep, carried = brute_strip_pendants(g)
         d = strip_pendants(g)
         assert list(d.original_labels) == keep
-        assert d.brace == g.induced(keep)
+        assert d.brace == induced(g, keep)
         assert d.attachment_profile == {i: carried[v] for i, v in enumerate(keep)}
         assert d.pendant_count == sum(carried.values())
         checked += 1
@@ -295,6 +299,60 @@ def test_kernel_brace_counts(c):
     t0 = time.perf_counter()
     kernel_braces(c, [max(counts)])
     assert time.perf_counter() - t0 < 1.0
+
+
+def _burnside_brace_count(c: int, b: int) -> int:
+    """The braces with cyclomatic number c and b edges, up to isomorphism,
+    by Burnside's lemma per kernel: the average over the kernel's edge
+    maps of the length tuples summing to b that sigma fixes, every loop
+    of length >= 3 and no parallel class with two edges of length 1."""
+    total = 0
+    for order, edges in _kernels(c):
+        loops = {i for i, (x, y) in enumerate(edges) if x == y}
+        twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
+        maps = _edge_maps(order, edges)
+        fixed = 0
+        for _, sigma in maps:
+            cycles, seen = [], set()
+            for i in range(len(edges)):
+                if i not in seen:
+                    cyc = [i]
+                    while sigma[cyc[-1]] != i:
+                        cyc.append(sigma[cyc[-1]])
+                    seen.update(cyc)
+                    cycles.append(cyc)
+            lengths = [0] * len(edges)
+
+            def fill(k: int, left: int) -> int:
+                # tuples constant on each of sigma's cycles k, k+1, ...
+                if k == len(cycles):
+                    return left == 0 and not any(
+                        lengths[i] == lengths[j] == 1 for i, j in twins)
+                count = 0
+                for value in range(3 if cycles[k][0] in loops else 1,
+                                   left // len(cycles[k]) + 1):
+                    for i in cycles[k]:
+                        lengths[i] = value
+                    count += fill(k + 1, left - value * len(cycles[k]))
+                return count
+
+            fixed += fill(0, b)
+        assert fixed % len(maps) == 0, (order, edges, b)
+        total += fixed // len(maps)
+    return total
+
+
+@pytest.mark.parametrize("c, top", [(3, 18), (2, 12)])
+def test_kernel_brace_counts_burnside(c, top):
+    """`kernel_braces` keeps the smallest tuple of each orbit; counting the
+    orbits by Burnside's lemma instead gives the same number of braces at
+    every size up to tricyclic 18 and bicyclic 12 edges, the sizes that
+    can reach the bounds m^2-m-36 and m^2-m-24 (the `indices` deficit
+    bound)."""
+    found = kernel_braces(c, range(top + 1))
+    assert [_burnside_brace_count(c, b) for b in range(top + 1)] == [
+        len(found[b]) for b in range(top + 1)]
+    assert sum(map(len, found.values())) == {3: 11683, 2: 93}[c]
 
 
 def test_kernel_classes_equal_graph_classifier(tri_surveys, bi_surveys):

@@ -178,6 +178,28 @@ def test_verify_bad_registry_file(tmp_path, capsys, monkeypatch, command, conten
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("with_default", [True, False], ids=["registry-in-cwd", "empty-cwd"])
+@pytest.mark.parametrize("command", ["verify-theorem1", "verify-theorem2"])
+def test_verify_empty_registry_path(tmp_path, capsys, monkeypatch, command, with_default):
+    """`--registry ''` is an error, not "no --registry": exit 2 before any
+    survey, whether ./families.json exists or the built-in registry would
+    stand in."""
+    def no_survey(*args, **kwargs):
+        raise AssertionError("enumerated before the registry was checked")
+
+    monkeypatch.setattr(verify, "survey", no_survey)
+    monkeypatch.chdir(tmp_path)
+    if with_default:
+        (tmp_path / "families.json").write_bytes(REGISTRY.read_bytes())
+    argv = [command, "--size", "7", "--threads", "1", "--registry", ""]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read registry '': empty path" in err
+    _assert_one_error_line(err, argv)
+
+
 _ODD = st.one_of(
     st.none(), st.booleans(), st.floats(), st.text(max_size=4),
     st.integers(-3, 30), st.sampled_from([-1, -10**12, 10**12, 10**30, 10**400]),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mostar import GraphError, canonical_form, cycle, edge_mostar
+from mostar import Graph, GraphError, canonical_form, cycle, edge_mostar
 from mostar import families
 from mostar.enumeration import bicyclic_task, tricyclic_task
 from mostar.families import (
@@ -22,14 +22,14 @@ from mostar.families import (
     builtin_registry,
     discover_families,
 )
-from mostar.braces import subdivision
-from mostar.graphs import hub_paths, with_pendants
+from mostar.braces import kernel_braces, subdivision
+from mostar.graphs import with_pendants
 from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.shifts import GROUPS
 from mostar.verify import BICYCLIC
 from _helpers import (
-    classify_graph, complete, hang_random_trees, orbit_tails, single_attach_decomposition,
-    strip_pendants, verify_family,
+    classify_graph, complete, hang_random_trees, orbit_tails, relabel,
+    single_attach_decomposition, strip_pendants, verify_family,
 )
 
 
@@ -218,6 +218,28 @@ def test_brace_pass_needs_tail_by_largest_size(registry):
                 if c.key == key] == want
 
 
+def test_normalize_candidate_contract():
+    """On every kernel brace (tricyclic up to 10 edges, bicyclic up to 9)
+    at every vertex: the (base edges, attach, key) triple does not depend
+    on the brace's labels, and the key is the canonical form of the
+    returned base with one pendant at the returned attach vertex."""
+    rng = random.Random(59)
+    braces = [g for c, top in ((3, 10), (2, 9))
+              for group in kernel_braces(c, range(c + 1, top + 1)).values()
+              for g, _, _ in group]
+    pairs = 0
+    for brace in braces:
+        perms = [rng.sample(range(brace.n), brace.n) for _ in range(2)]
+        for v in range(brace.n):
+            edges, attach, key = got = _normalize_candidate(brace, v)
+            for perm in perms:
+                assert _normalize_candidate(relabel(brace, perm), perm[v]) == got
+            base = Graph.from_edges(brace.n, edges)
+            assert canonical_form(with_pendants(base, {attach: 1})) == key
+            pairs += 1
+    assert pairs == 1071
+
+
 def test_brace_pass_labels_each_orbit_once(monkeypatch, tri_surveys, bi_surveys):
     """The survey carries a tail at one vertex per orbit, so the brace pass
     labels each candidate orbit once: over the atlas surveys (tricyclic
@@ -366,7 +388,7 @@ def test_single_attach_decomposition_matches_rebuild(registry):
     rng = random.Random(47)
     braces = [registry[f].base_graph() for f in registry.ids()]
     braces += [b for group in GROUPS.values() for b in group.realizations]
-    braces += [complete(4), hub_paths(2, [(0, 1, 1), (0, 1, 3), (0, 1, 3)])]
+    braces += [complete(4), subdivision(2, ((0, 1),) * 3, (1, 3, 3))[0]]
     outcomes = set()
     for brace in braces:
         for _ in range(30):
