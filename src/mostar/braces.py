@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
 from .graphs import Graph
@@ -62,37 +62,23 @@ def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     smallest sorted edge list over all relabellings keeps the class."""
     out = {}
     for order in range(1, 2 * c - 1):
-        size = order + c - 1
-        top = 2 * size - 3 * (order - 1)   # the largest degree the others leave
         slots = [(a, b) for a in range(order) for b in range(a, order)]
         perms = list(permutations(range(order)))
-        deg = [0] * order
-
-        def grow(start: int, edges: list[tuple[int, int]]) -> None:
-            if len(edges) == size:
-                if min(deg) < 3:
-                    return
-                reach = {0}
-                for _ in range(order):
-                    reach |= {x for e in edges if e[0] in reach or e[1] in reach for x in e}
-                if len(reach) < order:
-                    return
-                key = min(
-                    tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
-                    for p in perms
-                )
-                out[order, key] = None
-                return
-            for i in range(start, len(slots)):
-                a, b = slots[i]
+        for edges in combinations_with_replacement(slots, order + c - 1):
+            deg = [0] * order
+            for a, b in edges:
                 deg[a] += 1
                 deg[b] += 1
-                if deg[a] <= top and deg[b] <= top:
-                    grow(i, edges + [(a, b)])
-                deg[a] -= 1
-                deg[b] -= 1
-
-        grow(0, [])
+            if min(deg) < 3:
+                continue
+            reach = {0}
+            for _ in range(order):
+                reach |= {x for e in edges if e[0] in reach or e[1] in reach for x in e}
+            if len(reach) < order:
+                continue
+            key = min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
+                      for p in perms)
+            out[order, key] = None
     return sorted(out)
 
 

@@ -91,6 +91,14 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else `os.cpu_count()` (1 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class UsageError(Exception):
     """Arguments that parse but cannot be run; reported with exit code 2."""
 
@@ -206,7 +214,7 @@ def cmd_verify(args) -> int:
         _parse_sizes(args),
         registry=_load_registry(registry),
         # at most one worker per core: the count never changes results
-        workers=min(args.threads, os.cpu_count() or 1),
+        workers=min(args.threads, _usable_cores()),
     )
     _emit_rows(rows, args)
     return 0 if all(r.status != "FAIL" for r in rows) else 1
@@ -221,7 +229,7 @@ def cmd_atlas(args) -> int:
     result = run_atlas(
         tri_max_size=args.max_size,
         bi_max_size=min(args.max_size, BICYCLIC.tail_start),
-        workers=min(args.threads, os.cpu_count() or 1),
+        workers=min(args.threads, _usable_cores()),
     )
     # the report first, so an unwritable report path leaves the registry as it was
     report_text = json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mostar",
         description="edge Mostar index computation and extremal verification",
     )
-    default_threads = os.cpu_count() or 1
+    default_threads = _usable_cores()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="summaries for graph6 input")

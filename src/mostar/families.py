@@ -235,31 +235,30 @@ def member_form(spec: FamilySpec, m: int, order: int) -> Optional[str]:
 
 # -- discovery ---------------------------------------------------------------
 
-# the families whose drawings are unavailable: closed form, brace kind and,
-# for a 2-connected brace, the sorted path lengths that identify it; B2 and
-# B4 have no closed form and are found among the maximizers
-DISCOVERY: dict[
-    str, tuple[Optional[tuple[int, int, int]], Optional[str], Optional[tuple[int, ...]]]
-] = {
-    "A1": ((1, -2, -27), br.COMPOSITE, None),
-    "A2": ((1, -2, -27), br.COMPOSITE, None),
-    "A4": ((1, -4, -9), br.COMPOSITE, None),
-    "A5": ((1, -3, -18), br.COMPOSITE, None),
-    "A6": ((1, -3, -18), br.COMPOSITE, None),
-    "A7": ((1, -3, -18), br.COMPOSITE, None),
-    "D1": ((1, -3, -24), br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
-    "D2": ((1, -2, -35), br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2)),
-    "F1": ((1, -4, -9), br.THREE_HUB, (1, 1, 1, 2, 2)),
-    "F2": ((1, -3, -26), br.THREE_HUB, (1, 1, 1, 2, 2)),
-    "F3": ((1, -3, -20), br.THREE_HUB, (1, 1, 2, 2, 2)),
-    "F4": ((1, -2, -33), br.THREE_HUB, (1, 1, 1, 2, 3)),
-    "H2": ((1, -2, -31), br.FOUR_THETA, (1, 2, 2, 2)),
-    "H3": ((1, -1, -48), br.FOUR_THETA, (2, 2, 2, 2)),
-    "H4": ((1, -3, -24), br.FOUR_THETA, (1, 2, 2, 3)),
-    "B1": ((1, -3, -6), br.NOT_TRICYCLIC, None),
-    "B2": (None, None, None),
-    "B3": ((1, -3, -6), br.NOT_TRICYCLIC, None),
-    "B4": (None, None, None),
+# the families whose drawings are unavailable: closed form and the class
+# `kernel_braces` gives the brace (with the sorted path lengths for a
+# 2-connected one); B2 and B4 have no closed form and are found among the
+# maximizers
+DISCOVERY: dict[str, tuple[Optional[tuple[int, int, int]], Optional[br.BraceClass]]] = {
+    "A1": ((1, -2, -27), br.BraceClass(br.COMPOSITE)),
+    "A2": ((1, -2, -27), br.BraceClass(br.COMPOSITE)),
+    "A4": ((1, -4, -9), br.BraceClass(br.COMPOSITE)),
+    "A5": ((1, -3, -18), br.BraceClass(br.COMPOSITE)),
+    "A6": ((1, -3, -18), br.BraceClass(br.COMPOSITE)),
+    "A7": ((1, -3, -18), br.BraceClass(br.COMPOSITE)),
+    "D1": ((1, -3, -24), br.BraceClass(br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2))),
+    "D2": ((1, -2, -35), br.BraceClass(br.K4_SUBDIVISION, (1, 1, 1, 1, 1, 2))),
+    "F1": ((1, -4, -9), br.BraceClass(br.THREE_HUB, (1, 1, 1, 2, 2))),
+    "F2": ((1, -3, -26), br.BraceClass(br.THREE_HUB, (1, 1, 1, 2, 2))),
+    "F3": ((1, -3, -20), br.BraceClass(br.THREE_HUB, (1, 1, 2, 2, 2))),
+    "F4": ((1, -2, -33), br.BraceClass(br.THREE_HUB, (1, 1, 1, 2, 3))),
+    "H2": ((1, -2, -31), br.BraceClass(br.FOUR_THETA, (1, 2, 2, 2))),
+    "H3": ((1, -1, -48), br.BraceClass(br.FOUR_THETA, (2, 2, 2, 2))),
+    "H4": ((1, -3, -24), br.BraceClass(br.FOUR_THETA, (1, 2, 2, 3))),
+    "B1": ((1, -3, -6), br.BraceClass(br.NOT_TRICYCLIC)),
+    "B2": (None, None),
+    "B3": ((1, -3, -6), br.BraceClass(br.NOT_TRICYCLIC)),
+    "B4": (None, None),
 }
 
 @dataclass(frozen=True)
@@ -345,7 +344,7 @@ def _brace_tails(surveys: dict) -> list[_Tail]:
     from some size >= b; the surveyed sizes are consecutive, so the member
     of size holds_from is the first one seen."""
     hi = max(surveys, default=0)
-    wanted = {poly for poly, _, _ in DISCOVERY.values()}
+    wanted = {poly for poly, _ in DISCOVERY.values()}
     out = []
     for s in surveys.values():
         for brace, tails, cls in s.braces:
@@ -358,17 +357,12 @@ def _brace_tails(surveys: dict) -> list[_Tail]:
 
 
 def _collect_group(fid: str, tails: list[_Tail]) -> list[Candidate]:
-    """The candidates whose tail is the family's polynomial and, where
-    DISCOVERY names one, whose brace has the family's shape; ids sharing
+    """The candidates whose tail is the family's polynomial and whose
+    brace has the family's shape, the class DISCOVERY names; ids sharing
     a DISCOVERY entry share these candidates."""
-    poly, kind, params = DISCOVERY[fid]
-    return sorted(
-        (c for cls, p, c in tails
-         if p == poly and (kind is None or (
-             cls.kind == kind and (params is None or cls.path_parameters == params)
-         ))),
-        key=lambda c: (c.m_min, c.key),
-    )
+    poly, shape = DISCOVERY[fid]
+    return sorted((c for cls, p, c in tails if p == poly and cls == shape),
+                  key=lambda c: (c.m_min, c.key))
 
 
 def _poly_str(poly: tuple[int, int, int]) -> str:
@@ -386,9 +380,10 @@ def _poly_str(poly: tuple[int, int, int]) -> str:
 def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     """When no construction matches a family's printed closed form, record
     the measured polynomials of every single-attach family on its brace."""
-    claimed, kind, params = DISCOVERY[fid]
-    if kind != br.FOUR_THETA or params is None:
+    claimed, shape = DISCOVERY[fid]
+    if shape is None or shape.kind != br.FOUR_THETA:
         return
+    params = shape.path_parameters
     base, auts = br.subdivision(2, ((0, 1),) * len(params), params)
     tails = model_tails(pendant_model(base.adj))
     lines = []

@@ -529,9 +529,10 @@ def test_nonpositive_count_rejected(tmp_path, capsys, command, option, value):
 ], ids=["verify-theorem1", "verify-theorem2", "atlas"])
 def test_threads_capped_at_core_count(tmp_path, capsys, monkeypatch, argv, target,
                                       threads, cores, want):
-    """`--threads` asks for at most one worker per core (`os.cpu_count()`,
-    1 when unknown).  The stand-in records the count it is given and runs
-    the real work on one worker, so no large pool ever starts."""
+    """`--threads` asks for at most one worker per usable core; on a
+    platform that reports no CPU affinity that is `os.cpu_count()`, 1 when
+    unknown.  The stand-in records the count it is given and runs the real
+    work on one worker, so no large pool ever starts."""
     module, name = target.rsplit(".", 1)
     real, seen = getattr(sys.modules[module], name), []
 
@@ -540,9 +541,35 @@ def test_threads_capped_at_core_count(tmp_path, capsys, monkeypatch, argv, targe
         return real(*args, workers=1, **kwargs)
 
     monkeypatch.setattr(target, recording)
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: cores)
     rc, _, _ = run(capsys, [*argv, "--threads", threads, "--output", str(tmp_path / "out.json")])
     assert rc in (0, 3)  # atlas at 7 leaves families unresolved
+    assert seen == [want]
+
+
+@pytest.mark.parametrize("affinity,threads,want", [
+    ({0}, [], 1),
+    ({0}, ["--threads", "4"], 1),
+    ({0, 1, 2}, ["--threads", "2"], 2),
+], ids=["default", "capped", "below"])
+def test_threads_capped_at_usable_cores(tmp_path, capsys, monkeypatch, affinity, threads, want):
+    """The cores counted are those the process may run on, its CPU affinity
+    where the platform reports one, not the host's eight: one core of
+    eight (`taskset -c 0`) gets one worker by default and at most one when
+    asked for more."""
+    real, seen = verify.survey, []
+
+    def recording(*args, workers, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(verify, "survey", recording)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(affinity), raising=False)
+    rc, _, _ = run(capsys, ["verify-theorem1", "--size", "7", *threads,
+                            "--output", str(tmp_path / "out.json")])
+    assert rc == 0
     assert seen == [want]
 
 
@@ -736,7 +763,7 @@ def test_lemma_seed_is_ascii_decimal(monkeypatch, tmp_path, capsys, seed):
 ], ids=["verify-theorem1", "verify-theorem2", "atlas"])
 def test_threads_reach_the_survey_capped_or_exit(monkeypatch, tmp_path, argv, target):
     """Every --threads string either reaches the survey as
-    min(n, os.cpu_count() or 1) workers, n its plain ASCII decimal value of
+    min(n, _usable_cores()) workers, n its plain ASCII decimal value of
     at least 1, or exits 2 with one error line and no traceback."""
 
     class Reached(Exception):
@@ -749,13 +776,13 @@ def test_threads_reach_the_survey_capped_or_exit(monkeypatch, tmp_path, argv, ta
     output = str(tmp_path / "out.json")
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.one_of(_INTS.map(str), st.text(max_size=6)), st.sampled_from([None, 1, 2, 64]))
+    @given(st.one_of(_INTS.map(str), st.text(max_size=6)), st.sampled_from([1, 2, 64]))
     @example("+2", 2)
     @example("1_0", 64)
     @example(" 3", 2)
     @example("\u0663", 64)
     def check(threads, cores):
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        monkeypatch.setattr("mostar.cli._usable_cores", lambda: cores)
         plain = re.fullmatch(r"-?[0-9]+", threads) and int(threads) >= 1
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -763,7 +790,7 @@ def test_threads_reach_the_survey_capped_or_exit(monkeypatch, tmp_path, argv, ta
                 main([*argv, "--threads", threads, "--output", output])
             except Reached as reached:
                 (workers,) = reached.args
-                assert plain and workers == min(int(threads), cores or 1), threads
+                assert plain and workers == min(int(threads), cores), threads
             except SystemExit as exc:
                 assert exc.code == 2 and not plain, threads
                 _assert_one_error_line(err.getvalue(), threads)

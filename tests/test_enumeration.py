@@ -763,7 +763,7 @@ def test_pool_never_larger_than_unit_count(monkeypatch, capsys):
         Pool = RecordingPool
 
     monkeypatch.setattr(enumeration, "get_context", lambda method: RecordingContext())
-    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("mostar.cli._usable_cores", lambda: 64)
     assert main(["verify-theorem1", "--size", "7", "--threads", "64"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["observed_max"] == 12
     assert requested == [8]

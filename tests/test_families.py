@@ -167,11 +167,11 @@ def test_forensic_hits_exact(monkeypatch, claimed):
     """The sizes at which each measured H4 family equals the printed form,
     against edge_mostar over 60 sizes; m^2-2m-30 crosses the hub family's
     tail at m = 10, past its head."""
-    _, kind, params = DISCOVERY["H4"]
-    monkeypatch.setitem(DISCOVERY, "H4", (claimed, kind, params))
+    _, shape = DISCOVERY["H4"]
+    monkeypatch.setitem(DISCOVERY, "H4", (claimed, shape))
     report = DiscoveryReport()
     _unresolved_forensics("H4", report)
-    base, _ = subdivision(2, ((0, 1),) * 4, params)
+    base, _ = subdivision(2, ((0, 1),) * 4, shape.path_parameters)
     families = report.notes[0].split("measured families: ")[1].split("; ")
     assert len(families) == 3
     for line in families:
@@ -261,7 +261,7 @@ def test_k4_has_no_discovery_tail():
     size), is vertex-transitive with tail m^2-4m-12, no DISCOVERY form."""
     k4 = complete(4)
     assert {f[:2] for f in model_tails(pendant_model(k4.adj))} == {((1, -4, -12), 6)}
-    assert (1, -4, -12) not in {poly for poly, _, _ in DISCOVERY.values()}
+    assert (1, -4, -12) not in {poly for poly, _ in DISCOVERY.values()}
     assert _brace_tails({6: _Survey(k4), 12: _Survey()}) == []
 
 

@@ -4,7 +4,10 @@ from typing import Optional
 import pytest
 
 from mostar import canonical_form, verify
-from mostar.families import FamilyRegistry, FamilySpec
+from mostar.braces import kernel_braces
+from mostar.families import FamilyRegistry, FamilySpec, builtin_registry
+from mostar.graphs import with_pendants
+from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.verify import BICYCLIC, TRICYCLIC, _row, run_atlas
 
 
@@ -122,3 +125,69 @@ def test_atlas_sizes_checked_before_any_survey(monkeypatch):
     for tri, bi in ((22, 30), (21, 10), (12, 30)):
         with pytest.raises(Surveyed):
             run_atlas(tri_max_size=tri, bi_max_size=bi)
+
+
+@pytest.mark.parametrize("spec, c, fid, orbits", [
+    (TRICYCLIC, 3, "A0", 3), (BICYCLIC, 2, "B0", 1)], ids=["tricyclic", "bicyclic"])
+def test_theorem_holds_for_every_m(spec, c, fid, orbits):
+    """The table's quadratic bounds every connected graph of cyclomatic
+    number c at every m >= tail_start (m^2-m-36 from 12, m^2-m-24 from
+    10), reached only by the family's member, by a finite exact check.
+
+    A graph whose brace has b edges has Mo_e <= m(m - 1) - 2b (the
+    `indices` deficit bound), below the quadratic unless b <= b_max =
+    -tail_poly[2] / 2 (18 and 12).  For a brace with b edges, trees to
+    stars (`indices`) and the best corner (the Jensen step of
+    `enumeration._survey_brace`) make its best graph at m the brace with
+    m - b pendant edges at one vertex, one per orbit of its group:
+    `tail_index` of that vertex's `model_tails` entry, exact at every m.
+    `kernel_braces` lists every brace once (`test_braces.py`'s walk and
+    Burnside checks).  So each (brace, orbit) is checked at every head
+    size from first = max(tail_start, b) through last = max(first,
+    holds_from), and past it, where the index is the tail polynomial and
+    both forms are monic, the gap to the bound is linear with slope
+    N - b <= 0 (N <= b edges have s_e != 0): it stays <= 0 exactly when
+    it is at `last`.
+
+    The only ties are at the family's base, matched by canonical form
+    against the built-in registry: at its attach vertex at every m, and,
+    when the base has tail_start edges (A0), at each of its other orbits
+    (A0's six neighbours of the hub and its three far vertices) as the
+    bare brace at m = tail_start."""
+    base = builtin_registry()[fid]
+    base_form = canonical_form(base.base_graph())
+    marked_form = canonical_form(with_pendants(base.base_graph(), {base.attach: 1}))
+    b_max = -spec.tail_poly[2] // 2
+    ties, braces = [], 0
+    for b, found in kernel_braces(c, range(1, b_max + 1)).items():
+        for brace, group, _ in found:
+            braces += 1
+            tails = model_tails(pendant_model(brace.adj))
+            for w in sorted({min(p[v] for p in group) for v in range(brace.n)}):
+                tail = tails[w]
+                poly, holds_from, _ = tail
+                first = max(spec.tail_start, b)
+                last = max(first, holds_from)
+                hits = []
+                for m in range(first, last + 1):
+                    index, bound = tail_index(tail, m - b, m), poly_eval(spec.tail_poly, m)
+                    assert index <= bound, (brace.edges(), w, m)
+                    if index == bound:
+                        hits.append(m)
+                slope = poly[1] - spec.tail_poly[1]
+                gap = poly_eval(poly, last) - poly_eval(spec.tail_poly, last)
+                assert slope <= 0 and gap <= 0, (brace.edges(), w)
+                onward = slope == gap == 0
+                if hits or onward:
+                    ties.append((brace, w, hits, onward, range(first, last + 1)))
+    assert braces == {3: 11683, 2: 93}[c]
+    assert len(ties) == orbits
+    attach = 0
+    for brace, w, hits, onward, head in ties:
+        assert canonical_form(brace) == base_form, brace.edges()
+        if canonical_form(with_pendants(brace, {w: 1})) == marked_form:
+            assert onward and hits == list(head), w
+            attach += 1
+        else:
+            assert brace.m == spec.tail_start and hits == [brace.m] and not onward, w
+    assert attach == 1
