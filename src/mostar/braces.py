@@ -5,10 +5,12 @@ vertices; it has minimum degree >= 2 and carries all of the cycle
 structure.  With cyclomatic number c >= 2, suppressing its degree-2
 vertices leaves its kernel, a connected multigraph of minimum degree 3 (a
 loop counts 2) on at most 2(c - 1) vertices.  `kernel_braces` runs the
-suppression backwards: it finds the few small kernels and their
-automorphisms by brute force, and `subdivision` turns a kernel and one
-length per edge into the brace and its automorphism group, with no
-canonical labelling.  The shift rules' braces are built the same way.
+suppression backwards.  The kernels are stated, 3 for c = 2 and 15 for
+c = 3 (`_KERNELS`); the tests derive them by trying every multigraph
+(`tests/_helpers.enumerate_kernels`).  Their automorphisms are found by
+brute force, and `subdivision` turns a kernel and one length per edge
+into the brace and its automorphism group, with no canonical labelling.
+The shift rules' braces are built the same way.
 
 Each brace carries its class, which `classify` reads off its kernel once
 per kernel.  The classes split the connected tricyclic graphs into five
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .graphs import Graph
@@ -52,34 +54,33 @@ class BraceClass:
     path_parameters: tuple[int, ...] | None = None
 
 
-@lru_cache(maxsize=None)
-def _kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """The kernels with cyclomatic number c >= 2, one per isomorphism class:
-    connected multigraphs with minimum degree 3 (a loop counts 2), loops
-    and parallel edges allowed, as (order, edges), each edge (a, b) with
-    a <= b.  Degrees sum to 2(order + c - 1) >= 3 order, so order <=
-    2(c - 1); every multiset of edges of each order is tried, and its
-    smallest sorted edge list over all relabellings keeps the class."""
-    out = {}
-    for order in range(1, 2 * c - 1):
-        slots = [(a, b) for a in range(order) for b in range(a, order)]
-        perms = list(permutations(range(order)))
-        for edges in combinations_with_replacement(slots, order + c - 1):
-            deg = [0] * order
-            for a, b in edges:
-                deg[a] += 1
-                deg[b] += 1
-            if min(deg) < 3:
-                continue
-            reach = {0}
-            for _ in range(order):
-                reach |= {x for e in edges if e[0] in reach or e[1] in reach for x in e}
-            if len(reach) < order:
-                continue
-            key = min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
-                      for p in perms)
-            out[order, key] = None
-    return sorted(out)
+# The kernels with cyclomatic number 2 and 3, one per isomorphism class, as
+# (order, edges), each edge (a, b) with a <= b, in the order `kernel_braces`
+# lists them; `tests/_helpers.enumerate_kernels` derives them.
+_KERNELS = {
+    2: (
+        (1, ((0, 0), (0, 0))),
+        (2, ((0, 0), (0, 1), (1, 1))),
+        (2, ((0, 1), (0, 1), (0, 1))),
+    ),
+    3: (
+        (1, ((0, 0), (0, 0), (0, 0))),
+        (2, ((0, 0), (0, 0), (0, 1), (1, 1))),
+        (2, ((0, 0), (0, 1), (0, 1), (0, 1))),
+        (2, ((0, 0), (0, 1), (0, 1), (1, 1))),
+        (2, ((0, 1), (0, 1), (0, 1), (0, 1))),
+        (3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 2))),
+        (3, ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2))),
+        (3, ((0, 0), (0, 1), (0, 2), (1, 2), (1, 2))),
+        (3, ((0, 0), (0, 1), (1, 2), (1, 2), (1, 2))),
+        (3, ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2))),
+        (4, ((0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3))),
+        (4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (3, 3))),
+        (4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3))),
+        (4, ((0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3))),
+        (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    ),
+}
 
 
 def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
@@ -115,7 +116,7 @@ def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
     return BraceClass(K4_SUBDIVISION if len(set(edges)) == 6 else DIGON_RING)
 
 
-@lru_cache(maxsize=None)  # `subdivision` asks once per brace, of a few kernels
+@lru_cache(maxsize=None)  # asked once per brace, of a few kernels
 def _edge_maps(
     order: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -158,6 +159,17 @@ def subdivision(
     kernel's edge maps that keep the lengths, each with either direction
     round every loop; on a simple brace no two of them are equal (at most
     48 for c <= 3)."""
+    return _subdivide(order, edges, lengths, [
+        (pi, sigma) for pi, sigma in _edge_maps(order, edges)
+        if all(lengths[j] == k for j, k in zip(sigma, lengths))])
+
+
+def _subdivide(
+    order: int, edges: tuple[tuple[int, int], ...], lengths: tuple[int, ...],
+    maps: list[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """`subdivision`, given the kernel's edge maps that keep the lengths,
+    in `_edge_maps` order."""
     inner, start = [], order
     for k in lengths:
         inner.append(range(start, start + k - 1))
@@ -166,9 +178,7 @@ def subdivision(
                                      for pair in zip((a, *path), (*path, b))])
     loops = [i for i, (x, y) in enumerate(edges) if x == y]
     auts = []
-    for pi, sigma in _edge_maps(order, edges):
-        if any(lengths[j] != k for j, k in zip(sigma, lengths)):
-            continue
+    for pi, sigma in maps:
         for flips in product((False, True), repeat=len(loops)):
             perm = list(pi) + [0] * (start - order)
             flipped = {i for i, f in zip(loops, flips) if f}
@@ -188,10 +198,11 @@ def kernel_braces(
     c: int, sizes: Iterable[int]
 ) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...], BraceClass]]]:
     """Map each size b in `sizes` to every brace with cyclomatic number
-    c >= 2 and b edges, one per isomorphism class, each with its
+    c = 2 or 3 and b edges, one per isomorphism class, each with its
     automorphism group and its class: its kernel's `classify`, with the
     sorted lengths as path parameters when the brace is 2-connected.
-    Each brace and group is a `subdivision` of a kernel.
+    Each brace and group is a `subdivision` of a kernel.  Any other c
+    raises ValueError.
 
     Two subdivisions are isomorphic exactly when a kernel automorphism
     carries one length tuple to the other, since every isomorphism maps
@@ -199,12 +210,14 @@ def kernel_braces(
     composition of b over a kernel's edges is kept when it is the
     smallest in its orbit, and the simple graphs are those whose loops
     have length >= 3 and whose parallel classes hold at most one edge of
-    length 1."""
+    length 1.  The edge maps that carry a kept tuple to itself are the
+    ones its group is built from."""
+    if c not in _KERNELS:
+        raise ValueError(f"kernels are tabled for cyclomatic number 2 and 3, got {c}")
     out: dict[int, list] = {b: [] for b in sizes}
-    for order, edges in _kernels(c):
+    for order, edges in _KERNELS[c]:
         kind = classify(order, edges).kind
         maps = _edge_maps(order, edges)
-        moves = sorted({sigma for _, sigma in maps} - {tuple(range(len(edges)))})
         loops = [i for i, (x, y) in enumerate(edges) if x == y]
         twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
         # a loop has length >= 3: 2 plus its positive part of the composition
@@ -215,8 +228,15 @@ def kernel_braces(
                                  zip((0, *cuts), (*cuts, b - 2 * len(loops)), lift)])
                 if any(lengths[i] == lengths[j] == 1 for i, j in twins):
                     continue
-                if any(tuple([lengths[j] for j in sigma]) < lengths for sigma in moves):
-                    continue
-                params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
-                out[b].append((*subdivision(order, edges, lengths), BraceClass(kind, params)))
+                stabilizer = []
+                for pi, sigma in maps:
+                    image = tuple([lengths[j] for j in sigma])
+                    if image < lengths:
+                        break
+                    if image == lengths:
+                        stabilizer.append((pi, sigma))
+                else:
+                    params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
+                    out[b].append((*_subdivide(order, edges, lengths, stabilizer),
+                                   BraceClass(kind, params)))
     return out

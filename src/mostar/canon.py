@@ -12,17 +12,35 @@ cell of the last partition agree (that round grouped by them), which fixes
 the dropped counts, and equal components change neither the grouping nor
 the order.  A cell with no neighbour in a splitter cannot split.
 
+Twins are branched on once per node.  Two vertices are twins when their
+open rows are equal (false twins, never adjacent) or their closed rows
+`row | 1 << v` are (true twins, always adjacent).  Each kind is an
+equivalence, and no vertex has twins of both kinds: with u, x false twins
+and u, y true twins, y is adjacent to u, so to x, so x is in the closed row
+of y, which is u's, and x would be adjacent to u.  The search skips a
+vertex of the target cell when a twin of it was already branched on at
+that node.  The transposition of the two is an automorphism that fixes
+every other vertex, so it fixes the node's individualised vertices
+(singletons, while the two are in a larger cell), and refinement, which
+never reads labels, commutes with it.  So it maps the skipped child's subtree onto the one
+already searched, node to node and leaf to leaf, with equal leaf keys: the
+skip drops no key, and the subtree searched comes first, so the first
+largest leaf is kept.  Every twin transposition joins the generators and
+orbit_of after the search, for the automorphisms the skipped subtrees
+would have shown.
+
 Orbit pruning uses the found group's orbits, not the node stabilizer's
 (McKay & Piperno, "Practical graph isomorphism, II", 2014).  That it never
 drops the first largest leaf is unproved; tests check it against brute
-force for n <= 6 and against the search without splitter-only refinement.
+force for n <= 6 and against the search without splitter-only refinement
+or the twin rule.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, write_graph6
+from .graphs import Graph, _bits, write_graph6
 
 
 class CanonResult(NamedTuple):
@@ -90,10 +108,26 @@ def _union(parent: list[int], a: int, b: int) -> None:
     parent[rb] = ra
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex -> bitmask of its twin class, 0 for a vertex with no twin: the
+    vertices with its open row (false twins) or its closed row (true twins)."""
+    classes: dict[tuple[int, int], int] = {}
+    for v, row in enumerate(adj):
+        for key in ((0, row), (1, row | 1 << v)):
+            classes[key] = classes.get(key, 0) | 1 << v
+    twins = [0] * len(adj)
+    for cls in classes.values():
+        if cls & (cls - 1):
+            for v in _bits(cls):
+                twins[v] = cls
+    return twins
+
+
 class _Search:
-    def __init__(self, n: int, adj: tuple[int, ...]):
+    def __init__(self, n: int, adj: tuple[int, ...], twins: list[int]):
         self.n = n
         self.adj = adj
+        self.twins = twins   # vertex -> bitmask of its twin class
         self.best_key: tuple[int, ...] | None = None
         self.best_lam: list[int] | None = None
         self.leaf_perms: dict[tuple[int, ...], list[int]] = {}
@@ -136,16 +170,16 @@ class _Search:
         else:
             self._leaf(cells)
             return
-        parent = self.parent
-        branched: list[int] = []
+        parent, twins = self.parent, self.twins
+        done = 0   # the vertices branched on at this node
         rest = cell
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if any(_find(parent, w) == _find(parent, v) for w in branched):
+            if twins[v] & done or any(_find(parent, w) == _find(parent, v) for w in _bits(done)):
                 continue
-            branched.append(v)
+            done |= low
             self.run(cells[:target] + [low, cell ^ low] + cells[target + 1 :], [low])
 
 
@@ -158,8 +192,16 @@ def canon(g: Graph) -> CanonResult:
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
-    search = _Search(g.n, g.adj)
+    twins = _twin_classes(g.adj)
+    search = _Search(g.n, g.adj, twins)
     search.run(cells, cells[:-1])
+    for v, cls in enumerate(twins):
+        w = (cls & -cls).bit_length() - 1   # the first of v's class, -1 for none
+        if 0 <= w < v:
+            swap = list(range(g.n))
+            swap[v], swap[w] = w, v
+            search.generators.append(tuple(swap))
+            _union(search.parent, w, v)
     orbit_of = tuple([_find(search.parent, v) for v in range(g.n)])
     return CanonResult(g.n, search.best_key, tuple(search.best_lam),
                        tuple(search.generators), orbit_of)

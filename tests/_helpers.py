@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from mostar import Graph, Graph6Error, GraphError, is_connected
 from mostar.braces import (
     COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
-    BraceClass,
+    _KERNELS, BraceClass, _edge_maps,
 )
-from mostar.enumeration import _rooted_tree_counts
+from mostar.enumeration import _cycle_series, _rooted_tree_counts
 from mostar.graphs import with_pendants
 
 
@@ -114,6 +114,11 @@ def star(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}, the side of a vertices first."""
+    return Graph.from_edges(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
 
 
 def dot_product(g1: Graph, v1: int, g2: Graph, v2: int) -> Graph:
@@ -382,6 +387,111 @@ def polya_class_count(m: int, braces) -> int:
         count += q
     return count
 
+
+def enumerate_kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The kernels with cyclomatic number c >= 2, one per isomorphism class:
+    connected multigraphs with minimum degree 3 (a loop counts 2), loops
+    and parallel edges allowed, as (order, edges), each edge (a, b) with
+    a <= b.  Degrees sum to 2(order + c - 1) >= 3 order, so order <=
+    2(c - 1); every multiset of edges of each order is tried, and its
+    smallest sorted edge list over all relabellings keeps the class.  The
+    oracle for `braces._KERNELS`."""
+    out = {}
+    for order in range(1, 2 * c - 1):
+        slots = [(a, b) for a in range(order) for b in range(a, order)]
+        perms = list(itertools.permutations(range(order)))
+        for edges in itertools.combinations_with_replacement(slots, order + c - 1):
+            deg = [0] * order
+            for a, b in edges:
+                deg[a] += 1
+                deg[b] += 1
+            if min(deg) < 3:
+                continue
+            reach = {0}
+            for _ in range(order):
+                reach |= {x for e in edges if e[0] in reach or e[1] in reach for x in e}
+            if len(reach) < order:
+                continue
+            key = min(tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
+                      for p in perms)
+            out[order, key] = None
+    return sorted(out)
+
+
+def burnside_class_totals(c: int, top: int) -> list[int]:
+    """The connected graphs with cyclomatic number c and m edges up to
+    isomorphism, for m = 0 .. top, by Burnside's lemma over each kernel's
+    automorphisms, with no brace or brace group built.  A graph is a
+    kernel of `braces._KERNELS`, a length per kernel edge (every loop of
+    length >= 3, no parallel class with two edges of length 1) and a
+    rooted tree at every vertex of the subdivision; two are isomorphic
+    exactly when a kernel automorphism, an edge map of
+    `braces._edge_maps` with either direction round every loop, carries
+    one to the other.  A configuration is fixed by such a map exactly when
+    its lengths are constant on each edge cycle and its trees on each
+    vertex cycle.  An edge cycle of r edges and length l that comes back
+    in its own direction gives l - 1 vertex cycles of length r; one that
+    comes back reversed gives (l - 1) // 2 of length 2r, and one of length
+    r if l - 1 is odd.  With the kernel vertices' cycles, those fix [x^k]
+    of the product over the cycles of t(x^L), k the tree edges
+    (`enumeration._cycle_series`); the sum over the maps must divide
+    exactly by their number (Harary & Palmer, Graphical Enumeration,
+    1973)."""
+    totals = [0] * (top + 1)
+    for order, edges in _KERNELS[c]:
+        loops = [i for i, (a, z) in enumerate(edges) if a == z]
+        twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
+        maps = _edge_maps(order, edges)
+        fixed = [0] * (top + 1)
+        for (pi, sigma), flips in product(maps, product((0, 1), repeat=len(loops))):
+            turned = dict(zip(loops, flips))
+            cycles, seen = [], set()   # (edges, comes back reversed) per edge cycle
+            for i in range(len(edges)):
+                cyc, back = [], 0
+                while i not in seen:
+                    seen.add(i)
+                    cyc.append(i)
+                    a = edges[i][0]
+                    back ^= turned[i] if i in turned else pi[a] != edges[sigma[i]][0]
+                    i = sigma[i]
+                if cyc:
+                    cycles.append((cyc, back))
+            base, seen = [], set()   # the kernel vertices' cycles
+            for v in range(order):
+                length = 0
+                while v not in seen:
+                    seen.add(v)
+                    v, length = pi[v], length + 1
+                if length:
+                    base.append(length)
+            types: dict[tuple[int, tuple[int, ...]], int] = {}
+            lengths = [0] * len(edges)
+
+            def fill(j: int, b: int, vertex_cycles: list[int]) -> None:
+                # lengths constant on the edge cycles j, j + 1, ...
+                if j == len(cycles):
+                    if not any(lengths[x] == lengths[y] == 1 for x, y in twins):
+                        key = (b, tuple(sorted(vertex_cycles)))
+                        types[key] = types.get(key, 0) + 1
+                    return
+                cyc, back = cycles[j]
+                r = len(cyc)
+                for value in range(3 if cyc[0] in turned else 1, (top - b) // r + 1):
+                    for x in cyc:
+                        lengths[x] = value
+                    more = [2 * r] * ((value - 1) // 2) + [r] * ((value - 1) % 2) if back \
+                        else [r] * (value - 1)
+                    fill(j + 1, b + r * value, vertex_cycles + more)
+
+            fill(0, 0, base)
+            for (b, cycle_type), count in types.items():
+                series = _cycle_series(cycle_type, top - b)
+                for k in range(top - b + 1):
+                    fixed[b + k] += count * series[k]
+        group = len(maps) << len(loops)
+        assert all(x % group == 0 for x in fixed), (order, edges)
+        totals = [t + x // group for t, x in zip(totals, fixed)]
+    return totals
 
 # The composition listing: every composition of a brace's tree edges kept
 # once per orbit, its classes counted by Burnside and its all-star graph

@@ -132,6 +132,30 @@ def tricyclic_14_totals() -> None:
     assert not bad, f"maximizers that are not their canonical form: {bad}"
 
 
+def class_totals() -> None:
+    """Every class total up to the top sizes, tricyclic 6..22 and bicyclic
+    5..30: the survey's `graphs_visited` equals
+    `_helpers.burnside_class_totals`, a count by Burnside's lemma over the
+    kernels' own automorphisms that builds no brace and reads no brace
+    group.  Every other count of the totals reads the groups
+    `braces.subdivision` gives, and tier-1 and the checks above compare
+    totals only up to tricyclic 14 and bicyclic 13, so a group short of an
+    automorphism on a larger brace shows only here."""
+    import _helpers
+    from mostar.enumeration import survey
+    from mostar.verify import BICYCLIC, TRICYCLIC
+
+    specs = {3: TRICYCLIC, 2: BICYCLIC}
+    tasks = {c: [spec.task(m) for m in spec.sizes] for c, spec in specs.items()}
+    surveys = survey([t for ts in tasks.values() for t in ts], workers=2)
+    for c, spec in specs.items():
+        want = _helpers.burnside_class_totals(c, spec.top)
+        bad = [(t.m, surveys[t].result.graphs_visited, want[t.m]) for t in tasks[c]
+               if surveys[t].result.graphs_visited != want[t.m]]
+        assert not bad, (
+            f"cyclomatic number {c}: (m, graphs_visited, Burnside count) differing: {bad}")
+
+
 def lemma_rows() -> None:
     """The benchmark's lemmas gate rebuilds 100 sampled rows per run with
     its brute-force distance oracle (`perfbench/gates.shift_delta`); this
@@ -179,7 +203,7 @@ def pendant_rows() -> None:
 
 CHECKS = {f.__name__: f for f in (tricyclic_13_totals, tricyclic_13_model_scores,
                                   bicyclic_12_model_scores, tricyclic_14_totals,
-                                  lemma_rows, pendant_rows)}
+                                  class_totals, lemma_rows, pendant_rows)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

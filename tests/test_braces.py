@@ -15,8 +15,8 @@ from mostar.braces import (
     K4_SUBDIVISION,
     NOT_TRICYCLIC,
     THREE_HUB,
+    _KERNELS,
     _edge_maps,
-    _kernels,
     kernel_braces,
 )
 from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
@@ -30,6 +30,7 @@ from _helpers import (
     classify_graph,
     brute_strip_pendants,
     complete,
+    enumerate_kernels,
     hang_random_trees,
     induced,
     neighbors,
@@ -301,13 +302,27 @@ def test_kernel_brace_counts(c):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("c", [2, 3])
+def test_kernel_table_equals_enumeration(c):
+    """The tabled kernels are, in order, the ones the brute-force
+    enumeration finds: 3 bicyclic and 15 tricyclic."""
+    assert _KERNELS[c] == tuple(enumerate_kernels(c))
+    assert len(_KERNELS[c]) == {2: 3, 3: 15}[c]
+
+
+@pytest.mark.parametrize("c", [0, 1, 4])
+def test_kernel_braces_reject_untabled_classes(c):
+    with pytest.raises(ValueError, match="cyclomatic number 2 and 3"):
+        kernel_braces(c, [8])
+
+
 def _burnside_brace_count(c: int, b: int) -> int:
     """The braces with cyclomatic number c and b edges, up to isomorphism,
     by Burnside's lemma per kernel: the average over the kernel's edge
     maps of the length tuples summing to b that sigma fixes, every loop
     of length >= 3 and no parallel class with two edges of length 1."""
     total = 0
-    for order, edges in _kernels(c):
+    for order, edges in _KERNELS[c]:
         loops = {i for i, (x, y) in enumerate(edges) if x == y}
         twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
         maps = _edge_maps(order, edges)

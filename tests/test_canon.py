@@ -13,7 +13,7 @@ from mostar import (
     cycle,
     path,
 )
-from mostar.canon import pair_orbit_reps
+from mostar.canon import _Search, pair_orbit_reps
 from mostar.enumeration import bicyclic_task, tricyclic_task
 from mostar.families import builtin_registry
 from mostar.graphs import _bits
@@ -23,6 +23,8 @@ from _helpers import (
     brute_connected_class_count,
     canon_connected_class_count,
     circulants,
+    complete,
+    complete_bipartite,
     hypercube,
     petersen,
     random_connected,
@@ -188,7 +190,10 @@ def test_relabeling_invariance(seed):
 def oracle_graphs():
     """Every graph `canon` labels in the tricyclic m <= 10 and bicyclic
     m <= 9 walks, 2,000 random graphs and 1,000 twin-rich graphs
-    with n <= 16, and every circulant with n <= 16."""
+    with n <= 16, every circulant with n <= 16, and the stars K_{1,n-1}
+    and complete graphs K_n with n <= 32 and the K_{2,n} with n <= 31,
+    where `canon` branches on one vertex of each twin class per node (the
+    largest the reference's 5-bit neighbour counts take)."""
     walk = []
 
     def recording(g):
@@ -207,6 +212,8 @@ def oracle_graphs():
         "random": [random_graph(rng, 1, 16) for _ in range(2000)],
         "twin-rich": [random_twin_rich(rng) for _ in range(1000)],
         "circulant": list(circulants(16)),
+        "twin classes": [*map(star, range(1, 33)), *map(complete, range(1, 33)),
+                         *(complete_bipartite(2, n) for n in range(1, 32))],
     }
 
 
@@ -251,6 +258,33 @@ def test_canon_matches_reference_search_on_registry_members(registry):
                 (want.canon_adj, want.labeling, want.orbit_of), (fid, m)
             count += 1
     assert count == 172
+
+
+def test_twins_branched_once(monkeypatch):
+    """A vertex whose twin was already branched on at a node is skipped,
+    so a graph whose every cell is one twin class needs one leaf: the
+    stars K_{1,n-1} up to n = 62, the K_n and the K_{2,n} (n >= 3, where
+    no automorphism swaps the sides); A0's member at m = 22, whose pendant
+    edges hang as twins at one vertex, needs at most 4."""
+    leaves = []
+    leaf = _Search._leaf
+
+    def counting(self, cells):
+        leaves.append(cells)
+        leaf(self, cells)
+
+    monkeypatch.setattr(_Search, "_leaf", counting)
+
+    def count(g):
+        leaves.clear()
+        canon(g)
+        return len(leaves)
+
+    for n in range(1, 63):
+        assert count(star(n)) == count(complete(n)) == 1, n
+    for n in range(3, 40):
+        assert count(complete_bipartite(2, n)) == 1, n
+    assert count(builtin_registry()["A0"].build(22)) <= 4
 
 
 def test_orbits_of_every_connected_graph_to_6_vertices():

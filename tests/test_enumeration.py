@@ -34,6 +34,7 @@ from _helpers import (
     _values,
     attach_key,
     brute_connected_class_count,
+    burnside_class_totals,
     check_model_scores,
     classify_graph,
     complete,
@@ -529,16 +530,19 @@ def _polya(c, m):
 
 def test_polya_count_equals_graphs_visited(tri_surveys, bi_surveys):
     """Braces times trees account for every class: Polya's count over the
-    kernel braces and their automorphism groups equals the survey's
-    `graphs_visited` at tricyclic 7..12 and bicyclic 5..10, and gives the
-    class totals of the sizes past them that CI and the walk recorded
-    (tricyclic 13 and 14, bicyclic 11..13)."""
-    for m, s in tri_surveys.items():
-        assert _polya(3, m) == s.result.graphs_visited, m
-    for m, s in bi_surveys.items():
-        assert _polya(2, m) == s.result.graphs_visited, m
-    assert [_polya(3, m) for m in (13, 14)] == [33851, 130365]
-    assert [_polya(2, m) for m in (11, 12, 13)] == [2678, 8833, 28908]
+    kernel braces and their automorphism groups, and the Burnside count
+    over the kernels' own automorphisms, which reads no brace group, each
+    equal the survey's `graphs_visited` at tricyclic 7..12 and bicyclic
+    5..10, and give the class totals of the sizes past them that CI and
+    the walk recorded (tricyclic 13 and 14, bicyclic 11..13).  CI compares
+    the Burnside count with the survey up to the top sizes
+    (`tests/deep.py` `class_totals`)."""
+    burnside = {3: burnside_class_totals(3, 14), 2: burnside_class_totals(2, 13)}
+    for c, surveys in ((3, tri_surveys), (2, bi_surveys)):
+        for m, s in surveys.items():
+            assert _polya(c, m) == burnside[c][m] == s.result.graphs_visited, (c, m)
+    assert [_polya(3, m) for m in (13, 14)] == burnside[3][13:] == [33851, 130365]
+    assert [_polya(2, m) for m in (11, 12, 13)] == burnside[2][11:] == [2678, 8833, 28908]
 
 
 def test_model_scores_equal_edge_mostar():
