@@ -9,8 +9,7 @@ its classes are counted off its group's cycle index (`_class_counts`), the
 best of them read at the corners of its `indices.pendant_model`, and the
 ties listed, unscored, by that bound's equality case (`_survey_brace`).
 `survey`'s workers list the braces, one class and size each, and it labels
-only the graphs at each task's best; the braces with all of a task's edges
-travel as graphs, in `kernel_braces`' own labelling.
+only the graphs at each task's best.
 """
 
 from __future__ import annotations
@@ -121,10 +120,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
     """The brace's share of every task in `jobs`, each with its tree edge
     count k.  Per task, in the order of `jobs`: its class count
     (`_class_counts`), its best value and the compositions of its best
-    classes, each least in its orbit under `auts`; and, for the task
-    with k = 0, where the brace itself is the one class, its tails per
-    vertex: (poly, holds_from) of `indices.model_tails` at the last vertex
-    of each orbit, None at the others; for any other task None.
+    classes, each least in its orbit under `auts`.
 
     The best class of a composition a is its all-star graph, a_w pendant
     edges at each vertex w, and no other class of a ties it (the strict
@@ -145,8 +141,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
     _, sums, rows = model = pendant_model(brace)
     tails = model_tails(model)
     counts = _class_counts(auts, max(k for _, k in jobs))
-    last = [max([g[w] for g in auts]) for w in range(len(brace))]  # each orbit's last vertex
-    found, carried = [], None
+    found = []
     for task, k in jobs:
         corners = [tail_index(tail, k, task.m) for tail in tails]
         top = max(corners)
@@ -166,9 +161,7 @@ def _survey_brace(brace: tuple[int, ...], auts: tuple[tuple[int, ...], ...],
         ties = [comp for comp, left, _ in spread if not left
                 and not any(tuple([comp[x] for x in g]) < comp for g in auts[1:])]
         found.append((counts[k], top, ties))
-        if not k:
-            carried = tuple([t[:2] if last[w] == w else None for w, t in enumerate(tails)])
-    return found, carried
+    return found
 
 
 def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
@@ -182,27 +175,21 @@ def _grow(brace: tuple[int, ...], cls: BraceClass, comp: tuple[int, ...]):
 
 
 def _run(unit):
-    """Per brace of `kernel_braces(c, [b])`: adj, class, `_survey_brace`'s found, tails."""
+    """Per brace of `kernel_braces(c, [b])`: adj, class, `_survey_brace`'s rows."""
     c, b, jobs = unit
-    return [(brace.adj, cls, *_survey_brace(brace.adj, auts, jobs))
+    return [(brace.adj, cls, _survey_brace(brace.adj, auts, jobs))
             for brace, auts, cls in kernel_braces(c, [b])[b]]
 
 
 @dataclass(frozen=True)
 class Survey:
-    """Result of one task's enumeration: the max/argmax fold; every brace
-    with all of the task's edges as (graph, tails, class), the graph in
-    `kernel_braces` order and labelling and the tails per vertex (poly,
-    holds_from) of the `indices.model_tails` record at the largest vertex
-    of each orbit of the brace's group, None elsewhere; and aligned with
-    `result.maximizers`, the class of the brace each maximizer grew on
-    and, when the maximizer is that brace plus bare pendant edges at one
-    vertex, (brace, that vertex), else None.  No brace is labelled: its
-    identity is worked out only where discovery needs it."""
+    """Result of one task's enumeration: the max/argmax fold; and aligned
+    with `result.maximizers`, the class of the brace each maximizer grew
+    on and, when the maximizer is that brace plus bare pendant edges at
+    one vertex, (brace, that vertex), else None.  No brace is labelled:
+    its identity is worked out only where discovery needs it."""
 
     result: EnumerationResult
-    braces: tuple[tuple[Graph, tuple[Optional[tuple[tuple[int, int, int], int]], ...],
-                        BraceClass], ...]
     maximizer_classes: tuple[BraceClass, ...]
     maximizer_braces: tuple[Optional[tuple[Graph, int]], ...]
 
@@ -210,8 +197,8 @@ class Survey:
 def survey(
     tasks: Iterable[EnumerationTask], workers: int = 1
 ) -> dict[EnumerationTask, Survey]:
-    """Enumerate every task in one pass, folding max/argmax and the braces
-    of each.
+    """Enumerate every task in one pass, folding each one's class count
+    and max/argmax.
 
     A work unit is one cyclomatic number c and brace size b up to c's
     largest task, with every task of class c that has at least b edges.
@@ -221,12 +208,11 @@ def survey(
     largest braces first.  Only the compositions at a task's final best
     are grown and labelled, here.
 
-    Deterministic: the maximizers are sorted canonical strings, and a
-    task's braces come from the one unit of its size, in `kernel_braces`
-    order, so nothing depends on `workers`, the unit order or the other
-    tasks.  Repeated tasks collapse to one key; a task too small for any
-    brace reads 0 graphs.  Every task is validated first, so one that is
-    not bicyclic or tricyclic raises ValueError before any work starts.
+    Deterministic: the maximizers are sorted canonical strings, so nothing
+    depends on `workers`, the unit order or the other tasks.  Repeated
+    tasks collapse to one key; a task too small for any brace reads 0
+    graphs.  Every task is validated first, so one that is not bicyclic
+    or tricyclic raises ValueError before any work starts.
     """
     tasks = list(dict.fromkeys(tasks))
     for task in tasks:
@@ -237,22 +223,20 @@ def survey(
         units += [(c, b, [(t, t.m - b) for t in mine if t.m >= b])  # tree edges per task
                   for b in range(max(t.m for t in mine) + 1)]
     units.sort(key=lambda u: u[1], reverse=True)
-    # per task: classes, best value, (brace, class, composition) at it, braces
-    totals = {task: [0, None, [], []] for task in tasks}
+    # per task: classes, best value, (brace, class, composition) at it
+    totals = {task: [0, None, []] for task in tasks}
 
     def merge(results: Iterable) -> None:
         # as the units come in, so that only each task's running best stays
         for (_, _, jobs), rows in zip(units, results):
-            for adj, cls, found, tails in rows:
-                for (task, k), (count, best, ties) in zip(jobs, found):
+            for adj, cls, found in rows:
+                for (task, _), (count, best, ties) in zip(jobs, found):
                     total = totals[task]
                     total[0] += count
                     if total[1] is None or best > total[1]:
                         total[1], total[2] = best, []
                     if best == total[1]:
                         total[2] += [(adj, cls, comp) for comp in ties]
-                    if not k:
-                        total[3].append((Graph(len(adj), adj), tails, cls))
 
     if workers > 1 and len(units) > 1:
         # fork only for its start-up cost: a unit is all its worker reads
@@ -261,12 +245,12 @@ def survey(
     else:
         merge(map(_run, units))
     out = {}
-    for task, (count, best, argmax, braces) in totals.items():
+    for task, (count, best, argmax) in totals.items():
         rows = [_grow(*tie) for tie in argmax]
         # each class comes out once: no two strings tie, so no classes are compared
         top = sorted((canonical_form(Graph(len(adj), adj)), cls, dec) for adj, cls, dec in rows)
         result = EnumerationResult(task, count, best, tuple(g6 for g6, _, _ in top))
-        out[task] = Survey(result, tuple(braces), tuple(cls for _, cls, _ in top),
+        out[task] = Survey(result, tuple(cls for _, cls, _ in top),
                            tuple(dec for _, _, dec in top))
     return out
 

@@ -5,18 +5,17 @@ of size m is the base with pendant edges added at that vertex.  Four
 tricyclic/bicyclic constructions are pinned analytically (their closed
 forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
-pipeline from the braces (graphs of minimum degree >= 2) the enumeration
-surveys visit.  `Survey.braces` carries each as (graph, tails, class), the
-tails being the (poly, holds_from) of its `indices.model_tails` record at
-one vertex of each orbit.  One pass reads them: (brace, vertex) is a
-candidate for a family when its tail is the family's polynomial, the brace
-has the family's shape (the carried class) and the tail holds by the
-largest surveyed size, and only a candidate is labelled
-(`_normalize_candidate`), the one place a surveyed brace's identity is
-worked out.  The pinned m_min is the size from which the tail holds, so
-every registry polynomial is proved for all m >= m_min.  No maximizer is
-parsed: the survey carries the brace and attachment vertex of each that
-has one.
+pipeline from the braces (graphs of minimum degree >= 2) that
+`braces.kernel_braces` lists, up to the last size a published equality
+list names.  One pass (`_brace_tails`) reads the `indices.model_tails`
+record of each at one vertex per orbit: (brace, vertex) is a candidate
+for a family when its tail is the family's polynomial, the brace has the
+family's shape and the tail holds by the largest surveyed size, and only
+a candidate is labelled (`_normalize_candidate`), the one place a brace's
+identity is worked out.  The pinned m_min is the size from which the tail
+holds, so every registry polynomial is proved for all m >= m_min.  No
+maximizer is parsed: the survey carries the brace and attachment vertex
+of each that has one.
 
 Which candidate becomes which family is read off the paper's equality
 lists (`verify.TRICYCLIC` and `verify.BICYCLIC`, `listed_families`), by
@@ -305,8 +304,9 @@ class DiscoveryReport:
     ambiguities: dict[str, list[str]] = field(default_factory=dict)
     unresolved: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    # number of validated distinct constructions hitting m^2-3m-18 with a
-    # composite brace (settles how many families share that closed form)
+    # A7-group candidates over braces of at most min(--max-size, 11) edges:
+    # the constructions hitting m^2-3m-18 on a composite brace (settles how
+    # many families share that closed form)
     composite_18_family_count: int = 0
     # sizes at which two registry families have isomorphic members, each
     # family's up to max(12, its class's largest surveyed size)
@@ -330,29 +330,37 @@ class DiscoveryReport:
         }
 
 
-# a surveyed brace's class, a DISCOVERY polynomial, the construction
+# a brace's class, a DISCOVERY polynomial, the construction
 _Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 
 
-def _brace_tails(surveys: dict) -> list[_Tail]:
-    """One pass over the surveyed braces: every (brace, vertex) whose exact
-    pendant tail, as the survey carries it (one vertex per orbit), is a
-    DISCOVERY polynomial that holds by the largest surveyed size, with the
-    class the survey carries for the brace; only such a pair is labelled,
-    so candidates do not depend on the labelling the brace arrives in.  A
-    brace with b edges comes from the survey of size b and its tail holds
-    from some size >= b; the surveyed sizes are consecutive, so the member
-    of size holds_from is the first one seen."""
-    hi = max(surveys, default=0)
+def _brace_tails(c: int, hi: int) -> list[_Tail]:
+    """Every (brace, vertex) of cyclomatic number c, one vertex per orbit
+    of the brace's group, whose brace has a DISCOVERY shape and whose
+    exact pendant tail is a DISCOVERY polynomial that holds by hi, the
+    largest surveyed size, with the brace's class; only such a pair is
+    labelled.  A tail holds from some size >= b on a brace of b edges,
+    and an id takes a candidate only when that size is at most each
+    surveyed size listing it, so the braces stop at the class's last
+    listed size (`tests/deep.py` `discovery_cap`: none past it has a
+    pair)."""
+    # verify imports this module, so the published tables are read here
+    from .verify import BICYCLIC, TRICYCLIC
+
+    cap = min(hi, max({3: TRICYCLIC, 2: BICYCLIC}[c].listed_families))
+    shapes = {shape for _, shape in DISCOVERY.values()}
     wanted = {poly for poly, _ in DISCOVERY.values()}
     out = []
-    for s in surveys.values():
-        for brace, tails, cls in s.braces:
-            for v, tail in enumerate(tails):
-                if tail is None or tail[0] not in wanted or tail[1] > hi:
-                    continue
-                edges, attach, key = _normalize_candidate(brace, v)
-                out.append((cls, tail[0], Candidate(key, edges, attach, tail[1], tail[1])))
+    for found in br.kernel_braces(c, range(1, cap + 1)).values():
+        for brace, auts, cls in found:
+            if cls not in shapes:
+                continue
+            tails = model_tails(pendant_model(brace.adj))
+            for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):  # one per orbit
+                poly, holds_from, _ = tails[v]
+                if poly in wanted and holds_from <= hi:
+                    edges, attach, key = _normalize_candidate(brace, v)
+                    out.append((cls, poly, Candidate(key, edges, attach, holds_from, holds_from)))
     return out
 
 
@@ -425,7 +433,8 @@ def discover_families(
     """Reconstruct the unpinned families from enumeration output.
 
     `tri_surveys` and `bi_surveys` map size m to that size's Survey;
-    discovery reads their braces and maximizers and extends the builtin
+    discovery reads their maximizers, lists its own braces up to the
+    largest size of each (`_brace_tails`) and extends the builtin
     registry.  One rule pins every DISCOVERY id, read against the
     published equality lists: the ids listed at the most surveyed sizes
     go first (ties by id), and each takes the first candidate, by
@@ -455,7 +464,8 @@ def discover_families(
                     for spec, surveys in ((TRICYCLIC, tri_surveys), (BICYCLIC, bi_surveys))
                     for m, ids in sorted(spec.listed_families.items()) if fid in ids]
               for fid in DISCOVERY}
-    tails = _brace_tails(tri_surveys) + _brace_tails(bi_surveys)
+    tails = (_brace_tails(3, max(tri_surveys, default=0))
+             + _brace_tails(2, max(bi_surveys, default=0)))
     taken = {_normalize_candidate(spec.base_graph(), spec.attach)[2]
              for spec in reg.specs.values()}
     passed: dict[str, list[Candidate]] = {}

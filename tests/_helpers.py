@@ -1330,16 +1330,18 @@ def pendant_row_mismatches(brace: Graph, size: int, top: int) -> list:
     return bad
 
 
-def orbit_tails(g: Graph) -> tuple:
-    """The `model_tails` records of g as (poly, holds_from) at the largest
-    vertex of each orbit of `canon(g).orbit_of` and None at the others:
-    the tails `Survey.braces` carries for a brace."""
+def orbit_tails(g: Graph, auts=None) -> tuple:
+    """The `model_tails` records of g as (poly, holds_from) at the smallest
+    vertex of each orbit and None at the others, the orbits those of the
+    permutations `auts` or, when it is None, `canon(g).orbit_of`: with a
+    kernel brace's group, the tails `families._brace_tails` reads."""
     from mostar.canon import canon
     from mostar.indices import model_tails, pendant_model
 
-    orbit = canon(g).orbit_of
-    last = {o: v for v, o in enumerate(orbit)}  # the largest vertex of each orbit
-    return tuple([t[:2] if last[orbit[v]] == v else None
+    # orbit_of names each orbit by its smallest vertex
+    first = set(canon(g).orbit_of) if auts is None else {
+        min(p[v] for p in auts) for v in range(g.n)}
+    return tuple([t[:2] if v in first else None
                   for v, t in enumerate(model_tails(pendant_model(g.adj)))])
 
 
@@ -1399,7 +1401,7 @@ def check_model_scores(c: int, m: int) -> dict[int, int]:
         scores = {t: _tree_scores(trees[:t.m - b + 1], t.m) for t in tasks}
         for brace, auts, cls in found:
             model = pendant_model(brace.adj)
-            got, _ = enumeration._survey_brace(brace.adj, auts, [(t, t.m - b) for t in tasks])
+            got = enumeration._survey_brace(brace.adj, auts, [(t, t.m - b) for t in tasks])
             assert len(got) == len(tasks), brace.edges()
             for task, (count, top, ties) in zip(tasks, got):
                 scored = []

@@ -27,11 +27,18 @@ def _survey(m: int):
     return survey([t], workers=2)[t]
 
 
-def _brace_count(s) -> tuple[int, int]:
-    """(distinct canonical forms of the carried braces, braces carried)."""
+def _braces(m: int) -> list:
+    """The tricyclic kernel braces with m edges, as (graph, group, class)."""
+    from mostar.braces import kernel_braces
+
+    return kernel_braces(3, [m])[m]
+
+
+def _brace_count(found: list) -> tuple[int, int]:
+    """(distinct canonical forms of the braces, braces listed)."""
     from mostar.canon import canonical_form
 
-    return len({canonical_form(g) for g, _, _ in s.braces}), len(s.braces)
+    return len({canonical_form(g) for g, _, _ in found}), len(found)
 
 
 def _not_canonical(s) -> list[str]:
@@ -43,39 +50,39 @@ def _not_canonical(s) -> list[str]:
 
 
 def tricyclic_13_totals() -> None:
-    """The survey's class and brace totals at m = 13 are nothing any test
-    checks (tier-1 counts the kernel braces and the Polya classes up to 14
-    edges, but surveys only up to m = 12), so a generator or fold change
-    that dropped or duplicated a class there, or changed which graphs
-    reach the fold, shows only here; so does a carried brace that repeats
-    another up to isomorphism (the braces travel as graphs, so the count
-    is of distinct canonical forms), a maximizer string that is not its
-    own canonical form, which family identity relies on, or pendant tails
-    the survey carries for a brace that are not the `model_tails` records
-    of the graph it carries at the largest vertex of each orbit and None
-    elsewhere (`_helpers.orbit_tails`), which discovery reads, or a class
-    carried for a brace or a maximizer that is not the graph-level
-    classifier's (`_helpers.classify_graph`), or a brace and attachment
-    vertex carried for a maximizer that are not, up to isomorphism, what
-    peeling its leaves gives (`_helpers.single_attach_decomposition`),
-    both of which discovery also reads (tier-1 checks up to m = 12)."""
+    """The survey's class total at m = 13 and the kernel braces of 13
+    edges are nothing any test checks (tier-1 counts the kernel braces and
+    the Polya classes up to 14 edges, but surveys only up to m = 12), so a
+    generator or fold change that dropped or duplicated a class there, or
+    changed which graphs reach the fold, shows only here; so does a kernel
+    brace that repeats another up to isomorphism (the count is of distinct
+    canonical forms), a maximizer string that is not its own canonical
+    form, which family identity relies on, or a brace group whose orbits
+    are not `canon`'s, so that the tails at one vertex per orbit differ
+    from `_helpers.orbit_tails` (the tails discovery reads when a brace
+    this size is in its range), or a class listed for a brace or carried
+    for a maximizer that is not the graph-level classifier's
+    (`_helpers.classify_graph`), or a brace and attachment vertex carried
+    for a maximizer that are not, up to isomorphism, what peeling its
+    leaves gives (`_helpers.single_attach_decomposition`), both of which
+    discovery also reads (tier-1 checks up to m = 12)."""
     import _helpers
     from mostar.graphs import parse_graph6
 
-    s = _survey(13)
-    distinct, carried = _brace_count(s)
-    assert s.result.graphs_visited == 33851 and distinct == carried == 474, (
+    s, found = _survey(13), _braces(13)
+    distinct, listed = _brace_count(found)
+    assert s.result.graphs_visited == 33851 and distinct == listed == 474, (
         f"classes {s.result.graphs_visited} (want 33851), distinct braces "
-        f"{distinct} of {carried} carried (want 474 of 474)")
+        f"{distinct} of {listed} listed (want 474 of 474)")
     bad = _not_canonical(s)
     assert not bad, f"maximizers that are not their canonical form: {bad}"
-    bad = [g for g, tails, _ in s.braces if tails != _helpers.orbit_tails(g)]
-    assert not bad, f"{len(bad)} braces carry tails other than orbit_tails, first {bad[0]}"
+    bad = [g for g, auts, _ in found if _helpers.orbit_tails(g, auts) != _helpers.orbit_tails(g)]
+    assert not bad, f"{len(bad)} braces whose group's orbit tails differ, first {bad[0]}"
     assert len(s.maximizer_classes) == len(s.result.maximizers), (
         f"{len(s.maximizer_classes)} maximizer classes for "
         f"{len(s.result.maximizers)} maximizers")
-    bad = [(g, cls) for g, _, cls in s.braces if cls != _helpers.classify_graph(g)]
-    assert not bad, f"{len(bad)} braces carry a class other than the oracle's, first {bad[0]}"
+    bad = [(g, cls) for g, _, cls in found if cls != _helpers.classify_graph(g)]
+    assert not bad, f"{len(bad)} braces listed with a class other than the oracle's, first {bad[0]}"
     bad = [(g6, cls) for g6, cls in zip(s.result.maximizers, s.maximizer_classes)
            if cls != _helpers.classify_graph(parse_graph6(g6))]
     assert not bad, f"maximizers carrying a class other than the oracle's: {bad}"
@@ -116,15 +123,15 @@ def bicyclic_12_model_scores() -> None:
 
 
 def tricyclic_14_totals() -> None:
-    """m = 14: the class total, brace count (distinct canonical forms of the
-    carried graphs, so a repeated brace fails), maximum (146 = m^2 - m - 36)
-    and single maximizer that the walk and the Polya count recorded before
-    the brace-first survey existed."""
+    """m = 14: the class total, kernel brace count (distinct canonical forms
+    of the listed graphs, so a repeated brace fails), maximum
+    (146 = m^2 - m - 36) and single maximizer that the walk and the Polya
+    count recorded before the brace-first survey existed."""
     s = _survey(14)
-    distinct, carried = _brace_count(s)
-    assert s.result.graphs_visited == 130365 and distinct == carried == 787, (
+    distinct, listed = _brace_count(_braces(14))
+    assert s.result.graphs_visited == 130365 and distinct == listed == 787, (
         f"classes {s.result.graphs_visited} (want 130365), distinct braces "
-        f"{distinct} of {carried} carried (want 787 of 787)")
+        f"{distinct} of {listed} listed (want 787 of 787)")
     assert s.result.max_value == 146 and len(s.result.maximizers) == 1, (
         f"maximum {s.result.max_value} (want 146) with maximizers "
         f"{s.result.maximizers} (want one)")
@@ -154,6 +161,37 @@ def class_totals() -> None:
                if surveys[t].result.graphs_visited != want[t.m]]
         assert not bad, (
             f"cyclomatic number {c}: (m, graphs_visited, Burnside count) differing: {bad}")
+
+
+def discovery_cap() -> None:
+    """Discovery lists braces only up to the last size a published equality
+    list names (`families._brace_tails`: tricyclic 11, bicyclic 9).  This
+    shows the cap drops no candidate at any size the command line
+    accepts: no tricyclic brace of 12..22 edges and no bicyclic brace of
+    10..30 edges has a DISCOVERY shape and, at any vertex, that shape's
+    DISCOVERY polynomial as its `model_tails` poly, holding by the top
+    size (22 or 30).  Every one of the 37,155 braces of a DISCOVERY shape
+    in those ranges is read."""
+    from mostar.braces import kernel_braces
+    from mostar.families import DISCOVERY
+    from mostar.indices import model_tails, pendant_model
+    from mostar.verify import BICYCLIC, TRICYCLIC
+
+    pairs = {(poly, shape) for poly, shape in DISCOVERY.values() if poly is not None}
+    shapes = {shape for _, shape in pairs}
+    checked, hits = 0, []
+    for c, spec in ((3, TRICYCLIC), (2, BICYCLIC)):
+        sizes = range(max(spec.listed_families) + 1, spec.top + 1)
+        for found in kernel_braces(c, sizes).values():
+            for g, _, cls in found:
+                if cls not in shapes:
+                    continue
+                checked += 1
+                hits += [(c, g.edges(), v, poly) for v, (poly, holds_from, _) in
+                         enumerate(model_tails(pendant_model(g.adj)))
+                         if (poly, cls) in pairs and holds_from <= spec.top]
+    assert not hits, f"{len(hits)} candidates past the cap, first (c, edges, vertex, poly) {hits[0]}"
+    assert checked == 37155, f"{checked} braces of a DISCOVERY shape checked (want 37155)"
 
 
 def lemma_rows() -> None:
@@ -203,7 +241,8 @@ def pendant_rows() -> None:
 
 CHECKS = {f.__name__: f for f in (tricyclic_13_totals, tricyclic_13_model_scores,
                                   bicyclic_12_model_scores, tricyclic_14_totals,
-                                  class_totals, lemma_rows, pendant_rows)}
+                                  class_totals, discovery_cap, lemma_rows,
+                                  pendant_rows)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

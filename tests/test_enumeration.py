@@ -219,10 +219,12 @@ def _naive_fold(task):
     return count, best, tuple(sorted(argmax)), tuple(sorted(braces))
 
 
-def _brace_forms(s):
-    """The canonical forms of the braces a survey carries, sorted, with
-    any repeat kept, so a duplicated or missing brace shows."""
-    return tuple(sorted(canonical_form(g) for g, _, _ in s.braces))
+def _brace_forms(task):
+    """The canonical forms of the kernel braces with all of the task's
+    edges, sorted, with any repeat kept, so a duplicated or missing brace
+    shows."""
+    found = kernel_braces(task.m - task.n + 1, [task.m])[task.m]
+    return tuple(sorted(canonical_form(g) for g, _, _ in found))
 
 
 # braces per size: tricyclic with 6..10 edges, bicyclic with 5..9
@@ -234,17 +236,18 @@ BRACE_COUNTS = {"tri": [1, 3, 11, 31, 71], "bi": [1, 3, 5, 8, 12]}
     *(pytest.param(bicyclic_task(m), id=f"bi{m}") for m in range(5, 10)),
 ])
 def test_survey_matches_labelling_fold(task):
-    """The survey fold labels a graph only when it can be kept; its outputs,
-    the braces included, equal those of a fold that labels everything.
-    The brace counts are the known ones."""
+    """The survey fold labels a graph only when it can be kept; its outputs
+    equal those of a fold that labels everything, and the kernel braces of
+    the task's size are that fold's braces.  The brace counts are the
+    known ones."""
     want = _naive_fold(task)
     kind, first = ("tri", 6) if task.m - task.n == 2 else ("bi", 5)
     assert len(want[3]) == BRACE_COUNTS[kind][task.m - first]
+    assert _brace_forms(task) == want[3]
     for workers in (1, 2):
         s = survey([task], workers=workers)[task]
-        got = (s.result.graphs_visited, s.result.max_value,
-               s.result.maximizers, _brace_forms(s))
-        assert got == want, workers
+        got = (s.result.graphs_visited, s.result.max_value, s.result.maximizers)
+        assert got == want[:3], workers
 
 
 def test_connected_class_totals():
@@ -260,7 +263,7 @@ def test_survey_strings_are_canonical(tri_surveys, bi_surveys):
     """Every maximizer string of the tricyclic 7..12 and bicyclic 5..10
     surveys is its own `canonical_form`: discovery and the verification
     rows identify a family member by looking its canonical form up among
-    these strings.  The braces travel unlabelled, and no two of them are
+    these strings.  No two kernel braces of a surveyed size are
     isomorphic."""
     checked = 0
     for surveys in (tri_surveys, bi_surveys):
@@ -268,7 +271,7 @@ def test_survey_strings_are_canonical(tri_surveys, bi_surveys):
             for g6 in s.result.maximizers:
                 assert canonical_form(parse_graph6(g6)) == g6, (m, g6)
                 checked += 1
-            forms = _brace_forms(s)
+            forms = _brace_forms(s.result.task)
             assert len(set(forms)) == len(forms), m
     assert checked > 0
 
@@ -320,14 +323,13 @@ def test_worker_independence_bytes():
 
 
 def test_survey_braces_tricyclic_8():
+    task = tricyclic_task(8)
+    found = kernel_braces(3, [8])[8]
+    assert _brace_forms(task) == _naive_fold(task)[3]
+    assert len(found) == 11
+    assert "COMPOSITE" in {classify_graph(g).kind for g, _, _ in found}
     for workers in (1, 2):
-        task = tricyclic_task(8)
-        s = survey([task], workers=workers)[task]
-        assert s.result.max_value == 23
-        assert _brace_forms(s) == _naive_fold(tricyclic_task(8))[3]
-        assert len(s.braces) == 11
-        kinds = {classify_graph(g).kind for g, _, _ in s.braces}
-        assert "COMPOSITE" in kinds
+        assert survey([task], workers=workers)[task].result.max_value == 23
 
 
 # the atlas's surveys up to tricyclic 11: five tricyclic and six bicyclic
@@ -337,10 +339,9 @@ ATLAS_TASKS = [*(tricyclic_task(m) for m in range(7, 12)),
 
 
 def _survey_blob(s):
-    braces = [(g.adj, tails, astuple(cls)) for g, tails, cls in s.braces]
     classes = [astuple(cls) for cls in s.maximizer_classes]
     decs = [dec and (dec[0].adj, dec[1]) for dec in s.maximizer_braces]
-    return json.dumps([s.result.to_dict(), braces, classes, decs], sort_keys=True)
+    return json.dumps([s.result.to_dict(), classes, decs], sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +357,8 @@ def multi_surveys():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_task_survey_matches_single_tasks(single_surveys, multi_surveys, workers):
     """One call over many tasks, several sharing a vertex count, gives each
-    task exactly its single-task survey: result, braces and classes."""
+    task exactly its single-task survey: result, classes and maximizer
+    braces."""
     got = multi_surveys[workers]
     assert list(got) == ATLAS_TASKS
     for task in ATLAS_TASKS:
@@ -446,12 +448,12 @@ def test_tasks_too_small_for_any_brace():
         for task in small:
             s = survey([task], workers=workers)[task]
             assert (s.result.graphs_visited, s.result.max_value,
-                    s.result.maximizers, _brace_forms(s)) == empty, task
+                    s.result.maximizers, _brace_forms(task)) == empty, task
         got = survey([*small, tricyclic_task(7), bicyclic_task(6)], workers=workers)
         for task in small:
             s = got[task]
             assert (s.result.graphs_visited, s.result.max_value,
-                    s.result.maximizers, _brace_forms(s)) == empty, (task, workers)
+                    s.result.maximizers, _brace_forms(task)) == empty, (task, workers)
         assert got[tricyclic_task(7)].result.graphs_visited == 4
         assert got[bicyclic_task(6)].result.graphs_visited == 5
 
@@ -617,22 +619,21 @@ def test_survey_needs_no_inherited_state(monkeypatch):
     assert all(_survey_blob(got[t]) == _survey_blob(want[t]) for t in tasks)
 
 
-def test_survey_tails_equal_pendant_tails(tri_surveys, bi_surveys):
-    """On every brace the atlas surveys (tricyclic 7..12, bicyclic 5..10),
-    the survey carries one tail per orbit, at the largest vertex of each
+def test_survey_tails_equal_pendant_tails():
+    """On every kernel brace of the atlas sizes (tricyclic 7..12, bicyclic
+    5..10), discovery reads one tail per orbit of the brace's group
+    (`_helpers.orbit_tails` with the group), at the smallest vertex of each
     class of `canon(g).orbit_of`, and None at every other vertex; each tail
-    it carries is the (poly, holds_from) of the `model_tails` record of the
-    graph it carries at that vertex."""
+    is the (poly, holds_from) of the brace's `model_tails` record at that
+    vertex."""
     checked = carried = 0
-    for surveys in (tri_surveys, bi_surveys):
-        for m, s in surveys.items():
-            for g, tails, _ in s.braces:
-                orbit = canon(g).orbit_of
-                reps = {max(v for v in range(g.n) if orbit[v] == o) for o in orbit}
+    for c, sizes in ((3, range(7, 13)), (2, range(5, 11))):
+        for b, found in kernel_braces(c, sizes).items():
+            for g, auts, _ in found:
+                reps = set(canon(g).orbit_of)
                 full = model_tails(pendant_model(g.adj))
-                assert tails == tuple([full[v][:2] if v in reps else None
-                                       for v in range(g.n)]), (m, g.edges())
-                assert tails == orbit_tails(g)
+                assert orbit_tails(g, auts) == tuple([full[v][:2] if v in reps else None
+                                                      for v in range(g.n)]), (b, g.edges())
                 checked += 1
                 carried += len(reps)
     assert (checked, carried) == (579, 3693)  # of 5,247 vertices
@@ -674,7 +675,7 @@ def test_compositions_count_picks_and_star_is_best():
                 counted = list(_compositions(brace.n, auts, counts, m - b))
                 assert [(comp, support) for comp, support, _ in counted] == \
                     [(comp, support) for comp, support, _ in listed], brace.edges()
-                (count, _, _), = enumeration._survey_brace(brace.adj, auts, [(task, m - b)])[0]
+                (count, _, _), = enumeration._survey_brace(brace.adj, auts, [(task, m - b)])
                 assert count == sum(classes for _, _, classes in counted), brace.edges()
                 for (comp, support, picks), (_, _, classes) in zip(listed, counted):
                     assert classes == len(picks), (brace.edges(), comp)
@@ -703,8 +704,8 @@ def test_face_walk_equals_composition_listing():
         for b, found in kernel_braces(c, range(top + 1)).items():
             tasks = [EnumerationTask(m - c + 1, m) for m in range(b, top + 1)]
             for brace, auts, cls in found:
-                got, _ = enumeration._survey_brace(brace.adj, auts,
-                                                   [(t, t.m - b) for t in tasks])
+                got = enumeration._survey_brace(brace.adj, auts,
+                                                [(t, t.m - b) for t in tasks])
                 for task, (count, best, ties) in zip(tasks, got):
                     want = composition_listing(brace, auts, task.m)
                     assert (count, best, sorted(ties)) == (want[0], want[1], sorted(want[2])), \
@@ -731,8 +732,8 @@ def test_tie_rule_equals_face_walk():
         for b, found in kernel_braces(c, range(top + 1)).items():
             tasks = [EnumerationTask(m - c + 1, m) for m in range(b, top + 1)]
             for brace, auts, _ in found:
-                got, _ = enumeration._survey_brace(brace.adj, auts,
-                                                   [(t, t.m - b) for t in tasks])
+                got = enumeration._survey_brace(brace.adj, auts,
+                                                [(t, t.m - b) for t in tasks])
                 want = face_walk(brace, auts, [t.m for t in tasks])
                 assert [(best, sorted(comps)) for _, best, comps in got] == \
                     [(best, sorted(comps)) for best, comps in want], brace.edges()

@@ -28,7 +28,7 @@ from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.shifts import GROUPS
 from mostar.verify import BICYCLIC
 from _helpers import (
-    classify_graph, complete, hang_random_trees, orbit_tails, relabel,
+    classify_graph, complete, hang_random_trees, relabel,
     single_attach_decomposition, strip_pendants, verify_family,
 )
 
@@ -130,15 +130,6 @@ def test_registry_polynomials_are_pendant_tails(registry):
             assert tail == (spec.poly, spec.m_min), fid
 
 
-class _Survey:
-    """The part of an enumeration Survey the brace pass reads."""
-
-    def __init__(self, *braces):
-        # tails at orbit representatives only, as a survey carries them
-        self.braces = tuple((g, orbit_tails(g), classify_graph(g)) for g in braces)
-        self.maximizer_braces = ()  # no maximizers: the brace pass reads none
-
-
 def test_h4_head_coincidence_rejected(atlas_report):
     """Pendants at interior vertex 2 of the H4 brace hit the printed
     m^2-3m-24 at m = 9 only: the tail is m^2-3m-32 from m >= 11, so the
@@ -151,8 +142,7 @@ def test_h4_head_coincidence_rejected(atlas_report):
     assert forms[2][:2] == ((1, -3, -32), 11)
     assert tail_index(forms[2], 9 - base.m, 9) == poly_eval(printed, 9)
     for hi in (9, 12):
-        surveys = {base.m: _Survey(base), hi: _Survey()}
-        assert _collect_group("H4", _brace_tails(surveys)) == []
+        assert _collect_group("H4", _brace_tails(3, hi)) == []
     # the three measured forms the atlas report records for H4
     note = next(n for n in atlas_report["notes"] if n.startswith("H4:"))
     for v, form in ((0, "m^2-3m-20 from m>=8"), (2, "m^2-3m-32 from m>=11"),
@@ -210,10 +200,9 @@ def test_brace_pass_needs_tail_by_largest_size(registry):
     """F2's tail holds from m = 10 on its 7-edge brace: surveys up to size 9
     give no F2 candidate, up to size 10 give it with m_min 10."""
     spec = registry["F2"]
-    base = spec.base_graph()
-    key = _normalize_candidate(base, spec.attach)[2]
+    key = _normalize_candidate(spec.base_graph(), spec.attach)[2]
     for hi, want in ((9, []), (10, [(10, 10)])):
-        tails = _brace_tails({base.m: _Survey(base), hi: _Survey()})
+        tails = _brace_tails(3, hi)
         assert [(c.m_min, c.first_seen_m) for c in _collect_group("F2", tails)
                 if c.key == key] == want
 
@@ -240,11 +229,11 @@ def test_normalize_candidate_contract():
     assert pairs == 1071
 
 
-def test_brace_pass_labels_each_orbit_once(monkeypatch, tri_surveys, bi_surveys):
-    """The survey carries a tail at one vertex per orbit, so the brace pass
-    labels each candidate orbit once: over the atlas surveys (tricyclic
-    7..12, bicyclic 5..10) 55 labels for 55 distinct keys (77 labels when
-    every vertex carried its tail)."""
+def test_brace_pass_labels_each_orbit_once(monkeypatch):
+    """The brace pass reads a tail at one vertex per orbit of each brace's
+    group, so it labels each candidate orbit once: up to the atlas's
+    default sizes (tricyclic 12, bicyclic 10) 49 labels for 49 distinct
+    keys (70 labels if every vertex were read)."""
     real, labels = families._normalize_candidate, []
 
     def counted(base, attach):
@@ -252,17 +241,20 @@ def test_brace_pass_labels_each_orbit_once(monkeypatch, tri_surveys, bi_surveys)
         return labels[-1]
 
     monkeypatch.setattr(families, "_normalize_candidate", counted)
-    tails = _brace_tails(tri_surveys) + _brace_tails(bi_surveys)
-    assert len(labels) == len(tails) == len({key for _, _, key in labels}) == 55
+    tails = _brace_tails(3, 12) + _brace_tails(2, 10)
+    assert len(labels) == len(tails) == len({key for _, _, key in labels}) == 49
 
 
 def test_k4_has_no_discovery_tail():
     """K4, the only tricyclic brace below size 7 (the smallest surveyed
-    size), is vertex-transitive with tail m^2-4m-12, no DISCOVERY form."""
+    size), is vertex-transitive with tail m^2-4m-12, no DISCOVERY form,
+    and its class is no DISCOVERY shape."""
     k4 = complete(4)
     assert {f[:2] for f in model_tails(pendant_model(k4.adj))} == {((1, -4, -12), 6)}
     assert (1, -4, -12) not in {poly for poly, _ in DISCOVERY.values()}
-    assert _brace_tails({6: _Survey(k4), 12: _Survey()}) == []
+    assert classify_graph(k4) not in {shape for _, shape in DISCOVERY.values()}
+    assert [len(found) for found in kernel_braces(3, range(7)).values()] == [0] * 6 + [1]
+    assert _brace_tails(3, 6) == []
 
 
 def _isomorphism_scan(reg, hi):
