@@ -12,6 +12,19 @@ brute force, and `subdivision` turns a kernel and one length per edge
 into the brace and its automorphism group, with no canonical labelling.
 The shift rules' braces are built the same way.
 
+A brace is listed once, as the length tuple that is least in its orbit
+under the kernel's edge maps (`_orbit_walk`).  The walk reaches only the
+tuples that can be least.  Each kernel's edges are sorted, so a parallel
+class is a run of consecutive edges, and the identity vertex map comes
+with every order of every class (`_edge_maps`).  A tuple that decreases
+somewhere inside a class is carried by the map sorting that class to a
+smaller tuple, so it is never least: the walk keeps each class
+nondecreasing.  A simple brace has no two edges of length 1 in one class;
+on a nondecreasing class that says the second edge, and so every later
+one, has length >= 2.  The kept tuples and their stabilizers are those of
+the walk over every composition, in the same lexicographic order
+(`kernel_braces`).
+
 Each brace carries its class, which `classify` reads off its kernel once
 per kernel.  The classes split the connected tricyclic graphs into five
 buckets:
@@ -35,8 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from typing import Iterable
+from itertools import chain, permutations, product
+from typing import Iterable, Iterator
 
 from .graphs import Graph
 
@@ -116,7 +129,7 @@ def classify(order: int, edges: tuple[tuple[int, int], ...]) -> BraceClass:
     return BraceClass(K4_SUBDIVISION if len(set(edges)) == 6 else DIGON_RING)
 
 
-@lru_cache(maxsize=None)  # asked once per brace, of a few kernels
+@lru_cache(maxsize=None)  # asked once per kernel and size, of a few kernels
 def _edge_maps(
     order: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -169,29 +182,89 @@ def _subdivide(
     maps: list[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """`subdivision`, given the kernel's edge maps that keep the lengths,
-    in `_edge_maps` order."""
+    in `_edge_maps` order.  The inner vertices are numbered edge by edge,
+    so an automorphism is pi followed by the image path of each edge in
+    edge order: edge i's inner vertices go to those of edge sigma[i],
+    reversed when the map turns the path round or, on a loop, in either
+    direction.  The identity is first, because `_edge_maps` lists the
+    identity vertex map with every class in its own order first."""
     inner, start = [], order
     for k in lengths:
         inner.append(range(start, start + k - 1))
         start += k - 1
     brace = Graph.from_edges(start, [pair for (a, b), path in zip(edges, inner)
                                      for pair in zip((a, *path), (*path, b))])
-    loops = [i for i, (x, y) in enumerate(edges) if x == y]
     auts = []
     for pi, sigma in maps:
-        for flips in product((False, True), repeat=len(loops)):
-            perm = list(pi) + [0] * (start - order)
-            flipped = {i for i, f in zip(loops, flips) if f}
-            for i, (a, z) in enumerate(edges):
-                j = sigma[i]
-                path = inner[j]
-                if i in flipped or (a != z and pi[a] != edges[j][0]):
-                    path = path[::-1]
-                for x, y in zip(inner[i], path):
-                    perm[x] = y
-            auts.append(tuple(perm))
-    auts.sort(key=lambda p: p != tuple(range(start)))
+        paths = []
+        for (a, z), j in zip(edges, sigma):
+            path = inner[j]
+            if a == z:
+                paths.append((path, path[::-1]))
+            else:
+                paths.append((path if pi[a] == edges[j][0] else path[::-1],))
+        auts += [(*pi, *chain.from_iterable(turns)) for turns in product(*paths)]
     return brace, tuple(auts)
+
+
+def _length_tuples(edges: tuple[tuple[int, int], ...], b: int) -> Iterator[tuple[int, ...]]:
+    """In lexicographic order, every tuple of edge lengths summing to b
+    with each loop >= 3, nondecreasing along each run of equal edges and
+    every edge of a run after its first >= 2: the tuples that can be least
+    in their orbit on a simple brace (module docstring)."""
+    k = len(edges)
+    later = [i > 0 and edges[i - 1] == e for i, e in enumerate(edges)]
+    floor = [3 if a == z else 2 if later[i] else 1 for i, (a, z) in enumerate(edges)]
+    # least[i]: the least sum of edges i.. when edge i begins a run
+    least = [sum(floor[i:]) for i in range(k + 1)]
+    # ahead[i]: edges after i in its run; beyond[i]: the least sum past the run
+    ahead = [next((j for j in range(i + 1, k) if not later[j]), k) - i - 1 for i in range(k)]
+    beyond = [least[i + 1 + ahead[i]] for i in range(k)]
+    lengths = [0] * k
+
+    def walk(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        low = max(floor[i], lengths[i - 1]) if later[i] else floor[i]
+        if i == k - 1:
+            if left >= low:
+                lengths[i] = left
+                yield tuple(lengths)
+            return
+        step, rest = ahead[i], beyond[i]
+        nxt = floor[i + 1] if step else 0
+        v = low
+        while v + step * max(nxt, v) + rest <= left:
+            lengths[i] = v
+            yield from walk(i + 1, left - v)
+            v += 1
+
+    return walk(0, b)
+
+
+def _orbit_walk(
+    order: int, edges: tuple[tuple[int, int], ...], b: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]]:
+    """Every simple brace with b edges on the kernel (order, edges), one
+    per isomorphism class, as its orbit-least length tuple with the
+    kernel's edge maps that fix it (its stabilizer, in `_edge_maps`
+    order), in lexicographic order of the tuples."""
+    maps = _edge_maps(order, edges)
+    for lengths in _length_tuples(edges, b):
+        stabilizer = []
+        for pi, sigma in maps:
+            image = tuple([lengths[j] for j in sigma])
+            if image < lengths:
+                break
+            if image == lengths:
+                stabilizer.append((pi, sigma))
+        else:
+            yield lengths, stabilizer
+
+
+def _brace_class(kind: str, lengths: tuple[int, ...]) -> BraceClass:
+    """The class of the brace on a kernel of class `kind` with these edge
+    lengths: the sorted lengths are its path parameters when the brace is
+    2-connected."""
+    return BraceClass(kind, None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths)))
 
 
 def kernel_braces(
@@ -206,37 +279,31 @@ def kernel_braces(
 
     Two subdivisions are isomorphic exactly when a kernel automorphism
     carries one length tuple to the other, since every isomorphism maps
-    branch vertices to branch vertices and paths to paths.  So each
-    composition of b over a kernel's edges is kept when it is the
-    smallest in its orbit, and the simple graphs are those whose loops
-    have length >= 3 and whose parallel classes hold at most one edge of
-    length 1.  The edge maps that carry a kept tuple to itself are the
-    ones its group is built from."""
+    branch vertices to branch vertices and paths to paths.  So a brace is
+    kept as the tuple that is least in its orbit, and the simple graphs
+    are those whose loops have length >= 3 and whose parallel classes
+    hold at most one edge of length 1.  The edge maps that carry a kept
+    tuple to itself are the ones its group is built from.
+
+    The walk (`_orbit_walk`) tests only the tuples nondecreasing inside
+    each parallel class, with every edge of a class after its first
+    >= 2.  It loses no brace: the identity vertex map with the class put
+    in sorted order is one of the edge maps, so a tuple that decreases
+    inside a class has a smaller image and fails the orbit test, and on a
+    nondecreasing class "no two edges of length 1" is "the second edge is
+    not 1".  It changes no list: every tuple it skips is one the orbit
+    test or the simplicity rule rejects, the tuples it keeps are tested
+    against the same maps in the same order, so their stabilizers are the
+    same, and it visits them in lexicographic order, the order of the
+    compositions of b taken by their cut points.  Sizes and kernels are
+    listed in the order given, kernel by kernel within a size."""
     if c not in _KERNELS:
         raise ValueError(f"kernels are tabled for cyclomatic number 2 and 3, got {c}")
     out: dict[int, list] = {b: [] for b in sizes}
     for order, edges in _KERNELS[c]:
         kind = classify(order, edges).kind
-        maps = _edge_maps(order, edges)
-        loops = [i for i, (x, y) in enumerate(edges) if x == y]
-        twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
-        # a loop has length >= 3: 2 plus its positive part of the composition
-        lift = [2 if i in loops else 0 for i in range(len(edges))]
         for b in out:
-            for cuts in combinations(range(1, b - 2 * len(loops)), len(edges) - 1):
-                lengths = tuple([y - x + up for x, y, up in
-                                 zip((0, *cuts), (*cuts, b - 2 * len(loops)), lift)])
-                if any(lengths[i] == lengths[j] == 1 for i, j in twins):
-                    continue
-                stabilizer = []
-                for pi, sigma in maps:
-                    image = tuple([lengths[j] for j in sigma])
-                    if image < lengths:
-                        break
-                    if image == lengths:
-                        stabilizer.append((pi, sigma))
-                else:
-                    params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
-                    out[b].append((*_subdivide(order, edges, lengths, stabilizer),
-                                   BraceClass(kind, params)))
+            for lengths, stabilizer in _orbit_walk(order, edges, b):
+                out[b].append((*_subdivide(order, edges, lengths, stabilizer),
+                               _brace_class(kind, lengths)))
     return out

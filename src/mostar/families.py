@@ -5,17 +5,20 @@ of size m is the base with pendant edges added at that vertex.  Four
 tricyclic/bicyclic constructions are pinned analytically (their closed
 forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
-pipeline from the braces (graphs of minimum degree >= 2) that
-`braces.kernel_braces` lists, up to the last size a published equality
-list names.  One pass (`_brace_tails`) reads the `indices.model_tails`
-record of each at one vertex per orbit: (brace, vertex) is a candidate
-for a family when its tail is the family's polynomial, the brace has the
-family's shape and the tail holds by the largest surveyed size, and only
-a candidate is labelled (`_normalize_candidate`), the one place a brace's
-identity is worked out.  The pinned m_min is the size from which the tail
-holds, so every registry polynomial is proved for all m >= m_min.  No
-maximizer is parsed: the survey carries the brace and attachment vertex
-of each that has one.
+pipeline from the braces (graphs of minimum degree >= 2) of the shapes
+DISCOVERY names, up to the last size a published equality list names.
+One pass (`_brace_tails`) walks the kernels' length tuples as
+`braces.kernel_braces` does, but only the kernels and sizes such a shape
+can have, and builds only the braces of such a shape.  It reads the
+`indices.model_tails` record of each at one vertex per orbit: (brace,
+vertex) is a candidate for a family when its tail is the family's
+polynomial, the brace has the family's shape and the tail holds by the
+largest surveyed size, and only a candidate is labelled
+(`_normalize_candidate`), the one place a brace's identity is worked
+out.  The pinned m_min is the size from which the tail holds, so every
+registry polynomial is proved for all m >= m_min.  No maximizer is
+parsed: the survey carries the brace and attachment vertex of each that
+has one.
 
 Which candidate becomes which family is read off the paper's equality
 lists (`verify.TRICYCLIC` and `verify.BICYCLIC`, `listed_families`), by
@@ -343,24 +346,45 @@ def _brace_tails(c: int, hi: int) -> list[_Tail]:
     and an id takes a candidate only when that size is at most each
     surveyed size listing it, so the braces stop at the class's last
     listed size (`tests/deep.py` `discovery_cap`: none past it has a
-    pair)."""
+    pair).
+
+    Only braces of a DISCOVERY shape are built.  A kernel is walked
+    (`braces._orbit_walk`) only when a shape has its kind, and a
+    2-connected kernel only at the sizes that shape's path parameters sum
+    to, since they are its braces' path lengths.  Each walked tuple's
+    class is read off its lengths, and a brace and its group are built
+    (`braces._subdivide`) only for a tuple of a DISCOVERY shape.  The
+    pairs come out in `kernel_braces` order: by size, then kernel, then
+    length tuple."""
     # verify imports this module, so the published tables are read here
     from .verify import BICYCLIC, TRICYCLIC
 
     cap = min(hi, max({3: TRICYCLIC, 2: BICYCLIC}[c].listed_families))
-    shapes = {shape for _, shape in DISCOVERY.values()}
+    shapes = {shape for _, shape in DISCOVERY.values() if shape is not None}
+    sizes: dict[str, set[int]] = {}
+    for shape in shapes:
+        params = shape.path_parameters
+        sizes.setdefault(shape.kind, set()).update(
+            range(1, cap + 1) if params is None else {sum(params)})
+    kernels = [(order, edges, br.classify(order, edges).kind) for order, edges in br._KERNELS[c]]
     wanted = {poly for poly, _ in DISCOVERY.values()}
     out = []
-    for found in br.kernel_braces(c, range(1, cap + 1)).values():
-        for brace, auts, cls in found:
-            if cls not in shapes:
+    for b in range(1, cap + 1):
+        for order, edges, kind in kernels:
+            if b not in sizes.get(kind, ()):
                 continue
-            tails = model_tails(pendant_model(brace.adj))
-            for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):  # one per orbit
-                poly, holds_from, _ = tails[v]
-                if poly in wanted and holds_from <= hi:
-                    edges, attach, key = _normalize_candidate(brace, v)
-                    out.append((cls, poly, Candidate(key, edges, attach, holds_from, holds_from)))
+            for lengths, stabilizer in br._orbit_walk(order, edges, b):
+                cls = br._brace_class(kind, lengths)
+                if cls not in shapes:
+                    continue
+                brace, auts = br._subdivide(order, edges, lengths, stabilizer)
+                tails = model_tails(pendant_model(brace.adj))
+                for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):  # one per orbit
+                    poly, holds_from, _ = tails[v]
+                    if poly in wanted and holds_from <= hi:
+                        base, attach, key = _normalize_candidate(brace, v)
+                        out.append((cls, poly, Candidate(key, base, attach, holds_from,
+                                                         holds_from)))
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from mostar import Graph, Graph6Error, GraphError, is_connected
 from mostar.braces import (
     COMPOSITE, DIGON_RING, FOUR_THETA, K4_SUBDIVISION, NOT_TRICYCLIC, THREE_HUB,
-    _KERNELS, BraceClass, _edge_maps,
+    _KERNELS, BraceClass, _edge_maps, classify,
 )
 from mostar.enumeration import _cycle_series, _rooted_tree_counts
 from mostar.graphs import with_pendants
@@ -416,6 +416,97 @@ def enumerate_kernels(c: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
                       for p in perms)
             out[order, key] = None
     return sorted(out)
+
+
+def _reference_subdivide(order: int, edges, lengths, maps):
+    """`braces._subdivide` assigning each automorphism vertex by vertex:
+    pi on the branch vertices, then each inner vertex of edge i to its
+    place on edge sigma[i]'s path, for every set of flipped loops, the
+    identity moved first."""
+    inner, start = [], order
+    for k in lengths:
+        inner.append(range(start, start + k - 1))
+        start += k - 1
+    brace = Graph.from_edges(start, [pair for (a, b), path in zip(edges, inner)
+                                     for pair in zip((a, *path), (*path, b))])
+    loops = [i for i, (x, y) in enumerate(edges) if x == y]
+    auts = []
+    for pi, sigma in maps:
+        for flips in product((False, True), repeat=len(loops)):
+            perm = list(pi) + [0] * (start - order)
+            flipped = {i for i, f in zip(loops, flips) if f}
+            for i, (a, z) in enumerate(edges):
+                j = sigma[i]
+                path = inner[j]
+                if i in flipped or (a != z and pi[a] != edges[j][0]):
+                    path = path[::-1]
+                for x, y in zip(inner[i], path):
+                    perm[x] = y
+            auts.append(tuple(perm))
+    auts.sort(key=lambda p: p != tuple(range(start)))
+    return brace, tuple(auts)
+
+
+def reference_kernel_braces(c: int, sizes) -> dict[int, list]:
+    """`braces.kernel_braces` by the walk over every composition: each
+    tuple of kernel edge lengths summing to b (the cut points of b less
+    2 per loop, every loop then lifted by 2) not putting length 1 on two
+    edges of a parallel class, kept when no edge map carries it to a
+    smaller tuple, with `_reference_subdivide`'s group.  The oracle for
+    the walk that visits only the tuples nondecreasing inside each
+    parallel class."""
+    out: dict[int, list] = {b: [] for b in sizes}
+    for order, edges in _KERNELS[c]:
+        kind = classify(order, edges).kind
+        maps = _edge_maps(order, edges)
+        loops = [i for i, (x, y) in enumerate(edges) if x == y]
+        twins = [(i, j) for j in range(len(edges)) for i in range(j) if edges[i] == edges[j]]
+        lift = [2 if i in loops else 0 for i in range(len(edges))]
+        for b in out:
+            for cuts in combinations(range(1, b - 2 * len(loops)), len(edges) - 1):
+                lengths = tuple([y - x + up for x, y, up in
+                                 zip((0, *cuts), (*cuts, b - 2 * len(loops)), lift)])
+                if any(lengths[i] == lengths[j] == 1 for i, j in twins):
+                    continue
+                stabilizer = []
+                for pi, sigma in maps:
+                    image = tuple([lengths[j] for j in sigma])
+                    if image < lengths:
+                        break
+                    if image == lengths:
+                        stabilizer.append((pi, sigma))
+                else:
+                    params = None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths))
+                    out[b].append((*_reference_subdivide(order, edges, lengths, stabilizer),
+                                   BraceClass(kind, params)))
+    return out
+
+
+def reference_brace_tails(c: int, hi: int) -> list:
+    """`families._brace_tails` by listing every brace up to the cap with
+    `kernel_braces` and dropping those of no DISCOVERY shape afterwards:
+    the oracle for the pass that walks only the kernels and sizes a
+    DISCOVERY shape can have."""
+    from mostar.braces import kernel_braces
+    from mostar.families import DISCOVERY, Candidate, _normalize_candidate
+    from mostar.indices import model_tails, pendant_model
+    from mostar.verify import BICYCLIC, TRICYCLIC
+
+    cap = min(hi, max({3: TRICYCLIC, 2: BICYCLIC}[c].listed_families))
+    shapes = {shape for _, shape in DISCOVERY.values()}
+    wanted = {poly for poly, _ in DISCOVERY.values()}
+    out = []
+    for found in kernel_braces(c, range(1, cap + 1)).values():
+        for brace, auts, cls in found:
+            if cls not in shapes:
+                continue
+            tails = model_tails(pendant_model(brace.adj))
+            for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):
+                poly, holds_from, _ = tails[v]
+                if poly in wanted and holds_from <= hi:
+                    edges, attach, key = _normalize_candidate(brace, v)
+                    out.append((cls, poly, Candidate(key, edges, attach, holds_from, holds_from)))
+    return out
 
 
 def burnside_class_totals(c: int, top: int) -> list[int]:

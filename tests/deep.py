@@ -194,6 +194,31 @@ def discovery_cap() -> None:
     assert checked == 37155, f"{checked} braces of a DISCOVERY shape checked (want 37155)"
 
 
+def kernel_walk() -> None:
+    """`kernel_braces` lists what the walk over every composition lists
+    (`_helpers.reference_kernel_braces`): the same braces in the same
+    order, with the same adjacency, group in order and class, up to the
+    top sizes, tricyclic 22 and bicyclic 30 edges; tier-1 compares them
+    up to 14 and 16.  The walk skips the tuples that decrease inside a
+    parallel class, so a slip in its bounds that drops or reorders a
+    brace on a larger size shows only here."""
+    import _helpers
+    from mostar.braces import kernel_braces
+    from mostar.verify import BICYCLIC, TRICYCLIC
+
+    for c, spec in ((3, TRICYCLIC), (2, BICYCLIC)):
+        sizes = range(spec.top + 1)
+        got, want = kernel_braces(c, sizes), _helpers.reference_kernel_braces(c, sizes)
+        for b in sizes:
+            rows = [[(g.n, g.adj, group, cls) for g, group, cls in found[b]]
+                    for found in (got, want)]
+            first = next((i for i, (x, y) in enumerate(zip(*rows)) if x != y),
+                         min(map(len, rows)))
+            assert rows[0] == rows[1], (
+                f"cyclomatic number {c}, {b} edges: {len(rows[0])} braces listed, "
+                f"{len(rows[1])} by the composition walk, first differing at {first}")
+
+
 def lemma_rows() -> None:
     """The benchmark's lemmas gate rebuilds 100 sampled rows per run with
     its brute-force distance oracle (`perfbench/gates.shift_delta`); this
@@ -241,8 +266,8 @@ def pendant_rows() -> None:
 
 CHECKS = {f.__name__: f for f in (tricyclic_13_totals, tricyclic_13_model_scores,
                                   bicyclic_12_model_scores, tricyclic_14_totals,
-                                  class_totals, discovery_cap, lemma_rows,
-                                  pendant_rows)}
+                                  class_totals, discovery_cap, kernel_walk,
+                                  lemma_rows, pendant_rows)}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:

@@ -36,6 +36,7 @@ from _helpers import (
     neighbors,
     random_connected,
     random_connected_density,
+    reference_kernel_braces,
     relabel,
     skeleton,
     strip_pendants,
@@ -308,6 +309,21 @@ def test_kernel_table_equals_enumeration(c):
     enumeration finds: 3 bicyclic and 15 tricyclic."""
     assert _KERNELS[c] == tuple(enumerate_kernels(c))
     assert len(_KERNELS[c]) == {2: 3, 3: 15}[c]
+
+
+@pytest.mark.parametrize("c, top", [(3, 14), (2, 16)])
+def test_kernel_braces_equal_composition_walk(c, top):
+    """The walk over the tuples nondecreasing inside each parallel class,
+    with each automorphism built as pi and the image paths in edge order,
+    lists what the walk over every composition with each automorphism
+    assigned vertex by vertex lists (`_helpers.reference_kernel_braces`):
+    the same braces in the same order, each with the same adjacency,
+    group (in order) and class, up to tricyclic 14 and bicyclic 16 edges
+    (`tests/deep.py` `kernel_walk` goes on to 22 and 30)."""
+    def rows(found):
+        return {b: [(g.n, g.adj, group, cls) for g, group, cls in v] for b, v in found.items()}
+
+    assert rows(kernel_braces(c, range(top + 1))) == rows(reference_kernel_braces(c, range(top + 1)))
 
 
 @pytest.mark.parametrize("c", [0, 1, 4])

@@ -22,13 +22,14 @@ from mostar.families import (
     builtin_registry,
     discover_families,
 )
+from mostar import braces
 from mostar.braces import kernel_braces, subdivision
 from mostar.graphs import with_pendants
 from mostar.indices import model_tails, pendant_model, poly_eval, tail_index
 from mostar.shifts import GROUPS
 from mostar.verify import BICYCLIC
 from _helpers import (
-    classify_graph, complete, hang_random_trees, relabel,
+    classify_graph, complete, hang_random_trees, reference_brace_tails, relabel,
     single_attach_decomposition, strip_pendants, verify_family,
 )
 
@@ -243,6 +244,36 @@ def test_brace_pass_labels_each_orbit_once(monkeypatch):
     monkeypatch.setattr(families, "_normalize_candidate", counted)
     tails = _brace_tails(3, 12) + _brace_tails(2, 10)
     assert len(labels) == len(tails) == len({key for _, _, key in labels}) == 49
+
+
+def test_brace_tails_equal_listing_then_filter():
+    """Walking only the kernels and sizes a DISCOVERY shape can have gives
+    the pairs that listing every brace up to the cap and dropping those of
+    no DISCOVERY shape gives (`_helpers.reference_brace_tails`), at every
+    largest surveyed size the command line accepts: tricyclic 7..22 and
+    bicyclic 5..30."""
+    for c, his in ((3, range(7, 23)), (2, range(5, 31))):
+        for hi in his:
+            assert sorted(_brace_tails(c, hi), key=repr) == sorted(
+                reference_brace_tails(c, hi), key=repr), (c, hi)
+
+
+def test_brace_pass_builds_only_discovery_shapes(monkeypatch):
+    """Every brace the pass builds has a DISCOVERY shape: up to the atlas's
+    default sizes (tricyclic 12, bicyclic 10) 126 tricyclic braces of the
+    261 up to 11 edges, and all 29 bicyclic ones up to 9 edges."""
+    real, built = braces._subdivide, []
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(braces, "_subdivide", counted)
+    _brace_tails(3, 12)
+    _brace_tails(2, 10)
+    shapes = {shape for _, shape in DISCOVERY.values()}
+    assert all(classify_graph(g) in shapes for g, _ in built)
+    assert [sum(g.m - g.n + 1 == c for g, _ in built) for c in (3, 2)] == [126, 29]
 
 
 def test_k4_has_no_discovery_tail():
