@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .graphs import Graph
 
@@ -260,22 +260,15 @@ def _orbit_walk(
             yield lengths, stabilizer
 
 
-def _brace_class(kind: str, lengths: tuple[int, ...]) -> BraceClass:
-    """The class of the brace on a kernel of class `kind` with these edge
-    lengths: the sorted lengths are its path parameters when the brace is
-    2-connected."""
-    return BraceClass(kind, None if kind in (COMPOSITE, NOT_TRICYCLIC) else tuple(sorted(lengths)))
-
-
 def kernel_braces(
-    c: int, sizes: Iterable[int]
+    c: int, sizes: Iterable[int], classes: Collection[BraceClass] | None = None,
 ) -> dict[int, list[tuple[Graph, tuple[tuple[int, ...], ...], BraceClass]]]:
     """Map each size b in `sizes` to every brace with cyclomatic number
     c = 2 or 3 and b edges, one per isomorphism class, each with its
     automorphism group and its class: its kernel's `classify`, with the
     sorted lengths as path parameters when the brace is 2-connected.
-    Each brace and group is a `subdivision` of a kernel.  Any other c
-    raises ValueError.
+    Given `classes`, only the braces of those classes.  Each brace and
+    group is a `subdivision` of a kernel.  Any other c raises ValueError.
 
     Two subdivisions are isomorphic exactly when a kernel automorphism
     carries one length tuple to the other, since every isomorphism maps
@@ -296,14 +289,27 @@ def kernel_braces(
     against the same maps in the same order, so their stabilizers are the
     same, and it visits them in lexicographic order, the order of the
     compositions of b taken by their cut points.  Sizes and kernels are
-    listed in the order given, kernel by kernel within a size."""
+    listed in the order given, kernel by kernel within a size.
+
+    With `classes`, a kernel is walked at size b only when some class has
+    its kind and either no path parameters or ones summing to b, since a
+    2-connected brace's are its path lengths; a walked tuple's class is
+    read off its lengths, and a brace and its group are built only for a
+    class asked for.  So the list is the full one less the braces of
+    other classes, in the same order."""
     if c not in _KERNELS:
         raise ValueError(f"kernels are tabled for cyclomatic number 2 and 3, got {c}")
     out: dict[int, list] = {b: [] for b in sizes}
     for order, edges in _KERNELS[c]:
         kind = classify(order, edges).kind
+        two_connected = kind not in (COMPOSITE, NOT_TRICYCLIC)
         for b in out:
+            if classes is not None and not any(
+                    k.kind == kind and (k.path_parameters is None or sum(k.path_parameters) == b)
+                    for k in classes):
+                continue
             for lengths, stabilizer in _orbit_walk(order, edges, b):
-                out[b].append((*_subdivide(order, edges, lengths, stabilizer),
-                               _brace_class(kind, lengths)))
+                cls = BraceClass(kind, tuple(sorted(lengths)) if two_connected else None)
+                if classes is None or cls in classes:
+                    out[b].append((*_subdivide(order, edges, lengths, stabilizer), cls))
     return out

@@ -7,18 +7,16 @@ forms were verified directly), as are the cycles with pendants at one
 vertex, and every other named family is reconstructed by the discovery
 pipeline from the braces (graphs of minimum degree >= 2) of the shapes
 DISCOVERY names, up to the last size a published equality list names.
-One pass (`_brace_tails`) walks the kernels' length tuples as
-`braces.kernel_braces` does, but only the kernels and sizes such a shape
-can have, and builds only the braces of such a shape.  It reads the
-`indices.model_tails` record of each at one vertex per orbit: (brace,
-vertex) is a candidate for a family when its tail is the family's
-polynomial, the brace has the family's shape and the tail holds by the
-largest surveyed size, and only a candidate is labelled
-(`_normalize_candidate`), the one place a brace's identity is worked
-out.  The pinned m_min is the size from which the tail holds, so every
-registry polynomial is proved for all m >= m_min.  No maximizer is
-parsed: the survey carries the brace and attachment vertex of each that
-has one.
+One pass (`_brace_tails`) asks `braces.kernel_braces` for the braces of
+those shapes alone and reads the `indices.model_tails` record of each at
+one vertex per orbit (`_orbit_tails`): (brace, vertex) is a candidate
+for a family when its tail is the family's polynomial, the brace has the
+family's shape and the tail holds by the largest surveyed size, and only
+a candidate is labelled (`_normalize_candidate`), the one place a
+brace's identity is worked out.  The pinned m_min is the size from which
+the tail holds, so every registry polynomial is proved for all
+m >= m_min.  No maximizer is parsed: the survey carries the brace and
+attachment vertex of each that has one.
 
 Which candidate becomes which family is read off the paper's equality
 lists (`verify.TRICYCLIC` and `verify.BICYCLIC`, `listed_families`), by
@@ -32,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import braces as br
 from .canon import canon, canonical_form
@@ -337,6 +335,19 @@ class DiscoveryReport:
 _Tail = tuple[br.BraceClass, tuple[int, int, int], Candidate]
 
 
+def _orbit_tails(
+    c: int, sizes: Iterable[int], classes: set[br.BraceClass],
+) -> Iterator[tuple[br.BraceClass, Graph, int, tuple]]:
+    """For each brace of `kernel_braces(c, sizes, classes)`, in its order,
+    and the least vertex v of each orbit of the brace's group: the
+    brace's class, the brace, v and v's `model_tails` record."""
+    for found in br.kernel_braces(c, sizes, classes).values():
+        for brace, auts, cls in found:
+            tails = model_tails(pendant_model(brace.adj))
+            for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):
+                yield cls, brace, v, tails[v]
+
+
 def _brace_tails(c: int, hi: int) -> list[_Tail]:
     """Every (brace, vertex) of cyclomatic number c, one vertex per orbit
     of the brace's group, whose brace has a DISCOVERY shape and whose
@@ -346,45 +357,20 @@ def _brace_tails(c: int, hi: int) -> list[_Tail]:
     and an id takes a candidate only when that size is at most each
     surveyed size listing it, so the braces stop at the class's last
     listed size (`tests/deep.py` `discovery_cap`: none past it has a
-    pair).
-
-    Only braces of a DISCOVERY shape are built.  A kernel is walked
-    (`braces._orbit_walk`) only when a shape has its kind, and a
-    2-connected kernel only at the sizes that shape's path parameters sum
-    to, since they are its braces' path lengths.  Each walked tuple's
-    class is read off its lengths, and a brace and its group are built
-    (`braces._subdivide`) only for a tuple of a DISCOVERY shape.  The
-    pairs come out in `kernel_braces` order: by size, then kernel, then
-    length tuple."""
+    pair).  Only braces of a DISCOVERY shape are built
+    (`braces.kernel_braces` with those classes), and the pairs come out
+    in its order: by size, then kernel, then length tuple."""
     # verify imports this module, so the published tables are read here
     from .verify import BICYCLIC, TRICYCLIC
 
     cap = min(hi, max({3: TRICYCLIC, 2: BICYCLIC}[c].listed_families))
     shapes = {shape for _, shape in DISCOVERY.values() if shape is not None}
-    sizes: dict[str, set[int]] = {}
-    for shape in shapes:
-        params = shape.path_parameters
-        sizes.setdefault(shape.kind, set()).update(
-            range(1, cap + 1) if params is None else {sum(params)})
-    kernels = [(order, edges, br.classify(order, edges).kind) for order, edges in br._KERNELS[c]]
     wanted = {poly for poly, _ in DISCOVERY.values()}
     out = []
-    for b in range(1, cap + 1):
-        for order, edges, kind in kernels:
-            if b not in sizes.get(kind, ()):
-                continue
-            for lengths, stabilizer in br._orbit_walk(order, edges, b):
-                cls = br._brace_class(kind, lengths)
-                if cls not in shapes:
-                    continue
-                brace, auts = br._subdivide(order, edges, lengths, stabilizer)
-                tails = model_tails(pendant_model(brace.adj))
-                for v in sorted({min(g[u] for g in auts) for u in range(brace.n)}):  # one per orbit
-                    poly, holds_from, _ = tails[v]
-                    if poly in wanted and holds_from <= hi:
-                        base, attach, key = _normalize_candidate(brace, v)
-                        out.append((cls, poly, Candidate(key, base, attach, holds_from,
-                                                         holds_from)))
+    for cls, brace, v, (poly, holds_from, _) in _orbit_tails(c, range(1, cap + 1), shapes):
+        if poly in wanted and holds_from <= hi:
+            base, attach, key = _normalize_candidate(brace, v)
+            out.append((cls, poly, Candidate(key, base, attach, holds_from, holds_from)))
     return out
 
 
@@ -411,16 +397,14 @@ def _poly_str(poly: tuple[int, int, int]) -> str:
 
 def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
     """When no construction matches a family's printed closed form, record
-    the measured polynomials of every single-attach family on its brace."""
+    the measured polynomials of every single-attach family on its brace
+    (a four-path theta, the one brace of its shape), one per orbit."""
     claimed, shape = DISCOVERY[fid]
     if shape is None or shape.kind != br.FOUR_THETA:
         return
-    params = shape.path_parameters
-    base, auts = br.subdivision(2, ((0, 1),) * len(params), params)
-    tails = model_tails(pendant_model(base.adj))
     lines = []
-    for v in sorted({min(g[u] for g in auts) for u in range(base.n)}):  # one per orbit
-        poly, holds_from, _ = tail = tails[v]
+    for _, base, v, tail in _orbit_tails(3, [sum(shape.path_parameters)], {shape}):
+        poly, holds_from, _ = tail
         hits = [m for m in range(base.m, holds_from)
                 if tail_index(tail, m - base.m, m) == poly_eval(claimed, m)]
         # both forms are monic, so past the head they differ by a linear

@@ -482,11 +482,27 @@ def reference_kernel_braces(c: int, sizes) -> dict[int, list]:
     return out
 
 
+def brace_class_filters() -> dict[str, set | None]:
+    """The `classes` values `kernel_braces` is compared with
+    `reference_kernel_braces` on, by name: none ("", every brace), the
+    DISCOVERY shapes, each shape alone, and a class no brace has (four
+    paths of length 1, a multigraph)."""
+    from mostar.families import DISCOVERY
+
+    def name(cls: BraceClass) -> str:
+        return "-".join(map(str, (cls.kind, *(cls.path_parameters or ()))))
+
+    shapes = sorted({shape for _, shape in DISCOVERY.values() if shape is not None}, key=name)
+    return {"": None, "discovery": set(shapes), **{name(s): {s} for s in shapes},
+            "absent": {BraceClass(FOUR_THETA, (1, 1, 1, 1))}}
+
+
 def reference_brace_tails(c: int, hi: int) -> list:
     """`families._brace_tails` by listing every brace up to the cap with
-    `kernel_braces` and dropping those of no DISCOVERY shape afterwards:
-    the oracle for the pass that walks only the kernels and sizes a
-    DISCOVERY shape can have."""
+    `kernel_braces`, its `classes` left unset, and dropping those of no
+    DISCOVERY shape afterwards: the oracle for the pass that asks
+    `kernel_braces` for the DISCOVERY shapes alone, so that it walks only
+    the kernels and sizes such a shape can have."""
     from mostar.braces import kernel_braces
     from mostar.families import DISCOVERY, Candidate, _normalize_candidate
     from mostar.indices import model_tails, pendant_model

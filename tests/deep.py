@@ -201,22 +201,29 @@ def kernel_walk() -> None:
     top sizes, tricyclic 22 and bicyclic 30 edges; tier-1 compares them
     up to 14 and 16.  The walk skips the tuples that decrease inside a
     parallel class, so a slip in its bounds that drops or reorders a
-    brace on a larger size shows only here."""
+    brace on a larger size shows only here.  Given each `classes` of
+    `_helpers.brace_class_filters`, it lists that listing's braces of
+    those classes, in the same order; a slip in the sizes or kernels the
+    filter skips shows the same way."""
     import _helpers
     from mostar.braces import kernel_braces
     from mostar.verify import BICYCLIC, TRICYCLIC
 
     for c, spec in ((3, TRICYCLIC), (2, BICYCLIC)):
         sizes = range(spec.top + 1)
-        got, want = kernel_braces(c, sizes), _helpers.reference_kernel_braces(c, sizes)
-        for b in sizes:
-            rows = [[(g.n, g.adj, group, cls) for g, group, cls in found[b]]
-                    for found in (got, want)]
-            first = next((i for i, (x, y) in enumerate(zip(*rows)) if x != y),
-                         min(map(len, rows)))
-            assert rows[0] == rows[1], (
-                f"cyclomatic number {c}, {b} edges: {len(rows[0])} braces listed, "
-                f"{len(rows[1])} by the composition walk, first differing at {first}")
+        want = _helpers.reference_kernel_braces(c, sizes)
+        for name, classes in _helpers.brace_class_filters().items():
+            got = kernel_braces(c, sizes, classes)
+            for b in sizes:
+                rows = [[(g.n, g.adj, group, cls) for g, group, cls in got[b]],
+                        [(g.n, g.adj, group, cls) for g, group, cls in want[b]
+                         if classes is None or cls in classes]]
+                first = next((i for i, (x, y) in enumerate(zip(*rows)) if x != y),
+                             min(map(len, rows)))
+                assert rows[0] == rows[1], (
+                    f"cyclomatic number {c}, {b} edges, classes {name or 'unset'}: "
+                    f"{len(rows[0])} braces listed, {len(rows[1])} by the composition "
+                    f"walk, first differing at {first}")
 
 
 def lemma_rows() -> None:

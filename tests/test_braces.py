@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mostar import (
-    Graph, GraphError, canon, canonical_form, cycle, edge_mostar, path,
+    Graph, GraphError, braces, canon, canonical_form, cycle, edge_mostar, path,
 )
 from mostar.braces import (
     BraceClass,
@@ -17,6 +18,7 @@ from mostar.braces import (
     THREE_HUB,
     _KERNELS,
     _edge_maps,
+    classify,
     kernel_braces,
 )
 from mostar.enumeration import EnumerationTask, bicyclic_task, tricyclic_task
@@ -25,6 +27,7 @@ from mostar.graphs import parse_graph6, with_pendants
 from _walk import enumerate_connected
 from _helpers import (
     _cut_vertices,
+    brace_class_filters,
     cyclomatic_number,
     brute_cut_vertices,
     classify_graph,
@@ -311,19 +314,51 @@ def test_kernel_table_equals_enumeration(c):
     assert len(_KERNELS[c]) == {2: 3, 3: 15}[c]
 
 
-@pytest.mark.parametrize("c, top", [(3, 14), (2, 16)])
-def test_kernel_braces_equal_composition_walk(c, top):
+def _brace_rows(found):
+    return {b: [(g.n, g.adj, group, cls) for g, group, cls in v] for b, v in found.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rows(c, top):
+    return _brace_rows(reference_kernel_braces(c, range(top + 1)))
+
+
+@pytest.mark.parametrize("c, top, classes", [
+    pytest.param(c, top, classes, id="-".join(filter(None, (str(c), str(top), name))))
+    for c, top in ((3, 14), (2, 16)) for name, classes in brace_class_filters().items()])
+def test_kernel_braces_equal_composition_walk(monkeypatch, c, top, classes):
     """The walk over the tuples nondecreasing inside each parallel class,
     with each automorphism built as pi and the image paths in edge order,
     lists what the walk over every composition with each automorphism
     assigned vertex by vertex lists (`_helpers.reference_kernel_braces`):
     the same braces in the same order, each with the same adjacency,
     group (in order) and class, up to tricyclic 14 and bicyclic 16 edges
-    (`tests/deep.py` `kernel_walk` goes on to 22 and 30)."""
-    def rows(found):
-        return {b: [(g.n, g.adj, group, cls) for g, group, cls in v] for b, v in found.items()}
+    (`tests/deep.py` `kernel_walk` goes on to 22 and 30).  Given
+    `classes` (`_helpers.brace_class_filters`), it lists the oracle's
+    braces of those classes, in the same order, builds no other, and
+    walks a kernel only at a size where a class of its kind can lie."""
+    real_walk, real_build, walked, built = braces._orbit_walk, braces._subdivide, [], []
 
-    assert rows(kernel_braces(c, range(top + 1))) == rows(reference_kernel_braces(c, range(top + 1)))
+    def walk(order, edges, b):
+        walked.append((classify(order, edges).kind, b))
+        return real_walk(order, edges, b)
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(braces, "_orbit_walk", walk)
+    monkeypatch.setattr(braces, "_subdivide", build)
+    got = _brace_rows(kernel_braces(c, range(top + 1), classes))
+    assert got == {b: [row for row in rows if classes is None or row[3] in classes]
+                   for b, rows in _reference_rows(c, top).items()}
+    assert len(built) == sum(map(len, got.values()))
+    if classes is not None:
+        assert all(any(k.kind == kind and (k.path_parameters is None or sum(k.path_parameters) == b)
+                       for k in classes)
+                   for kind, b in walked)
+    if classes == brace_class_filters()["absent"]:
+        assert not built
 
 
 @pytest.mark.parametrize("c", [0, 1, 4])

@@ -176,6 +176,36 @@ def test_forensic_hits_exact(monkeypatch, claimed):
         assert reported == hits, line
 
 
+@pytest.mark.parametrize("fid", ["H2", "H3", "H4"])
+def test_forensic_note_equals_theta_subdivision(fid):
+    """The forensic note for each four-theta id is the one the theta
+    `subdivision` with the id's path lengths gives, read at the least
+    vertex of each orbit of its group, each hit found by edge_mostar over
+    60 sizes (past the tail's start only when the forms differ; H2's and
+    H3's degree-2 tails are their printed forms).  The atlas writes H2's
+    note only at --max-size 7..8, before that tail holds, and H3's only
+    at 7..9, so no committed report pins them."""
+    claimed, shape = DISCOVERY[fid]
+    base, auts = subdivision(2, ((0, 1),) * 4, shape.path_parameters)
+    tails = model_tails(pendant_model(base.adj))
+    lines = []
+    for v in sorted({min(g[u] for g in auts) for u in range(base.n)}):
+        poly, holds_from, _ = tails[v]
+        g, hits = base, []
+        for m in range(base.m, base.m + 60):
+            if edge_mostar(g) == poly_eval(claimed, m) and (m < holds_from or poly != claimed):
+                hits.append(m)
+            g = with_pendants(g, {v: 1})
+        lines.append(f"attach deg-{base.degree(v)} orbit of {v}: {_poly_str(poly)} "
+                     f"from m>={holds_from}"
+                     + (f", equals the printed form only at m={hits}" if hits else ""))
+    report = DiscoveryReport()
+    _unresolved_forensics(fid, report)
+    assert report.notes == [
+        f"{fid}: no single-attach family on its brace matches the printed closed "
+        f"form {_poly_str(claimed)}; measured families: " + "; ".join(lines)]
+
+
 def test_build_strip_round_trip(registry):
     spec = registry["A2"]
     g = spec.build(spec.m_min + 4)
