@@ -1,4 +1,4 @@
-"""Exact canonical labeling and automorphisms of graphs of any order.
+"""Exact canonical labeling of graphs of any order.
 
 The enumerator's dedup rests on this exact individualize-refine search (no
 hashing): equitable refinement, branching on the first non-singleton cell,
@@ -25,15 +25,15 @@ every other vertex, so it fixes the node's individualised vertices
 never reads labels, commutes with it.  So it maps the skipped child's subtree onto the one
 already searched, node to node and leaf to leaf, with equal leaf keys: the
 skip drops no key, and the subtree searched comes first, so the first
-largest leaf is kept.  Every twin transposition joins the generators and
-orbit_of after the search, for the automorphisms the skipped subtrees
-would have shown.
+largest leaf is kept.
 
 Orbit pruning uses the found group's orbits, not the node stabilizer's
-(McKay & Piperno, "Practical graph isomorphism, II", 2014).  That it never
+(McKay & Piperno, "Practical graph isomorphism, II", 2014): a union-find
+over the automorphisms that two leaves of equal key show.  That it never
 drops the first largest leaf is unproved; tests check it against brute
 force for n <= 6 and against the search without splitter-only refinement
-or the twin rule.
+or the twin rule.  The group serves the pruning only and is not returned:
+the automorphism groups the package reads come from `braces`.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class CanonResult(NamedTuple):
     n: int
     canon_adj: tuple[int, ...]
     labeling: tuple[int, ...]       # vertex -> canonical position
-    generators: tuple[tuple[int, ...], ...]
-    orbit_of: tuple[int, ...]       # vertex -> smallest vertex in its orbit
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -131,8 +129,7 @@ class _Search:
         self.best_key: tuple[int, ...] | None = None
         self.best_lam: list[int] | None = None
         self.leaf_perms: dict[tuple[int, ...], list[int]] = {}
-        self.generators: list[tuple[int, ...]] = []
-        self.parent = list(range(n))
+        self.parent = list(range(n))   # union-find over the found automorphisms
 
     def _leaf(self, cells: list[int]) -> None:
         adj = self.adj
@@ -155,12 +152,9 @@ class _Search:
                 self.best_lam = lam
             return
         # two labelings that agree on the relabeled graph give an automorphism
-        aut = tuple(map(prev.__getitem__, lam))
-        moved = [v for v in range(self.n) if aut[v] != v]
-        if moved:
-            self.generators.append(aut)
-            for v in moved:
-                _union(self.parent, v, aut[v])
+        for v, w in enumerate(map(prev.__getitem__, lam)):
+            if v != w:
+                _union(self.parent, v, w)
 
     def run(self, cells: list[int], splitters: list[int]) -> None:
         cells = _refine(self.adj, cells, splitters)
@@ -184,27 +178,18 @@ class _Search:
 
 
 def canon(g: Graph) -> CanonResult:
-    """Canonical labeling, automorphism generators, and vertex orbits."""
+    """Canonical labeling: the relabeled adjacency rows and each vertex's
+    canonical position."""
     if g.n == 0:
-        return CanonResult(0, (), (), (), ())
+        return CanonResult(0, (), ())
     by_degree: dict[int, int] = {}   # the first round splits by degree
     for v, row in enumerate(g.adj):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
-    twins = _twin_classes(g.adj)
-    search = _Search(g.n, g.adj, twins)
+    search = _Search(g.n, g.adj, _twin_classes(g.adj))
     search.run(cells, cells[:-1])
-    for v, cls in enumerate(twins):
-        w = (cls & -cls).bit_length() - 1   # the first of v's class, -1 for none
-        if 0 <= w < v:
-            swap = list(range(g.n))
-            swap[v], swap[w] = w, v
-            search.generators.append(tuple(swap))
-            _union(search.parent, w, v)
-    orbit_of = tuple([_find(search.parent, v) for v in range(g.n)])
-    return CanonResult(g.n, search.best_key, tuple(search.best_lam),
-                       tuple(search.generators), orbit_of)
+    return CanonResult(g.n, search.best_key, tuple(search.best_lam))
 
 
 def canonical_form(g: Graph) -> str:
@@ -228,6 +213,10 @@ def pair_orbit_reps(
     for edge sets and non-edge sets): the components of the graph joining
     each pair to its images, found by union-find over the codes u * n + v,
     which order as the pairs do, with the smaller code as the root.
+
+    The caller supplies the generators: `canon` returns none.  No package
+    code calls this; it stays here because the benchmark's per-layer spans
+    (`perfbench/spans.py`) name it.
     """
     if not generators:
         return {p: p for p in pairs}

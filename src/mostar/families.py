@@ -395,16 +395,25 @@ def _poly_str(poly: tuple[int, int, int]) -> str:
     return "".join(parts) or "0"
 
 
-def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
+def _unresolved_forensics(fid: str, report: "DiscoveryReport", top: int) -> None:
     """When no construction matches a family's printed closed form, record
     the measured polynomials of every single-attach family on its brace
-    (a four-path theta, the one brace of its shape), one per orbit."""
+    (a four-path theta, the one brace of its shape), one per orbit.  An
+    orbit whose tail is the printed form heads the note with the size its
+    tail holds from, and says when that lies past `top`, the largest
+    surveyed size."""
     claimed, shape = DISCOVERY[fid]
     if shape is None or shape.kind != br.FOUR_THETA:
         return
-    lines = []
+    heads, lines = [], []
     for _, base, v, tail in _orbit_tails(3, [sum(shape.path_parameters)], {shape}):
         poly, holds_from, _ = tail
+        orbit = f"deg-{base.degree(v)} orbit of {v}"
+        if poly == claimed:
+            past = f", past the largest surveyed size {top}" if holds_from > top else ""
+            heads.append(f"the single-attach family on its brace's {orbit} follows the "
+                         f"printed closed form {_poly_str(claimed)} only from "
+                         f"m>={holds_from}{past}")
         hits = [m for m in range(base.m, holds_from)
                 if tail_index(tail, m - base.m, m) == poly_eval(claimed, m)]
         # both forms are monic, so past the head they differ by a linear
@@ -413,14 +422,13 @@ def _unresolved_forensics(fid: str, report: "DiscoveryReport") -> None:
         if slope and offset % slope == 0 and -offset // slope >= holds_from:
             hits.append(-offset // slope)
         lines.append(
-            f"attach deg-{base.degree(v)} orbit of {v}: {_poly_str(poly)} "
-            f"from m>={holds_from}"
+            f"attach {orbit}: {_poly_str(poly)} from m>={holds_from}"
             + (f", equals the printed form only at m={hits}" if hits else "")
         )
-    report.notes.append(
-        f"{fid}: no single-attach family on its brace matches the printed "
-        f"closed form {_poly_str(claimed)}; measured families: " + "; ".join(lines)
-    )
+    heads = heads or [f"no single-attach family on its brace matches the printed "
+                      f"closed form {_poly_str(claimed)}"]
+    report.notes.append(f"{fid}: " + "; ".join(heads) + "; measured families: "
+                        + "; ".join(lines))
 
 
 def _maximizer_pool(s, m: int) -> list[Candidate]:
@@ -511,7 +519,7 @@ def discover_families(
             "duplicate another family"
         )
     for fid in report.unresolved:
-        _unresolved_forensics(fid, report)
+        _unresolved_forensics(fid, report, max(tri_surveys, default=0))
 
     table = _member_table(reg, {TRICYCLIC.task: max([12, *tri_surveys]),
                                 BICYCLIC.task: max([12, *bi_surveys])}, member)

@@ -13,7 +13,7 @@ import math
 import random
 from collections import deque
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from dataclasses import dataclass
 
@@ -951,21 +951,29 @@ class _ReferenceSearch:
             self.run(child)
 
 
-def reference_canon(g: Graph):
-    """`mostar.canon` as it was before splitter-only refinement: every
-    round recounts every vertex against every cell, and the search
-    branches on every vertex its orbit pruning leaves.  `canon` must
-    return the same canon_adj, labeling and orbit_of; the generators may
-    differ."""
-    from mostar.canon import CanonResult
+class ReferenceCanon(NamedTuple):
+    n: int
+    canon_adj: tuple[int, ...]
+    labeling: tuple[int, ...]       # vertex -> canonical position
+    generators: tuple[tuple[int, ...], ...]
+    orbit_of: tuple[int, ...]       # vertex -> smallest vertex in its orbit
 
+
+def reference_canon(g: Graph) -> ReferenceCanon:
+    """`mostar.canon` without splitter-only refinement or the twin rule:
+    every round recounts every vertex against every cell, and the search
+    branches on every vertex its orbit pruning leaves.  `canon`
+    must return the same canon_adj and labeling.  It is also the suite's
+    one automorphism-group oracle: the generators are the automorphisms
+    its leaves show, and orbit_of their orbits, both checked against
+    brute force in `test_canon.py`."""
     if g.n == 0:
-        return CanonResult(0, (), (), (), ())
+        return ReferenceCanon(0, (), (), (), ())
     search = _ReferenceSearch(g.n, g.adj)
     search.run([list(range(g.n))])
     assert search.best_lam is not None
     orbit_of = tuple(search._find(v) for v in range(g.n))
-    return CanonResult(
+    return ReferenceCanon(
         g.n,
         tuple(search.best_key or ()),
         tuple(search.best_lam),
@@ -1102,7 +1110,6 @@ def reference_accept_edge_child(n: int, child: tuple[int, ...], a: int, b: int):
     edge, canonically label the child whenever (a, b) has the minimum
     score, and take orbits over all non-bridge edges.  Same contract as
     `_walk._accept_edge_child`."""
-    from mostar import canon
     from mostar.canon import pair_orbit_reps
     from _walk import _edge_inv
 
@@ -1117,7 +1124,7 @@ def reference_accept_edge_child(n: int, child: tuple[int, ...], a: int, b: int):
     min_inv = min(invs.values())
     if invs[e] != min_inv:
         return None
-    cres = canon(Graph(n, child))
+    cres = reference_canon(Graph(n, child))
     lam = cres.labeling
     best_pair = min(
         (f for f in nonbridge if invs[f] == min_inv),
@@ -1440,13 +1447,12 @@ def pendant_row_mismatches(brace: Graph, size: int, top: int) -> list:
 def orbit_tails(g: Graph, auts=None) -> tuple:
     """The `model_tails` records of g as (poly, holds_from) at the smallest
     vertex of each orbit and None at the others, the orbits those of the
-    permutations `auts` or, when it is None, `canon(g).orbit_of`: with a
-    kernel brace's group, the tails `families._brace_tails` reads."""
-    from mostar.canon import canon
+    permutations `auts` or, when it is None, `reference_canon(g).orbit_of`:
+    with a kernel brace's group, the tails `families._brace_tails` reads."""
     from mostar.indices import model_tails, pendant_model
 
     # orbit_of names each orbit by its smallest vertex
-    first = set(canon(g).orbit_of) if auts is None else {
+    first = set(reference_canon(g).orbit_of) if auts is None else {
         min(p[v] for p in auts) for v in range(g.n)}
     return tuple([t[:2] if v in first else None
                   for v, t in enumerate(model_tails(pendant_model(g.adj)))])
@@ -1454,12 +1460,10 @@ def orbit_tails(g: Graph, auts=None) -> tuple:
 
 def orbit_walk_role_assignments(brace: Graph, roles: int, role_degrees):
     """Injective role -> vertex maps, one per automorphism class, by
-    walking each map's whole orbit over `canon`'s generators and keeping
-    the first map met of every orbit, in `itertools.permutations` order.
-    Same contract as `shifts._role_assignments`."""
-    from mostar.canon import canon
-
-    gens = canon(brace).generators
+    walking each map's whole orbit over `reference_canon`'s generators and
+    keeping the first map met of every orbit, in `itertools.permutations`
+    order.  Same contract as `shifts._role_assignments`."""
+    gens = reference_canon(brace).generators
     seen = set()
     for perm in itertools.permutations(range(brace.n), roles):
         if role_degrees is not None and any(

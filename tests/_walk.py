@@ -4,7 +4,9 @@ It shares no generation code with `mostar.enumeration`, which
 builds only the bicyclic and tricyclic classes, from braces, so the tests
 use it as the independent oracle for those classes and for the canon
 inputs it produces (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).
+J. Algorithms 26, 1998).  Its labellings and automorphism groups come
+from `_helpers.reference_canon`, so it shares no code with the `canon`
+search under test; of `mostar.canon` it reads only `pair_orbit_reps`.
 
 Spanning trees on n vertices are grown by leaf additions, then edges are
 added one at a time up to m.  A child is kept only when the edge (or leaf)
@@ -66,15 +68,15 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from mostar.canon import CanonResult, canon, pair_orbit_reps
+from mostar.canon import pair_orbit_reps
 from mostar.graphs import Graph, edge_pairs
-from _helpers import reachable_mask
+from _helpers import ReferenceCanon, reachable_mask, reference_canon
 
 
 # -- spanning-tree seeds -----------------------------------------------------
 
 
-def _tree_children(k: int, adj: tuple[int, ...], cres: CanonResult):
+def _tree_children(k: int, adj: tuple[int, ...], cres: ReferenceCanon):
     """Canonically accepted leaf extensions of a k-vertex tree."""
     out = []
     seen_orbits = set()
@@ -86,7 +88,7 @@ def _tree_children(k: int, adj: tuple[int, ...], cres: CanonResult):
         child = tuple(
             row | (1 << k) if i == v else row for i, row in enumerate(adj)
         ) + (1 << v,)
-        ccres = canon(Graph(k + 1, child))
+        ccres = reference_canon(Graph(k + 1, child))
         lam = ccres.labeling
         best_leaf = None
         for w in range(k + 1):
@@ -98,12 +100,12 @@ def _tree_children(k: int, adj: tuple[int, ...], cres: CanonResult):
     return out
 
 
-def trees(n: int) -> list[tuple[tuple[int, ...], CanonResult]]:
+def trees(n: int) -> list[tuple[tuple[int, ...], ReferenceCanon]]:
     """One representative per isomorphism class of trees on n vertices,
     with its canon data."""
     if n < 1:
         return []
-    level = [((0,), canon(Graph(1, (0,))))]
+    level = [((0,), reference_canon(Graph(1, (0,))))]
     for k in range(1, n):
         level = [c for adj, cres in level for c in _tree_children(k, adj, cres)]
     return level
@@ -190,7 +192,7 @@ def _candidates(
 def _accept_edge_child(
     n: int, child: tuple[int, ...], a: int, b: int,
     pair_ties: list[tuple[int, int]], label: bool,
-) -> tuple[bool, Optional[CanonResult]]:
+) -> tuple[bool, Optional[ReferenceCanon]]:
     """Steps 3-4 of the acceptance test: does (a, b) sit in the orbit of the
     canonical deletion edge of `child`?  Returns (accepted, the child's
     canon data).  `pair_ties` comes from `_candidates`.  With `label` false,
@@ -209,7 +211,7 @@ def _accept_edge_child(
                 ties.append(f)
     if len(ties) == 1 and not label:
         return True, None
-    cres = canon(Graph(n, child))
+    cres = reference_canon(Graph(n, child))
     lam = cres.labeling
 
     def canon_key(f):
@@ -228,7 +230,7 @@ def _accept_edge_child(
 def _augment(
     n: int,
     adj: tuple[int, ...],
-    cres: Optional[CanonResult],
+    cres: Optional[ReferenceCanon],
     sides: Optional[dict[tuple[int, int], int]],
     m_cur: int,
     m: int,

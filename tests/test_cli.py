@@ -576,7 +576,8 @@ def test_threads_capped_at_usable_cores(tmp_path, capsys, monkeypatch, affinity,
 def test_atlas_partial_on_small_range(tmp_path, capsys, atlas_report):
     """Exit 3 with the unresolved families named; the registry path, which
     may hold a line break, is quoted on one line.  A2 resolves from the
-    size-9 list to its committed key; A1, listed only at size 11, does not."""
+    size-9 list to its committed key; A1, listed only at size 11, does not.
+    H3's note says its printed form holds only past the surveyed sizes."""
     reg_path = tmp_path / "fam\nily.json"
     rep_path = tmp_path / "rep.json"
     rc, _, err = run(capsys, [
@@ -589,6 +590,9 @@ def test_atlas_partial_on_small_range(tmp_path, capsys, atlas_report):
     report = json.loads(rep_path.read_text())
     assert "A1" in report["unresolved"]
     assert report["resolved"]["A2"]["key"] == atlas_report["resolved"]["A2"]["key"]
+    assert next(n for n in report["notes"] if n.startswith("H3:")).startswith(
+        "H3: the single-attach family on its brace's deg-2 orbit of 2 follows the printed "
+        "closed form m^2-1m-48 only from m>=10, past the largest surveyed size 9; ")
     entries = {e["id"] for e in json.loads(reg_path.read_text())}
     assert {"F1", "H1", "A3", "B0", "B1", "B3"} <= entries
 

@@ -45,6 +45,7 @@ from _helpers import (
     orbit_tails,
     polya_class_count,
     reference_accept_edge_child,
+    reference_canon,
     single_attach_decomposition,
     tarjan_bridges,
     toggle_edge,
@@ -136,7 +137,8 @@ def test_acceptance_matches_reference_rule(monkeypatch):
             )
             assert sorted(live[u, v]) == want, (adj, u, v)
         # the children the old walk built: one per orbit of all non-edges
-        reps = set(pair_orbit_reps(n, canon(Graph(n, adj)).generators, nonedges).values())
+        reps = set(pair_orbit_reps(n, reference_canon(Graph(n, adj)).generators,
+                                   nonedges).values())
         seen["dropped"] += len(reps - set(live))
         return live
 
@@ -169,7 +171,7 @@ def test_orbits_over_survivors(monkeypatch):
 
     def checked_candidates(n, adj, sides):
         live = fast_candidates(n, adj, sides)
-        gens = canon(Graph(n, adj)).generators
+        gens = reference_canon(Graph(n, adj)).generators
         for gen in gens:
             assert {tuple(sorted((gen[u], gen[v]))) for u, v in live} == set(live), adj
         every = sorted(set(pair_orbit_reps(n, gens, _nonedges(n, adj)).values()))
@@ -623,14 +625,14 @@ def test_survey_tails_equal_pendant_tails():
     """On every kernel brace of the atlas sizes (tricyclic 7..12, bicyclic
     5..10), discovery reads one tail per orbit of the brace's group
     (`_helpers.orbit_tails` with the group), at the smallest vertex of each
-    class of `canon(g).orbit_of`, and None at every other vertex; each tail
+    class of `reference_canon(g).orbit_of`, and None at every other vertex; each tail
     is the (poly, holds_from) of the brace's `model_tails` record at that
     vertex."""
     checked = carried = 0
     for c, sizes in ((3, range(7, 13)), (2, range(5, 11))):
         for b, found in kernel_braces(c, sizes).items():
             for g, auts, _ in found:
-                reps = set(canon(g).orbit_of)
+                reps = set(reference_canon(g).orbit_of)
                 full = model_tails(pendant_model(g.adj))
                 assert orbit_tails(g, auts) == tuple([full[v][:2] if v in reps else None
                                                       for v in range(g.n)]), (b, g.edges())

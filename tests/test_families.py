@@ -161,7 +161,7 @@ def test_forensic_hits_exact(monkeypatch, claimed):
     _, shape = DISCOVERY["H4"]
     monkeypatch.setitem(DISCOVERY, "H4", (claimed, shape))
     report = DiscoveryReport()
-    _unresolved_forensics("H4", report)
+    _unresolved_forensics("H4", report, 12)
     base, _ = subdivision(2, ((0, 1),) * 4, shape.path_parameters)
     families = report.notes[0].split("measured families: ")[1].split("; ")
     assert len(families) == 3
@@ -181,16 +181,24 @@ def test_forensic_note_equals_theta_subdivision(fid):
     """The forensic note for each four-theta id is the one the theta
     `subdivision` with the id's path lengths gives, read at the least
     vertex of each orbit of its group, each hit found by edge_mostar over
-    60 sizes (past the tail's start only when the forms differ; H2's and
-    H3's degree-2 tails are their printed forms).  The atlas writes H2's
-    note only at --max-size 7..8, before that tail holds, and H3's only
-    at 7..9, so no committed report pins them."""
+    60 sizes (past the tail's start only when the forms differ).  H2's and
+    H3's degree-2 tails are their printed forms, so their notes open with
+    the size those tails hold from, past the largest surveyed size; H4's
+    note, the one the committed report holds, opens with no match.  The
+    atlas writes H2's note only at --max-size 7..8 and H3's only at 7..9,
+    so no committed report pins them."""
+    top = {"H2": 8, "H3": 9, "H4": 12}[fid]
     claimed, shape = DISCOVERY[fid]
     base, auts = subdivision(2, ((0, 1),) * 4, shape.path_parameters)
     tails = model_tails(pendant_model(base.adj))
-    lines = []
+    heads, lines = [], []
     for v in sorted({min(g[u] for g in auts) for u in range(base.n)}):
         poly, holds_from, _ = tails[v]
+        if poly == claimed:
+            assert holds_from > top
+            heads.append(f"the single-attach family on its brace's deg-{base.degree(v)} "
+                         f"orbit of {v} follows the printed closed form {_poly_str(claimed)} "
+                         f"only from m>={holds_from}, past the largest surveyed size {top}")
         g, hits = base, []
         for m in range(base.m, base.m + 60):
             if edge_mostar(g) == poly_eval(claimed, m) and (m < holds_from or poly != claimed):
@@ -199,11 +207,13 @@ def test_forensic_note_equals_theta_subdivision(fid):
         lines.append(f"attach deg-{base.degree(v)} orbit of {v}: {_poly_str(poly)} "
                      f"from m>={holds_from}"
                      + (f", equals the printed form only at m={hits}" if hits else ""))
+    assert len(heads) == (fid != "H4")
     report = DiscoveryReport()
-    _unresolved_forensics(fid, report)
+    _unresolved_forensics(fid, report, top)
     assert report.notes == [
-        f"{fid}: no single-attach family on its brace matches the printed closed "
-        f"form {_poly_str(claimed)}; measured families: " + "; ".join(lines)]
+        f"{fid}: " + "; ".join(heads or [
+            f"no single-attach family on its brace matches the printed closed form "
+            f"{_poly_str(claimed)}"]) + "; measured families: " + "; ".join(lines)]
 
 
 def test_build_strip_round_trip(registry):
